@@ -18,11 +18,11 @@ print(f"n = {n} features, {sample_count} samples, tau = {instance.tau}")
 
 config = SolverConfig(
     variant="over_relaxed", beta=1.0, gamma=1.7,
-    eps_abs=1e-6, eps_rel=1e-4, max_iter=500, record_diagnostics=True,
+    eps_abs=1e-6, eps_rel=1e-4, max_iter=500,
 )
 result = run(instance, config)
-print(f"converged in {result.iterations} iterations "
-      f"(objective {result.records[-1].objective:.4f})")
+objective = instance.objective(result.final.x, result.final.y)
+print(f"converged in {result.iterations} iterations (objective {objective:.4f})")
 
 estimate = result.final.y.reshape(n, n)
 X = result.final.x.reshape(n, n)

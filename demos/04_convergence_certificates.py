@@ -4,17 +4,17 @@ The over-relaxed step admits a prediction-correction reading with a
 structured correction matrix M; together with the prediction-gap matrix Q it
 induces a positive definite metric H = Q M^-1 in which the iterates approach
 the solution set monotonically. This script materializes those objects on a
-small instance and checks, iteration by iteration, the identities the
-convergence argument rests on.
+small instance and checks, step by step as the solve streams them, the
+identities the convergence argument rests on.
 """
 
 import numpy as np
 
-from admmkit import SolverConfig, predict, run
+from admmkit import SolverConfig, run
 from admmkit.diagnostics import (
+    FejerMonitor,
     build_matrices_for,
     correction_residual,
-    fejer_check,
     g_form,
     g_norm_expanded,
     kkt_residual,
@@ -32,34 +32,37 @@ print(f"smallest eigenvalue of H: {np.linalg.eigvalsh(mats.H)[0]:.4f} (positive 
 print(f"gap form G is indefinite for gamma > 1: eigenvalue range "
       f"[{np.linalg.eigvalsh(mats.G)[0]:.3f}, {np.linalg.eigvalsh(mats.G)[-1]:.3f}]")
 
+# the solve streams every step to an observer: the Fejer monitor tracks the
+# H-metric distance to a high-accuracy reference, and the identities are
+# checked on each extrapolated step from the step's own prediction
+ref = reference_solution(instance, beta, 1e-7, 1e-5)
+monitor = FejerMonitor(ref, mats, "over_relaxed")
+worst = {"corr": 0.0, "gap": 0.0}
+
+
+def observe(k, v, pred, v_next, relaxed, criterion):
+    monitor(k, v, pred, v_next, relaxed, criterion)
+    if not relaxed:
+        return
+    worst["corr"] = max(worst["corr"], correction_residual(v, v_next, pred, mats))
+    direct = g_form(v - pred.essential_early, mats)
+    expanded = g_norm_expanded(pred, v, v_next, mats)
+    worst["gap"] = max(worst["gap"], abs(direct - expanded) / max(abs(direct), 1e-300))
+
+
 config = SolverConfig(
     variant="over_relaxed", beta=beta, gamma=gamma,
-    eps_abs=1e-5, eps_rel=1e-3, max_iter=500, record_diagnostics=True,
+    eps_abs=1e-5, eps_rel=1e-3, max_iter=500,
 )
-result = run(instance, config)
-traj = result.trajectory
+result = run(instance, config, observer=observe)
 print(f"\nover-relaxed solve: {result.iterations} iterations, "
       f"{sum(r.relaxed for r in result.records)} extrapolated")
+print(f"correction identity v_next = v - M(v - v_tilde): max residual {worst['corr']:.2e}")
+print(f"gap-form step expansion agreement:              max mismatch {worst['gap']:.2e}")
 
-# per-step identities on the extrapolated steps
-worst_corr, worst_gap = 0.0, 0.0
-for k, rec in enumerate(result.records[: len(traj) - 1]):
-    if not rec.relaxed:
-        continue
-    pred = predict(instance, traj[k], beta)
-    worst_corr = max(worst_corr, correction_residual(traj[k], traj[k + 1], pred, mats))
-    direct = g_form(traj[k] - pred.essential_early, mats)
-    expanded = g_norm_expanded(pred, traj[k], traj[k + 1], mats)
-    worst_gap = max(worst_gap, abs(direct - expanded) / max(abs(direct), 1e-300))
-print(f"correction identity v_next = v - M(v - v_tilde): max residual {worst_corr:.2e}")
-print(f"gap-form step expansion agreement:              max mismatch {worst_gap:.2e}")
-
-# monotone approach to a high-accuracy reference in the H-metric
-ref = reference_solution(instance, beta, 1e-7, 1e-5)
-flags = [rec.relaxed for rec in result.records[: len(traj) - 1]]
-report = fejer_check(traj, ref, mats, relaxed=flags)
+# monotone approach to the reference in the H-metric
 print(f"\ndistance to reference in the H-metric: "
-      f"{report.h_dist_sq[0]:.3e} at start, {report.h_dist_sq[-1]:.3e} at the end")
-print(f"monotonicity violations: {len(report.monotonicity_violations)}, "
-      f"per-step gap violations: {len(report.gap_violations)}")
+      f"{monitor.h_dist_sq[0]:.3e} at start, {monitor.h_dist_sq[-1]:.3e} at the end")
+print(f"monotonicity violations: {len(monitor.monotonicity_violations)}, "
+      f"per-step gap violations: {len(monitor.gap_violations)}")
 print(f"KKT residual at the final iterate: {kkt_residual(instance, result.final):.2e}")

@@ -16,9 +16,6 @@ from .engine import (
     predict,
     relax,
     run,
-    step_classical,
-    step_over_relaxed,
-    step_relaxed_customized,
 )
 from .model import (
     VARIANTS,
@@ -47,9 +44,6 @@ __all__ = [
     "predict",
     "relax",
     "run",
-    "step_classical",
-    "step_over_relaxed",
-    "step_relaxed_customized",
 ]
 
 __version__ = "0.1.0"

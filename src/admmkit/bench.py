@@ -13,21 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import covsel, lasso
-from .diagnostics import (
-    build_matrices_for,
-    fejer_check,
-    g_form,
-    h_norm_sq,
-    reference_solution,
-    tilde_point,
-)
+from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
 from .model import VARIANTS, SolverConfig
 
@@ -44,7 +36,8 @@ class BenchmarkSpec:
 
     ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel;
     ``tolerances`` holds (eps_abs, eps_rel) pairs. ``gamma=None`` resolves to
-    the per-problem default. ``tau`` applies to covsel instances only.
+    the per-problem default. ``tau`` applies to covsel instances only. A
+    value every solver config of the grid would reject is rejected here.
     """
 
     problem: str
@@ -57,7 +50,6 @@ class BenchmarkSpec:
     seed_base: int = 0
     max_iter: int = 2000
     diagnostics: bool = False
-    jobs: int = 1
     tau: float | None = None
     out_dir: str | Path = "bench_out"
 
@@ -70,8 +62,6 @@ class BenchmarkSpec:
             raise ValueError("tolerances must be nonempty")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         bad = [v for v in self.variants if v not in VARIANTS]
         if bad or not self.variants:
             raise ValueError(f"invalid variants {bad}; expected among {VARIANTS}")
@@ -80,10 +70,24 @@ class BenchmarkSpec:
         else:
             self.sizes = [int(n) for n in self.sizes]
         self.tolerances = [(float(a), float(r)) for a, r in self.tolerances]
+        for tol in self.tolerances:
+            for variant in self.variants:
+                self.config(variant, tol)
 
     @property
     def gamma_resolved(self) -> float:
         return self.gamma if self.gamma is not None else GAMMA_DEFAULTS[self.problem]
+
+    def config(self, variant: str, tol) -> SolverConfig:
+        """Solver config of one variant at one (eps_abs, eps_rel) pair."""
+        return SolverConfig(
+            variant=variant,
+            beta=self.beta,
+            gamma=self.gamma_resolved,
+            eps_abs=tol[0],
+            eps_rel=tol[1],
+            max_iter=self.max_iter,
+        )
 
 
 @dataclass
@@ -130,67 +134,32 @@ def _generate(spec: BenchmarkSpec, size, seed: int):
 
 
 def _run_cell(spec: BenchmarkSpec, size, tol):
-    eps_abs, eps_rel = tol
+    """Solve every instance of one cell with every variant.
+
+    Returns per-variant (results, solve times) and, with diagnostics on,
+    per-variant monitors of the repeat-0 solves.
+    """
     instances = [_generate(spec, size, spec.seed_base + i) for i in range(spec.repeats)]
-    data = {}
+    ref = None
+    if spec.diagnostics:
+        ref = reference_solution(instances[0], spec.beta, tol[0] / 100.0, tol[1] / 100.0)
+    data, monitors = {}, {}
     for variant in spec.variants:
+        config = spec.config(variant, tol)
         runs, times = [], []
         for i, instance in enumerate(instances):
-            config = SolverConfig(
-                variant=variant,
-                beta=spec.beta,
-                gamma=spec.gamma_resolved,
-                eps_abs=eps_abs,
-                eps_rel=eps_rel,
-                max_iter=spec.max_iter,
-                record_diagnostics=(i == 0 and spec.diagnostics),
-            )
+            observer = None
+            if i == 0 and ref is not None:
+                observer = monitors[variant] = FejerMonitor.for_config(instance, config, ref)
             t0 = time.perf_counter()
-            result = run(instance, config)
+            result = run(instance, config, observer=observer)
             times.append(time.perf_counter() - t0)
             runs.append(result)
         data[variant] = (runs, times)
-    return instances[0], data
+    return data, monitors
 
 
-@dataclass
-class _DiagColumns:
-    h_dist_sq: list
-    g_norm_sq: list
-    mono_violation_rows: set
-    gap_violation_rows: set
-
-
-def _cell_diagnostics(spec: BenchmarkSpec, instance, tol, data):
-    """Per-variant diagnostic columns for the repeat-0 run of one cell."""
-    ref = reference_solution(instance, spec.beta, tol[0] / 100.0, tol[1] / 100.0)
-    columns = {}
-    for variant in spec.variants:
-        result = data[variant][0][0]
-        traj = result.trajectory
-        if len(traj) < 2:
-            columns[variant] = _DiagColumns([], [], set(), set())
-            continue
-        gamma = 1.0 if variant == "classical" else spec.gamma_resolved
-        mats = build_matrices_for(instance, spec.beta, gamma)
-        h = [h_norm_sq(v - ref, mats) for v in traj]
-        g = [
-            g_form(traj[k] - tilde_point(instance, traj[k], spec.beta, variant), mats)
-            for k in range(len(traj) - 1)
-        ]
-        mono, gap = set(), set()
-        if variant in ("classical", "over_relaxed"):
-            flags = None
-            if variant == "over_relaxed":
-                flags = [rec.relaxed for rec in result.records[: len(traj) - 1]]
-            report = fejer_check(traj, ref, mats, relaxed=flags)
-            mono = {k + 1 for k, _ in report.monotonicity_violations}
-            gap = {k + 1 for k, _ in report.gap_violations}
-        columns[variant] = _DiagColumns(h, g, mono, gap)
-    return columns
-
-
-def _write_trajectory_csv(path: Path, result: SolveResult, diag: _DiagColumns | None):
+def _write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | None):
     header = ["k", "primal_residual", "dual_residual", "criterion_value", "relaxed"]
     if diag is not None:
         header += ["h_dist_sq", "g_norm_sq", "monotone_violation", "gap_violation"]
@@ -206,15 +175,7 @@ def _write_trajectory_csv(path: Path, result: SolveResult, diag: _DiagColumns | 
                 int(rec.relaxed),
             ]
             if diag is not None:
-                if rec.k < len(diag.h_dist_sq):
-                    row += [
-                        diag.h_dist_sq[rec.k],
-                        diag.g_norm_sq[rec.k - 1],
-                        int(rec.k in diag.mono_violation_rows),
-                        int(rec.k in diag.gap_violation_rows),
-                    ]
-                else:
-                    row += ["", "", "", ""]
+                row += diag.row(rec.k)
             writer.writerow(row)
 
 
@@ -290,25 +251,19 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
     the first repeat. Returns the collected rows and output paths."""
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [(size, tol) for size in spec.sizes for tol in spec.tolerances]
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            cell_results = list(pool.map(lambda c: _run_cell(spec, *c), cells))
-    else:
-        cell_results = [_run_cell(spec, *c) for c in cells]
-
     rows: list[SummaryRow] = []
     trajectory_files: list[Path] = []
-    for (size, tol), (instance0, data) in zip(cells, cell_results):
+    for size in spec.sizes:
         label = _size_label(spec.problem, size)
-        tol_idx = spec.tolerances.index(tol)
-        diag = _cell_diagnostics(spec, instance0, tol, data) if spec.diagnostics else {}
-        for variant in spec.variants:
-            runs, times = data[variant]
-            rows.append(_summary_row(spec, size, tol, variant, runs, times))
-            traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
-            _write_trajectory_csv(traj_path, runs[0], diag.get(variant))
-            trajectory_files.append(traj_path)
+        for tol in spec.tolerances:
+            tol_idx = spec.tolerances.index(tol)
+            data, diag = _run_cell(spec, size, tol)
+            for variant in spec.variants:
+                runs, times = data[variant]
+                rows.append(_summary_row(spec, size, tol, variant, runs, times))
+                traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
+                _write_trajectory_csv(traj_path, runs[0], diag.get(variant))
+                trajectory_files.append(traj_path)
     summary_csv = out / "summary.csv"
     summary_table = out / "summary.txt"
     _write_summary_csv(summary_csv, rows)

@@ -9,8 +9,9 @@ Subcommands::
 
 Every flag can also be supplied through ``--config FILE`` holding
 ``key=value`` lines (keys are the long flag names with dashes or
-underscores); explicit flags override the file. CSV outputs are
-deterministic for a fixed spec and seed.
+underscores); explicit flags override the file. A value the benchmark
+spec, solver config or instance rejects is a usage error (exit code 2). CSV
+outputs are deterministic for a fixed spec and seed.
 """
 
 from __future__ import annotations
@@ -30,17 +31,14 @@ from .bench import (
     run_benchmark,
 )
 from .diagnostics import (
-    build_matrices_for,
+    FejerMonitor,
     correction_residual,
-    fejer_check,
     g_decomposition_residual,
-    g_form,
     g_norm_expanded,
     kkt_residual,
     reference_solution,
-    tilde_point,
 )
-from .engine import predict, run
+from .engine import run
 from .model import VARIANTS, SolverConfig
 
 
@@ -80,8 +78,6 @@ def _add_common(parser: argparse.ArgumentParser, bench: bool):
         parser.add_argument("--variant", type=_parse_variants, default=VARIANTS,
                             help="comma-separated subset of " + ",".join(VARIANTS))
         parser.add_argument("--repeats", type=int, default=10)
-        parser.add_argument("--jobs", type=int, default=1,
-                            help="number of benchmark cells solved concurrently")
         parser.add_argument("--strict", action="store_true",
                             help="exit nonzero if any run hits max-iter")
         parser.add_argument("--diagnostics", action="store_true",
@@ -203,7 +199,6 @@ def _cmd_bench(problem: str, args) -> int:
         seed_base=args.seed,
         max_iter=args.max_iter,
         diagnostics=args.diagnostics,
-        jobs=args.jobs,
         tau=tau,
         out_dir=args.out,
     )
@@ -259,36 +254,27 @@ def _cmd_diagnose(args) -> int:
     config = SolverConfig(
         variant=args.variant, beta=args.beta, gamma=gamma,
         eps_abs=args.eps_abs[0], eps_rel=args.eps_rel[0], max_iter=args.max_iter,
-        record_diagnostics=True,
     )
-    result = run(instance, config)
-    traj = result.trajectory
-    mats = build_matrices_for(instance, args.beta, 1.0 if args.variant == "classical" else gamma)
     ref = reference_solution(instance, args.beta, args.eps_abs[0] / 100, args.eps_rel[0] / 100)
-    flags = None
-    if args.variant == "over_relaxed":
-        flags = [rec.relaxed for rec in result.records[: len(traj) - 1]]
-    elif args.variant == "relaxed_customized":
-        # the gate-based monotonicity theory does not cover this baseline
-        flags = [False] * (len(traj) - 1)
-    report = fejer_check(traj, ref, mats, relaxed=flags)
+    monitor = FejerMonitor.for_config(instance, config, ref)
+    mats = monitor.mats
+    worst = {"split": 0.0, "corr": 0.0, "expand": 0.0}
 
-    corr_max = 0.0
-    expand_max = 0.0
-    split_max = 0.0
-    for k in range(len(traj) - 1):
+    def observe(k, v, pred, v_new, relaxed, criterion):
+        monitor(k, v, pred, v_new, relaxed, criterion)
         if args.variant == "relaxed_customized":
-            break
-        pred = predict(instance, traj[k], args.beta)
-        split = pred.lam_pred - (pred.lam_early + args.beta * mats.apply_B(traj[k].y - pred.y_pred))
-        split_max = max(split_max, float(np.abs(split).max(initial=0.0)))
-        if flags is not None and flags[k]:
-            corr_max = max(corr_max, correction_residual(traj[k], traj[k + 1], pred, mats))
-            direct = g_form(traj[k] - pred.essential_early, mats)
-            expanded = g_norm_expanded(pred, traj[k], traj[k + 1], mats)
-            expand_max = max(
-                expand_max, abs(direct - expanded) / max(abs(direct), 1e-300)
+            return
+        split = pred.lam_pred - (pred.lam_early + args.beta * mats.apply_B(v.y - pred.y_pred))
+        worst["split"] = max(worst["split"], float(np.abs(split).max(initial=0.0)))
+        if relaxed:
+            worst["corr"] = max(worst["corr"], correction_residual(v, v_new, pred, mats))
+            direct = monitor.g_norm_sq[-1]
+            expanded = g_norm_expanded(pred, v, v_new, mats)
+            worst["expand"] = max(
+                worst["expand"], abs(direct - expanded) / max(abs(direct), 1e-300)
             )
+
+    result = run(instance, config, observer=observe)
 
     diag_path = args.out / f"diagnose_{problem_name}_{args.variant}.csv"
     with open(diag_path, "w", newline="") as fh:
@@ -297,16 +283,10 @@ def _cmd_diagnose(args) -> int:
             ["k", "h_dist_sq", "g_norm_sq", "criterion_value", "relaxed",
              "monotone_violation", "gap_violation"]
         )
-        mono = {k + 1 for k, _ in report.monotonicity_violations}
-        gap = {k + 1 for k, _ in report.gap_violations}
-        for rec in result.records[: len(traj) - 1]:
-            g_val = g_form(
-                traj[rec.k - 1] - tilde_point(instance, traj[rec.k - 1], args.beta, args.variant),
-                mats,
-            )
+        for rec in result.records[: len(monitor.g_norm_sq)]:
+            h_val, g_val, mono, gap = monitor.row(rec.k)
             writer.writerow(
-                [rec.k, report.h_dist_sq[rec.k], g_val, rec.criterion_value,
-                 int(rec.relaxed), int(rec.k in mono), int(rec.k in gap)]
+                [rec.k, h_val, g_val, rec.criterion_value, int(rec.relaxed), mono, gap]
             )
 
     print(f"variant={args.variant} iterations={result.iterations} converged={result.converged}")
@@ -315,12 +295,12 @@ def _cmd_diagnose(args) -> int:
         print(f"metric factorization H = Q M^-1 residual: {h_gap:.3e}")
         print(f"gap-form decomposition residual:          {g_decomposition_residual(mats):.3e}")
     if args.variant != "relaxed_customized":
-        print(f"multiplier split identity residual:       {split_max:.3e}")
-    if flags is not None:
-        print(f"correction identity residual (relaxed):   {corr_max:.3e}")
-        print(f"gap-form expansion mismatch (relaxed):    {expand_max:.3e}")
-    print(f"Fejer monotonicity violations:            {len(report.monotonicity_violations)}")
-    print(f"per-step gap inequality violations:       {len(report.gap_violations)}")
+        print(f"multiplier split identity residual:       {worst['split']:.3e}")
+    if args.variant != "classical":
+        print(f"correction identity residual (relaxed):   {worst['corr']:.3e}")
+        print(f"gap-form expansion mismatch (relaxed):    {worst['expand']:.3e}")
+    print(f"Fejer monotonicity violations:            {len(monitor.monotonicity_violations)}")
+    print(f"per-step gap inequality violations:       {len(monitor.gap_violations)}")
     print(f"KKT residual at final iterate:            {kkt_residual(instance, result.final):.3e}")
     print(f"diagnostic rows: {diag_path}")
     return 0
@@ -344,11 +324,15 @@ def main(argv=None) -> int:
     if pre_args.config is not None:
         _apply_config(parser, _read_config(pre_args.config))
     args = parser.parse_args(rest)
-    if command in ("lasso", "covsel"):
-        return _cmd_bench(command, args)
-    if command == "compare":
-        return _cmd_compare(args)
-    return _cmd_diagnose(args)
+    try:
+        if command in ("lasso", "covsel"):
+            return _cmd_bench(command, args)
+        if command == "compare":
+            return _cmd_compare(args)
+        return _cmd_diagnose(args)
+    except ValueError as exc:
+        # an out-of-range value rejected by a spec, config or instance
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

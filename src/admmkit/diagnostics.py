@@ -8,7 +8,7 @@ and the prediction-gap matrix Q fall a positive-definite metric H = Q M^-1
 and an indefinite gap form G = Q' + Q - M'HM that lower-bounds per-step
 progress. This module materializes those objects on small instances (or
 evaluates their quadratic forms matrix-free on large ones) and checks the
-identities and monotonicity claims on recorded trajectories.
+identities and monotonicity claims step by step on a live solve.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Prediction, predict, run
+from .engine import Prediction, run
 from .model import EssentialState, Iterate, SeparableProblem, SolverConfig
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
@@ -210,23 +210,97 @@ def correction_residual(
     return float(err / scale)
 
 
-@dataclass
-class FejerReport:
-    """Distances to a reference solution plus any violations found.
+def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
+    """Whether the analysis covers (monotonicity, the gap inequality) on a step.
 
-    ``h_dist_sq[k]`` is ||v^k - v*||_H^2 for trajectory index k. Violations
-    are (transition index k, magnitude) pairs; they are reported rather than
-    raised so a benchmark can keep running and flag the rows.
+    Classical steps are Fejer monotone in the unit-gamma metric. Over-relaxed
+    steps are covered only when the criterion held and the step relaxed. The
+    gate-based theory does not cover the relaxed-customized baseline.
+    """
+    if variant == "classical":
+        return True, False
+    if variant == "over_relaxed":
+        return relaxed, relaxed
+    return False, False
+
+
+class FejerMonitor:
+    """Online Fejer diagnostics of one solve; pass it to :func:`run` as the
+    observer, or get one filled from a list through :func:`fejer_check`.
+
+    ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
+    form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point (observer use
+    only). Violations are (transition index k, magnitude) pairs for the
+    transition v^k -> v^(k+1); they are reported rather than raised so a
+    benchmark can keep running and flag the rows. Which checks apply follows
+    the variant (see :func:`_checks`); the tolerance is 1e-8 times the initial
+    distance. Only these per-step floats are kept, never the iterates.
     """
 
-    h_dist_sq: list[float]
-    monotonicity_violations: list[tuple[int, float]]
-    gap_violations: list[tuple[int, float]]
-    tol: float
+    def __init__(self, v_star: EssentialState, mats: AnalysisMatrices, variant: str):
+        self.v_star = v_star
+        self.mats = mats
+        self.variant = variant
+        self.h_dist_sq: list[float] = []
+        self.g_norm_sq: list[float] = []
+        self.monotonicity_violations: list[tuple[int, float]] = []
+        self.gap_violations: list[tuple[int, float]] = []
+        self.tol = 0.0
+
+    @classmethod
+    def for_config(
+        cls, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState
+    ) -> "FejerMonitor":
+        """Monitor of a solve under ``config``; classical is analysed at unit gamma."""
+        gamma = 1.0 if config.variant == "classical" else config.gamma
+        return cls(v_star, build_matrices_for(problem, config.beta, gamma), config.variant)
 
     @property
     def clean(self) -> bool:
         return not self.monotonicity_violations and not self.gap_violations
+
+    def __call__(self, k, v_old, pred: Prediction, v_new, relaxed: bool, criterion: float):
+        self.g_norm_sq.append(g_form(v_old - pred.essential_early, self.mats))
+        self.transition(v_old, v_new, *_checks(self.variant, relaxed))
+
+    def start(self, v0: EssentialState) -> None:
+        """Record the starting distance, which sets the tolerance."""
+        dist = h_norm_sq(v0 - self.v_star, self.mats)
+        self.h_dist_sq.append(dist)
+        self.tol = 1e-8 * max(dist, 1e-300)
+
+    def transition(self, v_old, v_new, monotone: bool, gap: bool) -> None:
+        """Record v_old -> v_new and run the requested checks on it."""
+        if not self.h_dist_sq:
+            self.start(v_old)
+        k = len(self.h_dist_sq) - 1
+        before = self.h_dist_sq[-1]
+        after = h_norm_sq(v_new - self.v_star, self.mats)
+        self.h_dist_sq.append(after)
+        if monotone and after > before + self.tol:
+            self.monotonicity_violations.append((k, after - before))
+        if gap:
+            gamma, beta = self.mats.gamma, self.mats.beta
+            c1 = (2.0 - gamma) / gamma**2 * beta
+            c2 = (2.0 - gamma) / (gamma**2 * beta)
+            d = v_old - v_new
+            bdy = self.mats.apply_B(d.y)
+            lhs = c1 * float(bdy @ bdy) + c2 * float(d.lam @ d.lam)
+            rhs = before - after
+            if lhs > rhs + self.tol:
+                self.gap_violations.append((k, lhs - rhs))
+
+    def row(self, k: int) -> list:
+        """h_dist_sq, g_norm_sq and the two violation flags of step k as CSV
+        cells; blanks when step k was not observed."""
+        if k >= len(self.h_dist_sq):
+            return ["", "", "", ""]
+        return [
+            self.h_dist_sq[k],
+            self.g_norm_sq[k - 1],
+            int(any(i == k - 1 for i, _ in self.monotonicity_violations)),
+            int(any(i == k - 1 for i, _ in self.gap_violations)),
+        ]
 
 
 def fejer_check(
@@ -234,54 +308,23 @@ def fejer_check(
     v_star: EssentialState,
     mats: AnalysisMatrices,
     relaxed: list[bool] | None = None,
-) -> FejerReport:
+) -> FejerMonitor:
     """Check Fejer monotonicity of ||v^k - v*||_H^2 along a trajectory.
 
     ``relaxed`` marks which transitions were criterion-holding relaxation
     steps (trajectory[k] -> trajectory[k+1]); on those the per-step gap
     inequality with constants C1 = (2-gamma)/gamma^2 * beta and
-    C2 = (2-gamma)/(gamma^2 beta) is checked as well. With ``relaxed=None``
-    every transition is checked for monotonicity only. Tolerance is
-    1e-8 times the initial distance.
+    C2 = (2-gamma)/(gamma^2 beta) is checked as well, as for an over-relaxed
+    solve. With ``relaxed=None`` every transition is checked for monotonicity
+    only, as for a classical one. Tolerance is 1e-8 times the initial distance.
     """
-    dists = [h_norm_sq(v - v_star, mats) for v in trajectory]
-    if not dists:
-        return FejerReport([], [], [], 0.0)
-    tol = 1e-8 * max(dists[0], 1e-300)
-    gamma, beta = mats.gamma, mats.beta
-    c1 = (2.0 - gamma) / gamma**2 * beta
-    c2 = (2.0 - gamma) / (gamma**2 * beta)
-    mono: list[tuple[int, float]] = []
-    gap: list[tuple[int, float]] = []
+    monitor = FejerMonitor(v_star, mats, "classical" if relaxed is None else "over_relaxed")
+    if trajectory:
+        monitor.start(trajectory[0])
     for k in range(len(trajectory) - 1):
-        checked = relaxed[k] if relaxed is not None else True
-        gap_checked = relaxed is not None and relaxed[k]
-        if checked and dists[k + 1] > dists[k] + tol:
-            mono.append((k, dists[k + 1] - dists[k]))
-        if gap_checked:
-            d = trajectory[k] - trajectory[k + 1]
-            bdy = mats.apply_B(d.y)
-            lhs = c1 * float(bdy @ bdy) + c2 * float(d.lam @ d.lam)
-            rhs = dists[k] - dists[k + 1]
-            if lhs > rhs + tol:
-                gap.append((k, lhs - rhs))
-    return FejerReport(dists, mono, gap, tol)
-
-
-def tilde_point(
-    problem: SeparableProblem,
-    v: EssentialState,
-    beta: float,
-    variant: str = "over_relaxed",
-) -> EssentialState:
-    """Auxiliary point of the step taken from v (for g-form diagnostics)."""
-    if variant == "relaxed_customized":
-        x_next = problem.solve_x(v.y, v.lam, beta)
-        lam_early = v.lam - beta * (
-            problem.apply_A(x_next) + problem.apply_B(v.y) - problem.rhs_b
-        )
-        return EssentialState(problem.solve_y(x_next, lam_early, beta), lam_early)
-    return predict(problem, v, beta).essential_early
+        flag = relaxed is not None and relaxed[k]
+        monitor.transition(trajectory[k], trajectory[k + 1], *_checks(monitor.variant, flag))
+    return monitor
 
 
 def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:

@@ -1,17 +1,21 @@
-"""Iteration engine for the three ADMM variants.
+"""Iteration engine: one prediction-correction step shared by the three variants.
 
 Each step consumes only the essential pair v = (y, lam): the x-block is an
-intermediary recomputed from v. The ``over_relaxed`` variant extrapolates the
-essential pair past the predicted point by a factor gamma whenever a sign
-criterion certifies the relaxation is safe, and falls back to the plain step
-otherwise. The ``relaxed_customized`` baseline swaps the order of the y- and
-multiplier updates and relaxes unconditionally.
+intermediary recomputed from v. A step runs one prediction sweep
+(:func:`predict`) to the auxiliary point, evaluates the sign criterion
+(:func:`criterion_value`), and either applies the correction
+v+ = v - gamma (v - v_pred) (:func:`relax`) or takes the predicted pair. The
+variants differ only in two choices: ``classical`` never relaxes,
+``over_relaxed`` relaxes when the criterion is nonnegative, and the
+``relaxed_customized`` baseline updates the multiplier before the y-block and
+always relaxes. :func:`run` iterates the step and can pass every step to an
+observer, which is how :mod:`admmkit.diagnostics` watches a solve.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,16 +36,21 @@ class SolverError(RuntimeError):
 class Prediction:
     """Output of one prediction sweep from the current essential pair.
 
-    ``lam_pred`` is the multiplier updated with the new y-block (the point the
-    relaxation extrapolates toward), while ``lam_early`` is the multiplier
-    updated with the not-yet-updated y-block; the two differ by exactly
-    beta * B(y_old - y_pred).
+    ``lam_pred`` is the multiplier the relaxation extrapolates toward and
+    ``lam_early`` the multiplier updated with the not-yet-updated y-block. In
+    the plain sweep ``lam_pred`` uses the new y-block, so the two differ by
+    exactly beta * B(y_old - y_pred); in the multiplier-first sweep the
+    y-block is solved against ``lam_early`` and ``lam_pred`` is ``lam_early``.
+    ``ax`` is A x_next and ``residual`` is the constraint residual behind
+    ``lam_pred``, so a step can reuse both.
     """
 
     x_next: np.ndarray
     y_pred: np.ndarray
     lam_pred: np.ndarray
     lam_early: np.ndarray
+    ax: np.ndarray
+    residual: np.ndarray
 
     @property
     def essential(self) -> EssentialState:
@@ -49,7 +58,7 @@ class Prediction:
 
     @property
     def essential_early(self) -> EssentialState:
-        """The pair (y_pred, lam_early) entering the correction identity."""
+        """The auxiliary point (y_pred, lam_early) of the correction identity."""
         return EssentialState(self.y_pred, self.lam_early)
 
 
@@ -57,32 +66,51 @@ class Prediction:
 class SolveResult:
     """Outcome of :func:`run`.
 
-    ``trajectory`` holds v^0 .. v^K when the config recorded diagnostics.
-    ``abort_reason`` is set when the solve stopped on a non-finite iterate.
+    ``final`` holds the last x-block and the last essential pair. For
+    ``relaxed_customized`` that pair is relaxed, not a subproblem output: an
+    l1 block's entries moved off zero by the extrapolation leave a
+    membership residual, so ``kkt_residual`` at ``final`` can be about twice
+    the l1 weight even on a converged solve. ``abort_reason`` is set when the
+    solve stopped on a non-finite iterate.
     """
 
     final: Iterate
     records: list[IterationRecord]
     converged: bool
     iterations: int
-    trajectory: list[EssentialState] = field(default_factory=list)
     abort_reason: str | None = None
 
 
-def predict(problem: SeparableProblem, v: EssentialState, beta: float) -> Prediction:
-    """Run one prediction sweep: x-solve, y-solve, both multiplier updates."""
+def predict(
+    problem: SeparableProblem,
+    v: EssentialState,
+    beta: float,
+    multiplier_first: bool = False,
+) -> Prediction:
+    """Run one prediction sweep: x-solve, then the y-solve and multiplier
+    updates, the y-block first unless ``multiplier_first``."""
     x_next = problem.solve_x(v.y, v.lam, beta)
-    y_pred = problem.solve_y(x_next, v.lam, beta)
     ax = problem.apply_A(x_next)
     rhs = problem.rhs_b
-    lam_early = v.lam - beta * (ax + problem.apply_B(v.y) - rhs)
-    lam_pred = v.lam - beta * (ax + problem.apply_B(y_pred) - rhs)
-    return Prediction(x_next, y_pred, lam_pred, lam_early)
+    early_residual = ax + problem.apply_B(v.y) - rhs
+    lam_early = v.lam - beta * early_residual
+    if multiplier_first:
+        y_pred = problem.solve_y(x_next, lam_early, beta)
+        return Prediction(x_next, y_pred, lam_early, lam_early, ax, early_residual)
+    y_pred = problem.solve_y(x_next, v.lam, beta)
+    residual = ax + problem.apply_B(y_pred) - rhs
+    return Prediction(x_next, y_pred, v.lam - beta * residual, lam_early, ax, residual)
+
+
+def _criterion(pred: Prediction, v: EssentialState, problem: SeparableProblem):
+    """The criterion value and B(y - y_pred), which an unrelaxed step reuses."""
+    b_gap = problem.apply_B(v.y - pred.y_pred)
+    return float((v.lam - pred.lam_pred) @ b_gap), b_gap
 
 
 def criterion_value(pred: Prediction, v: EssentialState, problem: SeparableProblem) -> float:
     """Relaxation-safety inner product (lam - lam_pred) . B(y - y_pred)."""
-    return float((v.lam - pred.lam_pred) @ problem.apply_B(v.y - pred.y_pred))
+    return _criterion(pred, v, problem)[0]
 
 
 def relax(v: EssentialState, pred: Prediction, gamma: float) -> EssentialState:
@@ -101,105 +129,44 @@ def relax(v: EssentialState, pred: Prediction, gamma: float) -> EssentialState:
     )
 
 
-def _finish_record(problem, config, k, v_old, v_new, x_next, crit, relaxed, t0):
-    r_vec = problem.constraint_residual(x_next, v_new.y)
-    dy = v_new.y - v_old.y
-    primal = float(np.linalg.norm(r_vec))
-    dual = float(np.linalg.norm(dy))
-    x_norm = float(np.linalg.norm(x_next))
+def _step(problem: SeparableProblem, v: EssentialState, config: SolverConfig, k: int):
+    """One prediction-correction step; returns (pred, v_new, record)."""
+    customized = config.variant == "relaxed_customized"
+    pred = predict(problem, v, config.beta, multiplier_first=customized)
+    # b_dy starts as B(y - y_pred): on an unrelaxed step that is -B(y_new - y),
+    # whose squared norm is the same to the bit
+    crit, b_dy = _criterion(pred, v, problem)
+    relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
+    if relaxed:
+        v_new = relax(v, pred, config.gamma)
+        r_vec = pred.ax + problem.apply_B(v_new.y) - problem.rhs_b
+        b_dy = problem.apply_B(v_new.y - v.y)
+    else:
+        v_new, r_vec = pred.essential, pred.residual
+    dy = v_new.y - v.y
+    d_lam = v_new.lam - v.lam
+    x_norm = float(np.linalg.norm(pred.x_next))
     y_norm = float(np.linalg.norm(v_new.y))
     eps_pri = np.sqrt(problem.m) * config.eps_abs + config.eps_rel * max(x_norm, y_norm)
     eps_dual = np.sqrt(problem.n2) * config.eps_abs + config.eps_rel * y_norm
-    b_dy = problem.apply_B(dy)
-    d_lam = v_new.lam - v_old.lam
-    change_sq = float(b_dy @ b_dy + d_lam @ d_lam)
-    obj = problem.objective(x_next, v_new.y) if config.record_diagnostics else float("nan")
-    return IterationRecord(
+    record = IterationRecord(
         k=k,
-        primal_residual_norm=primal,
-        dual_residual_norm=dual,
+        primal_residual_norm=float(np.linalg.norm(r_vec)),
+        dual_residual_norm=float(np.linalg.norm(dy)),
         criterion_value=crit,
         relaxed=relaxed,
-        objective=obj,
-        elapsed=time.perf_counter() - t0,
         eps_pri=float(eps_pri),
         eps_dual=float(eps_dual),
-        essential_change_sq=change_sq,
+        essential_change_sq=float(b_dy @ b_dy + d_lam @ d_lam),
     )
-
-
-def _step_classical(problem, v, config, k):
-    t0 = time.perf_counter()
-    pred = predict(problem, v, config.beta)
-    crit = criterion_value(pred, v, problem)
-    v_new = pred.essential
-    rec = _finish_record(problem, config, k, v, v_new, pred.x_next, crit, False, t0)
-    return v_new, rec, pred.x_next
-
-
-def _step_over_relaxed(problem, v, config, k):
-    t0 = time.perf_counter()
-    pred = predict(problem, v, config.beta)
-    crit = criterion_value(pred, v, problem)
-    if crit >= 0.0:  # tie counts as holding
-        v_new = relax(v, pred, config.gamma)
-        relaxed = True
-    else:
-        v_new = pred.essential
-        relaxed = False
-    rec = _finish_record(problem, config, k, v, v_new, pred.x_next, crit, relaxed, t0)
-    return v_new, rec, pred.x_next
-
-
-def _step_relaxed_customized(problem, v, config, k):
-    t0 = time.perf_counter()
-    beta = config.beta
-    x_next = problem.solve_x(v.y, v.lam, beta)
-    lam_early = v.lam - beta * (
-        problem.apply_A(x_next) + problem.apply_B(v.y) - problem.rhs_b
-    )
-    y_tilde = problem.solve_y(x_next, lam_early, beta)
-    crit = float((v.lam - lam_early) @ problem.apply_B(v.y - y_tilde))
-    gamma = config.gamma
-    v_new = EssentialState(
-        v.y - gamma * (v.y - y_tilde),
-        v.lam - gamma * (v.lam - lam_early),
-    )
-    rec = _finish_record(problem, config, k, v, v_new, x_next, crit, True, t0)
-    return v_new, rec, x_next
-
-
-_STEPS = {
-    "classical": _step_classical,
-    "over_relaxed": _step_over_relaxed,
-    "relaxed_customized": _step_relaxed_customized,
-}
-
-
-def step_classical(problem, v, config, k=1):
-    """Plain alternating step: both blocks, then the multiplier, no relaxation."""
-    v_new, rec, _ = _step_classical(problem, v, config, k)
-    return v_new, rec
-
-
-def step_over_relaxed(problem, v, config, k=1):
-    """Criterion-gated step: relax by gamma when the criterion holds (ties count
-    as holding), otherwise take the plain step (factor effectively 1)."""
-    v_new, rec, _ = _step_over_relaxed(problem, v, config, k)
-    return v_new, rec
-
-
-def step_relaxed_customized(problem, v, config, k=1):
-    """Baseline with the multiplier updated before the y-block, then an
-    unconditional relaxation of both essential variables."""
-    v_new, rec, _ = _step_relaxed_customized(problem, v, config, k)
-    return v_new, rec
+    return pred, v_new, record
 
 
 def run(
     problem: SeparableProblem,
     config: SolverConfig,
     v0: EssentialState | None = None,
+    observer: Callable[..., None] | None = None,
 ) -> SolveResult:
     """Iterate the configured variant until the stopping rule or max_iter.
 
@@ -207,39 +174,40 @@ def run(
     sqrt(m)*eps_abs + eps_rel*max(||x||, ||y||) and the dual residual
     ||y - y_prev||_2 falls below sqrt(n2)*eps_abs + eps_rel*||y||. The
     default start is the all-zero essential pair. Records are numbered from
-    k = 1 for the first completed step.
+    k = 1 for the first completed step. ``observer``, if given, is called as
+    ``observer(k, v_old, pred, v_new, relaxed, criterion)`` after every step
+    whose new pair is finite.
     """
     if v0 is None:
         v = EssentialState.zeros(problem)
     else:
         v = v0.validate(problem)
-    step = _STEPS[config.variant]
     records: list[IterationRecord] = []
-    trajectory = [v] if config.record_diagnostics else []
     x_last = np.zeros(problem.n1)
     converged = False
     abort_reason = None
     for k in range(1, config.max_iter + 1):
         try:
-            v_new, record, x_last = step(problem, v, config, k)
+            pred, v_new, record = _step(problem, v, config, k)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
         records.append(record)
-        v = v_new
-        if not v.finite:
+        x_last = pred.x_next
+        if not v_new.finite:
+            v = v_new
             abort_reason = f"non-finite iterate at iteration {k}"
             break
-        if config.record_diagnostics:
-            trajectory.append(v)
+        if observer is not None:
+            observer(k, v, pred, v_new, record.relaxed, record.criterion_value)
+        del pred  # free the prediction's arrays before the next step allocates
+        v = v_new
         if record.within_tolerance:
             converged = True
             break
-    final = Iterate(x_last, v.y, v.lam)
     return SolveResult(
-        final=final,
+        final=Iterate(x_last, v.y, v.lam),
         records=records,
         converged=converged,
         iterations=len(records),
-        trajectory=trajectory,
         abort_reason=abort_reason,
     )

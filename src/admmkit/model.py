@@ -7,8 +7,10 @@ so new applications plug in without touching the iteration code.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -161,7 +163,8 @@ class SolverConfig:
     ``relaxed_customized`` variants; any value in (0, 2) is accepted, with
     (1, 2) the over-relaxation range of interest and 1 recovering the
     classical step. ``eps_abs``/``eps_rel`` feed the combined absolute plus
-    relative stopping thresholds.
+    relative stopping thresholds. A bad value raises ValueError naming the
+    field.
     """
 
     variant: str = "classical"
@@ -170,11 +173,15 @@ class SolverConfig:
     eps_abs: float = 1e-5
     eps_rel: float = 1e-3
     max_iter: int = 1000
-    record_diagnostics: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        for name in ("beta", "gamma", "eps_abs", "eps_rel"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.variant != "classical" and not 0.0 < self.gamma < 2.0:
@@ -191,8 +198,6 @@ class IterationRecord:
 
     ``essential_change_sq`` is ||B(y_prev - y)||^2 + ||lam_prev - lam||^2 for
     the step that produced this record; it vanishes along convergent runs.
-    ``objective`` is NaN unless the solve recorded diagnostics (the objective
-    can be costly, e.g. a log-determinant).
     """
 
     k: int
@@ -200,8 +205,6 @@ class IterationRecord:
     dual_residual_norm: float
     criterion_value: float
     relaxed: bool
-    objective: float
-    elapsed: float
     eps_pri: float
     eps_dual: float
     essential_change_sq: float

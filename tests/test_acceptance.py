@@ -148,33 +148,33 @@ def test_criterion_3_exact_algebraic_identities():
     )
 
 
-def test_criterion_4_fejer_monotonicity():
+def test_criterion_4_fejer_monotonicity(solve_traced):
     violations = 0
     checked = 0
     for seed in SEEDS:
         instance, _ = lasso.generate_instance(150, 300, seed)
         config = SolverConfig(
             variant="over_relaxed", beta=1.0, gamma=1.8,
-            eps_abs=1e-5, eps_rel=1e-3, max_iter=2000, record_diagnostics=True,
+            eps_abs=1e-5, eps_rel=1e-3, max_iter=2000,
         )
-        result = run(instance, config)
+        result, trajectory = solve_traced(instance, config)
         ref = reference_solution(instance, 1.0, 1e-7, 1e-5)
         mats = build_matrices_for(instance, 1.0, 1.8)
-        flags = [rec.relaxed for rec in result.records[: len(result.trajectory) - 1]]
-        report = fejer_check(result.trajectory, ref, mats, relaxed=flags)
+        flags = [rec.relaxed for rec in result.records[: len(trajectory) - 1]]
+        report = fejer_check(trajectory, ref, mats, relaxed=flags)
         violations += len(report.monotonicity_violations) + len(report.gap_violations)
         checked += sum(flags)
     for seed in SEEDS:
         instance, _ = covsel.generate_instance(50, seed)
         config = SolverConfig(
             variant="over_relaxed", beta=1.0, gamma=1.7,
-            eps_abs=1e-6, eps_rel=1e-4, max_iter=2000, record_diagnostics=True,
+            eps_abs=1e-6, eps_rel=1e-4, max_iter=2000,
         )
-        result = run(instance, config)
+        result, trajectory = solve_traced(instance, config)
         ref = reference_solution(instance, 1.0, 1e-8, 1e-6)
         mats = build_matrices_for(instance, 1.0, 1.7)
-        flags = [rec.relaxed for rec in result.records[: len(result.trajectory) - 1]]
-        report = fejer_check(result.trajectory, ref, mats, relaxed=flags)
+        flags = [rec.relaxed for rec in result.records[: len(trajectory) - 1]]
+        report = fejer_check(trajectory, ref, mats, relaxed=flags)
         violations += len(report.monotonicity_violations) + len(report.gap_violations)
         checked += sum(flags)
     _report(
@@ -185,19 +185,19 @@ def test_criterion_4_fejer_monotonicity():
     )
 
 
-def test_criterion_5_unit_gamma_equivalence():
+def test_criterion_5_unit_gamma_equivalence(solve_traced):
     worst = 0.0
     instance, _ = lasso.generate_instance(150, 300, 0)
-    kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30, record_diagnostics=True)
-    res_c = run(instance, SolverConfig(variant="classical", **kw))
-    res_o = run(instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
-    for vc, vo in zip(res_c.trajectory, res_o.trajectory):
+    kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30)
+    _, traj_c = solve_traced(instance, SolverConfig(variant="classical", **kw))
+    _, traj_o = solve_traced(instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
+    for vc, vo in zip(traj_c, traj_o):
         scale = max(np.linalg.norm(vc.stacked()), 1e-300)
         worst = max(worst, np.linalg.norm((vc - vo).stacked()) / scale)
     cov_instance, _ = covsel.generate_instance(30, 0)
-    res_c = run(cov_instance, SolverConfig(variant="classical", **kw))
-    res_o = run(cov_instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
-    for vc, vo in zip(res_c.trajectory, res_o.trajectory):
+    _, traj_c = solve_traced(cov_instance, SolverConfig(variant="classical", **kw))
+    _, traj_o = solve_traced(cov_instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
+    for vc, vo in zip(traj_c, traj_o):
         scale = max(np.linalg.norm(vc.stacked()), 1e-300)
         worst = max(worst, np.linalg.norm((vc - vo).stacked()) / scale)
     _report(

@@ -104,14 +104,6 @@ def test_benchmark_outputs_are_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_jobs_do_not_change_outputs(tmp_path):
-    spec_serial = _tiny_spec(tmp_path / "serial", sizes=[(40, 60), (30, 50)])
-    spec_parallel = _tiny_spec(tmp_path / "parallel", sizes=[(40, 60), (30, 50)], jobs=3)
-    out_serial = run_benchmark(spec_serial)
-    out_parallel = run_benchmark(spec_parallel)
-    assert out_serial.summary_csv.read_bytes() == out_parallel.summary_csv.read_bytes()
-
-
 def test_dnf_flagging(tmp_path):
     spec = _tiny_spec(tmp_path, max_iter=2)
     outcome = run_benchmark(spec)

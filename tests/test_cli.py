@@ -156,3 +156,19 @@ def test_unknown_command_and_help(capsys):
 def test_mismatched_tolerance_lists(tmp_path):
     with pytest.raises(SystemExit):
         main(_lasso_args(tmp_path, "--eps-abs", "1e-5,1e-6", "--eps-rel", "1e-3"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lasso", "--repeats", "0"], "repeats must be at least 1"),
+        (["lasso", "--max-iter", "0"], "max_iter must be at least 1"),
+        (["covsel", "--n", "5"], "n must be at least 10"),
+    ],
+)
+def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "usage: admm-bench" in err and "Traceback" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from admmkit import SolverConfig, run
+from admmkit import SolverConfig
 from admmkit.covsel import CovselInstance, generate_instance
 
 
@@ -160,20 +160,19 @@ def test_y_update_first_order_optimality(rng):
     assert instance.y_subproblem_residual(Y.ravel(), X.ravel(), Lam.ravel(), beta) <= 1e-12
 
 
-def test_engine_iterates_stay_symmetric_and_positive_definite():
+def test_engine_iterates_stay_symmetric_and_positive_definite(solve_traced):
     instance, _ = generate_instance(15, 2)
     config = SolverConfig(
-        variant="over_relaxed", gamma=1.7, eps_abs=1e-6, eps_rel=1e-4,
-        max_iter=300, record_diagnostics=True,
+        variant="over_relaxed", gamma=1.7, eps_abs=1e-6, eps_rel=1e-4, max_iter=300,
     )
-    result = run(instance, config)
+    result, trajectory = solve_traced(instance, config)
     assert result.converged
-    for v in result.trajectory:
+    for v in trajectory:
         Y = v.y.reshape(15, 15)
         Lam = v.lam.reshape(15, 15)
         assert np.abs(Y - Y.T).max() <= 1e-12
         assert np.abs(Lam - Lam.T).max() <= 1e-12
-    for v in result.trajectory[::5]:
+    for v in trajectory[::5]:
         X = instance.solve_x(v.y, v.lam, 1.0).reshape(15, 15)
         assert np.linalg.eigvalsh(X)[0] > 0
 

@@ -14,7 +14,6 @@ from admmkit.diagnostics import (
     h_norm_sq,
     kkt_residual,
     reference_solution,
-    tilde_point,
 )
 from admmkit.quadratic import scalar_chain
 
@@ -116,21 +115,19 @@ def test_g_norm_expanded_matches_direct_form_on_forced_relaxation():
     assert expanded == pytest.approx(direct, rel=1e-8)
 
 
-def test_g_norm_expanded_nonnegative_on_criterion_held_steps():
+def test_g_norm_expanded_nonnegative_on_criterion_held_steps(solve_traced):
     instance, _ = lasso.generate_instance(60, 120, 8)
-    config = SolverConfig(
-        variant="over_relaxed", gamma=1.8, max_iter=200, record_diagnostics=True
-    )
-    result = run(instance, config)
+    config = SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=200)
+    result, trajectory = solve_traced(instance, config)
     mats = build_matrices_for(instance, 1.0, 1.8)
     c1 = (2 - 1.8) / 1.8**2 * 1.0
     c2 = (2 - 1.8) / (1.8**2 * 1.0)
     checked = 0
-    for k, rec in enumerate(result.records[: len(result.trajectory) - 1]):
+    for k, rec in enumerate(result.records[: len(trajectory) - 1]):
         if not rec.relaxed:
             continue
-        pred = predict(instance, result.trajectory[k], 1.0)
-        v_k, v_next = result.trajectory[k], result.trajectory[k + 1]
+        pred = predict(instance, trajectory[k], 1.0)
+        v_k, v_next = trajectory[k], trajectory[k + 1]
         expanded = g_norm_expanded(pred, v_k, v_next, mats)
         step_b = instance.apply_B(v_k.y - v_next.y)
         floor = c1 * step_b @ step_b + c2 * (v_k.lam - v_next.lam) @ (v_k.lam - v_next.lam)
@@ -167,17 +164,18 @@ def test_fejer_constant_trajectory_is_all_zeros():
     assert report.clean
 
 
-def test_fejer_scalar_chain_strictly_decreasing():
+def test_fejer_scalar_chain_strictly_decreasing(solve_traced):
     chain = scalar_chain()
     config = SolverConfig(
-        variant="over_relaxed", gamma=1.5, eps_abs=1e-9, eps_rel=1e-9,
-        max_iter=200, record_diagnostics=True,
+        variant="over_relaxed", gamma=1.5, eps_abs=1e-9, eps_rel=1e-9, max_iter=200,
     )
-    result = run(chain, config, EssentialState(np.array([1.0]), np.array([0.0])))
+    result, trajectory = solve_traced(
+        chain, config, EssentialState(np.array([1.0]), np.array([0.0]))
+    )
     mats = build_matrices_for(chain, 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
-    flags = [rec.relaxed for rec in result.records[: len(result.trajectory) - 1]]
-    report = fejer_check(result.trajectory, v_star, mats, relaxed=flags)
+    flags = [rec.relaxed for rec in result.records[: len(trajectory) - 1]]
+    report = fejer_check(trajectory, v_star, mats, relaxed=flags)
     assert report.clean
     dists = report.h_dist_sq
     assert all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
@@ -194,14 +192,6 @@ def test_fejer_flags_violations_instead_of_raising():
     report = fejer_check(away, v_star, mats)
     assert len(report.monotonicity_violations) == 1
     assert report.monotonicity_violations[0][0] == 0
-
-
-def test_tilde_point_matches_prediction(small_quadratic, rng):
-    v = EssentialState(rng.standard_normal(4), rng.standard_normal(6))
-    pred = predict(small_quadratic, v, 1.1)
-    tilde = tilde_point(small_quadratic, v, 1.1)
-    assert np.array_equal(tilde.y, pred.y_pred)
-    assert np.array_equal(tilde.lam, pred.lam_early)
 
 
 def test_kkt_residual_zero_at_saddle_point():

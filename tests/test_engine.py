@@ -9,9 +9,6 @@ from admmkit import (
     predict,
     relax,
     run,
-    step_classical,
-    step_over_relaxed,
-    step_relaxed_customized,
 )
 from admmkit import lasso
 from admmkit.covsel import generate_instance as generate_covsel
@@ -61,11 +58,11 @@ def test_criterion_value_scalar_chain(chain, chain_start):
     assert criterion_value(pred, chain_start, chain) == pytest.approx(-0.1875)
 
 
-def test_criterion_zero_at_fixed_point(chain):
+def test_criterion_zero_at_fixed_point(chain, one_step):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     pred = predict(chain, v, beta=1.0)
     assert criterion_value(pred, v, chain) == 0.0
-    v_next, rec = step_over_relaxed(chain, v, SolverConfig(variant="over_relaxed", gamma=1.8))
+    v_next, rec = one_step(chain, v, SolverConfig(variant="over_relaxed", gamma=1.8))
     assert rec.relaxed
     assert np.array_equal(v_next.y, v.y) and np.array_equal(v_next.lam, v.lam)
 
@@ -89,7 +86,7 @@ def test_relax_fixed_point_is_fixed(rng):
     v = EssentialState(y, lam)
     from admmkit.engine import Prediction
 
-    pred = Prediction(np.zeros(4), y.copy(), lam.copy(), lam.copy())
+    pred = Prediction(np.zeros(4), y.copy(), lam.copy(), lam.copy(), np.zeros(4), np.zeros(4))
     out = relax(v, pred, 1.8)
     assert np.array_equal(out.y, y) and np.array_equal(out.lam, lam)
 
@@ -101,28 +98,28 @@ def test_relax_rejects_out_of_range_gamma(chain, chain_start):
             relax(chain_start, pred, gamma)
 
 
-def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_start):
+def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_start, one_step):
     config = SolverConfig(variant="over_relaxed", gamma=1.5, beta=1.0)
-    v_next, rec = step_over_relaxed(chain, chain_start, config)
+    v_next, rec = one_step(chain, chain_start, config)
     assert not rec.relaxed
     assert rec.criterion_value == pytest.approx(-0.1875)
     assert v_next.y == pytest.approx(0.25)
     assert v_next.lam == pytest.approx(-0.25)
 
 
-def test_step_classical_matches_over_relaxed_when_criterion_fails(chain, chain_start):
+def test_step_classical_matches_over_relaxed_when_criterion_fails(chain, chain_start, one_step):
     config = SolverConfig(variant="classical", beta=1.0)
-    v_c, rec_c = step_classical(chain, chain_start, config)
+    v_c, rec_c = one_step(chain, chain_start, config)
     config_o = SolverConfig(variant="over_relaxed", gamma=1.9, beta=1.0)
-    v_o, rec_o = step_over_relaxed(chain, chain_start, config_o)
+    v_o, rec_o = one_step(chain, chain_start, config_o)
     assert not rec_o.relaxed  # criterion is negative here
     assert np.array_equal(v_c.y, v_o.y) and np.array_equal(v_c.lam, v_o.lam)
     assert not rec_c.relaxed
 
 
-def test_step_relaxed_customized_scalar_chain(chain, chain_start):
+def test_step_relaxed_customized_scalar_chain(chain, chain_start, one_step):
     config = SolverConfig(variant="relaxed_customized", gamma=1.5, beta=1.0)
-    v_next, rec = step_relaxed_customized(chain, chain_start, config)
+    v_next, rec = one_step(chain, chain_start, config)
     # multiplier first: 0 - (0.5 - 1) = 0.5; then y from that multiplier: 0
     assert v_next.y == pytest.approx(-0.5)
     assert v_next.lam == pytest.approx(0.75)
@@ -173,11 +170,10 @@ def test_run_validates_initial_state_dimensions(chain):
         run(chain, SolverConfig(variant="classical"), bad)
 
 
-def test_dual_update_consistency_on_plain_steps():
+def test_dual_update_consistency_on_plain_steps(solve_traced):
     instance, _ = lasso.generate_instance(50, 90, 4)
-    config = SolverConfig(variant="classical", max_iter=60, record_diagnostics=True)
-    result = run(instance, config)
-    traj = result.trajectory
+    config = SolverConfig(variant="classical", max_iter=60)
+    result, traj = solve_traced(instance, config)
     for k in range(len(traj) - 1):
         pred = predict(instance, traj[k], config.beta)
         expected = traj[k].lam - config.beta * instance.constraint_residual(
@@ -186,13 +182,13 @@ def test_dual_update_consistency_on_plain_steps():
         assert np.array_equal(traj[k + 1].lam, expected)
 
 
-def test_gamma_one_over_relaxed_equals_classical_trajectories():
+def test_gamma_one_over_relaxed_equals_classical_trajectories(solve_traced):
     instance, _ = lasso.generate_instance(50, 90, 5)
-    kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30, record_diagnostics=True)
-    res_c = run(instance, SolverConfig(variant="classical", **kw))
-    res_o = run(instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
-    assert len(res_c.trajectory) == len(res_o.trajectory) == 31
-    for vc, vo in zip(res_c.trajectory, res_o.trajectory):
+    kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30)
+    _, traj_c = solve_traced(instance, SolverConfig(variant="classical", **kw))
+    _, traj_o = solve_traced(instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
+    assert len(traj_c) == len(traj_o) == 31
+    for vc, vo in zip(traj_c, traj_o):
         assert np.array_equal(vc.y, vo.y)
         assert np.array_equal(vc.lam, vo.lam)
 

@@ -93,10 +93,19 @@ def test_augmented_lagrangian_rejects_nonpositive_beta(chain):
         dict(eps_rel=-1e-3),
         dict(max_iter=0),
         dict(variant="bogus"),
+        dict(beta=float("inf")),
+        dict(beta=float("nan")),
+        dict(variant="classical", gamma=float("inf")),
+        dict(variant="over_relaxed", gamma=float("nan")),
+        dict(eps_abs=float("inf")),
+        dict(eps_rel=float("nan")),
+        dict(max_iter=2.5),
+        dict(max_iter="100"),
     ],
 )
 def test_solver_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    # the last key is the bad field, and the error names it
+    with pytest.raises(ValueError, match=list(kwargs)[-1]):
         SolverConfig(**kwargs)
 
 
