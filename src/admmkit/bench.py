@@ -37,7 +37,8 @@ class BenchmarkSpec:
     ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel;
     ``tolerances`` holds (eps_abs, eps_rel) pairs. ``gamma=None`` resolves to
     the per-problem default. ``tau`` applies to covsel instances only. A
-    value every solver config of the grid would reject is rejected here.
+    repeated size or tolerance pair, or a value every solver config of the
+    grid would reject, is rejected here.
     """
 
     problem: str
@@ -70,6 +71,9 @@ class BenchmarkSpec:
         else:
             self.sizes = [int(n) for n in self.sizes]
         self.tolerances = [(float(a), float(r)) for a, r in self.tolerances]
+        for name, entries in (("sizes", self.sizes), ("tolerances", self.tolerances)):
+            if repeated := [e for i, e in enumerate(entries) if e in entries[:i]]:
+                raise ValueError(f"{name} lists {repeated[0]} more than once")
         for tol in self.tolerances:
             for variant in self.variants:
                 self.config(variant, tol)
@@ -255,8 +259,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
     trajectory_files: list[Path] = []
     for size in spec.sizes:
         label = _size_label(spec.problem, size)
-        for tol in spec.tolerances:
-            tol_idx = spec.tolerances.index(tol)
+        for tol_idx, tol in enumerate(spec.tolerances):
             data, diag = _run_cell(spec, size, tol)
             for variant in spec.variants:
                 runs, times = data[variant]

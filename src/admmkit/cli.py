@@ -9,9 +9,10 @@ Subcommands::
 
 Every flag can also be supplied through ``--config FILE`` holding
 ``key=value`` lines (keys are the long flag names with dashes or
-underscores); explicit flags override the file. A value the benchmark
-spec, solver config or instance rejects is a usage error (exit code 2). CSV
-outputs are deterministic for a fixed spec and seed.
+underscores); explicit flags override the file. A bad config file, a
+missing input file, or a value the benchmark spec, solver config or instance
+rejects is a usage error (exit code 2). CSV outputs are deterministic for a
+fixed spec and seed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import container, covsel, lasso
 from .bench import (
     GAMMA_DEFAULTS,
     BenchmarkSpec,
+    _generate,
     emit_trajectory_plotdata,
     run_benchmark,
 )
@@ -146,7 +148,7 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict):
 
 def _tolerances(args) -> list:
     if len(args.eps_abs) != len(args.eps_rel):
-        raise SystemExit("--eps-abs and --eps-rel must have the same number of entries")
+        raise ValueError("--eps-abs and --eps-rel must have the same number of entries")
     return list(zip(args.eps_abs, args.eps_rel))
 
 
@@ -174,7 +176,7 @@ def _single_instance(args):
 
 def _cmd_bench(problem: str, args) -> int:
     if args.load_instance is not None:
-        raise SystemExit("--load-instance applies to compare/diagnose; benchmarks generate per-seed instances")
+        raise ValueError("--load-instance applies to compare/diagnose; benchmarks generate per-seed instances")
     if problem == "lasso":
         m_list, n_list = args.m, args.n
         if len(m_list) == 1 and len(n_list) > 1:
@@ -182,7 +184,7 @@ def _cmd_bench(problem: str, args) -> int:
         if len(n_list) == 1 and len(m_list) > 1:
             n_list = n_list * len(m_list)
         if len(m_list) != len(n_list):
-            raise SystemExit("--m and --n must zip into (m, n) pairs")
+            raise ValueError("--m and --n must zip into (m, n) pairs")
         sizes = list(zip(m_list, n_list))
         tau = None
     else:
@@ -203,7 +205,7 @@ def _cmd_bench(problem: str, args) -> int:
         out_dir=args.out,
     )
     if args.save_instance is not None:
-        _save_instance(args.save_instance, _generate_first(spec), args.seed)
+        _save_instance(args.save_instance, _generate(spec, spec.sizes[0], args.seed), args.seed)
     outcome = run_benchmark(spec)
     sys.stdout.write(outcome.summary_table.read_text())
     print(f"summary csv: {outcome.summary_csv}")
@@ -212,12 +214,6 @@ def _cmd_bench(problem: str, args) -> int:
         if args.strict:
             return 3
     return 0
-
-
-def _generate_first(spec: BenchmarkSpec):
-    from .bench import _generate
-
-    return _generate(spec, spec.sizes[0], spec.seed_base)
 
 
 def _cmd_compare(args) -> int:
@@ -318,20 +314,20 @@ def main(argv=None) -> int:
         print(f"unknown command {command!r}; expected one of {commands}", file=sys.stderr)
         return 2
     parser = _build_parser(command)
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config", type=Path, default=None)
     pre_args, _ = pre.parse_known_args(rest)
-    if pre_args.config is not None:
-        _apply_config(parser, _read_config(pre_args.config))
-    args = parser.parse_args(rest)
     try:
+        if pre_args.config is not None:
+            _apply_config(parser, _read_config(pre_args.config))
+        args = parser.parse_args(rest)
         if command in ("lasso", "covsel"):
             return _cmd_bench(command, args)
         if command == "compare":
             return _cmd_compare(args)
         return _cmd_diagnose(args)
-    except ValueError as exc:
-        # an out-of-range value rejected by a spec, config or instance
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+        # a bad config or input file, or a value a spec, config or instance rejects
         parser.error(str(exc))
 
 

@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .lasso import _l1_membership_residual, soft_threshold
-from .model import SeparableProblem
+from .l1split import L1SplitProblem, require_finite
 
 #: Default l1 weight; produces visibly sparse estimates on desk-scale data.
 DEFAULT_TAU = 0.2
@@ -28,94 +27,59 @@ def _symmetrize(M):
     return (M + M.T) / 2.0
 
 
-class CovselInstance(SeparableProblem):
-    """Empirical covariance S and l1 weight tau over n x n symmetric matrices."""
+class CovselInstance(L1SplitProblem):
+    """Empirical covariance S and l1 weight tau over n x n symmetric matrices.
+
+    Iterates, a caller's ``v0`` included, are symmetric matrices flattened to
+    length n^2. Elementwise updates keep them exactly symmetric, so only the
+    X-update's eigenvector product is symmetrized.
+    """
 
     def __init__(self, S, tau: float = DEFAULT_TAU):
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"S must be square, got shape {S.shape}")
+        require_finite("S", S)
         skew = float(np.abs(S - S.T).max(initial=0.0))
         scale = max(1.0, float(np.abs(S).max(initial=0.0)))
         if skew > 1e-12 * scale:
             raise ValueError(f"S must be symmetric; max asymmetry {skew:.3e}")
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
+        super().__init__(S.shape[0] ** 2, tau, "tau")
         S = _symmetrize(S)
         eig_min = float(np.linalg.eigvalsh(S)[0])
         if eig_min < -1e-10 * scale:
             raise ValueError(f"S must be positive semidefinite; min eigenvalue {eig_min:.3e}")
         self.S = S
-        self.tau = float(tau)
         self.n = S.shape[0]
-        self.n1 = self.n2 = self.m = self.n * self.n
-        self._rhs = np.zeros(self.n1)
+
+    #: The l1 weight.
+    tau = property(lambda self: self.weight)
 
     def _mat(self, flat):
         return np.asarray(flat, dtype=float).reshape(self.n, self.n)
 
-    # engine contract (flattened) ------------------------------------------
-
-    def solve_x(self, y, lam, beta):
-        return self.x_update(self._mat(y), self._mat(lam), beta).ravel()
-
-    def solve_y(self, x, lam, beta):
-        return self.y_update(self._mat(x), self._mat(lam), beta).ravel()
-
-    def apply_A(self, x):
-        return x
-
-    def apply_B(self, y):
-        return -y
-
-    @property
-    def rhs_b(self):
-        return self._rhs
-
-    def objective(self, x, y):
+    def smooth(self, x):
         X = self._mat(x)
         sign, logdet = np.linalg.slogdet(X)
         if sign <= 0:
             return math.inf
-        return float(np.sum(self.S * X) - logdet + self.tau * np.abs(y).sum())
+        return np.sum(self.S * X) - logdet
 
-    # closed-form updates ----------------------------------------------------
+    def smooth_grad(self, x):
+        return (self.S - np.linalg.inv(self._mat(x))).ravel()
+
+    def solve_x(self, y, lam, beta):
+        return self.x_update(self._mat(y), self._mat(lam), beta).ravel()
 
     def x_update(self, Y, Lam, beta):
-        """Eigendecomposition solve of the smooth block; always positive definite."""
+        """Eigendecomposition solve of the smooth block for symmetric Y and Lam;
+        always positive definite."""
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        R = _symmetrize(beta * np.asarray(Y) + np.asarray(Lam) - self.S)
+        R = beta * np.asarray(Y) + np.asarray(Lam) - self.S
         d, U = np.linalg.eigh(R)
         xs = (d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta)
         return _symmetrize((U * xs) @ U.T)
-
-    def y_update(self, X_next, Lam, beta):
-        """Elementwise soft threshold at tau/beta; output symmetric."""
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        return _symmetrize(
-            soft_threshold(np.asarray(X_next) - np.asarray(Lam) / beta, self.tau / beta)
-        )
-
-    # optimality residuals -----------------------------------------------------
-
-    def x_subproblem_residual(self, x, y, lam, beta):
-        X, Y, Lam = self._mat(x), self._mat(y), self._mat(lam)
-        grad = self.S - np.linalg.inv(X) - Lam + beta * (X - Y)
-        return float(np.linalg.norm(grad, "fro"))
-
-    def y_subproblem_residual(self, y, x, lam, beta):
-        Y, X, Lam = self._mat(y), self._mat(x), self._mat(lam)
-        return _l1_membership_residual(Y, Lam + beta * (Y - X), self.tau)
-
-    def x_stationarity(self, x, lam):
-        X, Lam = self._mat(x), self._mat(lam)
-        grad = self.S - np.linalg.inv(X) - Lam
-        return float(np.abs(grad).max(initial=0.0))
-
-    def y_stationarity(self, y, lam):
-        return _l1_membership_residual(self._mat(y), self._mat(lam), self.tau)
 
 
 def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):

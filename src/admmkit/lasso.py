@@ -6,8 +6,8 @@ matrix-inversion identity
 
     (A'A + beta I)^-1 = I/beta - A'(beta I + A A')^-1 A / beta
 
-so only the smaller m x m Gram matrix is factorized. The y-update is
-elementwise soft thresholding.
+so only the smaller m x m Gram matrix is factorized. The y-update is the
+elementwise soft thresholding of :class:`~admmkit.l1split.L1SplitProblem`.
 """
 
 from __future__ import annotations
@@ -17,18 +17,10 @@ import warnings
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import SeparableProblem
+from .l1split import L1SplitProblem, require_finite
 
 #: Per-coordinate noise variance used by :func:`generate_instance`.
 NOISE_VARIANCE = 1e-3
-
-
-def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
-    """Elementwise shrinkage (a - kappa)_+ - (-a - kappa)_+."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    a = np.asarray(a, dtype=float)
-    return np.maximum(a - kappa, 0.0) - np.maximum(-a - kappa, 0.0)
 
 
 def rho_max(A: np.ndarray, b: np.ndarray) -> float:
@@ -36,18 +28,11 @@ def rho_max(A: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.asarray(A).T @ np.asarray(b)).max(initial=0.0))
 
 
-def _l1_membership_residual(y, g, weight):
-    """Distance of 0 from weight * subgradient(|y|) + g, elementwise max."""
-    on = np.abs(weight * np.sign(y) + g)
-    off = np.maximum(np.abs(g) - weight, 0.0)
-    return float(np.where(y != 0.0, on, off).max(initial=0.0))
-
-
-class LassoInstance(SeparableProblem):
-    """Problem data (A, b, rho) with the identity/-identity constraint split.
+class LassoInstance(L1SplitProblem):
+    """Problem data (A, b, rho) on the l1 split x - y = 0.
 
     Immutable after construction apart from a single-slot factorization cache
-    keyed on (beta, method); re-solving with a different beta transparently
+    keyed on beta; re-solving with a different beta transparently
     refactorizes.
     """
 
@@ -58,92 +43,45 @@ class LassoInstance(SeparableProblem):
             raise ValueError("A must be a 2-d array")
         if b.shape != (A.shape[0],):
             raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
+        require_finite("A", A)
+        require_finite("b", b)
+        super().__init__(A.shape[1], rho, "rho")
         self.A = A
         self.b = b
-        self.rho = float(rho)
         self.rows, self.cols = A.shape
-        self.n1 = self.n2 = self.m = self.cols
         self._atb = A.T @ b
-        self._rhs = np.zeros(self.cols)
-        self._cache: tuple[float, str, object] | None = None
+        self._cache: tuple[float, object] | None = None
 
-    # engine contract -----------------------------------------------------
+    #: The l1 weight.
+    rho = property(lambda self: self.weight)
+
+    def smooth(self, x):
+        fit = self.A @ x - self.b
+        return 0.5 * fit @ fit
+
+    def smooth_grad(self, x):
+        return self.A.T @ (self.A @ x - self.b)
 
     def solve_x(self, y, lam, beta):
-        return self.x_update(y, lam, beta)
+        """Minimizer of the ridge subproblem: (A'A + beta I)^-1 (A'b + beta y + lam).
 
-    def solve_y(self, x, lam, beta):
-        return self.y_update(x, lam, beta)
-
-    def apply_A(self, x):
-        return x
-
-    def apply_B(self, y):
-        return -y
-
-    @property
-    def rhs_b(self):
-        return self._rhs
-
-    def objective(self, x, y):
-        fit = self.A @ x - self.b
-        return float(0.5 * fit @ fit + self.rho * np.abs(y).sum())
-
-    # closed-form updates --------------------------------------------------
-
-    def x_update(self, y, z, beta, method: str | None = None):
-        """Minimizer of the ridge subproblem: (A'A + beta I)^-1 (A'b + beta y + z).
-
-        ``method`` forces the solve path ("direct" or "woodbury"); by default
-        the fat case (m < n) uses the small-Gram identity.
+        A fat A (rows < cols) goes through the small-Gram identity; a tall or
+        square one factorizes A'A + beta I directly.
         """
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        if method is None:
-            method = "woodbury" if self.rows < self.cols else "direct"
-        rhs = self._atb + beta * np.asarray(y) + np.asarray(z)
-        factor = self._factorization(beta, method)
-        if method == "woodbury":
-            return rhs / beta - self.A.T @ cho_solve(factor, self.A @ rhs) / beta
-        return cho_solve(factor, rhs)
-
-    def y_update(self, x_next, z, beta):
-        """Soft-threshold minimizer of the l1 subproblem."""
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        return soft_threshold(np.asarray(x_next) - np.asarray(z) / beta, self.rho / beta)
-
-    def _factorization(self, beta, method):
+        fat = self.rows < self.cols
         cached = self._cache
-        if cached is not None and cached[0] == beta and cached[1] == method:
-            return cached[2]
-        if method == "woodbury":
-            gram = beta * np.eye(self.rows) + self.A @ self.A.T
-        elif method == "direct":
-            gram = self.A.T @ self.A + beta * np.eye(self.cols)
-        else:
-            raise ValueError(f"unknown x-update method {method!r}")
-        factor = cho_factor(gram)
-        self._cache = (beta, method, factor)
-        return factor
-
-    # optimality residuals -------------------------------------------------
-
-    def x_subproblem_residual(self, x, y, lam, beta):
-        grad = self.A.T @ (self.A @ x - self.b) - lam + beta * (x - y)
-        return float(np.abs(grad).max(initial=0.0))
-
-    def y_subproblem_residual(self, y, x, lam, beta):
-        return _l1_membership_residual(y, lam + beta * (y - x), self.rho)
-
-    def x_stationarity(self, x, lam):
-        grad = self.A.T @ (self.A @ x - self.b) - lam
-        return float(np.abs(grad).max(initial=0.0))
-
-    def y_stationarity(self, y, lam):
-        return _l1_membership_residual(y, lam, self.rho)
+        if cached is None or cached[0] != beta:
+            if fat:
+                gram = beta * np.eye(self.rows) + self.A @ self.A.T
+            else:
+                gram = self.A.T @ self.A + beta * np.eye(self.cols)
+            cached = self._cache = (beta, cho_factor(gram))
+        rhs = self._atb + beta * np.asarray(y) + np.asarray(lam)
+        if fat:
+            return rhs / beta - self.A.T @ cho_solve(cached[1], self.A @ rhs) / beta
+        return cho_solve(cached[1], rhs)
 
 
 def generate_instance(m: int, n: int, seed: int, nonzeros: int | None = None):

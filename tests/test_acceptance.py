@@ -22,7 +22,8 @@ from admmkit.diagnostics import (
     g_norm_expanded,
     reference_solution,
 )
-from admmkit.lasso import LassoInstance, rho_max, soft_threshold
+from admmkit.l1split import soft_threshold
+from admmkit.lasso import LassoInstance, rho_max
 from admmkit.quadratic import QuadraticProblem
 
 SEEDS = range(10)
@@ -221,7 +222,7 @@ def test_criterion_6_subproblem_oracles():
             instance.A.T @ instance.A + beta * np.eye(50),
             instance.A.T @ instance.b + beta * y + z,
         )
-        woodbury = instance.x_update(y, z, beta, method="woodbury")
+        woodbury = instance.solve_x(y, z, beta)  # 20x50 is fat: the Woodbury path
         worst_w = max(
             worst_w,
             float(np.linalg.norm(direct - woodbury) / max(np.linalg.norm(direct), 1e-300)),

@@ -32,6 +32,10 @@ def test_spec_validation(tmp_path):
         _tiny_spec(tmp_path, repeats=0)
     with pytest.raises(ValueError):
         _tiny_spec(tmp_path, variants=("bogus",))
+    with pytest.raises(ValueError, match=r"sizes lists \(40, 60\) more than once"):
+        _tiny_spec(tmp_path, sizes=[(40, 60), (30, 50), (40, 60)])
+    with pytest.raises(ValueError, match=r"tolerances lists \(1e-05, 0.001\) more than once"):
+        _tiny_spec(tmp_path, tolerances=[(1e-5, 1e-3)] * 2)
 
 
 def test_gamma_defaults_per_problem(tmp_path):

@@ -78,11 +78,13 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert "gamma=1.5" in (out_dir / "summary.txt").read_text()
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("does_not_exist=1\n")
-    with pytest.raises(ValueError, match="unknown keys"):
+    with pytest.raises(SystemExit) as exc:
         main(["lasso", "--config", str(config), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown keys" in capsys.readouterr().err
 
 
 def test_strict_mode_returns_nonzero_on_dnf(tmp_path):
@@ -164,9 +166,19 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["lasso", "--repeats", "0"], "repeats must be at least 1"),
         (["lasso", "--max-iter", "0"], "max_iter must be at least 1"),
         (["covsel", "--n", "5"], "n must be at least 10"),
+        (["lasso", "--eps-abs", "1e-5,1e-6", "--eps-rel", "1e-3"], "same number of entries"),
+        (["lasso", "--m", "40,50", "--n", "60,70,80"], "--m and --n must zip"),
+        (["lasso", "--load-instance", "{tmp}/x.bin"], "--load-instance applies to compare"),
+        (["lasso", "--m", "40,40", "--n", "60"], "sizes lists (40, 60) more than once"),
+        (["covsel", "--eps-abs", "1e-5,1e-5", "--eps-rel", "1e-3,1e-3"],
+         "tolerances lists (1e-05, 0.001) more than once"),
+        (["lasso", "--config", "{tmp}/missing.cfg"], "No such file or directory"),
+        (["lasso", "--config"], "--config: expected one argument"),
+        (["diagnose", "--load-instance", "{tmp}/missing.bin"], "No such file or directory"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2

@@ -41,6 +41,18 @@ def test_truncated_payload_rejected(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize(
+    "instance, operand",
+    [(generate_lasso(6, 8, 0)[0], "b"), (generate_covsel(10, 0)[0], "S")],
+    ids=["lasso", "covsel"],
+)
+def test_non_finite_payload_rejected(tmp_path, instance, operand):
+    path = save_instance(tmp_path / "inst.bin", instance)
+    path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=f"{operand} must be finite"):
+        load_instance(path)
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = tmp_path / "odd.bin"
     path.write_bytes(b"ADMMKIT1\n" + b'{"kind": "mystery"}\n')

@@ -120,7 +120,7 @@ def test_y_update_reduces_to_shift_when_weight_negligible(rng):
     X = _random_spd(n, rng)
     Lam = rng.standard_normal((n, n))
     Lam = (Lam + Lam.T) / 2
-    out = instance.y_update(X, Lam, beta=2.0)
+    out = instance.solve_y(X, Lam, beta=2.0)
     assert np.allclose(out, X - Lam / 2.0, atol=1e-12)
 
 
@@ -129,7 +129,7 @@ def test_y_update_zero_when_threshold_dominates(rng):
     S = _random_spd(n, rng)
     instance = CovselInstance(S, tau=1e6)
     X = _random_spd(n, rng)
-    out = instance.y_update(X, np.zeros((n, n)), beta=1.0)
+    out = instance.solve_y(X, np.zeros((n, n)), beta=1.0)
     assert np.array_equal(out, np.zeros((n, n)))
 
 
@@ -140,7 +140,7 @@ def test_y_update_matches_grid_search_prox(rng):
     Lam = rng.standard_normal((n, n))
     Lam = (Lam + Lam.T) / 2
     beta = 1.3
-    Y = instance.y_update(X, Lam, beta)
+    Y = instance.solve_y(X, Lam, beta)
     grid = np.arange(-10.0, 10.0 + 1e-9, 1e-4)
     target = X - Lam / beta
     for i in range(n):
@@ -156,7 +156,7 @@ def test_y_update_first_order_optimality(rng):
     Lam = rng.standard_normal((n, n))
     Lam = (Lam + Lam.T) / 2
     beta = 0.8
-    Y = instance.y_update(X, Lam, beta)
+    Y = instance.solve_y(X, Lam, beta)
     assert instance.y_subproblem_residual(Y.ravel(), X.ravel(), Lam.ravel(), beta) <= 1e-12
 
 
@@ -170,8 +170,8 @@ def test_engine_iterates_stay_symmetric_and_positive_definite(solve_traced):
     for v in trajectory:
         Y = v.y.reshape(15, 15)
         Lam = v.lam.reshape(15, 15)
-        assert np.abs(Y - Y.T).max() <= 1e-12
-        assert np.abs(Lam - Lam.T).max() <= 1e-12
+        assert np.abs(Y - Y.T).max() == 0.0
+        assert np.abs(Lam - Lam.T).max() == 0.0
     for v in trajectory[::5]:
         X = instance.solve_x(v.y, v.lam, 1.0).reshape(15, 15)
         assert np.linalg.eigvalsh(X)[0] > 0
@@ -187,3 +187,10 @@ def test_instance_validation(rng):
         CovselInstance(np.eye(3), tau=0.0)
     with pytest.raises(ValueError):
         CovselInstance(np.zeros((2, 3)), tau=0.1)
+    nan_S = np.eye(3)
+    nan_S[0, 0] = np.nan
+    with pytest.raises(ValueError, match="S must be finite"):
+        CovselInstance(nan_S, tau=0.1)
+    for tau in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            CovselInstance(np.eye(3), tau=tau)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from admmkit import EssentialState, SolverConfig, run
-from admmkit.lasso import LassoInstance, generate_instance, rho_max, soft_threshold
+from admmkit.l1split import soft_threshold
+from admmkit.lasso import LassoInstance, generate_instance, rho_max
 
 
 def test_generated_columns_have_unit_norm():
@@ -68,18 +69,23 @@ def test_x_update_degenerate_zero_design():
     y = np.arange(8.0)
     z = np.ones(8)
     beta = 2.0
-    assert np.allclose(instance.x_update(y, z, beta), y + z / beta, atol=1e-14)
+    assert np.allclose(instance.solve_x(y, z, beta), y + z / beta, atol=1e-14)
 
 
-def test_x_update_woodbury_matches_direct(rng):
+@pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
+def test_solve_x_matches_ridge_oracle(rng, shape):
+    rows, cols = shape
     for trial in range(20):
-        instance, _ = generate_instance(20, 50, trial)
-        y = rng.standard_normal(50)
-        z = rng.standard_normal(50)
+        instance, _ = generate_instance(rows, cols, trial)
+        y = rng.standard_normal(cols)
+        z = rng.standard_normal(cols)
         beta = float(rng.uniform(0.2, 5.0))
-        direct = instance.x_update(y, z, beta, method="direct")
-        woodbury = instance.x_update(y, z, beta, method="woodbury")
-        assert np.linalg.norm(direct - woodbury) <= 1e-10 * max(1.0, np.linalg.norm(direct))
+        oracle = np.linalg.solve(
+            instance.A.T @ instance.A + beta * np.eye(cols),
+            instance.A.T @ instance.b + beta * y + z,
+        )
+        x = instance.solve_x(y, z, beta)
+        assert np.linalg.norm(x - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
 
 
 def test_x_update_satisfies_normal_equations(rng):
@@ -87,7 +93,7 @@ def test_x_update_satisfies_normal_equations(rng):
     y = rng.standard_normal(70)
     z = rng.standard_normal(70)
     beta = 0.8
-    x = instance.x_update(y, z, beta)
+    x = instance.solve_x(y, z, beta)
     rhs = instance.A.T @ instance.b + beta * y + z
     lhs = instance.A.T @ (instance.A @ x) + beta * x
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -97,8 +103,8 @@ def test_x_update_cache_tracks_beta(rng):
     instance, _ = generate_instance(15, 25, 4)
     y = rng.standard_normal(25)
     z = rng.standard_normal(25)
-    x1 = instance.x_update(y, z, 1.0)
-    x2 = instance.x_update(y, z, 3.0)  # must refactorize, not reuse beta=1 cache
+    x1 = instance.solve_x(y, z, 1.0)
+    x2 = instance.solve_x(y, z, 3.0)  # must refactorize, not reuse beta=1 cache
     rhs = instance.A.T @ instance.b + 3.0 * y + z
     lhs = instance.A.T @ (instance.A @ x2) + 3.0 * x2
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -133,7 +139,7 @@ def test_soft_threshold_matches_grid_search_prox():
 def test_y_update_scalar_case():
     instance = LassoInstance(np.eye(2), np.array([1.0, 1.0]), rho=0.1)
     # shifted input 0.3 with threshold rho/beta = 0.1 shrinks to 0.2
-    out = instance.y_update(np.array([0.3, 0.3]), np.zeros(2), beta=1.0)
+    out = instance.solve_y(np.array([0.3, 0.3]), np.zeros(2), beta=1.0)
     assert np.allclose(out, [0.2, 0.2])
 
 
@@ -141,7 +147,7 @@ def test_y_update_all_zero_when_threshold_dominates(rng):
     instance = LassoInstance(rng.standard_normal((10, 6)), rng.standard_normal(10), rho=50.0)
     x = rng.uniform(-1, 1, 6)
     z = rng.uniform(-1, 1, 6)
-    assert np.array_equal(instance.y_update(x, z, beta=1.0), np.zeros(6))
+    assert np.array_equal(instance.solve_y(x, z, beta=1.0), np.zeros(6))
 
 
 def test_y_update_first_order_optimality(rng):
@@ -150,7 +156,7 @@ def test_y_update_first_order_optimality(rng):
         x = rng.standard_normal(80)
         z = rng.standard_normal(80)
         beta = float(rng.uniform(0.3, 4.0))
-        y = instance.y_update(x, z, beta)
+        y = instance.solve_y(x, z, beta)
         assert instance.y_subproblem_residual(y, x, z, beta) <= 1e-12
 
 
@@ -185,3 +191,12 @@ def test_instance_validation():
         LassoInstance(np.eye(3), np.zeros(2), rho=1.0)
     with pytest.raises(ValueError):
         LassoInstance(np.eye(3), np.zeros(3), rho=0.0)
+    A = np.eye(3)
+    A[1, 2] = np.nan
+    with pytest.raises(ValueError, match="A must be finite"):
+        LassoInstance(A, np.zeros(3), rho=1.0)
+    with pytest.raises(ValueError, match="b must be finite"):
+        LassoInstance(np.eye(3), np.array([0.0, np.inf, 0.0]), rho=1.0)
+    for rho in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            LassoInstance(np.eye(3), np.zeros(3), rho=rho)
