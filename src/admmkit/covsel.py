@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .l1split import L1SplitProblem, require_finite
+from .l1split import L1SplitProblem
+from .model import require_finite
 
 #: Default l1 weight; produces visibly sparse estimates on desk-scale data.
 DEFAULT_TAU = 0.2

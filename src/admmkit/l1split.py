@@ -30,12 +30,6 @@ def _l1_membership_residual(y, g, weight):
     return float(np.where(y != 0.0, on, off).max(initial=0.0))
 
 
-def require_finite(name: str, values) -> None:
-    """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-
-
 class L1SplitProblem(SeparableProblem):
     """Base of the l1 split. Subclasses provide ``solve_x``, ``smooth`` and
     ``smooth_grad`` on flattened length-``dim`` vectors; the base supplies the

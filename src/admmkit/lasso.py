@@ -17,7 +17,8 @@ import warnings
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .l1split import L1SplitProblem, require_finite
+from .l1split import L1SplitProblem
+from .model import require_finite
 
 #: Per-coordinate noise variance used by :func:`generate_instance`.
 NOISE_VARIANCE = 1e-3
@@ -33,7 +34,9 @@ class LassoInstance(L1SplitProblem):
 
     Immutable after construction apart from a single-slot factorization cache
     keyed on beta; re-solving with a different beta transparently
-    refactorizes.
+    refactorizes. The factor is checked finite once per beta; each call then
+    checks only the length-n (fat: length-m) vector handed to the triangular
+    solves, so a non-finite ``y`` or ``lam`` still raises ValueError.
     """
 
     def __init__(self, A, b, rho: float):
@@ -73,15 +76,21 @@ class LassoInstance(L1SplitProblem):
         fat = self.rows < self.cols
         cached = self._cache
         if cached is None or cached[0] != beta:
-            if fat:
-                gram = beta * np.eye(self.rows) + self.A @ self.A.T
-            else:
-                gram = self.A.T @ self.A + beta * np.eye(self.cols)
-            cached = self._cache = (beta, cho_factor(gram))
+            gram = self.A @ self.A.T if fat else self.A.T @ self.A
+            gram.flat[:: gram.shape[0] + 1] += beta
+            # NumPy forms the Gram matrix with syrk, so it is exactly symmetric
+            # and its transpose is the same matrix in Fortran order, which
+            # LAPACK factors in place.
+            factor = cho_factor(gram.T, overwrite_a=True)
+            require_finite("Cholesky factor", factor[0])
+            cached = self._cache = (beta, factor)
         rhs = self._atb + beta * np.asarray(y) + np.asarray(lam)
         if fat:
-            return rhs / beta - self.A.T @ cho_solve(cached[1], self.A @ rhs) / beta
-        return cho_solve(cached[1], rhs)
+            small = self.A @ rhs
+            require_finite("A(A'b + beta y + lam)", small)
+            return rhs / beta - self.A.T @ cho_solve(cached[1], small, check_finite=False) / beta
+        require_finite("A'b + beta y + lam", rhs)
+        return cho_solve(cached[1], rhs, check_finite=False)
 
 
 def generate_instance(m: int, n: int, seed: int, nonzeros: int | None = None):

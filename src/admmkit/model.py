@@ -96,6 +96,12 @@ class SeparableProblem(ABC):
         return self.apply_A(x) + self.apply_B(y) - self.rhs_b
 
 
+def require_finite(name: str, values) -> None:
+    """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def _as_vector(value, name: str, dim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float).ravel()
     if arr.shape != (dim,):
@@ -149,10 +155,15 @@ class EssentialState:
         return EssentialState(self.y - other.y, self.lam - other.lam)
 
     def validate(self, problem: SeparableProblem) -> "EssentialState":
-        return EssentialState(
+        """This pair as a starting point ``v0`` for ``problem``: flat float
+        vectors of the right sizes, each checked finite by name."""
+        v0 = EssentialState(
             _as_vector(self.y, "y", problem.n2),
             _as_vector(self.lam, "lam", problem.m),
         )
+        require_finite("v0.y", v0.y)
+        require_finite("v0.lam", v0.lam)
+        return v0
 
 
 @dataclass(frozen=True)

@@ -184,3 +184,13 @@ def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "usage: admm-bench" in err and "Traceback" not in err
+
+
+def test_malformed_container_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b'ADMMKIT1\n{"kind": "lasso", "n": 2}\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--load-instance", str(path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: header has no 'm' field" in err and "Traceback" not in err

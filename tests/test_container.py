@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from admmkit.container import load_instance, save_instance
+from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.covsel import generate_instance as generate_covsel
+from admmkit.lasso import LassoInstance
 from admmkit.lasso import generate_instance as generate_lasso
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_lasso_round_trip_is_bitwise(tmp_path):
@@ -63,3 +69,87 @@ def test_unknown_kind_rejected(tmp_path):
 def test_unsupported_instance_type_rejected(tmp_path):
     with pytest.raises(TypeError):
         save_instance(tmp_path / "x.bin", object())
+
+
+@pytest.mark.parametrize(
+    "header, payload_bytes, message",
+    [
+        (b"[1]", 0, "header must be a JSON object, got list"),
+        (b'{"kind": "lasso", "n": 2', 0, "header is not valid JSON"),
+        (b"\xff", 0, "header is not valid JSON"),
+        (b'{"kind": "lasso", "n": 2}', 0, "header has no 'm' field"),
+        (b'{"kind": "lasso", "m": 2, "n": 2}', 48, "header has no 'rho' field"),
+        (b'{"kind": "lasso", "m": -2, "n": -3, "rho": 1.0}', 32, "'m' must be a positive integer"),
+        (b'{"kind": "lasso", "m": 2, "n": true, "rho": 1.0}', 24, "'n' must be a positive integer"),
+        (b'{"kind": "covsel", "n": -3, "tau": 1.0}', 72, "'n' must be a positive integer"),
+        (b'{"kind": "covsel", "n": 1.0, "tau": 1.0}', 8, "'n' must be a positive integer"),
+        (b'{"kind": "covsel", "n": 1, "tau": "0.1"}', 8, "'tau' must be a finite number"),
+        (b'{"kind": "covsel", "n": 1, "tau": 1e999}', 8, "'tau' must be a finite number"),
+        (b'{"kind": "covsel", "n": 1, "tau": 1%s}' % (b"0" * 400), 8, "'tau' must be a finite"),
+        (b'{"kind": "covsel", "n": 1, "tau": 0}', 8, "tau must be finite and positive"),
+    ],
+    ids=[
+        "not-object", "bad-json", "bad-utf8", "no-m", "no-rho", "negative-dims", "bool-dim",
+        "negative-n", "float-n", "string-tau", "inf-tau", "huge-int-tau", "zero-tau",
+    ],
+)
+def test_malformed_header_rejected_by_path_and_field(tmp_path, header, payload_bytes, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(MAGIC + header + b"\n" + bytes(payload_bytes))
+    with pytest.raises(ValueError) as exc:
+        load_instance(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+
+@st.composite
+def instances(draw):
+    """A Lasso instance over arbitrary finite data, or a generated covsel one."""
+    if draw(st.booleans()):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        values = st.floats(-1e100, 1e100, allow_subnormal=True)
+        A = draw(hnp.arrays(float, (m, n), elements=values))
+        b = draw(hnp.arrays(float, m, elements=values))
+        rho = draw(st.floats(0.0, 1e100, exclude_min=True))
+        return LassoInstance(A, b, rho)
+    tau = draw(st.floats(0.0, 1e3, exclude_min=True))
+    return generate_covsel(draw(st.integers(10, 14)), draw(st.integers(0, 2**16)), tau=tau)[0]
+
+
+def _bits(instance):
+    arrays = (instance.A, instance.b) if isinstance(instance, LassoInstance) else (instance.S,)
+    return type(instance), [a.tobytes() for a in arrays], instance.weight
+
+
+@FUZZ
+@given(instances(), st.integers(0, 2**16))
+def test_round_trip_is_bitwise_for_any_instance(tmp_path_factory, instance, seed):
+    path = save_instance(tmp_path_factory.mktemp("rt") / "inst.bin", instance, seed=seed)
+    loaded, header = load_instance(path)
+    assert header["seed"] == seed and _bits(loaded) == _bits(instance)
+
+
+def _load_or_value_error(path):
+    try:
+        load_instance(path)
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(instances(), st.data())
+def test_truncated_container_loads_or_raises_value_error(tmp_path_factory, instance, data):
+    path = save_instance(tmp_path_factory.mktemp("cut") / "inst.bin", instance)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+    _load_or_value_error(path)
+
+
+@FUZZ
+@given(instances(), st.data())
+def test_corrupted_header_byte_loads_or_raises_value_error(tmp_path_factory, instance, data):
+    path = save_instance(tmp_path_factory.mktemp("flip") / "inst.bin", instance)
+    blob = bytearray(path.read_bytes())
+    header_end = blob.index(b"\n", len(MAGIC))
+    blob[data.draw(st.sampled_from(range(header_end + 1)))] = data.draw(st.sampled_from(range(256)))
+    path.write_bytes(bytes(blob))
+    _load_or_value_error(path)

@@ -170,6 +170,20 @@ def test_run_validates_initial_state_dimensions(chain):
         run(chain, SolverConfig(variant="classical"), bad)
 
 
+@pytest.mark.parametrize("problem", ["lasso", "covsel"])
+@pytest.mark.parametrize("operand", ["y", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_rejects_non_finite_initial_state_by_name(problem, operand, bad):
+    if problem == "lasso":
+        instance, _ = lasso.generate_instance(20, 30, 0)
+    else:
+        instance, _ = generate_covsel(10, 0)
+    v0 = EssentialState.zeros(instance)
+    getattr(v0, operand)[0] = bad
+    with pytest.raises(ValueError, match=f"v0.{operand} must be finite"):
+        run(instance, SolverConfig(variant="over_relaxed", gamma=1.5), v0)
+
+
 def test_dual_update_consistency_on_plain_steps(solve_traced):
     instance, _ = lasso.generate_instance(50, 90, 4)
     config = SolverConfig(variant="classical", max_iter=60)

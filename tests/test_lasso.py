@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from admmkit import EssentialState, SolverConfig, run
+from admmkit import lasso
 from admmkit.l1split import soft_threshold
 from admmkit.lasso import LassoInstance, generate_instance, rho_max
 
@@ -86,6 +88,57 @@ def test_solve_x_matches_ridge_oracle(rng, shape):
         )
         x = instance.solve_x(y, z, beta)
         assert np.linalg.norm(x - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
+
+
+@pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
+def test_solve_x_is_bitwise_the_checked_cholesky_solve(rng, shape):
+    # the same Gram matrix, factorized and solved with scipy's default checks
+    rows, cols = shape
+    instance, _ = generate_instance(rows, cols, 8)
+    A, beta = instance.A, 1.7
+    if rows < cols:
+        factor = scipy.linalg.cho_factor(beta * np.eye(rows) + A @ A.T)
+    else:
+        factor = scipy.linalg.cho_factor(A.T @ A + beta * np.eye(cols))
+    for _ in range(5):
+        y = rng.standard_normal(cols)
+        z = rng.standard_normal(cols)
+        rhs = A.T @ instance.b + beta * y + z
+        if rows < cols:
+            expected = rhs / beta - A.T @ scipy.linalg.cho_solve(factor, A @ rhs) / beta
+        else:
+            expected = scipy.linalg.cho_solve(factor, rhs)
+        assert np.array_equal(instance.solve_x(y, z, beta), expected)
+
+
+@pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
+@pytest.mark.parametrize("operand", ["y", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_x_rejects_non_finite_inputs(shape, operand, bad):
+    instance, _ = generate_instance(*shape, 9)
+    instance.solve_x(np.zeros(shape[1]), np.zeros(shape[1]), 1.0)  # factor cached
+    args = {"y": np.zeros(shape[1]), "lam": np.zeros(shape[1])}
+    args[operand][3] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        instance.solve_x(args["y"], args["lam"], 1.0)
+
+
+@pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
+def test_solve_x_factorizes_once_per_beta(monkeypatch, rng, shape):
+    calls = []
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(1)
+        return scipy.linalg.cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(lasso, "cho_factor", counting_cho_factor)
+    instance, _ = generate_instance(*shape, 10)
+    y, z = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+    for _ in range(4):
+        instance.solve_x(y, z, 1.0)
+    assert len(calls) == 1
+    instance.solve_x(y, z, 2.5)
+    assert len(calls) == 2
 
 
 def test_x_update_satisfies_normal_equations(rng):
