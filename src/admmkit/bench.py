@@ -128,11 +128,13 @@ def _size_label(problem: str, size) -> str:
     return f"{size[0]}x{size[1]}" if problem == "lasso" else f"n{size}"
 
 
-def _generate(spec: BenchmarkSpec, size, seed: int):
-    if spec.problem == "lasso":
+def generate_instance(problem: str, size, seed: int, tau: float | None = None):
+    """Seeded instance of ``problem``: lasso takes an (m, n) size, covsel a
+    feature count n and the l1 weight ``tau`` (None: covsel.DEFAULT_TAU)."""
+    if problem == "lasso":
         instance, _ = lasso.generate_instance(size[0], size[1], seed)
     else:
-        tau = covsel.DEFAULT_TAU if spec.tau is None else spec.tau
+        tau = covsel.DEFAULT_TAU if tau is None else tau
         instance, _ = covsel.generate_instance(size, seed, tau=tau)
     return instance
 
@@ -143,7 +145,8 @@ def _run_cell(spec: BenchmarkSpec, size, tol):
     Returns per-variant (results, solve times) and, with diagnostics on,
     per-variant monitors of the repeat-0 solves.
     """
-    instances = [_generate(spec, size, spec.seed_base + i) for i in range(spec.repeats)]
+    seeds = range(spec.seed_base, spec.seed_base + spec.repeats)
+    instances = [generate_instance(spec.problem, size, seed, spec.tau) for seed in seeds]
     ref = None
     if spec.diagnostics:
         ref = reference_solution(instances[0], spec.beta, tol[0] / 100.0, tol[1] / 100.0)
@@ -283,28 +286,20 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
 def emit_trajectory_plotdata(results, path) -> Path:
     """Write per-iteration residual columns ready for semilog plotting.
 
-    ``results`` is a single solve result (columns k, primal_residual,
-    dual_residual) or a mapping of variant name to result (one primal/dual
-    column group per variant). Zeros are clamped to a tiny positive floor;
-    variants shorter than the longest one leave trailing cells empty.
+    ``results`` maps a variant name to its solve result; each variant gets a
+    ``<name>_primal``, ``<name>_dual`` column group after the ``k`` column.
+    Zeros are clamped to a tiny positive floor; variants shorter than the
+    longest one leave trailing cells empty.
     """
-    if isinstance(results, SolveResult):
-        groups = [(None, results)]
-    else:
-        groups = list(results.items())
-        if not groups:
-            raise ValueError("no results to write")
+    groups = list(results.items())
+    if not groups:
+        raise ValueError("no results to write")
     header = ["k"]
     for name, _ in groups:
-        prefix = f"{name}_" if name else ""
-        header += [f"{prefix}primal", f"{prefix}dual"] if name else ["primal_residual", "dual_residual"]
+        header += [f"{name}_primal", f"{name}_dual"]
     depth = max(len(r.records) for _, r in groups)
     path = Path(path)
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory data to {path}: {exc}") from exc
-    with fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(depth):

@@ -10,9 +10,10 @@ Subcommands::
 Every flag can also be supplied through ``--config FILE`` holding
 ``key=value`` lines (keys are the long flag names with dashes or
 underscores); explicit flags override the file. A bad config file, a
-missing input file, or a value the benchmark spec, solver config or instance
-rejects is a usage error (exit code 2). CSV outputs are deterministic for a
-fixed spec and seed.
+missing input file, a value the benchmark spec, solver config or instance
+rejects, or a solve that raises SolverError (such as a reference solve that
+does not converge) is a usage error (exit code 2). CSV outputs are
+deterministic for a fixed spec and seed.
 """
 
 from __future__ import annotations
@@ -20,16 +21,17 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import container, covsel, lasso
+from . import container, covsel
 from .bench import (
     GAMMA_DEFAULTS,
     BenchmarkSpec,
-    _generate,
     emit_trajectory_plotdata,
+    generate_instance,
     run_benchmark,
 )
 from .diagnostics import (
@@ -40,7 +42,7 @@ from .diagnostics import (
     kkt_residual,
     reference_solution,
 )
-from .engine import run
+from .engine import SolverError, run
 from .model import VARIANTS, SolverConfig
 
 
@@ -157,21 +159,33 @@ def _save_instance(path: Path, instance, seed):
     container.save_instance(path, instance, seed=seed)
 
 
-def _single_instance(args):
-    """Instance for compare/diagnose: loaded from a container or generated.
+def _single_setup(args):
+    """Instance, problem name and base solver config for compare/diagnose.
 
-    Returns (instance, problem name); when loading, the container header
-    decides the problem kind regardless of --problem.
+    The one (eps_abs, eps_rel) pair is checked first. A loaded container's
+    header decides the problem kind regardless of --problem. Creates --out
+    and writes --save-instance. The base config is the classical variant;
+    ``replace(config, variant=...)`` re-validates it for another variant.
     """
+    tolerances = _tolerances(args)
+    if len(tolerances) != 1:
+        raise ValueError("compare and diagnose take exactly one --eps-abs/--eps-rel pair")
     if args.load_instance is not None:
         instance, header = container.load_instance(args.load_instance)
-        return instance, header["kind"]
-    if args.problem == "lasso":
-        instance, _ = lasso.generate_instance(args.m, args.n, args.seed)
+        problem = header["kind"]
     else:
-        tau = covsel.DEFAULT_TAU if args.tau is None else args.tau
-        instance, _ = covsel.generate_instance(args.n, args.seed, tau=tau)
-    return instance, args.problem
+        problem = args.problem
+        size = (args.m, args.n) if problem == "lasso" else args.n
+        instance = generate_instance(problem, size, args.seed, args.tau)
+    args.out.mkdir(parents=True, exist_ok=True)
+    if args.save_instance is not None:
+        _save_instance(args.save_instance, instance, args.seed)
+    config = SolverConfig(
+        beta=args.beta,
+        gamma=args.gamma if args.gamma is not None else GAMMA_DEFAULTS[problem],
+        eps_abs=tolerances[0][0], eps_rel=tolerances[0][1], max_iter=args.max_iter,
+    )
+    return instance, problem, config
 
 
 def _cmd_bench(problem: str, args) -> int:
@@ -205,7 +219,8 @@ def _cmd_bench(problem: str, args) -> int:
         out_dir=args.out,
     )
     if args.save_instance is not None:
-        _save_instance(args.save_instance, _generate(spec, spec.sizes[0], args.seed), args.seed)
+        first = generate_instance(problem, spec.sizes[0], args.seed, spec.tau)
+        _save_instance(args.save_instance, first, args.seed)
     outcome = run_benchmark(spec)
     sys.stdout.write(outcome.summary_table.read_text())
     print(f"summary csv: {outcome.summary_csv}")
@@ -217,18 +232,8 @@ def _cmd_bench(problem: str, args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    instance, problem_name = _single_instance(args)
-    gamma = args.gamma if args.gamma is not None else GAMMA_DEFAULTS[problem_name]
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.save_instance is not None:
-        _save_instance(args.save_instance, instance, args.seed)
-    results = {}
-    for variant in VARIANTS:
-        config = SolverConfig(
-            variant=variant, beta=args.beta, gamma=gamma,
-            eps_abs=args.eps_abs[0], eps_rel=args.eps_rel[0], max_iter=args.max_iter,
-        )
-        results[variant] = run(instance, config)
+    instance, problem_name, config = _single_setup(args)
+    results = {variant: run(instance, replace(config, variant=variant)) for variant in VARIANTS}
     path = emit_trajectory_plotdata(results, args.out / f"compare_{problem_name}.csv")
     print(f"{'variant':<20} {'iterations':>10} {'converged':>10} {'||r||':>12} {'||s||':>12}")
     for variant, result in results.items():
@@ -242,23 +247,17 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    instance, problem_name = _single_instance(args)
-    gamma = args.gamma if args.gamma is not None else GAMMA_DEFAULTS[problem_name]
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.save_instance is not None:
-        _save_instance(args.save_instance, instance, args.seed)
-    config = SolverConfig(
-        variant=args.variant, beta=args.beta, gamma=gamma,
-        eps_abs=args.eps_abs[0], eps_rel=args.eps_rel[0], max_iter=args.max_iter,
-    )
-    ref = reference_solution(instance, args.beta, args.eps_abs[0] / 100, args.eps_rel[0] / 100)
+    instance, problem_name, config = _single_setup(args)
+    config = replace(config, variant=args.variant)
+    ref = reference_solution(instance, args.beta, config.eps_abs / 100, config.eps_rel / 100)
     monitor = FejerMonitor.for_config(instance, config, ref)
     mats = monitor.mats
+    mono_checked, gap_checked = monitor.checks
     worst = {"split": 0.0, "corr": 0.0, "expand": 0.0}
 
     def observe(k, v, pred, v_new, relaxed, criterion):
         monitor(k, v, pred, v_new, relaxed, criterion)
-        if args.variant == "relaxed_customized":
+        if not mono_checked:  # relaxed_customized's multiplier-first sweep has neither identity
             return
         split = pred.lam_pred - (pred.lam_early + args.beta * mats.apply_B(v.y - pred.y_pred))
         worst["split"] = max(worst["split"], float(np.abs(split).max(initial=0.0)))
@@ -290,13 +289,16 @@ def _cmd_diagnose(args) -> int:
         h_gap = float(np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max())
         print(f"metric factorization H = Q M^-1 residual: {h_gap:.3e}")
         print(f"gap-form decomposition residual:          {g_decomposition_residual(mats):.3e}")
-    if args.variant != "relaxed_customized":
+    # each step check prints only for a variant whose steps it checks
+    if mono_checked:
         print(f"multiplier split identity residual:       {worst['split']:.3e}")
-    if args.variant != "classical":
+    if gap_checked:
         print(f"correction identity residual (relaxed):   {worst['corr']:.3e}")
         print(f"gap-form expansion mismatch (relaxed):    {worst['expand']:.3e}")
-    print(f"Fejer monotonicity violations:            {len(monitor.monotonicity_violations)}")
-    print(f"per-step gap inequality violations:       {len(monitor.gap_violations)}")
+    if mono_checked:
+        print(f"Fejer monotonicity violations:            {len(monitor.monotonicity_violations)}")
+    if gap_checked:
+        print(f"per-step gap inequality violations:       {len(monitor.gap_violations)}")
     print(f"KKT residual at final iterate:            {kkt_residual(instance, result.final):.3e}")
     print(f"diagnostic rows: {diag_path}")
     return 0
@@ -326,8 +328,8 @@ def main(argv=None) -> int:
         if command == "compare":
             return _cmd_compare(args)
         return _cmd_diagnose(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        # a bad config or input file, or a value a spec, config or instance rejects
+    except (ValueError, OSError, argparse.ArgumentTypeError, SolverError) as exc:
+        # a bad config or input file, a value the spec, config or instance rejects, a failed solve
         parser.error(str(exc))
 
 

@@ -19,11 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Prediction, run
+from .engine import Prediction, SolverError, run
 from .model import EssentialState, Iterate, SeparableProblem, SolverConfig
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
+
+#: Iteration cap of the plain-variant run behind :func:`reference_solution`.
+REFERENCE_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -38,10 +41,7 @@ class AnalysisMatrices:
 
     beta: float
     gamma: float
-    n2: int
-    m: int
     apply_B: Callable[[np.ndarray], np.ndarray]
-    B: np.ndarray | None = None
     M: np.ndarray | None = None
     Q: np.ndarray | None = None
     H: np.ndarray | None = None
@@ -50,9 +50,6 @@ class AnalysisMatrices:
     @property
     def dense(self) -> bool:
         return self.H is not None
-
-    def split(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return stacked[: self.n2], stacked[self.n2 :]
 
 
 def _validate_params(beta: float, gamma: float) -> None:
@@ -100,9 +97,7 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
         ]
     )
     mats = AnalysisMatrices(
-        beta=beta, gamma=gamma, n2=n2, m=m,
-        apply_B=lambda y, _B=B: _B @ y,
-        B=B, M=M, Q=Q, H=H, G=G,
+        beta=beta, gamma=gamma, apply_B=lambda y, _B=B: _B @ y, M=M, Q=Q, H=H, G=G
     )
     gap = g_decomposition_residual(mats)
     scale = max(1.0, float(np.abs(G).max()))
@@ -115,26 +110,19 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
     return mats
 
 
-def build_matrices_for(
-    problem: SeparableProblem,
-    beta: float,
-    gamma: float,
-    dense_limit: int = DENSE_LIMIT,
-) -> AnalysisMatrices:
+def build_matrices_for(problem: SeparableProblem, beta: float, gamma: float) -> AnalysisMatrices:
     """Analysis objects for a problem instance.
 
     Materializes B by applying the constraint operator to basis vectors and
-    builds the dense objects when n2 + m fits under ``dense_limit``; beyond
-    that the quadratic forms are evaluated matrix-free through apply_B.
+    builds the dense objects when n2 + m fits under :data:`DENSE_LIMIT`;
+    beyond that the quadratic forms are evaluated matrix-free through apply_B.
     """
     _validate_params(beta, gamma)
-    if problem.n2 + problem.m <= dense_limit:
+    if problem.n2 + problem.m <= DENSE_LIMIT:
         basis = np.eye(problem.n2)
         B = np.column_stack([problem.apply_B(basis[:, j]) for j in range(problem.n2)])
         return build_matrices(B, beta, gamma)
-    return AnalysisMatrices(
-        beta=beta, gamma=gamma, n2=problem.n2, m=problem.m, apply_B=problem.apply_B
-    )
+    return AnalysisMatrices(beta=beta, gamma=gamma, apply_B=problem.apply_B)
 
 
 def g_decomposition_residual(mats: AnalysisMatrices) -> float:
@@ -163,11 +151,7 @@ def g_form(d: EssentialState, mats: AnalysisMatrices) -> float:
 
 
 def g_norm_expanded(
-    pred: Prediction,
-    v_k: EssentialState,
-    v_next: EssentialState,
-    mats: AnalysisMatrices,
-    problem: SeparableProblem | None = None,
+    pred: Prediction, v_k: EssentialState, v_next: EssentialState, mats: AnalysisMatrices
 ) -> float:
     """Step-form evaluation of ||v - v_tilde||_G^2 after a relaxed step.
 
@@ -176,11 +160,10 @@ def g_norm_expanded(
     :func:`g_form` on the displacement to the auxiliary point whenever the
     step used the relaxation factor gamma.
     """
-    apply_B = problem.apply_B if problem is not None else mats.apply_B
     gamma, beta = mats.gamma, mats.beta
-    b_step = apply_B(v_k.y - v_next.y)
+    b_step = mats.apply_B(v_k.y - v_next.y)
     d_lam = v_k.lam - v_next.lam
-    cross = (v_k.lam - pred.lam_pred) @ apply_B(v_k.y - pred.y_pred)
+    cross = (v_k.lam - pred.lam_pred) @ mats.apply_B(v_k.y - pred.y_pred)
     return float(
         (2.0 - gamma) / gamma**2 * beta * (b_step @ b_step)
         + (2.0 - gamma) / (gamma**2 * beta) * (d_lam @ d_lam)
@@ -189,21 +172,17 @@ def g_norm_expanded(
 
 
 def correction_residual(
-    v_k: EssentialState,
-    v_next: EssentialState,
-    pred: Prediction,
-    mats: AnalysisMatrices,
-    gamma: float | None = None,
+    v_k: EssentialState, v_next: EssentialState, pred: Prediction, mats: AnalysisMatrices
 ) -> float:
     """Relative error in the correction identity v_next = v_k - M (v_k - v_tilde).
 
-    The auxiliary point is (y_pred, lam_early). ``gamma`` defaults to the
-    analysis gamma; pass 1.0 to check a step where the relaxation was skipped.
+    The auxiliary point is (y_pred, lam_early) and M is taken at the analysis
+    gamma; a step where the relaxation was skipped is checked against
+    matrices built at gamma 1.
     """
-    g = mats.gamma if gamma is None else gamma
     d = v_k - pred.essential_early
-    m_dy = g * d.y
-    m_dlam = g * (d.lam - mats.beta * mats.apply_B(d.y))
+    m_dy = mats.gamma * d.y
+    m_dlam = mats.gamma * (d.lam - mats.beta * mats.apply_B(d.y))
     expected = EssentialState(v_k.y - m_dy, v_k.lam - m_dlam)
     err = np.linalg.norm((v_next - expected).stacked())
     scale = max(float(np.linalg.norm(v_next.stacked())), 1e-300)
@@ -215,7 +194,8 @@ def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
 
     Classical steps are Fejer monotone in the unit-gamma metric. Over-relaxed
     steps are covered only when the criterion held and the step relaxed. The
-    gate-based theory does not cover the relaxed-customized baseline.
+    gate-based theory does not cover the relaxed-customized baseline. A
+    relaxed step gets every check an unrelaxed one of the same variant does.
     """
     if variant == "classical":
         return True, False
@@ -226,7 +206,7 @@ def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
 
 class FejerMonitor:
     """Online Fejer diagnostics of one solve; pass it to :func:`run` as the
-    observer, or get one filled from a list through :func:`fejer_check`.
+    observer, or feed it transitions through :meth:`transition`.
 
     ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
     form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point (observer use
@@ -259,20 +239,26 @@ class FejerMonitor:
     def clean(self) -> bool:
         return not self.monotonicity_violations and not self.gap_violations
 
+    @property
+    def checks(self) -> tuple[bool, bool]:
+        """Whether (the monotonicity check, the gap check) runs on any step."""
+        return _checks(self.variant, relaxed=True)
+
     def __call__(self, k, v_old, pred: Prediction, v_new, relaxed: bool, criterion: float):
         self.g_norm_sq.append(g_form(v_old - pred.essential_early, self.mats))
-        self.transition(v_old, v_new, *_checks(self.variant, relaxed))
+        self.transition(v_old, v_new, relaxed)
 
-    def start(self, v0: EssentialState) -> None:
-        """Record the starting distance, which sets the tolerance."""
-        dist = h_norm_sq(v0 - self.v_star, self.mats)
-        self.h_dist_sq.append(dist)
-        self.tol = 1e-8 * max(dist, 1e-300)
+    def transition(self, v_old, v_new, relaxed: bool) -> None:
+        """Record v_old -> v_new and run the checks the variant covers on it.
 
-    def transition(self, v_old, v_new, monotone: bool, gap: bool) -> None:
-        """Record v_old -> v_new and run the requested checks on it."""
+        The first transition records the starting distance, which sets the
+        tolerance.
+        """
         if not self.h_dist_sq:
-            self.start(v_old)
+            dist = h_norm_sq(v_old - self.v_star, self.mats)
+            self.h_dist_sq.append(dist)
+            self.tol = 1e-8 * max(dist, 1e-300)
+        monotone, gap = _checks(self.variant, relaxed)
         k = len(self.h_dist_sq) - 1
         before = self.h_dist_sq[-1]
         after = h_norm_sq(v_new - self.v_star, self.mats)
@@ -303,30 +289,6 @@ class FejerMonitor:
         ]
 
 
-def fejer_check(
-    trajectory: list[EssentialState],
-    v_star: EssentialState,
-    mats: AnalysisMatrices,
-    relaxed: list[bool] | None = None,
-) -> FejerMonitor:
-    """Check Fejer monotonicity of ||v^k - v*||_H^2 along a trajectory.
-
-    ``relaxed`` marks which transitions were criterion-holding relaxation
-    steps (trajectory[k] -> trajectory[k+1]); on those the per-step gap
-    inequality with constants C1 = (2-gamma)/gamma^2 * beta and
-    C2 = (2-gamma)/(gamma^2 beta) is checked as well, as for an over-relaxed
-    solve. With ``relaxed=None`` every transition is checked for monotonicity
-    only, as for a classical one. Tolerance is 1e-8 times the initial distance.
-    """
-    monitor = FejerMonitor(v_star, mats, "classical" if relaxed is None else "over_relaxed")
-    if trajectory:
-        monitor.start(trajectory[0])
-    for k in range(len(trajectory) - 1):
-        flag = relaxed is not None and relaxed[k]
-        monitor.transition(trajectory[k], trajectory[k + 1], *_checks(monitor.variant, flag))
-    return monitor
-
-
 def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
     """Max of the two stationarity residuals and the feasibility violation.
 
@@ -342,19 +304,24 @@ def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
 
 
 def reference_solution(
-    problem: SeparableProblem,
-    beta: float,
-    eps_abs: float,
-    eps_rel: float,
-    max_iter: int = 10000,
+    problem: SeparableProblem, beta: float, eps_abs: float, eps_rel: float
 ) -> EssentialState:
     """High-accuracy essential pair from a plain-variant run.
 
     Callers wanting a Fejer reference should pass tolerances ~100x tighter
-    than the run under inspection, and compute this once per instance.
+    than the run under inspection, and compute this once per instance. A run
+    that stops short of the tolerances within :data:`REFERENCE_MAX_ITER`
+    iterations raises :class:`~admmkit.engine.SolverError`: distances to an
+    unconverged point certify nothing.
     """
     config = SolverConfig(
-        variant="classical", beta=beta, eps_abs=eps_abs, eps_rel=eps_rel, max_iter=max_iter
+        variant="classical", beta=beta, eps_abs=eps_abs, eps_rel=eps_rel,
+        max_iter=REFERENCE_MAX_ITER,
     )
     result = run(problem, config)
+    if not result.converged:
+        raise SolverError(
+            f"reference solve did not reach eps_abs={eps_abs:g}, eps_rel={eps_rel:g} "
+            f"after {result.iterations} iterations"
+        )
     return EssentialState(result.final.y, result.final.lam)

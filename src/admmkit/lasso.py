@@ -12,8 +12,6 @@ elementwise soft thresholding of :class:`~admmkit.l1split.L1SplitProblem`.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
@@ -93,14 +91,13 @@ class LassoInstance(L1SplitProblem):
         return cho_solve(cached[1], rhs, check_finite=False)
 
 
-def generate_instance(m: int, n: int, seed: int, nonzeros: int | None = None):
+def generate_instance(m: int, n: int, seed: int):
     """Seeded synthetic regression data.
 
     A is i.i.d. standard Gaussian with columns scaled to unit l2 norm; the
-    ground truth has min(100, n // 10) Gaussian nonzeros at random positions
-    (override with ``nonzeros``); observations are b = A x_true + noise with
-    per-coordinate variance 1e-3; the l1 weight is 0.1 times the critical
-    value ||A'b||_inf.
+    ground truth has min(100, n // 10) Gaussian nonzero entries at random
+    positions; observations are b = A x_true + noise with per-coordinate
+    variance 1e-3; the l1 weight is 0.1 times the critical value ||A'b||_inf.
 
     Returns
     -------
@@ -112,14 +109,10 @@ def generate_instance(m: int, n: int, seed: int, nonzeros: int | None = None):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     A = A / np.linalg.norm(A, axis=0)
-    if nonzeros is None:
-        nonzeros = min(100, n // 10)
-    if nonzeros > n:
-        warnings.warn(f"requested {nonzeros} nonzeros for n={n}; reducing to {n}")
-        nonzeros = n
+    support_size = min(100, n // 10)
     x_true = np.zeros(n)
-    support = rng.choice(n, size=nonzeros, replace=False)
-    x_true[support] = rng.standard_normal(nonzeros)
+    support = rng.choice(n, size=support_size, replace=False)
+    x_true[support] = rng.standard_normal(support_size)
     noise = rng.normal(0.0, np.sqrt(NOISE_VARIANCE), size=m)
     b = A @ x_true + noise
     rho = 0.1 * rho_max(A, b)

@@ -117,14 +117,6 @@ class Iterate:
     y: np.ndarray
     lam: np.ndarray
 
-    @property
-    def finite(self) -> bool:
-        return bool(
-            np.isfinite(self.x).all()
-            and np.isfinite(self.y).all()
-            and np.isfinite(self.lam).all()
-        )
-
     def validate(self, problem: SeparableProblem) -> "Iterate":
         return Iterate(
             _as_vector(self.x, "x", problem.n1),

@@ -81,7 +81,7 @@ class QuadraticProblem(SeparableProblem):
         return float(np.abs(self.P2 @ y + self.q2 - self.B.T @ lam).max(initial=0.0))
 
     @classmethod
-    def random(cls, n1, n2, m, rng, feasible_shift=True):
+    def random(cls, n1, n2, m, rng):
         """Random well-conditioned instance; requires m >= max(n1, n2) so the
         constraint blocks are full column rank almost surely."""
         if m < max(n1, n2):
@@ -91,7 +91,7 @@ class QuadraticProblem(SeparableProblem):
             return W @ W.T / k + 0.5 * np.eye(k)
         A = rng.standard_normal((m, n1))
         B = rng.standard_normal((m, n2))
-        b = rng.standard_normal(m) if feasible_shift else np.zeros(m)
+        b = rng.standard_normal(m)
         return cls(spd(n1), rng.standard_normal(n1), spd(n2), rng.standard_normal(n2), A, B, b)
 
 

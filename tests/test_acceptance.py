@@ -14,10 +14,10 @@ from admmkit import EssentialState, SolverConfig, predict, relax, run
 from admmkit import covsel, lasso
 from admmkit.bench import BenchmarkSpec, run_benchmark
 from admmkit.diagnostics import (
+    FejerMonitor,
     build_matrices,
     build_matrices_for,
     correction_residual,
-    fejer_check,
     g_form,
     g_norm_expanded,
     reference_solution,
@@ -149,7 +149,7 @@ def test_criterion_3_exact_algebraic_identities():
     )
 
 
-def test_criterion_4_fejer_monotonicity(solve_traced):
+def test_criterion_4_fejer_monotonicity():
     violations = 0
     checked = 0
     for seed in SEEDS:
@@ -158,11 +158,10 @@ def test_criterion_4_fejer_monotonicity(solve_traced):
             variant="over_relaxed", beta=1.0, gamma=1.8,
             eps_abs=1e-5, eps_rel=1e-3, max_iter=2000,
         )
-        result, trajectory = solve_traced(instance, config)
         ref = reference_solution(instance, 1.0, 1e-7, 1e-5)
-        mats = build_matrices_for(instance, 1.0, 1.8)
-        flags = [rec.relaxed for rec in result.records[: len(trajectory) - 1]]
-        report = fejer_check(trajectory, ref, mats, relaxed=flags)
+        report = FejerMonitor.for_config(instance, config, ref)
+        result = run(instance, config, observer=report)
+        flags = [rec.relaxed for rec in result.records[: len(report.g_norm_sq)]]
         violations += len(report.monotonicity_violations) + len(report.gap_violations)
         checked += sum(flags)
     for seed in SEEDS:
@@ -171,11 +170,10 @@ def test_criterion_4_fejer_monotonicity(solve_traced):
             variant="over_relaxed", beta=1.0, gamma=1.7,
             eps_abs=1e-6, eps_rel=1e-4, max_iter=2000,
         )
-        result, trajectory = solve_traced(instance, config)
         ref = reference_solution(instance, 1.0, 1e-8, 1e-6)
-        mats = build_matrices_for(instance, 1.0, 1.7)
-        flags = [rec.relaxed for rec in result.records[: len(trajectory) - 1]]
-        report = fejer_check(trajectory, ref, mats, relaxed=flags)
+        report = FejerMonitor.for_config(instance, config, ref)
+        result = run(instance, config, observer=report)
+        flags = [rec.relaxed for rec in result.records[: len(report.g_norm_sq)]]
         violations += len(report.monotonicity_violations) + len(report.gap_violations)
         checked += sum(flags)
     _report(

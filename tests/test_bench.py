@@ -132,17 +132,6 @@ def test_covsel_benchmark_cell(tmp_path):
     assert all(row.size_label == "n15" for row in outcome.rows)
 
 
-def test_emit_plotdata_single_result(tmp_path):
-    instance, _ = generate_instance(40, 60, 0)
-    result = run(instance, SolverConfig(variant="classical", max_iter=300))
-    path = emit_trajectory_plotdata(result, tmp_path / "single.csv")
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["k", "primal_residual", "dual_residual"]
-    assert len(rows) == result.iterations
-    assert all(float(r["primal_residual"]) > 0 for r in rows)
-
-
 def test_emit_plotdata_variant_groups(tmp_path):
     instance, _ = generate_instance(40, 60, 0)
     results = {
@@ -174,10 +163,10 @@ def test_emit_plotdata_clamps_exact_zeros(tmp_path):
     at_solution = EssentialState([0.0], [0.0])
     result = run(chain, SolverConfig(variant="classical", max_iter=3), at_solution)
     assert result.records[0].dual_residual_norm == 0.0
-    path = emit_trajectory_plotdata(result, tmp_path / "clamped.csv")
+    path = emit_trajectory_plotdata({"classical": result}, tmp_path / "clamped.csv")
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
-    assert float(rows[0]["dual_residual"]) == 1e-300  # strictly positive for log axes
+    assert float(rows[0]["classical_dual"]) == 1e-300  # strictly positive for log axes
 
 
 def test_emit_plotdata_unwritable_path_names_path(tmp_path):
@@ -185,7 +174,7 @@ def test_emit_plotdata_unwritable_path_names_path(tmp_path):
     result = run(instance, SolverConfig(variant="classical", max_iter=200))
     target = tmp_path / "missing" / "file.csv"
     with pytest.raises(OSError, match="missing"):
-        emit_trajectory_plotdata(result, target)
+        emit_trajectory_plotdata({"classical": result}, target)
 
 
 def test_residual_decrease_regression_baseline():

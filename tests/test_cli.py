@@ -55,6 +55,28 @@ def test_diagnose_subcommand(tmp_path, capsys):
     assert (tmp_path / "diagnose_lasso_over_relaxed.csv").exists()
 
 
+STEP_CHECK_LINES = {
+    "multiplier split identity residual": ("classical", "over_relaxed"),
+    "correction identity residual (relaxed)": ("over_relaxed",),
+    "gap-form expansion mismatch (relaxed)": ("over_relaxed",),
+    "Fejer monotonicity violations": ("classical", "over_relaxed"),
+    "per-step gap inequality violations": ("over_relaxed",),
+}
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, variant):
+    rc = main([
+        "diagnose", "--problem", "lasso", "--m", "40", "--n", "60", "--variant", variant,
+        "--seed", "1", "--max-iter", "300", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    for line, variants in STEP_CHECK_LINES.items():
+        assert (line in out) == (variant in variants), line
+    assert "metric factorization H = Q M^-1 residual" in out and "KKT residual" in out
+
+
 def test_diagnose_covsel_classical(tmp_path, capsys):
     rc = main([
         "diagnose", "--problem", "covsel", "--n", "15", "--variant", "classical",
@@ -175,6 +197,12 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["lasso", "--config", "{tmp}/missing.cfg"], "No such file or directory"),
         (["lasso", "--config"], "--config: expected one argument"),
         (["diagnose", "--load-instance", "{tmp}/missing.bin"], "No such file or directory"),
+        (["compare", "--eps-abs", "1e-5,1e-9", "--eps-rel", "1e-3"], "same number of entries"),
+        (["compare", "--eps-abs", "1e-5,1e-9", "--eps-rel", "1e-3,1e-4"], "exactly one"),
+        (["diagnose", "--eps-abs", "1e-5,1e-9", "--eps-rel", "1e-3,1e-4"], "exactly one"),
+        (["diagnose", "--eps-abs", "", "--eps-rel", ""], "exactly one"),
+        (["diagnose", "--m", "40", "--n", "60", "--beta", "2000"],
+         "reference solve did not reach eps_abs=1e-07, eps_rel=1e-05 after 10000 iterations"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, Iterate, SolverConfig, predict, relax, run
+from admmkit import EssentialState, Iterate, SolverConfig, SolverError, predict, relax, run
 from admmkit import lasso
 from admmkit.diagnostics import (
+    REFERENCE_MAX_ITER,
+    AnalysisMatrices,
+    FejerMonitor,
     build_matrices,
     build_matrices_for,
     correction_residual,
-    fejer_check,
     g_decomposition_residual,
     g_form,
     g_norm_expanded,
@@ -88,7 +90,7 @@ def test_quadratic_forms_match_dense_products(rng):
 def test_matrix_free_forms_agree_with_dense(rng):
     instance, _ = lasso.generate_instance(20, 30, 7)
     dense = build_matrices_for(instance, beta=1.3, gamma=1.6)
-    free = build_matrices_for(instance, beta=1.3, gamma=1.6, dense_limit=5)
+    free = AnalysisMatrices(1.3, 1.6, apply_B=instance.apply_B)
     assert dense.dense and not free.dense
     for _ in range(10):
         v = EssentialState(rng.standard_normal(30), rng.standard_normal(30))
@@ -149,33 +151,32 @@ def test_correction_identity_on_forced_relaxation(rng, small_quadratic):
 
 def test_correction_identity_with_unit_gamma_on_plain_steps(rng, small_quadratic):
     problem = small_quadratic
-    mats = build_matrices_for(problem, beta=0.9, gamma=1.7)
+    mats = build_matrices_for(problem, beta=0.9, gamma=1.0)
     v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
     pred = predict(problem, v, 0.9)
-    assert correction_residual(v, pred.essential, pred, mats, gamma=1.0) <= 1e-12
+    assert correction_residual(v, pred.essential, pred, mats) <= 1e-12
 
 
 def test_fejer_constant_trajectory_is_all_zeros():
     chain = scalar_chain()
     mats = build_matrices_for(chain, 1.0, 1.5)
     v_star = EssentialState(np.array([0.3]), np.array([-0.2]))
-    report = fejer_check([v_star, v_star, v_star], v_star, mats)
+    report = FejerMonitor(v_star, mats, "classical")
+    report.transition(v_star, v_star, False)
+    report.transition(v_star, v_star, False)
     assert report.h_dist_sq == [0.0, 0.0, 0.0]
     assert report.clean
 
 
-def test_fejer_scalar_chain_strictly_decreasing(solve_traced):
+def test_fejer_scalar_chain_strictly_decreasing():
     chain = scalar_chain()
     config = SolverConfig(
         variant="over_relaxed", gamma=1.5, eps_abs=1e-9, eps_rel=1e-9, max_iter=200,
     )
-    result, trajectory = solve_traced(
-        chain, config, EssentialState(np.array([1.0]), np.array([0.0]))
-    )
     mats = build_matrices_for(chain, 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
-    flags = [rec.relaxed for rec in result.records[: len(trajectory) - 1]]
-    report = fejer_check(trajectory, v_star, mats, relaxed=flags)
+    report = FejerMonitor(v_star, mats, "over_relaxed")
+    run(chain, config, EssentialState(np.array([1.0]), np.array([0.0])), observer=report)
     assert report.clean
     dists = report.h_dist_sq
     assert all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
@@ -185,11 +186,12 @@ def test_fejer_flags_violations_instead_of_raising():
     chain = scalar_chain()
     mats = build_matrices_for(chain, 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
-    away = [
+    report = FejerMonitor(v_star, mats, "classical")
+    report.transition(
         EssentialState(np.array([0.1]), np.array([0.0])),
         EssentialState(np.array([5.0]), np.array([0.0])),
-    ]
-    report = fejer_check(away, v_star, mats)
+        False,
+    )
     assert len(report.monotonicity_violations) == 1
     assert report.monotonicity_violations[0][0] == 0
 
@@ -230,3 +232,10 @@ def test_reference_solution_close_to_analytic_fixed_point():
     chain = scalar_chain()
     ref = reference_solution(chain, beta=1.0, eps_abs=1e-9, eps_rel=1e-9)
     assert abs(ref.y[0]) < 1e-8 and abs(ref.lam[0]) < 1e-8
+
+
+def test_reference_solution_raises_when_it_does_not_converge():
+    instance, _ = lasso.generate_instance(40, 60, 1)
+    with pytest.raises(SolverError, match="eps_abs=1e-07, eps_rel=1e-05") as exc:
+        reference_solution(instance, beta=2000.0, eps_abs=1e-7, eps_rel=1e-5)
+    assert f"after {REFERENCE_MAX_ITER} iterations" in str(exc.value)

@@ -44,12 +44,6 @@ def test_generated_signal_to_noise_ratio():
         assert 200 / 3 <= ratio <= 200 * 3
 
 
-def test_nonzeros_clamped_with_warning():
-    with pytest.warns(UserWarning, match="reducing"):
-        _, x_true = generate_instance(20, 10, 0, nonzeros=50)
-    assert np.count_nonzero(x_true) == 10
-
-
 def test_rho_max_examples():
     assert rho_max(np.eye(2), np.array([1.0, 2.0])) == 2.0
     assert rho_max(np.eye(2), np.zeros(2)) == 0.0

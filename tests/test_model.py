@@ -131,7 +131,8 @@ def test_essential_state_helpers(chain):
 
 def test_iterate_validation(chain):
     w = Iterate(np.array([1.0]), np.array([2.0]), np.array([3.0]))
-    assert w.validate(chain).finite
+    valid = w.validate(chain)
+    assert all(np.isfinite(part).all() for part in (valid.x, valid.y, valid.lam))
     with pytest.raises(DimensionMismatchError):
         Iterate(np.array([1.0, 2.0]), np.array([2.0]), np.array([3.0])).validate(chain)
 
