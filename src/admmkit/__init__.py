@@ -26,7 +26,6 @@ from .model import (
     IterationRecord,
     SeparableProblem,
     SolverConfig,
-    augmented_lagrangian,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "SolverError",
-    "augmented_lagrangian",
     "criterion_value",
     "predict",
     "relax",

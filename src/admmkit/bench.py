@@ -182,7 +182,7 @@ def _write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | 
                 int(rec.relaxed),
             ]
             if diag is not None:
-                row += diag.row(rec.k)
+                row += diag.row(rec)
             writer.writerow(row)
 
 

@@ -36,6 +36,7 @@ from .bench import (
 )
 from .diagnostics import (
     FejerMonitor,
+    build_matrices_for,
     correction_residual,
     g_decomposition_residual,
     g_norm_expanded,
@@ -162,14 +163,17 @@ def _save_instance(path: Path, instance, seed):
 def _single_setup(args):
     """Instance, problem name and base solver config for compare/diagnose.
 
-    The one (eps_abs, eps_rel) pair is checked first. A loaded container's
-    header decides the problem kind regardless of --problem. Creates --out
+    The one (eps_abs, eps_rel) pair is checked first, then that --tau comes
+    only with a generated covsel instance. A loaded container's header
+    decides the problem kind regardless of --problem. Creates --out
     and writes --save-instance. The base config is the classical variant;
     ``replace(config, variant=...)`` re-validates it for another variant.
     """
     tolerances = _tolerances(args)
     if len(tolerances) != 1:
         raise ValueError("compare and diagnose take exactly one --eps-abs/--eps-rel pair")
+    if args.tau is not None and (args.load_instance is not None or args.problem == "lasso"):
+        raise ValueError("--tau applies only to a generated covsel instance")
     if args.load_instance is not None:
         instance, header = container.load_instance(args.load_instance)
         problem = header["kind"]
@@ -279,16 +283,17 @@ def _cmd_diagnose(args) -> int:
              "monotone_violation", "gap_violation"]
         )
         for rec in result.records[: len(monitor.g_norm_sq)]:
-            h_val, g_val, mono, gap = monitor.row(rec.k)
+            h_val, g_val, mono, gap = monitor.row(rec)
             writer.writerow(
                 [rec.k, h_val, g_val, rec.criterion_value, int(rec.relaxed), mono, gap]
             )
 
     print(f"variant={args.variant} iterations={result.iterations} converged={result.converged}")
-    if mats.dense:
-        h_gap = float(np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max())
+    dense = build_matrices_for(instance, mats.beta, mats.gamma)
+    if dense.dense:
+        h_gap = float(np.abs(dense.H - dense.Q @ np.linalg.inv(dense.M)).max())
         print(f"metric factorization H = Q M^-1 residual: {h_gap:.3e}")
-        print(f"gap-form decomposition residual:          {g_decomposition_residual(mats):.3e}")
+        print(f"gap-form decomposition residual:          {g_decomposition_residual(dense):.3e}")
     # each step check prints only for a variant whose steps it checks
     if mono_checked:
         print(f"multiplier split identity residual:       {worst['split']:.3e}")

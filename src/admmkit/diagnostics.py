@@ -6,9 +6,9 @@ minus a structured correction matrix M applied to the displacement. Out of M
 and the prediction-gap matrix Q fall a positive-definite metric H = Q M^-1
 (the norm in which the iterates are Fejer monotone toward the solution set)
 and an indefinite gap form G = Q' + Q - M'HM that lower-bounds per-step
-progress. This module materializes those objects on small instances (or
-evaluates their quadratic forms matrix-free on large ones) and checks the
-identities and monotonicity claims step by step on a live solve.
+progress. This module materializes those objects on small instances, and
+checks the identities and monotonicity claims step by step on a live solve
+through their quadratic forms, which need only applications of B.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import Prediction, SolverError, run
-from .model import EssentialState, Iterate, SeparableProblem, SolverConfig
+from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
@@ -59,6 +59,20 @@ def _validate_params(beta: float, gamma: float) -> None:
         raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
 
 
+def _require_full_column_rank(B: np.ndarray) -> None:
+    """Raise ValueError unless B's singular values stay above 1e-10 times the
+    largest; otherwise H is not positive definite."""
+    m, n2 = B.shape
+    svals = np.linalg.svd(B, compute_uv=False)
+    if m < n2 or svals[-1] <= 1e-10 * svals[0]:
+        raise ValueError("H not positive definite: B rank-deficient")
+
+
+def _dense_B(problem: SeparableProblem) -> np.ndarray:
+    """B materialized by applying the constraint operator to basis vectors."""
+    return np.column_stack([problem.apply_B(e) for e in np.eye(problem.n2)])
+
+
 def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices:
     """Materialize M, Q, H, G for a dense constraint block B.
 
@@ -76,9 +90,7 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
             f"n2 + m = {n2 + m} exceeds the dense materialization limit "
             f"{DENSE_LIMIT}; use build_matrices_for for matrix-free forms"
         )
-    svals = np.linalg.svd(B, compute_uv=False)
-    if m < n2 or svals[-1] <= 1e-10 * svals[0]:
-        raise ValueError("H not positive definite: B rank-deficient")
+    _require_full_column_rank(B)
 
     eye_y = np.eye(n2)
     eye_m = np.eye(m)
@@ -119,9 +131,7 @@ def build_matrices_for(problem: SeparableProblem, beta: float, gamma: float) -> 
     """
     _validate_params(beta, gamma)
     if problem.n2 + problem.m <= DENSE_LIMIT:
-        basis = np.eye(problem.n2)
-        B = np.column_stack([problem.apply_B(basis[:, j]) for j in range(problem.n2)])
-        return build_matrices(B, beta, gamma)
+        return build_matrices(_dense_B(problem), beta, gamma)
     return AnalysisMatrices(beta=beta, gamma=gamma, apply_B=problem.apply_B)
 
 
@@ -231,9 +241,13 @@ class FejerMonitor:
     def for_config(
         cls, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState
     ) -> "FejerMonitor":
-        """Monitor of a solve under ``config``; classical is analysed at unit gamma."""
+        """Matrix-free monitor of a solve under ``config``; classical is
+        analysed at unit gamma. Up to :data:`DENSE_LIMIT` B's rank is checked
+        as :func:`build_matrices` checks it."""
+        if problem.n2 + problem.m <= DENSE_LIMIT:
+            _require_full_column_rank(_dense_B(problem))
         gamma = 1.0 if config.variant == "classical" else config.gamma
-        return cls(v_star, build_matrices_for(problem, config.beta, gamma), config.variant)
+        return cls(v_star, AnalysisMatrices(config.beta, gamma, problem.apply_B), config.variant)
 
     @property
     def clean(self) -> bool:
@@ -276,17 +290,19 @@ class FejerMonitor:
             if lhs > rhs + self.tol:
                 self.gap_violations.append((k, lhs - rhs))
 
-    def row(self, k: int) -> list:
-        """h_dist_sq, g_norm_sq and the two violation flags of step k as CSV
-        cells; blanks when step k was not observed."""
+    def row(self, rec: IterationRecord) -> list:
+        """h_dist_sq, g_norm_sq and the two violation flags of the step behind
+        ``rec`` as CSV cells; a flag is blank when its check did not run on
+        the step, and every cell is blank when the step was not observed."""
+        k = rec.k
         if k >= len(self.h_dist_sq):
             return ["", "", "", ""]
-        return [
-            self.h_dist_sq[k],
-            self.g_norm_sq[k - 1],
-            int(any(i == k - 1 for i, _ in self.monotonicity_violations)),
-            int(any(i == k - 1 for i, _ in self.gap_violations)),
+        checked = _checks(self.variant, rec.relaxed)
+        flags = [
+            int(any(i == k - 1 for i, _ in found)) if ran else ""
+            for ran, found in zip(checked, (self.monotonicity_violations, self.gap_violations))
         ]
+        return [self.h_dist_sq[k], self.g_norm_sq[k - 1], *flags]
 
 
 def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:

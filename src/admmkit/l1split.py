@@ -23,13 +23,6 @@ def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
     return np.maximum(a - kappa, 0.0) - np.maximum(-a - kappa, 0.0)
 
 
-def _l1_membership_residual(y, g, weight):
-    """Distance of 0 from weight * subgradient(|y|) + g, elementwise max."""
-    on = np.abs(weight * np.sign(y) + g)
-    off = np.maximum(np.abs(g) - weight, 0.0)
-    return float(np.where(y != 0.0, on, off).max(initial=0.0))
-
-
 class L1SplitProblem(SeparableProblem):
     """Base of the l1 split. Subclasses provide ``solve_x``, ``smooth`` and
     ``smooth_grad`` on flattened length-``dim`` vectors; the base supplies the
@@ -70,15 +63,11 @@ class L1SplitProblem(SeparableProblem):
     def objective(self, x, y):
         return float(self.smooth(x) + self.weight * np.abs(y).sum())
 
-    def x_subproblem_residual(self, x, y, lam, beta):
-        grad = self.smooth_grad(x) - lam + beta * (x - y)
-        return float(np.abs(grad).max(initial=0.0))
-
-    def y_subproblem_residual(self, y, x, lam, beta):
-        return _l1_membership_residual(y, lam + beta * (y - x), self.weight)
-
     def x_stationarity(self, x, lam):
         return float(np.abs(self.smooth_grad(x) - lam).max(initial=0.0))
 
     def y_stationarity(self, y, lam):
-        return _l1_membership_residual(y, lam, self.weight)
+        """Distance of 0 from weight * subgradient(|y|) + lam, elementwise max."""
+        on = np.abs(self.weight * np.sign(y) + lam)
+        off = np.maximum(np.abs(lam) - self.weight, 0.0)
+        return float(np.where(y != 0.0, on, off).max(initial=0.0))

@@ -34,8 +34,10 @@ class SeparableProblem(ABC):
     """Two-block separable convex program  min f1(x) + f2(y)  s.t.  Ax + By = b.
 
     Implementations provide exact minimizers of the two alternating
-    subproblems, the constraint operators, and first-order optimality
-    residuals used as oracles by the diagnostics layer and the test suite.
+    subproblems, the constraint operators, the objective, and the two
+    saddle-point stationarity residuals behind
+    :func:`~admmkit.diagnostics.kkt_residual`. A subproblem's own first-order
+    residual is the matching stationarity taken at lam - beta (Ax + By - b).
     ``A`` and ``B`` must have full column rank. Instances are immutable after
     construction and may be shared across concurrent solves.
 
@@ -75,14 +77,6 @@ class SeparableProblem(ABC):
     @abstractmethod
     def objective(self, x: np.ndarray, y: np.ndarray) -> float:
         """f1(x) + f2(y)."""
-
-    @abstractmethod
-    def x_subproblem_residual(self, x, y, lam, beta) -> float:
-        """First-order optimality residual of the x-subproblem at ``x``."""
-
-    @abstractmethod
-    def y_subproblem_residual(self, y, x, lam, beta) -> float:
-        """First-order optimality residual of the y-subproblem at ``y``."""
 
     @abstractmethod
     def x_stationarity(self, x, lam) -> float:
@@ -218,16 +212,3 @@ class IterationRecord:
             self.primal_residual_norm <= self.eps_pri
             and self.dual_residual_norm <= self.eps_dual
         )
-
-
-def augmented_lagrangian(problem: SeparableProblem, w: Iterate, beta: float) -> float:
-    """f1(x) + f2(y) - lam.(Ax + By - b) + (beta/2)||Ax + By - b||^2."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    w = w.validate(problem)
-    residual = problem.constraint_residual(w.x, w.y)
-    return float(
-        problem.objective(w.x, w.y)
-        - w.lam @ residual
-        + 0.5 * beta * (residual @ residual)
-    )

@@ -60,20 +60,6 @@ class QuadraticProblem(SeparableProblem):
             0.5 * x @ self.P1 @ x + self.q1 @ x + 0.5 * y @ self.P2 @ y + self.q2 @ y
         )
 
-    def x_subproblem_residual(self, x, y, lam, beta):
-        grad = (
-            self.P1 @ x + self.q1 - self.A.T @ lam
-            + beta * self.A.T @ self.constraint_residual(x, y)
-        )
-        return float(np.abs(grad).max(initial=0.0))
-
-    def y_subproblem_residual(self, y, x, lam, beta):
-        grad = (
-            self.P2 @ y + self.q2 - self.B.T @ lam
-            + beta * self.B.T @ self.constraint_residual(x, y)
-        )
-        return float(np.abs(grad).max(initial=0.0))
-
     def x_stationarity(self, x, lam):
         return float(np.abs(self.P1 @ x + self.q1 - self.A.T @ lam).max(initial=0.0))
 

@@ -45,6 +45,20 @@ def solve_traced():
 
 
 @pytest.fixture
+def subproblem_residual():
+    """First-order residual of the x- or y-subproblem at (x, y): that block's
+    saddle-point stationarity taken at the multiplier lam - beta (Ax + By - b)."""
+
+    def residual(problem, block, x, y, lam, beta):
+        shifted = lam - beta * problem.constraint_residual(x, y)
+        if block == "x":
+            return problem.x_stationarity(x, shifted)
+        return problem.y_stationarity(y, shifted)
+
+    return residual
+
+
+@pytest.fixture
 def one_step():
     """A single step of config's variant from v: (v_next, record)."""
 

@@ -207,7 +207,7 @@ def test_criterion_5_unit_gamma_equivalence(solve_traced):
     )
 
 
-def test_criterion_6_subproblem_oracles():
+def test_criterion_6_subproblem_oracles(subproblem_residual):
     rng = np.random.default_rng(11)
     worst_w = 0.0
     for trial in range(20):
@@ -245,7 +245,7 @@ def test_criterion_6_subproblem_oracles():
     Lam = (Lam + Lam.T) / 2
     beta = 1.1
     X = instance.x_update(Y, Lam, beta)
-    resid = instance.x_subproblem_residual(X.ravel(), Y.ravel(), Lam.ravel(), beta)
+    resid = subproblem_residual(instance, "x", X.ravel(), Y.ravel(), Lam.ravel(), beta)
     R = (beta * Y + Lam - S + (beta * Y + Lam - S).T) / 2
     d = np.linalg.eigvalsh(R)
     worst_root = 0.0

@@ -87,17 +87,33 @@ def test_trajectory_csv_schema_and_convergence(tmp_path):
     assert last.within_tolerance
 
 
+#: (monotone_violation, gap_violation) cells of a clean step, by variant and
+#: relaxed flag: "0" where the check ran, blank where it did not.
+CLEAN_CELLS = {
+    ("classical", "0"): ("0", ""),
+    ("over_relaxed", "0"): ("", ""),
+    ("over_relaxed", "1"): ("0", "0"),
+    ("relaxed_customized", "1"): ("", ""),
+}
+
+
 def test_diagnostics_columns_clean_on_converging_cell(tmp_path):
     spec = _tiny_spec(tmp_path, diagnostics=True, sizes=[(30, 50)])
     outcome = run_benchmark(spec)
-    path = [p for p in outcome.trajectory_files if "over_relaxed" in p.name][0]
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert "h_dist_sq" in rows[0] and "g_norm_sq" in rows[0]
-    h = [float(r["h_dist_sq"]) for r in rows if r["h_dist_sq"] != ""]
-    assert h and h[-1] < h[0]
-    assert all(r["monotone_violation"] in ("", "0") for r in rows)
-    assert all(r["gap_violation"] in ("", "0") for r in rows)
+    seen = set()
+    for path in outcome.trajectory_files:
+        variant = path.stem.split("_tol0_")[1]
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert "h_dist_sq" in rows[0] and "g_norm_sq" in rows[0]
+        h = [float(r["h_dist_sq"]) for r in rows if r["h_dist_sq"] != ""]
+        if variant == "over_relaxed":
+            assert h and h[-1] < h[0]
+        for r in rows:
+            key = (variant, r["relaxed"])
+            assert (r["monotone_violation"], r["gap_violation"]) == CLEAN_CELLS[key]
+            seen.add(key)
+    assert seen == set(CLEAN_CELLS)
 
 
 def test_benchmark_outputs_are_deterministic(tmp_path):

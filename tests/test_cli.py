@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from admmkit.cli import main
@@ -75,6 +77,14 @@ def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, vari
     for line, variants in STEP_CHECK_LINES.items():
         assert (line in out) == (variant in variants), line
     assert "metric factorization H = Q M^-1 residual" in out and "KKT residual" in out
+    # the CSV's violation cells are likewise blank where a step skipped the check
+    with open(tmp_path / f"diagnose_lasso_{variant}.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for r in rows:
+        ran = variant == "classical" or (variant == "over_relaxed" and r["relaxed"] == "1")
+        assert r["monotone_violation"] == ("0" if ran else "")
+        assert r["gap_violation"] == ("0" if ran and variant == "over_relaxed" else "")
 
 
 def test_diagnose_covsel_classical(tmp_path, capsys):
@@ -203,9 +213,15 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["diagnose", "--eps-abs", "", "--eps-rel", ""], "exactly one"),
         (["diagnose", "--m", "40", "--n", "60", "--beta", "2000"],
          "reference solve did not reach eps_abs=1e-07, eps_rel=1e-05 after 10000 iterations"),
+        (["compare", "--problem", "lasso", "--tau", "0.3"], "--tau applies only to"),
+        (["diagnose", "--load-instance", "{tmp}/covsel.bin", "--tau", "0.3"],
+         "--tau applies only to"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
+    from admmkit.covsel import generate_instance as generate_covsel
+
+    save_instance(tmp_path / "covsel.bin", generate_covsel(10, 0)[0])
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])

@@ -50,13 +50,13 @@ def test_x_update_scalar_zero_input():
     assert X[0, 0] == pytest.approx(1.0)
 
 
-def test_x_update_identity_stationary():
+def test_x_update_identity_stationary(subproblem_residual):
     n = 4
     instance = CovselInstance(np.eye(n), tau=0.1)
     X = instance.x_update(np.eye(n), np.zeros((n, n)), beta=1.0)
     assert np.abs(X - np.eye(n)).max() <= 1e-12
-    assert instance.x_subproblem_residual(
-        X.ravel(), np.eye(n).ravel(), np.zeros(n * n), 1.0
+    assert subproblem_residual(
+        instance, "x", X.ravel(), np.eye(n).ravel(), np.zeros(n * n), 1.0
     ) <= 1e-12
 
 
@@ -78,7 +78,7 @@ def test_x_update_matches_scalar_root_finding(rng):
         assert abs(x_i - root) <= 1e-12 * max(1.0, abs(root))
 
 
-def test_x_update_first_order_residual(rng):
+def test_x_update_first_order_residual(rng, subproblem_residual):
     n = 12
     S = _random_spd(n, rng)
     instance = CovselInstance(S, tau=0.1)
@@ -87,7 +87,7 @@ def test_x_update_first_order_residual(rng):
     Lam = (Lam + Lam.T) / 2
     beta = 1.4
     X = instance.x_update(Y, Lam, beta)
-    residual = instance.x_subproblem_residual(X.ravel(), Y.ravel(), Lam.ravel(), beta)
+    residual = subproblem_residual(instance, "x", X.ravel(), Y.ravel(), Lam.ravel(), beta)
     assert residual <= 1e-8 * (1.0 + np.linalg.norm(S, "fro"))
 
 
@@ -149,7 +149,7 @@ def test_y_update_matches_grid_search_prox(rng):
             assert abs(Y[i, j] - grid[np.argmin(values)]) <= 1e-3
 
 
-def test_y_update_first_order_optimality(rng):
+def test_y_update_first_order_optimality(rng, subproblem_residual):
     n = 6
     instance = CovselInstance(_random_spd(n, rng), tau=0.3)
     X = _random_spd(n, rng)
@@ -157,7 +157,7 @@ def test_y_update_first_order_optimality(rng):
     Lam = (Lam + Lam.T) / 2
     beta = 0.8
     Y = instance.solve_y(X, Lam, beta)
-    assert instance.y_subproblem_residual(Y.ravel(), X.ravel(), Lam.ravel(), beta) <= 1e-12
+    assert subproblem_residual(instance, "y", X.ravel(), Y.ravel(), Lam.ravel(), beta) <= 1e-12
 
 
 def test_engine_iterates_stay_symmetric_and_positive_definite(solve_traced):

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, Iterate, SolverConfig, SolverError, predict, relax, run
-from admmkit import lasso
+from admmkit import (
+    DimensionMismatchError,
+    EssentialState,
+    Iterate,
+    SolverConfig,
+    SolverError,
+    predict,
+    relax,
+    run,
+)
+from admmkit import covsel, lasso
 from admmkit.diagnostics import (
+    DENSE_LIMIT,
     REFERENCE_MAX_ITER,
     AnalysisMatrices,
     FejerMonitor,
@@ -17,7 +27,7 @@ from admmkit.diagnostics import (
     kkt_residual,
     reference_solution,
 )
-from admmkit.quadratic import scalar_chain
+from admmkit.quadratic import QuadraticProblem, scalar_chain
 
 
 def test_metric_block_form_identity_matrix():
@@ -96,6 +106,49 @@ def test_matrix_free_forms_agree_with_dense(rng):
         v = EssentialState(rng.standard_normal(30), rng.standard_normal(30))
         assert h_norm_sq(v, free) == pytest.approx(h_norm_sq(v, dense), rel=1e-12)
         assert g_form(v, free) == pytest.approx(g_form(v, dense), rel=1e-12)
+
+
+def _small_instances():
+    rng = np.random.default_rng(3)
+    return [
+        lasso.generate_instance(40, 60, 0)[0],
+        covsel.generate_instance(20, 0)[0],
+        QuadraticProblem.random(n1=3, n2=4, m=6, rng=rng),
+    ]
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_monitor_is_matrix_free_under_the_dense_limit(variant):
+    config = SolverConfig(variant=variant, beta=0.8, gamma=1.6)
+    for instance in _small_instances():
+        assert instance.n2 + instance.m <= DENSE_LIMIT
+        monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
+        assert monitor.mats.H is None and not monitor.mats.dense
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed"])
+def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant):
+    config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, max_iter=60)
+    for instance in _small_instances()[::2]:  # Lasso 40x60 and a random quadratic
+        ref = reference_solution(instance, config.beta, 1e-9, 1e-7)
+        free = FejerMonitor.for_config(instance, config, ref)
+        mats = build_matrices_for(instance, free.mats.beta, free.mats.gamma)
+        assert mats.dense
+        dense = FejerMonitor(ref, mats, variant)
+        run(instance, config, observer=free)
+        run(instance, config, observer=dense)
+        assert free.h_dist_sq == dense.h_dist_sq
+        assert free.g_norm_sq == dense.g_norm_sq
+
+
+def test_monitor_rejects_rank_deficient_B_under_the_dense_limit(rng):
+    col = rng.standard_normal((5, 1))
+    B = np.hstack([col, 2 * col])
+    problem = QuadraticProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2),
+                               rng.standard_normal((5, 2)), B, np.zeros(5))
+    config = SolverConfig(variant="over_relaxed")
+    with pytest.raises(ValueError, match="B rank-deficient"):
+        FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
 
 
 def test_g_norm_expanded_zero_at_fixed_point():
@@ -200,6 +253,17 @@ def test_kkt_residual_zero_at_saddle_point():
     chain = scalar_chain()
     w = Iterate(np.array([0.0]), np.array([0.0]), np.array([0.0]))
     assert kkt_residual(chain, w) == 0.0
+
+
+def test_kkt_residual_dimension_error_names_operand(chain):
+    w = Iterate(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0]))
+    with pytest.raises(DimensionMismatchError) as err:
+        kkt_residual(chain, w)
+    assert err.value.operand == "x"
+    w = Iterate(np.array([1.0]), np.array([1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(DimensionMismatchError) as err:
+        kkt_residual(chain, w)
+    assert err.value.operand == "lam"
 
 
 def test_kkt_residual_small_at_tight_lasso_solve():

@@ -44,13 +44,13 @@ def test_predict_at_fixed_point_keeps_multiplier(chain):
     assert np.array_equal(pred.lam_pred, v.lam)
 
 
-def test_predict_satisfies_subproblem_optimality_on_lasso(rng):
+def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residual):
     instance, _ = lasso.generate_instance(60, 100, 1)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(100), rng.standard_normal(100))
         pred = predict(instance, v, beta=1.0)
-        assert instance.x_subproblem_residual(pred.x_next, v.y, v.lam, 1.0) <= 1e-10
-        assert instance.y_subproblem_residual(pred.y_pred, pred.x_next, v.lam, 1.0) <= 1e-10
+        assert subproblem_residual(instance, "x", pred.x_next, v.y, v.lam, 1.0) <= 1e-10
+        assert subproblem_residual(instance, "y", pred.x_next, pred.y_pred, v.lam, 1.0) <= 1e-10
 
 
 def test_criterion_value_scalar_chain(chain, chain_start):

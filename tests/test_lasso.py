@@ -197,14 +197,14 @@ def test_y_update_all_zero_when_threshold_dominates(rng):
     assert np.array_equal(instance.solve_y(x, z, beta=1.0), np.zeros(6))
 
 
-def test_y_update_first_order_optimality(rng):
+def test_y_update_first_order_optimality(rng, subproblem_residual):
     instance, _ = generate_instance(40, 80, 5)
     for _ in range(10):
         x = rng.standard_normal(80)
         z = rng.standard_normal(80)
         beta = float(rng.uniform(0.3, 4.0))
         y = instance.solve_y(x, z, beta)
-        assert instance.y_subproblem_residual(y, x, z, beta) <= 1e-12
+        assert subproblem_residual(instance, "y", x, y, z, beta) <= 1e-12
 
 
 def test_objective_agrees_with_long_reference_run():

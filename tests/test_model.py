@@ -6,79 +6,9 @@ from admmkit import (
     EssentialState,
     Iterate,
     SolverConfig,
-    augmented_lagrangian,
     run,
 )
 from admmkit import lasso
-
-
-def test_augmented_lagrangian_feasible_point(chain):
-    # constraint satisfied: multiplier and penalty terms vanish
-    w = Iterate(np.array([1.0]), np.array([1.0]), np.array([0.0]))
-    assert augmented_lagrangian(chain, w, 1.0) == pytest.approx(1.0)
-
-
-def test_augmented_lagrangian_infeasible_point(chain):
-    w = Iterate(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-    assert augmented_lagrangian(chain, w, 2.0) == pytest.approx(1.5)
-
-
-def test_augmented_lagrangian_equals_objective_when_feasible(chain, rng):
-    for _ in range(10):
-        x = rng.standard_normal(1)
-        w = Iterate(x, x.copy(), rng.standard_normal(1))
-        beta = float(rng.uniform(0.1, 10.0))
-        assert augmented_lagrangian(chain, w, beta) == pytest.approx(
-            chain.objective(w.x, w.y), abs=1e-12
-        )
-
-
-def test_augmented_lagrangian_midpoint_convex_in_x(small_quadratic, rng):
-    problem = small_quadratic
-    y = rng.standard_normal(problem.n2)
-    lam = rng.standard_normal(problem.m)
-    for _ in range(20):
-        x1 = rng.standard_normal(problem.n1)
-        x2 = rng.standard_normal(problem.n1)
-        mid = augmented_lagrangian(problem, Iterate((x1 + x2) / 2, y, lam), 0.7)
-        avg = (
-            augmented_lagrangian(problem, Iterate(x1, y, lam), 0.7)
-            + augmented_lagrangian(problem, Iterate(x2, y, lam), 0.7)
-        ) / 2
-        assert mid <= avg + 1e-10
-
-
-def test_augmented_lagrangian_terminal_recompute_matches_raw_data():
-    instance, _ = lasso.generate_instance(100, 200, 3)
-    result = run(instance, SolverConfig(variant="classical", max_iter=500))
-    assert result.converged
-    w = result.final
-    fit = instance.A @ w.x - instance.b
-    direct = (
-        0.5 * fit @ fit
-        + instance.rho * np.abs(w.y).sum()
-        - w.lam @ (w.x - w.y)
-        + 0.5 * (w.x - w.y) @ (w.x - w.y)
-    )
-    value = augmented_lagrangian(instance, w, 1.0)
-    assert value == pytest.approx(direct, rel=1e-6)
-
-
-def test_augmented_lagrangian_dimension_error_names_operand(chain):
-    w = Iterate(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0]))
-    with pytest.raises(DimensionMismatchError) as err:
-        augmented_lagrangian(chain, w, 1.0)
-    assert err.value.operand == "x"
-    w = Iterate(np.array([1.0]), np.array([1.0]), np.array([0.0, 1.0]))
-    with pytest.raises(DimensionMismatchError) as err:
-        augmented_lagrangian(chain, w, 1.0)
-    assert err.value.operand == "lam"
-
-
-def test_augmented_lagrangian_rejects_nonpositive_beta(chain):
-    w = Iterate(np.array([1.0]), np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        augmented_lagrangian(chain, w, 0.0)
 
 
 @pytest.mark.parametrize(

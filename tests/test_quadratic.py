@@ -22,16 +22,16 @@ def test_constraint_operators_are_linear(small_quadratic, rng):
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
-def test_subproblem_solutions_are_first_order_optimal(small_quadratic, rng):
+def test_subproblem_solutions_are_first_order_optimal(small_quadratic, rng, subproblem_residual):
     problem = small_quadratic
     for _ in range(10):
         y = rng.standard_normal(problem.n2)
         lam = rng.standard_normal(problem.m)
         beta = float(rng.uniform(0.2, 4.0))
         x = problem.solve_x(y, lam, beta)
-        assert problem.x_subproblem_residual(x, y, lam, beta) <= 1e-8
+        assert subproblem_residual(problem, "x", x, y, lam, beta) <= 1e-8
         y_new = problem.solve_y(x, lam, beta)
-        assert problem.y_subproblem_residual(y_new, x, lam, beta) <= 1e-8
+        assert subproblem_residual(problem, "y", x, y_new, lam, beta) <= 1e-8
 
 
 def test_engine_reaches_the_saddle_point(rng):
