@@ -30,7 +30,8 @@ print(f"  lam_pred  = {pred.lam_pred[0]: .4f}   (multiplier from the updated y)"
 print(f"  lam_early = {pred.lam_early[0]: .4f}   (multiplier from the old y)")
 
 # the relaxation gate: extrapolate only when this inner product is >= 0
-crit = criterion_value(pred, v0, problem)
+# (a value within its rounding error of zero reads as exactly 0)
+crit = criterion_value(pred, v0, problem, beta=1.0)
 print(f"\nrelaxation criterion value = {crit:.4f}"
       f" -> {'extrapolate' if crit >= 0 else 'take the plain step'}")
 

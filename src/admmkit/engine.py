@@ -6,10 +6,11 @@ intermediary recomputed from v. A step runs one prediction sweep
 (:func:`criterion_value`), and either applies the correction
 v+ = v - gamma (v - v_pred) (:func:`relax`) or takes the predicted pair. The
 variants differ only in two choices: ``classical`` never relaxes,
-``over_relaxed`` relaxes when the criterion is nonnegative, and the
-``relaxed_customized`` baseline updates the multiplier before the y-block and
-always relaxes. :func:`run` iterates the step and can pass every step to an
-observer, which is how :mod:`admmkit.diagnostics` watches a solve.
+``over_relaxed`` relaxes when the criterion is nonnegative to within its
+rounding error, and the ``relaxed_customized`` baseline updates the
+multiplier before the y-block and always relaxes. :func:`run` iterates the
+step and can pass every step to an observer, which is how
+:mod:`admmkit.diagnostics` watches a solve.
 """
 
 from __future__ import annotations
@@ -102,15 +103,43 @@ def predict(
     return Prediction(x_next, y_pred, v.lam - beta * residual, lam_early, ax, residual)
 
 
-def _criterion(pred: Prediction, v: EssentialState, problem: SeparableProblem):
-    """The criterion value and B(y - y_pred), which an unrelaxed step reuses."""
+#: The criterion counts as zero within this many units of its rounding bound.
+CRITERION_ROUNDING_FACTOR = 4.0
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _criterion(pred: Prediction, v: EssentialState, problem: SeparableProblem, beta: float):
+    """The criterion value and B(y - y_pred), which an unrelaxed step reuses.
+
+    With exact subproblem solves the criterion is exactly zero once an l1
+    block's sign pattern settles, so in floating point its sign there is
+    rounding. A value within c*u*S of zero is returned as 0.0, where u is
+    the unit roundoff, c is :data:`CRITERION_ROUNDING_FACTOR` and
+    S = (||lam|| + ||lam_pred|| + beta (||Ax|| + ||By|| + ||b||)) ||B(y - y_pred)||
+    bounds the terms the inner product and its multipliers were summed
+    from. ||By||, for the y-block behind ``lam_pred``, is bounded by
+    ||r|| + ||Ax|| + ||b|| with r that multiplier's residual, so S takes no
+    operator application.
+    """
     b_gap = problem.apply_B(v.y - pred.y_pred)
-    return float((v.lam - pred.lam_pred) @ b_gap), b_gap
+    crit = float((v.lam - pred.lam_pred) @ b_gap)
+    norm = np.linalg.norm
+    ax, b = norm(pred.ax), norm(problem.rhs_b)
+    by = norm(pred.residual) + ax + b
+    scale = (norm(v.lam) + norm(pred.lam_pred) + beta * (ax + by + b)) * norm(b_gap)
+    if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
+        crit = 0.0
+    return crit, b_gap
 
 
-def criterion_value(pred: Prediction, v: EssentialState, problem: SeparableProblem) -> float:
-    """Relaxation-safety inner product (lam - lam_pred) . B(y - y_pred)."""
-    return _criterion(pred, v, problem)[0]
+def criterion_value(
+    pred: Prediction, v: EssentialState, problem: SeparableProblem, beta: float
+) -> float:
+    """Relaxation-safety inner product (lam - lam_pred) . B(y - y_pred) of the
+    prediction ``pred`` made from ``v`` at ``beta``; exactly 0.0 when it lies
+    within its rounding error of zero (see :data:`CRITERION_ROUNDING_FACTOR`)."""
+    return _criterion(pred, v, problem, beta)[0]
 
 
 def relax(v: EssentialState, pred: Prediction, gamma: float) -> EssentialState:
@@ -135,7 +164,7 @@ def _step(problem: SeparableProblem, v: EssentialState, config: SolverConfig, k:
     pred = predict(problem, v, config.beta, multiplier_first=customized)
     # b_dy starts as B(y - y_pred): on an unrelaxed step that is -B(y_new - y),
     # whose squared norm is the same to the bit
-    crit, b_dy = _criterion(pred, v, problem)
+    crit, b_dy = _criterion(pred, v, problem, config.beta)
     relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
     if relaxed:
         v_new = relax(v, pred, config.gamma)

@@ -13,7 +13,8 @@ elementwise soft thresholding of :class:`~admmkit.l1split.L1SplitProblem`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.blas import dtrsv
 
 from .l1split import L1SplitProblem
 from .model import require_finite
@@ -33,8 +34,9 @@ class LassoInstance(L1SplitProblem):
     Immutable after construction apart from a single-slot factorization cache
     keyed on beta; re-solving with a different beta transparently
     refactorizes. The factor is checked finite once per beta; each call then
-    checks only the length-n (fat: length-m) vector handed to the triangular
-    solves, so a non-finite ``y`` or ``lam`` still raises ValueError.
+    checks only the length-n (fat: length-m) vector handed to the two BLAS
+    triangular solves on the cached upper factor, so a non-finite ``y`` or
+    ``lam`` still raises ValueError.
     """
 
     def __init__(self, A, b, rho: float):
@@ -51,7 +53,7 @@ class LassoInstance(L1SplitProblem):
         self.b = b
         self.rows, self.cols = A.shape
         self._atb = A.T @ b
-        self._cache: tuple[float, object] | None = None
+        self._cache: tuple[float, np.ndarray] | None = None
 
     #: The l1 weight.
     rho = property(lambda self: self.weight)
@@ -79,16 +81,22 @@ class LassoInstance(L1SplitProblem):
             # NumPy forms the Gram matrix with syrk, so it is exactly symmetric
             # and its transpose is the same matrix in Fortran order, which
             # LAPACK factors in place.
-            factor = cho_factor(gram.T, overwrite_a=True)
-            require_finite("Cholesky factor", factor[0])
-            cached = self._cache = (beta, factor)
+            upper, _ = cho_factor(gram.T, overwrite_a=True)
+            require_finite("Cholesky factor", upper)
+            cached = self._cache = (beta, upper)
         rhs = self._atb + beta * np.asarray(y) + np.asarray(lam)
         if fat:
             small = self.A @ rhs
             require_finite("A(A'b + beta y + lam)", small)
-            return rhs / beta - self.A.T @ cho_solve(cached[1], small, check_finite=False) / beta
+            return rhs / beta - self.A.T @ _cholesky_solve(cached[1], small) / beta
         require_finite("A'b + beta y + lam", rhs)
-        return cho_solve(cached[1], rhs, check_finite=False)
+        return _cholesky_solve(cached[1], rhs)
+
+
+def _cholesky_solve(upper, rhs):
+    """Solve U'U x = rhs with two BLAS triangular solves on the upper
+    Cholesky factor U, which must be Fortran-ordered or f2py copies it."""
+    return dtrsv(upper, dtrsv(upper, rhs, trans=1), overwrite_x=1)
 
 
 def generate_instance(m: int, n: int, seed: int):

@@ -55,13 +55,13 @@ def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residu
 
 def test_criterion_value_scalar_chain(chain, chain_start):
     pred = predict(chain, chain_start, beta=1.0)
-    assert criterion_value(pred, chain_start, chain) == pytest.approx(-0.1875)
+    assert criterion_value(pred, chain_start, chain, 1.0) == pytest.approx(-0.1875)
 
 
 def test_criterion_zero_at_fixed_point(chain, one_step):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     pred = predict(chain, v, beta=1.0)
-    assert criterion_value(pred, v, chain) == 0.0
+    assert criterion_value(pred, v, chain, 1.0) == 0.0
     v_next, rec = one_step(chain, v, SolverConfig(variant="over_relaxed", gamma=1.8))
     assert rec.relaxed
     assert np.array_equal(v_next.y, v.y) and np.array_equal(v_next.lam, v.lam)

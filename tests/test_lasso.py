@@ -86,7 +86,9 @@ def test_solve_x_matches_ridge_oracle(rng, shape):
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
 def test_solve_x_is_bitwise_the_checked_cholesky_solve(rng, shape):
-    # the same Gram matrix, factorized and solved with scipy's default checks
+    # the same Gram matrix, factorized and solved by two triangular solves
+    # with scipy's default checks; cho_solve's dtrsm-based solve agrees to
+    # rounding
     rows, cols = shape
     instance, _ = generate_instance(rows, cols, 8)
     A, beta = instance.A, 1.7
@@ -94,15 +96,27 @@ def test_solve_x_is_bitwise_the_checked_cholesky_solve(rng, shape):
         factor = scipy.linalg.cho_factor(beta * np.eye(rows) + A @ A.T)
     else:
         factor = scipy.linalg.cho_factor(A.T @ A + beta * np.eye(cols))
+    upper = factor[0]
+
+    def triangular(v):
+        z = scipy.linalg.solve_triangular(upper, v, trans="T")
+        return scipy.linalg.solve_triangular(upper, z)
+
     for _ in range(5):
         y = rng.standard_normal(cols)
         z = rng.standard_normal(cols)
         rhs = A.T @ instance.b + beta * y + z
         if rows < cols:
-            expected = rhs / beta - A.T @ scipy.linalg.cho_solve(factor, A @ rhs) / beta
+            expected = rhs / beta - A.T @ triangular(A @ rhs) / beta
+            agreed = rhs / beta - A.T @ scipy.linalg.cho_solve(factor, A @ rhs) / beta
         else:
-            expected = scipy.linalg.cho_solve(factor, rhs)
-        assert np.array_equal(instance.solve_x(y, z, beta), expected)
+            expected = triangular(rhs)
+            agreed = scipy.linalg.cho_solve(factor, rhs)
+        x = instance.solve_x(y, z, beta)
+        assert np.array_equal(x, expected)
+        assert np.linalg.norm(x - agreed) <= 1e-13 * np.linalg.norm(agreed)
+    # a C-ordered factor would make every BLAS call copy it
+    assert instance._cache[1].flags.f_contiguous
 
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
