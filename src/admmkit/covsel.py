@@ -7,6 +7,7 @@ R = beta Y + Lambda - S = U diag(d) U', the minimizer is U diag(x) U' where
 each x_i = (d_i + sqrt(d_i^2 + 4 beta)) / (2 beta) solves the scalar
 stationarity beta x - 1/x = d_i; all x_i are positive, so every X iterate is
 positive definite and the log-determinant never needs a feasibility guard.
+NumPy forms the product as W W', W = U diag(sqrt x), by syrk: exactly symmetric.
 The engine sees matrices flattened to length n^2 vectors, so the generic
 residual, criterion, and diagnostics code paths apply unchanged.
 """
@@ -32,8 +33,8 @@ class CovselInstance(L1SplitProblem):
     """Empirical covariance S and l1 weight tau over n x n symmetric matrices.
 
     Iterates, a caller's ``v0`` included, are symmetric matrices flattened to
-    length n^2. Elementwise updates keep them exactly symmetric, so only the
-    X-update's eigenvector product is symmetrized.
+    length n^2. The X-update's syrk product and the elementwise updates keep
+    them exactly symmetric.
     """
 
     def __init__(self, S, tau: float = DEFAULT_TAU):
@@ -77,10 +78,12 @@ class CovselInstance(L1SplitProblem):
         always positive definite."""
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        R = beta * np.asarray(Y) + np.asarray(Lam) - self.S
+        R = beta * np.asarray(Y)
+        R += Lam
+        R -= self.S
         d, U = np.linalg.eigh(R)
-        xs = (d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta)
-        return _symmetrize((U * xs) @ U.T)
+        U *= np.sqrt((d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta))
+        return np.matmul(U, U.T, out=R)
 
 
 def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):

@@ -15,7 +15,9 @@ step and can pass every step to an observer, which is how
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,18 +42,23 @@ class Prediction:
     ``lam_pred`` is the multiplier the relaxation extrapolates toward and
     ``lam_early`` the multiplier updated with the not-yet-updated y-block. In
     the plain sweep ``lam_pred`` uses the new y-block, so the two differ by
-    exactly beta * B(y_old - y_pred); in the multiplier-first sweep the
-    y-block is solved against ``lam_early`` and ``lam_pred`` is ``lam_early``.
-    ``ax`` is A x_next and ``residual`` is the constraint residual behind
-    ``lam_pred``, so a step can reuse both.
+    exactly beta * B(y_old - y_pred), and ``lam_early`` is formed, by the
+    same formula, when first read (``early`` holds it until then); in the
+    multiplier-first sweep the y-block is solved against ``lam_early`` and
+    ``lam_pred`` is ``lam_early``. ``ax`` is A x_next and ``residual`` is the
+    constraint residual behind ``lam_pred``, so a step can reuse both.
     """
 
     x_next: np.ndarray
     y_pred: np.ndarray
     lam_pred: np.ndarray
-    lam_early: np.ndarray
+    early: np.ndarray | Callable[[], np.ndarray]
     ax: np.ndarray
     residual: np.ndarray
+
+    @cached_property
+    def lam_early(self) -> np.ndarray:
+        return self.early() if callable(self.early) else self.early
 
     @property
     def essential(self) -> EssentialState:
@@ -93,14 +100,15 @@ def predict(
     x_next = problem.solve_x(v.y, v.lam, beta)
     ax = problem.apply_A(x_next)
     rhs = problem.rhs_b
-    early_residual = ax + problem.apply_B(v.y) - rhs
-    lam_early = v.lam - beta * early_residual
     if multiplier_first:
+        residual = ax + problem.apply_B(v.y) - rhs
+        lam_early = v.lam - beta * residual
         y_pred = problem.solve_y(x_next, lam_early, beta)
-        return Prediction(x_next, y_pred, lam_early, lam_early, ax, early_residual)
+        return Prediction(x_next, y_pred, lam_early, lam_early, ax, residual)
     y_pred = problem.solve_y(x_next, v.lam, beta)
     residual = ax + problem.apply_B(y_pred) - rhs
-    return Prediction(x_next, y_pred, v.lam - beta * residual, lam_early, ax, residual)
+    early = lambda: v.lam - beta * (ax + problem.apply_B(v.y) - rhs)  # noqa: E731
+    return Prediction(x_next, y_pred, v.lam - beta * residual, early, ax, residual)
 
 
 #: The criterion counts as zero within this many units of its rounding bound.
@@ -109,8 +117,9 @@ CRITERION_ROUNDING_FACTOR = 4.0
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _criterion(pred: Prediction, v: EssentialState, problem: SeparableProblem, beta: float):
-    """The criterion value and B(y - y_pred), which an unrelaxed step reuses.
+def _criterion(pred: Prediction, d: EssentialState, problem, beta, lam_norm, b_norm):
+    """The criterion d.lam . B d.y for d = v - (y_pred, lam_pred), ||B d.y||^2,
+    and the norms ||Ax||, ||r|| and ||lam_pred||, given ||lam|| and ||b||.
 
     With exact subproblem solves the criterion is exactly zero once an l1
     block's sign pattern settles, so in floating point its sign there is
@@ -122,15 +131,15 @@ def _criterion(pred: Prediction, v: EssentialState, problem: SeparableProblem, b
     ||r|| + ||Ax|| + ||b|| with r that multiplier's residual, so S takes no
     operator application.
     """
-    b_gap = problem.apply_B(v.y - pred.y_pred)
-    crit = float((v.lam - pred.lam_pred) @ b_gap)
+    b_gap = problem.apply_B(d.y)
+    crit, gap_sq = float(d.lam @ b_gap), b_gap @ b_gap
     norm = np.linalg.norm
-    ax, b = norm(pred.ax), norm(problem.rhs_b)
-    by = norm(pred.residual) + ax + b
-    scale = (norm(v.lam) + norm(pred.lam_pred) + beta * (ax + by + b)) * norm(b_gap)
+    ax, r, lam_pred = norm(pred.ax), norm(pred.residual), norm(pred.lam_pred)
+    by = r + ax + b_norm
+    scale = (lam_norm + lam_pred + beta * (ax + by + b_norm)) * np.sqrt(gap_sq)
     if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
         crit = 0.0
-    return crit, b_gap
+    return crit, gap_sq, ax, r, lam_pred
 
 
 def criterion_value(
@@ -139,7 +148,8 @@ def criterion_value(
     """Relaxation-safety inner product (lam - lam_pred) . B(y - y_pred) of the
     prediction ``pred`` made from ``v`` at ``beta``; exactly 0.0 when it lies
     within its rounding error of zero (see :data:`CRITERION_ROUNDING_FACTOR`)."""
-    return _criterion(pred, v, problem, beta)[0]
+    norms = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)
+    return _criterion(pred, v - pred.essential, problem, beta, *norms)[0]
 
 
 def relax(v: EssentialState, pred: Prediction, gamma: float) -> EssentialState:
@@ -150,45 +160,53 @@ def relax(v: EssentialState, pred: Prediction, gamma: float) -> EssentialState:
     """
     if not 0.0 < gamma < 2.0:
         raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
+    return _relaxed(v, pred, gamma, v - pred.essential)
+
+
+def _relaxed(v, pred, gamma, d: EssentialState) -> EssentialState:
+    """:func:`relax` given d = v - (y_pred, lam_pred)."""
     if gamma == 1.0:
         return pred.essential
-    return EssentialState(
-        v.y - gamma * (v.y - pred.y_pred),
-        v.lam - gamma * (v.lam - pred.lam_pred),
-    )
+    return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
 
 
-def _step(problem: SeparableProblem, v: EssentialState, config: SolverConfig, k: int):
-    """One prediction-correction step; returns (pred, v_new, record)."""
+def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, b_norm):
+    """One prediction-correction step from v, given ||lam|| and ||b||; returns
+    (pred, v_new, record, ||lam_new||, whether v_new is finite)."""
     customized = config.variant == "relaxed_customized"
     pred = predict(problem, v, config.beta, multiplier_first=customized)
-    # b_dy starts as B(y - y_pred): on an unrelaxed step that is -B(y_new - y),
-    # whose squared norm is the same to the bit
-    crit, b_dy = _criterion(pred, v, problem, config.beta)
+    # an unrelaxed step's change is -d, with the same norms to the bit
+    d = v - pred.essential
+    crit, b_d_sq, ax_norm, r_norm, lam_norm = _criterion(
+        pred, d, problem, config.beta, lam_norm, b_norm)
     relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
+    norm = np.linalg.norm
     if relaxed:
-        v_new = relax(v, pred, config.gamma)
-        r_vec = pred.ax + problem.apply_B(v_new.y) - problem.rhs_b
-        b_dy = problem.apply_B(v_new.y - v.y)
+        v_new = _relaxed(v, pred, config.gamma, d)
+        d = v_new - v
+        b_d = problem.apply_B(d.y)
+        b_d_sq = b_d @ b_d
+        r_norm = norm(pred.ax + problem.apply_B(v_new.y) - problem.rhs_b)
+        lam_norm = norm(v_new.lam)
     else:
-        v_new, r_vec = pred.essential, pred.residual
-    dy = v_new.y - v.y
-    d_lam = v_new.lam - v.lam
-    x_norm = float(np.linalg.norm(pred.x_next))
-    y_norm = float(np.linalg.norm(v_new.y))
+        v_new = pred.essential
+    x_norm = ax_norm if pred.ax is pred.x_next else norm(pred.x_next)
+    y_norm = float(norm(v_new.y))
     eps_pri = np.sqrt(problem.m) * config.eps_abs + config.eps_rel * max(x_norm, y_norm)
     eps_dual = np.sqrt(problem.n2) * config.eps_abs + config.eps_rel * y_norm
     record = IterationRecord(
         k=k,
-        primal_residual_norm=float(np.linalg.norm(r_vec)),
-        dual_residual_norm=float(np.linalg.norm(dy)),
+        primal_residual_norm=float(r_norm),
+        dual_residual_norm=float(norm(d.y)),
         criterion_value=crit,
         relaxed=relaxed,
         eps_pri=float(eps_pri),
         eps_dual=float(eps_dual),
-        essential_change_sq=float(b_dy @ b_dy + d_lam @ d_lam),
+        essential_change_sq=float(b_d_sq + d.lam @ d.lam),
     )
-    return pred, v_new, record
+    # a norm is finite when every entry is; the scan decides only an overflow
+    finite = (math.isfinite(y_norm) and math.isfinite(lam_norm)) or v_new.finite
+    return pred, v_new, record, lam_norm, finite
 
 
 def run(
@@ -207,22 +225,20 @@ def run(
     ``observer(k, v_old, pred, v_new, relaxed, criterion)`` after every step
     whose new pair is finite.
     """
-    if v0 is None:
-        v = EssentialState.zeros(problem)
-    else:
-        v = v0.validate(problem)
+    v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
     x_last = np.zeros(problem.n1)
     converged = False
     abort_reason = None
+    lam_norm, b_norm = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)
     for k in range(1, config.max_iter + 1):
         try:
-            pred, v_new, record = _step(problem, v, config, k)
+            pred, v_new, record, lam_norm, finite = _step(problem, v, config, k, lam_norm, b_norm)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
         records.append(record)
         x_last = pred.x_next
-        if not v_new.finite:
+        if not finite:
             v = v_new
             abort_reason = f"non-finite iterate at iteration {k}"
             break

@@ -20,7 +20,7 @@ def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     a = np.asarray(a, dtype=float)
-    return np.maximum(a - kappa, 0.0) - np.maximum(-a - kappa, 0.0)
+    return a - np.clip(a, -kappa, kappa)
 
 
 class L1SplitProblem(SeparableProblem):
@@ -48,7 +48,8 @@ class L1SplitProblem(SeparableProblem):
         """Soft-threshold minimizer of the l1 subproblem."""
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta}")
-        return soft_threshold(np.asarray(x) - np.asarray(lam) / beta, self.weight / beta)
+        a = np.divide(lam, beta, dtype=float)
+        return soft_threshold(np.subtract(x, a, out=a), self.weight / beta)
 
     def apply_A(self, x):
         return x

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from admmkit import EssentialState, run
+from admmkit.covsel import _symmetrize
 from admmkit.quadratic import QuadraticProblem, scalar_chain
 
 
@@ -67,3 +68,16 @@ def one_step():
         return EssentialState(result.final.y, result.final.lam), result.records[0]
 
     return step
+
+
+@pytest.fixture
+def gemm_x_update():
+    """CovselInstance.x_update with the eigenvector product taken as the
+    symmetrized gemm (U diag(x)) U', a different kernel for the same X."""
+
+    def x_update(self, Y, Lam, beta):
+        d, U = np.linalg.eigh(beta * np.asarray(Y) + np.asarray(Lam) - self.S)
+        xs = (d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta)
+        return _symmetrize((U * xs) @ U.T)
+
+    return x_update

@@ -91,6 +91,21 @@ def test_x_update_first_order_residual(rng, subproblem_residual):
     assert residual <= 1e-8 * (1.0 + np.linalg.norm(S, "fro"))
 
 
+@pytest.mark.parametrize("n", [20, 200])
+def test_x_update_is_exactly_symmetric_and_matches_the_gemm_product(rng, gemm_x_update, n):
+    def symmetric():
+        W = rng.standard_normal((n, n))
+        return (W + W.T) / 2
+
+    instance = CovselInstance(_random_spd(n, rng), tau=0.1)
+    for beta in (0.3, 1.0, 7.0):
+        Y, Lam = symmetric(), symmetric()
+        X = instance.x_update(Y, Lam, beta)
+        assert np.array_equal(X, X.T)
+        reference = gemm_x_update(instance, Y, Lam, beta)
+        assert np.abs(X - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
 def test_x_update_idempotent_at_constructed_fixed_point(rng):
     n = 6
     S = _random_spd(n, rng)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmkit import EssentialState, SolverConfig, run
 from admmkit import lasso
@@ -195,6 +197,30 @@ def test_soft_threshold_matches_grid_search_prox():
             values = kappa * np.abs(grid) + 0.5 * (grid - a) ** 2
             brute = grid[np.argmin(values)]
             assert abs(soft_threshold(np.array([a]), kappa)[0] - brute) <= 1e-3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e308)),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["kappa", "-kappa", 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                             -1e-310, 1e308, -1e308, np.inf, -np.inf, np.nan]),
+            st.floats(-10.0, 10.0),
+        ),
+        min_size=1, max_size=64,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_soft_threshold_is_bitwise_the_two_sided_max_form(kappa, drawn, seed):
+    entries = [{"kappa": kappa, "-kappa": -kappa}.get(e, e) for e in drawn]
+    a = np.concatenate([entries, np.random.default_rng(seed).standard_normal(len(entries))])
+    with np.errstate(over="ignore"):
+        reference = np.maximum(a - kappa, 0.0) - np.maximum(-a - kappa, 0.0)
+    got = soft_threshold(a, kappa)
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), reference[~nan].view(np.uint64))
 
 
 def test_y_update_scalar_case():

@@ -105,13 +105,18 @@ def test_split_and_correction_identities_on_every_step(case, variant):
 @given(cases(), st.sampled_from(VARIANTS))
 def test_operator_applications_per_step(case, variant):
     problem, v0, beta, gamma = case
-    counts = [(0, 0, None)]
+    marks = []  # (calls when the step ends, calls when the observer returns, relaxed)
 
     def observe(k, v, pred, v_new, relaxed, criterion):
-        counts.append((problem.a_calls, problem.b_calls, relaxed))
+        end = (problem.a_calls, problem.b_calls)
+        eager = v.lam - beta * (pred.ax + QuadraticProblem.apply_B(problem, v.y) - problem.rhs_b)
+        assert pred.lam_early.tobytes() == eager.tobytes()
+        marks.append((end, (problem.a_calls, problem.b_calls), relaxed))
 
     run(problem, _config(variant, beta, gamma), v0, observer=observe)
-    for (a0, b0, _), (a1, b1, relaxed) in zip(counts, counts[1:]):
-        assert a1 - a0 == 1
-        if not relaxed:
-            assert b1 - b0 == 3
+    start = (0, 0)
+    for end, after, relaxed in marks:
+        assert end[0] - start[0] == 1
+        # a plain sweep forms lam_early only when read: here, after the step
+        assert end[1] - start[1] == (4 if relaxed else 2)
+        start = after
