@@ -13,8 +13,9 @@ import numpy as np
 from admmkit import SolverConfig, run
 from admmkit.diagnostics import (
     FejerMonitor,
-    build_matrices_for,
+    build_matrices,
     correction_residual,
+    dense_B,
     g_form,
     g_norm_expanded,
     kkt_residual,
@@ -25,18 +26,24 @@ from admmkit.lasso import generate_instance
 instance, _ = generate_instance(100, 200, 0)
 beta, gamma = 1.0, 1.8
 
-mats = build_matrices_for(instance, beta, gamma)
-h_residual = np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max()
+dense = build_matrices(dense_B(instance), beta, gamma)
+h_residual = np.abs(dense.H - dense.Q @ np.linalg.inv(dense.M)).max()
 print(f"metric factorization H = Q M^-1 holds to {h_residual:.2e}")
-print(f"smallest eigenvalue of H: {np.linalg.eigvalsh(mats.H)[0]:.4f} (positive definite)")
+print(f"smallest eigenvalue of H: {np.linalg.eigvalsh(dense.H)[0]:.4f} (positive definite)")
 print(f"gap form G is indefinite for gamma > 1: eigenvalue range "
-      f"[{np.linalg.eigvalsh(mats.G)[0]:.3f}, {np.linalg.eigvalsh(mats.G)[-1]:.3f}]")
+      f"[{np.linalg.eigvalsh(dense.G)[0]:.3f}, {np.linalg.eigvalsh(dense.G)[-1]:.3f}]")
 
 # the solve streams every step to an observer: the Fejer monitor tracks the
 # H-metric distance to a high-accuracy reference, and the identities are
-# checked on each extrapolated step from the step's own prediction
+# checked on each extrapolated step from the step's own prediction, through
+# the same matrix-free forms the monitor uses
+config = SolverConfig(
+    variant="over_relaxed", beta=beta, gamma=gamma,
+    eps_abs=1e-5, eps_rel=1e-3, max_iter=500,
+)
 ref = reference_solution(instance, beta, 1e-7, 1e-5)
-monitor = FejerMonitor(ref, mats, "over_relaxed")
+monitor = FejerMonitor.for_config(instance, config, ref)
+mats = monitor.mats
 worst = {"corr": 0.0, "gap": 0.0}
 
 
@@ -50,10 +57,6 @@ def observe(k, v, pred, v_next, relaxed, criterion):
     worst["gap"] = max(worst["gap"], abs(direct - expanded) / max(abs(direct), 1e-300))
 
 
-config = SolverConfig(
-    variant="over_relaxed", beta=beta, gamma=gamma,
-    eps_abs=1e-5, eps_rel=1e-3, max_iter=500,
-)
 result = run(instance, config, observer=observe)
 print(f"\nover-relaxed solve: {result.iterations} iterations, "
       f"{sum(r.relaxed for r in result.records)} extrapolated")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +96,11 @@ class BenchmarkSpec:
 
 @dataclass
 class SummaryRow:
+    """One row of summary.csv, whose columns are these fields in order,
+    ``time_mean`` excepted (CSVs carry no wall-clock column)."""
+
     problem: str
-    size_label: str
+    size: str
     eps_abs: float
     eps_rel: float
     variant: str
@@ -110,8 +113,8 @@ class SummaryRow:
     iters_median: float
     iters_min: int
     iters_max: int
-    primal_mean: float
-    dual_mean: float
+    primal_residual_mean: float
+    dual_residual_mean: float
     time_mean: float
 
 
@@ -191,7 +194,7 @@ def _summary_row(spec, size, tol, variant, runs, times) -> SummaryRow:
     finals = [r.records[-1] for r in runs]
     return SummaryRow(
         problem=spec.problem,
-        size_label=_size_label(spec.problem, size),
+        size=_size_label(spec.problem, size),
         eps_abs=tol[0],
         eps_rel=tol[1],
         variant=variant,
@@ -204,30 +207,17 @@ def _summary_row(spec, size, tol, variant, runs, times) -> SummaryRow:
         iters_median=float(np.median(iters)),
         iters_min=int(iters.min()),
         iters_max=int(iters.max()),
-        primal_mean=float(np.mean([f.primal_residual_norm for f in finals])),
-        dual_mean=float(np.mean([f.dual_residual_norm for f in finals])),
+        primal_residual_mean=float(np.mean([f.primal_residual_norm for f in finals])),
+        dual_residual_mean=float(np.mean([f.dual_residual_norm for f in finals])),
         time_mean=float(np.mean(times)),
     )
-
-
-_CSV_FIELDS = [
-    "problem", "size", "eps_abs", "eps_rel", "variant", "gamma", "beta",
-    "repeats", "converged_runs", "dnf_runs", "iters_mean", "iters_median",
-    "iters_min", "iters_max", "primal_residual_mean", "dual_residual_mean",
-]
 
 
 def _write_summary_csv(path: Path, rows: list[SummaryRow]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for r in rows:
-            writer.writerow([
-                r.problem, r.size_label, r.eps_abs, r.eps_rel, r.variant,
-                r.gamma, r.beta, r.repeats, r.converged_runs, r.dnf_runs,
-                r.iters_mean, r.iters_median, r.iters_min, r.iters_max,
-                r.primal_mean, r.dual_mean,
-            ])
+        writer.writerow([f.name for f in fields(SummaryRow)][:-1])
+        writer.writerows(astuple(r)[:-1] for r in rows)
 
 
 def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]):
@@ -245,9 +235,10 @@ def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]
     for r in rows:
         flag = "DNF" if r.dnf_runs else ""
         buf.write(
-            f"{r.size_label:>12} {r.eps_abs:>9.0e} {r.eps_rel:>9.0e} {r.variant:<20} "
+            f"{r.size:>12} {r.eps_abs:>9.0e} {r.eps_rel:>9.0e} {r.variant:<20} "
             f"{r.iters_mean:>7.1f} {f'({r.iters_min}-{r.iters_max})':>11} "
-            f"{r.primal_mean:>10.2e} {r.dual_mean:>10.2e} {r.time_mean:>8.3f}s {flag:>4}\n"
+            f"{r.primal_residual_mean:>10.2e} {r.dual_residual_mean:>10.2e} "
+            f"{r.time_mean:>8.3f}s {flag:>4}\n"
         )
     path.write_text(buf.getvalue())
 

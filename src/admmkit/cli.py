@@ -35,9 +35,11 @@ from .bench import (
     run_benchmark,
 )
 from .diagnostics import (
+    DENSE_LIMIT,
     FejerMonitor,
-    build_matrices_for,
+    build_matrices,
     correction_residual,
+    dense_B,
     g_decomposition_residual,
     g_norm_expanded,
     kkt_residual,
@@ -289,8 +291,8 @@ def _cmd_diagnose(args) -> int:
             )
 
     print(f"variant={args.variant} iterations={result.iterations} converged={result.converged}")
-    dense = build_matrices_for(instance, mats.beta, mats.gamma)
-    if dense.dense:
+    if instance.n2 + instance.m <= DENSE_LIMIT:
+        dense = build_matrices(dense_B(instance), mats.beta, mats.gamma)
         h_gap = float(np.abs(dense.H - dense.Q @ np.linalg.inv(dense.M)).max())
         print(f"metric factorization H = Q M^-1 residual: {h_gap:.3e}")
         print(f"gap-form decomposition residual:          {g_decomposition_residual(dense):.3e}")

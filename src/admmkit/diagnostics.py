@@ -6,9 +6,9 @@ minus a structured correction matrix M applied to the displacement. Out of M
 and the prediction-gap matrix Q fall a positive-definite metric H = Q M^-1
 (the norm in which the iterates are Fejer monotone toward the solution set)
 and an indefinite gap form G = Q' + Q - M'HM that lower-bounds per-step
-progress. This module materializes those objects on small instances, and
-checks the identities and monotonicity claims step by step on a live solve
-through their quadratic forms, which need only applications of B.
+progress. The identities and monotonicity claims are checked step by step on
+a live solve through quadratic forms that need only applications of B; the
+dense objects of a small B come from :func:`build_matrices` alone.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .engine import Prediction, SolverError, run
 from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
+from .model import _require_full_column_rank
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
@@ -33,10 +34,10 @@ REFERENCE_MAX_ITER = 10000
 class AnalysisMatrices:
     """Analysis objects for a fixed (B, beta, gamma).
 
-    In dense mode ``M``, ``Q``, ``H``, ``G`` are (n2+m) x (n2+m) arrays with
-    the block layout [y-block; multiplier-block]. In matrix-free mode they are
-    None and only the quadratic forms (which need just B-applications) are
-    available.
+    The quadratic forms need only ``beta``, ``gamma`` and ``apply_B``.
+    :func:`build_matrices` also fills ``M``, ``Q``, ``H``, ``G``, dense
+    (n2+m) x (n2+m) arrays with the block layout [y-block; multiplier-block];
+    otherwise they are None.
     """
 
     beta: float
@@ -47,28 +48,8 @@ class AnalysisMatrices:
     H: np.ndarray | None = None
     G: np.ndarray | None = None
 
-    @property
-    def dense(self) -> bool:
-        return self.H is not None
 
-
-def _validate_params(beta: float, gamma: float) -> None:
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not 0.0 < gamma < 2.0:
-        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
-
-
-def _require_full_column_rank(B: np.ndarray) -> None:
-    """Raise ValueError unless B's singular values stay above 1e-10 times the
-    largest; otherwise H is not positive definite."""
-    m, n2 = B.shape
-    svals = np.linalg.svd(B, compute_uv=False)
-    if m < n2 or svals[-1] <= 1e-10 * svals[0]:
-        raise ValueError("H not positive definite: B rank-deficient")
-
-
-def _dense_B(problem: SeparableProblem) -> np.ndarray:
+def dense_B(problem: SeparableProblem) -> np.ndarray:
     """B materialized by applying the constraint operator to basis vectors."""
     return np.column_stack([problem.apply_B(e) for e in np.eye(problem.n2)])
 
@@ -80,7 +61,10 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
     relative tolerance 1e-10); otherwise H is not positive definite and a
     ValueError is raised.
     """
-    _validate_params(beta, gamma)
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < gamma < 2.0:
+        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise ValueError("B must be a 2-d array")
@@ -88,7 +72,7 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
     if n2 + m > DENSE_LIMIT:
         raise ValueError(
             f"n2 + m = {n2 + m} exceeds the dense materialization limit "
-            f"{DENSE_LIMIT}; use build_matrices_for for matrix-free forms"
+            f"{DENSE_LIMIT}; AnalysisMatrices(beta, gamma, apply_B) has the quadratic forms"
         )
     _require_full_column_rank(B)
 
@@ -122,22 +106,9 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
     return mats
 
 
-def build_matrices_for(problem: SeparableProblem, beta: float, gamma: float) -> AnalysisMatrices:
-    """Analysis objects for a problem instance.
-
-    Materializes B by applying the constraint operator to basis vectors and
-    builds the dense objects when n2 + m fits under :data:`DENSE_LIMIT`;
-    beyond that the quadratic forms are evaluated matrix-free through apply_B.
-    """
-    _validate_params(beta, gamma)
-    if problem.n2 + problem.m <= DENSE_LIMIT:
-        return build_matrices(_dense_B(problem), beta, gamma)
-    return AnalysisMatrices(beta=beta, gamma=gamma, apply_B=problem.apply_B)
-
-
 def g_decomposition_residual(mats: AnalysisMatrices) -> float:
-    """Max-norm gap between the stated G and Q' + Q - M'HM (dense mode only)."""
-    if not mats.dense:
+    """Max-norm gap between the stated G and Q' + Q - M'HM (dense objects only)."""
+    if mats.G is None:
         raise ValueError("G decomposition check requires dense matrices")
     recon = mats.Q.T + mats.Q - mats.M.T @ mats.H @ mats.M
     return float(np.abs(mats.G - recon).max())
@@ -170,15 +141,19 @@ def g_norm_expanded(
     :func:`g_form` on the displacement to the auxiliary point whenever the
     step used the relaxation factor gamma.
     """
-    gamma, beta = mats.gamma, mats.beta
-    b_step = mats.apply_B(v_k.y - v_next.y)
-    d_lam = v_k.lam - v_next.lam
     cross = (v_k.lam - pred.lam_pred) @ mats.apply_B(v_k.y - pred.y_pred)
-    return float(
-        (2.0 - gamma) / gamma**2 * beta * (b_step @ b_step)
-        + (2.0 - gamma) / (gamma**2 * beta) * (d_lam @ d_lam)
-        + 2.0 * cross
-    )
+    return float(_step_form(v_k, v_next, mats) + 2.0 * cross)
+
+
+def _step_form(v_old: EssentialState, v_new: EssentialState, mats: AnalysisMatrices) -> float:
+    """(2 - gamma) / gamma^2 (beta ||B d_y||^2 + ||d_lam||^2 / beta) with
+    d = v_old - v_new: the step's share of the gap form."""
+    gamma, beta = mats.gamma, mats.beta
+    c1 = (2.0 - gamma) / gamma**2 * beta
+    c2 = (2.0 - gamma) / (gamma**2 * beta)
+    d = v_old - v_new
+    bdy = mats.apply_B(d.y)
+    return c1 * float(bdy @ bdy) + c2 * float(d.lam @ d.lam)
 
 
 def correction_residual(
@@ -242,10 +217,8 @@ class FejerMonitor:
         cls, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState
     ) -> "FejerMonitor":
         """Matrix-free monitor of a solve under ``config``; classical is
-        analysed at unit gamma. Up to :data:`DENSE_LIMIT` B's rank is checked
-        as :func:`build_matrices` checks it."""
-        if problem.n2 + problem.m <= DENSE_LIMIT:
-            _require_full_column_rank(_dense_B(problem))
+        analysed at unit gamma. B's full column rank is the problem's
+        guarantee (see :class:`~admmkit.model.SeparableProblem`)."""
         gamma = 1.0 if config.variant == "classical" else config.gamma
         return cls(v_star, AnalysisMatrices(config.beta, gamma, problem.apply_B), config.variant)
 
@@ -280,12 +253,7 @@ class FejerMonitor:
         if monotone and after > before + self.tol:
             self.monotonicity_violations.append((k, after - before))
         if gap:
-            gamma, beta = self.mats.gamma, self.mats.beta
-            c1 = (2.0 - gamma) / gamma**2 * beta
-            c2 = (2.0 - gamma) / (gamma**2 * beta)
-            d = v_old - v_new
-            bdy = self.mats.apply_B(d.y)
-            lhs = c1 * float(bdy @ bdy) + c2 * float(d.lam @ d.lam)
+            lhs = _step_form(v_old, v_new, self.mats)
             rhs = before - after
             if lhs > rhs + self.tol:
                 self.gap_violations.append((k, lhs - rhs))

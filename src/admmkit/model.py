@@ -38,8 +38,9 @@ class SeparableProblem(ABC):
     saddle-point stationarity residuals behind
     :func:`~admmkit.diagnostics.kkt_residual`. A subproblem's own first-order
     residual is the matching stationarity taken at lam - beta (Ax + By - b).
-    ``A`` and ``B`` must have full column rank. Instances are immutable after
-    construction and may be shared across concurrent solves.
+    ``A`` and ``B`` must have full column rank, which neither the engine nor
+    the Fejer monitor checks. Instances are immutable after construction and
+    may be shared across concurrent solves.
 
     Attributes
     ----------
@@ -94,6 +95,15 @@ def require_finite(name: str, values) -> None:
     """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf."""
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
+
+
+def _require_full_column_rank(B: np.ndarray) -> None:
+    """Raise ValueError unless B's singular values stay above 1e-10 times the
+    largest; otherwise the analysis metric H is not positive definite."""
+    m, n2 = B.shape
+    svals = np.linalg.svd(B, compute_uv=False)
+    if m < n2 or svals[-1] <= 1e-10 * svals[0]:
+        raise ValueError("H not positive definite: B rank-deficient")
 
 
 def _as_vector(value, name: str, dim: int) -> np.ndarray:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SeparableProblem
+from .model import SeparableProblem, _require_full_column_rank, require_finite
 
 
 class QuadraticProblem(SeparableProblem):
     """min 0.5 x'P1 x + q1'x + 0.5 y'P2 y + q2'y  s.t.  Ax + By = b.
 
     P1 and P2 must be symmetric positive definite so both subproblems are
-    plain linear solves.
+    plain linear solves. Shapes, finiteness and B's column rank are checked.
     """
 
     def __init__(self, P1, q1, P2, q2, A, B, b):
@@ -34,6 +34,13 @@ class QuadraticProblem(SeparableProblem):
             raise ValueError("constraint blocks have inconsistent shapes")
         if self.q1.shape != (self.n1,) or self.q2.shape != (self.n2,):
             raise ValueError("linear terms have inconsistent shapes")
+        for name, P, n in (("P1", self.P1, self.n1), ("P2", self.P2, self.n2)):
+            if P.shape != (n, n):
+                raise ValueError(f"{name} has shape {P.shape}, expected ({n}, {n})")
+        for name in ("P1", "q1", "P2", "q2", "A", "B"):
+            require_finite(name, getattr(self, name))
+        require_finite("b", self._b)
+        _require_full_column_rank(self.B)
 
     def solve_x(self, y, lam, beta):
         lhs = self.P1 + beta * self.A.T @ self.A

@@ -16,8 +16,8 @@ from admmkit.bench import BenchmarkSpec, run_benchmark
 from admmkit.diagnostics import (
     FejerMonitor,
     build_matrices,
-    build_matrices_for,
     correction_residual,
+    dense_B,
     g_form,
     g_norm_expanded,
     reference_solution,
@@ -113,7 +113,7 @@ def test_criterion_3_exact_algebraic_identities():
         problem = QuadraticProblem.random(n1=n1, n2=n2, m=m, rng=rng)
         beta = betas[trial % len(betas)]
         gamma = gammas[trial % len(gammas)]
-        mats = build_matrices_for(problem, beta, gamma)
+        mats = build_matrices(dense_B(problem), beta, gamma)
 
         worst["h"] = max(worst["h"], float(np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max()))
 

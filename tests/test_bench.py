@@ -145,7 +145,7 @@ def test_covsel_benchmark_cell(tmp_path):
     outcome = run_benchmark(spec)
     assert len(outcome.rows) == 2
     assert not outcome.any_dnf
-    assert all(row.size_label == "n15" for row in outcome.rows)
+    assert all(row.size == "n15" for row in outcome.rows)
 
 
 def test_emit_plotdata_variant_groups(tmp_path):

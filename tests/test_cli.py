@@ -4,6 +4,7 @@ import pytest
 
 from admmkit.cli import main
 from admmkit.container import load_instance, save_instance
+from admmkit.diagnostics import DENSE_LIMIT
 from admmkit.lasso import generate_instance
 
 
@@ -85,6 +86,21 @@ def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, vari
         ran = variant == "classical" or (variant == "over_relaxed" and r["relaxed"] == "1")
         assert r["monotone_violation"] == ("0" if ran else "")
         assert r["gap_violation"] == ("0" if ran and variant == "over_relaxed" else "")
+
+
+def test_diagnose_above_the_dense_limit_prints_no_dense_matrix_lines(tmp_path, capsys):
+    # a Lasso split has n2 = m = n, so n = 1001 puts n2 + m just past the limit
+    assert 2 * 1001 > DENSE_LIMIT
+    rc = main([
+        "diagnose", "--problem", "lasso", "--m", "40", "--n", "1001",
+        "--seed", "0", "--max-iter", "300", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "H = Q M^-1" not in out and "gap-form decomposition" not in out
+    for line in STEP_CHECK_LINES:
+        assert line in out, line
+    assert "KKT residual at final iterate" in out
 
 
 def test_diagnose_covsel_classical(tmp_path, capsys):

@@ -18,8 +18,8 @@ from admmkit.diagnostics import (
     AnalysisMatrices,
     FejerMonitor,
     build_matrices,
-    build_matrices_for,
     correction_residual,
+    dense_B,
     g_decomposition_residual,
     g_form,
     g_norm_expanded,
@@ -99,9 +99,9 @@ def test_quadratic_forms_match_dense_products(rng):
 
 def test_matrix_free_forms_agree_with_dense(rng):
     instance, _ = lasso.generate_instance(20, 30, 7)
-    dense = build_matrices_for(instance, beta=1.3, gamma=1.6)
+    dense = build_matrices(dense_B(instance), beta=1.3, gamma=1.6)
     free = AnalysisMatrices(1.3, 1.6, apply_B=instance.apply_B)
-    assert dense.dense and not free.dense
+    assert dense.H is not None and free.H is None
     for _ in range(10):
         v = EssentialState(rng.standard_normal(30), rng.standard_normal(30))
         assert h_norm_sq(v, free) == pytest.approx(h_norm_sq(v, dense), rel=1e-12)
@@ -123,7 +123,7 @@ def test_monitor_is_matrix_free_under_the_dense_limit(variant):
     for instance in _small_instances():
         assert instance.n2 + instance.m <= DENSE_LIMIT
         monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
-        assert monitor.mats.H is None and not monitor.mats.dense
+        assert monitor.mats.H is None
 
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed"])
@@ -132,8 +132,7 @@ def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant):
     for instance in _small_instances()[::2]:  # Lasso 40x60 and a random quadratic
         ref = reference_solution(instance, config.beta, 1e-9, 1e-7)
         free = FejerMonitor.for_config(instance, config, ref)
-        mats = build_matrices_for(instance, free.mats.beta, free.mats.gamma)
-        assert mats.dense
+        mats = build_matrices(dense_B(instance), free.mats.beta, free.mats.gamma)
         dense = FejerMonitor(ref, mats, variant)
         run(instance, config, observer=free)
         run(instance, config, observer=dense)
@@ -141,21 +140,29 @@ def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant):
         assert free.g_norm_sq == dense.g_norm_sq
 
 
-def test_monitor_rejects_rank_deficient_B_under_the_dense_limit(rng):
-    col = rng.standard_normal((5, 1))
-    B = np.hstack([col, 2 * col])
-    problem = QuadraticProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2),
-                               rng.standard_normal((5, 2)), B, np.zeros(5))
-    config = SolverConfig(variant="over_relaxed")
-    with pytest.raises(ValueError, match="B rank-deficient"):
-        FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+class _CountingB(QuadraticProblem):
+    """Counts applications of B."""
+
+    b_calls = 0
+
+    def apply_B(self, y):
+        self.b_calls += 1
+        return super().apply_B(y)
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_for_config_applies_no_B(variant, rng):
+    problem = _CountingB.random(n1=3, n2=4, m=6, rng=rng)
+    config = SolverConfig(variant=variant, beta=0.8, gamma=1.6)
+    FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    assert problem.b_calls == 0
 
 
 def test_g_norm_expanded_zero_at_fixed_point():
     chain = scalar_chain()
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     pred = predict(chain, v, 1.0)
-    mats = build_matrices_for(chain, 1.0, 1.5)
+    mats = build_matrices(dense_B(chain), 1.0, 1.5)
     assert g_norm_expanded(pred, v, v, mats) == 0.0
 
 
@@ -164,7 +171,7 @@ def test_g_norm_expanded_matches_direct_form_on_forced_relaxation():
     v = EssentialState(np.array([1.0]), np.array([0.0]))
     pred = predict(chain, v, 1.0)
     v_next = relax(v, pred, 1.5)
-    mats = build_matrices_for(chain, 1.0, 1.5)
+    mats = build_matrices(dense_B(chain), 1.0, 1.5)
     direct = g_form(v - pred.essential_early, mats)
     expanded = g_norm_expanded(pred, v, v_next, mats)
     assert expanded == pytest.approx(direct, rel=1e-8)
@@ -174,7 +181,7 @@ def test_g_norm_expanded_nonnegative_on_criterion_held_steps(solve_traced):
     instance, _ = lasso.generate_instance(60, 120, 8)
     config = SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=200)
     result, trajectory = solve_traced(instance, config)
-    mats = build_matrices_for(instance, 1.0, 1.8)
+    mats = build_matrices(dense_B(instance), 1.0, 1.8)
     c1 = (2 - 1.8) / 1.8**2 * 1.0
     c2 = (2 - 1.8) / (1.8**2 * 1.0)
     checked = 0
@@ -194,7 +201,7 @@ def test_g_norm_expanded_nonnegative_on_criterion_held_steps(solve_traced):
 
 def test_correction_identity_on_forced_relaxation(rng, small_quadratic):
     problem = small_quadratic
-    mats = build_matrices_for(problem, beta=0.9, gamma=1.7)
+    mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.7)
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         pred = predict(problem, v, 0.9)
@@ -204,7 +211,7 @@ def test_correction_identity_on_forced_relaxation(rng, small_quadratic):
 
 def test_correction_identity_with_unit_gamma_on_plain_steps(rng, small_quadratic):
     problem = small_quadratic
-    mats = build_matrices_for(problem, beta=0.9, gamma=1.0)
+    mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.0)
     v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
     pred = predict(problem, v, 0.9)
     assert correction_residual(v, pred.essential, pred, mats) <= 1e-12
@@ -212,7 +219,7 @@ def test_correction_identity_with_unit_gamma_on_plain_steps(rng, small_quadratic
 
 def test_fejer_constant_trajectory_is_all_zeros():
     chain = scalar_chain()
-    mats = build_matrices_for(chain, 1.0, 1.5)
+    mats = build_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.3]), np.array([-0.2]))
     report = FejerMonitor(v_star, mats, "classical")
     report.transition(v_star, v_star, False)
@@ -226,7 +233,7 @@ def test_fejer_scalar_chain_strictly_decreasing():
     config = SolverConfig(
         variant="over_relaxed", gamma=1.5, eps_abs=1e-9, eps_rel=1e-9, max_iter=200,
     )
-    mats = build_matrices_for(chain, 1.0, 1.5)
+    mats = build_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
     report = FejerMonitor(v_star, mats, "over_relaxed")
     run(chain, config, EssentialState(np.array([1.0]), np.array([0.0])), observer=report)
@@ -237,7 +244,7 @@ def test_fejer_scalar_chain_strictly_decreasing():
 
 def test_fejer_flags_violations_instead_of_raising():
     chain = scalar_chain()
-    mats = build_matrices_for(chain, 1.0, 1.5)
+    mats = build_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
     report = FejerMonitor(v_star, mats, "classical")
     report.transition(

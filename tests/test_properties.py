@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import VARIANTS, EssentialState, SolverConfig, run
-from admmkit.diagnostics import build_matrices_for, correction_residual
+from admmkit.diagnostics import build_matrices, correction_residual, dense_B
 from admmkit.quadratic import QuadraticProblem
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -90,7 +90,7 @@ def test_relaxed_flag_follows_the_variant_gate(case, variant):
 @given(cases(), st.sampled_from(("classical", "over_relaxed")))
 def test_split_and_correction_identities_on_every_step(case, variant):
     problem, v0, beta, gamma = case
-    mats = build_matrices_for(problem, beta, gamma)
+    mats = build_matrices(dense_B(problem), beta, gamma)
     _, steps = _observed(problem, _config(variant, beta, gamma), v0)
     for _, v, pred, v_new, relaxed, _ in steps:
         b_gap = beta * problem.apply_B(v.y - pred.y_pred)

@@ -81,3 +81,38 @@ def test_random_requires_full_column_rank_geometry(rng):
 def test_shape_validation():
     with pytest.raises(ValueError):
         QuadraticProblem([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[1.0], [1.0]], [0.0])
+
+
+def _data(**changes):
+    """Valid data of a 2-variable, 2-variable, 3-constraint instance, with
+    ``changes`` applied."""
+    data = dict(
+        P1=np.eye(2), q1=np.zeros(2), P2=np.eye(2), q2=np.zeros(2),
+        A=np.eye(3, 2), B=-np.eye(3, 2), b=np.ones(3),
+    )
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("field", ["P1", "P2"])
+def test_wrong_shaped_quadratic_term_is_rejected_by_name(field):
+    with pytest.raises(ValueError, match=rf"{field} has shape \(3, 3\), expected \(2, 2\)"):
+        QuadraticProblem(**_data(**{field: np.eye(3)}))
+
+
+@pytest.mark.parametrize("field", ["P1", "q1", "P2", "q2", "A", "B", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_is_rejected_by_name(field, bad):
+    value = np.array(_data()[field], dtype=float)
+    value.flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        QuadraticProblem(**_data(**{field: value}))
+
+
+@pytest.mark.parametrize("B", [
+    np.hstack([np.ones((3, 1)), 2 * np.ones((3, 1))]),
+    np.zeros((3, 2)),
+], ids=["dependent_columns", "zero"])
+def test_rank_deficient_B_is_rejected_at_construction(B):
+    with pytest.raises(ValueError, match="H not positive definite: B rank-deficient"):
+        QuadraticProblem(**_data(B=B))
