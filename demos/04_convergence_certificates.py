@@ -47,9 +47,9 @@ mats = monitor.mats
 worst = {"corr": 0.0, "gap": 0.0}
 
 
-def observe(k, v, pred, v_next, relaxed, criterion):
-    monitor(k, v, pred, v_next, relaxed, criterion)
-    if not relaxed:
+def observe(v, pred, v_next, record):
+    monitor(v, pred, v_next, record)
+    if not record.relaxed:
         return
     worst["corr"] = max(worst["corr"], correction_residual(v, v_next, pred, mats))
     direct = g_form(v - pred.essential_early, mats)

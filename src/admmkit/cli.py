@@ -241,11 +241,11 @@ def _cmd_compare(args) -> int:
     instance, problem_name, config = _single_setup(args)
     results = {variant: run(instance, replace(config, variant=variant)) for variant in VARIANTS}
     path = emit_trajectory_plotdata(results, args.out / f"compare_{problem_name}.csv")
-    print(f"{'variant':<20} {'iterations':>10} {'converged':>10} {'||r||':>12} {'||s||':>12}")
+    print(f"{'variant':<20} {'iterations':>10} {'stop':>10} {'||r||':>12} {'||s||':>12}")
     for variant, result in results.items():
         last = result.records[-1]
         print(
-            f"{variant:<20} {result.iterations:>10} {str(result.converged):>10} "
+            f"{variant:<20} {result.iterations:>10} {result.stop_reason:>10} "
             f"{last.primal_residual_norm:>12.3e} {last.dual_residual_norm:>12.3e}"
         )
     print(f"residual curves: {path}")
@@ -261,13 +261,13 @@ def _cmd_diagnose(args) -> int:
     mono_checked, gap_checked = monitor.checks
     worst = {"split": 0.0, "corr": 0.0, "expand": 0.0}
 
-    def observe(k, v, pred, v_new, relaxed, criterion):
-        monitor(k, v, pred, v_new, relaxed, criterion)
+    def observe(v, pred, v_new, record):
+        monitor(v, pred, v_new, record)
         if not mono_checked:  # relaxed_customized's multiplier-first sweep has neither identity
             return
         split = pred.lam_pred - (pred.lam_early + args.beta * mats.apply_B(v.y - pred.y_pred))
         worst["split"] = max(worst["split"], float(np.abs(split).max(initial=0.0)))
-        if relaxed:
+        if record.relaxed:
             worst["corr"] = max(worst["corr"], correction_residual(v, v_new, pred, mats))
             direct = monitor.g_norm_sq[-1]
             expanded = g_norm_expanded(pred, v, v_new, mats)
@@ -290,7 +290,7 @@ def _cmd_diagnose(args) -> int:
                 [rec.k, h_val, g_val, rec.criterion_value, int(rec.relaxed), mono, gap]
             )
 
-    print(f"variant={args.variant} iterations={result.iterations} converged={result.converged}")
+    print(f"variant={args.variant} iterations={result.iterations} stop={result.stop_reason}")
     if instance.n2 + instance.m <= DENSE_LIMIT:
         dense = build_matrices(dense_B(instance), mats.beta, mats.gamma)
         h_gap = float(np.abs(dense.H - dense.Q @ np.linalg.inv(dense.M)).max())

@@ -177,16 +177,13 @@ def correction_residual(
 def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
     """Whether the analysis covers (monotonicity, the gap inequality) on a step.
 
-    Classical steps are Fejer monotone in the unit-gamma metric. Over-relaxed
-    steps are covered only when the criterion held and the step relaxed. The
-    gate-based theory does not cover the relaxed-customized baseline. A
-    relaxed step gets every check an unrelaxed one of the same variant does.
+    Classical steps are Fejer monotone in the unit-gamma metric H(1), and an
+    unrelaxed over-relaxed step is a classical step, so it is monotone in
+    H(gamma) = H(1) / gamma too; the gap inequality covers only the
+    over-relaxed steps that relaxed. The gate-based theory does not cover
+    the relaxed-customized baseline.
     """
-    if variant == "classical":
-        return True, False
-    if variant == "over_relaxed":
-        return relaxed, relaxed
-    return False, False
+    return variant != "relaxed_customized", variant == "over_relaxed" and relaxed
 
 
 class FejerMonitor:
@@ -231,9 +228,9 @@ class FejerMonitor:
         """Whether (the monotonicity check, the gap check) runs on any step."""
         return _checks(self.variant, relaxed=True)
 
-    def __call__(self, k, v_old, pred: Prediction, v_new, relaxed: bool, criterion: float):
+    def __call__(self, v_old, pred: Prediction, v_new, record: IterationRecord):
         self.g_norm_sq.append(g_form(v_old - pred.essential_early, self.mats))
-        self.transition(v_old, v_new, relaxed)
+        self.transition(v_old, v_new, record.relaxed)
 
     def transition(self, v_old, v_new, relaxed: bool) -> None:
         """Record v_old -> v_new and run the checks the variant covers on it.
@@ -295,14 +292,19 @@ def reference_solution(
     Callers wanting a Fejer reference should pass tolerances ~100x tighter
     than the run under inspection, and compute this once per instance. A run
     that stops short of the tolerances within :data:`REFERENCE_MAX_ITER`
-    iterations raises :class:`~admmkit.engine.SolverError`: distances to an
-    unconverged point certify nothing.
+    iterations, or on a non-finite iterate, raises
+    :class:`~admmkit.engine.SolverError`: distances to an unconverged point
+    certify nothing.
     """
     config = SolverConfig(
         variant="classical", beta=beta, eps_abs=eps_abs, eps_rel=eps_rel,
         max_iter=REFERENCE_MAX_ITER,
     )
     result = run(problem, config)
+    if result.stop_reason == "non_finite":
+        raise SolverError(
+            f"reference solve stopped on a non-finite iterate at iteration {result.iterations}"
+        )
     if not result.converged:
         raise SolverError(
             f"reference solve did not reach eps_abs={eps_abs:g}, eps_rel={eps_rel:g} "

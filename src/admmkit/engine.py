@@ -72,21 +72,30 @@ class Prediction:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of :func:`run`.
+    """Outcome of :func:`run`: the last point, one record per step, and why
+    the solve stopped.
 
+    ``stop_reason`` is ``"converged"`` when the last record met the stopping
+    rule, ``"max_iter"`` when the iteration cap came first, and
+    ``"non_finite"`` when the last step's new pair held a NaN or an inf.
     ``final`` holds the last x-block and the last essential pair. For
     ``relaxed_customized`` that pair is relaxed, not a subproblem output: an
     l1 block's entries moved off zero by the extrapolation leave a
     membership residual, so ``kkt_residual`` at ``final`` can be about twice
-    the l1 weight even on a converged solve. ``abort_reason`` is set when the
-    solve stopped on a non-finite iterate.
+    the l1 weight even on a converged solve.
     """
 
     final: Iterate
     records: list[IterationRecord]
-    converged: bool
-    iterations: int
-    abort_reason: str | None = None
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.records)
 
 
 def predict(
@@ -118,8 +127,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _criterion(pred: Prediction, d: EssentialState, problem, beta, lam_norm, b_norm):
-    """The criterion d.lam . B d.y for d = v - (y_pred, lam_pred), ||B d.y||^2,
-    and the norms ||Ax||, ||r|| and ||lam_pred||, given ||lam|| and ||b||.
+    """The criterion d.lam . B d.y for d = v - (y_pred, lam_pred) and the
+    norms ||Ax||, ||r|| and ||lam_pred||, given ||lam|| and ||b||.
 
     With exact subproblem solves the criterion is exactly zero once an l1
     block's sign pattern settles, so in floating point its sign there is
@@ -139,7 +148,7 @@ def _criterion(pred: Prediction, d: EssentialState, problem, beta, lam_norm, b_n
     scale = (lam_norm + lam_pred + beta * (ax + by + b_norm)) * np.sqrt(gap_sq)
     if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
         crit = 0.0
-    return crit, gap_sq, ax, r, lam_pred
+    return crit, ax, r, lam_pred
 
 
 def criterion_value(
@@ -175,21 +184,18 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
     (pred, v_new, record, ||lam_new||, whether v_new is finite)."""
     customized = config.variant == "relaxed_customized"
     pred = predict(problem, v, config.beta, multiplier_first=customized)
-    # an unrelaxed step's change is -d, with the same norms to the bit
     d = v - pred.essential
-    crit, b_d_sq, ax_norm, r_norm, lam_norm = _criterion(
-        pred, d, problem, config.beta, lam_norm, b_norm)
+    crit, ax_norm, r_norm, lam_norm = _criterion(pred, d, problem, config.beta, lam_norm, b_norm)
     relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
     norm = np.linalg.norm
     if relaxed:
         v_new = _relaxed(v, pred, config.gamma, d)
-        d = v_new - v
-        b_d = problem.apply_B(d.y)
-        b_d_sq = b_d @ b_d
+        dy = v_new.y - v.y
         r_norm = norm(pred.ax + problem.apply_B(v_new.y) - problem.rhs_b)
         lam_norm = norm(v_new.lam)
     else:
-        v_new = pred.essential
+        # an unrelaxed step's change is -d, with the same norm to the bit
+        v_new, dy = pred.essential, d.y
     x_norm = ax_norm if pred.ax is pred.x_next else norm(pred.x_next)
     y_norm = float(norm(v_new.y))
     eps_pri = np.sqrt(problem.m) * config.eps_abs + config.eps_rel * max(x_norm, y_norm)
@@ -197,12 +203,11 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
     record = IterationRecord(
         k=k,
         primal_residual_norm=float(r_norm),
-        dual_residual_norm=float(norm(d.y)),
+        dual_residual_norm=float(norm(dy)),
         criterion_value=crit,
         relaxed=relaxed,
         eps_pri=float(eps_pri),
         eps_dual=float(eps_dual),
-        essential_change_sq=float(b_d_sq + d.lam @ d.lam),
     )
     # a norm is finite when every entry is; the scan decides only an overflow
     finite = (math.isfinite(y_norm) and math.isfinite(lam_norm)) or v_new.finite
@@ -215,21 +220,21 @@ def run(
     v0: EssentialState | None = None,
     observer: Callable[..., None] | None = None,
 ) -> SolveResult:
-    """Iterate the configured variant until the stopping rule or max_iter.
+    """Iterate the configured variant until the stopping rule, a non-finite
+    pair or max_iter, and say which in ``SolveResult.stop_reason``.
 
     Stops when the primal residual ||Ax + By - b||_2 falls below
     sqrt(m)*eps_abs + eps_rel*max(||x||, ||y||) and the dual residual
     ||y - y_prev||_2 falls below sqrt(n2)*eps_abs + eps_rel*||y||. The
     default start is the all-zero essential pair. Records are numbered from
     k = 1 for the first completed step. ``observer``, if given, is called as
-    ``observer(k, v_old, pred, v_new, relaxed, criterion)`` after every step
-    whose new pair is finite.
+    ``observer(v_old, pred, v_new, record)`` after every step whose new pair
+    is finite, with ``record`` the step's entry of ``records``.
     """
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
     x_last = np.zeros(problem.n1)
-    converged = False
-    abort_reason = None
+    stop_reason = "max_iter"
     lam_norm, b_norm = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)
     for k in range(1, config.max_iter + 1):
         try:
@@ -240,19 +245,13 @@ def run(
         x_last = pred.x_next
         if not finite:
             v = v_new
-            abort_reason = f"non-finite iterate at iteration {k}"
+            stop_reason = "non_finite"
             break
         if observer is not None:
-            observer(k, v, pred, v_new, record.relaxed, record.criterion_value)
+            observer(v, pred, v_new, record)
         del pred  # free the prediction's arrays before the next step allocates
         v = v_new
         if record.within_tolerance:
-            converged = True
+            stop_reason = "converged"
             break
-    return SolveResult(
-        final=Iterate(x_last, v.y, v.lam),
-        records=records,
-        converged=converged,
-        iterations=len(records),
-        abort_reason=abort_reason,
-    )
+    return SolveResult(Iterate(x_last, v.y, v.lam), records, stop_reason)

@@ -201,11 +201,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration diagnostics written by the engine.
-
-    ``essential_change_sq`` is ||B(y_prev - y)||^2 + ||lam_prev - lam||^2 for
-    the step that produced this record; it vanishes along convergent runs.
-    """
+    """What the engine reports of step ``k``: the primal residual
+    ||Ax + By - b|| at the step's x-block and new y-block, the dual residual
+    ||y - y_prev||, the relaxation criterion, whether the step relaxed, and
+    the two stopping thresholds the residuals are held to."""
 
     k: int
     primal_residual_norm: float
@@ -214,7 +213,6 @@ class IterationRecord:
     relaxed: bool
     eps_pri: float
     eps_dual: float
-    essential_change_sq: float
 
     @property
     def within_tolerance(self) -> bool:

@@ -37,40 +37,39 @@ def _report(number, description, passed, detail=""):
     assert passed, line
 
 
+def _table_runs(instances, gamma, eps_abs, eps_rel, essential_change):
+    """Every variant on every instance: per-variant results, the seconds all
+    solves took, and per-variant essential-change observers of the solves."""
+    t0 = time.perf_counter()
+    runs = {v: [] for v in ("classical", "over_relaxed", "relaxed_customized")}
+    changes = {v: [] for v in runs}
+    for instance in instances:
+        for variant in runs:
+            config = SolverConfig(
+                variant=variant, beta=1.0, gamma=gamma,
+                eps_abs=eps_abs, eps_rel=eps_rel, max_iter=2000,
+            )
+            changes[variant].append(essential_change(instance))
+            runs[variant].append(run(instance, config, observer=changes[variant][-1]))
+    return runs, time.perf_counter() - t0, changes
+
+
 @pytest.fixture(scope="session")
-def lasso_table_runs():
+def lasso_table_runs(essential_change):
     """(1000, 1500) at (1e-5, 1e-3), gamma 1.8, beta 1, seeds 0..9, all variants."""
-    t0 = time.perf_counter()
-    runs = {v: [] for v in ("classical", "over_relaxed", "relaxed_customized")}
-    for seed in SEEDS:
-        instance, _ = lasso.generate_instance(1000, 1500, seed)
-        for variant in runs:
-            config = SolverConfig(
-                variant=variant, beta=1.0, gamma=1.8,
-                eps_abs=1e-5, eps_rel=1e-3, max_iter=2000,
-            )
-            runs[variant].append(run(instance, config))
-    return runs, time.perf_counter() - t0
+    instances = (lasso.generate_instance(1000, 1500, seed)[0] for seed in SEEDS)
+    return _table_runs(instances, 1.8, 1e-5, 1e-3, essential_change)
 
 
 @pytest.fixture(scope="session")
-def covsel_table_runs():
+def covsel_table_runs(essential_change):
     """n=300 at (1e-6, 1e-4), gamma 1.7, beta 1, seeds 0..9, all variants."""
-    t0 = time.perf_counter()
-    runs = {v: [] for v in ("classical", "over_relaxed", "relaxed_customized")}
-    for seed in SEEDS:
-        instance, _ = covsel.generate_instance(300, seed)
-        for variant in runs:
-            config = SolverConfig(
-                variant=variant, beta=1.0, gamma=1.7,
-                eps_abs=1e-6, eps_rel=1e-4, max_iter=2000,
-            )
-            runs[variant].append(run(instance, config))
-    return runs, time.perf_counter() - t0
+    instances = (covsel.generate_instance(300, seed)[0] for seed in SEEDS)
+    return _table_runs(instances, 1.7, 1e-6, 1e-4, essential_change)
 
 
 def test_criterion_1_lasso_variant_ordering(lasso_table_runs):
-    runs, elapsed = lasso_table_runs
+    runs, elapsed, _ = lasso_table_runs
     medians = {v: float(np.median([r.iterations for r in rs])) for v, rs in runs.items()}
     converged = all(r.converged for rs in runs.values() for r in rs)
     ordered = (
@@ -87,7 +86,7 @@ def test_criterion_1_lasso_variant_ordering(lasso_table_runs):
 
 
 def test_criterion_2_covsel_variant_ordering(covsel_table_runs):
-    runs, elapsed = covsel_table_runs
+    runs, elapsed, _ = covsel_table_runs
     medians = {v: float(np.median([r.iterations for r in rs])) for v, rs in runs.items()}
     converged = all(r.converged for rs in runs.values() for r in rs)
     ok = medians["over_relaxed"] <= medians["classical"] and 12 <= medians["classical"] <= 35
@@ -150,37 +149,34 @@ def test_criterion_3_exact_algebraic_identities():
 
 
 def test_criterion_4_fejer_monotonicity():
-    violations = 0
-    checked = 0
-    for seed in SEEDS:
-        instance, _ = lasso.generate_instance(150, 300, seed)
+    violations = monotone_checked = gap_checked = 0
+    # (instance, gamma, run tolerances, reference tolerances)
+    cases = [
+        (lasso.generate_instance(150, 300, seed)[0], 1.8, (1e-5, 1e-3), (1e-7, 1e-5))
+        for seed in SEEDS
+    ] + [
+        (covsel.generate_instance(50, seed)[0], 1.7, (1e-6, 1e-4), (1e-8, 1e-6))
+        for seed in SEEDS
+    ]
+    for instance, gamma, (eps_abs, eps_rel), ref_tol in cases:
         config = SolverConfig(
-            variant="over_relaxed", beta=1.0, gamma=1.8,
-            eps_abs=1e-5, eps_rel=1e-3, max_iter=2000,
+            variant="over_relaxed", beta=1.0, gamma=gamma,
+            eps_abs=eps_abs, eps_rel=eps_rel, max_iter=2000,
         )
-        ref = reference_solution(instance, 1.0, 1e-7, 1e-5)
+        ref = reference_solution(instance, 1.0, *ref_tol)
         report = FejerMonitor.for_config(instance, config, ref)
         result = run(instance, config, observer=report)
-        flags = [rec.relaxed for rec in result.records[: len(report.g_norm_sq)]]
         violations += len(report.monotonicity_violations) + len(report.gap_violations)
-        checked += sum(flags)
-    for seed in SEEDS:
-        instance, _ = covsel.generate_instance(50, seed)
-        config = SolverConfig(
-            variant="over_relaxed", beta=1.0, gamma=1.7,
-            eps_abs=1e-6, eps_rel=1e-4, max_iter=2000,
-        )
-        ref = reference_solution(instance, 1.0, 1e-8, 1e-6)
-        report = FejerMonitor.for_config(instance, config, ref)
-        result = run(instance, config, observer=report)
-        flags = [rec.relaxed for rec in result.records[: len(report.g_norm_sq)]]
-        violations += len(report.monotonicity_violations) + len(report.gap_violations)
-        checked += sum(flags)
+        # every observed over-relaxed step is checked for monotonicity, a
+        # relaxed one also for the gap inequality
+        monotone_checked += len(report.g_norm_sq)
+        gap_checked += sum(rec.relaxed for rec in result.records[: len(report.g_norm_sq)])
     _report(
         4,
         "Fejer monotonicity and per-step gap inequality, 10 seeds each application",
-        violations == 0 and checked > 0,
-        f"{checked} criterion-holding steps checked, {violations} violations",
+        violations == 0 and gap_checked > 0,
+        f"{monotone_checked} steps checked for monotonicity, {gap_checked} relaxed steps "
+        f"for the gap inequality, {violations} violations",
     )
 
 
@@ -306,14 +302,12 @@ def test_criterion_8_rho_criticality():
 def test_criterion_9_vanishing_differences(lasso_table_runs, covsel_table_runs):
     worst_ratio = 0.0
     total = 0
-    for runs, _ in (lasso_table_runs, covsel_table_runs):
-        for results in runs.values():
-            for result in results:
+    for runs, _, changes in (lasso_table_runs, covsel_table_runs):
+        for variant, results in runs.items():
+            for result, change in zip(results, changes[variant]):
                 if not result.converged:
                     continue
-                first = result.records[0].essential_change_sq
-                last = result.records[-1].essential_change_sq
-                worst_ratio = max(worst_ratio, last / first)
+                worst_ratio = max(worst_ratio, change.last / change.first)
                 total += 1
     _report(
         9,

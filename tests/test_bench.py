@@ -91,7 +91,7 @@ def test_trajectory_csv_schema_and_convergence(tmp_path):
 #: relaxed flag: "0" where the check ran, blank where it did not.
 CLEAN_CELLS = {
     ("classical", "0"): ("0", ""),
-    ("over_relaxed", "0"): ("", ""),
+    ("over_relaxed", "0"): ("0", ""),
     ("over_relaxed", "1"): ("0", "0"),
     ("relaxed_customized", "1"): ("", ""),
 }

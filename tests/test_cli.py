@@ -53,6 +53,7 @@ def test_diagnose_subcommand(tmp_path, capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
+    assert "variant=over_relaxed iterations=" in out and " stop=converged\n" in out
     assert "Fejer monotonicity violations:            0" in out
     assert "KKT residual" in out
     assert (tmp_path / "diagnose_lasso_over_relaxed.csv").exists()
@@ -83,9 +84,12 @@ def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, vari
         rows = list(csv.DictReader(fh))
     assert rows
     for r in rows:
-        ran = variant == "classical" or (variant == "over_relaxed" and r["relaxed"] == "1")
-        assert r["monotone_violation"] == ("0" if ran else "")
-        assert r["gap_violation"] == ("0" if ran and variant == "over_relaxed" else "")
+        # every classical and over-relaxed step is checked for monotonicity,
+        # a relaxed over-relaxed one also for the gap inequality
+        mono_ran = variant != "relaxed_customized"
+        gap_ran = variant == "over_relaxed" and r["relaxed"] == "1"
+        assert r["monotone_violation"] == ("0" if mono_ran else "")
+        assert r["gap_violation"] == ("0" if gap_ran else "")
 
 
 def test_diagnose_above_the_dense_limit_prints_no_dense_matrix_lines(tmp_path, capsys):

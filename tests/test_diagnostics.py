@@ -256,6 +256,22 @@ def test_fejer_flags_violations_instead_of_raising():
     assert report.monotonicity_violations[0][0] == 0
 
 
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant):
+    # an unrelaxed over-relaxed step is a classical step, monotone in H(gamma)
+    config = SolverConfig(variant=variant, gamma=1.5)
+    v_star = EssentialState(np.array([0.0]), np.array([0.0]))
+    report = FejerMonitor.for_config(scalar_chain(), config, v_star)
+    report.transition(
+        EssentialState(np.array([0.1]), np.array([0.0])),
+        EssentialState(np.array([5.0]), np.array([0.0])),
+        relaxed=False,
+    )
+    checked = variant != "relaxed_customized"
+    assert [k for k, _ in report.monotonicity_violations] == ([0] if checked else [])
+    assert not report.gap_violations
+
+
 def test_kkt_residual_zero_at_saddle_point():
     chain = scalar_chain()
     w = Iterate(np.array([0.0]), np.array([0.0]), np.array([0.0]))
@@ -303,6 +319,21 @@ def test_reference_solution_close_to_analytic_fixed_point():
     chain = scalar_chain()
     ref = reference_solution(chain, beta=1.0, eps_abs=1e-9, eps_rel=1e-9)
     assert abs(ref.y[0]) < 1e-8 and abs(ref.lam[0]) < 1e-8
+
+
+class _NanY(QuadraticProblem):
+    """The scalar chain with a y-solve that returns NaN."""
+
+    def __init__(self):
+        super().__init__([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[-1.0]], [0.0])
+
+    def solve_y(self, x, lam, beta):
+        return np.array([np.nan])
+
+
+def test_reference_solution_names_a_non_finite_stop():
+    with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
+        reference_solution(_NanY(), beta=1.0, eps_abs=1e-9, eps_rel=1e-9)
 
 
 def test_reference_solution_raises_when_it_does_not_converge():

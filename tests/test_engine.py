@@ -207,11 +207,13 @@ def test_gamma_one_over_relaxed_equals_classical_trajectories(solve_traced):
         assert np.array_equal(vc.lam, vo.lam)
 
 
-def test_vanishing_essential_change_on_converged_run():
+def test_vanishing_essential_change_on_converged_run(essential_change):
     instance, _ = lasso.generate_instance(80, 140, 6)
-    result = run(instance, SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=300))
+    change = essential_change(instance)
+    config = SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=300)
+    result = run(instance, config, observer=change)
     assert result.converged
-    assert result.records[-1].essential_change_sq <= 0.1 * result.records[0].essential_change_sq
+    assert change.last <= 0.1 * change.first
 
 
 class _NanAfterTwo(QuadraticProblem):
@@ -231,9 +233,28 @@ def test_run_aborts_on_nonfinite_iterate():
     config = SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-12, max_iter=50)
     start = EssentialState(np.array([1.0]), np.array([0.0]))
     result = run(problem, config, start)
+    assert result.stop_reason == "non_finite"
     assert not result.converged
-    assert result.abort_reason is not None and "3" in result.abort_reason
     assert result.iterations == 3
+
+
+@pytest.mark.parametrize("case", ["converged", "max_iter", "non_finite"])
+def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_start):
+    tight = dict(variant="classical", eps_abs=1e-14, eps_rel=1e-14)
+    problem, config = {
+        "converged": (chain, SolverConfig(variant="classical", max_iter=500)),
+        "max_iter": (chain, SolverConfig(max_iter=3, **tight)),
+        "non_finite": (_NanAfterTwo(), SolverConfig(max_iter=50, **tight)),
+    }[case]
+    observed = []
+    result = run(problem, config, chain_start, observer=lambda *step: observed.append(step[-1]))
+    assert result.stop_reason == case
+    assert result.converged == (case == "converged") == result.records[-1].within_tolerance
+    assert result.iterations == len(result.records)
+    assert (result.iterations < 500) if case == "converged" else (result.iterations == 3)
+    # the observer gets each step's own record; a non-finite step is not observed
+    seen = result.records[:-1] if case == "non_finite" else result.records
+    assert len(observed) == len(seen) and all(got is rec for got, rec in zip(observed, seen))
 
 
 class _FactorizationBreaks(QuadraticProblem):

@@ -76,14 +76,14 @@ def test_relaxed_flag_follows_the_variant_gate(case, variant):
     problem, v0, beta, gamma = case
     result, steps = _observed(problem, _config(variant, beta, gamma), v0)
     assert steps
-    for k, _, _, _, relaxed, criterion in steps:
-        assert criterion == result.records[k - 1].criterion_value
+    for _, _, _, record in steps:
+        assert record is result.records[record.k - 1]
         if variant == "classical":
-            assert not relaxed
+            assert not record.relaxed
         elif variant == "over_relaxed":
-            assert relaxed == (criterion >= 0.0)
+            assert record.relaxed == (record.criterion_value >= 0.0)
         else:
-            assert relaxed
+            assert record.relaxed
 
 
 @PROPERTY
@@ -92,12 +92,12 @@ def test_split_and_correction_identities_on_every_step(case, variant):
     problem, v0, beta, gamma = case
     mats = build_matrices(dense_B(problem), beta, gamma)
     _, steps = _observed(problem, _config(variant, beta, gamma), v0)
-    for _, v, pred, v_new, relaxed, _ in steps:
+    for v, pred, v_new, record in steps:
         b_gap = beta * problem.apply_B(v.y - pred.y_pred)
         split = pred.lam_pred - (pred.lam_early + b_gap)
         scale = max(1.0, *(np.abs(a).max() for a in (pred.lam_pred, pred.lam_early, b_gap)))
         assert np.abs(split).max() <= 1e-12 * scale
-        if relaxed:
+        if record.relaxed:
             assert correction_residual(v, v_new, pred, mats) <= 1e-12
 
 
@@ -107,16 +107,16 @@ def test_operator_applications_per_step(case, variant):
     problem, v0, beta, gamma = case
     marks = []  # (calls when the step ends, calls when the observer returns, relaxed)
 
-    def observe(k, v, pred, v_new, relaxed, criterion):
+    def observe(v, pred, v_new, record):
         end = (problem.a_calls, problem.b_calls)
         eager = v.lam - beta * (pred.ax + QuadraticProblem.apply_B(problem, v.y) - problem.rhs_b)
         assert pred.lam_early.tobytes() == eager.tobytes()
-        marks.append((end, (problem.a_calls, problem.b_calls), relaxed))
+        marks.append((end, (problem.a_calls, problem.b_calls), record.relaxed))
 
     run(problem, _config(variant, beta, gamma), v0, observer=observe)
     start = (0, 0)
     for end, after, relaxed in marks:
         assert end[0] - start[0] == 1
         # a plain sweep forms lam_early only when read: here, after the step
-        assert end[1] - start[1] == (4 if relaxed else 2)
+        assert end[1] - start[1] == (3 if relaxed else 2)
         start = after

@@ -52,10 +52,8 @@ def reference_run(problem, config, v):
                 y_new = v.y - gamma * (v.y - y_pred)
                 lam_new = v.lam - gamma * (v.lam - lam_pred)
             r_vec = ax + problem.apply_B(y_new) - b
-            b_dy = problem.apply_B(y_new - v.y)
         else:
-            y_new, lam_new, r_vec, b_dy = y_pred, lam_pred, residual, b_gap
-        d_lam = lam_new - v.lam
+            y_new, lam_new, r_vec = y_pred, lam_pred, residual
         y_norm = float(norm(y_new))
         x_scale = max(float(norm(x)), y_norm)
         records.append(IterationRecord(
@@ -66,7 +64,6 @@ def reference_run(problem, config, v):
             relaxed=relaxed,
             eps_pri=float(math.sqrt(problem.m) * config.eps_abs + config.eps_rel * x_scale),
             eps_dual=float(math.sqrt(problem.n2) * config.eps_abs + config.eps_rel * y_norm),
-            essential_change_sq=float(b_dy @ b_dy + d_lam @ d_lam),
         ))
         v = EssentialState(y_new, lam_new)
         if not v.finite or records[-1].within_tolerance:

@@ -38,7 +38,7 @@ def test_converged_solve_meets_the_kkt_bound(instance, variant, beta, gamma):
     config = SolverConfig(variant=variant, beta=beta, gamma=gamma, max_iter=2000)
     last = []
 
-    def observe(k, v, pred, v_new, relaxed, criterion):
+    def observe(v, pred, v_new, record):
         last[:] = [pred]
 
     result = run(instance, config, observer=observe)
