@@ -9,11 +9,12 @@ Subcommands::
 
 Every flag can also be supplied through ``--config FILE`` holding
 ``key=value`` lines (keys are the long flag names with dashes or
-underscores); explicit flags override the file. A bad config file, a
-missing input file, a value the benchmark spec, solver config or instance
-rejects, or a solve that raises SolverError (such as a reference solve that
-does not converge) is a usage error (exit code 2). CSV outputs are
-deterministic for a fixed spec and seed.
+underscores). The command's parser reads them as flags placed before the
+command line's, so explicit flags override the file. A bad config line or
+value, an unknown key, a missing input file, a value the benchmark spec,
+solver config or instance rejects, or a solve that raises SolverError (such
+as a reference solve that does not converge) is a usage error (exit code
+2). CSV outputs are deterministic for a fixed spec and seed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .diagnostics import (
     reference_solution,
 )
 from .engine import SolverError, run
-from .model import VARIANTS, SolverConfig
+from .model import VARIANTS, Iterate, SolverConfig
 
 
 def _parse_int_list(text):
@@ -58,11 +59,7 @@ def _parse_float_list(text):
 
 
 def _parse_variants(text):
-    names = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    for name in names:
-        if name not in VARIANTS:
-            raise argparse.ArgumentTypeError(f"unknown variant {name!r}; expected among {VARIANTS}")
-    return tuple(names)
+    return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
 def _add_common(parser: argparse.ArgumentParser, bench: bool):
@@ -79,8 +76,6 @@ def _add_common(parser: argparse.ArgumentParser, bench: bool):
     parser.add_argument("--config", type=Path, default=None, help="key=value defaults file")
     parser.add_argument("--save-instance", type=Path, default=None,
                         help="write the first generated instance to this container file")
-    parser.add_argument("--load-instance", type=Path, default=None,
-                        help="read the instance from a container file instead of generating")
     if bench:
         parser.add_argument("--variant", type=_parse_variants, default=VARIANTS,
                             help="comma-separated subset of " + ",".join(VARIANTS))
@@ -92,7 +87,8 @@ def _add_common(parser: argparse.ArgumentParser, bench: bool):
 
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"admm-bench {command}")
+    # no abbreviations, so covsel's --m (or config key m) is not --max-iter
+    parser = argparse.ArgumentParser(prog=f"admm-bench {command}", allow_abbrev=False)
     if command == "lasso":
         parser.add_argument("--m", type=_parse_int_list, default=[1000],
                             help="row counts, comma separated (zipped with --n)")
@@ -111,6 +107,8 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--n", type=int, default=300)
         parser.add_argument("--tau", type=float, default=None)
         _add_common(parser, bench=False)
+        parser.add_argument("--load-instance", type=Path, default=None,
+                            help="read the instance from a container file instead of generating")
         if command == "diagnose":
             parser.add_argument("--variant", choices=VARIANTS, default="over_relaxed")
     else:
@@ -118,37 +116,28 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: Path) -> dict:
-    values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+def _config_tokens(parser: argparse.ArgumentParser, argv) -> list:
+    """Flag tokens for the key=value lines of the --config file named in argv.
+
+    A switch, the only kind of flag whose default is False, becomes its bare
+    flag when its value is 1/true/yes/on; any other key becomes --key=value.
+    """
+    path = parser.parse_known_args(argv)[0].config
+    lines = path.read_text().splitlines() if path is not None else []
+    tokens = []
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().lstrip("-").replace("-", "_")] = value.strip()
-    return values
-
-
-_TRUE = {"1", "true", "yes", "on"}
-
-
-def _apply_config(parser: argparse.ArgumentParser, values: dict):
-    converted = {}
-    for action in parser._actions:
-        if action.dest in values:
-            raw = values[action.dest]
-            if isinstance(action, argparse._StoreTrueAction):
-                converted[action.dest] = raw.lower() in _TRUE
-            elif action.type is not None:
-                converted[action.dest] = action.type(raw)
-            else:
-                converted[action.dest] = raw
-    unknown = set(values) - set(converted)
-    if unknown:
-        raise ValueError(f"config file sets unknown keys: {sorted(unknown)}")
-    parser.set_defaults(**converted)
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = key.lstrip("-").replace("_", "-")
+        if parser.get_default(flag.replace("-", "_")) is not False:
+            tokens.append(f"--{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{flag}")
+    return tokens
 
 
 def _tolerances(args) -> list:
@@ -195,8 +184,6 @@ def _single_setup(args):
 
 
 def _cmd_bench(problem: str, args) -> int:
-    if args.load_instance is not None:
-        raise ValueError("--load-instance applies to compare/diagnose; benchmarks generate per-seed instances")
     if problem == "lasso":
         m_list, n_list = args.m, args.n
         if len(m_list) == 1 and len(n_list) > 1:
@@ -260,9 +247,11 @@ def _cmd_diagnose(args) -> int:
     mats = monitor.mats
     mono_checked, gap_checked = monitor.checks
     worst = {"split": 0.0, "corr": 0.0, "expand": 0.0}
+    last = {}  # the last observed step's subproblem output, which the stopping rule certifies
 
     def observe(v, pred, v_new, record):
         monitor(v, pred, v_new, record)
+        last["output"] = Iterate(pred.x_next, pred.y_pred, pred.lam_pred)
         if not mono_checked:  # relaxed_customized's multiplier-first sweep has neither identity
             return
         split = pred.lam_pred - (pred.lam_early + args.beta * mats.apply_B(v.y - pred.y_pred))
@@ -307,6 +296,8 @@ def _cmd_diagnose(args) -> int:
     if gap_checked:
         print(f"per-step gap inequality violations:       {len(monitor.gap_violations)}")
     print(f"KKT residual at final iterate:            {kkt_residual(instance, result.final):.3e}")
+    if last:
+        print(f"KKT residual at last subproblem output:   {kkt_residual(instance, last['output']):.3e}")
     print(f"diagnostic rows: {diag_path}")
     return 0
 
@@ -323,19 +314,15 @@ def main(argv=None) -> int:
         print(f"unknown command {command!r}; expected one of {commands}", file=sys.stderr)
         return 2
     parser = _build_parser(command)
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config", type=Path, default=None)
-    pre_args, _ = pre.parse_known_args(rest)
     try:
-        if pre_args.config is not None:
-            _apply_config(parser, _read_config(pre_args.config))
-        args = parser.parse_args(rest)
+        # the file's flags come first, so the command line's own win
+        args = parser.parse_args([*_config_tokens(parser, rest), *rest])
         if command in ("lasso", "covsel"):
             return _cmd_bench(command, args)
         if command == "compare":
             return _cmd_compare(args)
         return _cmd_diagnose(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError, SolverError) as exc:
+    except (ValueError, OSError, SolverError) as exc:
         # a bad config or input file, a value the spec, config or instance rejects, a failed solve
         parser.error(str(exc))
 

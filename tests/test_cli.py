@@ -92,6 +92,21 @@ def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, vari
         assert r["gap_violation"] == ("0" if gap_ran else "")
 
 
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_diagnose_kkt_at_last_subproblem_output_meets_the_stopping_bound(tmp_path, capsys, variant):
+    # this over-relaxed solve converges on a relaxed step, and relaxed_customized
+    # always returns a relaxed y: their final iterates' KKT residuals are ~0.24
+    rc = main([
+        "diagnose", "--m", "38", "--n", "36", "--seed", "6", "--variant", variant,
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert " stop=converged\n" in out
+    value = float(out.split("KKT residual at last subproblem output:")[1].split()[0])
+    assert value <= 3.49e-3  # max(1, beta)(eps_pri + eps_dual) at the last record
+
+
 def test_diagnose_above_the_dense_limit_prints_no_dense_matrix_lines(tmp_path, capsys):
     # a Lasso split has n2 = m = n, so n = 1001 puts n2 + m just past the limit
     assert 2 * 1001 > DENSE_LIMIT
@@ -136,7 +151,53 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lasso", "--config", str(config), "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "unknown keys" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --does-not-exist=1" in err
+    assert "usage: admm-bench lasso" in err and "Traceback" not in err
+
+
+def _write_config(tmp_path, *lines):
+    config = tmp_path / "bench.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    return str(config)
+
+
+@pytest.mark.parametrize(
+    "lines, flags, diagnostics",
+    [
+        (["# a comment", "", "max_iter=300", "diagnostics=true"], [], True),
+        (["--max-iter=300", "diagnostics=false"], ["--diagnostics"], True),  # the flag wins
+        (["max-iter=300", "diagnostics=no"], [], False),
+    ],
+)
+def test_config_file_switch_and_key_spellings(tmp_path, lines, flags, diagnostics):
+    config = _write_config(tmp_path, "m=40", "n=60", "repeats=1", *lines)
+    assert main(["lasso", "--config", config, "--out", str(tmp_path), *flags]) == 0
+    with open(tmp_path / "traj_lasso_40x60_tol0_over_relaxed.csv") as fh:
+        header = next(csv.reader(fh))
+    assert ("h_dist_sq" in header) == diagnostics
+
+
+def test_config_file_strict_switch_returns_nonzero_on_dnf(tmp_path):
+    config = _write_config(tmp_path, "m=40", "n=60", "repeats=1", "max-iter=2", "strict=yes")
+    assert main(["lasso", "--config", config, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("lasso", ["m=abc"], "'abc'"),
+        ("lasso", ["# a comment", "max-iter 300"], "bench.cfg:2: expected key=value"),
+        ("covsel", ["m=40"], "error:"),  # a key names its flag in full, not --max-iter
+    ],
+)
+def test_bad_config_file_lines_are_usage_errors(tmp_path, capsys, command, lines, message):
+    config = _write_config(tmp_path, *lines)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and f"usage: admm-bench {command}" in err and "Traceback" not in err
 
 
 def test_strict_mode_returns_nonzero_on_dnf(tmp_path):
@@ -220,7 +281,7 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["covsel", "--n", "5"], "n must be at least 10"),
         (["lasso", "--eps-abs", "1e-5,1e-6", "--eps-rel", "1e-3"], "same number of entries"),
         (["lasso", "--m", "40,50", "--n", "60,70,80"], "--m and --n must zip"),
-        (["lasso", "--load-instance", "{tmp}/x.bin"], "--load-instance applies to compare"),
+        (["lasso", "--load-instance", "{tmp}/x.bin"], "unrecognized arguments: --load-instance"),
         (["lasso", "--m", "40,40", "--n", "60"], "sizes lists (40, 60) more than once"),
         (["covsel", "--eps-abs", "1e-5,1e-5", "--eps-rel", "1e-3,1e-3"],
          "tolerances lists (1e-05, 0.001) more than once"),

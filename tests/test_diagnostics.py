@@ -278,6 +278,26 @@ def test_kkt_residual_zero_at_saddle_point():
     assert kkt_residual(chain, w) == 0.0
 
 
+@pytest.mark.parametrize(
+    "A, b, rho, x, y, lam, expected",
+    [
+        # x - y = (3, 0); b = x - lam makes x exactly stationary, |lam| <= rho off the support
+        (np.eye(2), [2.5, 0.5], 1.0, [3, 0], [0, 0], [0.5, -0.5], 3.0),
+        # feasible, y on the support with lam = -rho sign(y); A'(Ax - b) - lam = (1, -4)
+        ([[1, 2], [0, 1], [1, 0]], [0, 0, 0], 1.0, [1, -1], [1, -1], [-1, 1], 4.0),
+        # feasible, x stationary; |rho sign(y) + lam| = (0.75, 0) on the support
+        (np.eye(2), [1.75, -1.5], 0.5, [2, -1], [2, -1], [0.25, 0.5], 0.75),
+        # feasible, x stationary; max(|lam| - rho, 0) = (2.5, 0) off the support
+        (np.eye(2), [-3, 0.25], 0.5, [0, 0], [0, 0], [3, -0.25], 2.5),
+    ],
+    ids=["feasibility", "x-stationarity", "y-on-support", "y-off-support"],
+)
+def test_kkt_residual_matches_hand_worked_terms(A, b, rho, x, y, lam, expected):
+    instance = lasso.LassoInstance(np.asarray(A, dtype=float), b, rho)
+    w = Iterate(*(np.asarray(v, dtype=float) for v in (x, y, lam)))
+    assert kkt_residual(instance, w) == expected
+
+
 def test_kkt_residual_dimension_error_names_operand(chain):
     w = Iterate(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0]))
     with pytest.raises(DimensionMismatchError) as err:
