@@ -68,4 +68,4 @@ print(f"\ndistance to reference in the H-metric: "
       f"{monitor.h_dist_sq[0]:.3e} at start, {monitor.h_dist_sq[-1]:.3e} at the end")
 print(f"monotonicity violations: {len(monitor.monotonicity_violations)}, "
       f"per-step gap violations: {len(monitor.gap_violations)}")
-print(f"KKT residual at the final iterate: {kkt_residual(instance, result.final):.2e}")
+print(f"KKT residual at the returned point: {kkt_residual(instance, result.final):.2e}")

@@ -78,11 +78,10 @@ class SolveResult:
     ``stop_reason`` is ``"converged"`` when the last record met the stopping
     rule, ``"max_iter"`` when the iteration cap came first, and
     ``"non_finite"`` when the last step's new pair held a NaN or an inf.
-    ``final`` holds the last x-block and the last essential pair. For
-    ``relaxed_customized`` that pair is relaxed, not a subproblem output: an
-    l1 block's entries moved off zero by the extrapolation leave a
-    membership residual, so ``kkt_residual`` at ``final`` can be about twice
-    the l1 weight even on a converged solve.
+    ``final`` is the last step's subproblem output (x_next, y_pred,
+    lam_pred), the point the stopping rule certifies. After an unrelaxed
+    step it is the new pair itself; after a relaxed one the observer's
+    ``v_new`` holds the extrapolated pair a continued run starts from.
     """
 
     final: Iterate
@@ -233,8 +232,6 @@ def run(
     """
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
-    x_last = np.zeros(problem.n1)
-    stop_reason = "max_iter"
     lam_norm, b_norm = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)
     for k in range(1, config.max_iter + 1):
         try:
@@ -242,16 +239,13 @@ def run(
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
         records.append(record)
-        x_last = pred.x_next
-        if not finite:
-            v = v_new
-            stop_reason = "non_finite"
-            break
-        if observer is not None:
+        if finite and observer is not None:
             observer(v, pred, v_new, record)
+        if not finite or record.within_tolerance or k == config.max_iter:
+            break
         del pred  # free the prediction's arrays before the next step allocates
         v = v_new
-        if record.within_tolerance:
-            stop_reason = "converged"
-            break
-    return SolveResult(Iterate(x_last, v.y, v.lam), records, stop_reason)
+    stop_reason = "converged" if record.within_tolerance else "max_iter"
+    if not finite:
+        stop_reason = "non_finite"
+    return SolveResult(Iterate(pred.x_next, pred.y_pred, pred.lam_pred), records, stop_reason)

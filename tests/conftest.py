@@ -82,11 +82,13 @@ def subproblem_residual():
 
 @pytest.fixture
 def one_step():
-    """A single step of config's variant from v: (v_next, record)."""
+    """A single step of config's variant from v: (v_next, record), v_next being
+    the new pair the observer sees."""
 
     def step(problem, v, config):
-        result = run(problem, replace(config, max_iter=1), v)
-        return EssentialState(result.final.y, result.final.lam), result.records[0]
+        pairs = []
+        result = run(problem, replace(config, max_iter=1), v, lambda *seen: pairs.append(seen[2]))
+        return pairs[0], result.records[0]
 
     return step
 

@@ -256,6 +256,38 @@ def test_fejer_flags_violations_instead_of_raising():
     assert report.monotonicity_violations[0][0] == 0
 
 
+def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance():
+    # the tolerance is 1e-8 D0, so a transition that grows the H-distance to
+    # v* by 1e-6 D0 is a violation of about that size
+    chain = scalar_chain()
+    mats = AnalysisMatrices(1.0, 1.0, chain.apply_B)
+    v_star = EssentialState(np.array([0.0]), np.array([0.0]))
+    v_old = EssentialState(np.array([1.0]), np.array([0.5]))
+    d0 = h_norm_sq(v_old, mats)
+    grow = np.sqrt(1.0 + 1e-6)
+    report = FejerMonitor(v_star, mats, "classical")
+    report.transition(v_old, EssentialState(grow * v_old.y, grow * v_old.lam), False)
+    assert [k for k, _ in report.monotonicity_violations] == [0]
+    assert report.monotonicity_violations[0][1] == pytest.approx(1e-6 * d0, rel=1e-6)
+
+
+def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
+    # classical steps are analysed at H(1), whatever gamma the config carries
+    config = SolverConfig(variant="classical", beta=0.8, gamma=1.6, max_iter=40)
+    ref = reference_solution(small_quadratic, config.beta, 1e-10, 1e-8)
+    monitor = FejerMonitor.for_config(small_quadratic, config, ref)
+    pairs = []
+
+    def observe(v_old, pred, v_new, record):
+        pairs.extend([v_new] if pairs else [v_old, v_new])
+        monitor(v_old, pred, v_new, record)
+
+    run(small_quadratic, config, observer=observe)
+    unit = AnalysisMatrices(config.beta, 1.0, small_quadratic.apply_B)
+    assert len(pairs) > 2
+    assert monitor.h_dist_sq == [h_norm_sq(v - ref, unit) for v in pairs]
+
+
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
 def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant):
     # an unrelaxed over-relaxed step is a classical step, monotone in H(gamma)

@@ -240,21 +240,37 @@ def test_run_aborts_on_nonfinite_iterate():
 
 @pytest.mark.parametrize("case", ["converged", "max_iter", "non_finite"])
 def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_start):
-    tight = dict(variant="classical", eps_abs=1e-14, eps_rel=1e-14)
+    tight = dict(eps_abs=1e-14, eps_rel=1e-14)
     problem, config = {
         "converged": (chain, SolverConfig(variant="classical", max_iter=500)),
-        "max_iter": (chain, SolverConfig(max_iter=3, **tight)),
-        "non_finite": (_NanAfterTwo(), SolverConfig(max_iter=50, **tight)),
+        # relaxed_customized relaxes every step, so the last one is relaxed
+        "max_iter": (
+            chain, SolverConfig(variant="relaxed_customized", gamma=1.5, max_iter=3, **tight)
+        ),
+        "non_finite": (_NanAfterTwo(), SolverConfig(variant="classical", max_iter=50, **tight)),
     }[case]
     observed = []
-    result = run(problem, config, chain_start, observer=lambda *step: observed.append(step[-1]))
+    result = run(problem, config, chain_start, observer=lambda *step: observed.append(step))
     assert result.stop_reason == case
     assert result.converged == (case == "converged") == result.records[-1].within_tolerance
     assert result.iterations == len(result.records)
     assert (result.iterations < 500) if case == "converged" else (result.iterations == 3)
     # the observer gets each step's own record; a non-finite step is not observed
     seen = result.records[:-1] if case == "non_finite" else result.records
-    assert len(observed) == len(seen) and all(got is rec for got, rec in zip(observed, seen))
+    assert len(observed) == len(seen)
+    assert all(step[-1] is rec for step, rec in zip(observed, seen))
+    # final is the last step's subproblem output, not the pair a relaxed step
+    # extrapolates to; a non-finite step's output is formed from the last pair observed
+    _, pred, v_new, record = observed[-1]
+    if case == "non_finite":
+        pred = predict(problem, v_new, config.beta)
+    final = result.final
+    for got, want in zip((final.x, final.y, final.lam), (pred.x_next, pred.y_pred, pred.lam_pred)):
+        assert got.tobytes() == want.tobytes()
+    if case == "max_iter":
+        assert record.relaxed and final.y.tobytes() != v_new.y.tobytes()
+    if case == "non_finite":
+        assert np.isnan(final.y).all()
 
 
 class _FactorizationBreaks(QuadraticProblem):

@@ -4,7 +4,7 @@ The reference below forms the early multiplier on every step, writes the
 relaxation v - gamma (v - v_pred) out, forms every residual as Ax + By - b
 and takes all six norms of the gate's rounding bound afresh. ``run`` reuses
 differences and norms across these; the reuse must not change a bit of any
-record, flag or final pair.
+record, flag or returned subproblem output.
 """
 
 import math
@@ -21,11 +21,12 @@ GOLDEN = settings(max_examples=30, deadline=None, derandomize=True, database=Non
 
 
 def reference_run(problem, config, v):
-    """(records, final x, final pair) of the written-out step loop."""
+    """(records, x, y_pred, lam_pred) of the written-out step loop, the last
+    three from its last step."""
     norm = np.linalg.norm
     beta, gamma, b = config.beta, config.gamma, problem.rhs_b
     customized = config.variant == "relaxed_customized"
-    records, x = [], np.zeros(problem.n1)
+    records = []
     for k in range(1, config.max_iter + 1):
         x = problem.solve_x(v.y, v.lam, beta)
         ax = problem.apply_A(x)
@@ -68,7 +69,7 @@ def reference_run(problem, config, v):
         v = EssentialState(y_new, lam_new)
         if not v.finite or records[-1].within_tolerance:
             break
-    return records, x, v
+    return records, x, y_pred, lam_pred
 
 
 def _bits(value):
@@ -81,10 +82,10 @@ def _record_bits(records):
 
 def assert_bitwise_like_reference(problem, config, v0):
     result = run(problem, config, v0)
-    records, x, v = reference_run(problem, config, v0)
+    records, x, y_pred, lam_pred = reference_run(problem, config, v0)
     assert _record_bits(result.records) == _record_bits(records)
     assert [r.relaxed for r in result.records] == [r.relaxed for r in records]
-    for got, want in ((result.final.x, x), (result.final.y, v.y), (result.final.lam, v.lam)):
+    for got, want in ((result.final.x, x), (result.final.y, y_pred), (result.final.lam, lam_pred)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
