@@ -6,16 +6,11 @@ quantity by hand: the x-solve gives 0.5, the y-solve 0.25, and the two
 multiplier updates -0.25 and 0.5.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from admmkit import (
-    EssentialState,
-    SolverConfig,
-    criterion_value,
-    predict,
-    relax,
-    run,
-)
+from admmkit import EssentialState, SolverConfig, predict, run
 from admmkit.quadratic import scalar_chain
 
 problem = scalar_chain()
@@ -30,14 +25,18 @@ print(f"  lam_pred  = {pred.lam_pred[0]: .4f}   (multiplier from the updated y)"
 print(f"  lam_early = {pred.lam_early[0]: .4f}   (multiplier from the old y)")
 
 # the relaxation gate: extrapolate only when this inner product is >= 0
-# (a value within its rounding error of zero reads as exactly 0)
-crit = criterion_value(pred, v0, problem, beta=1.0)
-print(f"\nrelaxation criterion value = {crit:.4f}"
-      f" -> {'extrapolate' if crit >= 0 else 'take the plain step'}")
+# (a value within its rounding error of zero reads as exactly 0); one
+# over-relaxed step records what the gate read and whether it fired
+config = SolverConfig(variant="over_relaxed", beta=1.0, gamma=1.5)
+record = run(problem, replace(config, max_iter=1), v0).records[0]
+print(f"\nrelaxation criterion value = {record.criterion_value:.4f}"
+      f" -> {'extrapolate' if record.relaxed else 'take the plain step'}")
 
-# what the extrapolated point would look like anyway
-forced = relax(v0, pred, gamma=1.5)
-print(f"forced extrapolation with gamma=1.5: y = {forced.y[0]:.4f}, lam = {forced.lam[0]:.4f}")
+# what the extrapolated point v0 - gamma (v0 - (y_pred, lam_pred)) would be anyway
+gamma = config.gamma
+forced_y = v0.y[0] - gamma * (v0.y[0] - pred.y_pred[0])
+forced_lam = v0.lam[0] - gamma * (v0.lam[0] - pred.lam_pred[0])
+print(f"forced extrapolation with gamma=1.5: y = {forced_y:.4f}, lam = {forced_lam:.4f}")
 
 # full solves with each variant
 print("\nfull solves to (1e-10, 1e-8) tolerances from (1, 0):")

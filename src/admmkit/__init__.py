@@ -9,15 +9,7 @@ on their shared l1 split (:mod:`admmkit.l1split`), quadratic test instances
 CLI in :mod:`admmkit.cli`).
 """
 
-from .engine import (
-    Prediction,
-    SolveResult,
-    SolverError,
-    criterion_value,
-    predict,
-    relax,
-    run,
-)
+from .engine import Prediction, SolveResult, SolverError, predict, run
 from .model import (
     VARIANTS,
     DimensionMismatchError,
@@ -39,9 +31,7 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "SolverError",
-    "criterion_value",
     "predict",
-    "relax",
     "run",
 ]
 

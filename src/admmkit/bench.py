@@ -168,7 +168,9 @@ def _run_cell(spec: BenchmarkSpec, size, tol):
     return data, monitors
 
 
-def _write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | None):
+def write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | None):
+    """One row per step of ``result``; with ``diag``, the monitor's four
+    analysis cells too, blank on a step it did not observe."""
     header = ["k", "primal_residual", "dual_residual", "criterion_value", "relaxed"]
     if diag is not None:
         header += ["h_dist_sq", "g_norm_sq", "monotone_violation", "gap_violation"]
@@ -258,7 +260,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
                 runs, times = data[variant]
                 rows.append(_summary_row(spec, size, tol, variant, runs, times))
                 traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
-                _write_trajectory_csv(traj_path, runs[0], diag.get(variant))
+                write_trajectory_csv(traj_path, runs[0], diag.get(variant))
                 trajectory_files.append(traj_path)
     summary_csv = out / "summary.csv"
     summary_table = out / "summary.txt"

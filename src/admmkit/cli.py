@@ -20,7 +20,6 @@ as a reference solve that does not converge) is a usage error (exit code
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +33,7 @@ from .bench import (
     emit_trajectory_plotdata,
     generate_instance,
     run_benchmark,
+    write_trajectory_csv,
 )
 from .diagnostics import (
     DENSE_LIMIT,
@@ -228,11 +228,15 @@ def _cmd_compare(args) -> int:
     instance, problem_name, config = _single_setup(args)
     results = {variant: run(instance, replace(config, variant=variant)) for variant in VARIANTS}
     path = emit_trajectory_plotdata(results, args.out / f"compare_{problem_name}.csv")
-    print(f"{'variant':<20} {'iterations':>10} {'stop':>10} {'||r||':>12} {'||s||':>12}")
+    print(
+        f"{'variant':<20} {'iterations':>10} {'relaxed':>8} {'stop':>10} "
+        f"{'||r||':>12} {'||s||':>12}"
+    )
     for variant, result in results.items():
         last = result.records[-1]
+        relaxed = sum(rec.relaxed for rec in result.records)
         print(
-            f"{variant:<20} {result.iterations:>10} {result.stop_reason:>10} "
+            f"{variant:<20} {result.iterations:>10} {relaxed:>8} {result.stop_reason:>10} "
             f"{last.primal_residual_norm:>12.3e} {last.dual_residual_norm:>12.3e}"
         )
     print(f"residual curves: {path}")
@@ -265,19 +269,12 @@ def _cmd_diagnose(args) -> int:
     result = run(instance, config, observer=observe)
 
     diag_path = args.out / f"diagnose_{problem_name}_{args.variant}.csv"
-    with open(diag_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "h_dist_sq", "g_norm_sq", "criterion_value", "relaxed",
-             "monotone_violation", "gap_violation"]
-        )
-        for rec in result.records[: len(monitor.g_norm_sq)]:
-            h_val, g_val, mono, gap = monitor.row(rec)
-            writer.writerow(
-                [rec.k, h_val, g_val, rec.criterion_value, int(rec.relaxed), mono, gap]
-            )
-
-    print(f"variant={args.variant} iterations={result.iterations} stop={result.stop_reason}")
+    write_trajectory_csv(diag_path, result, monitor)
+    relaxed = sum(rec.relaxed for rec in result.records)
+    print(
+        f"variant={args.variant} iterations={result.iterations} relaxed={relaxed} "
+        f"stop={result.stop_reason}"
+    )
     if instance.n2 + instance.m <= DENSE_LIMIT:
         dense = build_matrices(dense_B(instance), mats.beta, mats.gamma)
         h_gap = float(np.abs(dense.H - dense.Q @ np.linalg.inv(dense.M)).max())

@@ -10,13 +10,13 @@ bitwise exact.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from .covsel import CovselInstance
 from .lasso import LassoInstance
+from .model import is_finite_real
 
 MAGIC = b"ADMMKIT1\n"
 
@@ -55,9 +55,7 @@ def _header_field(path, header, key, integer):
     if integer:
         ok, expected = type(value) is int and value > 0, "a positive integer"
     else:
-        # abs() <= max is False for NaN and inf, and compares huge ints exactly
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        expected = "a finite number"
+        ok, expected = is_finite_real(value), "a finite number"
     if not ok:
         raise ValueError(f"{path}: header field {key!r} must be {expected}, got {value!r}")
     return value if integer else float(value)

@@ -2,15 +2,17 @@
 
 Each step consumes only the essential pair v = (y, lam): the x-block is an
 intermediary recomputed from v. A step runs one prediction sweep
-(:func:`predict`) to the auxiliary point, evaluates the sign criterion
-(:func:`criterion_value`), and either applies the correction
-v+ = v - gamma (v - v_pred) (:func:`relax`) or takes the predicted pair. The
-variants differ only in two choices: ``classical`` never relaxes,
-``over_relaxed`` relaxes when the criterion is nonnegative to within its
-rounding error, and the ``relaxed_customized`` baseline updates the
-multiplier before the y-block and always relaxes. :func:`run` iterates the
-step and can pass every step to an observer, which is how
-:mod:`admmkit.diagnostics` watches a solve.
+(:func:`predict`) to the auxiliary point, evaluates the sign criterion on
+d = v - (y_pred, lam_pred), and either applies the correction
+v+ = v - gamma d or takes the predicted pair. The variants differ only in
+two choices: ``classical`` never relaxes, ``over_relaxed`` relaxes when the
+criterion is nonnegative to within its rounding error, and the
+``relaxed_customized`` baseline updates the multiplier before the y-block
+and always relaxes. The step's :class:`~admmkit.model.IterationRecord` says
+what the gate read (``criterion_value``) and whether it fired (``relaxed``).
+:func:`run` iterates the step and can pass every step to an observer, which
+is how :mod:`admmkit.diagnostics` watches a solve; one step is
+``run(problem, replace(config, max_iter=1), v, observer)``.
 """
 
 from __future__ import annotations
@@ -150,34 +152,6 @@ def _criterion(pred: Prediction, d: EssentialState, problem, beta, lam_norm, b_n
     return crit, ax, r, lam_pred
 
 
-def criterion_value(
-    pred: Prediction, v: EssentialState, problem: SeparableProblem, beta: float
-) -> float:
-    """Relaxation-safety inner product (lam - lam_pred) . B(y - y_pred) of the
-    prediction ``pred`` made from ``v`` at ``beta``; exactly 0.0 when it lies
-    within its rounding error of zero (see :data:`CRITERION_ROUNDING_FACTOR`)."""
-    norms = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)
-    return _criterion(pred, v - pred.essential, problem, beta, *norms)[0]
-
-
-def relax(v: EssentialState, pred: Prediction, gamma: float) -> EssentialState:
-    """Extrapolate: v - gamma * (v - predicted point).
-
-    gamma = 1 returns the predicted pair exactly (no arithmetic), so a
-    unit-factor relaxed run is bitwise identical to the plain variant.
-    """
-    if not 0.0 < gamma < 2.0:
-        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
-    return _relaxed(v, pred, gamma, v - pred.essential)
-
-
-def _relaxed(v, pred, gamma, d: EssentialState) -> EssentialState:
-    """:func:`relax` given d = v - (y_pred, lam_pred)."""
-    if gamma == 1.0:
-        return pred.essential
-    return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
-
-
 def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, b_norm):
     """One prediction-correction step from v, given ||lam|| and ||b||; returns
     (pred, v_new, record, ||lam_new||, whether v_new is finite)."""
@@ -188,7 +162,10 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
     relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
     norm = np.linalg.norm
     if relaxed:
-        v_new = _relaxed(v, pred, config.gamma, d)
+        # v - gamma d; gamma = 1 takes the predicted pair itself, so a
+        # unit-factor relaxed run is bitwise identical to the plain variant
+        g = config.gamma
+        v_new = pred.essential if g == 1.0 else EssentialState(v.y - g * d.y, v.lam - g * d.lam)
         dy = v_new.y - v.y
         r_norm = norm(pred.ax + problem.apply_B(v_new.y) - problem.rhs_b)
         lam_norm = norm(v_new.lam)

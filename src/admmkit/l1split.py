@@ -7,12 +7,11 @@ x-solve. The y-solve is elementwise soft thresholding at weight / beta.
 
 from __future__ import annotations
 
-import math
 from abc import abstractmethod
 
 import numpy as np
 
-from .model import SeparableProblem
+from .model import SeparableProblem, is_finite_real
 
 
 def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
@@ -29,10 +28,9 @@ class L1SplitProblem(SeparableProblem):
     rest of the contract, with every residual a max-norm."""
 
     def __init__(self, dim: int, weight: float, weight_name: str):
-        weight = float(weight)
-        if not (math.isfinite(weight) and weight > 0):
-            raise ValueError(f"{weight_name} must be finite and positive, got {weight}")
-        self.weight = weight
+        if not (is_finite_real(weight) and weight > 0):
+            raise ValueError(f"{weight_name} must be finite and positive, got {weight!r}")
+        self.weight = float(weight)
         self.n1 = self.n2 = self.m = dim
         self._rhs = np.zeros(dim)
 

@@ -7,10 +7,10 @@ so new applications plug in without touching the iteration code.
 
 from __future__ import annotations
 
-import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -95,6 +95,14 @@ def require_finite(name: str, values) -> None:
     """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf."""
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool, a string, None or an
+    array is not one. abs() <= max is False for NaN and inf and compares a
+    huge int exactly."""
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _require_full_column_rank(B: np.ndarray) -> None:
@@ -185,8 +193,8 @@ class SolverConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for name in ("beta", "gamma", "eps_abs", "eps_rel"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.beta > 0:

@@ -28,6 +28,25 @@ def small_quadratic(rng):
     return QuadraticProblem.random(n1=3, n2=4, m=6, rng=rng)
 
 
+class NanAfterTwo(QuadraticProblem):
+    """x - y = 0 in one dimension whose third y-solve returns NaN."""
+
+    def __init__(self):
+        super().__init__([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[-1.0]], [0.0])
+        self.calls = 0
+
+    def solve_y(self, x, lam, beta):
+        self.calls += 1
+        if self.calls > 2:
+            return np.array([np.nan])
+        return super().solve_y(x, lam, beta)
+
+
+@pytest.fixture(scope="session")
+def nan_after_two():
+    return NanAfterTwo
+
+
 @pytest.fixture
 def solve_traced():
     """run() that also returns the trajectory v^0 .. v^K seen by an observer."""
@@ -91,6 +110,18 @@ def one_step():
         return pairs[0], result.records[0]
 
     return step
+
+
+@pytest.fixture
+def extrapolate():
+    """Reference of the relaxed correction v - gamma (v - (y_pred, lam_pred)),
+    applied whether or not the gate would fire, for the analysis identities."""
+
+    def relaxed(v, pred, gamma):
+        d = v - pred.essential
+        return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
+
+    return relaxed
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, SolverConfig, predict, relax, run
+from admmkit import EssentialState, SolverConfig, predict, run
 from admmkit import covsel, lasso
 from admmkit.bench import BenchmarkSpec, run_benchmark
 from admmkit.diagnostics import (
@@ -99,7 +99,7 @@ def test_criterion_2_covsel_variant_ordering(covsel_table_runs):
     )
 
 
-def test_criterion_3_exact_algebraic_identities():
+def test_criterion_3_exact_algebraic_identities(extrapolate):
     rng = np.random.default_rng(7)
     gammas = [0.5, 1.3, 1.5, 1.7, 1.9]
     betas = [0.1, 0.7, 1.0, 3.0, 10.0]
@@ -125,7 +125,7 @@ def test_criterion_3_exact_algebraic_identities():
             float(np.abs(split).max(initial=0.0)) / max(1.0, np.abs(pred.lam_pred).max()),
         )
 
-        v_next = relax(v, pred, gamma)  # relaxation applied, as the identities assume
+        v_next = extrapolate(v, pred, gamma)  # relaxation applied, as the identities assume
         worst["corr"] = max(worst["corr"], correction_residual(v, v_next, pred, mats))
 
         direct = g_form(v - pred.essential_early, mats)

@@ -1,9 +1,16 @@
 import csv
 
+import numpy as np
 import pytest
 
-from admmkit import SolverConfig, run
-from admmkit.bench import BenchmarkSpec, emit_trajectory_plotdata, run_benchmark
+from admmkit import EssentialState, SolverConfig, run
+from admmkit.bench import (
+    BenchmarkSpec,
+    emit_trajectory_plotdata,
+    run_benchmark,
+    write_trajectory_csv,
+)
+from admmkit.diagnostics import FejerMonitor
 from admmkit.lasso import generate_instance
 
 
@@ -114,6 +121,22 @@ def test_diagnostics_columns_clean_on_converging_cell(tmp_path):
             assert (r["monotone_violation"], r["gap_violation"]) == CLEAN_CELLS[key]
             seen.add(key)
     assert seen == set(CLEAN_CELLS)
+
+
+def test_trajectory_csv_leaves_the_unobserved_non_finite_step_blank(tmp_path, nan_after_two):
+    problem = nan_after_two()
+    config = SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-12)
+    monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    v0 = EssentialState(np.array([1.0]), np.array([0.0]))
+    result = run(problem, config, v0, observer=monitor)
+    assert result.stop_reason == "non_finite" and result.iterations == 3
+    write_trajectory_csv(tmp_path / "traj.csv", result, monitor)
+    with open(tmp_path / "traj.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    analysis = ("h_dist_sq", "g_norm_sq", "monotone_violation", "gap_violation")
+    assert [int(r["k"]) for r in rows] == [1, 2, 3]
+    assert all(r[c] != "" for r in rows[:2] for c in analysis[:3])
+    assert [rows[-1][c] for c in analysis] == ["", "", "", ""]
 
 
 def test_benchmark_outputs_are_deterministic(tmp_path):

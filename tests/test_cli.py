@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from admmkit import SolverConfig, run
 from admmkit.cli import main
 from admmkit.container import load_instance, save_instance
 from admmkit.diagnostics import DENSE_LIMIT
@@ -44,6 +45,18 @@ def test_compare_subcommand(tmp_path, capsys):
     assert (tmp_path / "compare_lasso.csv").exists()
     out = capsys.readouterr().out
     assert "over_relaxed" in out and "relaxed_customized" in out
+    # the relaxed column counts the steps whose gate fired
+    lines = out.splitlines()
+    assert lines[0].split()[:4] == ["variant", "iterations", "relaxed", "stop"]
+    instance = generate_instance(40, 60, 1)[0]
+    for line in lines[1:4]:
+        variant, iterations, relaxed = line.split()[:3]
+        records = run(instance, SolverConfig(variant=variant, gamma=1.8, max_iter=300)).records
+        assert (int(iterations), int(relaxed)) == (len(records), sum(r.relaxed for r in records))
+        if variant == "classical":
+            assert relaxed == "0"
+        if variant == "relaxed_customized":
+            assert relaxed == iterations
 
 
 def test_diagnose_subcommand(tmp_path, capsys):
@@ -82,7 +95,18 @@ def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, vari
     # the CSV's violation cells are likewise blank where a step skipped the check
     with open(tmp_path / f"diagnose_lasso_{variant}.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows
+    assert list(rows[0]) == [
+        "k", "primal_residual", "dual_residual", "criterion_value", "relaxed",
+        "h_dist_sq", "g_norm_sq", "monotone_violation", "gap_violation",
+    ]
+    # relaxed= counts the steps whose gate fired: none for classical, every
+    # one for relaxed_customized
+    relaxed = sum(r["relaxed"] == "1" for r in rows)
+    assert f" iterations={len(rows)} relaxed={relaxed} stop=" in out
+    if variant == "classical":
+        assert relaxed == 0
+    if variant == "relaxed_customized":
+        assert relaxed == len(rows)
     for r in rows:
         # every classical and over-relaxed step is checked for monotonicity,
         # a relaxed over-relaxed one also for the gap inequality

@@ -206,6 +206,6 @@ def test_instance_validation(rng):
     nan_S[0, 0] = np.nan
     with pytest.raises(ValueError, match="S must be finite"):
         CovselInstance(nan_S, tau=0.1)
-    for tau in (np.inf, np.nan):
+    for tau in (np.inf, np.nan, "x", None):
         with pytest.raises(ValueError, match="tau must be finite and positive"):
             CovselInstance(np.eye(3), tau=tau)

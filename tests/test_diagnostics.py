@@ -8,7 +8,6 @@ from admmkit import (
     SolverConfig,
     SolverError,
     predict,
-    relax,
     run,
 )
 from admmkit import covsel, lasso
@@ -166,11 +165,11 @@ def test_g_norm_expanded_zero_at_fixed_point():
     assert g_norm_expanded(pred, v, v, mats) == 0.0
 
 
-def test_g_norm_expanded_matches_direct_form_on_forced_relaxation():
+def test_g_norm_expanded_matches_direct_form_on_forced_relaxation(extrapolate):
     chain = scalar_chain()
     v = EssentialState(np.array([1.0]), np.array([0.0]))
     pred = predict(chain, v, 1.0)
-    v_next = relax(v, pred, 1.5)
+    v_next = extrapolate(v, pred, 1.5)
     mats = build_matrices(dense_B(chain), 1.0, 1.5)
     direct = g_form(v - pred.essential_early, mats)
     expanded = g_norm_expanded(pred, v, v_next, mats)
@@ -199,13 +198,13 @@ def test_g_norm_expanded_nonnegative_on_criterion_held_steps(solve_traced):
     assert checked > 0
 
 
-def test_correction_identity_on_forced_relaxation(rng, small_quadratic):
+def test_correction_identity_on_forced_relaxation(rng, small_quadratic, extrapolate):
     problem = small_quadratic
     mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.7)
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         pred = predict(problem, v, 0.9)
-        v_next = relax(v, pred, 1.7)
+        v_next = extrapolate(v, pred, 1.7)
         assert correction_residual(v, v_next, pred, mats) <= 1e-12
 
 

@@ -5,9 +5,7 @@ from admmkit import (
     EssentialState,
     SolverConfig,
     SolverError,
-    criterion_value,
     predict,
-    relax,
     run,
 )
 from admmkit import lasso
@@ -53,49 +51,21 @@ def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residu
         assert subproblem_residual(instance, "y", pred.x_next, pred.y_pred, v.lam, 1.0) <= 1e-10
 
 
-def test_criterion_value_scalar_chain(chain, chain_start):
-    pred = predict(chain, chain_start, beta=1.0)
-    assert criterion_value(pred, chain_start, chain, 1.0) == pytest.approx(-0.1875)
-
-
 def test_criterion_zero_at_fixed_point(chain, one_step):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
-    pred = predict(chain, v, beta=1.0)
-    assert criterion_value(pred, v, chain, 1.0) == 0.0
     v_next, rec = one_step(chain, v, SolverConfig(variant="over_relaxed", gamma=1.8))
-    assert rec.relaxed
+    assert rec.criterion_value == 0.0 and rec.relaxed
     assert np.array_equal(v_next.y, v.y) and np.array_equal(v_next.lam, v.lam)
 
 
-def test_relax_arithmetic(chain, chain_start):
-    pred = predict(chain, chain_start, beta=1.0)
-    out = relax(chain_start, pred, 1.5)
-    assert out.y == pytest.approx(-0.125)
-    assert out.lam == pytest.approx(-0.375)
-
-
 def test_relax_gamma_one_returns_prediction_exactly(chain, chain_start):
-    pred = predict(chain, chain_start, beta=1.0)
-    out = relax(chain_start, pred, 1.0)
-    assert out.y is pred.y_pred and out.lam is pred.lam_pred
-
-
-def test_relax_fixed_point_is_fixed(rng):
-    y = rng.standard_normal(4)
-    lam = rng.standard_normal(4)
-    v = EssentialState(y, lam)
-    from admmkit.engine import Prediction
-
-    pred = Prediction(np.zeros(4), y.copy(), lam.copy(), lam.copy(), np.zeros(4), np.zeros(4))
-    out = relax(v, pred, 1.8)
-    assert np.array_equal(out.y, y) and np.array_equal(out.lam, lam)
-
-
-def test_relax_rejects_out_of_range_gamma(chain, chain_start):
-    pred = predict(chain, chain_start, beta=1.0)
-    for gamma in (0.0, 2.0, -0.5):
-        with pytest.raises(ValueError):
-            relax(chain_start, pred, gamma)
+    # a relaxed unit-gamma step hands the observer pred's own arrays, no arithmetic
+    seen = []
+    config = SolverConfig(variant="relaxed_customized", gamma=1.0, max_iter=1)
+    result = run(chain, config, chain_start, lambda *step: seen.append(step))
+    (_, pred, v_new, rec), = seen
+    assert rec.relaxed and rec is result.records[0]
+    assert v_new.y is pred.y_pred and v_new.lam is pred.lam_pred
 
 
 def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_start, one_step):
@@ -216,20 +186,8 @@ def test_vanishing_essential_change_on_converged_run(essential_change):
     assert change.last <= 0.1 * change.first
 
 
-class _NanAfterTwo(QuadraticProblem):
-    def __init__(self):
-        super().__init__([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[-1.0]], [0.0])
-        self.calls = 0
-
-    def solve_y(self, x, lam, beta):
-        self.calls += 1
-        if self.calls > 2:
-            return np.array([np.nan])
-        return super().solve_y(x, lam, beta)
-
-
-def test_run_aborts_on_nonfinite_iterate():
-    problem = _NanAfterTwo()
+def test_run_aborts_on_nonfinite_iterate(nan_after_two):
+    problem = nan_after_two()
     config = SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-12, max_iter=50)
     start = EssentialState(np.array([1.0]), np.array([0.0]))
     result = run(problem, config, start)
@@ -239,7 +197,7 @@ def test_run_aborts_on_nonfinite_iterate():
 
 
 @pytest.mark.parametrize("case", ["converged", "max_iter", "non_finite"])
-def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_start):
+def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_start, nan_after_two):
     tight = dict(eps_abs=1e-14, eps_rel=1e-14)
     problem, config = {
         "converged": (chain, SolverConfig(variant="classical", max_iter=500)),
@@ -247,7 +205,7 @@ def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_sta
         "max_iter": (
             chain, SolverConfig(variant="relaxed_customized", gamma=1.5, max_iter=3, **tight)
         ),
-        "non_finite": (_NanAfterTwo(), SolverConfig(variant="classical", max_iter=50, **tight)),
+        "non_finite": (nan_after_two(), SolverConfig(variant="classical", max_iter=50, **tight)),
     }[case]
     observed = []
     result = run(problem, config, chain_start, observer=lambda *step: observed.append(step))

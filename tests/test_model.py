@@ -31,6 +31,11 @@ from admmkit import lasso
         dict(eps_rel=float("nan")),
         dict(max_iter=2.5),
         dict(max_iter="100"),
+        dict(beta="1"),
+        dict(variant="over_relaxed", gamma=None),
+        dict(eps_abs=[1e-5]),
+        dict(beta=True),
+        dict(variant="relaxed_customized", gamma=-0.5),
     ],
 )
 def test_solver_config_rejects_bad_values(kwargs):
