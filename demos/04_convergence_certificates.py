@@ -16,6 +16,7 @@ from admmkit.diagnostics import (
     build_matrices,
     correction_residual,
     dense_B,
+    dense_identity_residuals,
     g_form,
     g_norm_expanded,
     kkt_residual,
@@ -27,7 +28,7 @@ instance, _ = generate_instance(100, 200, 0)
 beta, gamma = 1.0, 1.8
 
 dense = build_matrices(dense_B(instance), beta, gamma)
-h_residual = np.abs(dense.H - dense.Q @ np.linalg.inv(dense.M)).max()
+h_residual, _ = dense_identity_residuals(dense)
 print(f"metric factorization H = Q M^-1 holds to {h_residual:.2e}")
 print(f"smallest eigenvalue of H: {np.linalg.eigvalsh(dense.H)[0]:.4f} (positive definite)")
 print(f"gap form G is indefinite for gamma > 1: eigenvalue range "

@@ -21,7 +21,7 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig
+from .model import VARIANTS, SolverConfig, is_finite_real, is_integer
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -30,15 +30,25 @@ GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
 PLOT_FLOOR = 1e-300
 
 
+def _is_count(value) -> bool:
+    return is_integer(value) and value >= 1
+
+
+def _is_pair(entry, valid) -> bool:
+    """Whether ``entry`` is a tuple or list of two values that pass ``valid``."""
+    return isinstance(entry, (tuple, list)) and len(entry) == 2 and all(map(valid, entry))
+
+
 @dataclass
 class BenchmarkSpec:
     """Experimental grid for :func:`run_benchmark`.
 
-    ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel;
-    ``tolerances`` holds (eps_abs, eps_rel) pairs. ``gamma=None`` resolves to
-    the per-problem default. ``tau`` applies to covsel instances only. A
-    repeated size or tolerance pair, or a value that any solver config of the
-    grid rejects, such as an unknown variant, is rejected here.
+    ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel,
+    positive integers either way; ``tolerances`` holds (eps_abs, eps_rel)
+    pairs. ``gamma=None`` resolves to the per-problem default. ``tau``
+    applies to covsel instances only. A malformed entry or field, a repeated
+    size or tolerance pair, or a value that any solver config of the grid
+    rejects, such as an unknown variant, raises ValueError naming the field.
     """
 
     problem: str
@@ -57,15 +67,31 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.problem not in ("lasso", "covsel"):
             raise ValueError(f"unknown problem {self.problem!r}")
-        if not self.sizes:
-            raise ValueError("sizes must be nonempty")
-        if not self.tolerances:
-            raise ValueError("tolerances must be nonempty")
+        for name in ("repeats", "seed_base"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.tau is not None and not is_finite_real(self.tau):
+            raise ValueError(f"tau must be a finite number, got {self.tau!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must be nonnegative")
         if not self.variants:
             raise ValueError("variants must be nonempty")
-        if self.problem == "lasso":
+        lasso = self.problem == "lasso"
+        grid = (
+            ("sizes", (lambda e: _is_pair(e, _is_count)) if lasso else _is_count,
+             "an (m, n) pair of positive integers" if lasso else "a positive integer"),
+            ("tolerances", lambda e: _is_pair(e, is_finite_real),
+             "an (eps_abs, eps_rel) pair of finite numbers"),
+        )
+        for name, valid, shape in grid:
+            entries = getattr(self, name)
+            if not isinstance(entries, (list, tuple)) or not entries:
+                raise ValueError(f"{name} must be a nonempty list")
+            if bad := [e for e in entries if not valid(e)]:
+                raise ValueError(f"{name} entry {bad[0]!r} is not {shape}")
+        if lasso:
             self.sizes = [(int(m), int(n)) for m, n in self.sizes]
         else:
             self.sizes = [int(n) for n in self.sizes]

@@ -205,8 +205,12 @@ def run(
     default start is the all-zero essential pair. Records are numbered from
     k = 1 for the first completed step. ``observer``, if given, is called as
     ``observer(v_old, pred, v_new, record)`` after every step whose new pair
-    is finite, with ``record`` the step's entry of ``records``.
+    is finite, with ``record`` the step's entry of ``records``. A ``v0``
+    that is not an :class:`EssentialState` of finite vectors of the
+    problem's sizes raises ValueError naming it.
     """
+    if v0 is not None and not isinstance(v0, EssentialState):
+        raise ValueError(f"v0 must be an EssentialState, got {type(v0).__name__}")
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
     lam_norm, b_norm = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)

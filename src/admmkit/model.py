@@ -105,6 +105,11 @@ def is_finite_real(value) -> bool:
     return real and abs(value) <= sys.float_info.max
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _require_full_column_rank(B: np.ndarray) -> None:
     """Raise ValueError unless B's singular values stay above 1e-10 times the
     largest; otherwise the analysis metric H is not positive definite."""
@@ -115,7 +120,10 @@ def _require_full_column_rank(B: np.ndarray) -> None:
 
 
 def _as_vector(value, name: str, dim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float).ravel()
+    try:
+        arr = np.asarray(value, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if arr.shape != (dim,):
         raise DimensionMismatchError(name, (dim,), arr.shape)
     return arr
@@ -162,8 +170,8 @@ class EssentialState:
         """This pair as a starting point ``v0`` for ``problem``: flat float
         vectors of the right sizes, each checked finite by name."""
         v0 = EssentialState(
-            _as_vector(self.y, "y", problem.n2),
-            _as_vector(self.lam, "lam", problem.m),
+            _as_vector(self.y, "v0.y", problem.n2),
+            _as_vector(self.lam, "v0.lam", problem.m),
         )
         require_finite("v0.y", v0.y)
         require_finite("v0.lam", v0.lam)
@@ -195,7 +203,7 @@ class SolverConfig:
         for name in ("beta", "gamma", "eps_abs", "eps_rel"):
             if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, Integral):
+        if not is_integer(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")

@@ -18,6 +18,7 @@ from admmkit.diagnostics import (
     build_matrices,
     correction_residual,
     dense_B,
+    dense_identity_residuals,
     g_form,
     g_norm_expanded,
     reference_solution,
@@ -103,7 +104,7 @@ def test_criterion_3_exact_algebraic_identities(extrapolate):
     rng = np.random.default_rng(7)
     gammas = [0.5, 1.3, 1.5, 1.7, 1.9]
     betas = [0.1, 0.7, 1.0, 3.0, 10.0]
-    worst = dict(h=0.0, corr=0.0, expand=0.0, split=0.0)
+    worst = dict(h=0.0, g=0.0, corr=0.0, expand=0.0, split=0.0)
     for trial in range(100):
         n2 = int(rng.integers(1, 9))
         n1 = int(rng.integers(1, 7))
@@ -114,7 +115,9 @@ def test_criterion_3_exact_algebraic_identities(extrapolate):
         gamma = gammas[trial % len(gammas)]
         mats = build_matrices(dense_B(problem), beta, gamma)
 
-        worst["h"] = max(worst["h"], float(np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max()))
+        h_residual, g_residual = dense_identity_residuals(mats)
+        worst["h"] = max(worst["h"], h_residual)
+        worst["g"] = max(worst["g"], g_residual / max(1.0, float(np.abs(mats.G).max())))
 
         v = EssentialState(rng.standard_normal(n2), rng.standard_normal(m))
         pred = predict(problem, v, beta)
@@ -135,6 +138,7 @@ def test_criterion_3_exact_algebraic_identities(extrapolate):
 
     checks = (
         worst["h"] <= 1e-10
+        and worst["g"] <= 1e-12
         and worst["corr"] <= 1e-12
         and worst["expand"] <= 1e-8
         and worst["split"] <= 1e-12
@@ -143,7 +147,8 @@ def test_criterion_3_exact_algebraic_identities(extrapolate):
         3,
         "exact algebraic identities on 100 random small instances",
         checks,
-        f"max residuals: H-QM^-1 {worst['h']:.1e}, correction {worst['corr']:.1e}, "
+        f"max residuals: H-QM^-1 {worst['h']:.1e}, G decomposition {worst['g']:.1e}, "
+        f"correction {worst['corr']:.1e}, "
         f"gap-form {worst['expand']:.1e}, multiplier split {worst['split']:.1e}",
     )
 

@@ -43,6 +43,19 @@ def test_spec_validation(tmp_path):
         _tiny_spec(tmp_path, sizes=[(40, 60), (30, 50), (40, 60)])
     with pytest.raises(ValueError, match=r"tolerances lists \(1e-05, 0.001\) more than once"):
         _tiny_spec(tmp_path, tolerances=[(1e-5, 1e-3)] * 2)
+    # each field is checked by type before any comparison, and named
+    for field, bad in [
+        ("repeats", "2"), ("repeats", True), ("seed_base", "1"), ("seed_base", 1.0),
+        ("seed_base", -1), ("tau", "x"), ("tau", float("nan")),
+        ("sizes", [("a", 2)]), ("sizes", [None]), ("sizes", [(40, 0)]), ("sizes", [(40,)]),
+        ("sizes", 40), ("tolerances", [(1e-5,)]), ("tolerances", [("1e-5", 1e-3)]),
+        ("tolerances", [None]),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            _tiny_spec(tmp_path, **{field: bad})
+    for bad in [(20, 20), True, 2.0]:
+        with pytest.raises(ValueError, match="sizes entry .* is not a positive integer"):
+            BenchmarkSpec(problem="covsel", sizes=[bad], tolerances=[(1e-5, 1e-3)])
 
 
 def test_gamma_defaults_per_problem(tmp_path):

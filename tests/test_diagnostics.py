@@ -19,7 +19,7 @@ from admmkit.diagnostics import (
     build_matrices,
     correction_residual,
     dense_B,
-    g_decomposition_residual,
+    dense_identity_residuals,
     g_form,
     g_norm_expanded,
     h_norm_sq,
@@ -45,7 +45,7 @@ def test_gap_form_at_unit_gamma_is_psd_corner():
 def test_metric_factorization_random_block(rng):
     B = rng.standard_normal((3, 2))
     mats = build_matrices(B, beta=0.7, gamma=1.8)
-    assert np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max() <= 1e-10
+    assert dense_identity_residuals(mats)[0] <= 1e-10
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9])
@@ -53,7 +53,7 @@ def test_metric_factorization_random_block(rng):
 def test_metric_factorization_and_definiteness_grid(gamma, beta, rng):
     B = rng.standard_normal((5, 3))
     mats = build_matrices(B, beta=beta, gamma=gamma)
-    assert np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max() <= 1e-10
+    assert dense_identity_residuals(mats)[0] <= 1e-10
     assert np.abs(mats.H - mats.H.T).max() == 0.0
     assert np.abs(mats.G - mats.G.T).max() == 0.0
     assert np.linalg.eigvalsh(mats.H)[0] > 0.0
@@ -63,7 +63,9 @@ def test_g_decomposition_consistency(rng):
     B = rng.standard_normal((6, 4))
     mats = build_matrices(B, beta=0.3, gamma=1.7)
     scale = np.abs(mats.G).max()
-    assert g_decomposition_residual(mats) <= 1e-12 * scale
+    assert dense_identity_residuals(mats)[1] <= 1e-12 * scale
+    with pytest.raises(ValueError, match="dense matrices"):
+        dense_identity_residuals(AnalysisMatrices(0.3, 1.7, mats.apply_B))
 
 
 def test_rank_deficient_block_rejected():

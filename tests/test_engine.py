@@ -154,6 +154,22 @@ def test_run_rejects_non_finite_initial_state_by_name(problem, operand, bad):
         run(instance, SolverConfig(variant="over_relaxed", gamma=1.5), v0)
 
 
+def test_run_rejects_a_starting_pair_that_is_not_an_essential_state():
+    instance, _ = lasso.generate_instance(10, 20, 0)
+    v0 = EssentialState.zeros(instance)
+    with pytest.raises(ValueError, match="v0 must be an EssentialState, got tuple"):
+        run(instance, SolverConfig(), (v0.y, v0.lam))
+
+
+@pytest.mark.parametrize("operand", ["y", "lam"])
+def test_run_rejects_a_non_numeric_initial_state_by_name(operand):
+    instance, _ = lasso.generate_instance(10, 20, 0)
+    v0 = EssentialState.zeros(instance)
+    fields = {"y": v0.y, "lam": v0.lam, operand: ["a"] * getattr(v0, operand).size}
+    with pytest.raises(ValueError, match=f"v0.{operand} must be an array of numbers"):
+        run(instance, SolverConfig(), EssentialState(**fields))
+
+
 def test_dual_update_consistency_on_plain_steps(solve_traced):
     instance, _ = lasso.generate_instance(50, 90, 4)
     config = SolverConfig(variant="classical", max_iter=60)
