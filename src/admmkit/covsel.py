@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .l1split import L1SplitProblem
 from .model import require_finite
@@ -31,6 +32,12 @@ def _symmetrize(M):
 
 class CovselInstance(L1SplitProblem):
     """Empirical covariance S and l1 weight tau over n x n symmetric matrices.
+
+    S must be finite, symmetric to 1e-12 scale and positive semidefinite to
+    1e-10 scale, where scale = max(1, max|S|). Definiteness is accepted when
+    S + 1e-10 scale I admits a Cholesky factor; only when it does not does
+    ``eigvalsh`` decide, so a valid S costs one factorization and no
+    eigen-solve.
 
     Iterates, a caller's ``v0`` included, are symmetric matrices flattened to
     length n^2. The X-update's syrk product and the elementwise updates keep
@@ -48,9 +55,14 @@ class CovselInstance(L1SplitProblem):
             raise ValueError(f"S must be symmetric; max asymmetry {skew:.3e}")
         super().__init__(S.shape[0] ** 2, tau, "tau")
         S = _symmetrize(S)
-        eig_min = float(np.linalg.eigvalsh(S)[0])
-        if eig_min < -1e-10 * scale:
-            raise ValueError(f"S must be positive semidefinite; min eigenvalue {eig_min:.3e}")
+        # LAPACK factors the Fortran-ordered copy in place; the factor is
+        # dropped, only its success is read.
+        shifted = S.copy(order="F")
+        shifted.flat[:: S.shape[0] + 1] += 1e-10 * scale
+        if dpotrf(shifted, overwrite_a=1, clean=0)[1] != 0:
+            eig_min = float(np.linalg.eigvalsh(S)[0])
+            if eig_min < -1e-10 * scale:
+                raise ValueError(f"S must be positive semidefinite; min eigenvalue {eig_min:.3e}")
         self.S = S
         self.n = S.shape[0]
 

@@ -102,10 +102,11 @@ def _cholesky_solve(upper, rhs):
 def generate_instance(m: int, n: int, seed: int):
     """Seeded synthetic regression data.
 
-    A is i.i.d. standard Gaussian with columns scaled to unit l2 norm; the
-    ground truth has min(100, n // 10) Gaussian nonzero entries at random
-    positions; observations are b = A x_true + noise with per-coordinate
-    variance 1e-3; the l1 weight is 0.1 times the critical value ||A'b||_inf.
+    A is i.i.d. standard Gaussian with columns scaled to unit l2 norm in
+    place, so generation never holds a second float copy of A; the ground
+    truth has min(100, n // 10) Gaussian nonzero entries at random positions;
+    observations are b = A x_true + noise with per-coordinate variance 1e-3;
+    the l1 weight is 0.1 times the critical value ||A'b||_inf.
 
     Returns
     -------
@@ -116,7 +117,11 @@ def generate_instance(m: int, n: int, seed: int):
         raise ValueError("m and n must be positive")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    A = A / np.linalg.norm(A, axis=0)
+    # Column norms over blocks of at most 64 columns, so A * A is never formed
+    # whole. A block is at least 2 wide unless n = 1, so its sums run row by
+    # row as in np.linalg.norm(A, axis=0) and the norms are bit for bit those.
+    blocks = np.array_split(A, -(-n // 64), axis=1)
+    A /= np.concatenate([np.linalg.norm(block, axis=0) for block in blocks])
     support_size = min(100, n // 10)
     x_true = np.zeros(n)
     support = rng.choice(n, size=support_size, replace=False)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from admmkit import SolverConfig
-from admmkit.covsel import CovselInstance, generate_instance
+from admmkit import SolverConfig, covsel
+from admmkit.covsel import CovselInstance, _symmetrize, generate_instance
 
 
 def _random_spd(n, rng, shift=0.5):
@@ -202,10 +202,65 @@ def test_instance_validation(rng):
         CovselInstance(np.eye(3), tau=0.0)
     with pytest.raises(ValueError):
         CovselInstance(np.zeros((2, 3)), tau=0.1)
-    nan_S = np.eye(3)
-    nan_S[0, 0] = np.nan
-    with pytest.raises(ValueError, match="S must be finite"):
-        CovselInstance(nan_S, tau=0.1)
+    for bad in (np.nan, np.inf):
+        bad_S = np.eye(3)
+        bad_S[0, 0] = bad
+        with pytest.raises(ValueError, match="S must be finite"):
+            CovselInstance(bad_S, tau=0.1)
     for tau in (np.inf, np.nan, "x", None):
         with pytest.raises(ValueError, match="tau must be finite and positive"):
             CovselInstance(np.eye(3), tau=tau)
+
+
+def _with_min_eigenvalue(rel, factor, rng, n=12):
+    """A symmetric S whose smallest eigenvalue is rel * max(1, max|S|), with
+    the rest spread over factor * [1, 2]."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = factor * np.linspace(1.0, 2.0, n)
+    d[0] = 0.0
+    S = _symmetrize((Q * d) @ Q.T)
+    scale = max(1.0, float(np.abs(S).max()))
+    S = _symmetrize(S + rel * scale * np.outer(Q[:, 0], Q[:, 0]))
+    assert np.linalg.eigvalsh(S)[0] == pytest.approx(rel * scale, rel=0.05)
+    return S
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factor", [1.0, 1e6])
+def test_rank_deficient_covariance_is_accepted(seed, factor):
+    # n = 20 draws ceil(0.01 * 400) = 4 samples: S has rank 4 at most
+    instance, _ = generate_instance(20, seed)
+    assert np.linalg.matrix_rank(instance.S) <= 4
+    CovselInstance(instance.S * factor, tau=0.1)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6])
+def test_definiteness_boundary(rng, factor):
+    CovselInstance(_with_min_eigenvalue(-0.5e-10, factor, rng), tau=0.1)
+    with pytest.raises(ValueError, match="semidefinite; min eigenvalue"):
+        CovselInstance(_with_min_eigenvalue(-1e-8, factor, rng), tau=0.1)
+
+
+def test_failed_factorization_defers_to_the_eigenvalues(monkeypatch, rng):
+    # a factorization that fails, as it may within rounding of the shifted
+    # boundary, rejects nothing the eigenvalue test accepts
+    monkeypatch.setattr(covsel, "dpotrf", lambda a, **_: (a, 1))
+    instance, _ = generate_instance(20, 0)
+    CovselInstance(instance.S, tau=0.1)
+    CovselInstance(_with_min_eigenvalue(-0.5e-10, 1.0, rng), tau=0.1)
+    with pytest.raises(ValueError, match="semidefinite; min eigenvalue"):
+        CovselInstance(_with_min_eigenvalue(-1e-8, 1.0, rng), tau=0.1)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e6])
+def test_accepting_a_covariance_solves_no_eigenproblem(monkeypatch, factor):
+    # n = 30 draws 9 samples, so S is singular and the shift must scale with S
+    instance, _ = generate_instance(30, 0)
+    S = instance.S * factor
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve in the constructor")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert np.array_equal(CovselInstance(S, instance.tau).S, S)

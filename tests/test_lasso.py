@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,25 @@ def test_generated_columns_have_unit_norm():
     instance, _ = generate_instance(120, 200, 0)
     norms = np.linalg.norm(instance.A, axis=0)
     assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "m, n", [(50, 1), (1, 50), (40, 65), (1000, 1500), (3000, 1000)]
+)
+def test_generated_design_is_bitwise_the_whole_array_scaling(m, n):
+    instance, _ = generate_instance(m, n, 5)
+    draw = np.random.default_rng(5).standard_normal((m, n))
+    assert np.array_equal(instance.A, draw / np.linalg.norm(draw, axis=0))
+
+
+def test_generation_holds_one_copy_of_the_design():
+    tracemalloc.start()
+    try:
+        instance, _ = generate_instance(3000, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * instance.A.nbytes
 
 
 def test_generation_is_deterministic():
