@@ -27,7 +27,14 @@ DEFAULT_TAU = 0.2
 
 
 def _symmetrize(M):
-    return (M + M.T) / 2.0
+    return _symmetrize_into(M, np.empty(np.shape(M)))
+
+
+def _symmetrize_into(M, out):
+    """(M + M') / 2, written into ``out``."""
+    np.add(M, M.T, out=out)
+    out /= 2.0
+    return out
 
 
 class CovselInstance(L1SplitProblem):
@@ -49,22 +56,26 @@ class CovselInstance(L1SplitProblem):
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"S must be square, got shape {S.shape}")
         require_finite("S", S)
-        skew = float(np.abs(S - S.T).max(initial=0.0))
-        scale = max(1.0, float(np.abs(S).max(initial=0.0)))
+        n = S.shape[0]
+        # One n x n buffer holds |S - S'|, then the shifted (S + S')/2 that
+        # LAPACK factors in place, then (S + S')/2 again, which is kept.
+        t = np.subtract(S, S.T)
+        skew = float(np.abs(t, out=t).max(initial=0.0))
+        scale = max(1.0, float(S.max(initial=0.0)), -float(S.min(initial=0.0)))
         if skew > 1e-12 * scale:
             raise ValueError(f"S must be symmetric; max asymmetry {skew:.3e}")
-        super().__init__(S.shape[0] ** 2, tau, "tau")
-        S = _symmetrize(S)
-        # LAPACK factors the Fortran-ordered copy in place; the factor is
-        # dropped, only its success is read.
-        shifted = S.copy(order="F")
-        shifted.flat[:: S.shape[0] + 1] += 1e-10 * scale
-        if dpotrf(shifted, overwrite_a=1, clean=0)[1] != 0:
+        super().__init__(n ** 2, tau, "tau")
+        _symmetrize_into(S, t).flat[:: n + 1] += 1e-10 * scale
+        # t is exactly symmetric, so t' is the same matrix in Fortran order;
+        # the factor is dropped, only its success is read
+        factored = dpotrf(t.T, overwrite_a=1, clean=0)[1] == 0
+        S = _symmetrize_into(S, t)
+        if not factored:
             eig_min = float(np.linalg.eigvalsh(S)[0])
             if eig_min < -1e-10 * scale:
                 raise ValueError(f"S must be positive semidefinite; min eigenvalue {eig_min:.3e}")
         self.S = S
-        self.n = S.shape[0]
+        self.n = n
 
     #: The l1 weight.
     tau = property(lambda self: self.weight)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Prediction, SolverError, run
 from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
-from .model import _require_full_column_rank
+from .model import _require_full_column_rank, require_instance
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
@@ -260,8 +260,10 @@ class FejerMonitor:
 def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
     """Max of the two stationarity residuals and the feasibility violation.
 
-    Zero (to tolerance) exactly at a saddle point of the Lagrangian.
+    Zero (to tolerance) exactly at a saddle point of the Lagrangian. A ``w``
+    that is not an :class:`~admmkit.model.Iterate` raises ValueError naming it.
     """
+    require_instance("w", w, Iterate)
     w = w.validate(problem)
     feas = float(np.abs(problem.constraint_residual(w.x, w.y)).max(initial=0.0))
     return max(

@@ -30,6 +30,7 @@ from .model import (
     IterationRecord,
     SeparableProblem,
     SolverConfig,
+    require_instance,
 )
 
 
@@ -47,8 +48,9 @@ class Prediction:
     exactly beta * B(y_old - y_pred), and ``lam_early`` is formed, by the
     same formula, when first read (``early`` holds it until then); in the
     multiplier-first sweep the y-block is solved against ``lam_early`` and
-    ``lam_pred`` is ``lam_early``. ``ax`` is A x_next and ``residual`` is the
-    constraint residual behind ``lam_pred``, so a step can reuse both.
+    ``lam_pred`` is ``lam_early``. ``ax`` is A x_next and ``residual_norm``
+    the norm of the constraint residual behind ``lam_pred``, so a step can
+    reuse both; the residual itself is not kept.
     """
 
     x_next: np.ndarray
@@ -56,7 +58,7 @@ class Prediction:
     lam_pred: np.ndarray
     early: np.ndarray | Callable[[], np.ndarray]
     ax: np.ndarray
-    residual: np.ndarray
+    residual_norm: float
 
     @cached_property
     def lam_early(self) -> np.ndarray:
@@ -107,18 +109,51 @@ def predict(
 ) -> Prediction:
     """Run one prediction sweep: x-solve, then the y-solve and multiplier
     updates, the y-block first unless ``multiplier_first``."""
+    return _predict(problem, v, beta, multiplier_first, _offset(problem.rhs_b))
+
+
+def _offset(rhs) -> np.ndarray | None:
+    """``rhs``, or None when every entry is +0.0: subtracting +0.0 changes no
+    float, so the residual then skips that pass and keeps its bits."""
+    return rhs if np.any(rhs) or np.signbit(rhs).any() else None
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 as sqrt(v.dot(v)), the formula np.linalg.norm evaluates for a
+    contiguous 1-d float vector, without its checks and copies."""
+    return math.sqrt(v.dot(v))
+
+
+def _residual(problem: SeparableProblem, ax, y, b) -> np.ndarray:
+    """Ax + By - b, formed in the new array ``apply_B`` returns; ``b`` is None
+    when the right-hand side is zero (see :func:`_offset`)."""
+    r = problem.apply_B(y)
+    np.add(ax, r, out=r)
+    if b is not None:
+        r -= b
+    return r
+
+
+def _multiplier(problem: SeparableProblem, ax, y, lam, beta, b):
+    """(lam - beta r, ||r||) for the residual r = Ax + By - b, the update
+    written over r."""
+    r = _residual(problem, ax, y, b)
+    r_norm = _norm(r)
+    r *= beta
+    return np.subtract(lam, r, out=r), r_norm
+
+
+def _predict(problem, v, beta, multiplier_first, b) -> Prediction:
     x_next = problem.solve_x(v.y, v.lam, beta)
     ax = problem.apply_A(x_next)
-    rhs = problem.rhs_b
     if multiplier_first:
-        residual = ax + problem.apply_B(v.y) - rhs
-        lam_early = v.lam - beta * residual
+        lam_early, r_norm = _multiplier(problem, ax, v.y, v.lam, beta, b)
         y_pred = problem.solve_y(x_next, lam_early, beta)
-        return Prediction(x_next, y_pred, lam_early, lam_early, ax, residual)
+        return Prediction(x_next, y_pred, lam_early, lam_early, ax, r_norm)
     y_pred = problem.solve_y(x_next, v.lam, beta)
-    residual = ax + problem.apply_B(y_pred) - rhs
-    early = lambda: v.lam - beta * (ax + problem.apply_B(v.y) - rhs)  # noqa: E731
-    return Prediction(x_next, y_pred, v.lam - beta * residual, early, ax, residual)
+    lam_pred, r_norm = _multiplier(problem, ax, y_pred, v.lam, beta, b)
+    early = lambda: _multiplier(problem, ax, v.y, v.lam, beta, b)[0]  # noqa: E731
+    return Prediction(x_next, y_pred, lam_pred, early, ax, r_norm)
 
 
 #: The criterion counts as zero within this many units of its rounding bound.
@@ -127,9 +162,9 @@ CRITERION_ROUNDING_FACTOR = 4.0
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _criterion(pred: Prediction, d: EssentialState, problem, beta, lam_norm, b_norm):
-    """The criterion d.lam . B d.y for d = v - (y_pred, lam_pred) and the
-    norms ||Ax||, ||r|| and ||lam_pred||, given ||lam|| and ||b||.
+def _criterion(pred: Prediction, dy, dlam, problem, beta, lam_norm, b_norm):
+    """The criterion dlam . B dy for (dy, dlam) = v - (y_pred, lam_pred) and the
+    norms ||Ax|| and ||lam_pred||, given ||lam|| and ||b||.
 
     With exact subproblem solves the criterion is exactly zero once an l1
     block's sign pattern settles, so in floating point its sign there is
@@ -141,50 +176,74 @@ def _criterion(pred: Prediction, d: EssentialState, problem, beta, lam_norm, b_n
     ||r|| + ||Ax|| + ||b|| with r that multiplier's residual, so S takes no
     operator application.
     """
-    b_gap = problem.apply_B(d.y)
-    crit, gap_sq = float(d.lam @ b_gap), b_gap @ b_gap
-    norm = np.linalg.norm
-    ax, r, lam_pred = norm(pred.ax), norm(pred.residual), norm(pred.lam_pred)
-    by = r + ax + b_norm
-    scale = (lam_norm + lam_pred + beta * (ax + by + b_norm)) * np.sqrt(gap_sq)
+    b_gap = problem.apply_B(dy)
+    crit, gap_sq = float(dlam.dot(b_gap)), b_gap.dot(b_gap)
+    ax, lam_pred = _norm(pred.ax), _norm(pred.lam_pred)
+    by = pred.residual_norm + ax + b_norm
+    scale = (lam_norm + lam_pred + beta * (ax + by + b_norm)) * math.sqrt(gap_sq)
     if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
         crit = 0.0
-    return crit, ax, r, lam_pred
+    return crit, ax, lam_pred
 
 
-def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, b_norm):
-    """One prediction-correction step from v, given ||lam|| and ||b||; returns
-    (pred, v_new, record, ||lam_new||, whether v_new is finite)."""
-    customized = config.variant == "relaxed_customized"
-    pred = predict(problem, v, config.beta, multiplier_first=customized)
-    d = v - pred.essential
-    crit, ax_norm, r_norm, lam_norm = _criterion(pred, d, problem, config.beta, lam_norm, b_norm)
-    relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
-    norm = np.linalg.norm
+@dataclass(frozen=True)
+class _Plan:
+    """What a solve reads once and every step uses: the right-hand side (None
+    when zero), ||b||, the absolute parts sqrt(m) eps_abs and sqrt(n2) eps_abs
+    of the stopping thresholds, and which variant's gate applies."""
+
+    b: np.ndarray | None
+    b_norm: float
+    pri_abs: float
+    dual_abs: float
+    customized: bool
+    gated: bool
+
+
+def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, plan: _Plan):
+    """One prediction-correction step from v, given ||lam||; returns (pred,
+    v_new, record, ||lam_new||, whether v_new is finite).
+
+    Every array the step allocates is either handed on in ``pred`` or
+    ``v_new`` or dropped before the step returns, and none is written after
+    it is handed on.
+    """
+    beta = config.beta
+    pred = _predict(problem, v, beta, plan.customized, plan.b)
+    dy, dlam = v.y - pred.y_pred, v.lam - pred.lam_pred
+    crit, ax_norm, lam_norm_pred = _criterion(pred, dy, dlam, problem, beta, lam_norm, plan.b_norm)
+    relaxed = plan.customized or (plan.gated and crit >= 0.0)
     if relaxed:
-        # v - gamma d; gamma = 1 takes the predicted pair itself, so a
-        # unit-factor relaxed run is bitwise identical to the plain variant
+        # v - gamma d, written over d; gamma = 1 takes the predicted pair
+        # itself, so a unit-factor relaxed run is bitwise the plain variant
         g = config.gamma
-        v_new = pred.essential if g == 1.0 else EssentialState(v.y - g * d.y, v.lam - g * d.lam)
-        dy = v_new.y - v.y
-        r_norm = norm(pred.ax + problem.apply_B(v_new.y) - problem.rhs_b)
-        lam_norm = norm(v_new.lam)
+        if g == 1.0:
+            y_new, lam_new = pred.y_pred, pred.lam_pred
+        else:
+            dy *= g
+            dlam *= g
+            y_new, lam_new = np.subtract(v.y, dy, out=dy), np.subtract(v.lam, dlam, out=dlam)
+        del dy, dlam  # d's buffers are the new pair or free before the residual
+        r_norm = _norm(_residual(problem, pred.ax, y_new, plan.b))
+        dual = _norm(y_new - v.y)
+        lam_norm = _norm(lam_new)
     else:
         # an unrelaxed step's change is -d, with the same norm to the bit
-        v_new, dy = pred.essential, d.y
-    x_norm = ax_norm if pred.ax is pred.x_next else norm(pred.x_next)
-    y_norm = float(norm(v_new.y))
-    eps_pri = np.sqrt(problem.m) * config.eps_abs + config.eps_rel * max(x_norm, y_norm)
-    eps_dual = np.sqrt(problem.n2) * config.eps_abs + config.eps_rel * y_norm
+        y_new, lam_new = pred.y_pred, pred.lam_pred
+        dual, r_norm, lam_norm = _norm(dy), pred.residual_norm, lam_norm_pred
+    x_norm = ax_norm if pred.ax is pred.x_next else _norm(pred.x_next)
+    y_norm = _norm(y_new)
+    eps_rel = config.eps_rel
     record = IterationRecord(
         k=k,
-        primal_residual_norm=float(r_norm),
-        dual_residual_norm=float(norm(dy)),
+        primal_residual_norm=r_norm,
+        dual_residual_norm=dual,
         criterion_value=crit,
         relaxed=relaxed,
-        eps_pri=float(eps_pri),
-        eps_dual=float(eps_dual),
+        eps_pri=plan.pri_abs + eps_rel * max(x_norm, y_norm),
+        eps_dual=plan.dual_abs + eps_rel * y_norm,
     )
+    v_new = EssentialState(y_new, lam_new)
     # a norm is finite when every entry is; the scan decides only an overflow
     finite = (math.isfinite(y_norm) and math.isfinite(lam_norm)) or v_new.finite
     return pred, v_new, record, lam_norm, finite
@@ -207,16 +266,29 @@ def run(
     ``observer(v_old, pred, v_new, record)`` after every step whose new pair
     is finite, with ``record`` the step's entry of ``records``. A ``v0``
     that is not an :class:`EssentialState` of finite vectors of the
-    problem's sizes raises ValueError naming it.
+    problem's sizes raises ValueError naming it, and so does a ``problem``
+    that is not a :class:`SeparableProblem` or a ``config`` that is not a
+    :class:`SolverConfig`.
     """
-    if v0 is not None and not isinstance(v0, EssentialState):
-        raise ValueError(f"v0 must be an EssentialState, got {type(v0).__name__}")
+    require_instance("problem", problem, SeparableProblem)
+    require_instance("config", config, SolverConfig)
+    if v0 is not None:
+        require_instance("v0", v0, EssentialState)
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
-    lam_norm, b_norm = np.linalg.norm(v.lam), np.linalg.norm(problem.rhs_b)
+    b = _offset(problem.rhs_b)
+    plan = _Plan(
+        b=b,
+        b_norm=0.0 if b is None else float(np.linalg.norm(b)),
+        pri_abs=math.sqrt(problem.m) * config.eps_abs,
+        dual_abs=math.sqrt(problem.n2) * config.eps_abs,
+        customized=config.variant == "relaxed_customized",
+        gated=config.variant == "over_relaxed",
+    )
+    lam_norm = _norm(v.lam)
     for k in range(1, config.max_iter + 1):
         try:
-            pred, v_new, record, lam_norm, finite = _step(problem, v, config, k, lam_norm, b_norm)
+            pred, v_new, record, lam_norm, finite = _step(problem, v, config, k, lam_norm, plan)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
         records.append(record)

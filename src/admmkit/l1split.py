@@ -18,8 +18,13 @@ def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
     """Elementwise shrinkage (a - kappa)_+ - (-a - kappa)_+."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    a = np.asarray(a, dtype=float)
-    return a - np.clip(a, -kappa, kappa)
+    return _shrink(np.array(a, dtype=float), kappa)
+
+
+def _shrink(a: np.ndarray, kappa: float) -> np.ndarray:
+    """Soft thresholding as a - clip(a, -kappa, kappa), written over ``a``."""
+    a -= np.clip(a, -kappa, kappa)
+    return a
 
 
 class L1SplitProblem(SeparableProblem):
@@ -32,7 +37,8 @@ class L1SplitProblem(SeparableProblem):
             raise ValueError(f"{weight_name} must be finite and positive, got {weight!r}")
         self.weight = float(weight)
         self.n1 = self.n2 = self.m = dim
-        self._rhs = np.zeros(dim)
+        # b = 0 as a read-only zero-stride view, which holds one float
+        self._rhs = np.broadcast_to(0.0, (dim,))
 
     @abstractmethod
     def smooth(self, x) -> float:
@@ -47,7 +53,7 @@ class L1SplitProblem(SeparableProblem):
         if not beta > 0:
             raise ValueError(f"beta must be positive, got {beta}")
         a = np.divide(lam, beta, dtype=float)
-        return soft_threshold(np.subtract(x, a, out=a), self.weight / beta)
+        return _shrink(np.subtract(x, a, out=a), self.weight / beta)
 
     def apply_A(self, x):
         return x

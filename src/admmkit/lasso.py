@@ -84,19 +84,26 @@ class LassoInstance(L1SplitProblem):
             upper, _ = cho_factor(gram.T, overwrite_a=True)
             require_finite("Cholesky factor", upper)
             cached = self._cache = (beta, upper)
-        rhs = self._atb + beta * np.asarray(y) + np.asarray(lam)
+        # A'b + beta y + lam, summed in that order in one new array
+        rhs = beta * np.asarray(y, dtype=float)
+        np.add(self._atb, rhs, out=rhs)
+        rhs += lam
         if fat:
             small = self.A @ rhs
             require_finite("A(A'b + beta y + lam)", small)
-            return rhs / beta - self.A.T @ _cholesky_solve(cached[1], small) / beta
+            correction = self.A.T @ _cholesky_solve(cached[1], small)
+            correction /= beta
+            rhs /= beta
+            return np.subtract(rhs, correction, out=rhs)
         require_finite("A'b + beta y + lam", rhs)
         return _cholesky_solve(cached[1], rhs)
 
 
 def _cholesky_solve(upper, rhs):
-    """Solve U'U x = rhs with two BLAS triangular solves on the upper
-    Cholesky factor U, which must be Fortran-ordered or f2py copies it."""
-    return dtrsv(upper, dtrsv(upper, rhs, trans=1), overwrite_x=1)
+    """Solve U'U x = rhs in place with two BLAS triangular solves on the upper
+    Cholesky factor U, which must be Fortran-ordered or f2py copies it; rhs
+    must be a contiguous float vector, which the solves overwrite."""
+    return dtrsv(upper, dtrsv(upper, rhs, trans=1, overwrite_x=1), overwrite_x=1)
 
 
 def generate_instance(m: int, n: int, seed: int):

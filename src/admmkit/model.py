@@ -68,7 +68,8 @@ class SeparableProblem(ABC):
 
     @abstractmethod
     def apply_B(self, y: np.ndarray) -> np.ndarray:
-        """Constraint operator applied to the y-block (linear)."""
+        """Constraint operator applied to the y-block (linear), as a new
+        writable array: the engine forms residuals in it."""
 
     @property
     @abstractmethod
@@ -91,10 +92,34 @@ class SeparableProblem(ABC):
         return self.apply_A(x) + self.apply_B(y) - self.rhs_b
 
 
+#: Elements per block when :func:`require_finite` scans a large array.
+FINITE_BLOCK = 1 << 16
+
+
 def require_finite(name: str, values) -> None:
-    """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf."""
-    if not np.isfinite(values).all():
+    """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf.
+
+    A vector is scanned in one call. A larger array is scanned in blocks of
+    rows of about :data:`FINITE_BLOCK` elements, so the check never holds a
+    mask the size of the data.
+    """
+    values = np.asarray(values)
+    if values.ndim < 2 or values.size <= FINITE_BLOCK:
+        finite = np.isfinite(values).all()
+    else:
+        rows = max(1, FINITE_BLOCK * len(values) // values.size)
+        finite = all(
+            np.isfinite(values[i:i + rows]).all() for i in range(0, len(values), rows)
+        )
+    if not finite:
         raise ValueError(f"{name} must be finite")
+
+
+def require_instance(name: str, value, cls: type) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def is_finite_real(value) -> bool:

@@ -331,6 +331,12 @@ def test_kkt_residual_matches_hand_worked_terms(A, b, rho, x, y, lam, expected):
     assert kkt_residual(instance, w) == expected
 
 
+def test_kkt_residual_rejects_a_point_that_is_not_an_iterate(chain):
+    point = (np.array([0.0]), np.array([0.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="w must be an Iterate, got tuple"):
+        kkt_residual(chain, point)
+
+
 def test_kkt_residual_dimension_error_names_operand(chain):
     w = Iterate(np.array([1.0, 2.0]), np.array([1.0]), np.array([0.0]))
     with pytest.raises(DimensionMismatchError) as err:

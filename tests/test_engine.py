@@ -161,6 +161,18 @@ def test_run_rejects_a_starting_pair_that_is_not_an_essential_state():
         run(instance, SolverConfig(), (v0.y, v0.lam))
 
 
+@pytest.mark.parametrize("problem, config, name", [
+    (None, SolverConfig(), "problem must be a SeparableProblem, got NoneType"),
+    ("lasso", None, "config must be a SolverConfig, got NoneType"),
+    ("lasso", {"variant": "classical"}, "config must be a SolverConfig, got dict"),
+])
+def test_run_rejects_a_missing_problem_or_config_by_name(problem, config, name):
+    if problem == "lasso":
+        problem, _ = lasso.generate_instance(10, 20, 0)
+    with pytest.raises(ValueError, match=name):
+        run(problem, config)
+
+
 @pytest.mark.parametrize("operand", ["y", "lam"])
 def test_run_rejects_a_non_numeric_initial_state_by_name(operand):
     instance, _ = lasso.generate_instance(10, 20, 0)
@@ -200,6 +212,27 @@ def test_vanishing_essential_change_on_converged_run(essential_change):
     result = run(instance, config, observer=change)
     assert result.converged
     assert change.last <= 0.1 * change.first
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+@pytest.mark.parametrize("make", [lambda: lasso.generate_instance(30, 50, 2)[0],
+                                  lambda: generate_covsel(12, 2)[0]], ids=["lasso", "covsel"])
+def test_no_array_is_written_after_it_reaches_the_observer(make, variant):
+    # the step updates its own temporaries in place; what it hands on stays put
+    problem = make()
+    seen = []
+
+    def observe(v, pred, v_new, record):
+        arrays = (v.y, v.lam, pred.x_next, pred.y_pred, pred.lam_pred, pred.lam_early,
+                  v_new.y, v_new.lam)
+        seen.append([(a, a.tobytes()) for a in arrays])
+
+    config = SolverConfig(variant=variant, gamma=1.7, max_iter=60)
+    result = run(problem, config, observer=observe)
+    assert len(seen) == result.iterations > 1
+    assert all(a.tobytes() == bits for step in seen for a, bits in step)
+    final = result.final
+    assert all(got is want for got, (want, _) in zip((final.x, final.y, final.lam), seen[-1][2:5]))
 
 
 def test_run_aborts_on_nonfinite_iterate(nan_after_two):

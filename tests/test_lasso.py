@@ -37,6 +37,22 @@ def test_generation_holds_one_copy_of_the_design():
     assert peak < 1.3 * instance.A.nbytes
 
 
+def test_constructor_checks_the_design_without_a_full_size_mask():
+    # the finiteness scan runs over row blocks, so no m x n bool mask is held
+    A = np.random.default_rng(0).standard_normal((3000, 1000))
+    b = np.ones(3000)
+    tracemalloc.start()
+    try:
+        LassoInstance(A, b, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * A.nbytes
+    A[-1, -1] = np.inf
+    with pytest.raises(ValueError, match="A must be finite"):
+        LassoInstance(A, b, 0.1)
+
+
 def test_generation_is_deterministic():
     a, xa = generate_instance(50, 80, 123)
     b, xb = generate_instance(50, 80, 123)

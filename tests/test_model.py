@@ -9,6 +9,7 @@ from admmkit import (
     run,
 )
 from admmkit import lasso
+from admmkit.model import require_finite
 
 
 @pytest.mark.parametrize(
@@ -83,3 +84,15 @@ def test_relaxed_flag_implies_nonnegative_criterion():
             assert rec.criterion_value >= 0
         else:
             assert rec.criterion_value < 0
+
+
+@pytest.mark.parametrize("shape", [(7,), (300, 1000), (70000, 1), (2, 3, 40000)])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_require_finite_finds_a_bad_entry_in_any_block(shape, where, bad):
+    values = np.ones(shape)
+    require_finite("values", values)
+    index = {"first": 0, "middle": values.size // 2, "last": values.size - 1}[where]
+    values.flat[index] = bad
+    with pytest.raises(ValueError, match="values must be finite"):
+        require_finite("values", values)

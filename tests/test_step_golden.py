@@ -10,11 +10,12 @@ record, flag or returned subproblem output.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmkit import VARIANTS, EssentialState, SolverConfig, engine, lasso, run
-from admmkit.model import IterationRecord
+from admmkit import VARIANTS, EssentialState, SolverConfig, covsel, engine, lasso, run
+from admmkit.model import IterationRecord, SeparableProblem
 from admmkit.quadratic import QuadraticProblem
 
 GOLDEN = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -113,3 +114,61 @@ def test_step_is_bitwise_the_reference_on_lasso(seed, rows, cols, variant, gamma
     assert_bitwise_like_reference(
         problem, _config(variant, 1.0, gamma, 40), EssentialState.zeros(problem)
     )
+
+
+@GOLDEN
+@given(st.integers(0, 2**16), st.integers(10, 20), st.sampled_from(VARIANTS),
+       st.sampled_from([1.0, 1.7]), st.sampled_from([0.5, 1.0]))
+def test_step_is_bitwise_the_reference_on_covsel(seed, n, variant, gamma, beta):
+    # flattened n x n matrices: the step's in-place updates on long vectors
+    problem, _ = covsel.generate_instance(n, seed)
+    assert_bitwise_like_reference(
+        problem, _config(variant, beta, gamma, 30), EssentialState.zeros(problem)
+    )
+
+
+class _FixedOutputs(SeparableProblem):
+    """Subproblem outputs fixed so that Ax + By = (-0, 0), and b as given.
+
+    With b = (-0, 0), subtracting b turns the residual's -0 into +0; with
+    b = (1e-200, 0), ||b|| is 0 (the square underflows) but b is not. Either
+    reaches lam_pred, so skipping the subtraction of b is exact only when
+    every entry of b is +0.
+    """
+
+    n1 = n2 = m = 2
+
+    def __init__(self, b):
+        self.b = np.array(b)
+
+    def solve_x(self, y, lam, beta):
+        return np.array([-0.0, 1.0])
+
+    def solve_y(self, x, lam, beta):
+        return np.array([0.0, 1.0])
+
+    def apply_A(self, x):
+        return x
+
+    def apply_B(self, y):
+        return -y
+
+    @property
+    def rhs_b(self):
+        return self.b
+
+    def objective(self, x, y):
+        return 0.0
+
+    def x_stationarity(self, x, lam):
+        return 0.0
+
+    def y_stationarity(self, y, lam):
+        return 0.0
+
+
+@pytest.mark.parametrize("b", [(-0.0, 0.0), (1e-200, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_is_bitwise_the_reference_when_b_is_zero_or_nearly(b, variant):
+    v0 = EssentialState(np.array([-0.0, 0.0]), np.array([-0.0, 0.0]))
+    assert_bitwise_like_reference(_FixedOutputs(b), _config(variant, 1.0, 1.0, 3), v0)
