@@ -27,7 +27,7 @@ DEFAULT_TAU = 0.2
 
 
 def _symmetrize(M):
-    return _symmetrize_into(M, np.empty(np.shape(M)))
+    return (M + M.T) / 2.0
 
 
 def _symmetrize_into(M, out):

@@ -109,13 +109,16 @@ def predict(
 ) -> Prediction:
     """Run one prediction sweep: x-solve, then the y-solve and multiplier
     updates, the y-block first unless ``multiplier_first``."""
-    return _predict(problem, v, beta, multiplier_first, _offset(problem.rhs_b))
-
-
-def _offset(rhs) -> np.ndarray | None:
-    """``rhs``, or None when every entry is +0.0: subtracting +0.0 changes no
-    float, so the residual then skips that pass and keeps its bits."""
-    return rhs if np.any(rhs) or np.signbit(rhs).any() else None
+    x_next = problem.solve_x(v.y, v.lam, beta)
+    ax = problem.apply_A(x_next)
+    if multiplier_first:
+        lam_early, r_norm = _multiplier(problem, ax, v.y, v.lam, beta)
+        y_pred = problem.solve_y(x_next, lam_early, beta)
+        return Prediction(x_next, y_pred, lam_early, lam_early, ax, r_norm)
+    y_pred = problem.solve_y(x_next, v.lam, beta)
+    lam_pred, r_norm = _multiplier(problem, ax, y_pred, v.lam, beta)
+    early = lambda: _multiplier(problem, ax, v.y, v.lam, beta)[0]  # noqa: E731
+    return Prediction(x_next, y_pred, lam_pred, early, ax, r_norm)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -124,36 +127,24 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _residual(problem: SeparableProblem, ax, y, b) -> np.ndarray:
-    """Ax + By - b, formed in the new array ``apply_B`` returns; ``b`` is None
-    when the right-hand side is zero (see :func:`_offset`)."""
+def _residual(problem: SeparableProblem, ax, y) -> np.ndarray:
+    """Ax + By - b, formed in the array ``apply_B`` returns, or in a copy of
+    it when that array is read-only or shares memory with ``y``."""
     r = problem.apply_B(y)
+    if not r.flags.writeable or np.may_share_memory(r, y):
+        r = r.copy()
     np.add(ax, r, out=r)
-    if b is not None:
-        r -= b
+    r -= problem.rhs_b
     return r
 
 
-def _multiplier(problem: SeparableProblem, ax, y, lam, beta, b):
+def _multiplier(problem: SeparableProblem, ax, y, lam, beta):
     """(lam - beta r, ||r||) for the residual r = Ax + By - b, the update
     written over r."""
-    r = _residual(problem, ax, y, b)
+    r = _residual(problem, ax, y)
     r_norm = _norm(r)
     r *= beta
     return np.subtract(lam, r, out=r), r_norm
-
-
-def _predict(problem, v, beta, multiplier_first, b) -> Prediction:
-    x_next = problem.solve_x(v.y, v.lam, beta)
-    ax = problem.apply_A(x_next)
-    if multiplier_first:
-        lam_early, r_norm = _multiplier(problem, ax, v.y, v.lam, beta, b)
-        y_pred = problem.solve_y(x_next, lam_early, beta)
-        return Prediction(x_next, y_pred, lam_early, lam_early, ax, r_norm)
-    y_pred = problem.solve_y(x_next, v.lam, beta)
-    lam_pred, r_norm = _multiplier(problem, ax, y_pred, v.lam, beta, b)
-    early = lambda: _multiplier(problem, ax, v.y, v.lam, beta, b)[0]  # noqa: E731
-    return Prediction(x_next, y_pred, lam_pred, early, ax, r_norm)
 
 
 #: The criterion counts as zero within this many units of its rounding bound.
@@ -186,33 +177,20 @@ def _criterion(pred: Prediction, dy, dlam, problem, beta, lam_norm, b_norm):
     return crit, ax, lam_pred
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What a solve reads once and every step uses: the right-hand side (None
-    when zero), ||b||, the absolute parts sqrt(m) eps_abs and sqrt(n2) eps_abs
-    of the stopping thresholds, and which variant's gate applies."""
-
-    b: np.ndarray | None
-    b_norm: float
-    pri_abs: float
-    dual_abs: float
-    customized: bool
-    gated: bool
-
-
-def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, plan: _Plan):
-    """One prediction-correction step from v, given ||lam||; returns (pred,
-    v_new, record, ||lam_new||, whether v_new is finite).
+def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, b_norm):
+    """One prediction-correction step from v, given ||lam|| and ||b||; returns
+    (pred, v_new, record, ||lam_new||, whether v_new is finite).
 
     Every array the step allocates is either handed on in ``pred`` or
     ``v_new`` or dropped before the step returns, and none is written after
     it is handed on.
     """
     beta = config.beta
-    pred = _predict(problem, v, beta, plan.customized, plan.b)
+    customized = config.variant == "relaxed_customized"
+    pred = predict(problem, v, beta, multiplier_first=customized)
     dy, dlam = v.y - pred.y_pred, v.lam - pred.lam_pred
-    crit, ax_norm, lam_norm_pred = _criterion(pred, dy, dlam, problem, beta, lam_norm, plan.b_norm)
-    relaxed = plan.customized or (plan.gated and crit >= 0.0)
+    crit, ax_norm, lam_norm_pred = _criterion(pred, dy, dlam, problem, beta, lam_norm, b_norm)
+    relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
     if relaxed:
         # v - gamma d, written over d; gamma = 1 takes the predicted pair
         # itself, so a unit-factor relaxed run is bitwise the plain variant
@@ -224,7 +202,7 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
             dlam *= g
             y_new, lam_new = np.subtract(v.y, dy, out=dy), np.subtract(v.lam, dlam, out=dlam)
         del dy, dlam  # d's buffers are the new pair or free before the residual
-        r_norm = _norm(_residual(problem, pred.ax, y_new, plan.b))
+        r_norm = _norm(_residual(problem, pred.ax, y_new))
         dual = _norm(y_new - v.y)
         lam_norm = _norm(lam_new)
     else:
@@ -233,15 +211,15 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
         dual, r_norm, lam_norm = _norm(dy), pred.residual_norm, lam_norm_pred
     x_norm = ax_norm if pred.ax is pred.x_next else _norm(pred.x_next)
     y_norm = _norm(y_new)
-    eps_rel = config.eps_rel
+    eps_abs, eps_rel = config.eps_abs, config.eps_rel
     record = IterationRecord(
         k=k,
         primal_residual_norm=r_norm,
         dual_residual_norm=dual,
         criterion_value=crit,
         relaxed=relaxed,
-        eps_pri=plan.pri_abs + eps_rel * max(x_norm, y_norm),
-        eps_dual=plan.dual_abs + eps_rel * y_norm,
+        eps_pri=math.sqrt(problem.m) * eps_abs + eps_rel * max(x_norm, y_norm),
+        eps_dual=math.sqrt(problem.n2) * eps_abs + eps_rel * y_norm,
     )
     v_new = EssentialState(y_new, lam_new)
     # a norm is finite when every entry is; the scan decides only an overflow
@@ -276,19 +254,10 @@ def run(
         require_instance("v0", v0, EssentialState)
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
-    b = _offset(problem.rhs_b)
-    plan = _Plan(
-        b=b,
-        b_norm=0.0 if b is None else float(np.linalg.norm(b)),
-        pri_abs=math.sqrt(problem.m) * config.eps_abs,
-        dual_abs=math.sqrt(problem.n2) * config.eps_abs,
-        customized=config.variant == "relaxed_customized",
-        gated=config.variant == "over_relaxed",
-    )
-    lam_norm = _norm(v.lam)
+    lam_norm, b_norm = _norm(v.lam), float(np.linalg.norm(problem.rhs_b))
     for k in range(1, config.max_iter + 1):
         try:
-            pred, v_new, record, lam_norm, finite = _step(problem, v, config, k, lam_norm, plan)
+            pred, v_new, record, lam_norm, finite = _step(problem, v, config, k, lam_norm, b_norm)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
         records.append(record)

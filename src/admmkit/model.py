@@ -69,7 +69,9 @@ class SeparableProblem(ABC):
     @abstractmethod
     def apply_B(self, y: np.ndarray) -> np.ndarray:
         """Constraint operator applied to the y-block (linear), as a new
-        writable array: the engine forms residuals in it."""
+        array: the engine forms residuals in it. One that is read-only or
+        shares memory with ``y`` is copied first; one the problem holds on
+        to would be written over."""
 
     @property
     @abstractmethod

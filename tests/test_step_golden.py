@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import VARIANTS, EssentialState, SolverConfig, covsel, engine, lasso, run
-from admmkit.model import IterationRecord, SeparableProblem
+from admmkit.model import IterationRecord
 from admmkit.quadratic import QuadraticProblem
 
 GOLDEN = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -127,48 +127,30 @@ def test_step_is_bitwise_the_reference_on_covsel(seed, n, variant, gamma, beta):
     )
 
 
-class _FixedOutputs(SeparableProblem):
-    """Subproblem outputs fixed so that Ax + By = (-0, 0), and b as given.
+class _IdentityB(QuadraticProblem):
+    """B = I, applied by handing back y itself or a read-only copy of it."""
 
-    With b = (-0, 0), subtracting b turns the residual's -0 into +0; with
-    b = (1e-200, 0), ||b|| is 0 (the square underflows) but b is not. Either
-    reaches lam_pred, so skipping the subtraction of b is exact only when
-    every entry of b is +0.
-    """
-
-    n1 = n2 = m = 2
-
-    def __init__(self, b):
-        self.b = np.array(b)
-
-    def solve_x(self, y, lam, beta):
-        return np.array([-0.0, 1.0])
-
-    def solve_y(self, x, lam, beta):
-        return np.array([0.0, 1.0])
-
-    def apply_A(self, x):
-        return x
+    read_only = False
 
     def apply_B(self, y):
-        return -y
-
-    @property
-    def rhs_b(self):
-        return self.b
-
-    def objective(self, x, y):
-        return 0.0
-
-    def x_stationarity(self, x, lam):
-        return 0.0
-
-    def y_stationarity(self, y, lam):
-        return 0.0
+        if not self.read_only:
+            return y
+        by = y.copy()
+        by.flags.writeable = False
+        return by
 
 
-@pytest.mark.parametrize("b", [(-0.0, 0.0), (1e-200, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("read_only", [False, True], ids=["aliased", "read-only"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_step_is_bitwise_the_reference_when_b_is_zero_or_nearly(b, variant):
-    v0 = EssentialState(np.array([-0.0, 0.0]), np.array([-0.0, 0.0]))
-    assert_bitwise_like_reference(_FixedOutputs(b), _config(variant, 1.0, 1.0, 3), v0)
+def test_step_is_bitwise_the_reference_when_apply_B_returns_its_argument(variant, read_only):
+    # the engine forms residuals in apply_B's output, so it must not write
+    # into y or into an array it may not write
+    rng = np.random.default_rng(5)
+    problem = _IdentityB(2.0 * np.eye(3), rng.standard_normal(3), np.eye(4),
+                         rng.standard_normal(4), rng.standard_normal((4, 3)), np.eye(4),
+                         rng.standard_normal(4))
+    problem.read_only = read_only
+    v0 = EssentialState(rng.standard_normal(4), rng.standard_normal(4))
+    y0 = v0.y.copy()
+    assert_bitwise_like_reference(problem, _config(variant, 1.0, 1.7, 25), v0)
+    assert v0.y.tobytes() == y0.tobytes()
