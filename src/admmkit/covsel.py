@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .l1split import L1SplitProblem
-from .model import require_finite
+from .model import as_real_array, is_integer, require_finite
 
 #: Default l1 weight; produces visibly sparse estimates on desk-scale data.
 DEFAULT_TAU = 0.2
@@ -52,7 +52,7 @@ class CovselInstance(L1SplitProblem):
     """
 
     def __init__(self, S, tau: float = DEFAULT_TAU):
-        S = np.asarray(S, dtype=float)
+        S = as_real_array("S", S)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"S must be square, got shape {S.shape}")
         require_finite("S", S)
@@ -122,6 +122,8 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     (CovselInstance, ndarray)
         The instance and the ground-truth precision matrix.
     """
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 10:
         raise ValueError(f"n must be at least 10, got {n}")
     rng = np.random.default_rng(seed)

@@ -7,14 +7,16 @@ and the prediction-gap matrix Q fall a positive-definite metric H = Q M^-1
 (the norm in which the iterates are Fejer monotone toward the solution set)
 and an indefinite gap form G = Q' + Q - M'HM that lower-bounds per-step
 progress: a relaxed step satisfies (2 - gamma)/gamma ||v - v+||_H^2 <=
-||v - v*||_H^2 - ||v+ - v*||_H^2. These are checked step by step on a live
-solve through quadratic forms that need only applications of B; the dense
+||v - v*||_H^2 - ||v+ - v*||_H^2. These, and the identities of the reading
+itself, are checked step by step on a live solve by :class:`FejerMonitor`
+alone, through quadratic forms that need only applications of B; the dense
 objects of a small B come from :func:`build_matrices` and are checked by
 :func:`dense_identity_residuals` alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .engine import Prediction, SolverError, run
 from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
-from .model import _require_full_column_rank, require_instance
+from .model import _require_full_column_rank, is_finite_real, require_instance
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
@@ -59,13 +61,13 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
     """Materialize M, Q, H, G for a dense constraint block B.
 
     B must have full column rank (checked through its singular values at
-    relative tolerance 1e-10); otherwise H is not positive definite and a
-    ValueError is raised.
+    relative tolerance 1e-10); otherwise H is not positive definite. That, or
+    a beta or gamma that is not a finite number in range, raises ValueError.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not 0.0 < gamma < 2.0:
-        raise ValueError(f"gamma must lie in (0, 2), got {gamma}")
+    if not (is_finite_real(beta) and beta > 0):
+        raise ValueError(f"beta must be a positive finite number, got {beta!r}")
+    if not (is_finite_real(gamma) and 0.0 < gamma < 2.0):
+        raise ValueError(f"gamma must be a finite number in (0, 2), got {gamma!r}")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise ValueError("B must be a 2-d array")
@@ -113,52 +115,17 @@ def h_norm_sq(v: EssentialState, mats: AnalysisMatrices) -> float:
     return float((mats.beta * by @ by + (v.lam @ v.lam) / mats.beta) / mats.gamma)
 
 
-def g_form(d: EssentialState, mats: AnalysisMatrices) -> float:
-    """Quadratic form d'Gd; sign-indefinite for gamma > 1."""
-    bdy = mats.apply_B(d.y)
+def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray | None = None) -> float:
+    """Quadratic form d'Gd; sign-indefinite for gamma > 1. ``bdy`` is B d.y,
+    applied here unless the caller has it."""
+    if bdy is None:
+        bdy = mats.apply_B(d.y)
     gamma, beta = mats.gamma, mats.beta
     return float(
         (2.0 - 2.0 * gamma) * beta * (bdy @ bdy)
         + 2.0 * (gamma - 1.0) * (d.lam @ bdy)
         + (2.0 - gamma) / beta * (d.lam @ d.lam)
     )
-
-
-def g_norm_expanded(
-    pred: Prediction, v_k: EssentialState, v_next: EssentialState, mats: AnalysisMatrices
-) -> float:
-    """Step-form evaluation of ||v - v_tilde||_G^2 after a relaxed step.
-
-    Rewrites the gap form in terms of the realized step (y_k - y_next,
-    lam_k - lam_next) plus the criterion inner product; must agree with
-    :func:`g_form` on the displacement to the auxiliary point whenever the
-    step used the relaxation factor gamma.
-    """
-    cross = (v_k.lam - pred.lam_pred) @ mats.apply_B(v_k.y - pred.y_pred)
-    return float(_step_form(v_k, v_next, mats) + 2.0 * cross)
-
-
-def _step_form(v_old: EssentialState, v_new: EssentialState, mats: AnalysisMatrices) -> float:
-    """(2 - gamma) / gamma ||v_old - v_new||_H^2: the step's share of the gap form."""
-    return (2.0 - mats.gamma) / mats.gamma * h_norm_sq(v_old - v_new, mats)
-
-
-def correction_residual(
-    v_k: EssentialState, v_next: EssentialState, pred: Prediction, mats: AnalysisMatrices
-) -> float:
-    """Relative error in the correction identity v_next = v_k - M (v_k - v_tilde).
-
-    The auxiliary point is (y_pred, lam_early) and M is taken at the analysis
-    gamma; a step where the relaxation was skipped is checked against
-    matrices built at gamma 1.
-    """
-    d = v_k - pred.essential_early
-    m_dy = mats.gamma * d.y
-    m_dlam = mats.gamma * (d.lam - mats.beta * mats.apply_B(d.y))
-    expected = EssentialState(v_k.y - m_dy, v_k.lam - m_dlam)
-    err = np.linalg.norm((v_next - expected).stacked())
-    scale = max(float(np.linalg.norm(v_next.stacked())), 1e-300)
-    return float(err / scale)
 
 
 def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
@@ -183,7 +150,18 @@ class FejerMonitor:
     transition v^k -> v^(k+1); they are reported rather than raised so a
     benchmark can keep running and flag the rows. Which checks apply follows
     the variant (see :func:`_checks`); the tolerance is 1e-8 times the initial
-    distance. Only these per-step floats are kept, never the iterates.
+    distance. Only these per-step floats are kept, never the iterates, and
+    one multiplier-sized scratch vector that every step reuses.
+
+    As the observer it also keeps the largest residual of each identity of
+    the reading, for a step v -> v+ and d = v - (y_pred, lam_early), 0.0 until
+    a step it covers: ``split``, of lam_pred = lam_early + beta B d.y in the
+    max norm over max(1, ||lam_pred||_inf), on the steps the monotonicity
+    check covers; ``correction``, of v+ = v - M d in the 2-norm over ||v+||,
+    and ``expansion``, of d'Gd = (2 - gamma)/gamma ||v - v+||_H^2
+    + 2 (lam - lam_pred)'B d.y over |d'Gd|, on the steps the gap check
+    covers. All three reuse the gap form's B d.y, the expansion the gap
+    check's step form.
     """
 
     def __init__(self, v_star: EssentialState, mats: AnalysisMatrices, variant: str):
@@ -195,6 +173,8 @@ class FejerMonitor:
         self.monotonicity_violations: list[tuple[int, float]] = []
         self.gap_violations: list[tuple[int, float]] = []
         self.tol = 0.0
+        self.split = self.correction = self.expansion = 0.0
+        self._work = None  # lam-sized, formed on the first step that needs it
 
     @classmethod
     def for_config(
@@ -216,14 +196,37 @@ class FejerMonitor:
         return _checks(self.variant, relaxed=True)
 
     def __call__(self, v_old, pred: Prediction, v_new, record: IterationRecord):
-        self.g_norm_sq.append(g_form(v_old - pred.essential_early, self.mats))
-        self.transition(v_old, v_new, record.relaxed)
+        mats, (monotone, gap) = self.mats, _checks(self.variant, record.relaxed)
+        d = v_old - pred.essential_early
+        bdy = mats.apply_B(d.y)
+        direct = g_form(d, mats, bdy)
+        self.g_norm_sq.append(direct)
+        if monotone:
+            # in place, in d and a kept buffer: new covsel-sized vectors fault pages
+            work = self._work = np.subtract(v_old.lam, pred.lam_pred, out=self._work)
+            cross = float(work @ bdy)
+            beta_bdy = np.multiply(mats.beta, bdy, out=work)
+            if gap:  # v+ - (v - M d), written over d
+                np.subtract(d.lam, beta_bdy, out=d.lam)
+                for r, old, new in ((d.y, v_old.y, v_new.y), (d.lam, v_old.lam, v_new.lam)):
+                    r *= mats.gamma
+                    np.subtract(new, np.subtract(old, r, out=r), out=r)
+                err, size = (math.sqrt(a.y @ a.y + a.lam @ a.lam) for a in (d, v_new))
+                self.correction = max(self.correction, err / max(size, 1e-300))
+            split = np.subtract(pred.lam_pred, np.add(pred.lam_early, beta_bdy, out=work), out=work)
+            lam_inf = max(1.0, pred.lam_pred.max(initial=0.0), -pred.lam_pred.min(initial=0.0))
+            self.split = max(self.split, float(np.abs(split, out=split).max(initial=0.0) / lam_inf))
+        del d, bdy  # free before the distance's vectors are formed
+        step_form = self.transition(v_old, v_new, record.relaxed)
+        if gap:
+            expanded = step_form + 2.0 * cross
+            self.expansion = max(self.expansion, abs(direct - expanded) / max(abs(direct), 1e-300))
 
-    def transition(self, v_old, v_new, relaxed: bool) -> None:
+    def transition(self, v_old, v_new, relaxed: bool) -> float | None:
         """Record v_old -> v_new and run the checks the variant covers on it.
-
         The first transition records the starting distance, which sets the
-        tolerance.
+        tolerance. Returns the gap check's step form
+        (2 - gamma)/gamma ||v_old - v_new||_H^2, or None where it did not run.
         """
         if not self.h_dist_sq:
             dist = h_norm_sq(v_old - self.v_star, self.mats)
@@ -236,11 +239,13 @@ class FejerMonitor:
         self.h_dist_sq.append(after)
         if monotone and after > before + self.tol:
             self.monotonicity_violations.append((k, after - before))
-        if gap:
-            lhs = _step_form(v_old, v_new, self.mats)
-            rhs = before - after
-            if lhs > rhs + self.tol:
-                self.gap_violations.append((k, lhs - rhs))
+        if not gap:
+            return None
+        lhs = (2.0 - self.mats.gamma) / self.mats.gamma * h_norm_sq(v_old - v_new, self.mats)
+        rhs = before - after
+        if lhs > rhs + self.tol:
+            self.gap_violations.append((k, lhs - rhs))
+        return lhs
 
     def row(self, rec: IterationRecord) -> list:
         """h_dist_sq, g_norm_sq and the two violation flags of the step behind

@@ -146,11 +146,21 @@ def _require_full_column_rank(B: np.ndarray) -> None:
         raise ValueError("H not positive definite: B rank-deficient")
 
 
-def _as_vector(value, name: str, dim: int) -> np.ndarray:
+def as_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, not copied when it is one; ValueError
+    naming ``name`` for complex values, whose imaginary parts a conversion
+    would drop, or anything else that does not convert to a float."""
     try:
-        arr = np.asarray(value, dtype=float).ravel()
+        arr = np.asarray(value)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    raise ValueError(f"{name} must be real, got complex values")
+
+
+def _as_vector(value, name: str, dim: int) -> np.ndarray:
+    arr = as_real_array(name, value).ravel()
     if arr.shape != (dim,):
         raise DimensionMismatchError(name, (dim,), arr.shape)
     return arr

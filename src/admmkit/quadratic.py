@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SeparableProblem, _require_full_column_rank, require_finite
+from .model import SeparableProblem, _require_full_column_rank, as_real_array, require_finite
 
 
 class QuadraticProblem(SeparableProblem):
@@ -21,13 +21,13 @@ class QuadraticProblem(SeparableProblem):
     """
 
     def __init__(self, P1, q1, P2, q2, A, B, b):
-        self.P1 = np.atleast_2d(np.asarray(P1, dtype=float))
-        self.P2 = np.atleast_2d(np.asarray(P2, dtype=float))
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.q1 = np.asarray(q1, dtype=float).ravel()
-        self.q2 = np.asarray(q2, dtype=float).ravel()
-        self._b = np.asarray(b, dtype=float).ravel()
+        self.P1 = np.atleast_2d(as_real_array("P1", P1))
+        self.P2 = np.atleast_2d(as_real_array("P2", P2))
+        self.A = np.atleast_2d(as_real_array("A", A))
+        self.B = np.atleast_2d(as_real_array("B", B))
+        self.q1 = as_real_array("q1", q1).ravel()
+        self.q2 = as_real_array("q2", q2).ravel()
+        self._b = as_real_array("b", b).ravel()
         self.m, self.n1 = self.A.shape
         self.n2 = self.B.shape[1]
         if self.B.shape[0] != self.m or self._b.shape != (self.m,):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, run
+from admmkit import EssentialState, IterationRecord, predict, run
 from admmkit.covsel import _symmetrize
 from admmkit.quadratic import QuadraticProblem, scalar_chain
 
@@ -45,6 +45,24 @@ class NanAfterTwo(QuadraticProblem):
 @pytest.fixture(scope="session")
 def nan_after_two():
     return NanAfterTwo
+
+
+class IdentityB(QuadraticProblem):
+    """B = I, applied by handing back y itself or a read-only copy of it."""
+
+    read_only = False
+
+    def apply_B(self, y):
+        if not self.read_only:
+            return y
+        by = y.copy()
+        by.flags.writeable = False
+        return by
+
+
+@pytest.fixture(scope="session")
+def identity_b():
+    return IdentityB
 
 
 @pytest.fixture
@@ -122,6 +140,64 @@ def extrapolate():
         return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
 
     return relaxed
+
+
+@pytest.fixture
+def forced_step(extrapolate):
+    """(v, pred, v_next, record) of a plain sweep from v whose relaxation by
+    gamma is applied whether or not the gate would fire, and a record saying
+    it relaxed: the arguments of an observer call on a forced relaxed step."""
+
+    def step(problem, v, beta, gamma):
+        pred = predict(problem, v, beta)
+        record = IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0)
+        return v, pred, extrapolate(v, pred, gamma), record
+
+    return step
+
+
+# Test-side formulas of the three per-step identities, each on the dense
+# M, H, G and B of build_matrices and in the scaling FejerMonitor keeps.
+
+
+@pytest.fixture(scope="session")
+def split_residual():
+    """Max-norm residual of lam_pred = lam_early + beta B(y - y_pred),
+    relative to max(1, ||lam_pred||_inf)."""
+
+    def residual(v, pred, mats):
+        recombined = pred.lam_early + mats.beta * mats.apply_B(v.y - pred.y_pred)
+        return np.abs(pred.lam_pred - recombined).max() / max(1.0, np.abs(pred.lam_pred).max())
+
+    return residual
+
+
+@pytest.fixture(scope="session")
+def correction_residual():
+    """2-norm residual of v_next = v - M(v - v_tilde) at the auxiliary point
+    v_tilde = (y_pred, lam_early), relative to ||v_next||."""
+
+    def residual(v, pred, v_next, mats):
+        expected = v.stacked() - mats.M @ (v - pred.essential_early).stacked()
+        target = v_next.stacked()
+        return np.linalg.norm(target - expected) / max(np.linalg.norm(target), 1e-300)
+
+    return residual
+
+
+@pytest.fixture(scope="session")
+def expansion_mismatch():
+    """|d'Gd - e| / |d'Gd| for d = v - v_tilde and its step form
+    e = (2 - gamma)/gamma ||v - v_next||_H^2 + 2 (lam - lam_pred)'B(y - y_pred)."""
+
+    def mismatch(v, pred, v_next, mats):
+        d, step = (v - pred.essential_early).stacked(), (v - v_next).stacked()
+        direct = d @ mats.G @ d
+        cross = (v.lam - pred.lam_pred) @ mats.apply_B(v.y - pred.y_pred)
+        expanded = (2.0 - mats.gamma) / mats.gamma * (step @ mats.H @ step) + 2.0 * cross
+        return abs(direct - expanded) / max(abs(direct), 1e-300)
+
+    return mismatch
 
 
 @pytest.fixture

@@ -10,17 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, SolverConfig, predict, run
+from admmkit import EssentialState, SolverConfig, run
 from admmkit import covsel, lasso
 from admmkit.bench import BenchmarkSpec, run_benchmark
 from admmkit.diagnostics import (
+    AnalysisMatrices,
     FejerMonitor,
     build_matrices,
-    correction_residual,
     dense_B,
     dense_identity_residuals,
-    g_form,
-    g_norm_expanded,
     reference_solution,
 )
 from admmkit.l1split import soft_threshold
@@ -100,11 +98,15 @@ def test_criterion_2_covsel_variant_ordering(covsel_table_runs):
     )
 
 
-def test_criterion_3_exact_algebraic_identities(extrapolate):
+def test_criterion_3_exact_algebraic_identities(
+    forced_step, split_residual, correction_residual, expansion_mismatch
+):
     rng = np.random.default_rng(7)
     gammas = [0.5, 1.3, 1.5, 1.7, 1.9]
     betas = [0.1, 0.7, 1.0, 3.0, 10.0]
-    worst = dict(h=0.0, g=0.0, corr=0.0, expand=0.0, split=0.0)
+    bounds = dict(h=1e-10, g=1e-12, split=1e-12, correction=1e-12, expansion=1e-8)
+    worst = dict.fromkeys(bounds, 0.0)  # the dense identities, then the monitor's maxima
+    formulas = dict(split=0.0, correction=0.0, expansion=0.0)  # the test-side formulas
     for trial in range(100):
         n2 = int(rng.integers(1, 9))
         n1 = int(rng.integers(1, 7))
@@ -119,37 +121,32 @@ def test_criterion_3_exact_algebraic_identities(extrapolate):
         worst["h"] = max(worst["h"], h_residual)
         worst["g"] = max(worst["g"], g_residual / max(1.0, float(np.abs(mats.G).max())))
 
+        # relaxation applied, as the identities assume, and observed by a
+        # matrix-free monitor
         v = EssentialState(rng.standard_normal(n2), rng.standard_normal(m))
-        pred = predict(problem, v, beta)
+        step = forced_step(problem, v, beta, gamma)
+        _, pred, v_next, _ = step
+        monitor = FejerMonitor(v, AnalysisMatrices(beta, gamma, problem.apply_B), "over_relaxed")
+        monitor(*step)
+        for name, value in (
+            ("split", split_residual(v, pred, mats)),
+            ("correction", correction_residual(v, pred, v_next, mats)),
+            ("expansion", expansion_mismatch(v, pred, v_next, mats)),
+        ):
+            worst[name] = max(worst[name], getattr(monitor, name))
+            formulas[name] = max(formulas[name], value)
 
-        split = pred.lam_pred - (pred.lam_early + beta * problem.apply_B(v.y - pred.y_pred))
-        worst["split"] = max(
-            worst["split"],
-            float(np.abs(split).max(initial=0.0)) / max(1.0, np.abs(pred.lam_pred).max()),
-        )
-
-        v_next = extrapolate(v, pred, gamma)  # relaxation applied, as the identities assume
-        worst["corr"] = max(worst["corr"], correction_residual(v, v_next, pred, mats))
-
-        direct = g_form(v - pred.essential_early, mats)
-        expanded = g_norm_expanded(pred, v, v_next, mats)
-        scale = max(abs(direct), abs(expanded), 1e-12)
-        worst["expand"] = max(worst["expand"], abs(direct - expanded) / scale)
-
-    checks = (
-        worst["h"] <= 1e-10
-        and worst["g"] <= 1e-12
-        and worst["corr"] <= 1e-12
-        and worst["expand"] <= 1e-8
-        and worst["split"] <= 1e-12
-    )
+    checks = all(worst[k] <= bounds[k] for k in bounds)
+    checks = checks and all(formulas[k] <= bounds[k] for k in formulas)
     _report(
         3,
         "exact algebraic identities on 100 random small instances",
         checks,
         f"max residuals: H-QM^-1 {worst['h']:.1e}, G decomposition {worst['g']:.1e}, "
-        f"correction {worst['corr']:.1e}, "
-        f"gap-form {worst['expand']:.1e}, multiplier split {worst['split']:.1e}",
+        + ", ".join(
+            f"{k} {worst[k]:.1e} (test-side {formulas[k]:.1e})"
+            for k in ("correction", "expansion", "split")
+        ),
     )
 
 

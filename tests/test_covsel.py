@@ -44,6 +44,18 @@ def test_generation_requires_minimum_size():
         generate_instance(5, 0)
 
 
+@pytest.mark.parametrize("n", ["20", 20.0, None])
+def test_generation_names_a_size_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+        generate_instance(n, 0)
+
+
+def test_complex_covariance_is_rejected_by_name():
+    # a float conversion would drop the imaginary part with a ComplexWarning
+    with pytest.raises(ValueError, match="^S must be real, got complex values$"):
+        CovselInstance(np.eye(3) * 1j)
+
+
 def test_x_update_scalar_zero_input():
     instance = CovselInstance(np.array([[1.0]]), tau=0.1)
     # R = beta*Y + Lam - S = 0, so x solves x - 1/x = 0

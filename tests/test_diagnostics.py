@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from admmkit import (
     DimensionMismatchError,
     EssentialState,
     Iterate,
+    IterationRecord,
     SolverConfig,
     SolverError,
     predict,
@@ -17,11 +20,9 @@ from admmkit.diagnostics import (
     AnalysisMatrices,
     FejerMonitor,
     build_matrices,
-    correction_residual,
     dense_B,
     dense_identity_residuals,
     g_form,
-    g_norm_expanded,
     h_norm_sq,
     kkt_residual,
     reference_solution,
@@ -85,6 +86,18 @@ def test_parameter_validation():
     for beta, gamma in [(0.0, 1.5), (1.0, 0.0), (1.0, 2.0)]:
         with pytest.raises(ValueError):
             build_matrices(np.eye(2), beta=beta, gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "beta, gamma, message",
+    [("1", 1.5, "beta must be a positive finite number, got '1'"),
+     (1.0, "1.5", r"gamma must be a finite number in \(0, 2\), got '1.5'"),
+     (None, 1.5, "beta must be a positive finite number, got None"),
+     (1.0, np.nan, r"gamma must be a finite number in \(0, 2\), got nan")],
+)
+def test_parameters_that_are_not_numbers_are_named(beta, gamma, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_matrices(np.eye(3), beta, gamma)
 
 
 def test_quadratic_forms_match_dense_products(rng):
@@ -159,63 +172,162 @@ def test_for_config_applies_no_B(variant, rng):
     assert problem.b_calls == 0
 
 
-def test_g_norm_expanded_zero_at_fixed_point():
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_monitor_reuses_the_gap_forms_B_application(variant, rng):
+    # per observed step: B d.y for the gap form, which the three identities
+    # share, and B (v+ - v*) for the distance; once more on the first step for
+    # the starting distance, and once more for the gap check's step form, which
+    # the expansion shares
+    problem = _CountingB.random(n1=3, n2=4, m=6, rng=rng)
+    config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, eps_abs=1e-12, eps_rel=1e-12)
+    monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    seen = []
+
+    def observe(v, pred, v_new, record):
+        pred.lam_early  # the engine's own deferred application, counted apart
+        before = problem.b_calls
+        monitor(v, pred, v_new, record)
+        seen.append((problem.b_calls - before, record.relaxed))
+
+    v0 = EssentialState(rng.standard_normal(4), rng.standard_normal(6))
+    run(problem, replace(config, max_iter=30), v0, observer=observe)
+    gap = variant == "over_relaxed"
+    assert [calls for calls, _ in seen] == [
+        2 + (k == 0) + (gap and relaxed) for k, (_, relaxed) in enumerate(seen)
+    ]
+    if gap:  # both kinds of step were counted
+        assert {relaxed for _, relaxed in seen} == {False, True}
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["aliased", "read-only"])
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b):
+    # the identities are formed in place; an apply_B that returns its argument
+    # or a read-only array must read the same as B @ y, and no observed array
+    # may change
+    rng = np.random.default_rng(5)
+    data = (2.0 * np.eye(3), rng.standard_normal(3), np.eye(4), rng.standard_normal(4),
+            rng.standard_normal((4, 3)), np.eye(4), rng.standard_normal(4))
+    config = SolverConfig(variant=variant, gamma=1.7, eps_abs=1e-12, eps_rel=1e-12, max_iter=25)
+    v0 = EssentialState(rng.standard_normal(4), rng.standard_normal(4))
+    monitors = []
+    for problem in (QuadraticProblem(*data), identity_b(*data)):
+        problem.read_only = read_only
+        monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+        seen = []
+
+        def observe(v, pred, v_new, record):
+            arrays = (v.y, v.lam, v_new.y, v_new.lam, pred.y_pred, pred.lam_pred, pred.lam_early)
+            seen.extend((a, a.tobytes()) for a in arrays)
+            monitor(v, pred, v_new, record)
+
+        run(problem, config, v0, observer=observe)
+        assert all(a.tobytes() == before for a, before in seen)
+        monitors.append(monitor)
+    plain, argument = monitors
+    for name in ("h_dist_sq", "g_norm_sq", "split", "correction", "expansion"):
+        assert getattr(argument, name) == getattr(plain, name), name
+
+
+def test_expansion_zero_at_fixed_point(expansion_mismatch):
     chain = scalar_chain()
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     pred = predict(chain, v, 1.0)
     mats = build_matrices(dense_B(chain), 1.0, 1.5)
-    assert g_norm_expanded(pred, v, v, mats) == 0.0
+    monitor = FejerMonitor(v, mats, "over_relaxed")
+    monitor(v, pred, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))
+    assert monitor.g_norm_sq == [0.0]
+    assert monitor.expansion == 0.0 and expansion_mismatch(v, pred, v, mats) == 0.0
 
 
-def test_g_norm_expanded_matches_direct_form_on_forced_relaxation(extrapolate):
+def test_expansion_matches_direct_form_on_forced_relaxation(forced_step, expansion_mismatch):
     chain = scalar_chain()
-    v = EssentialState(np.array([1.0]), np.array([0.0]))
-    pred = predict(chain, v, 1.0)
-    v_next = extrapolate(v, pred, 1.5)
+    step = forced_step(chain, EssentialState(np.array([1.0]), np.array([0.0])), 1.0, 1.5)
     mats = build_matrices(dense_B(chain), 1.0, 1.5)
-    direct = g_form(v - pred.essential_early, mats)
-    expanded = g_norm_expanded(pred, v, v_next, mats)
-    assert expanded == pytest.approx(direct, rel=1e-8)
+    monitor = FejerMonitor(step[0], AnalysisMatrices(1.0, 1.5, chain.apply_B), "over_relaxed")
+    monitor(*step)
+    assert monitor.g_norm_sq[0] != 0.0
+    assert monitor.expansion <= 1e-8 and expansion_mismatch(*step[:3], mats) <= 1e-8
 
 
-def test_g_norm_expanded_nonnegative_on_criterion_held_steps(solve_traced):
+def test_gap_form_nonnegative_on_criterion_held_steps():
     instance, _ = lasso.generate_instance(60, 120, 8)
     config = SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=200)
-    result, trajectory = solve_traced(instance, config)
-    mats = build_matrices(dense_B(instance), 1.0, 1.8)
+    monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
+    steps = []
+
+    def observe(v, pred, v_new, record):
+        monitor(v, pred, v_new, record)
+        steps.append((v, v_new, record.relaxed))
+
+    run(instance, config, observer=observe)
+    # on a relaxed step the monitor's gap form is its step form (expansion ~ 0),
+    # which is at least the weighted step length
+    assert monitor.expansion <= 1e-8
     c1 = (2 - 1.8) / 1.8**2 * 1.0
     c2 = (2 - 1.8) / (1.8**2 * 1.0)
     checked = 0
-    for k, rec in enumerate(result.records[: len(trajectory) - 1]):
-        if not rec.relaxed:
+    for g_sq, (v_k, v_next, relaxed) in zip(monitor.g_norm_sq, steps):
+        if not relaxed:
             continue
-        pred = predict(instance, trajectory[k], 1.0)
-        v_k, v_next = trajectory[k], trajectory[k + 1]
-        expanded = g_norm_expanded(pred, v_k, v_next, mats)
         step_b = instance.apply_B(v_k.y - v_next.y)
         floor = c1 * step_b @ step_b + c2 * (v_k.lam - v_next.lam) @ (v_k.lam - v_next.lam)
-        assert expanded >= floor - 1e-10 * max(1.0, abs(expanded))
-        assert expanded >= -1e-10 * max(1.0, abs(expanded))
+        assert g_sq >= floor - 1e-10 * max(1.0, abs(g_sq))
+        assert g_sq >= -1e-10 * max(1.0, abs(g_sq))
         checked += 1
     assert checked > 0
 
 
-def test_correction_identity_on_forced_relaxation(rng, small_quadratic, extrapolate):
+def test_correction_identity_on_forced_relaxation(
+    rng, small_quadratic, forced_step, correction_residual
+):
     problem = small_quadratic
     mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.7)
+    monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
-        pred = predict(problem, v, 0.9)
-        v_next = extrapolate(v, pred, 1.7)
-        assert correction_residual(v, v_next, pred, mats) <= 1e-12
+        v, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
+        monitor(v, pred, v_next, record)
+        assert correction_residual(v, pred, v_next, mats) <= 1e-12
+    assert monitor.correction <= 1e-12
 
 
-def test_correction_identity_with_unit_gamma_on_plain_steps(rng, small_quadratic):
+def test_correction_identity_with_unit_gamma_on_plain_steps(
+    rng, small_quadratic, forced_step, correction_residual
+):
+    # an unrelaxed step is the correction at unit gamma
     problem = small_quadratic
     mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.0)
     v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
-    pred = predict(problem, v, 0.9)
-    assert correction_residual(v, pred.essential, pred, mats) <= 1e-12
+    _, pred, _, record = forced_step(problem, v, 0.9, 1.0)
+    monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
+    monitor(v, pred, pred.essential, record)
+    assert monitor.correction <= 1e-12
+    assert correction_residual(v, pred, pred.essential, mats) <= 1e-12
+
+
+def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_identities(
+    rng, small_quadratic, forced_step, split_residual, correction_residual, expansion_mismatch
+):
+    # a perturbed lam_early and v_next break all three identities by far more
+    # than rounding, so the monitor's values and the formulas' must agree
+    problem = small_quadratic
+    mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.7)
+    for _ in range(5):
+        v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
+        _, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
+        pred = replace(pred, early=pred.lam_early + 0.1 * rng.standard_normal(problem.m))
+        v_next = EssentialState(v_next.y + 0.1 * rng.standard_normal(problem.n2), v_next.lam)
+        monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
+        monitor(v, pred, v_next, record)
+        assert monitor.split == pytest.approx(split_residual(v, pred, mats), rel=1e-9)
+        assert monitor.correction == pytest.approx(
+            correction_residual(v, pred, v_next, mats), rel=1e-9
+        )
+        assert monitor.expansion == pytest.approx(
+            expansion_mismatch(v, pred, v_next, mats), rel=1e-9
+        )
+        assert min(monitor.split, monitor.correction, monitor.expansion) > 1e-6
 
 
 def test_fejer_constant_trajectory_is_all_zeros():

@@ -10,6 +10,7 @@ from admmkit import (
 )
 from admmkit import lasso
 from admmkit.covsel import generate_instance as generate_covsel
+from admmkit.diagnostics import FejerMonitor, build_matrices, dense_B
 from admmkit.quadratic import QuadraticProblem
 
 
@@ -24,16 +25,16 @@ def test_predict_scalar_chain_closed_form(chain, chain_start):
     assert pred.lam_early == pytest.approx(0.5)
 
 
-def test_prediction_multiplier_split_identity(small_quadratic, rng):
+def test_prediction_multiplier_split_identity(small_quadratic, rng, split_residual):
     problem = small_quadratic
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
-        beta = float(rng.uniform(0.2, 5.0))
-        pred = predict(problem, v, beta)
-        recombined = pred.lam_early + beta * problem.apply_B(v.y - pred.y_pred)
-        assert np.abs(pred.lam_pred - recombined).max() <= 1e-12 * max(
-            1.0, np.abs(pred.lam_pred).max()
-        )
+        config = SolverConfig(beta=float(rng.uniform(0.2, 5.0)), max_iter=1)
+        monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+        run(problem, config, v, observer=monitor)
+        mats = build_matrices(dense_B(problem), config.beta, 1.0)
+        assert split_residual(v, predict(problem, v, config.beta), mats) <= 1e-12
+        assert monitor.split <= 1e-12
 
 
 def test_predict_at_fixed_point_keeps_multiplier(chain):
@@ -179,6 +180,15 @@ def test_run_rejects_a_non_numeric_initial_state_by_name(operand):
     v0 = EssentialState.zeros(instance)
     fields = {"y": v0.y, "lam": v0.lam, operand: ["a"] * getattr(v0, operand).size}
     with pytest.raises(ValueError, match=f"v0.{operand} must be an array of numbers"):
+        run(instance, SolverConfig(), EssentialState(**fields))
+
+
+@pytest.mark.parametrize("operand", ["y", "lam"])
+def test_run_rejects_a_complex_initial_state_by_name(operand):
+    instance, _ = lasso.generate_instance(10, 20, 0)
+    v0 = EssentialState.zeros(instance)
+    fields = {"y": v0.y, "lam": v0.lam, operand: getattr(v0, operand) * 1j}
+    with pytest.raises(ValueError, match=f"v0.{operand} must be real, got complex values"):
         run(instance, SolverConfig(), EssentialState(**fields))
 
 

@@ -53,6 +53,33 @@ def test_constructor_checks_the_design_without_a_full_size_mask():
         LassoInstance(A, b, 0.1)
 
 
+@pytest.mark.parametrize(
+    "A, b, name",
+    [(np.eye(3) * 1j, np.ones(3), "A"), (np.eye(3), np.ones(3) * 1j, "b")],
+    ids=["complex-A", "complex-b"],
+)
+def test_complex_data_is_rejected_by_name(A, b, name):
+    # a float conversion would drop the imaginary part with a ComplexWarning
+    with pytest.raises(ValueError, match=f"^{name} must be real, got complex values$"):
+        LassoInstance(A, b, 0.1)
+
+
+def test_data_that_are_not_numbers_are_named():
+    with pytest.raises(ValueError, match="^A must be an array of numbers: "):
+        LassoInstance([["a", "b"]], [0.0], 0.1)
+
+
+@pytest.mark.parametrize(
+    "m, n, message",
+    [(10.5, 20, "m must be a positive integer, got 10.5"),
+     (10, "20", "n must be a positive integer, got '20'"),
+     (0, 20, "m must be a positive integer, got 0")],
+)
+def test_generation_names_a_bad_size(m, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_instance(m, n, 0)
+
+
 def test_generation_is_deterministic():
     a, xa = generate_instance(50, 80, 123)
     b, xb = generate_instance(50, 80, 123)

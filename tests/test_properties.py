@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import VARIANTS, EssentialState, SolverConfig, run
-from admmkit.diagnostics import build_matrices, correction_residual, dense_B
+from admmkit.diagnostics import FejerMonitor, build_matrices, dense_B
 from admmkit.quadratic import QuadraticProblem
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -88,17 +88,20 @@ def test_relaxed_flag_follows_the_variant_gate(case, variant):
 
 @PROPERTY
 @given(cases(), st.sampled_from(("classical", "over_relaxed")))
-def test_split_and_correction_identities_on_every_step(case, variant):
+def test_split_and_correction_identities_on_every_step(
+    split_residual, correction_residual, case, variant
+):
     problem, v0, beta, gamma = case
-    mats = build_matrices(dense_B(problem), beta, gamma)
-    _, steps = _observed(problem, _config(variant, beta, gamma), v0)
+    config = _config(variant, beta, gamma)
+    monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    mats = build_matrices(dense_B(problem), beta, monitor.mats.gamma)
+    _, steps = _observed(problem, config, v0)
     for v, pred, v_new, record in steps:
-        b_gap = beta * problem.apply_B(v.y - pred.y_pred)
-        split = pred.lam_pred - (pred.lam_early + b_gap)
-        scale = max(1.0, *(np.abs(a).max() for a in (pred.lam_pred, pred.lam_early, b_gap)))
-        assert np.abs(split).max() <= 1e-12 * scale
+        monitor(v, pred, v_new, record)
+        assert split_residual(v, pred, mats) <= 1e-12
         if record.relaxed:
-            assert correction_residual(v, v_new, pred, mats) <= 1e-12
+            assert correction_residual(v, pred, v_new, mats) <= 1e-12
+    assert monitor.split <= 1e-12 and monitor.correction <= 1e-12
 
 
 @PROPERTY

@@ -109,6 +109,13 @@ def test_non_finite_data_is_rejected_by_name(field, bad):
         QuadraticProblem(**_data(**{field: value}))
 
 
+@pytest.mark.parametrize("field", ["P1", "q1", "P2", "q2", "A", "B", "b"])
+def test_complex_data_is_rejected_by_name(field):
+    value = np.array(_data()[field], dtype=complex)
+    with pytest.raises(ValueError, match=f"^{field} must be real, got complex values$"):
+        QuadraticProblem(**_data(**{field: value}))
+
+
 @pytest.mark.parametrize("B", [
     np.hstack([np.ones((3, 1)), 2 * np.ones((3, 1))]),
     np.zeros((3, 2)),

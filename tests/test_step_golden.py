@@ -127,26 +127,15 @@ def test_step_is_bitwise_the_reference_on_covsel(seed, n, variant, gamma, beta):
     )
 
 
-class _IdentityB(QuadraticProblem):
-    """B = I, applied by handing back y itself or a read-only copy of it."""
-
-    read_only = False
-
-    def apply_B(self, y):
-        if not self.read_only:
-            return y
-        by = y.copy()
-        by.flags.writeable = False
-        return by
-
-
 @pytest.mark.parametrize("read_only", [False, True], ids=["aliased", "read-only"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_step_is_bitwise_the_reference_when_apply_B_returns_its_argument(variant, read_only):
+def test_step_is_bitwise_the_reference_when_apply_B_returns_its_argument(
+    variant, read_only, identity_b
+):
     # the engine forms residuals in apply_B's output, so it must not write
     # into y or into an array it may not write
     rng = np.random.default_rng(5)
-    problem = _IdentityB(2.0 * np.eye(3), rng.standard_normal(3), np.eye(4),
+    problem = identity_b(2.0 * np.eye(3), rng.standard_normal(3), np.eye(4),
                          rng.standard_normal(4), rng.standard_normal((4, 3)), np.eye(4),
                          rng.standard_normal(4))
     problem.read_only = read_only
