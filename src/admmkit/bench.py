@@ -21,7 +21,7 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig, is_finite_real, is_integer
+from .model import VARIANTS, SolverConfig, is_finite_real, is_integer, require_int
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -67,15 +67,10 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.problem not in ("lasso", "covsel"):
             raise ValueError(f"unknown problem {self.problem!r}")
-        for name in ("repeats", "seed_base"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        require_int("repeats", self.repeats, 1)
+        require_int("seed_base", self.seed_base, 0)
         if self.tau is not None and not is_finite_real(self.tau):
             raise ValueError(f"tau must be a finite number, got {self.tau!r}")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        if self.seed_base < 0:
-            raise ValueError("seed_base must be nonnegative")
         if not self.variants:
             raise ValueError("variants must be nonempty")
         lasso = self.problem == "lasso"

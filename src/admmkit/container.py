@@ -10,6 +10,7 @@ bitwise exact.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,9 @@ def save_instance(path, instance, seed: int | None = None) -> Path:
         header = {"kind": "covsel", "n": instance.n, "tau": instance.tau, "seed": seed}
         payload = (instance.S.astype("<f8").tobytes(),)
     else:
-        raise TypeError(f"cannot serialize {type(instance).__name__}")
+        raise ValueError(
+            f"instance must be a LassoInstance or a CovselInstance, got {type(instance).__name__}"
+        )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
@@ -66,7 +69,9 @@ def load_instance(path):
 
     Every defect of the file raises ValueError naming the path: a bad magic
     line, a header that is not a JSON object, a missing or mistyped header
-    field, a payload of the wrong length, or data the instance rejects.
+    field, a payload of the wrong length, or data the instance rejects. The
+    payload is read into one array, which the instance keeps, once its length
+    matches the header's.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -74,34 +79,35 @@ def load_instance(path):
         if magic != MAGIC:
             raise ValueError(f"{path}: not an instance container (bad magic {magic!r})")
         line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise ValueError(f"{path}: header is not valid JSON ({exc})") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header must be a JSON object, got {type(header).__name__}")
-    kind = header.get("kind")
-    if kind == "lasso":
-        m = _header_field(path, header, "m", integer=True)
-        n = _header_field(path, header, "n", integer=True)
-        weight = _header_field(path, header, "rho", integer=False)
-        expected = (m * n + m) * 8
-    elif kind == "covsel":
-        n = _header_field(path, header, "n", integer=True)
-        weight = _header_field(path, header, "tau", integer=False)
-        expected = n * n * 8
-    else:
-        raise ValueError(f"{path}: unknown instance kind {kind!r}")
-    if len(payload) != expected:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise ValueError(f"{path}: header is not valid JSON ({exc})") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header must be a JSON object, got {type(header).__name__}")
+        kind = header.get("kind")
+        if kind == "lasso":
+            m = _header_field(path, header, "m", integer=True)
+            n = _header_field(path, header, "n", integer=True)
+            weight = _header_field(path, header, "rho", integer=False)
+            count = m * n + m
+        elif kind == "covsel":
+            n = _header_field(path, header, "n", integer=True)
+            weight = _header_field(path, header, "tau", integer=False)
+            count = n * n
+        else:
+            raise ValueError(f"{path}: unknown instance kind {kind!r}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == count * 8:
+            values = np.empty(count, dtype="<f8")
+            size = fh.readinto(values)
+        if size != count * 8:
+            raise ValueError(f"{path}: payload is {size} bytes, expected {count * 8}")
     try:
         if kind == "lasso":
-            A, b = values[: m * n].reshape(m, n), values[m * n :]
-            instance = LassoInstance(A.copy(), b.copy(), weight)
+            instance = LassoInstance(values[: m * n].reshape(m, n), values[m * n :], weight)
         else:
-            instance = CovselInstance(values.reshape(n, n).copy(), weight)
+            instance = CovselInstance(values.reshape(n, n), weight)
     except ValueError as exc:  # data the constructor rejects, e.g. a NaN
         raise ValueError(f"{path}: {exc}") from exc
     return instance, header

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .l1split import L1SplitProblem
-from .model import as_real_array, is_integer, require_finite
+from .model import as_array, require_finite, require_int
 
 #: Default l1 weight; produces visibly sparse estimates on desk-scale data.
 DEFAULT_TAU = 0.2
@@ -52,9 +52,8 @@ class CovselInstance(L1SplitProblem):
     """
 
     def __init__(self, S, tau: float = DEFAULT_TAU):
-        S = as_real_array("S", S)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError(f"S must be square, got shape {S.shape}")
+        S = as_array("S", S, (None, None))
+        S = as_array("S", S, (len(S), len(S)))  # square
         require_finite("S", S)
         n = S.shape[0]
         # One n x n buffer holds |S - S'|, then the shifted (S + S')/2 that
@@ -122,10 +121,8 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     (CovselInstance, ndarray)
         The instance and the ground-truth precision matrix.
     """
-    if not is_integer(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 10:
-        raise ValueError(f"n must be at least 10, got {n}")
+    require_int("n", n, 10)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     precision = np.eye(n)
     rows, cols = np.triu_indices(n, k=1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import Prediction, SolverError, run
 from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
-from .model import _require_full_column_rank, is_finite_real, require_instance
+from .model import _require_full_column_rank, as_array, is_finite_real, require_instance
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
@@ -68,9 +68,7 @@ def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices
         raise ValueError(f"beta must be a positive finite number, got {beta!r}")
     if not (is_finite_real(gamma) and 0.0 < gamma < 2.0):
         raise ValueError(f"gamma must be a finite number in (0, 2), got {gamma!r}")
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2:
-        raise ValueError("B must be a 2-d array")
+    B = as_array("B", B, (None, None))
     m, n2 = B.shape
     if n2 + m > DENSE_LIMIT:
         raise ValueError(
@@ -267,15 +265,17 @@ def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
 
     Zero (to tolerance) exactly at a saddle point of the Lagrangian. A ``w``
     that is not an :class:`~admmkit.model.Iterate` raises ValueError naming it.
+    A NaN or an inf in ``w`` raises no floating-point warning.
     """
     require_instance("w", w, Iterate)
     w = w.validate(problem)
-    feas = float(np.abs(problem.constraint_residual(w.x, w.y)).max(initial=0.0))
-    return max(
-        problem.x_stationarity(w.x, w.lam),
-        problem.y_stationarity(w.y, w.lam),
-        feas,
-    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        feas = float(np.abs(problem.constraint_residual(w.x, w.y)).max(initial=0.0))
+        return max(
+            problem.x_stationarity(w.x, w.lam),
+            problem.y_stationarity(w.y, w.lam),
+            feas,
+        )
 
 
 def reference_solution(

@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrsv
 
 from .l1split import L1SplitProblem
-from .model import as_real_array, is_integer, require_finite
+from .model import as_array, require_finite, require_int
 
 #: Per-coordinate noise variance used by :func:`generate_instance`.
 NOISE_VARIANCE = 1e-3
@@ -40,12 +40,8 @@ class LassoInstance(L1SplitProblem):
     """
 
     def __init__(self, A, b, rho: float):
-        A = np.ascontiguousarray(as_real_array("A", A))
-        b = as_real_array("b", b).ravel()
-        if A.ndim != 2:
-            raise ValueError("A must be a 2-d array")
-        if b.shape != (A.shape[0],):
-            raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
+        A = np.ascontiguousarray(as_array("A", A, (None, None)))
+        b = as_array("b", b, (len(A),))
         require_finite("A", A)
         require_finite("b", b)
         super().__init__(A.shape[1], rho, "rho")
@@ -120,9 +116,9 @@ def generate_instance(m: int, n: int, seed: int):
     (LassoInstance, ndarray)
         The instance and the ground-truth coefficient vector.
     """
-    for name, size in (("m", m), ("n", n)):
-        if not (is_integer(size) and size >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {size!r}")
+    require_int("m", m, 1)
+    require_int("n", n, 1)
+    require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     # Column norms over blocks of at most 64 columns, so A * A is never formed

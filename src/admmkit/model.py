@@ -25,9 +25,7 @@ class DimensionMismatchError(ValueError):
         self.operand = operand
         self.expected = expected
         self.got = got
-        super().__init__(
-            f"operand '{operand}': expected dimension {expected}, got {got}"
-        )
+        super().__init__(f"{operand} has shape {got}, expected {expected}")
 
 
 class SeparableProblem(ABC):
@@ -137,32 +135,44 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least ``minimum``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 def _require_full_column_rank(B: np.ndarray) -> None:
     """Raise ValueError unless B's singular values stay above 1e-10 times the
-    largest; otherwise the analysis metric H is not positive definite."""
+    largest; otherwise the analysis metric H is not positive definite. A B
+    without columns has none to compare."""
     m, n2 = B.shape
     svals = np.linalg.svd(B, compute_uv=False)
-    if m < n2 or svals[-1] <= 1e-10 * svals[0]:
+    if m < n2 or svals.min(initial=np.inf) <= 1e-10 * svals.max(initial=0.0):
         raise ValueError("H not positive definite: B rank-deficient")
 
 
-def as_real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array, not copied when it is one; ValueError
-    naming ``name`` for complex values, whose imaginary parts a conversion
-    would drop, or anything else that does not convert to a float."""
+def as_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, raveled first when ``shape``
+    has one entry; a ``None`` entry matches any length. A float array is not
+    copied. Complex values, whose imaginary parts a conversion would drop,
+    and anything else that does not convert to a float raise ValueError
+    naming ``name``; other dimensions raise DimensionMismatchError."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind != "c":
-            return arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
+        real = arr.dtype.kind != "c"
+        if real:
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
-    raise ValueError(f"{name} must be real, got complex values")
-
-
-def _as_vector(value, name: str, dim: int) -> np.ndarray:
-    arr = as_real_array(name, value).ravel()
-    if arr.shape != (dim,):
-        raise DimensionMismatchError(name, (dim,), arr.shape)
+    if not real:
+        raise ValueError(f"{name} must be real, got complex values")
+    if len(shape) == 1:
+        arr = arr.ravel()
+    if arr.ndim != len(shape) or any(e not in (None, g) for e, g in zip(shape, arr.shape)):
+        raise DimensionMismatchError(name, shape, arr.shape)
     return arr
 
 
@@ -176,9 +186,9 @@ class Iterate:
 
     def validate(self, problem: SeparableProblem) -> "Iterate":
         return Iterate(
-            _as_vector(self.x, "x", problem.n1),
-            _as_vector(self.y, "y", problem.n2),
-            _as_vector(self.lam, "lam", problem.m),
+            as_array("x", self.x, (problem.n1,)),
+            as_array("y", self.y, (problem.n2,)),
+            as_array("lam", self.lam, (problem.m,)),
         )
 
 
@@ -207,8 +217,8 @@ class EssentialState:
         """This pair as a starting point ``v0`` for ``problem``: flat float
         vectors of the right sizes, each checked finite by name."""
         v0 = EssentialState(
-            _as_vector(self.y, "v0.y", problem.n2),
-            _as_vector(self.lam, "v0.lam", problem.m),
+            as_array("v0.y", self.y, (problem.n2,)),
+            as_array("v0.lam", self.lam, (problem.m,)),
         )
         require_finite("v0.y", v0.y)
         require_finite("v0.lam", v0.lam)
@@ -235,21 +245,18 @@ class SolverConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for name in ("beta", "gamma", "eps_abs", "eps_rel"):
             if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if not is_integer(self.max_iter):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        require_int("max_iter", self.max_iter, 1)
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.variant != "classical" and not 0.0 < self.gamma < 2.0:
             raise ValueError(f"gamma must lie in (0, 2) for relaxed variants, got {self.gamma}")
         if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("eps_abs and eps_rel must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)

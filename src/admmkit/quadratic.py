@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SeparableProblem, _require_full_column_rank, as_real_array, require_finite
+from .model import SeparableProblem, _require_full_column_rank, as_array, require_finite
 
 
 class QuadraticProblem(SeparableProblem):
@@ -21,22 +21,15 @@ class QuadraticProblem(SeparableProblem):
     """
 
     def __init__(self, P1, q1, P2, q2, A, B, b):
-        self.P1 = np.atleast_2d(as_real_array("P1", P1))
-        self.P2 = np.atleast_2d(as_real_array("P2", P2))
-        self.A = np.atleast_2d(as_real_array("A", A))
-        self.B = np.atleast_2d(as_real_array("B", B))
-        self.q1 = as_real_array("q1", q1).ravel()
-        self.q2 = as_real_array("q2", q2).ravel()
-        self._b = as_real_array("b", b).ravel()
+        self.A = as_array("A", A, (None, None))
         self.m, self.n1 = self.A.shape
+        self.B = as_array("B", B, (self.m, None))
         self.n2 = self.B.shape[1]
-        if self.B.shape[0] != self.m or self._b.shape != (self.m,):
-            raise ValueError("constraint blocks have inconsistent shapes")
-        if self.q1.shape != (self.n1,) or self.q2.shape != (self.n2,):
-            raise ValueError("linear terms have inconsistent shapes")
-        for name, P, n in (("P1", self.P1, self.n1), ("P2", self.P2, self.n2)):
-            if P.shape != (n, n):
-                raise ValueError(f"{name} has shape {P.shape}, expected ({n}, {n})")
+        self.P1 = as_array("P1", P1, (self.n1, self.n1))
+        self.q1 = as_array("q1", q1, (self.n1,))
+        self.P2 = as_array("P2", P2, (self.n2, self.n2))
+        self.q2 = as_array("q2", q2, (self.n2,))
+        self._b = as_array("b", b, (self.m,))
         for name in ("P1", "q1", "P2", "q2", "A", "B"):
             require_finite(name, getattr(self, name))
         require_finite("b", self._b)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,50 @@ def test_truncated_payload_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "edit, size, expected",
+    [(lambda data: data[:-16], 48 * 8 - 16, 48 * 8),
+     (lambda data: data + bytes(8), 48 * 8 + 8, 48 * 8),
+     (lambda data: data.replace(b'"m": 6', b'"m": 1000000000000'), 48 * 8, 8 * 8 * 10**12)],
+    ids=["short", "long", "huge-header"],
+)
+def test_payload_length_is_checked_before_reading(tmp_path, edit, size, expected):
+    # the length is compared with the file's size before any allocation, so a
+    # huge header field is a payload error, not a MemoryError
+    instance, _ = generate_lasso(6, 7, 0)
+    path = save_instance(tmp_path / "inst.bin", instance)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=f": payload is {size} bytes, expected {expected}$"):
+        load_instance(path)
+
+
+def _peak_of_load(path):
+    tracemalloc.start()
+    try:
+        loaded, _ = load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return loaded, peak
+
+
+def test_lasso_load_holds_one_copy_of_the_data(tmp_path):
+    rng = np.random.default_rng(0)
+    instance = LassoInstance(rng.standard_normal((3000, 1000)), rng.standard_normal(3000), 0.1)
+    loaded, peak = _peak_of_load(save_instance(tmp_path / "inst.bin", instance))
+    assert peak <= 1.2 * instance.A.nbytes
+    assert np.array_equal(loaded.A, instance.A) and np.array_equal(loaded.b, instance.b)
+
+
+def test_covsel_load_holds_the_data_and_one_working_copy(tmp_path):
+    # the constructor's n x n buffer becomes the kept S, so the read payload
+    # and that buffer are the two copies
+    instance, _ = generate_covsel(300, 0)
+    loaded, peak = _peak_of_load(save_instance(tmp_path / "inst.bin", instance))
+    assert peak <= 2.2 * instance.S.nbytes
+    assert np.array_equal(loaded.S, instance.S)
+
+
+@pytest.mark.parametrize(
     "instance, operand",
     [(generate_lasso(6, 8, 0)[0], "b"), (generate_covsel(10, 0)[0], "S")],
     ids=["lasso", "covsel"],
@@ -67,8 +113,12 @@ def test_unknown_kind_rejected(tmp_path):
 
 
 def test_unsupported_instance_type_rejected(tmp_path):
-    with pytest.raises(TypeError):
-        save_instance(tmp_path / "x.bin", object())
+    path = tmp_path / "x.bin"
+    for instance, name in ((object(), "object"), (3, "int")):
+        message = f"^instance must be a LassoInstance or a CovselInstance, got {name}$"
+        with pytest.raises(ValueError, match=message):
+            save_instance(path, instance)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

@@ -50,6 +50,15 @@ def test_generation_names_a_size_that_is_not_an_integer(n):
         generate_instance(n, 0)
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(1.5, "seed must be an integer, got 1.5"), (-1, "seed must be at least 0, got -1")],
+)
+def test_generation_names_a_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_instance(20, seed)
+
+
 def test_complex_covariance_is_rejected_by_name():
     # a float conversion would drop the imaginary part with a ComplexWarning
     with pytest.raises(ValueError, match="^S must be real, got complex values$"):

@@ -1,0 +1,173 @@
+"""Malformed inputs at the public entry points.
+
+One table row per (entry point, argument): a call that puts a value in that
+argument's slot and keeps every other argument valid. One derandomized
+strategy draws the malformed values. Each call must return or raise a
+ValueError whose message names the argument. A shape error may name another
+argument instead when the row's argument sets that one's expected shape: a
+Lasso A with three rows makes a valid length-2 b the mismatch.
+"""
+
+import math
+import re
+import tempfile
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
+from admmkit import covsel, lasso
+from admmkit.bench import BenchmarkSpec
+from admmkit.container import save_instance
+from admmkit.diagnostics import kkt_residual
+from admmkit.quadratic import QuadraticProblem
+
+SWEEP = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+#: None, bools, strings, complex numbers, ragged and nested lists, NaN and
+#: inf, negative and huge ints, arrays of small shapes (empty ones included)
+#: holding finite values, NaN or inf, and complex arrays.
+MALFORMED = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.complex_numbers(max_magnitude=10),
+    st.sampled_from([[[1.0], [1.0, 2.0]], [1.0, [2.0]], [[[1.0]]], [[]]]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**63, max_value=10**400),
+    hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+        elements=st.one_of(st.floats(-4, 4), st.sampled_from([math.nan, math.inf])),
+    ),
+    hnp.arrays(complex, hnp.array_shapes(max_dims=2, max_side=3)),
+    st.sampled_from([np.empty(0), np.empty((0, 0)), np.empty((2, 0))]),
+)
+
+# Valid data with integer values, so an integer copy of it is valid too.
+LASSO = dict(A=np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]), b=np.array([1.0, 2.0]), rho=1.0)
+COVSEL = dict(S=np.array([[2.0, 1.0], [1.0, 2.0]]), tau=1.0)
+QUADRATIC = dict(
+    P1=2 * np.eye(2), q1=np.array([1.0, 0.0]), P2=2 * np.eye(2), q2=np.array([0.0, 1.0]),
+    A=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    B=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+    b=np.array([1.0, 2.0, 3.0]),
+)
+PROBLEM = QuadraticProblem(**QUADRATIC)
+Y, LAM = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+
+
+def _save(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(Path(tmp) / "inst.bin", instance)
+
+
+def _spec(**field):
+    return BenchmarkSpec("lasso", [(4, 6)], [(1e-5, 1e-3)], **field)
+
+
+class Row(NamedTuple):
+    call: Callable
+    name: str
+    #: arguments whose expected shape this one sets
+    partners: tuple = ()
+    #: a valid array for the slot, or None for a non-array argument
+    valid: object = None
+    #: a positive size asks for memory in proportion, so huge ones are not drawn
+    size: bool = False
+
+
+ROWS = {
+    "LassoInstance.A": Row(lambda v: lasso.LassoInstance(**{**LASSO, "A": v}), "A", ("b",),
+                           LASSO["A"]),
+    "LassoInstance.b": Row(lambda v: lasso.LassoInstance(**{**LASSO, "b": v}), "b",
+                           valid=LASSO["b"]),
+    "LassoInstance.rho": Row(lambda v: lasso.LassoInstance(**{**LASSO, "rho": v}), "rho"),
+    "CovselInstance.S": Row(lambda v: covsel.CovselInstance(**{**COVSEL, "S": v}), "S",
+                            valid=COVSEL["S"]),
+    "CovselInstance.tau": Row(lambda v: covsel.CovselInstance(**{**COVSEL, "tau": v}), "tau"),
+    **{
+        f"QuadraticProblem.{key}": Row(
+            lambda v, key=key: QuadraticProblem(**{**QUADRATIC, key: v}), key,
+            {"A": ("B", "b", "P1", "q1"), "B": ("P2", "q2")}.get(key, ()), QUADRATIC[key],
+        )
+        for key in QUADRATIC
+    },
+    "lasso.generate_instance.m": Row(lambda v: lasso.generate_instance(v, 6, 0), "m", size=True),
+    "lasso.generate_instance.n": Row(lambda v: lasso.generate_instance(4, v, 0), "n", size=True),
+    "lasso.generate_instance.seed": Row(lambda v: lasso.generate_instance(4, 6, v), "seed"),
+    "covsel.generate_instance.n": Row(lambda v: covsel.generate_instance(v, 0), "n", size=True),
+    "covsel.generate_instance.seed": Row(lambda v: covsel.generate_instance(10, v), "seed"),
+    **{
+        f"SolverConfig.{key}": Row(
+            lambda v, key=key: SolverConfig(**{"variant": "over_relaxed", key: v}), key
+        )
+        for key in ("variant", "beta", "gamma", "eps_abs", "eps_rel", "max_iter")
+    },
+    "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats"),
+    "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base"),
+    "run.v0": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), v), "v0"),
+    "run.v0.y": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(v, LAM)),
+                    "v0.y", valid=Y),
+    "run.v0.lam": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(Y, v)),
+                      "v0.lam", valid=LAM),
+    "kkt_residual.w": Row(lambda v: kkt_residual(PROBLEM, v), "w"),
+    "kkt_residual.w.x": Row(lambda v: kkt_residual(PROBLEM, Iterate(v, Y, LAM)), "x", valid=Y),
+    "kkt_residual.w.y": Row(lambda v: kkt_residual(PROBLEM, Iterate(Y, v, LAM)), "y", valid=Y),
+    "kkt_residual.w.lam": Row(lambda v: kkt_residual(PROBLEM, Iterate(Y, Y, v)), "lam",
+                              valid=LAM),
+    "save_instance.instance": Row(_save, "instance"),
+}
+
+
+def _names(message: str, name: str) -> bool:
+    return re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", message) is not None
+
+
+def _one_of_each(test):
+    """Every row also runs one value of each kind of MALFORMED."""
+    for value in (None, True, "a", 1j, [[1.0], [1.0, 2.0]], math.nan, -1, 10**400,
+                  np.full((2, 2), math.inf), np.ones(2) * 1j, np.empty((2, 0))):
+        test = example(value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
+@SWEEP
+@given(value=MALFORMED)
+@_one_of_each
+def test_a_malformed_argument_returns_or_raises_a_named_value_error(row, value):
+    assume(not (row.size and type(value) is int and value > 0))
+    try:
+        row.call(value)
+    except DimensionMismatchError as exc:
+        assert exc.operand in (row.name, *row.partners), exc
+        assert _names(str(exc), exc.operand), exc
+    except ValueError as exc:
+        assert _names(str(exc), row.name), exc
+
+
+def _strided(a):
+    """The same values as a view that is not contiguous."""
+    view = np.repeat(a, 2, axis=-1)[..., ::2]
+    assert not view.flags.c_contiguous and np.array_equal(view, a)
+    return view
+
+
+ARRAY_ROWS = {key: row for key, row in ROWS.items() if row.valid is not None}
+
+
+@pytest.mark.parametrize("row", ARRAY_ROWS.values(), ids=ARRAY_ROWS.keys())
+@pytest.mark.parametrize(
+    "convert",
+    [lambda a: a.astype(int), lambda a: a.astype(np.float32), _strided],
+    ids=["int", "float32", "strided-view"],
+)
+def test_int_float32_and_strided_arrays_are_accepted(row, convert):
+    row.call(convert(row.valid))

@@ -71,13 +71,22 @@ def test_data_that_are_not_numbers_are_named():
 
 @pytest.mark.parametrize(
     "m, n, message",
-    [(10.5, 20, "m must be a positive integer, got 10.5"),
-     (10, "20", "n must be a positive integer, got '20'"),
-     (0, 20, "m must be a positive integer, got 0")],
+    [(10.5, 20, "m must be an integer, got 10.5"),
+     (10, "20", "n must be an integer, got '20'"),
+     (0, 20, "m must be at least 1, got 0")],
 )
 def test_generation_names_a_bad_size(m, n, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         generate_instance(m, n, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [("0", "seed must be an integer, got '0'"), (-1, "seed must be at least 0, got -1")],
+)
+def test_generation_names_a_bad_seed(seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_instance(10, 20, seed)
 
 
 def test_generation_is_deterministic():

@@ -83,6 +83,15 @@ def test_shape_validation():
         QuadraticProblem([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[1.0], [1.0]], [0.0])
 
 
+def test_a_y_block_without_columns_passes_the_rank_check():
+    # no columns, no singular values: the check reads none
+    problem = QuadraticProblem(
+        np.eye(2), np.zeros(2), np.empty((0, 0)), np.empty(0), np.eye(3, 2), np.empty((3, 0)),
+        np.ones(3),
+    )
+    assert (problem.m, problem.n1, problem.n2) == (3, 2, 0)
+
+
 def _data(**changes):
     """Valid data of a 2-variable, 2-variable, 3-constraint instance, with
     ``changes`` applied."""
