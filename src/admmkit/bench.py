@@ -21,7 +21,7 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig, is_finite_real, is_integer, require_int
+from .model import VARIANTS, SolverConfig, is_finite_real, is_integer, require_int, require_real
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -69,8 +69,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown problem {self.problem!r}")
         require_int("repeats", self.repeats, 1)
         require_int("seed_base", self.seed_base, 0)
-        if self.tau is not None and not is_finite_real(self.tau):
-            raise ValueError(f"tau must be a finite number, got {self.tau!r}")
+        if self.tau is not None:
+            require_real("tau", self.tau)
         if not self.variants:
             raise ValueError("variants must be nonempty")
         lasso = self.problem == "lasso"

@@ -20,19 +20,15 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .l1split import L1SplitProblem
-from .model import as_array, require_finite, require_int
+from .model import as_array, require_finite, require_int, require_real
 
 #: Default l1 weight; produces visibly sparse estimates on desk-scale data.
 DEFAULT_TAU = 0.2
 
 
-def _symmetrize(M):
-    return (M + M.T) / 2.0
-
-
-def _symmetrize_into(M, out):
-    """(M + M') / 2, written into ``out``."""
-    np.add(M, M.T, out=out)
+def _symmetrize(M, out=None):
+    """(M + M') / 2, written into ``out`` when given."""
+    out = np.add(M, M.T, out=out)
     out /= 2.0
     return out
 
@@ -64,11 +60,11 @@ class CovselInstance(L1SplitProblem):
         if skew > 1e-12 * scale:
             raise ValueError(f"S must be symmetric; max asymmetry {skew:.3e}")
         super().__init__(n ** 2, tau, "tau")
-        _symmetrize_into(S, t).flat[:: n + 1] += 1e-10 * scale
+        _symmetrize(S, t).flat[:: n + 1] += 1e-10 * scale
         # t is exactly symmetric, so t' is the same matrix in Fortran order;
         # the factor is dropped, only its success is read
         factored = dpotrf(t.T, overwrite_a=1, clean=0)[1] == 0
-        S = _symmetrize_into(S, t)
+        S = _symmetrize(S, t)
         if not factored:
             eig_min = float(np.linalg.eigvalsh(S)[0])
             if eig_min < -1e-10 * scale:
@@ -90,22 +86,22 @@ class CovselInstance(L1SplitProblem):
         return np.sum(self.S * X) - logdet
 
     def smooth_grad(self, x):
-        return (self.S - np.linalg.inv(self._mat(x))).ravel()
+        """S - X^-1; inf everywhere at a singular X, where ``smooth`` is inf."""
+        try:
+            return (self.S - np.linalg.inv(self._mat(x))).ravel()
+        except np.linalg.LinAlgError:
+            return np.full(self.m, math.inf)
 
     def solve_x(self, y, lam, beta):
-        return self.x_update(self._mat(y), self._mat(lam), beta).ravel()
-
-    def x_update(self, Y, Lam, beta):
-        """Eigendecomposition solve of the smooth block for symmetric Y and Lam;
-        always positive definite."""
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        R = beta * np.asarray(Y)
-        R += Lam
+        """Eigendecomposition solve of the smooth block for symmetric Y and Lam,
+        flattened; always positive definite."""
+        require_real("beta", beta, 0)
+        R = beta * self._mat(y)
+        R += self._mat(lam)
         R -= self.S
         d, U = np.linalg.eigh(R)
         U *= np.sqrt((d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta))
-        return np.matmul(U, U.T, out=R)
+        return np.matmul(U, U.T, out=R).ravel()
 
 
 def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .engine import Prediction, SolverError, run
-from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
-from .model import _require_full_column_rank, as_array, is_finite_real, require_instance
+from .model import EssentialState, IterationRecord, SeparableProblem, _require_full_column_rank
+from .model import Iterate, SolverConfig, as_array, require_finite, require_instance, require_real
 
 #: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
 DENSE_LIMIT = 2000
@@ -60,15 +60,14 @@ def dense_B(problem: SeparableProblem) -> np.ndarray:
 def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices:
     """Materialize M, Q, H, G for a dense constraint block B.
 
-    B must have full column rank (checked through its singular values at
-    relative tolerance 1e-10); otherwise H is not positive definite. That, or
-    a beta or gamma that is not a finite number in range, raises ValueError.
+    B must be finite with full column rank (its singular values above 1e-10
+    times the largest); otherwise H is not positive definite. That, or a beta
+    or gamma that is not a finite number in range, raises ValueError.
     """
-    if not (is_finite_real(beta) and beta > 0):
-        raise ValueError(f"beta must be a positive finite number, got {beta!r}")
-    if not (is_finite_real(gamma) and 0.0 < gamma < 2.0):
-        raise ValueError(f"gamma must be a finite number in (0, 2), got {gamma!r}")
+    require_real("beta", beta, 0)
+    require_real("gamma", gamma, 0, 2)
     B = as_array("B", B, (None, None))
+    require_finite("B", B)
     m, n2 = B.shape
     if n2 + m > DENSE_LIMIT:
         raise ValueError(
@@ -261,7 +260,7 @@ class FejerMonitor:
 
 
 def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
-    """Max of the two stationarity residuals and the feasibility violation.
+    """Max of the two stationarity residuals and the feasibility violation, NaN if one is.
 
     Zero (to tolerance) exactly at a saddle point of the Lagrangian. A ``w``
     that is not an :class:`~admmkit.model.Iterate` raises ValueError naming it.
@@ -271,11 +270,8 @@ def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
     w = w.validate(problem)
     with np.errstate(invalid="ignore", over="ignore"):
         feas = float(np.abs(problem.constraint_residual(w.x, w.y)).max(initial=0.0))
-        return max(
-            problem.x_stationarity(w.x, w.lam),
-            problem.y_stationarity(w.y, w.lam),
-            feas,
-        )
+        terms = (problem.x_stationarity(w.x, w.lam), problem.y_stationarity(w.y, w.lam), feas)
+        return float(np.max(terms))
 
 
 def reference_solution(

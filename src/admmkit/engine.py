@@ -30,6 +30,7 @@ from .model import (
     IterationRecord,
     SeparableProblem,
     SolverConfig,
+    _residual,
     require_instance,
 )
 
@@ -81,7 +82,7 @@ class SolveResult:
 
     ``stop_reason`` is ``"converged"`` when the last record met the stopping
     rule, ``"max_iter"`` when the iteration cap came first, and
-    ``"non_finite"`` when the last step's new pair held a NaN or an inf.
+    ``"non_finite"`` when a norm or threshold of the last step was not finite.
     ``final`` is the last step's subproblem output (x_next, y_pred,
     lam_pred), the point the stopping rule certifies. After an unrelaxed
     step it is the new pair itself; after a relaxed one the observer's
@@ -127,17 +128,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _residual(problem: SeparableProblem, ax, y) -> np.ndarray:
-    """Ax + By - b, formed in the array ``apply_B`` returns, or in a copy of
-    it when that array is read-only or shares memory with ``y``."""
-    r = problem.apply_B(y)
-    if not r.flags.writeable or np.may_share_memory(r, y):
-        r = r.copy()
-    np.add(ax, r, out=r)
-    r -= problem.rhs_b
-    return r
-
-
 def _multiplier(problem: SeparableProblem, ax, y, lam, beta):
     """(lam - beta r, ||r||) for the residual r = Ax + By - b, the update
     written over r."""
@@ -179,7 +169,7 @@ def _criterion(pred: Prediction, dy, dlam, problem, beta, lam_norm, b_norm):
 
 def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, b_norm):
     """One prediction-correction step from v, given ||lam|| and ||b||; returns
-    (pred, v_new, record, ||lam_new||, whether v_new is finite).
+    (pred, v_new, record, ||lam_new||, whether its norms and thresholds are finite).
 
     Every array the step allocates is either handed on in ``pred`` or
     ``v_new`` or dropped before the step returns, and none is written after
@@ -221,10 +211,9 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
         eps_pri=math.sqrt(problem.m) * eps_abs + eps_rel * max(x_norm, y_norm),
         eps_dual=math.sqrt(problem.n2) * eps_abs + eps_rel * y_norm,
     )
-    v_new = EssentialState(y_new, lam_new)
-    # a norm is finite when every entry is; the scan decides only an overflow
-    finite = (math.isfinite(y_norm) and math.isfinite(lam_norm)) or v_new.finite
-    return pred, v_new, record, lam_norm, finite
+    # eps_dual carries ||y_new||: eps_rel > 0
+    finite = all(map(math.isfinite, (r_norm, dual, lam_norm, record.eps_pri, record.eps_dual)))
+    return pred, EssentialState(y_new, lam_new), record, lam_norm, finite
 
 
 def run(
@@ -241,12 +230,12 @@ def run(
     ||y - y_prev||_2 falls below sqrt(n2)*eps_abs + eps_rel*||y||. The
     default start is the all-zero essential pair. Records are numbered from
     k = 1 for the first completed step. ``observer``, if given, is called as
-    ``observer(v_old, pred, v_new, record)`` after every step whose new pair
-    is finite, with ``record`` the step's entry of ``records``. A ``v0``
-    that is not an :class:`EssentialState` of finite vectors of the
-    problem's sizes raises ValueError naming it, and so does a ``problem``
-    that is not a :class:`SeparableProblem` or a ``config`` that is not a
-    :class:`SolverConfig`.
+    ``observer(v_old, pred, v_new, record)`` after every step that does not
+    stop the solve as non-finite, with ``record`` the step's entry of
+    ``records``. Norms overflow to inf without a numpy warning. A ``v0`` that
+    is not an :class:`EssentialState` of finite vectors of the problem's sizes
+    raises ValueError naming it, and so does a ``problem`` that is not a
+    :class:`SeparableProblem` or a ``config`` that is not a :class:`SolverConfig`.
     """
     require_instance("problem", problem, SeparableProblem)
     require_instance("config", config, SolverConfig)
@@ -255,18 +244,20 @@ def run(
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
     records: list[IterationRecord] = []
     lam_norm, b_norm = _norm(v.lam), float(np.linalg.norm(problem.rhs_b))
-    for k in range(1, config.max_iter + 1):
-        try:
-            pred, v_new, record, lam_norm, finite = _step(problem, v, config, k, lam_norm, b_norm)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
-        records.append(record)
-        if finite and observer is not None:
-            observer(v, pred, v_new, record)
-        if not finite or record.within_tolerance or k == config.max_iter:
-            break
-        del pred  # free the prediction's arrays before the next step allocates
-        v = v_new
+    with np.errstate(over="ignore"):
+        for k in range(1, config.max_iter + 1):
+            try:
+                step = _step(problem, v, config, k, lam_norm, b_norm)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
+            pred, v_new, record, lam_norm, finite = step
+            records.append(record)
+            if finite and observer is not None:
+                observer(v, pred, v_new, record)
+            if not finite or record.within_tolerance or k == config.max_iter:
+                break
+            del pred, step  # free the prediction's arrays before the next step allocates
+            v = v_new
     stop_reason = "converged" if record.within_tolerance else "max_iter"
     if not finite:
         stop_reason = "non_finite"

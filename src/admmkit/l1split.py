@@ -11,11 +11,12 @@ from abc import abstractmethod
 
 import numpy as np
 
-from .model import SeparableProblem, is_finite_real
+from .model import SeparableProblem, require_real
 
 
 def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
     """Elementwise shrinkage (a - kappa)_+ - (-a - kappa)_+."""
+    require_real("kappa", kappa)
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     return _shrink(np.array(a, dtype=float), kappa)
@@ -33,8 +34,7 @@ class L1SplitProblem(SeparableProblem):
     rest of the contract, with every residual a max-norm."""
 
     def __init__(self, dim: int, weight: float, weight_name: str):
-        if not (is_finite_real(weight) and weight > 0):
-            raise ValueError(f"{weight_name} must be finite and positive, got {weight!r}")
+        require_real(weight_name, weight, 0)
         self.weight = float(weight)
         self.n1 = self.n2 = self.m = dim
         # b = 0 as a read-only zero-stride view, which holds one float
@@ -50,8 +50,7 @@ class L1SplitProblem(SeparableProblem):
 
     def solve_y(self, x, lam, beta):
         """Soft-threshold minimizer of the l1 subproblem."""
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        require_real("beta", beta, 0)
         a = np.divide(lam, beta, dtype=float)
         return _shrink(np.subtract(x, a, out=a), self.weight / beta)
 

@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrsv
 
 from .l1split import L1SplitProblem
-from .model import as_array, require_finite, require_int
+from .model import as_array, require_finite, require_int, require_real
 
 #: Per-coordinate noise variance used by :func:`generate_instance`.
 NOISE_VARIANCE = 1e-3
@@ -67,8 +67,7 @@ class LassoInstance(L1SplitProblem):
         A fat A (rows < cols) goes through the small-Gram identity; a tall or
         square one factorizes A'A + beta I directly.
         """
-        if not beta > 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        require_real("beta", beta, 0)
         fat = self.rows < self.cols
         cached = self._cache
         if cached is None or cached[0] != beta:

@@ -7,6 +7,7 @@ so new applications plug in without touching the iteration code.
 
 from __future__ import annotations
 
+import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -89,7 +90,18 @@ class SeparableProblem(ABC):
         """Distance of 0 from the y-block saddle-point condition df2(y) - B'lam."""
 
     def constraint_residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.apply_A(x) + self.apply_B(y) - self.rhs_b
+        return _residual(self, self.apply_A(x), y)
+
+
+def _residual(problem: SeparableProblem, ax, y) -> np.ndarray:
+    """Ax + By - b, formed in the array ``apply_B`` returns, or in a copy of
+    it when that array is read-only or shares memory with ``y``."""
+    r = problem.apply_B(y)
+    if not r.flags.writeable or np.may_share_memory(r, y):
+        r = r.copy()
+    np.add(ax, r, out=r)
+    r -= problem.rhs_b
+    return r
 
 
 #: Elements per block when :func:`require_finite` scans a large array.
@@ -123,11 +135,20 @@ def require_instance(name: str, value, cls: type) -> None:
 
 
 def is_finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool, a string, None or an
-    array is not one. abs() <= max is False for NaN and inf and compares a
-    huge int exactly."""
-    real = isinstance(value, Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
+    """Whether ``value`` is a finite real number; a bool, a string, None, an
+    array or an int too large for a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    return abs(value) <= sys.float_info.max if isinstance(value, Integral) else math.isfinite(value)
+
+
+def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number,
+    not a bool, strictly inside (low, high). A float skips the ABC check."""
+    if not (math.isfinite(value) if isinstance(value, float) else is_finite_real(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not low < value < high:
+        raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value}")
 
 
 def is_integer(value) -> bool:
@@ -247,16 +268,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (isinstance(self.variant, str) and self.variant in VARIANTS):
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        for name in ("beta", "gamma", "eps_abs", "eps_rel"):
-            if not is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("beta", "eps_abs", "eps_rel"):
+            require_real(name, getattr(self, name), 0)
+        require_real("gamma", self.gamma, *(() if self.variant == "classical" else (0, 2)))
         require_int("max_iter", self.max_iter, 1)
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.variant != "classical" and not 0.0 < self.gamma < 2.0:
-            raise ValueError(f"gamma must lie in (0, 2) for relaxed variants, got {self.gamma}")
-        if not (self.eps_abs > 0 and self.eps_rel > 0):
-            raise ValueError("eps_abs and eps_rel must be positive")
 
 
 @dataclass(frozen=True)

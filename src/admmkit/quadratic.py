@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import SeparableProblem, _require_full_column_rank, as_array, require_finite
+from .model import require_real
 
 
 class QuadraticProblem(SeparableProblem):
@@ -36,11 +37,13 @@ class QuadraticProblem(SeparableProblem):
         _require_full_column_rank(self.B)
 
     def solve_x(self, y, lam, beta):
+        require_real("beta", beta, 0)
         lhs = self.P1 + beta * self.A.T @ self.A
         rhs = self.A.T @ (lam - beta * (self.B @ y - self._b)) - self.q1
         return np.linalg.solve(lhs, rhs)
 
     def solve_y(self, x, lam, beta):
+        require_real("beta", beta, 0)
         lhs = self.P2 + beta * self.B.T @ self.B
         rhs = self.B.T @ (lam - beta * (self.A @ x - self._b)) - self.q2
         return np.linalg.solve(lhs, rhs)

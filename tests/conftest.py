@@ -201,13 +201,14 @@ def expansion_mismatch():
 
 
 @pytest.fixture
-def gemm_x_update():
-    """CovselInstance.x_update with the eigenvector product taken as the
+def gemm_solve_x():
+    """CovselInstance.solve_x with the eigenvector product taken as the
     symmetrized gemm (U diag(x)) U', a different kernel for the same X."""
 
-    def x_update(self, Y, Lam, beta):
-        d, U = np.linalg.eigh(beta * np.asarray(Y) + np.asarray(Lam) - self.S)
+    def solve_x(self, y, lam, beta):
+        Y, Lam = (np.reshape(v, (self.n, self.n)) for v in (y, lam))
+        d, U = np.linalg.eigh(beta * Y + Lam - self.S)
         xs = (d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta)
-        return _symmetrize((U * xs) @ U.T)
+        return _symmetrize((U * xs) @ U.T).ravel()
 
-    return x_update
+    return solve_x

@@ -242,7 +242,7 @@ def test_criterion_6_subproblem_oracles(subproblem_residual):
     Lam = rng.standard_normal((n, n))
     Lam = (Lam + Lam.T) / 2
     beta = 1.1
-    X = instance.x_update(Y, Lam, beta)
+    X = instance.solve_x(Y.ravel(), Lam.ravel(), beta).reshape(n, n)
     resid = subproblem_residual(instance, "x", X.ravel(), Y.ravel(), Lam.ravel(), beta)
     R = (beta * Y + Lam - S + (beta * Y + Lam - S).T) / 2
     d = np.linalg.eigvalsh(R)

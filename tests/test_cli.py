@@ -345,3 +345,10 @@ def test_malformed_container_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"{path}: header has no 'm' field" in err and "Traceback" not in err
+
+
+def test_compare_reports_an_overflowed_solve_as_non_finite(tmp_path, capsys):
+    argv = ["compare", "--m", "8", "--n", "12", "--beta", "1e-300", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:4]
+    assert [row.split()[3] for row in rows] == ["non_finite"] * 3

@@ -136,7 +136,7 @@ def test_unsupported_instance_type_rejected(tmp_path):
         (b'{"kind": "covsel", "n": 1, "tau": "0.1"}', 8, "'tau' must be a finite number"),
         (b'{"kind": "covsel", "n": 1, "tau": 1e999}', 8, "'tau' must be a finite number"),
         (b'{"kind": "covsel", "n": 1, "tau": 1%s}' % (b"0" * 400), 8, "'tau' must be a finite"),
-        (b'{"kind": "covsel", "n": 1, "tau": 0}', 8, "tau must be finite and positive"),
+        (b'{"kind": "covsel", "n": 1, "tau": 0}', 8, "tau must lie in (0, inf), got 0.0"),
     ],
     ids=[
         "not-object", "bad-json", "bad-utf8", "no-m", "no-rho", "negative-dims", "bool-dim",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from admmkit import VARIANTS, SolverConfig, covsel, run
+from admmkit import VARIANTS, Iterate, SolverConfig, covsel, run
 from admmkit.covsel import CovselInstance, _symmetrize, generate_instance
+from admmkit.diagnostics import kkt_residual
 
 
 def _random_spd(n, rng, shift=0.5):
@@ -65,17 +66,22 @@ def test_complex_covariance_is_rejected_by_name():
         CovselInstance(np.eye(3) * 1j)
 
 
+def _x_update(instance, Y, Lam, beta):
+    """The X-update as a matrix: solve_x on Y and Lam raveled."""
+    return instance.solve_x(Y.ravel(), Lam.ravel(), beta).reshape(instance.n, instance.n)
+
+
 def test_x_update_scalar_zero_input():
     instance = CovselInstance(np.array([[1.0]]), tau=0.1)
     # R = beta*Y + Lam - S = 0, so x solves x - 1/x = 0
-    X = instance.x_update(np.array([[1.0]]), np.array([[0.0]]), beta=1.0)
-    assert X[0, 0] == pytest.approx(1.0)
+    X = instance.solve_x(np.array([1.0]), np.array([0.0]), beta=1.0)
+    assert X[0] == pytest.approx(1.0)
 
 
 def test_x_update_identity_stationary(subproblem_residual):
     n = 4
     instance = CovselInstance(np.eye(n), tau=0.1)
-    X = instance.x_update(np.eye(n), np.zeros((n, n)), beta=1.0)
+    X = _x_update(instance, np.eye(n), np.zeros((n, n)), beta=1.0)
     assert np.abs(X - np.eye(n)).max() <= 1e-12
     assert subproblem_residual(
         instance, "x", X.ravel(), np.eye(n).ravel(), np.zeros(n * n), 1.0
@@ -93,7 +99,7 @@ def test_x_update_matches_scalar_root_finding(rng):
     R = beta * Y + Lam - S
     R = (R + R.T) / 2
     d, _ = np.linalg.eigh(R)
-    X = instance.x_update(Y, Lam, beta)
+    X = _x_update(instance, Y, Lam, beta)
     x_eigs = np.linalg.eigvalsh(X)
     for d_i, x_i in zip(np.sort(d), np.sort(x_eigs)):
         root = brentq(lambda t: beta * t - 1.0 / t - d_i, 1e-12, 1e12, xtol=1e-15)
@@ -108,13 +114,13 @@ def test_x_update_first_order_residual(rng, subproblem_residual):
     Lam = rng.standard_normal((n, n))
     Lam = (Lam + Lam.T) / 2
     beta = 1.4
-    X = instance.x_update(Y, Lam, beta)
+    X = _x_update(instance, Y, Lam, beta)
     residual = subproblem_residual(instance, "x", X.ravel(), Y.ravel(), Lam.ravel(), beta)
     assert residual <= 1e-8 * (1.0 + np.linalg.norm(S, "fro"))
 
 
 @pytest.mark.parametrize("n", [20, 200])
-def test_x_update_is_exactly_symmetric_and_matches_the_gemm_product(rng, gemm_x_update, n):
+def test_x_update_is_exactly_symmetric_and_matches_the_gemm_product(rng, gemm_solve_x, n):
     def symmetric():
         W = rng.standard_normal((n, n))
         return (W + W.T) / 2
@@ -122,9 +128,9 @@ def test_x_update_is_exactly_symmetric_and_matches_the_gemm_product(rng, gemm_x_
     instance = CovselInstance(_random_spd(n, rng), tau=0.1)
     for beta in (0.3, 1.0, 7.0):
         Y, Lam = symmetric(), symmetric()
-        X = instance.x_update(Y, Lam, beta)
+        X = _x_update(instance, Y, Lam, beta)
         assert np.array_equal(X, X.T)
-        reference = gemm_x_update(instance, Y, Lam, beta)
+        reference = gemm_solve_x(instance, Y.ravel(), Lam.ravel(), beta).reshape(n, n)
         assert np.abs(X - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
@@ -138,7 +144,7 @@ def test_x_update_idempotent_at_constructed_fixed_point(rng):
     # choose the multiplier so the stationarity condition holds exactly at X0
     Lam = S - np.linalg.inv(X0) + beta * (X0 - Y0)
     Lam = (Lam + Lam.T) / 2
-    X = instance.x_update(Y0, Lam, beta)
+    X = _x_update(instance, Y0, Lam, beta)
     assert np.abs(X - X0).max() <= 1e-10 * max(1.0, np.abs(X0).max())
 
 
@@ -230,7 +236,7 @@ def test_instance_validation(rng):
         with pytest.raises(ValueError, match="S must be finite"):
             CovselInstance(bad_S, tau=0.1)
     for tau in (np.inf, np.nan, "x", None):
-        with pytest.raises(ValueError, match="tau must be finite and positive"):
+        with pytest.raises(ValueError, match="tau must be a finite number"):
             CovselInstance(np.eye(3), tau=tau)
 
 
@@ -319,3 +325,12 @@ def test_accepting_a_covariance_solves_no_eigenproblem(monkeypatch, factor):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     assert np.array_equal(CovselInstance(S, instance.tau).S, S)
+
+
+def test_x_stationarity_at_a_singular_x_is_inf():
+    # the log-det term is undefined there, as the objective's inf says
+    instance, _ = generate_instance(10, 0)
+    zero = np.zeros(100)
+    assert instance.smooth(zero) == math.inf
+    assert instance.x_stationarity(zero, zero) == math.inf
+    assert kkt_residual(instance, Iterate(zero, zero, zero)) == math.inf

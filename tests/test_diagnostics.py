@@ -90,10 +90,10 @@ def test_parameter_validation():
 
 @pytest.mark.parametrize(
     "beta, gamma, message",
-    [("1", 1.5, "beta must be a positive finite number, got '1'"),
-     (1.0, "1.5", r"gamma must be a finite number in \(0, 2\), got '1.5'"),
-     (None, 1.5, "beta must be a positive finite number, got None"),
-     (1.0, np.nan, r"gamma must be a finite number in \(0, 2\), got nan")],
+    [("1", 1.5, "beta must be a finite number, got '1'"),
+     (1.0, "1.5", "gamma must be a finite number, got '1.5'"),
+     (None, 1.5, "beta must be a finite number, got None"),
+     (1.0, np.nan, "gamma must be a finite number, got nan")],
 )
 def test_parameters_that_are_not_numbers_are_named(beta, gamma, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -512,3 +512,19 @@ def test_reference_solution_raises_when_it_does_not_converge():
     with pytest.raises(SolverError, match="eps_abs=1e-07, eps_rel=1e-05") as exc:
         reference_solution(instance, beta=2000.0, eps_abs=1e-7, eps_rel=1e-5)
     assert f"after {REFERENCE_MAX_ITER} iterations" in str(exc.value)
+
+
+@pytest.mark.parametrize("block", ["x", "y", "lam"])
+def test_a_nan_in_any_block_makes_the_kkt_residual_nan(block):
+    problem, _ = lasso.generate_instance(4, 6, 0)
+    w = {name: np.zeros(6) for name in ("x", "y", "lam")}
+    w[block][2] = np.nan
+    assert np.isnan(kkt_residual(problem, Iterate(**w)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_matrices_names_a_non_finite_B(bad):
+    B = np.eye(3)
+    B[1, 2] = bad
+    with pytest.raises(ValueError, match="^B must be finite$"):
+        build_matrices(B, 1.0, 1.5)

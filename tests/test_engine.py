@@ -312,3 +312,13 @@ def test_covsel_runs_through_generic_engine():
     assert result.converged
     X = result.final.x.reshape(20, 20)
     assert np.linalg.eigvalsh(X)[0] > 0
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+def test_a_solve_whose_norms_overflow_stops_as_non_finite(variant):
+    # at beta = 1e-300 the first step's residual norm and threshold overflow
+    # to inf; inf <= inf must not read as converged
+    problem, _ = lasso.generate_instance(8, 12, 0)
+    result = run(problem, SolverConfig(variant=variant, beta=1e-300))
+    assert result.stop_reason == "non_finite"
+    assert result.iterations == 1

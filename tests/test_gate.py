@@ -23,14 +23,14 @@ def _flags(result):
     ],
     ids=["lasso-fat", "lasso-tall", "covsel"],
 )
-def test_relaxed_flags_do_not_depend_on_the_x_solve_kernel(monkeypatch, gemm_x_update, make):
+def test_relaxed_flags_do_not_depend_on_the_x_solve_kernel(monkeypatch, gemm_solve_x, make):
     config = SolverConfig(variant="over_relaxed", gamma=1.8)
     problems = [make(seed) for seed in range(5)]
     before = [run(problem, config) for problem in problems]
     monkeypatch.setattr(
         lasso, "_cholesky_solve", lambda upper, rhs: scipy.linalg.cho_solve((upper, False), rhs)
     )
-    monkeypatch.setattr(covsel.CovselInstance, "x_update", gemm_x_update)
+    monkeypatch.setattr(covsel.CovselInstance, "solve_x", gemm_solve_x)
     for problem, base in zip(problems, before):
         other = run(problem, config)
         assert other.iterations == base.iterations

@@ -5,10 +5,16 @@ argument's slot and keeps every other argument valid. One derandomized
 strategy draws the malformed values. Each call must return or raise a
 ValueError whose message names the argument. A shape error may name another
 argument instead when the row's argument sets that one's expected shape: a
-Lasso A with three rows makes a valid length-2 b the mismatch.
+Lasso A with three rows makes a valid length-2 b the mismatch. A real
+parameter's error must read as one of ``model.require_real``'s two messages.
+The command line has a row of its own: one malformed flag value in a small
+valid command must end in exit code 0, 3 or 2 and nothing else.
 """
 
+import contextlib
+import io
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -21,10 +27,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
-from admmkit import covsel, lasso
+from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import save_instance
-from admmkit.diagnostics import kkt_residual
+from admmkit.diagnostics import build_matrices, kkt_residual
+from admmkit.l1split import soft_threshold
 from admmkit.quadratic import QuadraticProblem
 
 SWEEP = settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -61,6 +68,12 @@ QUADRATIC = dict(
 )
 PROBLEM = QuadraticProblem(**QUADRATIC)
 Y, LAM = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+#: The three problem kinds, for the rows of their subproblem solves.
+SOLVERS = {
+    "LassoInstance": lasso.LassoInstance(**LASSO),
+    "CovselInstance": covsel.CovselInstance(**COVSEL),
+    "QuadraticProblem": PROBLEM,
+}
 
 
 def _save(instance):
@@ -81,6 +94,20 @@ class Row(NamedTuple):
     valid: object = None
     #: a positive size asks for memory in proportion, so huge ones are not drawn
     size: bool = False
+    #: a real parameter, checked by require_real: its message has one of two forms
+    real: bool = False
+
+
+def _real(call, name):
+    return Row(call, name, real=True)
+
+
+def _solve(kind, block):
+    """A row for beta in one subproblem solve of ``kind``, at zero vectors."""
+    problem = SOLVERS[kind]
+    n = problem.n2 if block == "x" else problem.n1
+    solve = getattr(problem, f"solve_{block}")
+    return _real(lambda v: solve(np.zeros(n), np.zeros(problem.m), v), "beta")
 
 
 ROWS = {
@@ -88,10 +115,10 @@ ROWS = {
                            LASSO["A"]),
     "LassoInstance.b": Row(lambda v: lasso.LassoInstance(**{**LASSO, "b": v}), "b",
                            valid=LASSO["b"]),
-    "LassoInstance.rho": Row(lambda v: lasso.LassoInstance(**{**LASSO, "rho": v}), "rho"),
+    "LassoInstance.rho": _real(lambda v: lasso.LassoInstance(**{**LASSO, "rho": v}), "rho"),
     "CovselInstance.S": Row(lambda v: covsel.CovselInstance(**{**COVSEL, "S": v}), "S",
                             valid=COVSEL["S"]),
-    "CovselInstance.tau": Row(lambda v: covsel.CovselInstance(**{**COVSEL, "tau": v}), "tau"),
+    "CovselInstance.tau": _real(lambda v: covsel.CovselInstance(**{**COVSEL, "tau": v}), "tau"),
     **{
         f"QuadraticProblem.{key}": Row(
             lambda v, key=key: QuadraticProblem(**{**QUADRATIC, key: v}), key,
@@ -106,12 +133,22 @@ ROWS = {
     "covsel.generate_instance.seed": Row(lambda v: covsel.generate_instance(10, v), "seed"),
     **{
         f"SolverConfig.{key}": Row(
-            lambda v, key=key: SolverConfig(**{"variant": "over_relaxed", key: v}), key
+            lambda v, key=key: SolverConfig(**{"variant": "over_relaxed", key: v}), key,
+            real=key in ("beta", "gamma", "eps_abs", "eps_rel"),
         )
         for key in ("variant", "beta", "gamma", "eps_abs", "eps_rel", "max_iter")
     },
+    **{
+        f"{kind}.solve_{block}.beta": _solve(kind, block)
+        for kind in SOLVERS for block in ("x", "y")
+    },
+    "soft_threshold.kappa": _real(lambda v: soft_threshold(np.array([-1.0, 2.0]), v), "kappa"),
+    "build_matrices.beta": _real(lambda v: build_matrices(QUADRATIC["B"], v, 1.5), "beta"),
+    "build_matrices.gamma": _real(lambda v: build_matrices(QUADRATIC["B"], 1.0, v), "gamma"),
+    "build_matrices.B": Row(lambda v: build_matrices(v, 1.0, 1.5), "B", valid=QUADRATIC["B"]),
     "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats"),
     "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base"),
+    "BenchmarkSpec.tau": _real(lambda v: _spec(tau=v), "tau"),
     "run.v0": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), v), "v0"),
     "run.v0.y": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(v, LAM)),
                     "v0.y", valid=Y),
@@ -130,10 +167,19 @@ def _names(message: str, name: str) -> bool:
     return re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", message) is not None
 
 
+def _real_message(message: str, name: str) -> bool:
+    """Whether ``message`` is one of require_real's two forms for ``name``;
+    soft_threshold's kappa keeps its own closed bound kappa >= 0."""
+    forms = r"be a finite number|lie in \([^()]*\)" + ("|be nonnegative" if name == "kappa" else "")
+    return re.fullmatch(rf"{re.escape(name)} must ({forms}), got .+", message, re.S) is not None
+
+
 def _one_of_each(test):
-    """Every row also runs one value of each kind of MALFORMED."""
+    """Every row also runs one value of each kind of MALFORMED, and a numpy
+    scalar that is not a float64."""
     for value in (None, True, "a", 1j, [[1.0], [1.0, 2.0]], math.nan, -1, 10**400,
-                  np.full((2, 2), math.inf), np.ones(2) * 1j, np.empty((2, 0))):
+                  np.full((2, 2), math.inf), np.full((2, 2), math.nan), np.ones(2) * 1j,
+                  np.empty((2, 0)), np.float32(0.5)):
         test = example(value=value)(test)
     return test
 
@@ -151,6 +197,7 @@ def test_a_malformed_argument_returns_or_raises_a_named_value_error(row, value):
         assert _names(str(exc), exc.operand), exc
     except ValueError as exc:
         assert _names(str(exc), row.name), exc
+        assert not row.real or _real_message(str(exc), row.name), exc
 
 
 def _strided(a):
@@ -171,3 +218,61 @@ ARRAY_ROWS = {key: row for key, row in ROWS.items() if row.valid is not None}
 )
 def test_int_float32_and_strided_arrays_are_accepted(row, convert):
     row.call(convert(row.valid))
+
+
+#: One small valid command line per subcommand (and both compare problems),
+#: as its value flags; every run writes under its own temporary directory.
+CLI_BASES = {
+    "lasso": ("lasso", {"--m": "8", "--n": "12", "--repeats": "2", "--max-iter": "50",
+                        "--variant": "classical,over_relaxed"}),
+    "covsel": ("covsel", {"--n": "10", "--tau": "0.2", "--repeats": "2", "--max-iter": "50"}),
+    "compare-lasso": ("compare", {"--problem": "lasso", "--m": "8", "--n": "12",
+                                  "--max-iter": "50"}),
+    "compare-covsel": ("compare", {"--problem": "covsel", "--n": "12", "--tau": "0.2",
+                                   "--max-iter": "50"}),
+    "diagnose": ("diagnose", {"--m": "8", "--n": "12", "--variant": "over_relaxed",
+                              "--max-iter": "50"}),
+}
+
+#: Flags any command line may get besides its own: the common ones (two are
+#: not registered for the grid commands) and one that no command knows.
+CLI_EXTRA = ("--beta", "--gamma", "--eps-abs", "--eps-rel", "--seed", "--config",
+             "--load-instance", "--tau", "--no-such-flag")
+
+#: Values that are empty, not numbers, not finite, out of range, lists or
+#: booleans.
+CLI_VALUES = ("", "abc", "nan", "inf", "-1", "0", "1e999", "1,2", "true")
+
+
+def _main(argv):
+    """cli.main(argv) in a new temporary directory, with its output captured;
+    returns (exit code, stderr)."""
+    stderr, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main([*argv, "--out", "out"])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("base", CLI_BASES.values(), ids=CLI_BASES.keys())
+def test_each_small_command_line_runs(base):
+    command, flags = base
+    assert _main([command, *(t for item in flags.items() for t in item)]) == (0, "")
+
+
+@pytest.mark.parametrize("base", CLI_BASES.values(), ids=CLI_BASES.keys())
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_malformed_flag_value_ends_in_an_exit_code(base, data):
+    command, flags = base
+    flag = data.draw(st.sampled_from([*flags, *(f for f in CLI_EXTRA if f not in flags)]))
+    argv = {**flags, flag: data.draw(st.sampled_from(CLI_VALUES))}
+    code, stderr = _main([command, *(t for item in argv.items() for t in item)])
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in stderr

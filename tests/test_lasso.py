@@ -358,5 +358,5 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="b must be finite"):
         LassoInstance(np.eye(3), np.array([0.0, np.inf, 0.0]), rho=1.0)
     for rho in (np.inf, np.nan, "x", None):
-        with pytest.raises(ValueError, match="rho must be finite and positive"):
+        with pytest.raises(ValueError, match="rho must be a finite number"):
             LassoInstance(np.eye(3), np.zeros(3), rho=rho)

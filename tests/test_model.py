@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from admmkit import (
     run,
 )
 from admmkit import lasso
-from admmkit.model import require_finite
+from admmkit.model import require_finite, require_real
 
 
 @pytest.mark.parametrize(
@@ -96,3 +99,34 @@ def test_require_finite_finds_a_bad_entry_in_any_block(shape, where, bad):
     values.flat[index] = bad
     with pytest.raises(ValueError, match="values must be finite"):
         require_finite("values", values)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, np.float64(1.5), np.float32(1.5), 1, np.int64(1), 1e308, 5e-324]
+)
+def test_require_real_accepts_a_finite_number_inside_its_interval(value):
+    require_real("beta", value, 0)
+    require_real("beta", value)
+
+
+@pytest.mark.parametrize(
+    "value", ["1", None, True, np.bool_(True), 1j, math.nan, math.inf, -math.inf,
+              np.float64(math.nan), 10**400, np.ones(1), [1.0]]
+)
+def test_require_real_names_a_value_that_is_not_a_finite_number(value):
+    message = rf"^beta must be a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        require_real("beta", value, 0)
+
+
+@pytest.mark.parametrize(
+    "low, high, value, message",
+    [(0, math.inf, 0.0, r"\(0, inf\), got 0.0"),
+     (0, math.inf, -1, r"\(0, inf\), got -1"),
+     (0, 2, 2, r"\(0, 2\), got 2"),
+     (0, 2, np.float64(2.5), r"\(0, 2\), got 2.5"),
+     (-math.inf, 1e-3, 1e-3, r"\(-inf, 0.001\), got 0.001")],
+)
+def test_require_real_bounds_are_strict_and_named_with_the_interval(low, high, value, message):
+    with pytest.raises(ValueError, match=f"^gamma must lie in {message}$"):
+        require_real("gamma", value, low, high)
