@@ -21,7 +21,7 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig, is_finite_real, is_integer, require_int, require_real
+from .model import VARIANTS, SolverConfig, require_int, require_real
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -30,13 +30,27 @@ GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
 PLOT_FLOOR = 1e-300
 
 
-def _is_count(value) -> bool:
-    return is_integer(value) and value >= 1
-
-
-def _is_pair(entry, valid) -> bool:
-    """Whether ``entry`` is a tuple or list of two values that pass ``valid``."""
-    return isinstance(entry, (tuple, list)) and len(entry) == 2 and all(map(valid, entry))
+def _entries(name: str, entries, pairs: bool, check, bound, cast) -> list:
+    """``entries`` as a list of ``cast`` values, or with ``pairs`` of pairs of
+    them. The list must be nonempty and repeat no entry, and each value must
+    pass ``check(label, value, bound)``, labelled by index as in
+    ``sizes[1][0]``; anything else raises ValueError."""
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise ValueError(f"{name} must be a nonempty list")
+    out = []
+    for i, entry in enumerate(entries):
+        if not pairs:
+            check(f"{name}[{i}]", entry, bound)
+            out.append(cast(entry))
+            continue
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ValueError(f"{name}[{i}] must be a pair, got {entry!r}")
+        for j, value in enumerate(entry):
+            check(f"{name}[{i}][{j}]", value, bound)
+        out.append(tuple(map(cast, entry)))
+    if repeated := [e for i, e in enumerate(out) if e in out[:i]]:
+        raise ValueError(f"{name} lists {repeated[0]} more than once")
+    return out
 
 
 @dataclass
@@ -45,10 +59,12 @@ class BenchmarkSpec:
 
     ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel,
     positive integers either way; ``tolerances`` holds (eps_abs, eps_rel)
-    pairs. ``gamma=None`` resolves to the per-problem default. ``tau``
-    applies to covsel instances only. A malformed entry or field, a repeated
-    size or tolerance pair, or a value that any solver config of the grid
-    rejects, such as an unknown variant, raises ValueError naming the field.
+    pairs of positive numbers. ``gamma=None`` resolves to the per-problem
+    default. ``tau`` applies to covsel instances only. A malformed entry or
+    field, a repeated size or tolerance pair, or a value that any solver
+    config of the grid rejects, such as an unknown variant, raises ValueError
+    naming the field; a malformed element is named by index, as in
+    ``sizes[1][0]``.
     """
 
     problem: str
@@ -73,27 +89,8 @@ class BenchmarkSpec:
             require_real("tau", self.tau)
         if not self.variants:
             raise ValueError("variants must be nonempty")
-        lasso = self.problem == "lasso"
-        grid = (
-            ("sizes", (lambda e: _is_pair(e, _is_count)) if lasso else _is_count,
-             "an (m, n) pair of positive integers" if lasso else "a positive integer"),
-            ("tolerances", lambda e: _is_pair(e, is_finite_real),
-             "an (eps_abs, eps_rel) pair of finite numbers"),
-        )
-        for name, valid, shape in grid:
-            entries = getattr(self, name)
-            if not isinstance(entries, (list, tuple)) or not entries:
-                raise ValueError(f"{name} must be a nonempty list")
-            if bad := [e for e in entries if not valid(e)]:
-                raise ValueError(f"{name} entry {bad[0]!r} is not {shape}")
-        if lasso:
-            self.sizes = [(int(m), int(n)) for m, n in self.sizes]
-        else:
-            self.sizes = [int(n) for n in self.sizes]
-        self.tolerances = [(float(a), float(r)) for a, r in self.tolerances]
-        for name, entries in (("sizes", self.sizes), ("tolerances", self.tolerances)):
-            if repeated := [e for i, e in enumerate(entries) if e in entries[:i]]:
-                raise ValueError(f"{name} lists {repeated[0]} more than once")
+        self.sizes = _entries("sizes", self.sizes, self.problem == "lasso", require_int, 1, int)
+        self.tolerances = _entries("tolerances", self.tolerances, True, require_real, 0, float)
         for tol in self.tolerances:
             for variant in self.variants:
                 self.config(variant, tol)

@@ -24,6 +24,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import container, covsel
 from .bench import (
     GAMMA_DEFAULTS,
@@ -254,8 +256,10 @@ def _cmd_diagnose(args) -> int:
         f"stop={result.stop_reason}"
     )
     if instance.n2 + instance.m <= DENSE_LIMIT:
-        dense = build_matrices(dense_B(instance), monitor.mats.beta, monitor.mats.gamma)
-        h_gap, g_gap = dense_identity_residuals(dense)
+        # at a huge beta the blocks overflow: the residuals then read inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = build_matrices(dense_B(instance), monitor.mats.beta, monitor.mats.gamma)
+            h_gap, g_gap = dense_identity_residuals(dense)
         print(f"metric factorization H = Q M^-1 residual: {h_gap:.3e}")
         print(f"gap-form decomposition residual:          {g_gap:.3e}")
     # each step check prints only for a variant whose steps it checks

@@ -17,7 +17,7 @@ import numpy as np
 
 from .covsel import CovselInstance
 from .lasso import LassoInstance
-from .model import is_finite_real
+from .model import require_int
 
 MAGIC = b"ADMMKIT1\n"
 
@@ -33,10 +33,10 @@ def save_instance(path, instance, seed: int | None = None) -> Path:
             "rho": instance.rho,
             "seed": seed,
         }
-        payload = (instance.A.astype("<f8").tobytes(), instance.b.astype("<f8").tobytes())
+        payload = (instance.A, instance.b)
     elif isinstance(instance, CovselInstance):
         header = {"kind": "covsel", "n": instance.n, "tau": instance.tau, "seed": seed}
-        payload = (instance.S.astype("<f8").tobytes(),)
+        payload = (instance.S,)
     else:
         raise ValueError(
             f"instance must be a LassoInstance or a CovselInstance, got {type(instance).__name__}"
@@ -44,24 +44,9 @@ def save_instance(path, instance, seed: int | None = None) -> Path:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for chunk in payload:
-            fh.write(chunk)
+        for a in payload:  # through the buffer protocol: a native float64 array is not copied
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
     return path
-
-
-def _header_field(path, header, key, integer):
-    """``header[key]``: a positive integer, or else a finite number as a float.
-    A missing or mistyped field raises ValueError naming the path and key."""
-    if key not in header:
-        raise ValueError(f"{path}: header has no {key!r} field")
-    value = header[key]
-    if integer:
-        ok, expected = type(value) is int and value > 0, "a positive integer"
-    else:
-        ok, expected = is_finite_real(value), "a finite number"
-    if not ok:
-        raise ValueError(f"{path}: header field {key!r} must be {expected}, got {value!r}")
-    return value if integer else float(value)
 
 
 def load_instance(path):
@@ -86,17 +71,19 @@ def load_instance(path):
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header must be a JSON object, got {type(header).__name__}")
         kind = header.get("kind")
-        if kind == "lasso":
-            m = _header_field(path, header, "m", integer=True)
-            n = _header_field(path, header, "n", integer=True)
-            weight = _header_field(path, header, "rho", integer=False)
-            count = m * n + m
-        elif kind == "covsel":
-            n = _header_field(path, header, "n", integer=True)
-            weight = _header_field(path, header, "tau", integer=False)
-            count = n * n
-        else:
+        if kind not in ("lasso", "covsel"):
             raise ValueError(f"{path}: unknown instance kind {kind!r}")
+        dims, weight_key = (("m", "n"), "rho") if kind == "lasso" else (("n",), "tau")
+        if missing := [key for key in (*dims, weight_key) if key not in header]:
+            raise ValueError(f"{path}: header has no {missing[0]!r} field")
+        try:
+            for key in dims:  # before anything is allocated; the instance checks the weight
+                require_int(key, header[key], 1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        n, weight = header["n"], header[weight_key]
+        m = header["m"] if kind == "lasso" else n
+        count = m * n + m if kind == "lasso" else n * n
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size == count * 8:
             values = np.empty(count, dtype="<f8")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .l1split import L1SplitProblem
-from .model import as_array, require_finite, require_int, require_real
+from .model import as_array, require_finite, require_fits, require_int, require_real
 
 #: Default l1 weight; produces visibly sparse estimates on desk-scale data.
 DEFAULT_TAU = 0.2
@@ -119,6 +119,10 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     """
     require_int("n", n, 10)
     require_int("seed", seed, 0)
+    # the draws below are the largest array; n x n must fit before 0.01 n^2 is a float
+    require_fits((n, n), n=n)
+    samples = int(math.ceil(0.01 * n * n))
+    require_fits((n, samples), n=n)
     rng = np.random.default_rng(seed)
     precision = np.eye(n)
     rows, cols = np.triu_indices(n, k=1)
@@ -131,7 +135,6 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
         precision += (0.1 - eig_min) * np.eye(n)
     sigma = np.linalg.inv(precision)
     chol = np.linalg.cholesky(_symmetrize(sigma))
-    samples = int(math.ceil(0.01 * n * n))
     draws = chol @ rng.standard_normal((n, samples))
     S = _symmetrize(draws @ draws.T / samples)
     return CovselInstance(S, tau), precision

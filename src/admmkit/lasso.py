@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrsv
 
 from .l1split import L1SplitProblem
-from .model import as_array, require_finite, require_int, require_real
+from .model import as_array, require_finite, require_fits, require_int, require_real
 
 #: Per-coordinate noise variance used by :func:`generate_instance`.
 NOISE_VARIANCE = 1e-3
@@ -118,6 +118,7 @@ def generate_instance(m: int, n: int, seed: int):
     require_int("m", m, 1)
     require_int("n", n, 1)
     require_int("seed", seed, 0)
+    require_fits((m, n), m=m, n=n)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     # Column norms over blocks of at most 64 columns, so A * A is never formed

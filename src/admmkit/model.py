@@ -134,35 +134,39 @@ def require_instance(name: str, value, cls: type) -> None:
         raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
 
 
-def is_finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool, a string, None, an
-    array or an int too large for a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return False
-    return abs(value) <= sys.float_info.max if isinstance(value, Integral) else math.isfinite(value)
-
-
 def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a finite real number,
-    not a bool, strictly inside (low, high). A float skips the ABC check."""
-    if not (math.isfinite(value) if isinstance(value, float) else is_finite_real(value)):
+    not a bool, strictly inside (low, high). A float skips the ABC checks; an
+    int is compared exactly, so one too large for a float is not finite."""
+    if isinstance(value, float):
+        finite = math.isfinite(value)
+    elif isinstance(value, bool) or not isinstance(value, Real):
+        finite = False
+    elif isinstance(value, Integral):
+        finite = abs(value) <= sys.float_info.max
+    else:
+        finite = math.isfinite(value)
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if not low < value < high:
         raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value}")
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not one."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def require_int(name: str, value, minimum: int) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
     bool, of at least ``minimum``."""
-    if not is_integer(value):
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def require_fits(shape: tuple, **sizes: int) -> None:
+    """Raise ValueError naming ``sizes`` unless a float64 array of ``shape``
+    has at most ``np.iinfo(np.intp).max`` bytes, the most numpy can index."""
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        named = ", ".join(f"{key}={value}" for key, value in sizes.items())
+        raise ValueError(f"a {shape} float64 array for {named} is past the index range")
 
 
 def _require_full_column_rank(B: np.ndarray) -> None:
@@ -223,10 +227,6 @@ class EssentialState:
     @classmethod
     def zeros(cls, problem: SeparableProblem) -> "EssentialState":
         return cls(np.zeros(problem.n2), np.zeros(problem.m))
-
-    @property
-    def finite(self) -> bool:
-        return bool(np.isfinite(self.y).all() and np.isfinite(self.lam).all())
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([np.ravel(self.y), np.ravel(self.lam)])

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ def test_spec_validation(tmp_path):
         with pytest.raises(ValueError, match=field):
             _tiny_spec(tmp_path, **{field: bad})
     for bad in [(20, 20), True, 2.0]:
-        with pytest.raises(ValueError, match="sizes entry .* is not a positive integer"):
+        message = rf"^sizes\[0\] must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
             BenchmarkSpec(problem="covsel", sizes=[bad], tolerances=[(1e-5, 1e-3)])
 
 

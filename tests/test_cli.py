@@ -352,3 +352,15 @@ def test_compare_reports_an_overflowed_solve_as_non_finite(tmp_path, capsys):
     assert main(argv) == 0
     rows = capsys.readouterr().out.splitlines()[1:4]
     assert [row.split()[3] for row in rows] == ["non_finite"] * 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagnose_at_a_huge_beta_prints_non_finite_identity_residuals(tmp_path, capsys):
+    # at beta = 1e308 gamma * beta overflows in the dense blocks, and inf * 0
+    # in them is nan; no warning escapes and the residuals print as they are
+    argv = ["diagnose", "--m", "8", "--n", "12", "--beta", "1e308", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("metric factorization H = Q M^-1 residual:", "gap-form decomposition residual:"):
+        (line,) = [line for line in lines if line.startswith(label)]
+        assert line.split()[-1] in ("nan", "inf"), line

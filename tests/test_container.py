@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from admmkit.container import MAGIC, load_instance, save_instance
+from admmkit.covsel import CovselInstance
 from admmkit.covsel import generate_instance as generate_covsel
 from admmkit.lasso import LassoInstance
 from admmkit.lasso import generate_instance as generate_lasso
@@ -31,6 +33,24 @@ def test_covsel_round_trip_is_bitwise(tmp_path):
     assert header["kind"] == "covsel" and header["n"] == 14 and header["seed"] is None
     assert np.array_equal(loaded.S, instance.S)
     assert loaded.tau == 0.13
+
+
+@pytest.mark.parametrize(
+    "instance, seed, expected",
+    [
+        (LassoInstance([[1.0, -2.0], [0.5, 3.0], [0.0, 0.25]], [1.0, 2.0, -1.0], 0.5), 7,
+         b'{"kind": "lasso", "m": 3, "n": 2, "rho": 0.5, "seed": 7}\n'
+         + struct.pack("<9d", 1.0, -2.0, 0.5, 3.0, 0.0, 0.25, 1.0, 2.0, -1.0)),
+        (CovselInstance([[2.0, 0.5], [0.5, 1.0]], 0.25), None,
+         b'{"kind": "covsel", "n": 2, "seed": null, "tau": 0.25}\n'
+         + struct.pack("<4d", 2.0, 0.5, 0.5, 1.0)),
+    ],
+    ids=["lasso", "covsel"],
+)
+def test_saved_bytes_are_pinned(tmp_path, instance, seed, expected):
+    # the magic line, the header with sorted keys, then little-endian float64s
+    path = save_instance(tmp_path / "inst.bin", instance, seed=seed)
+    assert path.read_bytes() == MAGIC + expected
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -66,20 +86,21 @@ def test_payload_length_is_checked_before_reading(tmp_path, edit, size, expected
         load_instance(path)
 
 
-def _peak_of_load(path):
+def _peak(call, *args):
+    """``call(*args)`` and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        loaded, _ = load_instance(path)
+        out = call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return loaded, peak
+    return out, peak
 
 
 def test_lasso_load_holds_one_copy_of_the_data(tmp_path):
     rng = np.random.default_rng(0)
     instance = LassoInstance(rng.standard_normal((3000, 1000)), rng.standard_normal(3000), 0.1)
-    loaded, peak = _peak_of_load(save_instance(tmp_path / "inst.bin", instance))
+    (loaded, _), peak = _peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
     assert peak <= 1.2 * instance.A.nbytes
     assert np.array_equal(loaded.A, instance.A) and np.array_equal(loaded.b, instance.b)
 
@@ -88,9 +109,22 @@ def test_covsel_load_holds_the_data_and_one_working_copy(tmp_path):
     # the constructor's n x n buffer becomes the kept S, so the read payload
     # and that buffer are the two copies
     instance, _ = generate_covsel(300, 0)
-    loaded, peak = _peak_of_load(save_instance(tmp_path / "inst.bin", instance))
+    (loaded, _), peak = _peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
     assert peak <= 2.2 * instance.S.nbytes
     assert np.array_equal(loaded.S, instance.S)
+
+
+@pytest.mark.parametrize(
+    "make, data",
+    [(lambda: generate_lasso(3000, 1000, 0)[0], "A"), (lambda: generate_covsel(300, 0)[0], "S")],
+    ids=["lasso", "covsel"],
+)
+def test_save_holds_no_copy_of_the_data(tmp_path, make, data):
+    # each native float64 array is written through the buffer protocol
+    instance = make()
+    path, peak = _peak(save_instance, tmp_path / "inst.bin", instance)
+    assert peak <= 0.05 * getattr(instance, data).nbytes
+    assert np.array_equal(getattr(load_instance(path)[0], data), getattr(instance, data))
 
 
 @pytest.mark.parametrize(
@@ -129,14 +163,14 @@ def test_unsupported_instance_type_rejected(tmp_path):
         (b"\xff", 0, "header is not valid JSON"),
         (b'{"kind": "lasso", "n": 2}', 0, "header has no 'm' field"),
         (b'{"kind": "lasso", "m": 2, "n": 2}', 48, "header has no 'rho' field"),
-        (b'{"kind": "lasso", "m": -2, "n": -3, "rho": 1.0}', 32, "'m' must be a positive integer"),
-        (b'{"kind": "lasso", "m": 2, "n": true, "rho": 1.0}', 24, "'n' must be a positive integer"),
-        (b'{"kind": "covsel", "n": -3, "tau": 1.0}', 72, "'n' must be a positive integer"),
-        (b'{"kind": "covsel", "n": 1.0, "tau": 1.0}', 8, "'n' must be a positive integer"),
-        (b'{"kind": "covsel", "n": 1, "tau": "0.1"}', 8, "'tau' must be a finite number"),
-        (b'{"kind": "covsel", "n": 1, "tau": 1e999}', 8, "'tau' must be a finite number"),
-        (b'{"kind": "covsel", "n": 1, "tau": 1%s}' % (b"0" * 400), 8, "'tau' must be a finite"),
-        (b'{"kind": "covsel", "n": 1, "tau": 0}', 8, "tau must lie in (0, inf), got 0.0"),
+        (b'{"kind": "lasso", "m": -2, "n": -3, "rho": 1.0}', 32, "m must be at least 1, got -2"),
+        (b'{"kind": "lasso", "m": 2, "n": true, "rho": 1.0}', 24, "n must be an integer, got True"),
+        (b'{"kind": "covsel", "n": -3, "tau": 1.0}', 72, "n must be at least 1, got -3"),
+        (b'{"kind": "covsel", "n": 1.0, "tau": 1.0}', 8, "n must be an integer, got 1.0"),
+        (b'{"kind": "covsel", "n": 1, "tau": "0.1"}', 8, "tau must be a finite number, got '0.1'"),
+        (b'{"kind": "covsel", "n": 1, "tau": 1e999}', 8, "tau must be a finite number, got inf"),
+        (b'{"kind": "covsel", "n": 1, "tau": 1%s}' % (b"0" * 400), 8, "tau must be a finite"),
+        (b'{"kind": "covsel", "n": 1, "tau": 0}', 8, "tau must lie in (0, inf), got 0"),
     ],
     ids=[
         "not-object", "bad-json", "bad-utf8", "no-m", "no-rho", "negative-dims", "bool-dim",

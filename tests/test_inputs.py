@@ -5,14 +5,18 @@ argument's slot and keeps every other argument valid. One derandomized
 strategy draws the malformed values. Each call must return or raise a
 ValueError whose message names the argument. A shape error may name another
 argument instead when the row's argument sets that one's expected shape: a
-Lasso A with three rows makes a valid length-2 b the mismatch. A real
-parameter's error must read as one of ``model.require_real``'s two messages.
+Lasso A with three rows makes a valid length-2 b the mismatch. An integer
+or real parameter's error must read as one of the two messages of
+``model.require_int`` or ``model.require_real``; a ``BenchmarkSpec`` list
+entry that must be a pair may instead say it is not one. The container
+header's fields have a table of their own, drawn from values JSON can hold.
 The command line has a row of its own: one malformed flag value in a small
 valid command must end in exit code 0, 3 or 2 and nothing else.
 """
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -29,7 +33,7 @@ from hypothesis.extra import numpy as hnp
 from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
 from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
-from admmkit.container import save_instance
+from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import build_matrices, kkt_residual
 from admmkit.l1split import soft_threshold
 from admmkit.quadratic import QuadraticProblem
@@ -82,7 +86,8 @@ def _save(instance):
 
 
 def _spec(**field):
-    return BenchmarkSpec("lasso", [(4, 6)], [(1e-5, 1e-3)], **field)
+    return BenchmarkSpec(**{"problem": "lasso", "sizes": [(4, 6)], "tolerances": [(1e-5, 1e-3)],
+                            **field})
 
 
 class Row(NamedTuple):
@@ -92,14 +97,19 @@ class Row(NamedTuple):
     partners: tuple = ()
     #: a valid array for the slot, or None for a non-array argument
     valid: object = None
-    #: a positive size asks for memory in proportion, so huge ones are not drawn
-    size: bool = False
-    #: a real parameter, checked by require_real: its message has one of two forms
-    real: bool = False
+    #: the forms the message may take after the name, as a regex; None for any
+    form: str | None = None
+
+
+#: The two message forms of require_int and of require_real, after the name.
+INT = r" must be (an integer|at least -?\d+), got .+"
+REAL = r" must (be a finite number|lie in \([^()]*\)), got .+"
+#: A BenchmarkSpec entry that must be a pair: not one, or an element's form.
+PAIR = r"( must be a pair, got .+|\[[01]\]{})"
 
 
 def _real(call, name):
-    return Row(call, name, real=True)
+    return Row(call, name, form=REAL)
 
 
 def _solve(kind, block):
@@ -126,15 +136,15 @@ ROWS = {
         )
         for key in QUADRATIC
     },
-    "lasso.generate_instance.m": Row(lambda v: lasso.generate_instance(v, 6, 0), "m", size=True),
-    "lasso.generate_instance.n": Row(lambda v: lasso.generate_instance(4, v, 0), "n", size=True),
+    "lasso.generate_instance.m": Row(lambda v: lasso.generate_instance(v, 6, 0), "m"),
+    "lasso.generate_instance.n": Row(lambda v: lasso.generate_instance(4, v, 0), "n"),
     "lasso.generate_instance.seed": Row(lambda v: lasso.generate_instance(4, 6, v), "seed"),
-    "covsel.generate_instance.n": Row(lambda v: covsel.generate_instance(v, 0), "n", size=True),
+    "covsel.generate_instance.n": Row(lambda v: covsel.generate_instance(v, 0), "n"),
     "covsel.generate_instance.seed": Row(lambda v: covsel.generate_instance(10, v), "seed"),
     **{
         f"SolverConfig.{key}": Row(
             lambda v, key=key: SolverConfig(**{"variant": "over_relaxed", key: v}), key,
-            real=key in ("beta", "gamma", "eps_abs", "eps_rel"),
+            form=INT if key == "max_iter" else None if key == "variant" else REAL,
         )
         for key in ("variant", "beta", "gamma", "eps_abs", "eps_rel", "max_iter")
     },
@@ -142,13 +152,28 @@ ROWS = {
         f"{kind}.solve_{block}.beta": _solve(kind, block)
         for kind in SOLVERS for block in ("x", "y")
     },
-    "soft_threshold.kappa": _real(lambda v: soft_threshold(np.array([-1.0, 2.0]), v), "kappa"),
+    # soft_threshold keeps its own closed bound kappa >= 0
+    "soft_threshold.kappa": Row(lambda v: soft_threshold(np.array([-1.0, 2.0]), v), "kappa",
+                                form=REAL.replace("|lie in", "|be nonnegative|lie in")),
     "build_matrices.beta": _real(lambda v: build_matrices(QUADRATIC["B"], v, 1.5), "beta"),
     "build_matrices.gamma": _real(lambda v: build_matrices(QUADRATIC["B"], 1.0, v), "gamma"),
     "build_matrices.B": Row(lambda v: build_matrices(v, 1.0, 1.5), "B", valid=QUADRATIC["B"]),
-    "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats"),
-    "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base"),
+    "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats", form=INT),
+    "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base", form=INT),
     "BenchmarkSpec.tau": _real(lambda v: _spec(tau=v), "tau"),
+    "BenchmarkSpec.sizes[1]": Row(lambda v: _spec(sizes=[(4, 6), v]), "sizes[1]",
+                                  form=PAIR.format(INT)),
+    "BenchmarkSpec.sizes[1][0]": Row(lambda v: _spec(sizes=[(4, 6), (v, 6)]), "sizes[1][0]",
+                                     form=INT),
+    "BenchmarkSpec.sizes[0][1]": Row(lambda v: _spec(sizes=[(4, v)]), "sizes[0][1]", form=INT),
+    "BenchmarkSpec(covsel).sizes[1]": Row(
+        lambda v: BenchmarkSpec("covsel", [10, v], [(1e-5, 1e-3)]), "sizes[1]", form=INT),
+    "BenchmarkSpec.tolerances[1]": Row(lambda v: _spec(tolerances=[(1e-5, 1e-3), v]),
+                                       "tolerances[1]", form=PAIR.format(REAL)),
+    "BenchmarkSpec.tolerances[0][0]": _real(lambda v: _spec(tolerances=[(v, 1e-3)]),
+                                            "tolerances[0][0]"),
+    "BenchmarkSpec.tolerances[0][1]": _real(lambda v: _spec(tolerances=[(1e-5, v)]),
+                                            "tolerances[0][1]"),
     "run.v0": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), v), "v0"),
     "run.v0.y": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(v, LAM)),
                     "v0.y", valid=Y),
@@ -167,11 +192,18 @@ def _names(message: str, name: str) -> bool:
     return re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", message) is not None
 
 
-def _real_message(message: str, name: str) -> bool:
-    """Whether ``message`` is one of require_real's two forms for ``name``;
-    soft_threshold's kappa keeps its own closed bound kappa >= 0."""
-    forms = r"be a finite number|lie in \([^()]*\)" + ("|be nonnegative" if name == "kappa" else "")
-    return re.fullmatch(rf"{re.escape(name)} must ({forms}), got .+", message, re.S) is not None
+def _check(row: Row, value) -> None:
+    """``row.call(value)`` returns, or raises a ValueError that names the
+    row's argument (or a partner's shape) in one of the row's forms."""
+    try:
+        row.call(value)
+    except DimensionMismatchError as exc:
+        assert exc.operand in (row.name, *row.partners), exc
+        assert _names(str(exc), exc.operand), exc
+    except ValueError as exc:
+        assert _names(str(exc), row.name), exc
+        form = row.form and re.escape(row.name) + row.form
+        assert form is None or re.fullmatch(form, str(exc), re.S), exc
 
 
 def _one_of_each(test):
@@ -189,15 +221,65 @@ def _one_of_each(test):
 @given(value=MALFORMED)
 @_one_of_each
 def test_a_malformed_argument_returns_or_raises_a_named_value_error(row, value):
-    assume(not (row.size and type(value) is int and value > 0))
-    try:
-        row.call(value)
-    except DimensionMismatchError as exc:
-        assert exc.operand in (row.name, *row.partners), exc
-        assert _names(str(exc), exc.operand), exc
-    except ValueError as exc:
-        assert _names(str(exc), row.name), exc
-        assert not row.real or _real_message(str(exc), row.name), exc
+    _check(row, value)
+
+
+#: Values a JSON header line can hold: null, bools, strings, ragged lists,
+#: NaN and inf (as Python's json writes them), ints that are not positive or
+#: are huge, and small floats.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.sampled_from([[[1.0], [1.0, 2.0]], [1.0, [2.0]], [[[1.0]]], [[]]]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=0),
+    st.integers(min_value=2**63, max_value=10**400),
+    st.floats(-4, 4),
+)
+
+
+def _load(instance, key, value):
+    """load_instance of ``instance`` saved with header field ``key`` set to
+    ``value``; a ValueError must start with the path, which is cut from it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_instance(Path(tmp) / "inst.bin", instance)
+        header, payload = path.read_bytes()[len(MAGIC):].split(b"\n", 1)
+        header = {**json.loads(header), key: value}
+        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+        try:
+            load_instance(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            raise ValueError(str(exc)[len(f"{path}: "):]) from None
+
+
+HEADER_ROWS = {
+    f"load_instance.{kind}.{key}": Row(
+        lambda v, instance=SOLVERS[kind], key=key: _load(instance, key, v), key,
+        form=REAL if key in ("rho", "tau") else INT,
+    )
+    for kind, keys in (("LassoInstance", ("m", "n", "rho")), ("CovselInstance", ("n", "tau")))
+    for key in keys
+}
+
+
+@pytest.mark.parametrize("row", HEADER_ROWS.values(), ids=HEADER_ROWS.keys())
+@SWEEP
+@given(value=JSON_VALUES)
+@example(value=None)
+@example(value=True)
+@example(value="0.1")
+@example(value=[[1.0], [1.0, 2.0]])
+@example(value=math.nan)
+@example(value=0)
+@example(value=-2)
+@example(value=10**400)
+@example(value=0.5)
+def test_a_malformed_header_field_returns_or_raises_a_named_value_error(row, value):
+    # a positive dimension is valid, and the payload it asks for is not there
+    assume(not (row.form == INT and type(value) is int and value > 0))
+    _check(row, value)
 
 
 def _strided(a):

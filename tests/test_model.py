@@ -11,8 +11,8 @@ from admmkit import (
     SolverConfig,
     run,
 )
-from admmkit import lasso
-from admmkit.model import require_finite, require_real
+from admmkit import covsel, lasso
+from admmkit.model import require_finite, require_fits, require_real
 
 
 @pytest.mark.parametrize(
@@ -59,13 +59,10 @@ def test_solver_config_accepts_unit_gamma_for_relaxed_variants():
 def test_essential_state_helpers(chain):
     v = EssentialState.zeros(chain)
     assert v.y.shape == (1,) and v.lam.shape == (1,)
-    assert v.finite
     d = EssentialState(np.array([3.0]), np.array([1.0])) - EssentialState(
         np.array([1.0]), np.array([4.0])
     )
     assert np.array_equal(d.stacked(), [2.0, -3.0])
-    bad = EssentialState(np.array([np.nan]), np.array([0.0]))
-    assert not bad.finite
 
 
 def test_iterate_validation(chain):
@@ -130,3 +127,23 @@ def test_require_real_names_a_value_that_is_not_a_finite_number(value):
 def test_require_real_bounds_are_strict_and_named_with_the_interval(low, high, value, message):
     with pytest.raises(ValueError, match=f"^gamma must lie in {message}$"):
         require_real("gamma", value, low, high)
+
+
+def test_require_fits_bounds_the_bytes_by_the_index_range():
+    # 8 (2**60 - 1) bytes is the most np.iinfo(np.intp).max = 2**63 - 1 allows
+    require_fits((2**60 - 1,), n=2**60 - 1)
+    message = r"^a \(1152921504606846976,\) float64 array for n=1152921504606846976 is past"
+    with pytest.raises(ValueError, match=message):
+        require_fits((2**60,), n=2**60)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [(lambda: lasso.generate_instance(2**63, 6, 0), "m=9223372036854775808, n=6"),
+     (lambda: lasso.generate_instance(2**40, 2**40, 0), "m=1099511627776, n=1099511627776"),
+     (lambda: covsel.generate_instance(2**40, 0), "n=1099511627776")],
+    ids=["lasso-m", "lasso-m-n", "covsel-n"],
+)
+def test_a_generator_size_past_the_index_range_is_named_before_allocating(call, named):
+    with pytest.raises(ValueError, match=f"float64 array for {named} is past the index range$"):
+        call()

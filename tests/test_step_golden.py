@@ -68,7 +68,8 @@ def reference_run(problem, config, v):
             eps_dual=float(math.sqrt(problem.n2) * config.eps_abs + config.eps_rel * y_norm),
         ))
         v = EssentialState(y_new, lam_new)
-        if not v.finite or records[-1].within_tolerance:
+        finite = np.isfinite(y_new).all() and np.isfinite(lam_new).all()
+        if not finite or records[-1].within_tolerance:
             break
     return records, x, y_pred, lam_pred
 
