@@ -24,8 +24,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import container, covsel
 from .bench import (
     GAMMA_DEFAULTS,
@@ -35,17 +33,9 @@ from .bench import (
     run_benchmark,
     write_trajectory_csv,
 )
-from .diagnostics import (
-    DENSE_LIMIT,
-    FejerMonitor,
-    build_matrices,
-    dense_B,
-    dense_identity_residuals,
-    kkt_residual,
-    reference_solution,
-)
+from .diagnostics import FejerMonitor, kkt_residual, reference_solution
 from .engine import SolverError, run
-from .model import VARIANTS, SolverConfig
+from .model import VARIANTS, SolverConfig, require_real
 
 
 def _parse_int_list(text):
@@ -141,6 +131,9 @@ def _config_tokens(parser: argparse.ArgumentParser, argv) -> list:
 def _tolerances(args) -> list:
     if len(args.eps_abs) != len(args.eps_rel):
         raise ValueError("--eps-abs and --eps-rel must have the same number of entries")
+    for name, values in (("eps_abs", args.eps_abs), ("eps_rel", args.eps_rel)):
+        for value in values:
+            require_real(name, value, 0)
     return list(zip(args.eps_abs, args.eps_rel))
 
 
@@ -255,13 +248,6 @@ def _cmd_diagnose(args) -> int:
         f"variant={args.variant} iterations={result.iterations} relaxed={relaxed} "
         f"stop={result.stop_reason}"
     )
-    if instance.n2 + instance.m <= DENSE_LIMIT:
-        # at a huge beta the blocks overflow: the residuals then read inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            dense = build_matrices(dense_B(instance), monitor.mats.beta, monitor.mats.gamma)
-            h_gap, g_gap = dense_identity_residuals(dense)
-        print(f"metric factorization H = Q M^-1 residual: {h_gap:.3e}")
-        print(f"gap-form decomposition residual:          {g_gap:.3e}")
     # each step check prints only for a variant whose steps it checks
     mono_checked, gap_checked = monitor.checks
     if mono_checked:

@@ -9,9 +9,7 @@ and an indefinite gap form G = Q' + Q - M'HM that lower-bounds per-step
 progress: a relaxed step satisfies (2 - gamma)/gamma ||v - v+||_H^2 <=
 ||v - v*||_H^2 - ||v+ - v*||_H^2. These, and the identities of the reading
 itself, are checked step by step on a live solve by :class:`FejerMonitor`
-alone, through quadratic forms that need only applications of B; the dense
-objects of a small B come from :func:`build_matrices` and are checked by
-:func:`dense_identity_residuals` alone.
+alone, through quadratic forms that need only applications of B.
 """
 
 from __future__ import annotations
@@ -23,11 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .engine import Prediction, SolverError, run
-from .model import EssentialState, IterationRecord, SeparableProblem, _require_full_column_rank
-from .model import Iterate, SolverConfig, as_array, require_finite, require_instance, require_real
-
-#: Largest n2 + m for which M, Q, H, G are materialized as dense arrays.
-DENSE_LIMIT = 2000
+from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
+from .model import require_instance
 
 #: Iteration cap of the plain-variant run behind :func:`reference_solution`.
 REFERENCE_MAX_ITER = 10000
@@ -35,75 +30,12 @@ REFERENCE_MAX_ITER = 10000
 
 @dataclass(frozen=True)
 class AnalysisMatrices:
-    """Analysis objects for a fixed (B, beta, gamma).
-
-    The quadratic forms need only ``beta``, ``gamma`` and ``apply_B``.
-    :func:`build_matrices` also fills ``M``, ``Q``, ``H``, ``G``, dense
-    (n2+m) x (n2+m) arrays with the block layout [y-block; multiplier-block];
-    otherwise they are None.
-    """
+    """Analysis objects for a fixed (B, beta, gamma): the quadratic forms of
+    H and G need only ``beta``, ``gamma`` and ``apply_B``."""
 
     beta: float
     gamma: float
     apply_B: Callable[[np.ndarray], np.ndarray]
-    M: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    H: np.ndarray | None = None
-    G: np.ndarray | None = None
-
-
-def dense_B(problem: SeparableProblem) -> np.ndarray:
-    """B materialized by applying the constraint operator to basis vectors."""
-    return np.column_stack([problem.apply_B(e) for e in np.eye(problem.n2)])
-
-
-def build_matrices(B: np.ndarray, beta: float, gamma: float) -> AnalysisMatrices:
-    """Materialize M, Q, H, G for a dense constraint block B.
-
-    B must be finite with full column rank (its singular values above 1e-10
-    times the largest); otherwise H is not positive definite. That, or a beta
-    or gamma that is not a finite number in range, raises ValueError.
-    """
-    require_real("beta", beta, 0)
-    require_real("gamma", gamma, 0, 2)
-    B = as_array("B", B, (None, None))
-    require_finite("B", B)
-    m, n2 = B.shape
-    if n2 + m > DENSE_LIMIT:
-        raise ValueError(
-            f"n2 + m = {n2 + m} exceeds the dense materialization limit "
-            f"{DENSE_LIMIT}; AnalysisMatrices(beta, gamma, apply_B) has the quadratic forms"
-        )
-    _require_full_column_rank(B)
-
-    eye_y = np.eye(n2)
-    eye_m = np.eye(m)
-    btb = B.T @ B
-    btb = (btb + btb.T) / 2.0  # exact symmetry for the diagonal blocks
-
-    M = np.block([[gamma * eye_y, np.zeros((n2, m))], [-gamma * beta * B, gamma * eye_m]])
-    Q = np.block([[beta * btb, np.zeros((n2, m))], [-B, eye_m / beta]])
-    H = np.block(
-        [[beta * btb / gamma, np.zeros((n2, m))], [np.zeros((m, n2)), eye_m / (beta * gamma)]]
-    )
-    G = np.block(
-        [
-            [(2.0 - 2.0 * gamma) * beta * btb, (gamma - 1.0) * B.T],
-            [(gamma - 1.0) * B, (2.0 - gamma) / beta * eye_m],
-        ]
-    )
-    return AnalysisMatrices(
-        beta=beta, gamma=gamma, apply_B=lambda y, _B=B: _B @ y, M=M, Q=Q, H=H, G=G
-    )
-
-
-def dense_identity_residuals(mats: AnalysisMatrices) -> tuple[float, float]:
-    """Max-norm residuals of H = Q M^-1 and G = Q' + Q - M'HM (dense objects only)."""
-    if mats.G is None:
-        raise ValueError("the dense identity checks require dense matrices")
-    h_residual = np.abs(mats.H - mats.Q @ np.linalg.inv(mats.M)).max()
-    g_residual = np.abs(mats.G - (mats.Q.T + mats.Q - mats.M.T @ mats.H @ mats.M)).max()
-    return float(h_residual), float(g_residual)
 
 
 def h_norm_sq(v: EssentialState, mats: AnalysisMatrices) -> float:

@@ -169,16 +169,6 @@ def require_fits(shape: tuple, **sizes: int) -> None:
         raise ValueError(f"a {shape} float64 array for {named} is past the index range")
 
 
-def _require_full_column_rank(B: np.ndarray) -> None:
-    """Raise ValueError unless B's singular values stay above 1e-10 times the
-    largest; otherwise the analysis metric H is not positive definite. A B
-    without columns has none to compare."""
-    m, n2 = B.shape
-    svals = np.linalg.svd(B, compute_uv=False)
-    if m < n2 or svals.min(initial=np.inf) <= 1e-10 * svals.max(initial=0.0):
-        raise ValueError("H not positive definite: B rank-deficient")
-
-
 def as_array(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a float array of ``shape``, raveled first when ``shape``
     has one entry; a ``None`` entry matches any length. A float array is not

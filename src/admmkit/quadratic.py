@@ -10,8 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SeparableProblem, _require_full_column_rank, as_array, require_finite
-from .model import require_real
+from .model import SeparableProblem, as_array, require_finite, require_real
+
+
+def _require_full_column_rank(B: np.ndarray) -> None:
+    """Raise ValueError unless B's singular values stay above 1e-10 times the
+    largest; otherwise the analysis metric H is not positive definite. A B
+    without columns has none to compare."""
+    m, n2 = B.shape
+    svals = np.linalg.svd(B, compute_uv=False)
+    if m < n2 or svals.min(initial=np.inf) <= 1e-10 * svals.max(initial=0.0):
+        raise ValueError("H not positive definite: B rank-deficient")
 
 
 class QuadraticProblem(SeparableProblem):

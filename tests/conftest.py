@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -156,8 +156,70 @@ def forced_step(extrapolate):
     return step
 
 
+@dataclass(frozen=True)
+class DenseMatrices:
+    """M, Q, H = Q M^-1 and G = Q' + Q - M'HM of the prediction-correction
+    reading (He & Yuan 2012) for a dense B, as (n2+m) x (n2+m) arrays with the
+    block layout [y-block; multiplier-block]. It has the ``beta``, ``gamma``
+    and ``apply_B`` of AnalysisMatrices, so FejerMonitor, h_norm_sq and g_form
+    take it too."""
+
+    beta: float
+    gamma: float
+    B: np.ndarray
+    M: np.ndarray
+    Q: np.ndarray
+    H: np.ndarray
+    G: np.ndarray
+
+    def apply_B(self, y):
+        return self.B @ y
+
+    @property
+    def h_residual(self):
+        """Max-norm residual of H = Q M^-1."""
+        return float(np.abs(self.H - self.Q @ np.linalg.inv(self.M)).max())
+
+    @property
+    def g_residual(self):
+        """Max-norm residual of G = Q' + Q - M'HM."""
+        return float(np.abs(self.G - (self.Q.T + self.Q - self.M.T @ self.H @ self.M)).max())
+
+
+@pytest.fixture(scope="session")
+def dense_matrices():
+    """DenseMatrices of a (B, beta, gamma) triple."""
+
+    def build(B, beta, gamma):
+        B = np.asarray(B, dtype=float)
+        m, n2 = B.shape
+        eye_y, eye_m, zeros = np.eye(n2), np.eye(m), np.zeros((n2, m))
+        btb = B.T @ B
+        btb = (btb + btb.T) / 2.0  # exact symmetry for the diagonal blocks
+        M = np.block([[gamma * eye_y, zeros], [-gamma * beta * B, gamma * eye_m]])
+        Q = np.block([[beta * btb, zeros], [-B, eye_m / beta]])
+        H = np.block([[beta * btb / gamma, zeros], [zeros.T, eye_m / (beta * gamma)]])
+        G = np.block([
+            [(2.0 - 2.0 * gamma) * beta * btb, (gamma - 1.0) * B.T],
+            [(gamma - 1.0) * B, (2.0 - gamma) / beta * eye_m],
+        ])
+        return DenseMatrices(beta, gamma, B, M, Q, H, G)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def dense_B():
+    """A problem's B, materialized by applying its constraint operator to basis vectors."""
+
+    def materialize(problem):
+        return np.column_stack([problem.apply_B(e) for e in np.eye(problem.n2)])
+
+    return materialize
+
+
 # Test-side formulas of the three per-step identities, each on the dense
-# M, H, G and B of build_matrices and in the scaling FejerMonitor keeps.
+# M, H, G and B of dense_matrices and in the scaling FejerMonitor keeps.
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,6 @@ from admmkit.bench import BenchmarkSpec, run_benchmark
 from admmkit.diagnostics import (
     AnalysisMatrices,
     FejerMonitor,
-    build_matrices,
-    dense_B,
-    dense_identity_residuals,
     reference_solution,
 )
 from admmkit.l1split import soft_threshold
@@ -99,7 +96,7 @@ def test_criterion_2_covsel_variant_ordering(covsel_table_runs):
 
 
 def test_criterion_3_exact_algebraic_identities(
-    forced_step, split_residual, correction_residual, expansion_mismatch
+    forced_step, split_residual, correction_residual, expansion_mismatch, dense_matrices, dense_B
 ):
     rng = np.random.default_rng(7)
     gammas = [0.5, 1.3, 1.5, 1.7, 1.9]
@@ -115,11 +112,10 @@ def test_criterion_3_exact_algebraic_identities(
         problem = QuadraticProblem.random(n1=n1, n2=n2, m=m, rng=rng)
         beta = betas[trial % len(betas)]
         gamma = gammas[trial % len(gammas)]
-        mats = build_matrices(dense_B(problem), beta, gamma)
+        mats = dense_matrices(dense_B(problem), beta, gamma)
 
-        h_residual, g_residual = dense_identity_residuals(mats)
-        worst["h"] = max(worst["h"], h_residual)
-        worst["g"] = max(worst["g"], g_residual / max(1.0, float(np.abs(mats.G).max())))
+        worst["h"] = max(worst["h"], mats.h_residual)
+        worst["g"] = max(worst["g"], mats.g_residual / max(1.0, float(np.abs(mats.G).max())))
 
         # relaxation applied, as the identities assume, and observed by a
         # matrix-free monitor

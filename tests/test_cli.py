@@ -5,7 +5,6 @@ import pytest
 from admmkit import SolverConfig, run
 from admmkit.cli import main
 from admmkit.container import load_instance, save_instance
-from admmkit.diagnostics import DENSE_LIMIT
 from admmkit.lasso import generate_instance
 
 
@@ -91,7 +90,7 @@ def test_diagnose_prints_only_the_checks_the_variant_runs(tmp_path, capsys, vari
     out = capsys.readouterr().out
     for line, variants in STEP_CHECK_LINES.items():
         assert (line in out) == (variant in variants), line
-    assert "metric factorization H = Q M^-1 residual" in out and "KKT residual" in out
+    assert "KKT residual" in out
     # the CSV's violation cells are likewise blank where a step skipped the check
     with open(tmp_path / f"diagnose_lasso_{variant}.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -133,11 +132,10 @@ def test_diagnose_kkt_at_last_subproblem_output_meets_the_stopping_bound(tmp_pat
     assert value <= bound
 
 
-def test_diagnose_above_the_dense_limit_prints_no_dense_matrix_lines(tmp_path, capsys):
-    # a Lasso split has n2 = m = n, so n = 1001 puts n2 + m just past the limit
-    assert 2 * 1001 > DENSE_LIMIT
+def test_diagnose_prints_no_dense_matrix_lines(tmp_path, capsys):
+    # the dense H = Q M^-1 and G checks are test oracles, not diagnose output
     rc = main([
-        "diagnose", "--problem", "lasso", "--m", "40", "--n", "1001",
+        "diagnose", "--problem", "covsel", "--n", "20",
         "--seed", "0", "--max-iter", "300", "--out", str(tmp_path),
     ])
     assert rc == 0
@@ -323,6 +321,10 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["compare", "--problem", "lasso", "--tau", "0.3"], "--tau applies only to"),
         (["diagnose", "--load-instance", "{tmp}/covsel.bin", "--tau", "0.3"],
          "--tau applies only to"),
+        # a grid command names the flag's field, not the tolerance pair's index
+        (["lasso", "--eps-abs", "0"], "error: eps_abs must lie in (0, inf), got 0.0"),
+        (["covsel", "--eps-rel", "1e-3,nan", "--eps-abs", "1e-5,1e-6"],
+         "error: eps_rel must be a finite number, got nan"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
@@ -355,12 +357,7 @@ def test_compare_reports_an_overflowed_solve_as_non_finite(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_diagnose_at_a_huge_beta_prints_non_finite_identity_residuals(tmp_path, capsys):
-    # at beta = 1e308 gamma * beta overflows in the dense blocks, and inf * 0
-    # in them is nan; no warning escapes and the residuals print as they are
+def test_diagnose_at_a_huge_beta_exits_without_a_warning(tmp_path, capsys):
     argv = ["diagnose", "--m", "8", "--n", "12", "--beta", "1e308", "--out", str(tmp_path)]
     assert main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    for label in ("metric factorization H = Q M^-1 residual:", "gap-form decomposition residual:"):
-        (line,) = [line for line in lines if line.startswith(label)]
-        assert line.split()[-1] in ("nan", "inf"), line
+    assert "KKT residual at returned point" in capsys.readouterr().out

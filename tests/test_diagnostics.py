@@ -13,15 +13,11 @@ from admmkit import (
     predict,
     run,
 )
-from admmkit import covsel, lasso
+from admmkit import lasso
 from admmkit.diagnostics import (
-    DENSE_LIMIT,
     REFERENCE_MAX_ITER,
     AnalysisMatrices,
     FejerMonitor,
-    build_matrices,
-    dense_B,
-    dense_identity_residuals,
     g_form,
     h_norm_sq,
     kkt_residual,
@@ -30,79 +26,46 @@ from admmkit.diagnostics import (
 from admmkit.quadratic import QuadraticProblem, scalar_chain
 
 
-def test_metric_block_form_identity_matrix():
-    mats = build_matrices(np.eye(2), beta=2.0, gamma=1.6)
+def test_metric_block_form_identity_matrix(dense_matrices):
+    mats = dense_matrices(np.eye(2), beta=2.0, gamma=1.6)
     expected = np.diag([2.0, 2.0, 0.5, 0.5]) / 1.6
     assert np.abs(mats.H - expected).max() < 1e-14
 
 
-def test_gap_form_at_unit_gamma_is_psd_corner():
-    mats = build_matrices(np.eye(1), beta=1.0, gamma=1.0)
+def test_gap_form_at_unit_gamma_is_psd_corner(dense_matrices):
+    mats = dense_matrices(np.eye(1), beta=1.0, gamma=1.0)
     assert np.abs(mats.G - np.array([[0.0, 0.0], [0.0, 1.0]])).max() == 0.0
     d = EssentialState(np.array([1.0]), np.array([1.0]))
     assert g_form(d, mats) == pytest.approx(1.0)
 
 
-def test_metric_factorization_random_block(rng):
+def test_metric_factorization_random_block(rng, dense_matrices):
     B = rng.standard_normal((3, 2))
-    mats = build_matrices(B, beta=0.7, gamma=1.8)
-    assert dense_identity_residuals(mats)[0] <= 1e-10
+    mats = dense_matrices(B, beta=0.7, gamma=1.8)
+    assert mats.h_residual <= 1e-10
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9])
 @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
-def test_metric_factorization_and_definiteness_grid(gamma, beta, rng):
+def test_metric_factorization_and_definiteness_grid(gamma, beta, rng, dense_matrices):
     B = rng.standard_normal((5, 3))
-    mats = build_matrices(B, beta=beta, gamma=gamma)
-    assert dense_identity_residuals(mats)[0] <= 1e-10
+    mats = dense_matrices(B, beta=beta, gamma=gamma)
+    assert mats.h_residual <= 1e-10
     assert np.abs(mats.H - mats.H.T).max() == 0.0
     assert np.abs(mats.G - mats.G.T).max() == 0.0
     assert np.linalg.eigvalsh(mats.H)[0] > 0.0
 
 
-def test_g_decomposition_consistency(rng):
+def test_g_decomposition_consistency(rng, dense_matrices):
     B = rng.standard_normal((6, 4))
-    mats = build_matrices(B, beta=0.3, gamma=1.7)
+    mats = dense_matrices(B, beta=0.3, gamma=1.7)
     scale = np.abs(mats.G).max()
-    assert dense_identity_residuals(mats)[1] <= 1e-12 * scale
-    with pytest.raises(ValueError, match="dense matrices"):
-        dense_identity_residuals(AnalysisMatrices(0.3, 1.7, mats.apply_B))
+    assert mats.g_residual <= 1e-12 * scale
 
 
-def test_rank_deficient_block_rejected():
-    col = np.ones((3, 1))
-    with pytest.raises(ValueError, match="rank-deficient"):
-        build_matrices(np.hstack([col, 2 * col]), beta=1.0, gamma=1.5)
-    with pytest.raises(ValueError, match="rank-deficient"):
-        build_matrices(np.ones((2, 3)), beta=1.0, gamma=1.5)
-
-
-def test_dense_limit_enforced():
-    with pytest.raises(ValueError, match="dense"):
-        build_matrices(np.eye(1500), beta=1.0, gamma=1.5)
-
-
-def test_parameter_validation():
-    for beta, gamma in [(0.0, 1.5), (1.0, 0.0), (1.0, 2.0)]:
-        with pytest.raises(ValueError):
-            build_matrices(np.eye(2), beta=beta, gamma=gamma)
-
-
-@pytest.mark.parametrize(
-    "beta, gamma, message",
-    [("1", 1.5, "beta must be a finite number, got '1'"),
-     (1.0, "1.5", "gamma must be a finite number, got '1.5'"),
-     (None, 1.5, "beta must be a finite number, got None"),
-     (1.0, np.nan, "gamma must be a finite number, got nan")],
-)
-def test_parameters_that_are_not_numbers_are_named(beta, gamma, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        build_matrices(np.eye(3), beta, gamma)
-
-
-def test_quadratic_forms_match_dense_products(rng):
+def test_quadratic_forms_match_dense_products(rng, dense_matrices):
     B = rng.standard_normal((5, 3))
-    mats = build_matrices(B, beta=2.5, gamma=1.4)
+    mats = dense_matrices(B, beta=2.5, gamma=1.4)
     for _ in range(20):
         v = EssentialState(rng.standard_normal(3), rng.standard_normal(5))
         stacked = v.stacked()
@@ -111,42 +74,25 @@ def test_quadratic_forms_match_dense_products(rng):
     assert h_norm_sq(EssentialState(np.zeros(3), np.zeros(5)), mats) == 0.0
 
 
-def test_matrix_free_forms_agree_with_dense(rng):
+def test_matrix_free_forms_agree_with_dense(rng, dense_matrices, dense_B):
     instance, _ = lasso.generate_instance(20, 30, 7)
-    dense = build_matrices(dense_B(instance), beta=1.3, gamma=1.6)
+    dense = dense_matrices(dense_B(instance), beta=1.3, gamma=1.6)
     free = AnalysisMatrices(1.3, 1.6, apply_B=instance.apply_B)
-    assert dense.H is not None and free.H is None
+    assert dense.H is not None and not hasattr(free, "H")
     for _ in range(10):
         v = EssentialState(rng.standard_normal(30), rng.standard_normal(30))
         assert h_norm_sq(v, free) == pytest.approx(h_norm_sq(v, dense), rel=1e-12)
         assert g_form(v, free) == pytest.approx(g_form(v, dense), rel=1e-12)
 
 
-def _small_instances():
-    rng = np.random.default_rng(3)
-    return [
-        lasso.generate_instance(40, 60, 0)[0],
-        covsel.generate_instance(20, 0)[0],
-        QuadraticProblem.random(n1=3, n2=4, m=6, rng=rng),
-    ]
-
-
-@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
-def test_monitor_is_matrix_free_under_the_dense_limit(variant):
-    config = SolverConfig(variant=variant, beta=0.8, gamma=1.6)
-    for instance in _small_instances():
-        assert instance.n2 + instance.m <= DENSE_LIMIT
-        monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
-        assert monitor.mats.H is None
-
-
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed"])
-def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant):
+def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_matrices, dense_B):
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, max_iter=60)
-    for instance in _small_instances()[::2]:  # Lasso 40x60 and a random quadratic
+    quadratic = QuadraticProblem.random(n1=3, n2=4, m=6, rng=np.random.default_rng(3))
+    for instance in (lasso.generate_instance(40, 60, 0)[0], quadratic):
         ref = reference_solution(instance, config.beta, 1e-9, 1e-7)
         free = FejerMonitor.for_config(instance, config, ref)
-        mats = build_matrices(dense_B(instance), free.mats.beta, free.mats.gamma)
+        mats = dense_matrices(dense_B(instance), free.mats.beta, free.mats.gamma)
         dense = FejerMonitor(ref, mats, variant)
         run(instance, config, observer=free)
         run(instance, config, observer=dense)
@@ -229,21 +175,23 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
         assert getattr(argument, name) == getattr(plain, name), name
 
 
-def test_expansion_zero_at_fixed_point(expansion_mismatch):
+def test_expansion_zero_at_fixed_point(expansion_mismatch, dense_matrices, dense_B):
     chain = scalar_chain()
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     pred = predict(chain, v, 1.0)
-    mats = build_matrices(dense_B(chain), 1.0, 1.5)
+    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     monitor = FejerMonitor(v, mats, "over_relaxed")
     monitor(v, pred, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))
     assert monitor.g_norm_sq == [0.0]
     assert monitor.expansion == 0.0 and expansion_mismatch(v, pred, v, mats) == 0.0
 
 
-def test_expansion_matches_direct_form_on_forced_relaxation(forced_step, expansion_mismatch):
+def test_expansion_matches_direct_form_on_forced_relaxation(
+    forced_step, expansion_mismatch, dense_matrices, dense_B
+):
     chain = scalar_chain()
     step = forced_step(chain, EssentialState(np.array([1.0]), np.array([0.0])), 1.0, 1.5)
-    mats = build_matrices(dense_B(chain), 1.0, 1.5)
+    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     monitor = FejerMonitor(step[0], AnalysisMatrices(1.0, 1.5, chain.apply_B), "over_relaxed")
     monitor(*step)
     assert monitor.g_norm_sq[0] != 0.0
@@ -279,10 +227,10 @@ def test_gap_form_nonnegative_on_criterion_held_steps():
 
 
 def test_correction_identity_on_forced_relaxation(
-    rng, small_quadratic, forced_step, correction_residual
+    rng, small_quadratic, forced_step, correction_residual, dense_matrices, dense_B
 ):
     problem = small_quadratic
-    mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.7)
+    mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.7)
     monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
@@ -293,11 +241,11 @@ def test_correction_identity_on_forced_relaxation(
 
 
 def test_correction_identity_with_unit_gamma_on_plain_steps(
-    rng, small_quadratic, forced_step, correction_residual
+    rng, small_quadratic, forced_step, correction_residual, dense_matrices, dense_B
 ):
     # an unrelaxed step is the correction at unit gamma
     problem = small_quadratic
-    mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.0)
+    mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.0)
     v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
     _, pred, _, record = forced_step(problem, v, 0.9, 1.0)
     monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
@@ -307,12 +255,12 @@ def test_correction_identity_with_unit_gamma_on_plain_steps(
 
 
 def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_identities(
-    rng, small_quadratic, forced_step, split_residual, correction_residual, expansion_mismatch
+    rng, small_quadratic, forced_step, split_residual, correction_residual, expansion_mismatch, dense_matrices, dense_B
 ):
     # a perturbed lam_early and v_next break all three identities by far more
     # than rounding, so the monitor's values and the formulas' must agree
     problem = small_quadratic
-    mats = build_matrices(dense_B(problem), beta=0.9, gamma=1.7)
+    mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.7)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         _, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
@@ -330,9 +278,9 @@ def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_ident
         assert min(monitor.split, monitor.correction, monitor.expansion) > 1e-6
 
 
-def test_fejer_constant_trajectory_is_all_zeros():
+def test_fejer_constant_trajectory_is_all_zeros(dense_matrices, dense_B):
     chain = scalar_chain()
-    mats = build_matrices(dense_B(chain), 1.0, 1.5)
+    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.3]), np.array([-0.2]))
     report = FejerMonitor(v_star, mats, "classical")
     report.transition(v_star, v_star, False)
@@ -341,12 +289,12 @@ def test_fejer_constant_trajectory_is_all_zeros():
     assert report.clean
 
 
-def test_fejer_scalar_chain_strictly_decreasing():
+def test_fejer_scalar_chain_strictly_decreasing(dense_matrices, dense_B):
     chain = scalar_chain()
     config = SolverConfig(
         variant="over_relaxed", gamma=1.5, eps_abs=1e-9, eps_rel=1e-9, max_iter=200,
     )
-    mats = build_matrices(dense_B(chain), 1.0, 1.5)
+    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
     report = FejerMonitor(v_star, mats, "over_relaxed")
     run(chain, config, EssentialState(np.array([1.0]), np.array([0.0])), observer=report)
@@ -355,9 +303,9 @@ def test_fejer_scalar_chain_strictly_decreasing():
     assert all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
 
 
-def test_fejer_flags_violations_instead_of_raising():
+def test_fejer_flags_violations_instead_of_raising(dense_matrices, dense_B):
     chain = scalar_chain()
-    mats = build_matrices(dense_B(chain), 1.0, 1.5)
+    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
     report = FejerMonitor(v_star, mats, "classical")
     report.transition(
@@ -522,9 +470,3 @@ def test_a_nan_in_any_block_makes_the_kkt_residual_nan(block):
     assert np.isnan(kkt_residual(problem, Iterate(**w)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_build_matrices_names_a_non_finite_B(bad):
-    B = np.eye(3)
-    B[1, 2] = bad
-    with pytest.raises(ValueError, match="^B must be finite$"):
-        build_matrices(B, 1.0, 1.5)

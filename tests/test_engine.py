@@ -10,7 +10,7 @@ from admmkit import (
 )
 from admmkit import lasso
 from admmkit.covsel import generate_instance as generate_covsel
-from admmkit.diagnostics import FejerMonitor, build_matrices, dense_B
+from admmkit.diagnostics import FejerMonitor
 from admmkit.quadratic import QuadraticProblem
 
 
@@ -25,14 +25,16 @@ def test_predict_scalar_chain_closed_form(chain, chain_start):
     assert pred.lam_early == pytest.approx(0.5)
 
 
-def test_prediction_multiplier_split_identity(small_quadratic, rng, split_residual):
+def test_prediction_multiplier_split_identity(
+    small_quadratic, rng, split_residual, dense_matrices, dense_B
+):
     problem = small_quadratic
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         config = SolverConfig(beta=float(rng.uniform(0.2, 5.0)), max_iter=1)
         monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
         run(problem, config, v, observer=monitor)
-        mats = build_matrices(dense_B(problem), config.beta, 1.0)
+        mats = dense_matrices(dense_B(problem), config.beta, 1.0)
         assert split_residual(v, predict(problem, v, config.beta), mats) <= 1e-12
         assert monitor.split <= 1e-12
 

@@ -34,7 +34,7 @@ from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfi
 from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
-from admmkit.diagnostics import build_matrices, kkt_residual
+from admmkit.diagnostics import kkt_residual
 from admmkit.l1split import soft_threshold
 from admmkit.quadratic import QuadraticProblem
 
@@ -155,9 +155,6 @@ ROWS = {
     # soft_threshold keeps its own closed bound kappa >= 0
     "soft_threshold.kappa": Row(lambda v: soft_threshold(np.array([-1.0, 2.0]), v), "kappa",
                                 form=REAL.replace("|lie in", "|be nonnegative|lie in")),
-    "build_matrices.beta": _real(lambda v: build_matrices(QUADRATIC["B"], v, 1.5), "beta"),
-    "build_matrices.gamma": _real(lambda v: build_matrices(QUADRATIC["B"], 1.0, v), "gamma"),
-    "build_matrices.B": Row(lambda v: build_matrices(v, 1.0, 1.5), "B", valid=QUADRATIC["B"]),
     "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats", form=INT),
     "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base", form=INT),
     "BenchmarkSpec.tau": _real(lambda v: _spec(tau=v), "tau"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmkit import VARIANTS, EssentialState, SolverConfig, run
-from admmkit.diagnostics import FejerMonitor, build_matrices, dense_B
+from admmkit.diagnostics import FejerMonitor
 from admmkit.quadratic import QuadraticProblem
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -89,12 +89,12 @@ def test_relaxed_flag_follows_the_variant_gate(case, variant):
 @PROPERTY
 @given(cases(), st.sampled_from(("classical", "over_relaxed")))
 def test_split_and_correction_identities_on_every_step(
-    split_residual, correction_residual, case, variant
+    split_residual, correction_residual, dense_matrices, dense_B, case, variant
 ):
     problem, v0, beta, gamma = case
     config = _config(variant, beta, gamma)
     monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
-    mats = build_matrices(dense_B(problem), beta, monitor.mats.gamma)
+    mats = dense_matrices(dense_B(problem), beta, monitor.mats.gamma)
     _, steps = _observed(problem, config, v0)
     for v, pred, v_new, record in steps:
         monitor(v, pred, v_new, record)

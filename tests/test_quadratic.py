@@ -128,7 +128,9 @@ def test_complex_data_is_rejected_by_name(field):
 @pytest.mark.parametrize("B", [
     np.hstack([np.ones((3, 1)), 2 * np.ones((3, 1))]),
     np.zeros((3, 2)),
-], ids=["dependent_columns", "zero"])
+    np.eye(3, 4),
+], ids=["dependent_columns", "zero", "more_columns_than_rows"])
 def test_rank_deficient_B_is_rejected_at_construction(B):
+    n2 = B.shape[1]
     with pytest.raises(ValueError, match="H not positive definite: B rank-deficient"):
-        QuadraticProblem(**_data(B=B))
+        QuadraticProblem(**_data(B=B, P2=np.eye(n2), q2=np.zeros(n2)))
