@@ -321,10 +321,12 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["compare", "--problem", "lasso", "--tau", "0.3"], "--tau applies only to"),
         (["diagnose", "--load-instance", "{tmp}/covsel.bin", "--tau", "0.3"],
          "--tau applies only to"),
-        # a grid command names the flag's field, not the tolerance pair's index
+        # every command names the flag's field, not the tolerance pair's index
         (["lasso", "--eps-abs", "0"], "error: eps_abs must lie in (0, inf), got 0.0"),
         (["covsel", "--eps-rel", "1e-3,nan", "--eps-abs", "1e-5,1e-6"],
          "error: eps_rel must be a finite number, got nan"),
+        (["compare", "--eps-abs", "0"], "error: eps_abs must lie in (0, inf), got 0.0"),
+        (["diagnose", "--eps-rel", "nan"], "error: eps_rel must be a finite number, got nan"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from admmkit import (
+    VARIANTS,
     DimensionMismatchError,
     EssentialState,
     Iterate,
@@ -13,7 +14,8 @@ from admmkit import (
     predict,
     run,
 )
-from admmkit import lasso
+from admmkit import covsel, lasso
+from admmkit.bench import GAMMA_DEFAULTS
 from admmkit.diagnostics import (
     REFERENCE_MAX_ITER,
     AnalysisMatrices,
@@ -85,7 +87,41 @@ def test_matrix_free_forms_agree_with_dense(rng, dense_matrices, dense_B):
         assert g_form(v, free) == pytest.approx(g_form(v, dense), rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["classical", "over_relaxed"])
+def _small_instances():
+    """One small instance of each problem kind diagnose runs, with its gamma."""
+    rng = np.random.default_rng(3)
+    return {
+        "lasso": (lasso.generate_instance(40, 60, 0)[0], GAMMA_DEFAULTS["lasso"]),
+        "covsel": (covsel.generate_instance(20, 0)[0], GAMMA_DEFAULTS["covsel"]),
+        "quadratic": (QuadraticProblem.random(n1=3, n2=4, m=6, rng=rng), 1.5),
+    }
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_monitor_is_matrix_free(variant):
+    # a Lasso split at n = 1001 has n2 + m = 2002: the monitor has no size limit
+    large = lasso.generate_instance(40, 1001, 0)[0]
+    for instance, gamma in [*_small_instances().values(), (large, 1.8)]:
+        config = SolverConfig(variant=variant, beta=0.8, gamma=gamma)
+        monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
+        assert [f.name for f in fields(monitor.mats)] == ["beta", "gamma", "apply_B"]
+        assert monitor.mats.apply_B == instance.apply_B
+        assert monitor.mats.gamma == (1.0 if variant == "classical" else gamma)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("kind", ["lasso", "covsel", "quadratic"])
+def test_dense_identities_hold_for_each_diagnosed_problem(kind, variant, dense_matrices, dense_B):
+    # H = Q M^-1 and G = Q' + Q - M'HM at the (B, beta, gamma) a diagnose run analyses
+    instance, gamma = _small_instances()[kind]
+    config = SolverConfig(variant=variant, gamma=gamma)
+    mats = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance)).mats
+    dense = dense_matrices(dense_B(instance), mats.beta, mats.gamma)
+    assert dense.h_residual <= 1e-10
+    assert dense.g_residual <= 1e-12 * max(1.0, float(np.abs(dense.G).max()))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_matrices, dense_B):
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, max_iter=60)
     quadratic = QuadraticProblem.random(n1=3, n2=4, m=6, rng=np.random.default_rng(3))
