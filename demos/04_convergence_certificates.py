@@ -24,7 +24,7 @@ config = SolverConfig(
     eps_abs=1e-5, eps_rel=1e-3, max_iter=500,
 )
 ref = reference_solution(instance, beta, 1e-7, 1e-5)
-monitor = FejerMonitor.for_config(instance, config, ref)
+monitor = FejerMonitor(instance, config, ref)
 result = run(instance, config, observer=monitor)
 print(f"over-relaxed solve: {result.iterations} iterations, "
       f"{sum(r.relaxed for r in result.records)} extrapolated")

@@ -21,7 +21,7 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig, require_int, require_real
+from .model import VARIANTS, SolverConfig, require_instance, require_int, require_real
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -49,7 +49,7 @@ def _entries(name: str, entries, pairs: bool, check, bound, cast) -> list:
             check(f"{name}[{i}][{j}]", value, bound)
         out.append(tuple(map(cast, entry)))
     if repeated := [e for i, e in enumerate(out) if e in out[:i]]:
-        raise ValueError(f"{name} lists {repeated[0]} more than once")
+        raise ValueError(f"{name} lists {repeated[0]!r} more than once")
     return out
 
 
@@ -60,11 +60,12 @@ class BenchmarkSpec:
     ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel,
     positive integers either way; ``tolerances`` holds (eps_abs, eps_rel)
     pairs of positive numbers. ``gamma=None`` resolves to the per-problem
-    default. ``tau`` applies to covsel instances only. A malformed entry or
-    field, a repeated size or tolerance pair, or a value that any solver
-    config of the grid rejects, such as an unknown variant, raises ValueError
-    naming the field; a malformed element is named by index, as in
-    ``sizes[1][0]``.
+    default. ``tau`` is covsel's positive l1 weight (None: the instance
+    default); a lasso spec that sets it is rejected. A malformed entry or
+    field, a repeated size, tolerance pair or variant, or a value that any
+    solver config of the grid rejects, such as an unknown variant, raises
+    ValueError naming the field; a malformed element is named by index, as
+    in ``sizes[1][0]``.
     """
 
     problem: str
@@ -72,7 +73,7 @@ class BenchmarkSpec:
     tolerances: list
     gamma: float | None = None
     beta: float = 1.0
-    variants: tuple = VARIANTS
+    variants: list | tuple = VARIANTS
     repeats: int = 10
     seed_base: int = 0
     max_iter: int = 2000
@@ -86,9 +87,10 @@ class BenchmarkSpec:
         require_int("repeats", self.repeats, 1)
         require_int("seed_base", self.seed_base, 0)
         if self.tau is not None:
-            require_real("tau", self.tau)
-        if not self.variants:
-            raise ValueError("variants must be nonempty")
+            if self.problem != "covsel":
+                raise ValueError("tau applies only to covsel")
+            require_real("tau", self.tau, 0)
+        self.variants = _entries("variants", self.variants, False, require_instance, str, str)
         self.sizes = _entries("sizes", self.sizes, self.problem == "lasso", require_int, 1, int)
         self.tolerances = _entries("tolerances", self.tolerances, True, require_real, 0, float)
         for tol in self.tolerances:
@@ -177,7 +179,7 @@ def _run_cell(spec: BenchmarkSpec, size, tol):
         for i, instance in enumerate(instances):
             observer = None
             if i == 0 and ref is not None:
-                observer = monitors[variant] = FejerMonitor.for_config(instance, config, ref)
+                observer = monitors[variant] = FejerMonitor(instance, config, ref)
             t0 = time.perf_counter()
             result = run(instance, config, observer=observer)
             times.append(time.perf_counter() - t0)

@@ -238,7 +238,7 @@ def _cmd_diagnose(args) -> int:
     instance, problem_name, config = _single_setup(args)
     config = replace(config, variant=args.variant)
     ref = reference_solution(instance, args.beta, config.eps_abs / 100, config.eps_rel / 100)
-    monitor = FejerMonitor.for_config(instance, config, ref)
+    monitor = FejerMonitor(instance, config, ref)
     result = run(instance, config, observer=monitor)
 
     diag_path = args.out / f"diagnose_{problem_name}_{args.variant}.csv"

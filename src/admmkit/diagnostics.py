@@ -41,7 +41,7 @@ class AnalysisMatrices:
 def h_norm_sq(v: EssentialState, mats: AnalysisMatrices) -> float:
     """Quadratic form v'Hv = (beta ||B y||^2 + ||lam||^2 / beta) / gamma."""
     by = mats.apply_B(v.y)
-    return float((mats.beta * by @ by + (v.lam @ v.lam) / mats.beta) / mats.gamma)
+    return float((mats.beta * (by @ by) + (v.lam @ v.lam) / mats.beta) / mats.gamma)
 
 
 def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray | None = None) -> float:
@@ -70,33 +70,37 @@ def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
 
 
 class FejerMonitor:
-    """Online Fejer diagnostics of one solve; pass it to :func:`run` as the
-    observer, or feed it transitions through :meth:`transition`.
+    """Online Fejer diagnostics of one solve of ``problem`` under ``config``;
+    pass it to :func:`run` as the observer. Classical is analysed at unit
+    gamma. B's full column rank is the problem's guarantee (see
+    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B`` is read.
 
     ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
-    form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point (observer use
-    only). Violations are (transition index k, magnitude) pairs for the
-    transition v^k -> v^(k+1); they are reported rather than raised so a
-    benchmark can keep running and flag the rows. Which checks apply follows
-    the variant (see :func:`_checks`); the tolerance is 1e-8 times the initial
-    distance. Only these per-step floats are kept, never the iterates, and
-    one multiplier-sized scratch vector that every step reuses.
+    form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point. Violations
+    are (transition index k, magnitude) pairs for the transition
+    v^k -> v^(k+1); they are reported rather than raised so a benchmark can
+    keep running and flag the rows. Which checks apply follows the variant
+    (see :func:`_checks`); the tolerance is 1e-8 times the initial distance,
+    which the first step records. Only these per-step floats are kept, never
+    the iterates, and one multiplier-sized scratch vector that every step
+    reuses.
 
-    As the observer it also keeps the largest residual of each identity of
-    the reading, for a step v -> v+ and d = v - (y_pred, lam_early), 0.0 until
-    a step it covers: ``split``, of lam_pred = lam_early + beta B d.y in the
-    max norm over max(1, ||lam_pred||_inf), on the steps the monotonicity
-    check covers; ``correction``, of v+ = v - M d in the 2-norm over ||v+||,
-    and ``expansion``, of d'Gd = (2 - gamma)/gamma ||v - v+||_H^2
+    It also keeps the largest residual of each identity of the reading, for
+    a step v -> v+ and d = v - (y_pred, lam_early), 0.0 until a step it
+    covers: ``split``, of lam_pred = lam_early + beta B d.y in the max norm
+    over max(1, ||lam_pred||_inf), on the steps the monotonicity check
+    covers; ``correction``, of v+ = v - M d in the 2-norm over ||v+||, and
+    ``expansion``, of d'Gd = (2 - gamma)/gamma ||v - v+||_H^2
     + 2 (lam - lam_pred)'B d.y over |d'Gd|, on the steps the gap check
     covers. All three reuse the gap form's B d.y, the expansion the gap
     check's step form.
     """
 
-    def __init__(self, v_star: EssentialState, mats: AnalysisMatrices, variant: str):
+    def __init__(self, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState):
+        gamma = 1.0 if config.variant == "classical" else config.gamma
         self.v_star = v_star
-        self.mats = mats
-        self.variant = variant
+        self.mats = AnalysisMatrices(config.beta, gamma, problem.apply_B)
+        self.variant = config.variant
         self.h_dist_sq: list[float] = []
         self.g_norm_sq: list[float] = []
         self.monotonicity_violations: list[tuple[int, float]] = []
@@ -104,16 +108,6 @@ class FejerMonitor:
         self.tol = 0.0
         self.split = self.correction = self.expansion = 0.0
         self._work = None  # lam-sized, formed on the first step that needs it
-
-    @classmethod
-    def for_config(
-        cls, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState
-    ) -> "FejerMonitor":
-        """Matrix-free monitor of a solve under ``config``; classical is
-        analysed at unit gamma. B's full column rank is the problem's
-        guarantee (see :class:`~admmkit.model.SeparableProblem`)."""
-        gamma = 1.0 if config.variant == "classical" else config.gamma
-        return cls(v_star, AnalysisMatrices(config.beta, gamma, problem.apply_B), config.variant)
 
     @property
     def clean(self) -> bool:
@@ -146,35 +140,23 @@ class FejerMonitor:
             lam_inf = max(1.0, pred.lam_pred.max(initial=0.0), -pred.lam_pred.min(initial=0.0))
             self.split = max(self.split, float(np.abs(split, out=split).max(initial=0.0) / lam_inf))
         del d, bdy  # free before the distance's vectors are formed
-        step_form = self.transition(v_old, v_new, record.relaxed)
-        if gap:
-            expanded = step_form + 2.0 * cross
-            self.expansion = max(self.expansion, abs(direct - expanded) / max(abs(direct), 1e-300))
-
-    def transition(self, v_old, v_new, relaxed: bool) -> float | None:
-        """Record v_old -> v_new and run the checks the variant covers on it.
-        The first transition records the starting distance, which sets the
-        tolerance. Returns the gap check's step form
-        (2 - gamma)/gamma ||v_old - v_new||_H^2, or None where it did not run.
-        """
         if not self.h_dist_sq:
-            dist = h_norm_sq(v_old - self.v_star, self.mats)
+            dist = h_norm_sq(v_old - self.v_star, mats)
             self.h_dist_sq.append(dist)
             self.tol = 1e-8 * max(dist, 1e-300)
-        monotone, gap = _checks(self.variant, relaxed)
         k = len(self.h_dist_sq) - 1
         before = self.h_dist_sq[-1]
-        after = h_norm_sq(v_new - self.v_star, self.mats)
+        after = h_norm_sq(v_new - self.v_star, mats)
         self.h_dist_sq.append(after)
         if monotone and after > before + self.tol:
             self.monotonicity_violations.append((k, after - before))
-        if not gap:
-            return None
-        lhs = (2.0 - self.mats.gamma) / self.mats.gamma * h_norm_sq(v_old - v_new, self.mats)
-        rhs = before - after
-        if lhs > rhs + self.tol:
-            self.gap_violations.append((k, lhs - rhs))
-        return lhs
+        if gap:
+            step_form = (2.0 - mats.gamma) / mats.gamma * h_norm_sq(v_old - v_new, mats)
+            rhs = before - after
+            if step_form > rhs + self.tol:
+                self.gap_violations.append((k, step_form - rhs))
+            expanded = step_form + 2.0 * cross
+            self.expansion = max(self.expansion, abs(direct - expanded) / max(abs(direct), 1e-300))
 
     def row(self, rec: IterationRecord) -> list:
         """h_dist_sq, g_norm_sq and the two violation flags of the step behind

@@ -142,6 +142,11 @@ def extrapolate():
     return relaxed
 
 
+def _record(relaxed):
+    """The record of an observed step; a FejerMonitor step reads only ``relaxed``."""
+    return IterationRecord(1, 0.0, 0.0, 0.0, relaxed, 0.0, 0.0)
+
+
 @pytest.fixture
 def forced_step(extrapolate):
     """(v, pred, v_next, record) of a plain sweep from v whose relaxation by
@@ -150,10 +155,22 @@ def forced_step(extrapolate):
 
     def step(problem, v, beta, gamma):
         pred = predict(problem, v, beta)
-        record = IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0)
-        return v, pred, extrapolate(v, pred, gamma), record
+        return v, pred, extrapolate(v, pred, gamma), _record(True)
 
     return step
+
+
+@pytest.fixture(scope="session")
+def observe_transition():
+    """Feeds a FejerMonitor of ``problem`` the transition v_old -> v_new as
+    run would: with the plain sweep's prediction at v_old under the monitor's
+    beta, and a record saying whether the step relaxed."""
+
+    def observe(monitor, problem, v_old, v_new, relaxed):
+        pred = predict(problem, v_old, monitor.mats.beta)
+        monitor(v_old, pred, v_new, _record(relaxed))
+
+    return observe
 
 
 @dataclass(frozen=True)
@@ -161,8 +178,7 @@ class DenseMatrices:
     """M, Q, H = Q M^-1 and G = Q' + Q - M'HM of the prediction-correction
     reading (He & Yuan 2012) for a dense B, as (n2+m) x (n2+m) arrays with the
     block layout [y-block; multiplier-block]. It has the ``beta``, ``gamma``
-    and ``apply_B`` of AnalysisMatrices, so FejerMonitor, h_norm_sq and g_form
-    take it too."""
+    and ``apply_B`` of AnalysisMatrices, so h_norm_sq and g_form take it too."""
 
     beta: float
     gamma: float

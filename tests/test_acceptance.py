@@ -13,11 +13,7 @@ import pytest
 from admmkit import EssentialState, SolverConfig, run
 from admmkit import covsel, lasso
 from admmkit.bench import BenchmarkSpec, run_benchmark
-from admmkit.diagnostics import (
-    AnalysisMatrices,
-    FejerMonitor,
-    reference_solution,
-)
+from admmkit.diagnostics import FejerMonitor, reference_solution
 from admmkit.l1split import soft_threshold
 from admmkit.lasso import LassoInstance, rho_max
 from admmkit.quadratic import QuadraticProblem
@@ -122,7 +118,8 @@ def test_criterion_3_exact_algebraic_identities(
         v = EssentialState(rng.standard_normal(n2), rng.standard_normal(m))
         step = forced_step(problem, v, beta, gamma)
         _, pred, v_next, _ = step
-        monitor = FejerMonitor(v, AnalysisMatrices(beta, gamma, problem.apply_B), "over_relaxed")
+        config = SolverConfig(variant="over_relaxed", beta=beta, gamma=gamma)
+        monitor = FejerMonitor(problem, config, v)
         monitor(*step)
         for name, value in (
             ("split", split_residual(v, pred, mats)),
@@ -162,7 +159,7 @@ def test_criterion_4_fejer_monotonicity():
             eps_abs=eps_abs, eps_rel=eps_rel, max_iter=2000,
         )
         ref = reference_solution(instance, 1.0, *ref_tol)
-        report = FejerMonitor.for_config(instance, config, ref)
+        report = FejerMonitor(instance, config, ref)
         result = run(instance, config, observer=report)
         violations += len(report.monotonicity_violations) + len(report.gap_violations)
         # every observed over-relaxed step is checked for monotonicity, a

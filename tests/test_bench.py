@@ -44,13 +44,20 @@ def test_spec_validation(tmp_path):
         _tiny_spec(tmp_path, sizes=[(40, 60), (30, 50), (40, 60)])
     with pytest.raises(ValueError, match=r"tolerances lists \(1e-05, 0.001\) more than once"):
         _tiny_spec(tmp_path, tolerances=[(1e-5, 1e-3)] * 2)
+    with pytest.raises(ValueError, match=r"^variants lists 'classical' more than once$"):
+        _tiny_spec(tmp_path, variants=("classical", "over_relaxed", "classical"))
+    # tau is covsel's positive l1 weight, checked where the spec is built
+    with pytest.raises(ValueError, match=r"^tau applies only to covsel$"):
+        _tiny_spec(tmp_path, tau=0.5)
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0, inf\), got -3.0$"):
+        BenchmarkSpec(problem="covsel", sizes=[12], tolerances=[(1e-5, 1e-3)], tau=-3.0)
     # each field is checked by type before any comparison, and named
     for field, bad in [
         ("repeats", "2"), ("repeats", True), ("seed_base", "1"), ("seed_base", 1.0),
         ("seed_base", -1), ("tau", "x"), ("tau", float("nan")),
         ("sizes", [("a", 2)]), ("sizes", [None]), ("sizes", [(40, 0)]), ("sizes", [(40,)]),
         ("sizes", 40), ("tolerances", [(1e-5,)]), ("tolerances", [("1e-5", 1e-3)]),
-        ("tolerances", [None]),
+        ("tolerances", [None]), ("variants", "classical"), ("variants", ["classical", 3]),
     ]:
         with pytest.raises(ValueError, match=field):
             _tiny_spec(tmp_path, **{field: bad})
@@ -141,7 +148,7 @@ def test_diagnostics_columns_clean_on_converging_cell(tmp_path):
 def test_trajectory_csv_leaves_the_unobserved_non_finite_step_blank(tmp_path, nan_after_two):
     problem = nan_after_two()
     config = SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-12)
-    monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     v0 = EssentialState(np.array([1.0]), np.array([0.0]))
     result = run(problem, config, v0, observer=monitor)
     assert result.stop_reason == "non_finite" and result.iterations == 3

@@ -309,6 +309,8 @@ def test_mismatched_tolerance_lists(tmp_path):
         (["lasso", "--m", "40,40", "--n", "60"], "sizes lists (40, 60) more than once"),
         (["covsel", "--eps-abs", "1e-5,1e-5", "--eps-rel", "1e-3,1e-3"],
          "tolerances lists (1e-05, 0.001) more than once"),
+        (["lasso", "--m", "8", "--n", "12", "--repeats", "1", "--variant", "classical,classical"],
+         "variants lists 'classical' more than once"),
         (["lasso", "--config", "{tmp}/missing.cfg"], "No such file or directory"),
         (["lasso", "--config"], "--config: expected one argument"),
         (["diagnose", "--load-instance", "{tmp}/missing.bin"], "No such file or directory"),
@@ -339,6 +341,14 @@ def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "usage: admm-bench" in err and "Traceback" not in err
+
+
+def test_a_bad_tau_is_a_usage_error_that_makes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["covsel", "--n", "12", "--repeats", "1", "--tau", "-1", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert "tau must lie in (0, inf), got -1.0" in capsys.readouterr().err
 
 
 def test_malformed_container_is_a_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ def test_monitor_is_matrix_free(variant):
     large = lasso.generate_instance(40, 1001, 0)[0]
     for instance, gamma in [*_small_instances().values(), (large, 1.8)]:
         config = SolverConfig(variant=variant, beta=0.8, gamma=gamma)
-        monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
+        monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
         assert [f.name for f in fields(monitor.mats)] == ["beta", "gamma", "apply_B"]
         assert monitor.mats.apply_B == instance.apply_B
         assert monitor.mats.gamma == (1.0 if variant == "classical" else gamma)
@@ -115,21 +116,21 @@ def test_dense_identities_hold_for_each_diagnosed_problem(kind, variant, dense_m
     # H = Q M^-1 and G = Q' + Q - M'HM at the (B, beta, gamma) a diagnose run analyses
     instance, gamma = _small_instances()[kind]
     config = SolverConfig(variant=variant, gamma=gamma)
-    mats = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance)).mats
+    mats = FejerMonitor(instance, config, EssentialState.zeros(instance)).mats
     dense = dense_matrices(dense_B(instance), mats.beta, mats.gamma)
     assert dense.h_residual <= 1e-10
     assert dense.g_residual <= 1e-12 * max(1.0, float(np.abs(dense.G).max()))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_matrices, dense_B):
+def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_B):
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, max_iter=60)
     quadratic = QuadraticProblem.random(n1=3, n2=4, m=6, rng=np.random.default_rng(3))
     for instance in (lasso.generate_instance(40, 60, 0)[0], quadratic):
         ref = reference_solution(instance, config.beta, 1e-9, 1e-7)
-        free = FejerMonitor.for_config(instance, config, ref)
-        mats = dense_matrices(dense_B(instance), free.mats.beta, free.mats.gamma)
-        dense = FejerMonitor(ref, mats, variant)
+        free = FejerMonitor(instance, config, ref)
+        B = dense_B(instance)
+        dense = FejerMonitor(SimpleNamespace(apply_B=lambda y: B @ y), config, ref)
         run(instance, config, observer=free)
         run(instance, config, observer=dense)
         assert free.h_dist_sq == dense.h_dist_sq
@@ -147,10 +148,10 @@ class _CountingB(QuadraticProblem):
 
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
-def test_for_config_applies_no_B(variant, rng):
+def test_monitor_construction_applies_no_B(variant, rng):
     problem = _CountingB.random(n1=3, n2=4, m=6, rng=rng)
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6)
-    FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    FejerMonitor(problem, config, EssentialState.zeros(problem))
     assert problem.b_calls == 0
 
 
@@ -162,7 +163,7 @@ def test_monitor_reuses_the_gap_forms_B_application(variant, rng):
     # the expansion shares
     problem = _CountingB.random(n1=3, n2=4, m=6, rng=rng)
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, eps_abs=1e-12, eps_rel=1e-12)
-    monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     seen = []
 
     def observe(v, pred, v_new, record):
@@ -195,7 +196,7 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
     monitors = []
     for problem in (QuadraticProblem(*data), identity_b(*data)):
         problem.read_only = read_only
-        monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+        monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         seen = []
 
         def observe(v, pred, v_new, record):
@@ -216,7 +217,7 @@ def test_expansion_zero_at_fixed_point(expansion_mismatch, dense_matrices, dense
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     pred = predict(chain, v, 1.0)
     mats = dense_matrices(dense_B(chain), 1.0, 1.5)
-    monitor = FejerMonitor(v, mats, "over_relaxed")
+    monitor = FejerMonitor(chain, SolverConfig(variant="over_relaxed", beta=1.0, gamma=1.5), v)
     monitor(v, pred, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))
     assert monitor.g_norm_sq == [0.0]
     assert monitor.expansion == 0.0 and expansion_mismatch(v, pred, v, mats) == 0.0
@@ -228,7 +229,8 @@ def test_expansion_matches_direct_form_on_forced_relaxation(
     chain = scalar_chain()
     step = forced_step(chain, EssentialState(np.array([1.0]), np.array([0.0])), 1.0, 1.5)
     mats = dense_matrices(dense_B(chain), 1.0, 1.5)
-    monitor = FejerMonitor(step[0], AnalysisMatrices(1.0, 1.5, chain.apply_B), "over_relaxed")
+    config = SolverConfig(variant="over_relaxed", beta=1.0, gamma=1.5)
+    monitor = FejerMonitor(chain, config, step[0])
     monitor(*step)
     assert monitor.g_norm_sq[0] != 0.0
     assert monitor.expansion <= 1e-8 and expansion_mismatch(*step[:3], mats) <= 1e-8
@@ -237,7 +239,7 @@ def test_expansion_matches_direct_form_on_forced_relaxation(
 def test_gap_form_nonnegative_on_criterion_held_steps():
     instance, _ = lasso.generate_instance(60, 120, 8)
     config = SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=200)
-    monitor = FejerMonitor.for_config(instance, config, EssentialState.zeros(instance))
+    monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
     steps = []
 
     def observe(v, pred, v_new, record):
@@ -267,7 +269,8 @@ def test_correction_identity_on_forced_relaxation(
 ):
     problem = small_quadratic
     mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.7)
-    monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
+    config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.7)
+    monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         v, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
@@ -284,7 +287,8 @@ def test_correction_identity_with_unit_gamma_on_plain_steps(
     mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.0)
     v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
     _, pred, _, record = forced_step(problem, v, 0.9, 1.0)
-    monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
+    config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.0)
+    monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     monitor(v, pred, pred.essential, record)
     assert monitor.correction <= 1e-12
     assert correction_residual(v, pred, pred.essential, mats) <= 1e-12
@@ -297,12 +301,13 @@ def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_ident
     # than rounding, so the monitor's values and the formulas' must agree
     problem = small_quadratic
     mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.7)
+    config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.7)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         _, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
         pred = replace(pred, early=pred.lam_early + 0.1 * rng.standard_normal(problem.m))
         v_next = EssentialState(v_next.y + 0.1 * rng.standard_normal(problem.n2), v_next.lam)
-        monitor = FejerMonitor(EssentialState.zeros(problem), mats, "over_relaxed")
+        monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         monitor(v, pred, v_next, record)
         assert monitor.split == pytest.approx(split_residual(v, pred, mats), rel=1e-9)
         assert monitor.correction == pytest.approx(
@@ -314,37 +319,35 @@ def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_ident
         assert min(monitor.split, monitor.correction, monitor.expansion) > 1e-6
 
 
-def test_fejer_constant_trajectory_is_all_zeros(dense_matrices, dense_B):
+def test_fejer_constant_trajectory_is_all_zeros(observe_transition):
     chain = scalar_chain()
-    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.3]), np.array([-0.2]))
-    report = FejerMonitor(v_star, mats, "classical")
-    report.transition(v_star, v_star, False)
-    report.transition(v_star, v_star, False)
+    report = FejerMonitor(chain, SolverConfig(variant="classical", beta=1.0, gamma=1.5), v_star)
+    observe_transition(report, chain, v_star, v_star, False)
+    observe_transition(report, chain, v_star, v_star, False)
     assert report.h_dist_sq == [0.0, 0.0, 0.0]
     assert report.clean
 
 
-def test_fejer_scalar_chain_strictly_decreasing(dense_matrices, dense_B):
+def test_fejer_scalar_chain_strictly_decreasing():
     chain = scalar_chain()
     config = SolverConfig(
-        variant="over_relaxed", gamma=1.5, eps_abs=1e-9, eps_rel=1e-9, max_iter=200,
+        variant="over_relaxed", beta=1.0, gamma=1.5, eps_abs=1e-9, eps_rel=1e-9, max_iter=200,
     )
-    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
-    report = FejerMonitor(v_star, mats, "over_relaxed")
+    report = FejerMonitor(chain, config, v_star)
     run(chain, config, EssentialState(np.array([1.0]), np.array([0.0])), observer=report)
     assert report.clean
     dists = report.h_dist_sq
     assert all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
 
 
-def test_fejer_flags_violations_instead_of_raising(dense_matrices, dense_B):
+def test_fejer_flags_violations_instead_of_raising(observe_transition):
     chain = scalar_chain()
-    mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
-    report = FejerMonitor(v_star, mats, "classical")
-    report.transition(
+    report = FejerMonitor(chain, SolverConfig(variant="classical", beta=1.0, gamma=1.5), v_star)
+    observe_transition(
+        report, chain,
         EssentialState(np.array([0.1]), np.array([0.0])),
         EssentialState(np.array([5.0]), np.array([0.0])),
         False,
@@ -353,17 +356,17 @@ def test_fejer_flags_violations_instead_of_raising(dense_matrices, dense_B):
     assert report.monotonicity_violations[0][0] == 0
 
 
-def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance():
+def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance(observe_transition):
     # the tolerance is 1e-8 D0, so a transition that grows the H-distance to
     # v* by 1e-6 D0 is a violation of about that size
     chain = scalar_chain()
-    mats = AnalysisMatrices(1.0, 1.0, chain.apply_B)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
     v_old = EssentialState(np.array([1.0]), np.array([0.5]))
-    d0 = h_norm_sq(v_old, mats)
     grow = np.sqrt(1.0 + 1e-6)
-    report = FejerMonitor(v_star, mats, "classical")
-    report.transition(v_old, EssentialState(grow * v_old.y, grow * v_old.lam), False)
+    report = FejerMonitor(chain, SolverConfig(variant="classical", beta=1.0, gamma=1.0), v_star)
+    d0 = h_norm_sq(v_old, report.mats)
+    v_new = EssentialState(grow * v_old.y, grow * v_old.lam)
+    observe_transition(report, chain, v_old, v_new, False)
     assert [k for k, _ in report.monotonicity_violations] == [0]
     assert report.monotonicity_violations[0][1] == pytest.approx(1e-6 * d0, rel=1e-6)
 
@@ -372,7 +375,7 @@ def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
     # classical steps are analysed at H(1), whatever gamma the config carries
     config = SolverConfig(variant="classical", beta=0.8, gamma=1.6, max_iter=40)
     ref = reference_solution(small_quadratic, config.beta, 1e-10, 1e-8)
-    monitor = FejerMonitor.for_config(small_quadratic, config, ref)
+    monitor = FejerMonitor(small_quadratic, config, ref)
     pairs = []
 
     def observe(v_old, pred, v_new, record):
@@ -386,12 +389,14 @@ def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
 
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
-def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant):
+def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant, observe_transition):
     # an unrelaxed over-relaxed step is a classical step, monotone in H(gamma)
     config = SolverConfig(variant=variant, gamma=1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
-    report = FejerMonitor.for_config(scalar_chain(), config, v_star)
-    report.transition(
+    chain = scalar_chain()
+    report = FejerMonitor(chain, config, v_star)
+    observe_transition(
+        report, chain,
         EssentialState(np.array([0.1]), np.array([0.0])),
         EssentialState(np.array([5.0]), np.array([0.0])),
         relaxed=False,
@@ -399,6 +404,24 @@ def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant):
     checked = variant != "relaxed_customized"
     assert [k for k, _ in report.monotonicity_violations] == ([0] if checked else [])
     assert not report.gap_violations
+
+
+def test_a_relaxed_step_away_from_v_star_is_flagged_by_both_checks(observe_transition):
+    # growing the H(gamma)-distance from 0.01/gamma to 25/gamma breaks
+    # monotonicity, and the gap inequality by the step form plus that growth
+    chain = scalar_chain()
+    v_star = EssentialState(np.array([0.0]), np.array([0.0]))
+    report = FejerMonitor(chain, SolverConfig(variant="over_relaxed", gamma=1.5), v_star)
+    observe_transition(
+        report, chain,
+        EssentialState(np.array([0.1]), np.array([0.0])),
+        EssentialState(np.array([5.0]), np.array([0.0])),
+        relaxed=True,
+    )
+    assert [k for k, _ in report.monotonicity_violations] == [0]
+    assert [k for k, _ in report.gap_violations] == [0]
+    step_form = (2.0 - 1.5) / 1.5 * 4.9**2 / 1.5
+    assert report.gap_violations[0][1] == pytest.approx(step_form + (25.0 - 0.01) / 1.5)
 
 
 def test_kkt_residual_zero_at_saddle_point():

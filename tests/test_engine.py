@@ -32,7 +32,7 @@ def test_prediction_multiplier_split_identity(
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         config = SolverConfig(beta=float(rng.uniform(0.2, 5.0)), max_iter=1)
-        monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+        monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         run(problem, config, v, observer=monitor)
         mats = dense_matrices(dense_B(problem), config.beta, 1.0)
         assert split_residual(v, predict(problem, v, config.beta), mats) <= 1e-12

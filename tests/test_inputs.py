@@ -157,7 +157,10 @@ ROWS = {
                                 form=REAL.replace("|lie in", "|be nonnegative|lie in")),
     "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats", form=INT),
     "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base", form=INT),
-    "BenchmarkSpec.tau": _real(lambda v: _spec(tau=v), "tau"),
+    # a lasso spec rejects any tau; a covsel spec checks it as a real in (0, inf)
+    "BenchmarkSpec.tau": Row(lambda v: _spec(tau=v), "tau", form=" applies only to covsel"),
+    "BenchmarkSpec(covsel).tau": _real(
+        lambda v: BenchmarkSpec("covsel", [10], [(1e-5, 1e-3)], tau=v), "tau"),
     "BenchmarkSpec.sizes[1]": Row(lambda v: _spec(sizes=[(4, 6), v]), "sizes[1]",
                                   form=PAIR.format(INT)),
     "BenchmarkSpec.sizes[1][0]": Row(lambda v: _spec(sizes=[(4, 6), (v, 6)]), "sizes[1][0]",

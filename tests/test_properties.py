@@ -93,7 +93,7 @@ def test_split_and_correction_identities_on_every_step(
 ):
     problem, v0, beta, gamma = case
     config = _config(variant, beta, gamma)
-    monitor = FejerMonitor.for_config(problem, config, EssentialState.zeros(problem))
+    monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     mats = dense_matrices(dense_B(problem), beta, monitor.mats.gamma)
     _, steps = _observed(problem, config, v0)
     for v, pred, v_new, record in steps:
