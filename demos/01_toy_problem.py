@@ -22,7 +22,10 @@ print("prediction from (y, lam) = (1, 0):")
 print(f"  x_next    = {pred.x_next[0]: .4f}")
 print(f"  y_pred    = {pred.y_pred[0]: .4f}")
 print(f"  lam_pred  = {pred.lam_pred[0]: .4f}   (multiplier from the updated y)")
-print(f"  lam_early = {pred.lam_early[0]: .4f}   (multiplier from the old y)")
+# the early multiplier lam - beta (A x_next + B y - b), taken at the old y; the
+# convergence analysis reads it, the step does not
+lam_early = v0.lam - 1.0 * (pred.ax + problem.apply_B(v0.y) - problem.rhs_b)
+print(f"  lam_early = {lam_early[0]: .4f}   (multiplier from the old y)")
 
 # the relaxation gate: extrapolate only when this inner product is >= 0
 # (a value within its rounding error of zero reads as exactly 0); one

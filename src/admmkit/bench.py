@@ -267,15 +267,16 @@ def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
     """Execute the grid and write summary.csv, summary.txt, and one
     per-iteration trajectory CSV per (size, tolerance, variant) taken from
-    the first repeat. Returns the collected rows and output paths."""
+    the first repeat; ``out_dir`` is made after the first cell's solves.
+    Returns the collected rows and output paths."""
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows: list[SummaryRow] = []
     trajectory_files: list[Path] = []
     for size in spec.sizes:
         label = _size_label(spec.problem, size)
         for tol_idx, tol in enumerate(spec.tolerances):
             data, diag = _run_cell(spec, size, tol)
+            out.mkdir(parents=True, exist_ok=True)
             for variant in spec.variants:
                 runs, times = data[variant]
                 rows.append(_summary_row(spec, size, tol, variant, runs, times))

@@ -147,30 +147,30 @@ def _single_setup(args):
 
     The one (eps_abs, eps_rel) pair is checked first, then that --tau comes
     only with a generated covsel instance. A loaded container's header
-    decides the problem kind regardless of --problem. Creates --out
-    and writes --save-instance. The base config is the classical variant;
-    ``replace(config, variant=...)`` re-validates it for another variant.
+    decides the problem kind regardless of --problem. The config is built
+    before an instance is generated or saved; the command makes --out. The
+    base config is the classical variant; ``replace(config, variant=...)``
+    re-validates it for another variant.
     """
     tolerances = _tolerances(args)
     if len(tolerances) != 1:
         raise ValueError("compare and diagnose take exactly one --eps-abs/--eps-rel pair")
     if args.tau is not None and (args.load_instance is not None or args.problem == "lasso"):
         raise ValueError("--tau applies only to a generated covsel instance")
+    problem = args.problem
     if args.load_instance is not None:
         instance, header = container.load_instance(args.load_instance)
         problem = header["kind"]
-    else:
-        problem = args.problem
-        size = (args.m, args.n) if problem == "lasso" else args.n
-        instance = generate_instance(problem, size, args.seed, args.tau)
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.save_instance is not None:
-        _save_instance(args.save_instance, instance, args.seed)
     config = SolverConfig(
         beta=args.beta,
         gamma=args.gamma if args.gamma is not None else GAMMA_DEFAULTS[problem],
         eps_abs=tolerances[0][0], eps_rel=tolerances[0][1], max_iter=args.max_iter,
     )
+    if args.load_instance is None:
+        size = (args.m, args.n) if problem == "lasso" else args.n
+        instance = generate_instance(problem, size, args.seed, args.tau)
+    if args.save_instance is not None:
+        _save_instance(args.save_instance, instance, args.seed)
     return instance, problem, config
 
 
@@ -218,6 +218,7 @@ def _cmd_bench(problem: str, args) -> int:
 def _cmd_compare(args) -> int:
     instance, problem_name, config = _single_setup(args)
     results = {variant: run(instance, replace(config, variant=variant)) for variant in VARIANTS}
+    args.out.mkdir(parents=True, exist_ok=True)
     path = emit_trajectory_plotdata(results, args.out / f"compare_{problem_name}.csv")
     print(
         f"{'variant':<20} {'iterations':>10} {'relaxed':>8} {'stop':>10} "
@@ -241,6 +242,7 @@ def _cmd_diagnose(args) -> int:
     monitor = FejerMonitor(instance, config, ref)
     result = run(instance, config, observer=monitor)
 
+    args.out.mkdir(parents=True, exist_ok=True)
     diag_path = args.out / f"diagnose_{problem_name}_{args.variant}.csv"
     write_trajectory_csv(diag_path, result, monitor)
     relaxed = sum(rec.relaxed for rec in result.records)

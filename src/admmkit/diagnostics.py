@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Prediction, SolverError, run
+from .engine import Prediction, SolverError, _multiplier, run
 from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
 from .model import require_instance
 
@@ -73,7 +73,8 @@ class FejerMonitor:
     """Online Fejer diagnostics of one solve of ``problem`` under ``config``;
     pass it to :func:`run` as the observer. Classical is analysed at unit
     gamma. B's full column rank is the problem's guarantee (see
-    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B`` is read.
+    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B`` and
+    ``problem.rhs_b`` are read.
 
     ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
     form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point. Violations
@@ -86,19 +87,20 @@ class FejerMonitor:
     reuses.
 
     It also keeps the largest residual of each identity of the reading, for
-    a step v -> v+ and d = v - (y_pred, lam_early), 0.0 until a step it
-    covers: ``split``, of lam_pred = lam_early + beta B d.y in the max norm
-    over max(1, ||lam_pred||_inf), on the steps the monotonicity check
-    covers; ``correction``, of v+ = v - M d in the 2-norm over ||v+||, and
-    ``expansion``, of d'Gd = (2 - gamma)/gamma ||v - v+||_H^2
-    + 2 (lam - lam_pred)'B d.y over |d'Gd|, on the steps the gap check
-    covers. All three reuse the gap form's B d.y, the expansion the gap
-    check's step form.
+    a step v -> v+ and d = v - (y_pred, lam_early), lam_early being the
+    multiplier updated with the old y-block, formed here by the engine's
+    formula; 0.0 until a step it covers: ``split``, of lam_pred = lam_early
+    + beta B d.y in the max norm over max(1, ||lam_pred||_inf), on the steps
+    the monotonicity check covers; ``correction``, of v+ = v - M d in the
+    2-norm over ||v+||, and ``expansion``, of d'Gd = (2 - gamma)/gamma
+    ||v - v+||_H^2 + 2 (lam - lam_pred)'B d.y over |d'Gd|, on the steps the
+    gap check covers. All three reuse the gap form's B d.y, the expansion
+    the gap check's step form.
     """
 
     def __init__(self, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState):
         gamma = 1.0 if config.variant == "classical" else config.gamma
-        self.v_star = v_star
+        self.problem, self.v_star = problem, v_star
         self.mats = AnalysisMatrices(config.beta, gamma, problem.apply_B)
         self.variant = config.variant
         self.h_dist_sq: list[float] = []
@@ -120,7 +122,8 @@ class FejerMonitor:
 
     def __call__(self, v_old, pred: Prediction, v_new, record: IterationRecord):
         mats, (monotone, gap) = self.mats, _checks(self.variant, record.relaxed)
-        d = v_old - pred.essential_early
+        lam_early = _multiplier(self.problem, pred.ax, v_old.y, v_old.lam, mats.beta)[0]
+        d = v_old - EssentialState(pred.y_pred, lam_early)
         bdy = mats.apply_B(d.y)
         direct = g_form(d, mats, bdy)
         self.g_norm_sq.append(direct)
@@ -136,10 +139,10 @@ class FejerMonitor:
                     np.subtract(new, np.subtract(old, r, out=r), out=r)
                 err, size = (math.sqrt(a.y @ a.y + a.lam @ a.lam) for a in (d, v_new))
                 self.correction = max(self.correction, err / max(size, 1e-300))
-            split = np.subtract(pred.lam_pred, np.add(pred.lam_early, beta_bdy, out=work), out=work)
+            split = np.subtract(pred.lam_pred, np.add(lam_early, beta_bdy, out=work), out=work)
             lam_inf = max(1.0, pred.lam_pred.max(initial=0.0), -pred.lam_pred.min(initial=0.0))
             self.split = max(self.split, float(np.abs(split, out=split).max(initial=0.0) / lam_inf))
-        del d, bdy  # free before the distance's vectors are formed
+        del d, bdy, lam_early  # free before the distance's vectors are formed
         if not self.h_dist_sq:
             dist = h_norm_sq(v_old - self.v_star, mats)
             self.h_dist_sq.append(dist)

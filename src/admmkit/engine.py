@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,36 +42,19 @@ class SolverError(RuntimeError):
 class Prediction:
     """Output of one prediction sweep from the current essential pair.
 
-    ``lam_pred`` is the multiplier the relaxation extrapolates toward and
-    ``lam_early`` the multiplier updated with the not-yet-updated y-block. In
-    the plain sweep ``lam_pred`` uses the new y-block, so the two differ by
-    exactly beta * B(y_old - y_pred), and ``lam_early`` is formed, by the
-    same formula, when first read (``early`` holds it until then); in the
-    multiplier-first sweep the y-block is solved against ``lam_early`` and
-    ``lam_pred`` is ``lam_early``. ``ax`` is A x_next and ``residual_norm``
-    the norm of the constraint residual behind ``lam_pred``, so a step can
-    reuse both; the residual itself is not kept.
+    ``lam_pred`` is the multiplier the relaxation extrapolates toward: in the
+    plain sweep it is updated with the new y-block, in the multiplier-first
+    sweep with the old one, before the y-block is solved against it. ``ax``
+    is A x_next and ``residual_norm`` the norm of the constraint residual
+    behind ``lam_pred``, so a step can reuse both; the residual itself is
+    not kept.
     """
 
     x_next: np.ndarray
     y_pred: np.ndarray
     lam_pred: np.ndarray
-    early: np.ndarray | Callable[[], np.ndarray]
     ax: np.ndarray
     residual_norm: float
-
-    @cached_property
-    def lam_early(self) -> np.ndarray:
-        return self.early() if callable(self.early) else self.early
-
-    @property
-    def essential(self) -> EssentialState:
-        return EssentialState(self.y_pred, self.lam_pred)
-
-    @property
-    def essential_early(self) -> EssentialState:
-        """The auxiliary point (y_pred, lam_early) of the correction identity."""
-        return EssentialState(self.y_pred, self.lam_early)
 
 
 @dataclass(frozen=True)
@@ -113,13 +95,12 @@ def predict(
     x_next = problem.solve_x(v.y, v.lam, beta)
     ax = problem.apply_A(x_next)
     if multiplier_first:
-        lam_early, r_norm = _multiplier(problem, ax, v.y, v.lam, beta)
-        y_pred = problem.solve_y(x_next, lam_early, beta)
-        return Prediction(x_next, y_pred, lam_early, lam_early, ax, r_norm)
+        lam_pred, r_norm = _multiplier(problem, ax, v.y, v.lam, beta)
+        y_pred = problem.solve_y(x_next, lam_pred, beta)
+        return Prediction(x_next, y_pred, lam_pred, ax, r_norm)
     y_pred = problem.solve_y(x_next, v.lam, beta)
     lam_pred, r_norm = _multiplier(problem, ax, y_pred, v.lam, beta)
-    early = lambda: _multiplier(problem, ax, v.y, v.lam, beta)[0]  # noqa: E731
-    return Prediction(x_next, y_pred, lam_pred, early, ax, r_norm)
+    return Prediction(x_next, y_pred, lam_pred, ax, r_norm)
 
 
 def _norm(v: np.ndarray) -> float:

@@ -218,9 +218,6 @@ class EssentialState:
     def zeros(cls, problem: SeparableProblem) -> "EssentialState":
         return cls(np.zeros(problem.n2), np.zeros(problem.m))
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([np.ravel(self.y), np.ravel(self.lam)])
-
     def __sub__(self, other: "EssentialState") -> "EssentialState":
         return EssentialState(self.y - other.y, self.lam - other.lam)
 

@@ -130,13 +130,34 @@ def one_step():
     return step
 
 
+def _stacked(v):
+    """The pair v = (y, lam) as one vector [y; lam], the layout of dense_matrices."""
+    return np.concatenate([np.ravel(v.y), np.ravel(v.lam)])
+
+
+@pytest.fixture(scope="session")
+def stacked():
+    return _stacked
+
+
+def _lam_tilde(problem, v, pred, beta):
+    """The early multiplier lam - beta (A x_next + B y - b) at the old pair
+    v = (y, lam), written out; the same bits as the engine's multiplier update."""
+    return v.lam - beta * (pred.ax + problem.apply_B(v.y) - problem.rhs_b)
+
+
+@pytest.fixture(scope="session")
+def lam_tilde():
+    return _lam_tilde
+
+
 @pytest.fixture
 def extrapolate():
     """Reference of the relaxed correction v - gamma (v - (y_pred, lam_pred)),
     applied whether or not the gate would fire, for the analysis identities."""
 
     def relaxed(v, pred, gamma):
-        d = v - pred.essential
+        d = v - EssentialState(pred.y_pred, pred.lam_pred)
         return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
 
     return relaxed
@@ -240,11 +261,12 @@ def dense_B():
 
 @pytest.fixture(scope="session")
 def split_residual():
-    """Max-norm residual of lam_pred = lam_early + beta B(y - y_pred),
+    """Max-norm residual of lam_pred = lam_tilde + beta B(y - y_pred),
     relative to max(1, ||lam_pred||_inf)."""
 
-    def residual(v, pred, mats):
-        recombined = pred.lam_early + mats.beta * mats.apply_B(v.y - pred.y_pred)
+    def residual(problem, v, pred, mats):
+        lam_tilde = _lam_tilde(problem, v, pred, mats.beta)
+        recombined = lam_tilde + mats.beta * mats.apply_B(v.y - pred.y_pred)
         return np.abs(pred.lam_pred - recombined).max() / max(1.0, np.abs(pred.lam_pred).max())
 
     return residual
@@ -253,11 +275,12 @@ def split_residual():
 @pytest.fixture(scope="session")
 def correction_residual():
     """2-norm residual of v_next = v - M(v - v_tilde) at the auxiliary point
-    v_tilde = (y_pred, lam_early), relative to ||v_next||."""
+    v_tilde = (y_pred, lam_tilde), relative to ||v_next||."""
 
-    def residual(v, pred, v_next, mats):
-        expected = v.stacked() - mats.M @ (v - pred.essential_early).stacked()
-        target = v_next.stacked()
+    def residual(problem, v, pred, v_next, mats):
+        d = v - EssentialState(pred.y_pred, _lam_tilde(problem, v, pred, mats.beta))
+        expected = _stacked(v) - mats.M @ _stacked(d)
+        target = _stacked(v_next)
         return np.linalg.norm(target - expected) / max(np.linalg.norm(target), 1e-300)
 
     return residual
@@ -268,8 +291,9 @@ def expansion_mismatch():
     """|d'Gd - e| / |d'Gd| for d = v - v_tilde and its step form
     e = (2 - gamma)/gamma ||v - v_next||_H^2 + 2 (lam - lam_pred)'B(y - y_pred)."""
 
-    def mismatch(v, pred, v_next, mats):
-        d, step = (v - pred.essential_early).stacked(), (v - v_next).stacked()
+    def mismatch(problem, v, pred, v_next, mats):
+        d = _stacked(v - EssentialState(pred.y_pred, _lam_tilde(problem, v, pred, mats.beta)))
+        step = _stacked(v - v_next)
         direct = d @ mats.G @ d
         cross = (v.lam - pred.lam_pred) @ mats.apply_B(v.y - pred.y_pred)
         expanded = (2.0 - mats.gamma) / mats.gamma * (step @ mats.H @ step) + 2.0 * cross

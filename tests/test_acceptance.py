@@ -122,9 +122,9 @@ def test_criterion_3_exact_algebraic_identities(
         monitor = FejerMonitor(problem, config, v)
         monitor(*step)
         for name, value in (
-            ("split", split_residual(v, pred, mats)),
-            ("correction", correction_residual(v, pred, v_next, mats)),
-            ("expansion", expansion_mismatch(v, pred, v_next, mats)),
+            ("split", split_residual(problem, v, pred, mats)),
+            ("correction", correction_residual(problem, v, pred, v_next, mats)),
+            ("expansion", expansion_mismatch(problem, v, pred, v_next, mats)),
         ):
             worst[name] = max(worst[name], getattr(monitor, name))
             formulas[name] = max(formulas[name], value)
@@ -175,21 +175,21 @@ def test_criterion_4_fejer_monotonicity():
     )
 
 
-def test_criterion_5_unit_gamma_equivalence(solve_traced):
+def test_criterion_5_unit_gamma_equivalence(solve_traced, stacked):
     worst = 0.0
     instance, _ = lasso.generate_instance(150, 300, 0)
     kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30)
     _, traj_c = solve_traced(instance, SolverConfig(variant="classical", **kw))
     _, traj_o = solve_traced(instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
     for vc, vo in zip(traj_c, traj_o):
-        scale = max(np.linalg.norm(vc.stacked()), 1e-300)
-        worst = max(worst, np.linalg.norm((vc - vo).stacked()) / scale)
+        scale = max(np.linalg.norm(stacked(vc)), 1e-300)
+        worst = max(worst, np.linalg.norm(stacked(vc - vo)) / scale)
     cov_instance, _ = covsel.generate_instance(30, 0)
     _, traj_c = solve_traced(cov_instance, SolverConfig(variant="classical", **kw))
     _, traj_o = solve_traced(cov_instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
     for vc, vo in zip(traj_c, traj_o):
-        scale = max(np.linalg.norm(vc.stacked()), 1e-300)
-        worst = max(worst, np.linalg.norm((vc - vo).stacked()) / scale)
+        scale = max(np.linalg.norm(stacked(vc)), 1e-300)
+        worst = max(worst, np.linalg.norm(stacked(vc - vo)) / scale)
     _report(
         5,
         "over-relaxed with gamma=1 matches classical for 30 iterations, both applications",

@@ -351,6 +351,24 @@ def test_a_bad_tau_is_a_usage_error_that_makes_no_output_directory(tmp_path, cap
     assert "tau must lie in (0, inf), got -1.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--beta", "nan"], "beta must be a finite number, got nan"),
+        (["diagnose", "--m", "40", "--n", "60", "--beta", "2000"], "reference solve did not reach"),
+        (["lasso", "--m", "40", "--n", "60", "--beta", "2000", "--diagnostics", "--repeats", "1"],
+         "reference solve did not reach"),
+    ],
+    ids=["compare-config", "diagnose-reference", "lasso-reference"],
+)
+def test_a_failed_command_makes_no_output_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_malformed_container_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.bin"
     path.write_bytes(b'ADMMKIT1\n{"kind": "lasso", "n": 2}\n')

@@ -66,14 +66,14 @@ def test_g_decomposition_consistency(rng, dense_matrices):
     assert mats.g_residual <= 1e-12 * scale
 
 
-def test_quadratic_forms_match_dense_products(rng, dense_matrices):
+def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
     B = rng.standard_normal((5, 3))
     mats = dense_matrices(B, beta=2.5, gamma=1.4)
     for _ in range(20):
         v = EssentialState(rng.standard_normal(3), rng.standard_normal(5))
-        stacked = v.stacked()
-        assert h_norm_sq(v, mats) == pytest.approx(stacked @ mats.H @ stacked, abs=1e-12, rel=1e-12)
-        assert g_form(v, mats) == pytest.approx(stacked @ mats.G @ stacked, abs=1e-12, rel=1e-12)
+        w = stacked(v)
+        assert h_norm_sq(v, mats) == pytest.approx(w @ mats.H @ w, abs=1e-12, rel=1e-12)
+        assert g_form(v, mats) == pytest.approx(w @ mats.G @ w, abs=1e-12, rel=1e-12)
     assert h_norm_sq(EssentialState(np.zeros(3), np.zeros(5)), mats) == 0.0
 
 
@@ -130,11 +130,36 @@ def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_B):
         ref = reference_solution(instance, config.beta, 1e-9, 1e-7)
         free = FejerMonitor(instance, config, ref)
         B = dense_B(instance)
-        dense = FejerMonitor(SimpleNamespace(apply_B=lambda y: B @ y), config, ref)
+        dense_problem = SimpleNamespace(apply_B=lambda y: B @ y, rhs_b=instance.rhs_b)
+        dense = FejerMonitor(dense_problem, config, ref)
         run(instance, config, observer=free)
         run(instance, config, observer=dense)
         assert free.h_dist_sq == dense.h_dist_sq
         assert free.g_norm_sq == dense.g_norm_sq
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("kind", ["lasso", "covsel", "quadratic"])
+def test_monitor_takes_its_forms_at_the_written_out_lam_tilde(
+    kind, variant, lam_tilde, split_residual
+):
+    # the gap form and the split at v_tilde = (y_pred, lam_tilde), bit for bit;
+    # a lam_tilde derived back from lam_pred would leave the split only rounding
+    instance, gamma = _small_instances()[kind]
+    config = SolverConfig(variant=variant, beta=0.8, gamma=gamma)
+    monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
+    split = [0.0]
+
+    def observe(v, pred, v_new, record):
+        d = v - EssentialState(pred.y_pred, lam_tilde(instance, v, pred, config.beta))
+        gap_form = g_form(d, monitor.mats)
+        if monitor.checks[0]:
+            split[0] = max(split[0], split_residual(instance, v, pred, monitor.mats))
+        monitor(v, pred, v_new, record)
+        assert monitor.g_norm_sq[-1] == gap_form
+        assert monitor.split == split[0]
+
+    assert run(instance, config, observer=observe).iterations == len(monitor.g_norm_sq) > 1
 
 
 class _CountingB(QuadraticProblem):
@@ -157,17 +182,16 @@ def test_monitor_construction_applies_no_B(variant, rng):
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
 def test_monitor_reuses_the_gap_forms_B_application(variant, rng):
-    # per observed step: B d.y for the gap form, which the three identities
-    # share, and B (v+ - v*) for the distance; once more on the first step for
-    # the starting distance, and once more for the gap check's step form, which
-    # the expansion shares
+    # per observed step: B y for the early multiplier, B d.y for the gap form,
+    # which the three identities share, and B (v+ - v*) for the distance; once
+    # more on the first step for the starting distance, and once more for the
+    # gap check's step form, which the expansion shares
     problem = _CountingB.random(n1=3, n2=4, m=6, rng=rng)
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, eps_abs=1e-12, eps_rel=1e-12)
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     seen = []
 
     def observe(v, pred, v_new, record):
-        pred.lam_early  # the engine's own deferred application, counted apart
         before = problem.b_calls
         monitor(v, pred, v_new, record)
         seen.append((problem.b_calls - before, record.relaxed))
@@ -176,7 +200,7 @@ def test_monitor_reuses_the_gap_forms_B_application(variant, rng):
     run(problem, replace(config, max_iter=30), v0, observer=observe)
     gap = variant == "over_relaxed"
     assert [calls for calls, _ in seen] == [
-        2 + (k == 0) + (gap and relaxed) for k, (_, relaxed) in enumerate(seen)
+        3 + (k == 0) + (gap and relaxed) for k, (_, relaxed) in enumerate(seen)
     ]
     if gap:  # both kinds of step were counted
         assert {relaxed for _, relaxed in seen} == {False, True}
@@ -200,7 +224,7 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
         seen = []
 
         def observe(v, pred, v_new, record):
-            arrays = (v.y, v.lam, v_new.y, v_new.lam, pred.y_pred, pred.lam_pred, pred.lam_early)
+            arrays = (v.y, v.lam, v_new.y, v_new.lam, pred.y_pred, pred.lam_pred, pred.ax)
             seen.extend((a, a.tobytes()) for a in arrays)
             monitor(v, pred, v_new, record)
 
@@ -220,7 +244,7 @@ def test_expansion_zero_at_fixed_point(expansion_mismatch, dense_matrices, dense
     monitor = FejerMonitor(chain, SolverConfig(variant="over_relaxed", beta=1.0, gamma=1.5), v)
     monitor(v, pred, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))
     assert monitor.g_norm_sq == [0.0]
-    assert monitor.expansion == 0.0 and expansion_mismatch(v, pred, v, mats) == 0.0
+    assert monitor.expansion == 0.0 and expansion_mismatch(chain, v, pred, v, mats) == 0.0
 
 
 def test_expansion_matches_direct_form_on_forced_relaxation(
@@ -233,7 +257,7 @@ def test_expansion_matches_direct_form_on_forced_relaxation(
     monitor = FejerMonitor(chain, config, step[0])
     monitor(*step)
     assert monitor.g_norm_sq[0] != 0.0
-    assert monitor.expansion <= 1e-8 and expansion_mismatch(*step[:3], mats) <= 1e-8
+    assert monitor.expansion <= 1e-8 and expansion_mismatch(chain, *step[:3], mats) <= 1e-8
 
 
 def test_gap_form_nonnegative_on_criterion_held_steps():
@@ -275,7 +299,7 @@ def test_correction_identity_on_forced_relaxation(
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         v, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
         monitor(v, pred, v_next, record)
-        assert correction_residual(v, pred, v_next, mats) <= 1e-12
+        assert correction_residual(problem, v, pred, v_next, mats) <= 1e-12
     assert monitor.correction <= 1e-12
 
 
@@ -289,32 +313,34 @@ def test_correction_identity_with_unit_gamma_on_plain_steps(
     _, pred, _, record = forced_step(problem, v, 0.9, 1.0)
     config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.0)
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
-    monitor(v, pred, pred.essential, record)
+    plain = EssentialState(pred.y_pred, pred.lam_pred)
+    monitor(v, pred, plain, record)
     assert monitor.correction <= 1e-12
-    assert correction_residual(v, pred, pred.essential, mats) <= 1e-12
+    assert correction_residual(problem, v, pred, plain, mats) <= 1e-12
 
 
 def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_identities(
     rng, small_quadratic, forced_step, split_residual, correction_residual, expansion_mismatch, dense_matrices, dense_B
 ):
-    # a perturbed lam_early and v_next break all three identities by far more
-    # than rounding, so the monitor's values and the formulas' must agree
+    # a perturbed A x_next, and so lam_tilde, and v_next break all three
+    # identities by far more than rounding, so the monitor's values and the
+    # formulas' must agree
     problem = small_quadratic
     mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.7)
     config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.7)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
         _, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
-        pred = replace(pred, early=pred.lam_early + 0.1 * rng.standard_normal(problem.m))
+        pred = replace(pred, ax=pred.ax + 0.1 * rng.standard_normal(problem.m))
         v_next = EssentialState(v_next.y + 0.1 * rng.standard_normal(problem.n2), v_next.lam)
         monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         monitor(v, pred, v_next, record)
-        assert monitor.split == pytest.approx(split_residual(v, pred, mats), rel=1e-9)
+        assert monitor.split == pytest.approx(split_residual(problem, v, pred, mats), rel=1e-9)
         assert monitor.correction == pytest.approx(
-            correction_residual(v, pred, v_next, mats), rel=1e-9
+            correction_residual(problem, v, pred, v_next, mats), rel=1e-9
         )
         assert monitor.expansion == pytest.approx(
-            expansion_mismatch(v, pred, v_next, mats), rel=1e-9
+            expansion_mismatch(problem, v, pred, v_next, mats), rel=1e-9
         )
         assert min(monitor.split, monitor.correction, monitor.expansion) > 1e-6
 

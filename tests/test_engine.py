@@ -17,12 +17,12 @@ from admmkit.quadratic import QuadraticProblem
 # closed forms on the 1-d chain: x = (lam + beta*y)/(1+beta),
 # y_pred = (beta*x - lam)/(1+beta)
 
-def test_predict_scalar_chain_closed_form(chain, chain_start):
+def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde):
     pred = predict(chain, chain_start, beta=1.0)
     assert pred.x_next == pytest.approx(0.5)
     assert pred.y_pred == pytest.approx(0.25)
     assert pred.lam_pred == pytest.approx(-0.25)
-    assert pred.lam_early == pytest.approx(0.5)
+    assert lam_tilde(chain, chain_start, pred, 1.0) == pytest.approx(0.5)
 
 
 def test_prediction_multiplier_split_identity(
@@ -35,7 +35,7 @@ def test_prediction_multiplier_split_identity(
         monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         run(problem, config, v, observer=monitor)
         mats = dense_matrices(dense_B(problem), config.beta, 1.0)
-        assert split_residual(v, predict(problem, v, config.beta), mats) <= 1e-12
+        assert split_residual(problem, v, predict(problem, v, config.beta), mats) <= 1e-12
         assert monitor.split <= 1e-12
 
 
@@ -235,7 +235,7 @@ def test_no_array_is_written_after_it_reaches_the_observer(make, variant):
     seen = []
 
     def observe(v, pred, v_new, record):
-        arrays = (v.y, v.lam, pred.x_next, pred.y_pred, pred.lam_pred, pred.lam_early,
+        arrays = (v.y, v.lam, pred.x_next, pred.y_pred, pred.lam_pred, pred.ax,
                   v_new.y, v_new.lam)
         seen.append([(a, a.tobytes()) for a in arrays])
 

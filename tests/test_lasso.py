@@ -333,7 +333,7 @@ def test_objective_agrees_with_long_reference_run():
     assert value == pytest.approx(ref_value, rel=1e-4)
 
 
-def test_exact_fixed_point_is_stationary_under_one_step(one_step):
+def test_exact_fixed_point_is_stationary_under_one_step(one_step, stacked):
     # with rho above the critical value, (y, lam) = (0, -A'b) is an exact
     # fixed point of the iteration in floating point
     instance, _ = generate_instance(30, 50, 7)
@@ -342,7 +342,7 @@ def test_exact_fixed_point_is_stationary_under_one_step(one_step):
     config = SolverConfig(variant="over_relaxed", gamma=1.8)
     v_next, rec = one_step(critical, v_star, config)
     assert rec.relaxed and rec.criterion_value == 0.0
-    assert np.linalg.norm((v_next - v_star).stacked()) <= 1e-12
+    assert np.linalg.norm(stacked(v_next - v_star)) <= 1e-12
     assert critical.x_stationarity(np.zeros(50), v_star.lam) <= 1e-12
 
 

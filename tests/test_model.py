@@ -56,13 +56,13 @@ def test_solver_config_accepts_unit_gamma_for_relaxed_variants():
     SolverConfig(variant="classical", gamma=5.0)
 
 
-def test_essential_state_helpers(chain):
+def test_essential_state_helpers(chain, stacked):
     v = EssentialState.zeros(chain)
     assert v.y.shape == (1,) and v.lam.shape == (1,)
     d = EssentialState(np.array([3.0]), np.array([1.0])) - EssentialState(
         np.array([1.0]), np.array([4.0])
     )
-    assert np.array_equal(d.stacked(), [2.0, -3.0])
+    assert np.array_equal(stacked(d), [2.0, -3.0])
 
 
 def test_iterate_validation(chain):

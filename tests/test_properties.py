@@ -98,28 +98,28 @@ def test_split_and_correction_identities_on_every_step(
     _, steps = _observed(problem, config, v0)
     for v, pred, v_new, record in steps:
         monitor(v, pred, v_new, record)
-        assert split_residual(v, pred, mats) <= 1e-12
+        assert split_residual(problem, v, pred, mats) <= 1e-12
         if record.relaxed:
-            assert correction_residual(v, pred, v_new, mats) <= 1e-12
+            assert correction_residual(problem, v, pred, v_new, mats) <= 1e-12
     assert monitor.split <= 1e-12 and monitor.correction <= 1e-12
 
 
 @PROPERTY
 @given(cases(), st.sampled_from(VARIANTS))
-def test_operator_applications_per_step(case, variant):
+def test_operator_applications_per_step(lam_tilde, case, variant):
     problem, v0, beta, gamma = case
     marks = []  # (calls when the step ends, calls when the observer returns, relaxed)
 
     def observe(v, pred, v_new, record):
         end = (problem.a_calls, problem.b_calls)
-        eager = v.lam - beta * (pred.ax + QuadraticProblem.apply_B(problem, v.y) - problem.rhs_b)
-        assert pred.lam_early.tobytes() == eager.tobytes()
+        if variant == "relaxed_customized":  # its multiplier is the early one, to the bit
+            assert pred.lam_pred.tobytes() == lam_tilde(problem, v, pred, beta).tobytes()
         marks.append((end, (problem.a_calls, problem.b_calls), record.relaxed))
 
     run(problem, _config(variant, beta, gamma), v0, observer=observe)
     start = (0, 0)
     for end, after, relaxed in marks:
         assert end[0] - start[0] == 1
-        # a plain sweep forms lam_early only when read: here, after the step
+        # the early multiplier is the monitor's to form, not the step's
         assert end[1] - start[1] == (3 if relaxed else 2)
         start = after
