@@ -23,7 +23,7 @@ config = SolverConfig(
     variant="over_relaxed", beta=beta, gamma=gamma,
     eps_abs=1e-5, eps_rel=1e-3, max_iter=500,
 )
-ref = reference_solution(instance, beta, 1e-7, 1e-5)
+ref = reference_solution(instance, config)  # classical, at 100x tighter tolerances
 monitor = FejerMonitor(instance, config, ref)
 result = run(instance, config, observer=monitor)
 print(f"over-relaxed solve: {result.iterations} iterations, "

@@ -84,6 +84,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.problem not in ("lasso", "covsel"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.gamma is None:
+            self.gamma = GAMMA_DEFAULTS[self.problem]
         require_int("repeats", self.repeats, 1)
         require_int("seed_base", self.seed_base, 0)
         if self.tau is not None:
@@ -97,16 +99,12 @@ class BenchmarkSpec:
             for variant in self.variants:
                 self.config(variant, tol)
 
-    @property
-    def gamma_resolved(self) -> float:
-        return self.gamma if self.gamma is not None else GAMMA_DEFAULTS[self.problem]
-
     def config(self, variant: str, tol) -> SolverConfig:
         """Solver config of one variant at one (eps_abs, eps_rel) pair."""
         return SolverConfig(
             variant=variant,
             beta=self.beta,
-            gamma=self.gamma_resolved,
+            gamma=self.gamma,
             eps_abs=tol[0],
             eps_rel=tol[1],
             max_iter=self.max_iter,
@@ -171,7 +169,7 @@ def _run_cell(spec: BenchmarkSpec, size, tol):
     instances = [generate_instance(spec.problem, size, seed, spec.tau) for seed in seeds]
     ref = None
     if spec.diagnostics:
-        ref = reference_solution(instances[0], spec.beta, tol[0] / 100.0, tol[1] / 100.0)
+        ref = reference_solution(instances[0], spec.config(spec.variants[0], tol))
     data, monitors = {}, {}
     for variant in spec.variants:
         config = spec.config(variant, tol)
@@ -219,7 +217,7 @@ def _summary_row(spec, size, tol, variant, runs, times) -> SummaryRow:
         eps_abs=tol[0],
         eps_rel=tol[1],
         variant=variant,
-        gamma=spec.gamma_resolved,
+        gamma=spec.gamma,
         beta=spec.beta,
         repeats=spec.repeats,
         converged_runs=sum(r.converged for r in runs),
@@ -244,7 +242,7 @@ def _write_summary_csv(path: Path, rows: list[SummaryRow]):
 def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]):
     buf = io.StringIO()
     buf.write(
-        f"problem={spec.problem} beta={spec.beta} gamma={spec.gamma_resolved} "
+        f"problem={spec.problem} beta={spec.beta} gamma={spec.gamma} "
         f"repeats={spec.repeats} seed_base={spec.seed_base}\n"
     )
     header = (

@@ -147,20 +147,20 @@ def _single_setup(args):
 
     The one (eps_abs, eps_rel) pair is checked first, then that --tau comes
     only with a generated covsel instance. A loaded container's header
-    decides the problem kind regardless of --problem. The config is built
-    before an instance is generated or saved; the command makes --out. The
-    base config is the classical variant; ``replace(config, variant=...)``
-    re-validates it for another variant.
+    decides the problem kind and the seed --save-instance writes, whatever
+    --problem and --seed say. The config is built before an instance is
+    generated or saved; the command makes --out. The base config is the
+    classical variant; ``replace(config, variant=...)`` re-validates it.
     """
     tolerances = _tolerances(args)
     if len(tolerances) != 1:
         raise ValueError("compare and diagnose take exactly one --eps-abs/--eps-rel pair")
     if args.tau is not None and (args.load_instance is not None or args.problem == "lasso"):
         raise ValueError("--tau applies only to a generated covsel instance")
-    problem = args.problem
+    problem, seed = args.problem, args.seed
     if args.load_instance is not None:
         instance, header = container.load_instance(args.load_instance)
-        problem = header["kind"]
+        problem, seed = header["kind"], header.get("seed")
     config = SolverConfig(
         beta=args.beta,
         gamma=args.gamma if args.gamma is not None else GAMMA_DEFAULTS[problem],
@@ -168,9 +168,9 @@ def _single_setup(args):
     )
     if args.load_instance is None:
         size = (args.m, args.n) if problem == "lasso" else args.n
-        instance = generate_instance(problem, size, args.seed, args.tau)
+        instance = generate_instance(problem, size, seed, args.tau)
     if args.save_instance is not None:
-        _save_instance(args.save_instance, instance, args.seed)
+        _save_instance(args.save_instance, instance, seed)
     return instance, problem, config
 
 
@@ -238,7 +238,7 @@ def _cmd_compare(args) -> int:
 def _cmd_diagnose(args) -> int:
     instance, problem_name, config = _single_setup(args)
     config = replace(config, variant=args.variant)
-    ref = reference_solution(instance, args.beta, config.eps_abs / 100, config.eps_rel / 100)
+    ref = reference_solution(instance, config)
     monitor = FejerMonitor(instance, config, ref)
     result = run(instance, config, observer=monitor)
 

@@ -15,7 +15,7 @@ alone, through quadratic forms that need only applications of B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -73,8 +73,9 @@ class FejerMonitor:
     """Online Fejer diagnostics of one solve of ``problem`` under ``config``;
     pass it to :func:`run` as the observer. Classical is analysed at unit
     gamma. B's full column rank is the problem's guarantee (see
-    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B`` and
-    ``problem.rhs_b`` are read.
+    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B``,
+    ``problem.rhs_b``, ``n2`` and ``m`` are read. A malformed ``config`` or
+    ``v_star`` raises ValueError naming it, as ``run`` does for ``v0``.
 
     ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
     form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point. Violations
@@ -99,8 +100,10 @@ class FejerMonitor:
     """
 
     def __init__(self, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState):
+        require_instance("config", config, SolverConfig)
+        require_instance("v_star", v_star, EssentialState)
         gamma = 1.0 if config.variant == "classical" else config.gamma
-        self.problem, self.v_star = problem, v_star
+        self.problem, self.v_star = problem, v_star.validate(problem, "v_star")
         self.mats = AnalysisMatrices(config.beta, gamma, problem.apply_B)
         self.variant = config.variant
         self.h_dist_sq: list[float] = []
@@ -191,22 +194,20 @@ def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
         return float(np.max(terms))
 
 
-def reference_solution(
-    problem: SeparableProblem, beta: float, eps_abs: float, eps_rel: float
-) -> EssentialState:
-    """High-accuracy essential pair from a plain-variant run.
-
-    Callers wanting a Fejer reference should pass tolerances ~100x tighter
-    than the run under inspection, and compute this once per instance. A run
-    that stops short of the tolerances within :data:`REFERENCE_MAX_ITER`
+def reference_solution(problem: SeparableProblem, config: SolverConfig) -> EssentialState:
+    """High-accuracy essential pair from a plain-variant run: the Fejer
+    reference of a solve under ``config``, at its beta and at its tolerances
+    tightened 100-fold. Compute it once per instance. A ``config`` that is
+    not a :class:`~admmkit.model.SolverConfig` raises ValueError naming it. A
+    run that stops short of those tolerances within :data:`REFERENCE_MAX_ITER`
     iterations, or on a non-finite iterate, raises
     :class:`~admmkit.engine.SolverError`: distances to an unconverged point
     certify nothing.
     """
-    config = SolverConfig(
-        variant="classical", beta=beta, eps_abs=eps_abs, eps_rel=eps_rel,
-        max_iter=REFERENCE_MAX_ITER,
-    )
+    require_instance("config", config, SolverConfig)
+    eps_abs, eps_rel = (tol / 100 for tol in (config.eps_abs, config.eps_rel))
+    config = replace(config, variant="classical", eps_abs=eps_abs, eps_rel=eps_rel,
+                     max_iter=REFERENCE_MAX_ITER)
     result = run(problem, config)
     if result.stop_reason == "non_finite":
         raise SolverError(

@@ -222,7 +222,7 @@ def run(
     require_instance("config", config, SolverConfig)
     if v0 is not None:
         require_instance("v0", v0, EssentialState)
-    v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem)
+    v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem, "v0")
     records: list[IterationRecord] = []
     lam_norm, b_norm = _norm(v.lam), float(np.linalg.norm(problem.rhs_b))
     with np.errstate(over="ignore"):

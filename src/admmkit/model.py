@@ -221,16 +221,16 @@ class EssentialState:
     def __sub__(self, other: "EssentialState") -> "EssentialState":
         return EssentialState(self.y - other.y, self.lam - other.lam)
 
-    def validate(self, problem: SeparableProblem) -> "EssentialState":
-        """This pair as a starting point ``v0`` for ``problem``: flat float
-        vectors of the right sizes, each checked finite by name."""
-        v0 = EssentialState(
-            as_array("v0.y", self.y, (problem.n2,)),
-            as_array("v0.lam", self.lam, (problem.m,)),
+    def validate(self, problem: SeparableProblem, name: str) -> "EssentialState":
+        """This pair, called ``name``, as flat float vectors of ``problem``'s
+        sizes, each checked finite and named as ``name.y`` or ``name.lam``."""
+        v = EssentialState(
+            as_array(f"{name}.y", self.y, (problem.n2,)),
+            as_array(f"{name}.lam", self.lam, (problem.m,)),
         )
-        require_finite("v0.y", v0.y)
-        require_finite("v0.lam", v0.lam)
-        return v0
+        require_finite(f"{name}.y", v.y)
+        require_finite(f"{name}.lam", v.lam)
+        return v
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,12 @@ def test_spec_validation(tmp_path):
 
 
 def test_gamma_defaults_per_problem(tmp_path):
-    assert _tiny_spec(tmp_path).gamma_resolved == 1.8
+    assert _tiny_spec(tmp_path).gamma == 1.8
     covsel = BenchmarkSpec(
         problem="covsel", sizes=[20], tolerances=[(1e-5, 1e-3)], out_dir=tmp_path
     )
-    assert covsel.gamma_resolved == 1.7
-    assert _tiny_spec(tmp_path, gamma=1.5).gamma_resolved == 1.5
+    assert covsel.gamma == 1.7
+    assert _tiny_spec(tmp_path, gamma=1.5).gamma == 1.5
 
 
 def test_run_benchmark_row_and_file_layout(tmp_path):

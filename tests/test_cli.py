@@ -262,6 +262,19 @@ def test_save_and_load_instance_round_trip_through_cli(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("size", [["--m", "8", "--n", "12"], ["--problem", "covsel", "--n", "12"]],
+                         ids=["lasso", "covsel"])
+def test_a_re_saved_container_keeps_its_seed(tmp_path, size):
+    # load -> save writes the loaded header's seed, not the unset --seed's 0
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    common = ["--max-iter", "50", "--out", str(tmp_path / "out")]
+    assert main(["compare", *size, "--seed", "7", "--save-instance", str(first), *common]) == 0
+    assert main(["compare", "--load-instance", str(first), "--save-instance", str(second),
+                 *common]) == 0
+    assert load_instance(second)[1]["seed"] == 7
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_bench_save_instance_creates_missing_directories(tmp_path):
     target = tmp_path / "fresh" / "first.bin"
     rc = main([

@@ -127,10 +127,12 @@ def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_B):
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, max_iter=60)
     quadratic = QuadraticProblem.random(n1=3, n2=4, m=6, rng=np.random.default_rng(3))
     for instance in (lasso.generate_instance(40, 60, 0)[0], quadratic):
-        ref = reference_solution(instance, config.beta, 1e-9, 1e-7)
+        ref = reference_solution(instance, replace(config, eps_abs=1e-7, eps_rel=1e-5))
         free = FejerMonitor(instance, config, ref)
         B = dense_B(instance)
-        dense_problem = SimpleNamespace(apply_B=lambda y: B @ y, rhs_b=instance.rhs_b)
+        dense_problem = SimpleNamespace(
+            apply_B=lambda y: B @ y, rhs_b=instance.rhs_b, n2=instance.n2, m=instance.m
+        )
         dense = FejerMonitor(dense_problem, config, ref)
         run(instance, config, observer=free)
         run(instance, config, observer=dense)
@@ -178,6 +180,21 @@ def test_monitor_construction_applies_no_B(variant, rng):
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6)
     FejerMonitor(problem, config, EssentialState.zeros(problem))
     assert problem.b_calls == 0
+
+
+def test_monitor_rejects_a_malformed_v_star():
+    # a length-1 v_star.y was broadcast into false alarms, an all-NaN one gave
+    # a clean report of NaN distances, and a tuple raised AttributeError
+    problem, _ = lasso.generate_instance(8, 12, 0)
+    config = SolverConfig(variant="over_relaxed")
+    lam = np.zeros(problem.m)
+    with pytest.raises(DimensionMismatchError) as err:
+        FejerMonitor(problem, config, EssentialState(np.zeros(1), lam))
+    assert err.value.operand == "v_star.y"
+    with pytest.raises(ValueError, match="^v_star.y must be finite$"):
+        FejerMonitor(problem, config, EssentialState(np.full(problem.n2, np.nan), lam))
+    with pytest.raises(ValueError, match="^v_star must be an EssentialState, got tuple$"):
+        FejerMonitor(problem, config, (np.zeros(problem.n2), lam))
 
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
@@ -400,7 +417,7 @@ def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance(observe_trans
 def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
     # classical steps are analysed at H(1), whatever gamma the config carries
     config = SolverConfig(variant="classical", beta=0.8, gamma=1.6, max_iter=40)
-    ref = reference_solution(small_quadratic, config.beta, 1e-10, 1e-8)
+    ref = reference_solution(small_quadratic, replace(config, eps_abs=1e-8, eps_rel=1e-6))
     monitor = FejerMonitor(small_quadratic, config, ref)
     pairs = []
 
@@ -521,7 +538,7 @@ def test_kkt_residual_grows_linearly_under_perturbation(rng):
 
 def test_reference_solution_close_to_analytic_fixed_point():
     chain = scalar_chain()
-    ref = reference_solution(chain, beta=1.0, eps_abs=1e-9, eps_rel=1e-9)
+    ref = reference_solution(chain, SolverConfig(beta=1.0, eps_abs=1e-7, eps_rel=1e-7))
     assert abs(ref.y[0]) < 1e-8 and abs(ref.lam[0]) < 1e-8
 
 
@@ -537,13 +554,24 @@ class _NanY(QuadraticProblem):
 
 def test_reference_solution_names_a_non_finite_stop():
     with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
-        reference_solution(_NanY(), beta=1.0, eps_abs=1e-9, eps_rel=1e-9)
+        reference_solution(_NanY(), SolverConfig(beta=1.0, eps_abs=1e-7, eps_rel=1e-7))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_reference_solution_is_the_classical_run_at_100x_tighter_tolerances(variant):
+    # whatever variant, gamma and cap the monitored solve has
+    instance, _ = lasso.generate_instance(40, 60, 0)
+    config = SolverConfig(variant=variant, beta=0.7, gamma=1.5, eps_abs=1e-4, max_iter=5)
+    plain = SolverConfig(beta=0.7, eps_abs=1e-6, eps_rel=1e-5, max_iter=REFERENCE_MAX_ITER)
+    final = run(instance, plain).final
+    ref = reference_solution(instance, config)
+    assert np.array_equal(ref.y, final.y) and np.array_equal(ref.lam, final.lam)
 
 
 def test_reference_solution_raises_when_it_does_not_converge():
     instance, _ = lasso.generate_instance(40, 60, 1)
     with pytest.raises(SolverError, match="eps_abs=1e-07, eps_rel=1e-05") as exc:
-        reference_solution(instance, beta=2000.0, eps_abs=1e-7, eps_rel=1e-5)
+        reference_solution(instance, SolverConfig(beta=2000.0, eps_abs=1e-5, eps_rel=1e-3))
     assert f"after {REFERENCE_MAX_ITER} iterations" in str(exc.value)
 
 

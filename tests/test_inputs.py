@@ -34,7 +34,7 @@ from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfi
 from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
-from admmkit.diagnostics import kkt_residual
+from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
 from admmkit.l1split import soft_threshold
 from admmkit.quadratic import QuadraticProblem
 
@@ -184,6 +184,16 @@ ROWS = {
     "kkt_residual.w.y": Row(lambda v: kkt_residual(PROBLEM, Iterate(Y, v, LAM)), "y", valid=Y),
     "kkt_residual.w.lam": Row(lambda v: kkt_residual(PROBLEM, Iterate(Y, Y, v)), "lam",
                               valid=LAM),
+    "FejerMonitor.config": Row(lambda v: FejerMonitor(PROBLEM, v, EssentialState(Y, LAM)),
+                               "config"),
+    "FejerMonitor.v_star": Row(lambda v: FejerMonitor(PROBLEM, SolverConfig(), v), "v_star"),
+    "FejerMonitor.v_star.y": Row(
+        lambda v: FejerMonitor(PROBLEM, SolverConfig(), EssentialState(v, LAM)), "v_star.y",
+        valid=Y),
+    "FejerMonitor.v_star.lam": Row(
+        lambda v: FejerMonitor(PROBLEM, SolverConfig(), EssentialState(Y, v)), "v_star.lam",
+        valid=LAM),
+    "reference_solution.config": Row(lambda v: reference_solution(PROBLEM, v), "config"),
     "save_instance.instance": Row(_save, "instance"),
 }
 
