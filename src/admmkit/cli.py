@@ -91,16 +91,14 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
         _add_common(parser, bench=True)
     elif command in ("compare", "diagnose"):
         parser.add_argument("--problem", choices=("lasso", "covsel"), default="lasso")
-        parser.add_argument("--m", type=int, default=150)
-        parser.add_argument("--n", type=int, default=300)
+        parser.add_argument("--m", type=int, default=None, help="lasso rows (default 150)")
+        parser.add_argument("--n", type=int, default=None, help="cols or covsel n (default 300)")
         parser.add_argument("--tau", type=float, default=None)
         _add_common(parser, bench=False)
         parser.add_argument("--load-instance", type=Path, default=None,
                             help="read the instance from a container file instead of generating")
         if command == "diagnose":
             parser.add_argument("--variant", choices=VARIANTS, default="over_relaxed")
-    else:
-        raise KeyError(command)
     return parser
 
 
@@ -146,7 +144,8 @@ def _single_setup(args):
     """Instance, problem name and base solver config for compare/diagnose.
 
     The one (eps_abs, eps_rel) pair is checked first, then that --tau comes
-    only with a generated covsel instance. A loaded container's header
+    only with a generated covsel instance, --m only with a generated Lasso
+    one and --n only with a generated one. A loaded container's header
     decides the problem kind and the seed --save-instance writes, whatever
     --problem and --seed say. The config is built before an instance is
     generated or saved; the command makes --out. The base config is the
@@ -157,6 +156,10 @@ def _single_setup(args):
         raise ValueError("compare and diagnose take exactly one --eps-abs/--eps-rel pair")
     if args.tau is not None and (args.load_instance is not None or args.problem == "lasso"):
         raise ValueError("--tau applies only to a generated covsel instance")
+    if args.m is not None and (args.load_instance is not None or args.problem != "lasso"):
+        raise ValueError("--m applies only to a generated lasso instance")
+    if args.n is not None and args.load_instance is not None:
+        raise ValueError("--n applies only to a generated instance")
     problem, seed = args.problem, args.seed
     if args.load_instance is not None:
         instance, header = container.load_instance(args.load_instance)
@@ -167,7 +170,8 @@ def _single_setup(args):
         eps_abs=tolerances[0][0], eps_rel=tolerances[0][1], max_iter=args.max_iter,
     )
     if args.load_instance is None:
-        size = (args.m, args.n) if problem == "lasso" else args.n
+        n = 300 if args.n is None else args.n
+        size = (150 if args.m is None else args.m, n) if problem == "lasso" else n
         instance = generate_instance(problem, size, seed, args.tau)
     if args.save_instance is not None:
         _save_instance(args.save_instance, instance, seed)
@@ -292,7 +296,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, SolverError) as exc:
         # a bad config or input file, a value the spec, config or instance rejects, a failed solve
         parser.error(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

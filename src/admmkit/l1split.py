@@ -65,6 +65,7 @@ class L1SplitProblem(SeparableProblem):
         return self._rhs
 
     def objective(self, x, y):
+        """smooth(x) + weight ||y||_1; the solver never calls it."""
         return float(self.smooth(x) + self.weight * np.abs(y).sum())
 
     def x_stationarity(self, x, lam):

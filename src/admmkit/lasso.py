@@ -32,11 +32,11 @@ class LassoInstance(L1SplitProblem):
     """Problem data (A, b, rho) on the l1 split x - y = 0.
 
     Immutable after construction apart from a single-slot factorization cache
-    keyed on beta; re-solving with a different beta transparently
-    refactorizes. The factor is checked finite once per beta; each call then
-    checks only the length-n (fat: length-m) vector handed to the two BLAS
-    triangular solves on the cached upper factor, so a non-finite ``y`` or
-    ``lam`` still raises ValueError.
+    keyed on beta, which a solve at a new beta rewrites, so concurrent solves
+    at different betas must not share an instance. The Gram matrix is checked
+    finite once per beta; each call then checks only the length-n (fat:
+    length-m) vector handed to the two BLAS triangular solves on the cached
+    upper factor, so a non-finite ``y`` or ``lam`` still raises ValueError.
     """
 
     def __init__(self, A, b, rho: float):
@@ -71,13 +71,14 @@ class LassoInstance(L1SplitProblem):
         fat = self.rows < self.cols
         cached = self._cache
         if cached is None or cached[0] != beta:
-            gram = self.A @ self.A.T if fat else self.A.T @ self.A
-            gram.flat[:: gram.shape[0] + 1] += beta
+            with np.errstate(over="ignore"):  # a finite A's Gram may overflow
+                gram = self.A @ self.A.T if fat else self.A.T @ self.A
+                gram.flat[:: gram.shape[0] + 1] += beta
+            require_finite("A A' + beta I" if fat else "A'A + beta I", gram)
             # NumPy forms the Gram matrix with syrk, so it is exactly symmetric
             # and its transpose is the same matrix in Fortran order, which
-            # LAPACK factors in place.
-            upper, _ = cho_factor(gram.T, overwrite_a=True)
-            require_finite("Cholesky factor", upper)
+            # LAPACK factors in place: to a finite factor, or a LinAlgError.
+            upper, _ = cho_factor(gram.T, overwrite_a=True, check_finite=False)
             cached = self._cache = (beta, upper)
         # A'b + beta y + lam, summed in that order in one new array
         rhs = beta * np.asarray(y, dtype=float)

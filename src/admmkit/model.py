@@ -33,13 +33,14 @@ class SeparableProblem(ABC):
     """Two-block separable convex program  min f1(x) + f2(y)  s.t.  Ax + By = b.
 
     Implementations provide exact minimizers of the two alternating
-    subproblems, the constraint operators, the objective, and the two
+    subproblems, the constraint operators and right-hand side, and the two
     saddle-point stationarity residuals behind
     :func:`~admmkit.diagnostics.kkt_residual`. A subproblem's own first-order
     residual is the matching stationarity taken at lam - beta (Ax + By - b).
     ``A`` and ``B`` must have full column rank, which neither the engine nor
     the Fejer monitor checks. Instances are immutable after construction and
-    may be shared across concurrent solves.
+    may be shared across concurrent solves, except ``LassoInstance``, which
+    rewrites its factor cache whenever beta changes.
 
     Attributes
     ----------
@@ -76,10 +77,6 @@ class SeparableProblem(ABC):
     @abstractmethod
     def rhs_b(self) -> np.ndarray:
         """Right-hand side of the linear constraint."""
-
-    @abstractmethod
-    def objective(self, x: np.ndarray, y: np.ndarray) -> float:
-        """f1(x) + f2(y)."""
 
     @abstractmethod
     def x_stationarity(self, x, lam) -> float:

@@ -67,11 +67,6 @@ class QuadraticProblem(SeparableProblem):
     def rhs_b(self):
         return self._b
 
-    def objective(self, x, y):
-        return float(
-            0.5 * x @ self.P1 @ x + self.q1 @ x + 0.5 * y @ self.P2 @ y + self.q2 @ y
-        )
-
     def x_stationarity(self, x, lam):
         return float(np.abs(self.P1 @ x + self.q1 - self.A.T @ lam).max(initial=0.0))
 

@@ -230,6 +230,12 @@ def test_emit_plotdata_clamps_exact_zeros(tmp_path):
     assert float(rows[0]["classical_dual"]) == 1e-300  # strictly positive for log axes
 
 
+def test_emit_plotdata_rejects_an_empty_result_map(tmp_path):
+    with pytest.raises(ValueError, match="no results to write"):
+        emit_trajectory_plotdata({}, tmp_path / "empty.csv")
+    assert not (tmp_path / "empty.csv").exists()
+
+
 def test_emit_plotdata_unwritable_path_names_path(tmp_path):
     instance, _ = generate_instance(20, 30, 0)
     result = run(instance, SolverConfig(variant="classical", max_iter=200))

@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from admmkit import SolverConfig, run
+from admmkit import cli
 from admmkit.cli import main
 from admmkit.container import load_instance, save_instance
 from admmkit.lasso import generate_instance
@@ -21,6 +22,19 @@ def test_lasso_subcommand(tmp_path, capsys):
     assert "classical" in out and "summary csv" in out
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "m, n, sizes",
+    [("40", "60,70", ["40x60", "40x70"]), ("40,50", "60", ["40x60", "50x60"])],
+    ids=["one-m", "one-n"],
+)
+def test_lasso_grid_broadcasts_a_single_size(tmp_path, m, n, sizes):
+    argv = ["lasso", "--m", m, "--n", n, "--repeats", "1", "--variant", "classical",
+            "--max-iter", "300", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert [row["size"] for row in csv.DictReader(fh)] == sizes
 
 
 def test_covsel_subcommand(tmp_path):
@@ -342,6 +356,17 @@ def test_mismatched_tolerance_lists(tmp_path):
          "error: eps_rel must be a finite number, got nan"),
         (["compare", "--eps-abs", "0"], "error: eps_abs must lie in (0, inf), got 0.0"),
         (["diagnose", "--eps-rel", "nan"], "error: eps_rel must be a finite number, got nan"),
+        # a size flag the command would ignore
+        (["compare", "--problem", "covsel", "--n", "12", "--m", "5"],
+         "--m applies only to a generated lasso instance"),
+        (["diagnose", "--problem", "covsel", "--n", "12", "--m", "5"],
+         "--m applies only to a generated lasso instance"),
+        (["diagnose", "--load-instance", "{tmp}/covsel.bin", "--m", "7"],
+         "--m applies only to a generated lasso instance"),
+        (["compare", "--load-instance", "{tmp}/covsel.bin", "--n", "99"],
+         "--n applies only to a generated instance"),
+        (["diagnose", "--load-instance", "{tmp}/covsel.bin", "--m", "7", "--n", "99"],
+         "--m applies only to a generated lasso instance"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
@@ -371,8 +396,9 @@ def test_a_bad_tau_is_a_usage_error_that_makes_no_output_directory(tmp_path, cap
         (["diagnose", "--m", "40", "--n", "60", "--beta", "2000"], "reference solve did not reach"),
         (["lasso", "--m", "40", "--n", "60", "--beta", "2000", "--diagnostics", "--repeats", "1"],
          "reference solve did not reach"),
+        (["compare", "--problem", "covsel", "--n", "12", "--m", "5"], "--m applies only to"),
     ],
-    ids=["compare-config", "diagnose-reference", "lasso-reference"],
+    ids=["compare-config", "diagnose-reference", "lasso-reference", "compare-covsel-m"],
 )
 def test_a_failed_command_makes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -380,6 +406,13 @@ def test_a_failed_command_makes_no_output_directory(tmp_path, capsys, argv, mess
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2 and not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_compare_and_diagnose_default_sizes():
+    for argv, shape in ((["--problem", "lasso"], (150, 300)), (["--problem", "covsel"], (300, 300))):
+        instance = cli._single_setup(cli._build_parser("compare").parse_args(argv))[0]
+        size = instance.A.shape if argv[1] == "lasso" else instance.S.shape
+        assert size == shape
 
 
 def test_malformed_container_is_a_usage_error(tmp_path, capsys):

@@ -61,9 +61,6 @@ class _Scripted(SeparableProblem):
     def rhs_b(self):
         return np.zeros(2)
 
-    def objective(self, x, y):
-        return 0.0
-
     def x_stationarity(self, x, lam):
         return 0.0
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,6 +205,22 @@ def test_solve_x_rejects_non_finite_inputs(shape, operand, bad):
     args[operand][3] = bad
     with pytest.raises(ValueError, match="must be finite"):
         instance.solve_x(args["y"], args["lam"], 1.0)
+
+
+@pytest.mark.parametrize("entry", ["solve_x", "run"])
+@pytest.mark.parametrize(
+    "A, name",
+    [([[1e200, 1, 0], [0, 1, 1]], "A A' + beta I"), ([[1e200, 0], [1, 1], [0, 1]], "A'A + beta I")],
+    ids=["fat", "tall"],
+)
+def test_a_gram_matrix_that_overflows_is_named(A, name, entry):
+    # A is finite, so the constructor takes it; its Gram matrix is not
+    instance = LassoInstance(A, np.ones(len(A)), 0.1)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+        if entry == "solve_x":
+            instance.solve_x(np.zeros(instance.n2), np.zeros(instance.m), 1.0)
+        else:
+            run(instance, SolverConfig())
 
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
