@@ -89,7 +89,7 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--tau", type=float, default=None,
                             help=f"l1 weight (default {covsel.DEFAULT_TAU})")
         _add_common(parser, bench=True)
-    elif command in ("compare", "diagnose"):
+    else:
         parser.add_argument("--problem", choices=("lasso", "covsel"), default="lasso")
         parser.add_argument("--m", type=int, default=None, help="lasso rows (default 150)")
         parser.add_argument("--n", type=int, default=None, help="cols or covsel n (default 300)")

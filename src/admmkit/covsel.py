@@ -136,5 +136,5 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     sigma = np.linalg.inv(precision)
     chol = np.linalg.cholesky(_symmetrize(sigma))
     draws = chol @ rng.standard_normal((n, samples))
-    S = _symmetrize(draws @ draws.T / samples)
+    S = draws @ draws.T / samples  # syrk: exactly symmetric
     return CovselInstance(S, tau), precision

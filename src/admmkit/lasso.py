@@ -31,12 +31,13 @@ def rho_max(A: np.ndarray, b: np.ndarray) -> float:
 class LassoInstance(L1SplitProblem):
     """Problem data (A, b, rho) on the l1 split x - y = 0.
 
-    Immutable after construction apart from a single-slot factorization cache
-    keyed on beta, which a solve at a new beta rewrites, so concurrent solves
-    at different betas must not share an instance. The Gram matrix is checked
-    finite once per beta; each call then checks only the length-n (fat:
-    length-m) vector handed to the two BLAS triangular solves on the cached
-    upper factor, so a non-finite ``y`` or ``lam`` still raises ValueError.
+    Its one mutable member is a single-slot factor cache keyed on beta, which
+    ``solve_x`` reads once and replaces whole, so concurrent solves at any
+    betas may share an instance; solves that alternate betas refactorize each
+    time beta changes. The Gram matrix is checked finite once per beta; each
+    call then checks only the length-n (fat: length-m) vector handed to the
+    two BLAS triangular solves on the cached upper factor, so a non-finite
+    ``y`` or ``lam`` still raises ValueError.
     """
 
     def __init__(self, A, b, rho: float):

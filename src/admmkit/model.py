@@ -38,9 +38,8 @@ class SeparableProblem(ABC):
     :func:`~admmkit.diagnostics.kkt_residual`. A subproblem's own first-order
     residual is the matching stationarity taken at lam - beta (Ax + By - b).
     ``A`` and ``B`` must have full column rank, which neither the engine nor
-    the Fejer monitor checks. Instances are immutable after construction and
-    may be shared across concurrent solves, except ``LassoInstance``, which
-    rewrites its factor cache whenever beta changes.
+    the Fejer monitor checks. An instance may be shared across concurrent
+    solves, at any betas.
 
     Attributes
     ----------

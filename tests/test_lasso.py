@@ -1,5 +1,8 @@
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -262,6 +265,34 @@ def test_x_update_cache_tracks_beta(rng):
     lhs = instance.A.T @ (instance.A @ x2) + 3.0 * x2
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert not np.allclose(x1, x2)
+
+
+@pytest.mark.parametrize("shape", [(60, 90), (90, 60)], ids=["fat", "tall"])
+def test_concurrent_solves_at_different_betas_share_one_instance(shape):
+    # solve_x reads the single-slot cache once and replaces it whole, so every
+    # call uses its own beta's factor, however the threads interleave
+    betas = (0.5, 1.0, 2.0)
+    configs = [SolverConfig(variant="over_relaxed", beta=beta) for beta in betas]
+    serial = [run(generate_instance(*shape, 0)[0], config) for config in configs]
+    shared, _ = generate_instance(*shape, 0)
+    threads = 6
+    start = threading.Barrier(threads)
+
+    def solves(offset):
+        start.wait()
+        return [(i % 3, run(shared, configs[i % 3])) for i in range(offset, offset + 30)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside a solve_x as well
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            results = [pair for batch in pool.map(solves, range(threads)) for pair in batch]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, result in results:
+        assert result.records == serial[i].records
+        for got, want in zip(vars(result.final).values(), vars(serial[i].final).values()):
+            assert np.array_equal(got, want)
 
 
 def test_soft_threshold_definition_cases():
