@@ -69,7 +69,7 @@ def _add_common(parser: argparse.ArgumentParser, bench: bool):
                             help="comma-separated subset of " + ",".join(VARIANTS))
         parser.add_argument("--repeats", type=int, default=10)
         parser.add_argument("--strict", action="store_true",
-                            help="exit nonzero if any run hits max-iter")
+                            help="exit nonzero if any run did not converge")
         parser.add_argument("--diagnostics", action="store_true",
                             help="add h_dist_sq/g_norm_sq/violation columns to trajectory CSVs")
 
@@ -213,7 +213,7 @@ def _cmd_bench(problem: str, args) -> int:
     sys.stdout.write(outcome.summary_table.read_text())
     print(f"summary csv: {outcome.summary_csv}")
     if outcome.any_dnf:
-        print("warning: some runs hit max-iter (DNF)")
+        print("warning: some runs did not converge (DNF)")
         if args.strict:
             return 3
     return 0

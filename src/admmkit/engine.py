@@ -213,10 +213,11 @@ def run(
     k = 1 for the first completed step. ``observer``, if given, is called as
     ``observer(v_old, pred, v_new, record)`` after every step that does not
     stop the solve as non-finite, with ``record`` the step's entry of
-    ``records``. Norms overflow to inf without a numpy warning. A ``v0`` that
-    is not an :class:`EssentialState` of finite vectors of the problem's sizes
-    raises ValueError naming it, and so does a ``problem`` that is not a
-    :class:`SeparableProblem` or a ``config`` that is not a :class:`SolverConfig`.
+    ``records``. Norms overflow to inf, and an invalid operation gives NaN,
+    without a numpy warning. A ``v0`` that is not an :class:`EssentialState`
+    of finite vectors of the problem's sizes raises ValueError naming it, and
+    so does a ``problem`` that is not a :class:`SeparableProblem` or a
+    ``config`` that is not a :class:`SolverConfig`.
     """
     require_instance("problem", problem, SeparableProblem)
     require_instance("config", config, SolverConfig)
@@ -225,7 +226,7 @@ def run(
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem, "v0")
     records: list[IterationRecord] = []
     lam_norm, b_norm = _norm(v.lam), float(np.linalg.norm(problem.rhs_b))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iter + 1):
             try:
                 step = _step(problem, v, config, k, lam_norm, b_norm)

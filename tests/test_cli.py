@@ -397,8 +397,11 @@ def test_a_bad_tau_is_a_usage_error_that_makes_no_output_directory(tmp_path, cap
         (["lasso", "--m", "40", "--n", "60", "--beta", "2000", "--diagnostics", "--repeats", "1"],
          "reference solve did not reach"),
         (["compare", "--problem", "covsel", "--n", "12", "--m", "5"], "--m applies only to"),
+        (["diagnose", "--problem", "covsel", "--n", "10", "--beta", "1e308"],
+         "reference solve stopped on a non-finite iterate at iteration 1"),
     ],
-    ids=["compare-config", "diagnose-reference", "lasso-reference", "compare-covsel-m"],
+    ids=["compare-config", "diagnose-reference", "lasso-reference", "compare-covsel-m",
+         "diagnose-non-finite-reference"],
 )
 def test_a_failed_command_makes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -437,3 +440,24 @@ def test_diagnose_at_a_huge_beta_exits_without_a_warning(tmp_path, capsys):
     argv = ["diagnose", "--m", "8", "--n", "12", "--beta", "1e308", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert "KKT residual at returned point" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--problem", "covsel", "--n", "10", "--beta", "1e308"],
+     ["compare", "--m", "8", "--n", "12", "--beta", "1e-310"]],
+    ids=["covsel-1e308", "lasso-1e-310"],
+)
+def test_compare_at_either_end_of_the_beta_range_reports_non_finite(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:4]
+    assert [row.split()[3] for row in rows] == ["non_finite"] * 3
+
+
+def test_a_grid_counts_a_non_finite_run_as_not_converged(tmp_path, capsys):
+    argv = ["covsel", "--n", "10", "--repeats", "1", "--beta", "1e308", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "warning: some runs did not converge (DNF)" in capsys.readouterr().out
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        assert [row["dnf_runs"] for row in csv.DictReader(fh)] == ["1"] * 3
+    assert main([*argv, "--strict"]) == 3

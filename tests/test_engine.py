@@ -324,3 +324,23 @@ def test_a_solve_whose_norms_overflow_stops_as_non_finite(variant):
     result = run(problem, SolverConfig(variant=variant, beta=1e-300))
     assert result.stop_reason == "non_finite"
     assert result.iterations == 1
+
+
+@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
+@pytest.mark.parametrize(
+    "make, beta",
+    [
+        (lambda: generate_covsel(10, 0)[0], 1e308),  # (d + sqrt(d^2 + 4 beta)) / (2 beta)
+        (lambda: QuadraticProblem.random(4, 5, 8, np.random.default_rng(0)), 1e308),
+        (lambda: lasso.generate_instance(8, 12, 0)[0], 1e-310),  # rhs/beta - correction/beta
+        (lambda: lasso.generate_instance(8, 12, 0)[0], 5e-324),
+        (lambda: generate_covsel(10, 0)[0], 5e-324),
+    ],
+    ids=["covsel-1e308", "quadratic-1e308", "lasso-1e-310", "lasso-5e-324", "covsel-5e-324"],
+)
+def test_a_beta_at_either_end_of_the_float_range_stops_as_non_finite(make, beta, variant):
+    # a closed-form subproblem computes inf - inf or inf / inf there; the step
+    # ends the solve as non_finite instead of raising numpy's RuntimeWarning
+    result = run(make(), SolverConfig(variant=variant, beta=beta))
+    assert result.stop_reason == "non_finite"
+    assert result.iterations == 1

@@ -7,7 +7,10 @@ change that moves one is a change in behaviour. The grid is three Lasso
 sizes (fat, tall and a larger tall), covsel n = 20 and 50 and a small
 ``QuadraticProblem``, at seeds 0-2, beta 0.5, 1 and 2, two tolerance pairs
 and all three variants, plus edge rows that pin today's behaviour at
-extreme betas. A change that moves a cell rewrites the ledger with
+extreme betas. ``relaxed`` counts the steps ``run`` hands its observer: a
+step that ends the solve as non_finite is left out, since its gate reads
+NaN under some OpenBLAS kernels and inf or 0 under others. A change that
+moves a cell rewrites the ledger with
 
     PYTHONPATH=src python -W error tests/test_iteration_ledger.py
 
@@ -40,6 +43,12 @@ GRID_SIZES = [("lasso", "40x60"), ("lasso", "60x20"), ("lasso", "300x200"),
 EDGES = [
     ("lasso", "8x12", 0, 1e6),  # stops converged after one step, x = y = lam = 0
     ("lasso", "8x12", 0, 1e-300),  # norms overflow: non_finite after one step
+    # a closed-form subproblem forms inf - inf or inf / inf: non_finite after one step
+    ("covsel", "10", 0, 1e308),
+    ("quadratic", "4x5x8", 0, 1e308),
+    ("lasso", "8x12", 0, 1e-310),
+    ("lasso", "8x12", 0, 5e-324),
+    ("covsel", "10", 0, 5e-324),
 ]
 
 
@@ -72,7 +81,8 @@ def compute():
                               eps_abs=eps_abs, eps_rel=eps_rel)
         result = run(instances[problem, size, seed], config)
         key = tuple(map(str, (problem, size, seed, beta, gamma, eps_abs, eps_rel, variant)))
-        relaxed = sum(rec.relaxed for rec in result.records)
+        observed = result.records[:-1] if result.stop_reason == "non_finite" else result.records
+        relaxed = sum(rec.relaxed for rec in observed)
         rows[key] = (str(result.iterations), result.stop_reason, str(relaxed))
     return rows
 
