@@ -31,13 +31,12 @@ def rho_max(A: np.ndarray, b: np.ndarray) -> float:
 class LassoInstance(L1SplitProblem):
     """Problem data (A, b, rho) on the l1 split x - y = 0.
 
-    Its one mutable member is a single-slot factor cache keyed on beta, which
-    ``solve_x`` reads once and replaces whole, so concurrent solves at any
-    betas may share an instance; solves that alternate betas refactorize each
-    time beta changes. The Gram matrix is checked finite once per beta; each
-    call then checks only the length-n (fat: length-m) vector handed to the
-    two BLAS triangular solves on the cached upper factor, so a non-finite
-    ``y`` or ``lam`` still raises ValueError.
+    Its single-slot factor cache, keyed on beta, is read once and replaced whole
+    by ``solve_x``, so concurrent solves at any betas may share an instance;
+    solves that alternate betas refactorize each time. The Gram matrix is
+    checked finite once per beta; each call then checks only the length-n (fat:
+    length-m) vector handed to the two BLAS triangular solves on the cached
+    upper factor, so a non-finite ``y`` or ``lam`` still raises ValueError.
     """
 
     def __init__(self, A, b, rho: float):

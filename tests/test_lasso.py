@@ -276,7 +276,7 @@ def test_concurrent_solves_at_different_betas_share_one_instance(shape):
     serial = [run(generate_instance(*shape, 0)[0], config) for config in configs]
     shared, _ = generate_instance(*shape, 0)
     threads = 6
-    start = threading.Barrier(threads)
+    start = threading.Barrier(threads, timeout=60)
 
     def solves(offset):
         start.wait()
@@ -286,9 +286,11 @@ def test_concurrent_solves_at_different_betas_share_one_instance(shape):
     sys.setswitchinterval(1e-6)  # switch threads often, inside a solve_x as well
     try:
         with ThreadPoolExecutor(threads) as pool:
-            results = [pair for batch in pool.map(solves, range(threads)) for pair in batch]
+            batches = pool.map(solves, range(threads), timeout=120)
+            results = [pair for batch in batches for pair in batch]
     finally:
         sys.setswitchinterval(interval)
+    assert len(results) == threads * 30
     for i, result in results:
         assert result.records == serial[i].records
         for got, want in zip(vars(result.final).values(), vars(serial[i].final).values()):
