@@ -317,30 +317,23 @@ def test_covsel_runs_through_generic_engine():
 
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
-def test_a_solve_whose_norms_overflow_stops_as_non_finite(variant):
-    # at beta = 1e-300 the first step's residual norm and threshold overflow
-    # to inf; inf <= inf must not read as converged
-    problem, _ = lasso.generate_instance(8, 12, 0)
-    result = run(problem, SolverConfig(variant=variant, beta=1e-300))
-    assert result.stop_reason == "non_finite"
-    assert result.iterations == 1
-
-
-@pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
 @pytest.mark.parametrize(
     "make, beta",
     [
+        # the first step's residual norm and threshold overflow to inf; inf <= inf
+        # must not read as converged
+        (lambda: lasso.generate_instance(8, 12, 0)[0], 1e-300),
+        # a closed-form subproblem forms inf - inf or inf / inf, without a warning
         (lambda: generate_covsel(10, 0)[0], 1e308),  # (d + sqrt(d^2 + 4 beta)) / (2 beta)
         (lambda: QuadraticProblem.random(4, 5, 8, np.random.default_rng(0)), 1e308),
         (lambda: lasso.generate_instance(8, 12, 0)[0], 1e-310),  # rhs/beta - correction/beta
         (lambda: lasso.generate_instance(8, 12, 0)[0], 5e-324),
         (lambda: generate_covsel(10, 0)[0], 5e-324),
     ],
-    ids=["covsel-1e308", "quadratic-1e308", "lasso-1e-310", "lasso-5e-324", "covsel-5e-324"],
+    ids=["lasso-1e-300", "covsel-1e308", "quadratic-1e308", "lasso-1e-310", "lasso-5e-324",
+         "covsel-5e-324"],
 )
 def test_a_beta_at_either_end_of_the_float_range_stops_as_non_finite(make, beta, variant):
-    # a closed-form subproblem computes inf - inf or inf / inf there; the step
-    # ends the solve as non_finite instead of raising numpy's RuntimeWarning
     result = run(make(), SolverConfig(variant=variant, beta=beta))
     assert result.stop_reason == "non_finite"
     assert result.iterations == 1

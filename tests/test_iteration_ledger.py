@@ -87,14 +87,14 @@ def compute():
     return rows
 
 
-def read_ledger(path=LEDGER):
-    with open(path, newline="") as fh:
+def read_ledger():
+    with open(LEDGER, newline="") as fh:
         return {tuple(row[k] for k in KEY): tuple(row[k] for k in VALUES)
                 for row in csv.DictReader(fh)}
 
 
-def write_ledger(rows, path=LEDGER):
-    with open(path, "w", newline="") as fh:
+def write_ledger(rows):
+    with open(LEDGER, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(KEY + VALUES)
         writer.writerows(key + values for key, values in rows.items())
@@ -108,7 +108,6 @@ def test_every_cell_matches_the_ledger():
         for key in [*new, *(key for key in old if key not in new)]
         if old.get(key) != new.get(key)
     ]
-    print(*moved, sep="\n")
     assert not moved, f"{len(moved)} of {len(new)} cells moved ({', '.join(VALUES)}):\n" + "\n".join(moved)
 
 
