@@ -1,11 +1,18 @@
 import csv
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from admmkit import SolverConfig, run
 from admmkit import cli
 from admmkit.cli import main
-from admmkit.container import load_instance, save_instance
+from admmkit.container import MAGIC, load_instance, save_instance
+from admmkit.covsel import generate_instance as generate_covsel
 from admmkit.lasso import generate_instance
 
 
@@ -16,12 +23,27 @@ def _lasso_args(tmp_path, *extra):
     ]
 
 
-def test_lasso_subcommand(tmp_path, capsys):
-    assert main(_lasso_args(tmp_path)) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["lasso", "--m", "40", "--n", "60"],
+     ["lasso", "--m", "40", "--n", "60", "--diagnostics"],
+     # a tall Lasso (rows >= cols) takes the direct n x n Cholesky path
+     ["lasso", "--m", "60", "--n", "20", "--diagnostics"],
+     ["covsel", "--n", "15", "--diagnostics"]],
+    ids=["lasso", "lasso-diagnostics", "lasso-tall-diagnostics", "covsel-diagnostics"],
+)
+def test_grid_subcommand(tmp_path, capsys, argv):
+    argv = [*argv, "--repeats", "2", "--seed", "0", "--max-iter", "300", "--out", str(tmp_path)]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "classical" in out and "summary csv" in out
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "summary.txt").exists()
+    trajectories = sorted(tmp_path.glob("traj_*.csv"))
+    assert len(trajectories) == 3
+    for path in trajectories:
+        with open(path) as fh:
+            assert ("h_dist_sq" in next(csv.reader(fh))) == ("--diagnostics" in argv)
 
 
 @pytest.mark.parametrize(
@@ -49,9 +71,11 @@ def test_covsel_subcommand(tmp_path):
     assert not (tmp_path / "traj_covsel_n15_tol0_relaxed_customized.csv").exists()
 
 
-def test_compare_subcommand(tmp_path, capsys):
+# a tall Lasso (rows >= cols) takes the direct n x n Cholesky path
+@pytest.mark.parametrize("m, n", [(40, 60), (60, 20)], ids=["fat", "tall"])
+def test_compare_subcommand(tmp_path, capsys, m, n):
     rc = main([
-        "compare", "--problem", "lasso", "--m", "40", "--n", "60",
+        "compare", "--problem", "lasso", "--m", str(m), "--n", str(n),
         "--seed", "1", "--max-iter", "300", "--out", str(tmp_path),
     ])
     assert rc == 0
@@ -61,7 +85,7 @@ def test_compare_subcommand(tmp_path, capsys):
     # the relaxed column counts the steps whose gate fired
     lines = out.splitlines()
     assert lines[0].split()[:4] == ["variant", "iterations", "relaxed", "stop"]
-    instance = generate_instance(40, 60, 1)[0]
+    instance = generate_instance(m, n, 1)[0]
     for line in lines[1:4]:
         variant, iterations, relaxed = line.split()[:3]
         records = run(instance, SolverConfig(variant=variant, gamma=1.8, max_iter=300)).records
@@ -146,12 +170,17 @@ def test_diagnose_kkt_at_last_subproblem_output_meets_the_stopping_bound(tmp_pat
     assert value <= bound
 
 
-def test_diagnose_prints_no_dense_matrix_lines(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "size",
+    [["--problem", "covsel", "--n", "20"],
+     # n2 + m = 1922 and 2002: the monitor needs no dense matrix at any size
+     ["--problem", "covsel", "--n", "31"],
+     ["--m", "40", "--n", "1001"]],
+    ids=["covsel-20", "covsel-31", "lasso-40x1001"],
+)
+def test_diagnose_prints_no_dense_matrix_lines(tmp_path, capsys, size):
     # the dense H = Q M^-1 and G checks are test oracles, not diagnose output
-    rc = main([
-        "diagnose", "--problem", "covsel", "--n", "20",
-        "--seed", "0", "--max-iter", "300", "--out", str(tmp_path),
-    ])
+    rc = main(["diagnose", *size, "--seed", "0", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "H = Q M^-1" not in out and "gap-form decomposition" not in out
@@ -256,22 +285,34 @@ def test_cli_outputs_deterministic(tmp_path):
     assert (out_a / traj).read_bytes() == (out_b / traj).read_bytes()
 
 
-def test_save_and_load_instance_round_trip_through_cli(tmp_path):
-    saved = tmp_path / "inst.bin"
+@pytest.mark.parametrize(
+    "size",
+    [["--problem", "lasso", "--m", "40", "--n", "60"], ["--problem", "covsel", "--n", "20"]],
+    ids=["lasso", "covsel"],
+)
+def test_save_and_load_instance_round_trip_through_cli(tmp_path, size):
+    saved, problem = tmp_path / "inst.bin", size[1]
     rc = main([
-        "compare", "--problem", "lasso", "--m", "30", "--n", "50", "--seed", "3",
-        "--max-iter", "300", "--out", str(tmp_path), "--save-instance", str(saved),
+        "compare", *size, "--seed", "3", "--max-iter", "300",
+        "--out", str(tmp_path / "saved"), "--save-instance", str(saved),
     ])
     assert rc == 0 and saved.exists()
     loaded, header = load_instance(saved)
-    reference, _ = generate_instance(30, 50, 3)
-    import numpy as np
-
-    assert header["seed"] == 3
-    assert np.array_equal(loaded.A, reference.A)
+    assert header["seed"] == 3 and header["kind"] == problem
+    if problem == "lasso":
+        assert np.array_equal(loaded.A, generate_instance(40, 60, 3)[0].A)
+    else:
+        assert np.array_equal(loaded.S, generate_covsel(20, 3)[0].S)
+    # the loaded container solves to the same CSV, byte for byte
+    rc = main(["compare", "--load-instance", str(saved), "--max-iter", "300",
+               "--out", str(tmp_path / "loaded")])
+    assert rc == 0
+    csv_name = f"compare_{problem}.csv"
+    assert (tmp_path / "loaded" / csv_name).read_bytes() == (
+        tmp_path / "saved" / csv_name).read_bytes()
     rc = main([
-        "diagnose", "--load-instance", str(saved), "--max-iter", "300",
-        "--out", str(tmp_path),
+        "diagnose", "--load-instance", str(saved), "--variant", "relaxed_customized",
+        "--max-iter", "300", "--out", str(tmp_path / "diagnosed"),
     ])
     assert rc == 0
 
@@ -299,9 +340,6 @@ def test_bench_save_instance_creates_missing_directories(tmp_path):
     assert rc == 0 and target.exists()
     loaded, header = load_instance(target)
     assert header["tau"] == 0.35 and header["seed"] == 4
-    from admmkit.covsel import generate_instance as generate_covsel
-    import numpy as np
-
     reference, _ = generate_covsel(15, 4, tau=0.35)
     assert np.array_equal(loaded.S, reference.S)
 
@@ -319,9 +357,37 @@ def test_unknown_command_and_help(capsys):
     assert "lasso" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["compare", "--m", "8", "--n", "12", "--max-iter", "50"], 0), (["compare", "--beta", "nan"], 2)],
+    ids=["runs", "usage-error"],
+)
+def test_the_module_entry_point_runs_the_cli(tmp_path, argv, code):
+    # python -m admmkit in a fresh interpreter that turns every warning into an error
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "PYTHONWARNINGS": "error"}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "admmkit", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert out.exists() == (code == 0) and "Traceback" not in proc.stderr
+    assert ("residual curves:" in proc.stdout) == (code == 0)
+    assert ("usage: admm-bench compare" in proc.stderr) == (code == 2)
+
+
 def test_mismatched_tolerance_lists(tmp_path):
     with pytest.raises(SystemExit):
         main(_lasso_args(tmp_path, "--eps-abs", "1e-5,1e-6", "--eps-rel", "1e-3"))
+
+
+#: Container headers that the usage-error table loads, each with one defect,
+#: ahead of one float64 of payload.
+BAD_HEADERS = {
+    "no-m.bin": b'{"kind": "lasso", "n": 2}',
+    "tau.bin": b'{"kind": "covsel", "n": 1, "tau": "0.1"}',
+    "dims.bin": b'{"kind": "lasso", "m": -2, "n": 2, "rho": 1.0}',
+}
 
 
 @pytest.mark.parametrize(
@@ -367,48 +433,41 @@ def test_mismatched_tolerance_lists(tmp_path):
          "--n applies only to a generated instance"),
         (["diagnose", "--load-instance", "{tmp}/covsel.bin", "--m", "7", "--n", "99"],
          "--m applies only to a generated lasso instance"),
+        # a bad real parameter, raised before any output directory is made
+        (["compare", "--beta", "nan"], "beta must be a finite number, got nan"),
+        (["compare", "--gamma", "2"], "gamma must lie in (0, 2), got 2.0"),
+        (["compare", "--eps-rel", "0"], "eps_rel must lie in (0, inf), got 0.0"),
+        (["compare", "--problem", "covsel", "--n", "12", "--tau", "0"],
+         "tau must lie in (0, inf), got 0.0"),
+        (["covsel", "--n", "12", "--repeats", "1", "--tau", "-1"],
+         "tau must lie in (0, inf), got -1.0"),
+        # a reference solve that does not converge, or stops on a non-finite iterate
+        (["lasso", "--m", "40", "--n", "60", "--beta", "2000", "--diagnostics", "--repeats", "1"],
+         "reference solve did not reach"),
+        (["diagnose", "--problem", "covsel", "--n", "10", "--beta", "1e308"],
+         "reference solve stopped on a non-finite iterate at iteration 1"),
+        (["diagnose", "--m", "8", "--n", "12", "--beta", "1e-310"],
+         "reference solve stopped on a non-finite iterate at iteration 1"),
+        # a malformed container header, named by its path
+        (["compare", "--load-instance", "{tmp}/no-m.bin"], "{tmp}/no-m.bin: header has no 'm' field"),
+        (["compare", "--load-instance", "{tmp}/tau.bin"],
+         "{tmp}/tau.bin: tau must be a finite number, got '0.1'"),
+        (["compare", "--load-instance", "{tmp}/dims.bin"],
+         "{tmp}/dims.bin: m must be at least 1, got -2"),
     ],
 )
 def test_bad_values_are_usage_errors(tmp_path, capsys, argv, message):
-    from admmkit.covsel import generate_instance as generate_covsel
-
     save_instance(tmp_path / "covsel.bin", generate_covsel(10, 0)[0])
+    for name, header in BAD_HEADERS.items():
+        (tmp_path / name).write_bytes(MAGIC + header + b"\n" + struct.pack("<d", 1.0))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert message in err and "usage: admm-bench" in err and "Traceback" not in err
-
-
-def test_a_bad_tau_is_a_usage_error_that_makes_no_output_directory(tmp_path, capsys):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main(["covsel", "--n", "12", "--repeats", "1", "--tau", "-1", "--out", str(out)])
-    assert exc.value.code == 2 and not out.exists()
-    assert "tau must lie in (0, inf), got -1.0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["compare", "--beta", "nan"], "beta must be a finite number, got nan"),
-        (["diagnose", "--m", "40", "--n", "60", "--beta", "2000"], "reference solve did not reach"),
-        (["lasso", "--m", "40", "--n", "60", "--beta", "2000", "--diagnostics", "--repeats", "1"],
-         "reference solve did not reach"),
-        (["compare", "--problem", "covsel", "--n", "12", "--m", "5"], "--m applies only to"),
-        (["diagnose", "--problem", "covsel", "--n", "10", "--beta", "1e308"],
-         "reference solve stopped on a non-finite iterate at iteration 1"),
-    ],
-    ids=["compare-config", "diagnose-reference", "lasso-reference", "compare-covsel-m",
-         "diagnose-non-finite-reference"],
-)
-def test_a_failed_command_makes_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2 and not out.exists()
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "usage: admm-bench" in err and "Traceback" not in err
 
 
 def test_compare_and_diagnose_default_sizes():
@@ -416,16 +475,6 @@ def test_compare_and_diagnose_default_sizes():
         instance = cli._single_setup(cli._build_parser("compare").parse_args(argv))[0]
         size = instance.A.shape if argv[1] == "lasso" else instance.S.shape
         assert size == shape
-
-
-def test_malformed_container_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b'ADMMKIT1\n{"kind": "lasso", "n": 2}\n')
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--load-instance", str(path), "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"{path}: header has no 'm' field" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,18 @@
-"""Iteration ledger: the iteration count, stop reason and number of relaxed
-steps of every cell of a fixed grid, committed in ``iteration_ledger.csv``
-and recomputed exactly here.
+"""Iteration ledger: the iteration count, stop reason, number of relaxed
+steps and a CRC-32 of the per-step relaxed flags of every cell of a fixed
+grid, committed in ``iteration_ledger.csv`` and recomputed exactly here.
 
 Iteration counts are deterministic and are the paper's own metric, so a
-change that moves one is a change in behaviour. The grid is three Lasso
-sizes (fat, tall and a larger tall), covsel n = 20 and 50 and a small
-``QuadraticProblem``, at seeds 0-2, beta 0.5, 1 and 2, two tolerance pairs
-and all three variants, plus edge rows that pin today's behaviour at
-extreme betas. ``relaxed`` counts the steps ``run`` hands its observer: a
-step that ends the solve as non_finite is left out, since its gate reads
-NaN under some OpenBLAS kernels and inf or 0 under others. A change that
-moves a cell rewrites the ledger with
+change that moves one is a change in behaviour. The grid is five Lasso
+sizes (two fat, two tall and a larger tall), covsel n = 20, 30 and 50 and a
+small ``QuadraticProblem``, at seeds 0-2, beta 0.5, 1 and 2, two tolerance
+pairs and all three variants, plus edge rows that pin today's behaviour at
+extreme betas. ``relaxed`` and ``relaxed_crc32`` cover the steps ``run``
+hands its observer: a step that ends the solve as non_finite is left out,
+since its gate reads NaN under some OpenBLAS kernels and inf or 0 under
+others. The ledger compares every kernel against the committed values, so
+one run under another kernel checks that its iterations and relaxed flags
+are the same. A change that moves a cell rewrites the ledger with
 
     PYTHONPATH=src python -W error tests/test_iteration_ledger.py
 
@@ -20,6 +22,7 @@ and lists the moved cells as a change in behaviour.
 import csv
 import itertools
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +35,13 @@ from admmkit.quadratic import QuadraticProblem
 LEDGER = Path(__file__).with_name("iteration_ledger.csv")
 
 KEY = ["problem", "size", "seed", "beta", "gamma", "eps_abs", "eps_rel", "variant"]
-VALUES = ["iterations", "stop_reason", "relaxed"]
+VALUES = ["iterations", "stop_reason", "relaxed", "relaxed_crc32"]
 
 GAMMA = {"lasso": 1.8, "covsel": 1.7, "quadratic": 1.8}
 
 GRID_SIZES = [("lasso", "40x60"), ("lasso", "60x20"), ("lasso", "300x200"),
-              ("covsel", "20"), ("covsel", "50"), ("quadratic", "4x5x8")]
+              ("covsel", "20"), ("covsel", "50"), ("quadratic", "4x5x8"),
+              ("lasso", "80x140"), ("covsel", "30")]
 
 # (problem, size, seed, beta) at the default tolerances:
 EDGES = [
@@ -79,11 +83,14 @@ def compute():
             instances[problem, size, seed] = _instance(problem, size, seed)
         config = SolverConfig(variant=variant, beta=beta, gamma=gamma,
                               eps_abs=eps_abs, eps_rel=eps_rel)
-        result = run(instances[problem, size, seed], config)
+        flags = bytearray()
+        result = run(instances[problem, size, seed], config,
+                     observer=lambda v_old, pred, v_new, record: flags.append(record.relaxed))
         key = tuple(map(str, (problem, size, seed, beta, gamma, eps_abs, eps_rel, variant)))
         observed = result.records[:-1] if result.stop_reason == "non_finite" else result.records
         relaxed = sum(rec.relaxed for rec in observed)
-        rows[key] = (str(result.iterations), result.stop_reason, str(relaxed))
+        rows[key] = (str(result.iterations), result.stop_reason, str(relaxed),
+                     f"{zlib.crc32(flags):08x}")
     return rows
 
 
