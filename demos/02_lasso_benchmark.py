@@ -35,8 +35,7 @@ for variant, result in results.items():
           f"{last.primal_residual_norm:>10.2e} {last.dual_residual_norm:>10.2e} {nnz:>9}")
 
 over = results["over_relaxed"]
-relaxed_steps = sum(rec.relaxed for rec in over.records)
-print(f"\nover-relaxed runs extrapolated on {relaxed_steps} of {over.iterations} steps")
+print(f"\nover-relaxed runs extrapolated on {over.relaxed_steps} of {over.iterations} steps")
 
 path = emit_trajectory_plotdata(results, "lasso_residuals.csv")
 print(f"residual curves written to {path} (k, then primal/dual per variant)")

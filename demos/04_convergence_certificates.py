@@ -27,7 +27,7 @@ ref = reference_solution(instance, config)  # classical, at 100x tighter toleran
 monitor = FejerMonitor(instance, config, ref)
 result = run(instance, config, observer=monitor)
 print(f"over-relaxed solve: {result.iterations} iterations, "
-      f"{sum(r.relaxed for r in result.records)} extrapolated")
+      f"{result.relaxed_steps} extrapolated")
 print(f"multiplier split identity:                      max residual {monitor.split:.2e}")
 print(f"correction identity v_next = v - M(v - v_tilde): max residual {monitor.correction:.2e}")
 print(f"gap-form step expansion agreement:              max mismatch {monitor.expansion:.2e}")

@@ -58,14 +58,14 @@ class BenchmarkSpec:
     """Experimental grid for :func:`run_benchmark`.
 
     ``sizes`` holds (m, n) pairs for lasso or feature counts n for covsel,
-    positive integers either way; ``tolerances`` holds (eps_abs, eps_rel)
-    pairs of positive numbers. ``gamma=None`` resolves to the per-problem
-    default. ``tau`` is covsel's positive l1 weight (None: the instance
-    default); a lasso spec that sets it is rejected. A malformed entry or
-    field, a repeated size, tolerance pair or variant, or a value that any
-    solver config of the grid rejects, such as an unknown variant, raises
-    ValueError naming the field; a malformed element is named by index, as
-    in ``sizes[1][0]``.
+    each checked by its generator's ``require_size`` before any cell is
+    solved; ``tolerances`` holds (eps_abs, eps_rel) pairs of positive
+    numbers. ``gamma=None`` resolves to the per-problem default. ``tau`` is
+    covsel's positive l1 weight (None: the instance default); a lasso spec
+    that sets it is rejected. A malformed entry or field, a repeated size,
+    tolerance pair or variant, or a value that any solver config of the grid
+    rejects, such as an unknown variant, raises ValueError naming the field;
+    a malformed element is named by index, as in ``sizes[1][0]``.
     """
 
     problem: str
@@ -94,6 +94,11 @@ class BenchmarkSpec:
             require_real("tau", self.tau, 0)
         self.variants = _entries("variants", self.variants, False, require_instance, str, str)
         self.sizes = _entries("sizes", self.sizes, self.problem == "lasso", require_int, 1, int)
+        for i, size in enumerate(self.sizes):
+            try:
+                lasso.require_size(*size) if self.problem == "lasso" else covsel.require_size(size)
+            except ValueError as exc:
+                raise ValueError(f"sizes[{i}]: {exc}") from None
         self.tolerances = _entries("tolerances", self.tolerances, True, require_real, 0, float)
         for tol in self.tolerances:
             for variant in self.variants:

@@ -230,9 +230,9 @@ def _cmd_compare(args) -> int:
     )
     for variant, result in results.items():
         last = result.records[-1]
-        relaxed = sum(rec.relaxed for rec in result.records)
         print(
-            f"{variant:<20} {result.iterations:>10} {relaxed:>8} {result.stop_reason:>10} "
+            f"{variant:<20} {result.iterations:>10} {result.relaxed_steps:>8} "
+            f"{result.stop_reason:>10} "
             f"{last.primal_residual_norm:>12.3e} {last.dual_residual_norm:>12.3e}"
         )
     print(f"residual curves: {path}")
@@ -249,10 +249,9 @@ def _cmd_diagnose(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     diag_path = args.out / f"diagnose_{problem_name}_{args.variant}.csv"
     write_trajectory_csv(diag_path, result, monitor)
-    relaxed = sum(rec.relaxed for rec in result.records)
     print(
-        f"variant={args.variant} iterations={result.iterations} relaxed={relaxed} "
-        f"stop={result.stop_reason}"
+        f"variant={args.variant} iterations={result.iterations} "
+        f"relaxed={result.relaxed_steps} stop={result.stop_reason}"
     )
     # each step check prints only for a variant whose steps it checks
     mono_checked, gap_checked = monitor.checks

@@ -23,27 +23,25 @@ MAGIC = b"ADMMKIT1\n"
 
 
 def save_instance(path, instance, seed: int | None = None) -> Path:
-    """Write a Lasso or covariance-selection instance; returns the path."""
+    """Write a Lasso or covariance-selection instance and ``seed``, None or an
+    integer of at least 0; returns the path. A bad argument writes nothing."""
     path = Path(path)
     if isinstance(instance, LassoInstance):
-        header = {
-            "kind": "lasso",
-            "m": instance.rows,
-            "n": instance.cols,
-            "rho": instance.rho,
-            "seed": seed,
-        }
+        header = {"kind": "lasso", "m": instance.rows, "n": instance.cols, "rho": instance.rho}
         payload = (instance.A, instance.b)
     elif isinstance(instance, CovselInstance):
-        header = {"kind": "covsel", "n": instance.n, "tau": instance.tau, "seed": seed}
+        header = {"kind": "covsel", "n": instance.n, "tau": instance.tau}
         payload = (instance.S,)
     else:
         raise ValueError(
             f"instance must be a LassoInstance or a CovselInstance, got {type(instance).__name__}"
         )
+    if seed is not None:
+        require_int("seed", seed, 0)
+    header["seed"] = seed if seed is None else int(seed)  # a NumPy integer as a plain int
+    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(MAGIC + line)
         for a in payload:  # through the buffer protocol: a native float64 array is not copied
             fh.write(np.ascontiguousarray(a, dtype="<f8"))
     return path
@@ -79,6 +77,8 @@ def load_instance(path):
         try:
             for key in dims:  # before anything is allocated; the instance checks the weight
                 require_int(key, header[key], 1)
+            if header.get("seed") is not None:
+                require_int("seed", header["seed"], 0)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         n, weight = header["n"], header[weight_key]

@@ -104,6 +104,15 @@ class CovselInstance(L1SplitProblem):
         return np.matmul(U, U.T, out=R).ravel()
 
 
+def require_size(n: int) -> int:
+    """Raise ValueError naming n unless generate_instance takes it; returns ceil(0.01 n^2)."""
+    require_int("n", n, 10)
+    require_fits((n, n), n=n)  # first, so that 0.01 n^2 is a finite float
+    samples = int(math.ceil(0.01 * n * n))
+    require_fits((n, samples), n=n)
+    return samples
+
+
 def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     """Seeded covariance-selection data.
 
@@ -117,12 +126,8 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     (CovselInstance, ndarray)
         The instance and the ground-truth precision matrix.
     """
-    require_int("n", n, 10)
+    samples = require_size(n)
     require_int("seed", seed, 0)
-    # the draws below are the largest array; n x n must fit before 0.01 n^2 is a float
-    require_fits((n, n), n=n)
-    samples = int(math.ceil(0.01 * n * n))
-    require_fits((n, samples), n=n)
     rng = np.random.default_rng(seed)
     precision = np.eye(n)
     rows, cols = np.triu_indices(n, k=1)

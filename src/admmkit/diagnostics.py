@@ -44,11 +44,8 @@ def h_norm_sq(v: EssentialState, mats: AnalysisMatrices) -> float:
     return float((mats.beta * (by @ by) + (v.lam @ v.lam) / mats.beta) / mats.gamma)
 
 
-def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray | None = None) -> float:
-    """Quadratic form d'Gd; sign-indefinite for gamma > 1. ``bdy`` is B d.y,
-    applied here unless the caller has it."""
-    if bdy is None:
-        bdy = mats.apply_B(d.y)
+def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray) -> float:
+    """Quadratic form d'Gd, given ``bdy`` = B d.y; sign-indefinite for gamma > 1."""
     gamma, beta = mats.gamma, mats.beta
     return float(
         (2.0 - 2.0 * gamma) * beta * (bdy @ bdy)

@@ -83,6 +83,12 @@ class SolveResult:
     def iterations(self) -> int:
         return len(self.records)
 
+    @property
+    def relaxed_steps(self) -> int:
+        """How many of the steps :func:`run` hands its observer relaxed."""
+        seen = self.records[:-1] if self.stop_reason == "non_finite" else self.records
+        return sum(rec.relaxed for rec in seen)
+
 
 def predict(
     problem: SeparableProblem,

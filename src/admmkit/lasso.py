@@ -102,6 +102,13 @@ def _cholesky_solve(upper, rhs):
     return dtrsv(upper, dtrsv(upper, rhs, trans=1, overwrite_x=1), overwrite_x=1)
 
 
+def require_size(m: int, n: int) -> None:
+    """Raise ValueError naming m or n unless :func:`generate_instance` takes them."""
+    require_int("m", m, 1)
+    require_int("n", n, 1)
+    require_fits((m, n), m=m, n=n)
+
+
 def generate_instance(m: int, n: int, seed: int):
     """Seeded synthetic regression data.
 
@@ -116,10 +123,8 @@ def generate_instance(m: int, n: int, seed: int):
     (LassoInstance, ndarray)
         The instance and the ground-truth coefficient vector.
     """
-    require_int("m", m, 1)
-    require_int("n", n, 1)
+    require_size(m, n)
     require_int("seed", seed, 0)
-    require_fits((m, n), m=m, n=n)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     # Column norms over blocks of at most 64 columns, so A * A is never formed

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -44,8 +45,12 @@ def test_covsel_round_trip_is_bitwise(tmp_path):
         (CovselInstance([[2.0, 0.5], [0.5, 1.0]], 0.25), None,
          b'{"kind": "covsel", "n": 2, "seed": null, "tau": 0.25}\n'
          + struct.pack("<4d", 2.0, 0.5, 0.5, 1.0)),
+        # a NumPy integer seed is written as a plain int
+        (CovselInstance([[2.0, 0.5], [0.5, 1.0]], 0.25), np.int64(3),
+         b'{"kind": "covsel", "n": 2, "seed": 3, "tau": 0.25}\n'
+         + struct.pack("<4d", 2.0, 0.5, 0.5, 1.0)),
     ],
-    ids=["lasso", "covsel"],
+    ids=["lasso", "covsel", "numpy-seed"],
 )
 def test_saved_bytes_are_pinned(tmp_path, instance, seed, expected):
     # the magic line, the header with sorted keys, then little-endian float64s
@@ -156,6 +161,19 @@ def test_unsupported_instance_type_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "seed, message",
+    [("abc", "seed must be an integer, got 'abc'"), (-1, "seed must be at least 0, got -1"),
+     (2.5, "seed must be an integer, got 2.5"), (True, "seed must be an integer, got True")],
+    ids=["string", "negative", "float", "bool"],
+)
+def test_a_bad_seed_is_rejected_before_anything_is_written(tmp_path, seed, message):
+    path = tmp_path / "x.bin"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_instance(path, generate_covsel(10, 0)[0], seed=seed)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
     "header, payload_bytes, message",
     [
         (b"[1]", 0, "header must be a JSON object, got list"),
@@ -171,10 +189,18 @@ def test_unsupported_instance_type_rejected(tmp_path):
         (b'{"kind": "covsel", "n": 1, "tau": 1e999}', 8, "tau must be a finite number, got inf"),
         (b'{"kind": "covsel", "n": 1, "tau": 1%s}' % (b"0" * 400), 8, "tau must be a finite"),
         (b'{"kind": "covsel", "n": 1, "tau": 0}', 8, "tau must lie in (0, inf), got 0"),
+        (b'{"kind": "covsel", "n": 1, "seed": "abc", "tau": 1.0}', 8,
+         "seed must be an integer, got 'abc'"),
+        (b'{"kind": "covsel", "n": 1, "seed": -1, "tau": 1.0}', 8, "seed must be at least 0, got -1"),
+        (b'{"kind": "lasso", "m": 1, "n": 1, "rho": 1.0, "seed": 2.5}', 16,
+         "seed must be an integer, got 2.5"),
+        (b'{"kind": "covsel", "n": 1, "seed": true, "tau": 1.0}', 8,
+         "seed must be an integer, got True"),
     ],
     ids=[
         "not-object", "bad-json", "bad-utf8", "no-m", "no-rho", "negative-dims", "bool-dim",
         "negative-n", "float-n", "string-tau", "inf-tau", "huge-int-tau", "zero-tau",
+        "string-seed", "negative-seed", "float-seed", "bool-seed",
     ],
 )
 def test_malformed_header_rejected_by_path_and_field(tmp_path, header, payload_bytes, message):

@@ -39,7 +39,7 @@ def test_gap_form_at_unit_gamma_is_psd_corner(dense_matrices):
     mats = dense_matrices(np.eye(1), beta=1.0, gamma=1.0)
     assert np.abs(mats.G - np.array([[0.0, 0.0], [0.0, 1.0]])).max() == 0.0
     d = EssentialState(np.array([1.0]), np.array([1.0]))
-    assert g_form(d, mats) == pytest.approx(1.0)
+    assert g_form(d, mats, mats.apply_B(d.y)) == pytest.approx(1.0)
 
 
 def test_metric_factorization_random_block(rng, dense_matrices):
@@ -73,7 +73,8 @@ def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
         v = EssentialState(rng.standard_normal(3), rng.standard_normal(5))
         w = stacked(v)
         assert h_norm_sq(v, mats) == pytest.approx(w @ mats.H @ w, abs=1e-12, rel=1e-12)
-        assert g_form(v, mats) == pytest.approx(w @ mats.G @ w, abs=1e-12, rel=1e-12)
+        form = g_form(v, mats, mats.apply_B(v.y))
+        assert form == pytest.approx(w @ mats.G @ w, abs=1e-12, rel=1e-12)
     assert h_norm_sq(EssentialState(np.zeros(3), np.zeros(5)), mats) == 0.0
 
 
@@ -85,7 +86,8 @@ def test_matrix_free_forms_agree_with_dense(rng, dense_matrices, dense_B):
     for _ in range(10):
         v = EssentialState(rng.standard_normal(30), rng.standard_normal(30))
         assert h_norm_sq(v, free) == pytest.approx(h_norm_sq(v, dense), rel=1e-12)
-        assert g_form(v, free) == pytest.approx(g_form(v, dense), rel=1e-12)
+        dense_form = g_form(v, dense, dense.apply_B(v.y))
+        assert g_form(v, free, free.apply_B(v.y)) == pytest.approx(dense_form, rel=1e-12)
 
 
 def _small_instances():
@@ -154,7 +156,7 @@ def test_monitor_takes_its_forms_at_the_written_out_lam_tilde(
 
     def observe(v, pred, v_new, record):
         d = v - EssentialState(pred.y_pred, lam_tilde(instance, v, pred, config.beta))
-        gap_form = g_form(d, monitor.mats)
+        gap_form = g_form(d, monitor.mats, monitor.mats.apply_B(d.y))
         if monitor.checks[0]:
             split[0] = max(split[0], split_residual(instance, v, pred, monitor.mats))
         monitor(v, pred, v_new, record)

@@ -8,7 +8,8 @@ argument instead when the row's argument sets that one's expected shape: a
 Lasso A with three rows makes a valid length-2 b the mismatch. An integer
 or real parameter's error must read as one of the two messages of
 ``model.require_int`` or ``model.require_real``; a ``BenchmarkSpec`` list
-entry that must be a pair may instead say it is not one. The container
+entry that must be a pair may instead say it is not one, and a size may
+instead give its generator's message after the entry's name. The container
 header's fields have a table of their own, drawn from values JSON can hold.
 The command line has a row of its own: one malformed flag value in a small
 valid command must end in exit code 0, 3 or 2 and nothing else.
@@ -80,9 +81,9 @@ SOLVERS = {
 }
 
 
-def _save(instance):
+def _save(instance, seed=None):
     with tempfile.TemporaryDirectory() as tmp:
-        save_instance(Path(tmp) / "inst.bin", instance)
+        save_instance(Path(tmp) / "inst.bin", instance, seed)
 
 
 def _spec(**field):
@@ -106,6 +107,9 @@ INT = r" must be (an integer|at least -?\d+), got .+"
 REAL = r" must (be a finite number|lie in \([^()]*\)), got .+"
 #: A BenchmarkSpec entry that must be a pair: not one, or an element's form.
 PAIR = r"( must be a pair, got .+|\[[01]\]{})"
+#: A BenchmarkSpec size its generator's ``require_size`` rejects, after the
+#: entry's name.
+GENERATOR = rf": ((m|n){INT}|a \(.+\) float64 array for .+ is past the index range)"
 
 
 def _real(call, name):
@@ -163,11 +167,13 @@ ROWS = {
         lambda v: BenchmarkSpec("covsel", [10], [(1e-5, 1e-3)], tau=v), "tau"),
     "BenchmarkSpec.sizes[1]": Row(lambda v: _spec(sizes=[(4, 6), v]), "sizes[1]",
                                   form=PAIR.format(INT)),
-    "BenchmarkSpec.sizes[1][0]": Row(lambda v: _spec(sizes=[(4, 6), (v, 6)]), "sizes[1][0]",
-                                     form=INT),
-    "BenchmarkSpec.sizes[0][1]": Row(lambda v: _spec(sizes=[(4, v)]), "sizes[0][1]", form=INT),
+    "BenchmarkSpec.sizes[1][0]": Row(lambda v: _spec(sizes=[(4, 6), (v, 6)]), "sizes[1]",
+                                     form=rf"(\[0\]{INT}|{GENERATOR})"),
+    "BenchmarkSpec.sizes[0][1]": Row(lambda v: _spec(sizes=[(4, v)]), "sizes[0]",
+                                     form=rf"(\[1\]{INT}|{GENERATOR})"),
     "BenchmarkSpec(covsel).sizes[1]": Row(
-        lambda v: BenchmarkSpec("covsel", [10, v], [(1e-5, 1e-3)]), "sizes[1]", form=INT),
+        lambda v: BenchmarkSpec("covsel", [10, v], [(1e-5, 1e-3)]), "sizes[1]",
+        form=f"({INT}|{GENERATOR})"),
     "BenchmarkSpec.tolerances[1]": Row(lambda v: _spec(tolerances=[(1e-5, 1e-3), v]),
                                        "tolerances[1]", form=PAIR.format(REAL)),
     "BenchmarkSpec.tolerances[0][0]": _real(lambda v: _spec(tolerances=[(v, 1e-3)]),
@@ -195,6 +201,7 @@ ROWS = {
         valid=LAM),
     "reference_solution.config": Row(lambda v: reference_solution(PROBLEM, v), "config"),
     "save_instance.instance": Row(_save, "instance"),
+    "save_instance.seed": Row(lambda v: _save(SOLVERS["CovselInstance"], v), "seed", form=INT),
 }
 
 
@@ -269,7 +276,8 @@ HEADER_ROWS = {
         lambda v, instance=SOLVERS[kind], key=key: _load(instance, key, v), key,
         form=REAL if key in ("rho", "tau") else INT,
     )
-    for kind, keys in (("LassoInstance", ("m", "n", "rho")), ("CovselInstance", ("n", "tau")))
+    for kind, keys in (("LassoInstance", ("m", "n", "rho", "seed")),
+                       ("CovselInstance", ("n", "tau", "seed")))
     for key in keys
 }
 

@@ -87,9 +87,7 @@ def compute():
         result = run(instances[problem, size, seed], config,
                      observer=lambda v_old, pred, v_new, record: flags.append(record.relaxed))
         key = tuple(map(str, (problem, size, seed, beta, gamma, eps_abs, eps_rel, variant)))
-        observed = result.records[:-1] if result.stop_reason == "non_finite" else result.records
-        relaxed = sum(rec.relaxed for rec in observed)
-        rows[key] = (str(result.iterations), result.stop_reason, str(relaxed),
+        rows[key] = (str(result.iterations), result.stop_reason, str(result.relaxed_steps),
                      f"{zlib.crc32(flags):08x}")
     return rows
 
