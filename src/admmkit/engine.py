@@ -85,7 +85,7 @@ class SolveResult:
 
     @property
     def relaxed_steps(self) -> int:
-        """How many of the steps :func:`run` hands its observer relaxed."""
+        """Relaxed steps among those :func:`run` hands its observer (not a non_finite last step)."""
         seen = self.records[:-1] if self.stop_reason == "non_finite" else self.records
         return sum(rec.relaxed for rec in seen)
 

@@ -151,25 +151,21 @@ def test_unknown_kind_rejected(tmp_path):
         load_instance(path)
 
 
-def test_unsupported_instance_type_rejected(tmp_path):
-    path = tmp_path / "x.bin"
-    for instance, name in ((object(), "object"), (3, "int")):
-        message = f"^instance must be a LassoInstance or a CovselInstance, got {name}$"
-        with pytest.raises(ValueError, match=message):
-            save_instance(path, instance)
-    assert not path.exists()
-
-
 @pytest.mark.parametrize(
-    "seed, message",
-    [("abc", "seed must be an integer, got 'abc'"), (-1, "seed must be at least 0, got -1"),
-     (2.5, "seed must be an integer, got 2.5"), (True, "seed must be an integer, got True")],
-    ids=["string", "negative", "float", "bool"],
+    "instance, seed, message",
+    [(object(), None, "instance must be a LassoInstance or a CovselInstance, got object"),
+     (3, None, "instance must be a LassoInstance or a CovselInstance, got int"),
+     (generate_covsel(10, 0)[0], "abc", "seed must be an integer, got 'abc'"),
+     (generate_covsel(10, 0)[0], -1, "seed must be at least 0, got -1"),
+     (generate_covsel(10, 0)[0], 2.5, "seed must be an integer, got 2.5"),
+     (generate_covsel(10, 0)[0], True, "seed must be an integer, got True")],
+    ids=["object", "int", "string-seed", "negative-seed", "float-seed", "bool-seed"],
 )
-def test_a_bad_seed_is_rejected_before_anything_is_written(tmp_path, seed, message):
+def test_a_bad_instance_or_seed_is_rejected_before_anything_is_written(
+        tmp_path, instance, seed, message):
     path = tmp_path / "x.bin"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        save_instance(path, generate_covsel(10, 0)[0], seed=seed)
+        save_instance(path, instance, seed=seed)
     assert not path.exists()
 
 

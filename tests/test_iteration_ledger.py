@@ -3,16 +3,17 @@ steps and a CRC-32 of the per-step relaxed flags of every cell of a fixed
 grid, committed in ``iteration_ledger.csv`` and recomputed exactly here.
 
 Iteration counts are deterministic and are the paper's own metric, so a
-change that moves one is a change in behaviour. The grid is five Lasso
-sizes (two fat, two tall and a larger tall), covsel n = 20, 30 and 50 and a
-small ``QuadraticProblem``, at seeds 0-2, beta 0.5, 1 and 2, two tolerance
-pairs and all three variants, plus edge rows that pin today's behaviour at
-extreme betas. ``relaxed`` and ``relaxed_crc32`` cover the steps ``run``
-hands its observer: a step that ends the solve as non_finite is left out,
-since its gate reads NaN under some OpenBLAS kernels and inf or 0 under
-others. The ledger compares every kernel against the committed values, so
-one run under another kernel checks that its iterations and relaxed flags
-are the same. A change that moves a cell rewrites the ledger with
+change that moves one is a change in behaviour. The grid is four Lasso
+sizes (fat 40x60 and 80x140, tall 60x20 and 300x200), covsel n = 20, 30 and
+50 and a small ``QuadraticProblem``, at seeds 0-2, beta 0.5, 1 and 2, two
+tolerance pairs and all three variants, plus edge rows that pin today's
+behaviour at extreme betas. ``relaxed`` and ``relaxed_crc32`` cover the
+steps ``run`` hands its observer: a step that ends the solve as non_finite
+is left out, since its gate reads NaN under some OpenBLAS kernels and inf
+or 0 under others. The ledger compares every kernel against the committed
+values, so one run under another kernel checks that its iterations and
+relaxed flags are the same. A change that moves a cell rewrites the ledger
+with
 
     PYTHONPATH=src python -W error tests/test_iteration_ledger.py
 
