@@ -96,7 +96,7 @@ class BenchmarkSpec:
         self.sizes = _entries("sizes", self.sizes, self.problem == "lasso", require_int, 1, int)
         for i, size in enumerate(self.sizes):
             try:
-                lasso.require_size(*size) if self.problem == "lasso" else covsel.require_size(size)
+                (lasso if self.problem == "lasso" else covsel).require_size(size)
             except ValueError as exc:
                 raise ValueError(f"sizes[{i}]: {exc}") from None
         self.tolerances = _entries("tolerances", self.tolerances, True, require_real, 0, float)

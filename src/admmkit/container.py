@@ -23,8 +23,7 @@ MAGIC = b"ADMMKIT1\n"
 
 
 def save_instance(path, instance, seed: int | None = None) -> Path:
-    """Write a Lasso or covariance-selection instance and ``seed``, None or an
-    integer of at least 0; returns the path. A bad argument writes nothing."""
+    """Save an instance and ``seed`` (None or int >= 0) unless either is bad; returns the path."""
     path = Path(path)
     if isinstance(instance, LassoInstance):
         header = {"kind": "lasso", "m": instance.rows, "n": instance.cols, "rho": instance.rho}
@@ -36,12 +35,11 @@ def save_instance(path, instance, seed: int | None = None) -> Path:
         raise ValueError(
             f"instance must be a LassoInstance or a CovselInstance, got {type(instance).__name__}"
         )
-    if seed is not None:
+    if seed is not None:  # written as a plain int, a NumPy one too
         require_int("seed", seed, 0)
-    header["seed"] = seed if seed is None else int(seed)  # a NumPy integer as a plain int
-    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    line = json.dumps({**header, "seed": None if seed is None else int(seed)}, sort_keys=True)
     with open(path, "wb") as fh:
-        fh.write(MAGIC + line)
+        fh.write(MAGIC + line.encode("utf-8") + b"\n")
         for a in payload:  # through the buffer protocol: a native float64 array is not copied
             fh.write(np.ascontiguousarray(a, dtype="<f8"))
     return path

@@ -104,13 +104,11 @@ class CovselInstance(L1SplitProblem):
         return np.matmul(U, U.T, out=R).ravel()
 
 
-def require_size(n: int) -> int:
-    """Raise ValueError naming n unless generate_instance takes it; returns ceil(0.01 n^2)."""
+def require_size(n: int) -> None:
+    """Raise ValueError naming n unless :func:`generate_instance` takes it."""
     require_int("n", n, 10)
     require_fits((n, n), n=n)  # first, so that 0.01 n^2 is a finite float
-    samples = int(math.ceil(0.01 * n * n))
-    require_fits((n, samples), n=n)
-    return samples
+    require_fits((n, math.ceil(0.01 * n * n)), n=n)
 
 
 def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
@@ -126,8 +124,9 @@ def generate_instance(n: int, seed: int, tau: float = DEFAULT_TAU):
     (CovselInstance, ndarray)
         The instance and the ground-truth precision matrix.
     """
-    samples = require_size(n)
+    require_size(n)
     require_int("seed", seed, 0)
+    samples = math.ceil(0.01 * n * n)
     rng = np.random.default_rng(seed)
     precision = np.eye(n)
     rows, cols = np.triu_indices(n, k=1)

@@ -102,8 +102,9 @@ def _cholesky_solve(upper, rhs):
     return dtrsv(upper, dtrsv(upper, rhs, trans=1, overwrite_x=1), overwrite_x=1)
 
 
-def require_size(m: int, n: int) -> None:
-    """Raise ValueError naming m or n unless :func:`generate_instance` takes them."""
+def require_size(size: tuple) -> None:
+    """Raise ValueError naming m or n unless :func:`generate_instance` takes the (m, n) ``size``."""
+    m, n = size
     require_int("m", m, 1)
     require_int("n", n, 1)
     require_fits((m, n), m=m, n=n)
@@ -123,7 +124,7 @@ def generate_instance(m: int, n: int, seed: int):
     (LassoInstance, ndarray)
         The instance and the ground-truth coefficient vector.
     """
-    require_size(m, n)
+    require_size((m, n))
     require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
