@@ -26,6 +26,9 @@ from .model import VARIANTS, SolverConfig, require_instance, require_int, requir
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
 
+#: Each problem's generator module, whose ``require_size`` checks a spec's sizes.
+_GENERATORS = {"lasso": lasso, "covsel": covsel}
+
 #: Semilog plots need strictly positive values; zeros are clamped to this.
 PLOT_FLOOR = 1e-300
 
@@ -82,7 +85,7 @@ class BenchmarkSpec:
     out_dir: str | Path = "bench_out"
 
     def __post_init__(self):
-        if self.problem not in ("lasso", "covsel"):
+        if self.problem not in _GENERATORS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.gamma is None:
             self.gamma = GAMMA_DEFAULTS[self.problem]
@@ -96,7 +99,7 @@ class BenchmarkSpec:
         self.sizes = _entries("sizes", self.sizes, self.problem == "lasso", require_int, 1, int)
         for i, size in enumerate(self.sizes):
             try:
-                (lasso if self.problem == "lasso" else covsel).require_size(size)
+                _GENERATORS[self.problem].require_size(size)
             except ValueError as exc:
                 raise ValueError(f"sizes[{i}]: {exc}") from None
         self.tolerances = _entries("tolerances", self.tolerances, True, require_real, 0, float)
@@ -157,11 +160,8 @@ def generate_instance(problem: str, size, seed: int, tau: float | None = None):
     """Seeded instance of ``problem``: lasso takes an (m, n) size, covsel a
     feature count n and the l1 weight ``tau`` (None: covsel.DEFAULT_TAU)."""
     if problem == "lasso":
-        instance, _ = lasso.generate_instance(size[0], size[1], seed)
-    else:
-        tau = covsel.DEFAULT_TAU if tau is None else tau
-        instance, _ = covsel.generate_instance(size, seed, tau=tau)
-    return instance
+        return lasso.generate_instance(*size, seed)[0]
+    return covsel.generate_instance(size, seed, covsel.DEFAULT_TAU if tau is None else tau)[0]
 
 
 def _run_cell(spec: BenchmarkSpec, size, tol):

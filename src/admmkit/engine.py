@@ -222,11 +222,14 @@ def run(
     ``records``. Norms overflow to inf, and an invalid operation gives NaN,
     without a numpy warning. A ``v0`` that is not an :class:`EssentialState`
     of finite vectors of the problem's sizes raises ValueError naming it, and
-    so does a ``problem`` that is not a :class:`SeparableProblem` or a
-    ``config`` that is not a :class:`SolverConfig`.
+    so does a ``problem`` that is not a :class:`SeparableProblem`, a
+    ``config`` that is not a :class:`SolverConfig` or an ``observer`` that is
+    neither None nor callable, all before the first step.
     """
     require_instance("problem", problem, SeparableProblem)
     require_instance("config", config, SolverConfig)
+    if observer is not None and not callable(observer):
+        raise ValueError(f"observer must be None or callable, got {type(observer).__name__}")
     if v0 is not None:
         require_instance("v0", v0, EssentialState)
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem, "v0")

@@ -82,27 +82,6 @@ def solve_traced():
     return solve
 
 
-class EssentialChange:
-    """Observer keeping ||B(y_k - y_(k+1))||^2 + ||lam_k - lam_(k+1)||^2 of the
-    first and of the latest observed step, never the iterates."""
-
-    def __init__(self, problem):
-        self.apply_B = problem.apply_B
-        self.first = self.last = None
-
-    def __call__(self, v_old, pred, v_new, record):
-        d = v_new - v_old
-        b_dy = self.apply_B(d.y)
-        self.last = float(b_dy @ b_dy + d.lam @ d.lam)
-        if self.first is None:
-            self.first = self.last
-
-
-@pytest.fixture(scope="session")
-def essential_change():
-    return EssentialChange
-
-
 @pytest.fixture
 def subproblem_residual():
     """First-order residual of the x- or y-subproblem at (x, y): that block's

@@ -161,14 +161,6 @@ def test_trajectory_csv_leaves_the_unobserved_non_finite_step_blank(tmp_path, na
     assert [rows[-1][c] for c in analysis] == ["", "", "", ""]
 
 
-def test_benchmark_outputs_are_deterministic(tmp_path):
-    out_a = run_benchmark(_tiny_spec(tmp_path / "a", diagnostics=True))
-    out_b = run_benchmark(_tiny_spec(tmp_path / "b", diagnostics=True))
-    assert out_a.summary_csv.read_bytes() == out_b.summary_csv.read_bytes()
-    for pa, pb in zip(out_a.trajectory_files, out_b.trajectory_files):
-        assert pa.read_bytes() == pb.read_bytes()
-
-
 def test_dnf_flagging(tmp_path):
     spec = _tiny_spec(tmp_path, max_iter=2)
     outcome = run_benchmark(spec)

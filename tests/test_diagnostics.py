@@ -42,30 +42,6 @@ def test_gap_form_at_unit_gamma_is_psd_corner(dense_matrices):
     assert g_form(d, mats, mats.apply_B(d.y)) == pytest.approx(1.0)
 
 
-def test_metric_factorization_random_block(rng, dense_matrices):
-    B = rng.standard_normal((3, 2))
-    mats = dense_matrices(B, beta=0.7, gamma=1.8)
-    assert mats.h_residual <= 1e-10
-
-
-@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9])
-@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
-def test_metric_factorization_and_definiteness_grid(gamma, beta, rng, dense_matrices):
-    B = rng.standard_normal((5, 3))
-    mats = dense_matrices(B, beta=beta, gamma=gamma)
-    assert mats.h_residual <= 1e-10
-    assert np.abs(mats.H - mats.H.T).max() == 0.0
-    assert np.abs(mats.G - mats.G.T).max() == 0.0
-    assert np.linalg.eigvalsh(mats.H)[0] > 0.0
-
-
-def test_g_decomposition_consistency(rng, dense_matrices):
-    B = rng.standard_normal((6, 4))
-    mats = dense_matrices(B, beta=0.3, gamma=1.7)
-    scale = np.abs(mats.G).max()
-    assert mats.g_residual <= 1e-12 * scale
-
-
 def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
     B = rng.standard_normal((5, 3))
     mats = dense_matrices(B, beta=2.5, gamma=1.4)
@@ -305,21 +281,6 @@ def test_gap_form_nonnegative_on_criterion_held_steps():
         assert g_sq >= -1e-10 * max(1.0, abs(g_sq))
         checked += 1
     assert checked > 0
-
-
-def test_correction_identity_on_forced_relaxation(
-    rng, small_quadratic, forced_step, correction_residual, dense_matrices, dense_B
-):
-    problem = small_quadratic
-    mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.7)
-    config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.7)
-    monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
-    for _ in range(10):
-        v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
-        v, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
-        monitor(v, pred, v_next, record)
-        assert correction_residual(problem, v, pred, v_next, mats) <= 1e-12
-    assert monitor.correction <= 1e-12
 
 
 def test_correction_identity_with_unit_gamma_on_plain_steps(

@@ -206,26 +206,6 @@ def test_dual_update_consistency_on_plain_steps(solve_traced):
         assert np.array_equal(traj[k + 1].lam, expected)
 
 
-def test_gamma_one_over_relaxed_equals_classical_trajectories(solve_traced):
-    instance, _ = lasso.generate_instance(50, 90, 5)
-    kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30)
-    _, traj_c = solve_traced(instance, SolverConfig(variant="classical", **kw))
-    _, traj_o = solve_traced(instance, SolverConfig(variant="over_relaxed", gamma=1.0, **kw))
-    assert len(traj_c) == len(traj_o) == 31
-    for vc, vo in zip(traj_c, traj_o):
-        assert np.array_equal(vc.y, vo.y)
-        assert np.array_equal(vc.lam, vo.lam)
-
-
-def test_vanishing_essential_change_on_converged_run(essential_change):
-    instance, _ = lasso.generate_instance(80, 140, 6)
-    change = essential_change(instance)
-    config = SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=300)
-    result = run(instance, config, observer=change)
-    assert result.converged
-    assert change.last <= 0.1 * change.first
-
-
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
 @pytest.mark.parametrize("make", [lambda: lasso.generate_instance(30, 50, 2)[0],
                                   lambda: generate_covsel(12, 2)[0]], ids=["lasso", "covsel"])

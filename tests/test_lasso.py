@@ -128,39 +128,12 @@ def test_rho_max_examples():
     assert rho_max(np.eye(2), np.zeros(2)) == 0.0
 
 
-def test_rho_above_critical_forces_zero_solution():
-    instance, _ = generate_instance(40, 60, 2)
-    critical = LassoInstance(instance.A, instance.b, 1.01 * rho_max(instance.A, instance.b))
-    config = SolverConfig(
-        variant="over_relaxed", gamma=1.8, eps_abs=1e-7, eps_rel=1e-5, max_iter=2000
-    )
-    result = run(critical, config)
-    assert result.converged
-    assert np.abs(result.final.x).max() <= 1e-6
-
-
 def test_x_update_degenerate_zero_design():
     instance = LassoInstance(np.zeros((5, 8)), np.zeros(5), rho=1.0)
     y = np.arange(8.0)
     z = np.ones(8)
     beta = 2.0
     assert np.allclose(instance.solve_x(y, z, beta), y + z / beta, atol=1e-14)
-
-
-@pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
-def test_solve_x_matches_ridge_oracle(rng, shape):
-    rows, cols = shape
-    for trial in range(20):
-        instance, _ = generate_instance(rows, cols, trial)
-        y = rng.standard_normal(cols)
-        z = rng.standard_normal(cols)
-        beta = float(rng.uniform(0.2, 5.0))
-        oracle = np.linalg.solve(
-            instance.A.T @ instance.A + beta * np.eye(cols),
-            instance.A.T @ instance.b + beta * y + z,
-        )
-        x = instance.solve_x(y, z, beta)
-        assert np.linalg.norm(x - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
 
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
@@ -244,17 +217,6 @@ def test_solve_x_factorizes_once_per_beta(monkeypatch, rng, shape):
     assert len(calls) == 2
 
 
-def test_x_update_satisfies_normal_equations(rng):
-    instance, _ = generate_instance(30, 70, 3)
-    y = rng.standard_normal(70)
-    z = rng.standard_normal(70)
-    beta = 0.8
-    x = instance.solve_x(y, z, beta)
-    rhs = instance.A.T @ instance.b + beta * y + z
-    lhs = instance.A.T @ (instance.A @ x) + beta * x
-    assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
 def test_x_update_cache_tracks_beta(rng):
     instance, _ = generate_instance(15, 25, 4)
     y = rng.standard_normal(25)
@@ -311,15 +273,6 @@ def test_soft_threshold_zero_weight_is_identity(rng):
 def test_soft_threshold_negative_weight_rejected():
     with pytest.raises(ValueError):
         soft_threshold(np.array([1.0]), -0.1)
-
-
-def test_soft_threshold_matches_grid_search_prox():
-    grid = np.arange(-10.0, 10.0 + 1e-9, 1e-4)
-    for a in (-3.7, -0.4, 0.0, 0.09, 2.5):
-        for kappa in (0.1, 1.0, 2.3):
-            values = kappa * np.abs(grid) + 0.5 * (grid - a) ** 2
-            brute = grid[np.argmin(values)]
-            assert abs(soft_threshold(np.array([a]), kappa)[0] - brute) <= 1e-3
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
