@@ -85,7 +85,7 @@ class BenchmarkSpec:
     out_dir: str | Path = "bench_out"
 
     def __post_init__(self):
-        if self.problem not in _GENERATORS:
+        if not isinstance(self.problem, str) or self.problem not in _GENERATORS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.gamma is None:
             self.gamma = GAMMA_DEFAULTS[self.problem]

@@ -119,7 +119,6 @@ def test_criterion_3_exact_algebraic_identities(
     bounds = dict(h=1e-10, g=1e-12, split=1e-12, correction=1e-12, expansion=1e-8)
     worst = dict.fromkeys(bounds, 0.0)  # the dense identities, then the monitor's maxima
     formulas = dict(split=0.0, correction=0.0, expansion=0.0)  # the test-side formulas
-    symmetric, min_eig_h = True, np.inf  # H and G exactly symmetric, H positive definite
     for trial in range(100):
         n2 = int(rng.integers(1, 9))
         n1 = int(rng.integers(1, 7))
@@ -128,8 +127,6 @@ def test_criterion_3_exact_algebraic_identities(
         problem = QuadraticProblem.random(n1=n1, n2=n2, m=m, rng=rng)
         beta, gamma = pairs[trial % len(pairs)]
         mats = dense_matrices(dense_B(problem), beta, gamma)
-        symmetric = symmetric and all(np.array_equal(X, X.T) for X in (mats.H, mats.G))
-        min_eig_h = np.minimum(min_eig_h, np.linalg.eigvalsh(mats.H)[0])
 
         worst["h"] = np.maximum(worst["h"], mats.h_residual)
         worst["g"] = np.maximum(worst["g"], mats.g_residual / max(1.0, np.abs(mats.G).max()))
@@ -155,8 +152,7 @@ def test_criterion_3_exact_algebraic_identities(
     _report(
         3,
         "exact algebraic identities on 100 random small instances",
-        checks and symmetric and min_eig_h > 0.0,
-        f"H, G symmetric {symmetric}, min eig H {min_eig_h:.1e}; "
+        checks,
         f"max residuals: H-QM^-1 {worst['h']:.1e}, G decomposition {worst['g']:.1e}, "
         + ", ".join(
             f"{k} {worst[k]:.1e} (test-side {formulas[k]:.1e})"

@@ -42,6 +42,17 @@ def test_gap_form_at_unit_gamma_is_psd_corner(dense_matrices):
     assert g_form(d, mats, mats.apply_B(d.y)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+def test_metric_factorization_and_definiteness_grid(gamma, beta, rng, dense_matrices):
+    # H - QM^-1 is acceptance criterion 3's; H and G are exactly symmetric here
+    B = rng.standard_normal((5, 3))
+    mats = dense_matrices(B, beta=beta, gamma=gamma)
+    assert np.abs(mats.H - mats.H.T).max() == 0.0
+    assert np.abs(mats.G - mats.G.T).max() == 0.0
+    assert np.linalg.eigvalsh(mats.H)[0] > 0.0
+
+
 def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
     B = rng.standard_normal((5, 3))
     mats = dense_matrices(B, beta=2.5, gamma=1.4)

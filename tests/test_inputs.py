@@ -31,7 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
+from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, predict, run
 from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
@@ -159,6 +159,14 @@ ROWS = {
     # soft_threshold keeps its own closed bound kappa >= 0
     "soft_threshold.kappa": Row(lambda v: soft_threshold(np.array([-1.0, 2.0]), v), "kappa",
                                 form=REAL.replace("|lie in", "|be nonnegative|lie in")),
+    "BenchmarkSpec.problem": Row(lambda v: _spec(problem=v), "problem"),
+    # the grid's solver settings are checked as each config of the grid is built
+    "BenchmarkSpec.beta": _real(lambda v: _spec(beta=v), "beta"),
+    "BenchmarkSpec.gamma": _real(lambda v: _spec(gamma=v), "gamma"),
+    "BenchmarkSpec.max_iter": Row(lambda v: _spec(max_iter=v), "max_iter", form=INT),
+    "BenchmarkSpec.variants": Row(lambda v: _spec(variants=v), "variants"),
+    "BenchmarkSpec.sizes": Row(lambda v: _spec(sizes=v), "sizes"),
+    "BenchmarkSpec.tolerances": Row(lambda v: _spec(tolerances=v), "tolerances"),
     "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats", form=INT),
     "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base", form=INT),
     # a lasso spec rejects any tau; a covsel spec checks it as a real in (0, inf)
@@ -180,6 +188,7 @@ ROWS = {
                                             "tolerances[0][0]"),
     "BenchmarkSpec.tolerances[0][1]": _real(lambda v: _spec(tolerances=[(1e-5, v)]),
                                             "tolerances[0][1]"),
+    "predict.beta": _real(lambda v: predict(PROBLEM, EssentialState(Y, LAM), v), "beta"),
     "run.v0": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), v), "v0"),
     "run.observer": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), observer=v), "observer"),
     "run.v0.y": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(v, LAM)),
@@ -201,6 +210,8 @@ ROWS = {
         lambda v: FejerMonitor(PROBLEM, SolverConfig(), EssentialState(Y, v)), "v_star.lam",
         valid=LAM),
     "reference_solution.config": Row(lambda v: reference_solution(PROBLEM, v), "config"),
+    "reference_solution.problem": Row(lambda v: reference_solution(v, SolverConfig()),
+                                      "problem"),
     "save_instance.instance": Row(_save, "instance"),
     "save_instance.seed": Row(lambda v: _save(SOLVERS["CovselInstance"], v), "seed", form=INT),
 }
