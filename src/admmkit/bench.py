@@ -1,11 +1,13 @@
 """Benchmark harness: seeded instance grids, variant comparison, CSV output.
 
-A benchmark cell is one (size, tolerance) pair; each cell generates
-``repeats`` seeded instances (run i uses seed_base + i), solves each with
-every requested variant, and reports per-variant iteration statistics and
-terminal residuals. Instance generation is excluded from the reported solve
-times. CSV outputs carry no wall-clock columns so identical spec + seed
-reproduces them byte for byte; timings appear in the plain-text table only.
+A benchmark cell is one (size, tolerance pair, variant); each size makes one
+pass over ``repeats`` seeded instances (run i uses seed_base + i), generating
+each once, solving it in every cell of that size and dropping it before the
+next, so one instance is alive at a time. A cell reports its iteration
+statistics and terminal residuals. Instance generation is excluded from the
+reported solve times. CSV outputs carry no wall-clock columns so identical
+spec + seed reproduces them byte for byte; timings appear in the plain-text
+table only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig, require_instance, require_int, require_real
+from .model import VARIANTS, SolverConfig, require_choice, require_int, require_real
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -67,8 +69,8 @@ class BenchmarkSpec:
     covsel's positive l1 weight (None: the instance default); a lasso spec
     that sets it is rejected. A malformed entry or field, a repeated size,
     tolerance pair or variant, or a value that any solver config of the grid
-    rejects, such as an unknown variant, raises ValueError naming the field;
-    a malformed element is named by index, as in ``sizes[1][0]``.
+    rejects raises ValueError naming the field; a malformed element, an
+    unknown variant among them, is named by index, as in ``sizes[1][0]``.
     """
 
     problem: str
@@ -85,8 +87,7 @@ class BenchmarkSpec:
     out_dir: str | Path = "bench_out"
 
     def __post_init__(self):
-        if not isinstance(self.problem, str) or self.problem not in _GENERATORS:
-            raise ValueError(f"unknown problem {self.problem!r}")
+        require_choice("problem", self.problem, tuple(_GENERATORS))
         if self.gamma is None:
             self.gamma = GAMMA_DEFAULTS[self.problem]
         require_int("repeats", self.repeats, 1)
@@ -95,7 +96,7 @@ class BenchmarkSpec:
             if self.problem != "covsel":
                 raise ValueError("tau applies only to covsel")
             require_real("tau", self.tau, 0)
-        self.variants = _entries("variants", self.variants, False, require_instance, str, str)
+        self.variants = _entries("variants", self.variants, False, require_choice, VARIANTS, str)
         self.sizes = _entries("sizes", self.sizes, self.problem == "lasso", require_int, 1, int)
         for i, size in enumerate(self.sizes):
             try:
@@ -162,33 +163,6 @@ def generate_instance(problem: str, size, seed: int, tau: float | None = None):
     if problem == "lasso":
         return lasso.generate_instance(*size, seed)[0]
     return covsel.generate_instance(size, seed, covsel.DEFAULT_TAU if tau is None else tau)[0]
-
-
-def _run_cell(spec: BenchmarkSpec, size, tol):
-    """Solve every instance of one cell with every variant.
-
-    Returns per-variant (results, solve times) and, with diagnostics on,
-    per-variant monitors of the repeat-0 solves.
-    """
-    seeds = range(spec.seed_base, spec.seed_base + spec.repeats)
-    instances = [generate_instance(spec.problem, size, seed, spec.tau) for seed in seeds]
-    ref = None
-    if spec.diagnostics:
-        ref = reference_solution(instances[0], spec.config(spec.variants[0], tol))
-    data, monitors = {}, {}
-    for variant in spec.variants:
-        config = spec.config(variant, tol)
-        runs, times = [], []
-        for i, instance in enumerate(instances):
-            observer = None
-            if i == 0 and ref is not None:
-                observer = monitors[variant] = FejerMonitor(instance, config, ref)
-            t0 = time.perf_counter()
-            result = run(instance, config, observer=observer)
-            times.append(time.perf_counter() - t0)
-            runs.append(result)
-        data[variant] = (runs, times)
-    return data, monitors
 
 
 def write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | None):
@@ -270,21 +244,42 @@ def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
     """Execute the grid and write summary.csv, summary.txt, and one
     per-iteration trajectory CSV per (size, tolerance, variant) taken from
-    the first repeat; ``out_dir`` is made after the first cell's solves.
-    Returns the collected rows and output paths."""
+    the first repeat. One instance is alive at a time; with diagnostics on,
+    two, as the monitors of repeat 0's solves keep it. ``out_dir`` is made
+    after the first size's solves. Returns the collected rows and output
+    paths."""
     out = Path(spec.out_dir)
     rows: list[SummaryRow] = []
     trajectory_files: list[Path] = []
     for size in spec.sizes:
+        # (solve results, solve times) and repeat-0 monitors by (tolerance, variant)
+        data = {(tol, variant): ([], []) for tol in spec.tolerances for variant in spec.variants}
+        monitors = {}
+        for i in range(spec.repeats):
+            instance = generate_instance(spec.problem, size, spec.seed_base + i, spec.tau)
+            for tol in spec.tolerances:
+                ref = None
+                if spec.diagnostics and i == 0:
+                    ref = reference_solution(instance, spec.config(spec.variants[0], tol))
+                for variant in spec.variants:
+                    config = spec.config(variant, tol)
+                    observer = None
+                    if ref is not None:
+                        observer = monitors[tol, variant] = FejerMonitor(instance, config, ref)
+                    runs, times = data[tol, variant]
+                    t0 = time.perf_counter()
+                    result = run(instance, config, observer=observer)
+                    times.append(time.perf_counter() - t0)
+                    runs.append(result)
+            del instance  # dropped before the next seed's is generated
+        out.mkdir(parents=True, exist_ok=True)
         label = _size_label(spec.problem, size)
         for tol_idx, tol in enumerate(spec.tolerances):
-            data, diag = _run_cell(spec, size, tol)
-            out.mkdir(parents=True, exist_ok=True)
             for variant in spec.variants:
-                runs, times = data[variant]
+                runs, times = data[tol, variant]
                 rows.append(_summary_row(spec, size, tol, variant, runs, times))
                 traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
-                write_trajectory_csv(traj_path, runs[0], diag.get(variant))
+                write_trajectory_csv(traj_path, runs[0], monitors.get((tol, variant)))
                 trajectory_files.append(traj_path)
     summary_csv = out / "summary.csv"
     summary_table = out / "summary.txt"

@@ -71,8 +71,8 @@ class FejerMonitor:
     pass it to :func:`run` as the observer. Classical is analysed at unit
     gamma. B's full column rank is the problem's guarantee (see
     :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B``,
-    ``problem.rhs_b``, ``n2`` and ``m`` are read. A malformed ``config`` or
-    ``v_star`` raises ValueError naming it, as ``run`` does for ``v0``.
+    ``problem.rhs_b``, ``n2`` and ``m`` are read. A malformed ``problem``,
+    ``config`` or ``v_star`` raises ValueError naming it, as ``run`` does.
 
     ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
     form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point. Violations
@@ -97,6 +97,7 @@ class FejerMonitor:
     """
 
     def __init__(self, problem: SeparableProblem, config: SolverConfig, v_star: EssentialState):
+        require_instance("problem", problem, SeparableProblem)
         require_instance("config", config, SolverConfig)
         require_instance("v_star", v_star, EssentialState)
         gamma = 1.0 if config.variant == "classical" else config.gamma
@@ -179,10 +180,12 @@ class FejerMonitor:
 def kkt_residual(problem: SeparableProblem, w: Iterate) -> float:
     """Max of the two stationarity residuals and the feasibility violation, NaN if one is.
 
-    Zero (to tolerance) exactly at a saddle point of the Lagrangian. A ``w``
-    that is not an :class:`~admmkit.model.Iterate` raises ValueError naming it.
-    A NaN or an inf in ``w`` raises no floating-point warning.
+    Zero (to tolerance) exactly at a saddle point of the Lagrangian. A
+    ``problem`` that is not a :class:`~admmkit.model.SeparableProblem` or a
+    ``w`` that is not an :class:`~admmkit.model.Iterate` raises ValueError
+    naming it. A NaN or an inf in ``w`` raises no floating-point warning.
     """
+    require_instance("problem", problem, SeparableProblem)
     require_instance("w", w, Iterate)
     w = w.validate(problem)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -97,7 +97,16 @@ def predict(
     multiplier_first: bool = False,
 ) -> Prediction:
     """Run one prediction sweep: x-solve, then the y-solve and multiplier
-    updates, the y-block first unless ``multiplier_first``."""
+    updates, the y-block first unless ``multiplier_first``. A ``problem``
+    that is not a :class:`SeparableProblem` or a ``v`` that is not an
+    :class:`EssentialState` raises ValueError naming it."""
+    require_instance("problem", problem, SeparableProblem)
+    require_instance("v", v, EssentialState)
+    return _predict(problem, v, beta, multiplier_first)
+
+
+def _predict(problem: SeparableProblem, v: EssentialState, beta: float, multiplier_first: bool):
+    """:func:`predict` without its argument checks, as a step calls it."""
     x_next = problem.solve_x(v.y, v.lam, beta)
     ax = problem.apply_A(x_next)
     if multiplier_first:
@@ -164,7 +173,7 @@ def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, 
     """
     beta = config.beta
     customized = config.variant == "relaxed_customized"
-    pred = predict(problem, v, beta, multiplier_first=customized)
+    pred = _predict(problem, v, beta, customized)
     dy, dlam = v.y - pred.y_pred, v.lam - pred.lam_pred
     crit, ax_norm, lam_norm_pred = _criterion(pred, dy, dlam, problem, beta, lam_norm, b_norm)
     relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)

@@ -24,8 +24,12 @@ NOISE_VARIANCE = 1e-3
 
 
 def rho_max(A: np.ndarray, b: np.ndarray) -> float:
-    """||A'b||_inf, the smallest l1 weight that forces the solution to zero."""
-    return float(np.abs(np.asarray(A).T @ np.asarray(b)).max(initial=0.0))
+    """||A'b||_inf, the smallest l1 weight that forces the solution to zero.
+    ``A`` and ``b`` go through :func:`~admmkit.model.as_array`, b's length
+    set by A, so a malformed one raises ValueError naming it."""
+    A = as_array("A", A, (None, None))
+    b = as_array("b", b, (len(A),))
+    return float(np.abs(A.T @ b).max(initial=0.0))
 
 
 class LassoInstance(L1SplitProblem):

@@ -148,6 +148,12 @@ def require_real(name: str, value, low: float = -math.inf, high: float = math.in
         raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value}")
 
 
+def require_choice(name: str, value, choices: tuple) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def require_int(name: str, value, minimum: int) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is an integer, not a
     bool, of at least ``minimum``."""
@@ -249,8 +255,7 @@ class SolverConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not (isinstance(self.variant, str) and self.variant in VARIANTS):
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        require_choice("variant", self.variant, VARIANTS)
         for name in ("beta", "eps_abs", "eps_rel"):
             require_real(name, getattr(self, name), 0)
         require_real("gamma", self.gamma, *(() if self.variant == "classical" else (0, 2)))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, SolverConfig, run
+from admmkit import EssentialState, SolverConfig, bench, run
 from admmkit.bench import (
     BenchmarkSpec,
     emit_trajectory_plotdata,
@@ -95,6 +95,37 @@ def test_run_benchmark_row_and_file_layout(tmp_path):
     assert not outcome.any_dnf
     table = outcome.summary_table.read_text()
     assert "classical" in table and "over_relaxed" in table and "time" in table
+
+
+def test_a_grid_generates_each_instance_once_and_shares_it_across_tolerances(
+    tmp_path, monkeypatch
+):
+    counts = {"generate_instance": 0, "run": 0}
+    for name in counts:
+        inner = getattr(bench, name)
+
+        def counted(*args, name=name, inner=inner, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counted)
+    sizes, tolerances = [(20, 30), (30, 20)], [(1e-4, 1e-2), (1e-6, 1e-4)]
+    grid = run_benchmark(_tiny_spec(tmp_path / "grid", sizes=sizes, tolerances=tolerances,
+                                    diagnostics=True))
+    # sizes x repeats instances; one timed solve per (size, tolerance, variant, repeat)
+    assert counts == {"generate_instance": 2 * 2, "run": 2 * 2 * 3 * 2}
+    # the second tolerance pair alone on fresh instances writes the same bytes
+    alone = run_benchmark(_tiny_spec(tmp_path / "alone", sizes=sizes, tolerances=tolerances[1:],
+                                     diagnostics=True))
+    shared = [p for p in grid.trajectory_files if "_tol1_" in p.name]
+    assert [p.name.replace("_tol1_", "_tol0_") for p in shared] == [
+        p.name for p in alone.trajectory_files
+    ]
+    for path, fresh in zip(shared, alone.trajectory_files):
+        assert path.read_bytes() == fresh.read_bytes(), path.name
+    lines = grid.summary_csv.read_text().splitlines()
+    # the header, then each size's three tol1 rows
+    assert [lines[0], *lines[4:7], *lines[10:]] == alone.summary_csv.read_text().splitlines()
 
 
 def test_trajectory_csv_schema_and_convergence(tmp_path):

@@ -1,5 +1,5 @@
+import copy
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,9 +119,9 @@ def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_B):
         ref = reference_solution(instance, replace(config, eps_abs=1e-7, eps_rel=1e-5))
         free = FejerMonitor(instance, config, ref)
         B = dense_B(instance)
-        dense_problem = SimpleNamespace(
-            apply_B=lambda y: B @ y, rhs_b=instance.rhs_b, n2=instance.n2, m=instance.m
-        )
+        # the same problem with B applied as a dense matrix
+        dense_problem = copy.copy(instance)
+        dense_problem.apply_B = lambda y: B @ y
         dense = FejerMonitor(dense_problem, config, ref)
         run(instance, config, observer=free)
         run(instance, config, observer=dense)

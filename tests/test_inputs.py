@@ -143,6 +143,8 @@ ROWS = {
     "lasso.generate_instance.m": Row(lambda v: lasso.generate_instance(v, 6, 0), "m"),
     "lasso.generate_instance.n": Row(lambda v: lasso.generate_instance(4, v, 0), "n"),
     "lasso.generate_instance.seed": Row(lambda v: lasso.generate_instance(4, 6, v), "seed"),
+    "lasso.rho_max.A": Row(lambda v: lasso.rho_max(v, LASSO["b"]), "A", ("b",), LASSO["A"]),
+    "lasso.rho_max.b": Row(lambda v: lasso.rho_max(LASSO["A"], v), "b", valid=LASSO["b"]),
     "covsel.generate_instance.n": Row(lambda v: covsel.generate_instance(v, 0), "n"),
     "covsel.generate_instance.seed": Row(lambda v: covsel.generate_instance(10, v), "seed"),
     **{
@@ -182,12 +184,16 @@ ROWS = {
     "BenchmarkSpec(covsel).sizes[1]": Row(
         lambda v: BenchmarkSpec("covsel", [10, v], [(1e-5, 1e-3)]), "sizes[1]",
         form=f"({INT}|{GENERATOR})"),
+    "BenchmarkSpec.variants[1]": Row(lambda v: _spec(variants=["classical", v]), "variants[1]",
+                                     form=r" must be one of \(.+\), got .+"),
     "BenchmarkSpec.tolerances[1]": Row(lambda v: _spec(tolerances=[(1e-5, 1e-3), v]),
                                        "tolerances[1]", form=PAIR.format(REAL)),
     "BenchmarkSpec.tolerances[0][0]": _real(lambda v: _spec(tolerances=[(v, 1e-3)]),
                                             "tolerances[0][0]"),
     "BenchmarkSpec.tolerances[0][1]": _real(lambda v: _spec(tolerances=[(1e-5, v)]),
                                             "tolerances[0][1]"),
+    "predict.problem": Row(lambda v: predict(v, EssentialState(Y, LAM), 1.0), "problem"),
+    "predict.v": Row(lambda v: predict(PROBLEM, v, 1.0), "v"),
     "predict.beta": _real(lambda v: predict(PROBLEM, EssentialState(Y, LAM), v), "beta"),
     "run.v0": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), v), "v0"),
     "run.observer": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), observer=v), "observer"),
@@ -195,11 +201,14 @@ ROWS = {
                     "v0.y", valid=Y),
     "run.v0.lam": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(Y, v)),
                       "v0.lam", valid=LAM),
+    "kkt_residual.problem": Row(lambda v: kkt_residual(v, Iterate(Y, Y, LAM)), "problem"),
     "kkt_residual.w": Row(lambda v: kkt_residual(PROBLEM, v), "w"),
     "kkt_residual.w.x": Row(lambda v: kkt_residual(PROBLEM, Iterate(v, Y, LAM)), "x", valid=Y),
     "kkt_residual.w.y": Row(lambda v: kkt_residual(PROBLEM, Iterate(Y, v, LAM)), "y", valid=Y),
     "kkt_residual.w.lam": Row(lambda v: kkt_residual(PROBLEM, Iterate(Y, Y, v)), "lam",
                               valid=LAM),
+    "FejerMonitor.problem": Row(
+        lambda v: FejerMonitor(v, SolverConfig(), EssentialState(Y, LAM)), "problem"),
     "FejerMonitor.config": Row(lambda v: FejerMonitor(PROBLEM, v, EssentialState(Y, LAM)),
                                "config"),
     "FejerMonitor.v_star": Row(lambda v: FejerMonitor(PROBLEM, SolverConfig(), v), "v_star"),
