@@ -1,20 +1,26 @@
 """Benchmark harness: seeded instance grids, variant comparison, CSV output.
 
 A benchmark cell is one (size, tolerance pair, variant); each size makes one
-pass over ``repeats`` seeded instances (run i uses seed_base + i), generating
-each once, solving it in every cell of that size and dropping it before the
-next, so one instance is alive at a time. A cell reports its iteration
+pass over ``repeats`` seeded instances (run i uses seed_base + i). The
+repeats are independent, so a thread pool with one worker per available CPU
+(at most ``repeats``) solves them concurrently: a worker generates one
+instance, solves it in every cell of that size back to back and drops it, so
+at most one instance per worker is alive, plus repeat 0's while the Fejer
+monitors of its solves hold it (diagnostics on). A cell reports its iteration
 statistics and terminal residuals. Instance generation is excluded from the
 reported solve times. CSV outputs carry no wall-clock columns so identical
-spec + seed reproduces them byte for byte; timings appear in the plain-text
-table only.
+spec + seed reproduces them byte for byte, whatever the number of workers;
+timings appear in the plain-text table only.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -218,11 +224,12 @@ def _write_summary_csv(path: Path, rows: list[SummaryRow]):
         writer.writerows(astuple(r)[:-1] for r in rows)
 
 
-def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]):
+def _write_summary_table(path: Path, spec: BenchmarkSpec, workers: int,
+                         rows: list[SummaryRow]):
     buf = io.StringIO()
     buf.write(
         f"problem={spec.problem} beta={spec.beta} gamma={spec.gamma} "
-        f"repeats={spec.repeats} seed_base={spec.seed_base}\n"
+        f"repeats={spec.repeats} workers={workers} seed_base={spec.seed_base}\n"
     )
     header = (
         f"{'size':>12} {'eps_abs':>9} {'eps_rel':>9} {'variant':<20} "
@@ -241,50 +248,73 @@ def _write_summary_table(path: Path, spec: BenchmarkSpec, rows: list[SummaryRow]
     path.write_text(buf.getvalue())
 
 
+def _workers(repeats: int) -> int:
+    """One worker per CPU this process may run on, at most ``repeats``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(repeats, cpus)
+
+
+def _solve_repeat(spec: BenchmarkSpec, size, i: int):
+    """Repeat i of one size: its seeded instance solved in every (tolerance,
+    variant) cell back to back, in one thread, so all variants of an instance
+    are timed under the same load. Returns the (result, seconds) pair of each
+    cell and, on repeat 0 with diagnostics on, the monitors by cell."""
+    instance = generate_instance(spec.problem, size, spec.seed_base + i, spec.tau)
+    solves, monitors = {}, {}
+    for tol in spec.tolerances:
+        ref = None
+        if spec.diagnostics and i == 0:
+            ref = reference_solution(instance, spec.config(spec.variants[0], tol))
+        for variant in spec.variants:
+            config = spec.config(variant, tol)
+            observer = None
+            if ref is not None:
+                observer = monitors[tol, variant] = FejerMonitor(instance, config, ref)
+            t0 = time.perf_counter()
+            result = run(instance, config, observer=observer)
+            solves[tol, variant] = (result, time.perf_counter() - t0)
+    return solves, monitors
+
+
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
     """Execute the grid and write summary.csv, summary.txt, and one
     per-iteration trajectory CSV per (size, tolerance, variant) taken from
-    the first repeat. One instance is alive at a time; with diagnostics on,
-    two, as the monitors of repeat 0's solves keep it. ``out_dir`` is made
-    after the first size's solves. Returns the collected rows and output
-    paths."""
+    the first repeat. Each size's repeats run on a thread pool of one worker
+    per available CPU, at most ``repeats``; results are collected in repeat
+    order, so the outputs do not depend on the number of workers. At most one
+    instance per worker is alive, plus repeat 0's while its monitors hold it
+    (diagnostics on). A failing repeat raises the lowest-index failure and
+    cancels the repeats not yet started. ``out_dir`` is made after the first
+    size's solves. Returns the collected rows and output paths."""
     out = Path(spec.out_dir)
     rows: list[SummaryRow] = []
     trajectory_files: list[Path] = []
-    for size in spec.sizes:
-        # (solve results, solve times) and repeat-0 monitors by (tolerance, variant)
-        data = {(tol, variant): ([], []) for tol in spec.tolerances for variant in spec.variants}
-        monitors = {}
-        for i in range(spec.repeats):
-            instance = generate_instance(spec.problem, size, spec.seed_base + i, spec.tau)
-            for tol in spec.tolerances:
-                ref = None
-                if spec.diagnostics and i == 0:
-                    ref = reference_solution(instance, spec.config(spec.variants[0], tol))
+    workers = _workers(spec.repeats)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for size in spec.sizes:
+            repeats = list(pool.map(functools.partial(_solve_repeat, spec, size),
+                                    range(spec.repeats)))
+            monitors = repeats[0][1]
+            out.mkdir(parents=True, exist_ok=True)
+            label = _size_label(spec.problem, size)
+            for tol_idx, tol in enumerate(spec.tolerances):
                 for variant in spec.variants:
-                    config = spec.config(variant, tol)
-                    observer = None
-                    if ref is not None:
-                        observer = monitors[tol, variant] = FejerMonitor(instance, config, ref)
-                    runs, times = data[tol, variant]
-                    t0 = time.perf_counter()
-                    result = run(instance, config, observer=observer)
-                    times.append(time.perf_counter() - t0)
-                    runs.append(result)
-            del instance  # dropped before the next seed's is generated
-        out.mkdir(parents=True, exist_ok=True)
-        label = _size_label(spec.problem, size)
-        for tol_idx, tol in enumerate(spec.tolerances):
-            for variant in spec.variants:
-                runs, times = data[tol, variant]
-                rows.append(_summary_row(spec, size, tol, variant, runs, times))
-                traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
-                write_trajectory_csv(traj_path, runs[0], monitors.get((tol, variant)))
-                trajectory_files.append(traj_path)
+                    runs, times = zip(*(solves[tol, variant] for solves, _ in repeats))
+                    rows.append(_summary_row(spec, size, tol, variant, runs, times))
+                    traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
+                    write_trajectory_csv(traj_path, runs[0], monitors.get((tol, variant)))
+                    trajectory_files.append(traj_path)
+            del repeats, monitors  # repeat 0's instance goes before the next size's solves
+    finally:
+        pool.shutdown(cancel_futures=True)
     summary_csv = out / "summary.csv"
     summary_table = out / "summary.txt"
     _write_summary_csv(summary_csv, rows)
-    _write_summary_table(summary_table, spec, rows)
+    _write_summary_table(summary_table, spec, workers, rows)
     return BenchmarkOutcome(
         rows=rows,
         summary_csv=summary_csv,

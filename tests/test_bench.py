@@ -1,5 +1,9 @@
 import csv
+import os
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from admmkit.bench import (
     run_benchmark,
     write_trajectory_csv,
 )
-from admmkit.diagnostics import FejerMonitor
+from admmkit.diagnostics import FejerMonitor, reference_solution
 from admmkit.lasso import generate_instance
 
 
@@ -101,11 +105,13 @@ def test_a_grid_generates_each_instance_once_and_shares_it_across_tolerances(
     tmp_path, monkeypatch
 ):
     counts = {"generate_instance": 0, "run": 0}
+    lock = threading.Lock()  # the grid's workers call both names concurrently
     for name in counts:
         inner = getattr(bench, name)
 
         def counted(*args, name=name, inner=inner, **kwargs):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(bench, name, counted)
@@ -126,6 +132,145 @@ def test_a_grid_generates_each_instance_once_and_shares_it_across_tolerances(
     lines = grid.summary_csv.read_text().splitlines()
     # the header, then each size's three tol1 rows
     assert [lines[0], *lines[4:7], *lines[10:]] == alone.summary_csv.read_text().splitlines()
+
+
+def _one_cell_at_a_time(spec):
+    """The grid's CSVs, each cell solved by a direct ``run`` on its own fresh
+    instance, one solve at a time: the pool's reference."""
+    out = spec.out_dir
+    out.mkdir(parents=True)
+    rows = []
+    for size in spec.sizes:
+        label = bench._size_label(spec.problem, size)
+        for tol_idx, tol in enumerate(spec.tolerances):
+            for variant in spec.variants:
+                config, runs, monitor = spec.config(variant, tol), [], None
+                for i in range(spec.repeats):
+                    instance = bench.generate_instance(spec.problem, size, spec.seed_base + i,
+                                                       spec.tau)
+                    observer = None
+                    if spec.diagnostics and i == 0:
+                        ref = reference_solution(instance, spec.config(spec.variants[0], tol))
+                        observer = monitor = FejerMonitor(instance, config, ref)
+                    runs.append(run(instance, config, observer=observer))
+                write_trajectory_csv(
+                    out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv",
+                    runs[0], monitor,
+                )
+                rows.append(bench._summary_row(spec, size, tol, variant, runs,
+                                               [0.0] * spec.repeats))
+    bench._write_summary_csv(out / "summary.csv", rows)
+
+
+def _csv_bytes(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("grid", [
+    dict(problem="covsel", sizes=[12, 15], tolerances=[(1e-5, 1e-3)], repeats=3,
+         diagnostics=True),
+    dict(problem="lasso", sizes=[(20, 30), (30, 20)], tolerances=[(1e-4, 1e-2), (1e-6, 1e-4)],
+         repeats=3),
+], ids=["covsel-diagnostics", "lasso-two-tolerances"])
+def test_pooled_repeats_write_the_bytes_of_one_solve_at_a_time(tmp_path, monkeypatch, grid):
+    spec = dict(grid, max_iter=300, seed_base=4)
+    # two workers for three repeats, whatever the machine has, switching
+    # threads often so that any state the workers share would show
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled = run_benchmark(BenchmarkSpec(**spec, out_dir=tmp_path / "pooled"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert "repeats=3 workers=2 " in pooled.summary_table.read_text()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = run_benchmark(BenchmarkSpec(**spec, out_dir=tmp_path / "one"))
+    assert "repeats=3 workers=1 " in one.summary_table.read_text()
+    _one_cell_at_a_time(BenchmarkSpec(**spec, out_dir=tmp_path / "direct"))
+    written = _csv_bytes(tmp_path / "pooled")
+    assert len(written) == len(pooled.trajectory_files) + 1
+    assert written == _csv_bytes(tmp_path / "one")
+    assert written == _csv_bytes(tmp_path / "direct")
+
+
+def _tag_repeats(monkeypatch, spec):
+    """Patch ``bench.generate_instance`` to tag each instance with its repeat
+    index; returns the tags and the generated indices, in call order."""
+    tags, generated = {}, []
+    inner = bench.generate_instance
+
+    def tagged(problem, size, seed, tau=None):
+        instance = inner(problem, size, seed, tau)
+        tags[id(instance)] = seed - spec.seed_base
+        generated.append(seed - spec.seed_base)
+        return instance
+
+    monkeypatch.setattr(bench, "generate_instance", tagged)
+    return tags, generated
+
+
+def test_a_failing_repeat_raises_the_lowest_index_failure(tmp_path, monkeypatch):
+    spec = _tiny_spec(tmp_path / "out", repeats=3, variants=("classical",))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tags, _ = _tag_repeats(monkeypatch, spec)
+    later_failed = threading.Event()
+    inner = bench.run
+
+    def failing(problem, config, **kwargs):
+        repeat = tags[id(problem)]
+        if repeat == 2:
+            later_failed.set()
+            raise RuntimeError("repeat 2 failed")
+        if repeat == 1:
+            # repeat 2 starts once repeat 0 is done, and fails first
+            assert later_failed.wait(timeout=30)
+            raise RuntimeError("repeat 1 failed")
+        return inner(problem, config, **kwargs)
+
+    monkeypatch.setattr(bench, "run", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^repeat 1 failed$"):
+        run_benchmark(spec)
+    assert later_failed.is_set()
+    assert threading.active_count() == threads
+    assert not spec.out_dir.exists()
+
+
+def test_a_failing_repeat_cancels_the_repeats_not_yet_started(tmp_path, monkeypatch):
+    spec = _tiny_spec(tmp_path / "out", repeats=4, variants=("classical",))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    futures = []
+
+    class RecordingPool(bench.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", RecordingPool)
+    tags, generated = _tag_repeats(monkeypatch, spec)
+    inner = bench.run
+
+    def failing(problem, config, **kwargs):
+        repeat = tags[id(problem)]
+        if repeat == 1:
+            raise RuntimeError("repeat 1 failed")
+        if repeat == 2:
+            # the one worker holds repeat 2 until repeat 3 is cancelled
+            deadline = time.monotonic() + 30
+            while not (len(futures) == 4 and futures[3].cancelled()):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        return inner(problem, config, **kwargs)
+
+    monkeypatch.setattr(bench, "run", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^repeat 1 failed$"):
+        run_benchmark(spec)
+    assert futures[3].cancelled()
+    assert generated == [0, 1, 2]
+    assert threading.active_count() == threads
+    assert not spec.out_dir.exists()
 
 
 def test_trajectory_csv_schema_and_convergence(tmp_path):
