@@ -21,7 +21,7 @@ import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -193,9 +193,9 @@ def write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | N
             writer.writerow(row)
 
 
-def _summary_row(spec, size, tol, variant, runs, times) -> SummaryRow:
-    iters = np.array([r.iterations for r in runs])
-    finals = [r.records[-1] for r in runs]
+def _summary_row(spec, size, tol, variant, cell) -> SummaryRow:
+    iters = np.array([r.iterations for _, r, _ in cell])
+    finals = [r.records[-1] for _, r, _ in cell]
     return SummaryRow(
         problem=spec.problem,
         size=_size_label(spec.problem, size),
@@ -205,15 +205,15 @@ def _summary_row(spec, size, tol, variant, runs, times) -> SummaryRow:
         gamma=spec.gamma,
         beta=spec.beta,
         repeats=spec.repeats,
-        converged_runs=sum(r.converged for r in runs),
-        dnf_runs=sum(not r.converged for r in runs),
+        converged_runs=sum(r.converged for _, r, _ in cell),
+        dnf_runs=sum(not r.converged for _, r, _ in cell),
         iters_mean=float(iters.mean()),
         iters_median=float(np.median(iters)),
         iters_min=int(iters.min()),
         iters_max=int(iters.max()),
         primal_residual_mean=float(np.mean([f.primal_residual_norm for f in finals])),
         dual_residual_mean=float(np.mean([f.dual_residual_norm for f in finals])),
-        time_mean=float(np.mean(times)),
+        time_mean=float(np.mean([seconds for seconds, _, _ in cell])),
     )
 
 
@@ -260,23 +260,21 @@ def _workers(repeats: int) -> int:
 def _solve_repeat(spec: BenchmarkSpec, size, i: int):
     """Repeat i of one size: its seeded instance solved in every (tolerance,
     variant) cell back to back, in one thread, so all variants of an instance
-    are timed under the same load. Returns the (result, seconds) pair of each
-    cell and, on repeat 0 with diagnostics on, the monitors by cell."""
+    are timed under the same load. Returns each cell's (seconds, result
+    without its final point, Fejer monitor on repeat 0 with diagnostics)."""
     instance = generate_instance(spec.problem, size, spec.seed_base + i, spec.tau)
-    solves, monitors = {}, {}
+    cells = {}
     for tol in spec.tolerances:
         ref = None
         if spec.diagnostics and i == 0:
             ref = reference_solution(instance, spec.config(spec.variants[0], tol))
         for variant in spec.variants:
             config = spec.config(variant, tol)
-            observer = None
-            if ref is not None:
-                observer = monitors[tol, variant] = FejerMonitor(instance, config, ref)
+            monitor = None if ref is None else FejerMonitor(instance, config, ref)
             t0 = time.perf_counter()
-            result = run(instance, config, observer=observer)
-            solves[tol, variant] = (result, time.perf_counter() - t0)
-    return solves, monitors
+            result = run(instance, config, observer=monitor)
+            cells[tol, variant] = (time.perf_counter() - t0, replace(result, final=None), monitor)
+    return cells
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
@@ -286,7 +284,9 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
     per available CPU, at most ``repeats``; results are collected in repeat
     order, so the outputs do not depend on the number of workers. At most one
     instance per worker is alive, plus repeat 0's while its monitors hold it
-    (diagnostics on). A failing repeat raises the lowest-index failure and
+    (diagnostics on). Of each solve a cell keeps its records, stop reason and
+    seconds, never its final point, so memory grows with ``repeats`` by the
+    records alone. A failing repeat raises the lowest-index failure and
     cancels the repeats not yet started. ``out_dir`` is made after the first
     size's solves. Returns the collected rows and output paths."""
     out = Path(spec.out_dir)
@@ -298,17 +298,16 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkOutcome:
         for size in spec.sizes:
             repeats = list(pool.map(functools.partial(_solve_repeat, spec, size),
                                     range(spec.repeats)))
-            monitors = repeats[0][1]
             out.mkdir(parents=True, exist_ok=True)
             label = _size_label(spec.problem, size)
             for tol_idx, tol in enumerate(spec.tolerances):
                 for variant in spec.variants:
-                    runs, times = zip(*(solves[tol, variant] for solves, _ in repeats))
-                    rows.append(_summary_row(spec, size, tol, variant, runs, times))
+                    cell = [cells[tol, variant] for cells in repeats]
+                    rows.append(_summary_row(spec, size, tol, variant, cell))
                     traj_path = out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv"
-                    write_trajectory_csv(traj_path, runs[0], monitors.get((tol, variant)))
+                    write_trajectory_csv(traj_path, *cell[0][1:])  # repeat 0's result and monitor
                     trajectory_files.append(traj_path)
-            del repeats, monitors  # repeat 0's instance goes before the next size's solves
+            del repeats, cell  # repeat 0's monitors and instance go before the next size's solves
     finally:
         pool.shutdown(cancel_futures=True)
     summary_csv = out / "summary.csv"

@@ -12,9 +12,10 @@ Every flag can also be supplied through ``--config FILE`` holding
 underscores). The command's parser reads them as flags placed before the
 command line's, so explicit flags override the file. A bad config line or
 value, an unknown key, a missing input file, a value the benchmark spec,
-solver config or instance rejects, or a solve that raises SolverError (such
-as a reference solve that does not converge) is a usage error (exit code
-2). CSV outputs are deterministic for a fixed spec and seed.
+solver config or instance rejects, a solve that raises SolverError (such
+as a reference solve that does not converge) or an array too large to
+allocate (MemoryError) is a usage error (exit code 2). CSV outputs are
+deterministic for a fixed spec and seed.
 """
 
 from __future__ import annotations
@@ -292,6 +293,6 @@ def main(argv=None) -> int:
         if command == "compare":
             return _cmd_compare(args)
         return _cmd_diagnose(args)
-    except (ValueError, OSError, SolverError) as exc:
-        # a bad config or input file, a value the spec, config or instance rejects, a failed solve
+    except (ValueError, OSError, SolverError, MemoryError) as exc:
+        # a bad config, input file or value, a failed solve, an array too large to allocate
         parser.error(str(exc))

@@ -1,11 +1,71 @@
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, IterationRecord, predict, run
+from admmkit import EssentialState, IterationRecord, SolverConfig, covsel, lasso, predict, run
 from admmkit.covsel import _symmetrize
+from admmkit.model import VARIANTS
 from admmkit.quadratic import QuadraticProblem, scalar_chain
+
+#: The paper's two protocol cells, each solved at beta 1 on seeds 0-9 by
+#: every variant: problem -> (size, gamma, eps_abs, eps_rel).
+PAPER_CELLS = {"lasso": ((1000, 1500), 1.8, 1e-5, 1e-3), "covsel": ((300,), 1.7, 1e-6, 1e-4)}
+PAPER_SEEDS = range(10)
+
+
+class EssentialChange:
+    """Observer keeping ||B(y_k - y_(k+1))||^2 + ||lam_k - lam_(k+1)||^2 of the
+    first and of the latest observed step, never the iterates, and the
+    relaxed flag of every observed step."""
+
+    def __init__(self, problem):
+        self.apply_B = problem.apply_B
+        self.first = self.last = None
+        self.flags = bytearray()
+
+    def __call__(self, v_old, pred, v_new, record):
+        d = v_new - v_old
+        b_dy = self.apply_B(d.y)
+        self.last = float(b_dy @ b_dy + d.lam @ d.lam)
+        if self.first is None:
+            self.first = self.last
+        self.flags.append(record.relaxed)
+
+
+def table_runs(problem):
+    """Every variant on every seed of ``problem``'s paper cell: per-variant
+    results, the seconds all solves took, and per-variant EssentialChange
+    observers of the solves. Acceptance criteria 1, 2 and 9 and the iteration
+    ledger's paper rows read the same solves."""
+    size, gamma, eps_abs, eps_rel = PAPER_CELLS[problem]
+    generate = lasso.generate_instance if problem == "lasso" else covsel.generate_instance
+    t0 = time.perf_counter()
+    runs = {v: [] for v in VARIANTS}
+    changes = {v: [] for v in VARIANTS}
+    for seed in PAPER_SEEDS:
+        instance = generate(*size, seed)[0]
+        for variant in VARIANTS:
+            config = SolverConfig(
+                variant=variant, beta=1.0, gamma=gamma,
+                eps_abs=eps_abs, eps_rel=eps_rel, max_iter=2000,
+            )
+            changes[variant].append(EssentialChange(instance))
+            runs[variant].append(run(instance, config, observer=changes[variant][-1]))
+    return runs, time.perf_counter() - t0, changes
+
+
+@pytest.fixture(scope="session")
+def lasso_table_runs():
+    """(1000, 1500) at (1e-5, 1e-3), gamma 1.8, beta 1, seeds 0..9, all variants."""
+    return table_runs("lasso")
+
+
+@pytest.fixture(scope="session")
+def covsel_table_runs():
+    """n=300 at (1e-6, 1e-4), gamma 1.7, beta 1, seeds 0..9, all variants."""
+    return table_runs("covsel")
 
 
 @pytest.fixture

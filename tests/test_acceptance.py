@@ -1,15 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines. The heavyweight benchmark reproductions are computed once in
-session-scoped fixtures and shared between criteria.
+lines. The heavyweight benchmark reproductions, the paper's two protocol
+cells, are computed once in the session-scoped fixtures of ``conftest.py``
+and shared between criteria 1, 2 and 9 and the iteration ledger.
 """
 
 import itertools
-import time
 
 import numpy as np
-import pytest
 
 from admmkit import EssentialState, SolverConfig, run
 from admmkit import covsel, lasso
@@ -22,59 +21,12 @@ from admmkit.quadratic import QuadraticProblem
 SEEDS = range(10)
 
 
-class EssentialChange:
-    """Observer keeping ||B(y_k - y_(k+1))||^2 + ||lam_k - lam_(k+1)||^2 of the
-    first and of the latest observed step, never the iterates."""
-
-    def __init__(self, problem):
-        self.apply_B = problem.apply_B
-        self.first = self.last = None
-
-    def __call__(self, v_old, pred, v_new, record):
-        d = v_new - v_old
-        b_dy = self.apply_B(d.y)
-        self.last = float(b_dy @ b_dy + d.lam @ d.lam)
-        if self.first is None:
-            self.first = self.last
-
-
 def _report(number, description, passed, detail=""):
     line = f"[ACCEPTANCE {number}] {'PASS' if passed else 'FAIL'} {description}"
     if detail:
         line += f" ({detail})"
     print(line, flush=True)
     assert passed, line
-
-
-def _table_runs(instances, gamma, eps_abs, eps_rel):
-    """Every variant on every instance: per-variant results, the seconds all
-    solves took, and per-variant essential-change observers of the solves."""
-    t0 = time.perf_counter()
-    runs = {v: [] for v in ("classical", "over_relaxed", "relaxed_customized")}
-    changes = {v: [] for v in runs}
-    for instance in instances:
-        for variant in runs:
-            config = SolverConfig(
-                variant=variant, beta=1.0, gamma=gamma,
-                eps_abs=eps_abs, eps_rel=eps_rel, max_iter=2000,
-            )
-            changes[variant].append(EssentialChange(instance))
-            runs[variant].append(run(instance, config, observer=changes[variant][-1]))
-    return runs, time.perf_counter() - t0, changes
-
-
-@pytest.fixture(scope="session")
-def lasso_table_runs():
-    """(1000, 1500) at (1e-5, 1e-3), gamma 1.8, beta 1, seeds 0..9, all variants."""
-    instances = (lasso.generate_instance(1000, 1500, seed)[0] for seed in SEEDS)
-    return _table_runs(instances, 1.8, 1e-5, 1e-3)
-
-
-@pytest.fixture(scope="session")
-def covsel_table_runs():
-    """n=300 at (1e-6, 1e-4), gamma 1.7, beta 1, seeds 0..9, all variants."""
-    instances = (covsel.generate_instance(300, seed)[0] for seed in SEEDS)
-    return _table_runs(instances, 1.7, 1e-6, 1e-4)
 
 
 def test_criterion_1_lasso_variant_ordering(lasso_table_runs):
@@ -98,10 +50,13 @@ def test_criterion_2_covsel_variant_ordering(covsel_table_runs):
     runs, elapsed, _ = covsel_table_runs
     medians = {v: float(np.median([r.iterations for r in rs])) for v, rs in runs.items()}
     converged = all(r.converged for rs in runs.values() for r in rs)
-    ok = medians["over_relaxed"] <= medians["classical"] and 12 <= medians["classical"] <= 35
+    ok = (
+        medians["over_relaxed"] <= min(medians["classical"], medians["relaxed_customized"])
+        and 12 <= medians["classical"] <= 35
+    )
     _report(
         2,
-        "covsel n=300 over-relaxed vs classical and classical band",
+        "covsel n=300 over-relaxed vs classical and customized, classical band",
         converged and ok and elapsed < 120.0,
         f"medians over={medians['over_relaxed']:.0f} classical={medians['classical']:.0f} "
         f"customized={medians['relaxed_customized']:.0f}, {elapsed:.1f}s",

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,8 +158,8 @@ def _one_cell_at_a_time(spec):
                     out / f"traj_{spec.problem}_{label}_tol{tol_idx}_{variant}.csv",
                     runs[0], monitor,
                 )
-                rows.append(bench._summary_row(spec, size, tol, variant, runs,
-                                               [0.0] * spec.repeats))
+                rows.append(bench._summary_row(spec, size, tol, variant,
+                                               [(0.0, r, None) for r in runs]))
     bench._write_summary_csv(out / "summary.csv", rows)
 
 
@@ -192,6 +193,46 @@ def test_pooled_repeats_write_the_bytes_of_one_solve_at_a_time(tmp_path, monkeyp
     assert len(written) == len(pooled.trajectory_files) + 1
     assert written == _csv_bytes(tmp_path / "one")
     assert written == _csv_bytes(tmp_path / "direct")
+
+
+def test_without_an_affinity_call_the_workers_follow_the_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, repeats, workers in [(3, 2, 2), (3, 4, 3), (None, 4, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert bench._workers(repeats) == workers
+        spec = _tiny_spec(tmp_path / f"{cpus}-{repeats}", repeats=repeats, variants=("classical",))
+        header = run_benchmark(spec).summary_table.read_text().splitlines()[0]
+        assert f" repeats={repeats} workers={workers} " in header
+
+
+def test_a_grid_keeps_no_iterate_past_its_repeat(tmp_path, monkeypatch):
+    """The tracemalloc peak of a covsel grid grows by less than one instance's
+    worth from 2 to 6 repeats, with diagnostics on and off: the n^2-long
+    final x, y and lam of each variant, 1 MB a repeat at n = 120, are not
+    kept. What does grow is each repeat's records, about 0.26 KB a step and
+    some 20 KB a repeat here, so 10 more repeats would outgrow this 118 KB
+    instance; at n = 300 a repeat's records are under 3% of one. One worker,
+    so that the peak measures what the grid keeps and not how two workers'
+    solves overlap."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    tracemalloc.start()
+    try:
+        instance = bench.generate_instance("covsel", 120, 0)
+        instance_bytes = tracemalloc.get_traced_memory()[0]
+        del instance
+        for diagnostics in (False, True):
+            peaks = []
+            for repeats in (2, 6):
+                spec = BenchmarkSpec(problem="covsel", sizes=[120], tolerances=[(1e-5, 1e-3)],
+                                     repeats=repeats, diagnostics=diagnostics,
+                                     out_dir=tmp_path / f"{diagnostics}-{repeats}")
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run_benchmark(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            assert peaks[1] - peaks[0] < instance_bytes, (diagnostics, peaks, instance_bytes)
+    finally:
+        tracemalloc.stop()
 
 
 def _tag_repeats(monkeypatch, spec):

@@ -516,3 +516,35 @@ def test_a_grid_counts_a_non_finite_run_as_not_converged(tmp_path, capsys):
     with open(tmp_path / "summary.csv", newline="") as fh:
         assert [row["dnf_runs"] for row in csv.DictReader(fh)] == ["1"] * 3
     assert main([*argv, "--strict"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, target, message",
+    [
+        # what numpy raises for `admm-bench lasso --m 200000 --n 200000 --repeats 1`
+        # and `admm-bench compare --problem covsel --n 60000` under `ulimit -v 3000000`
+        (["lasso", "--m", "200000", "--n", "200000", "--repeats", "1"],
+         "admmkit.lasso.generate_instance",
+         "Unable to allocate 298. GiB for an array with shape (200000, 200000) "
+         "and data type float64"),
+        (["compare", "--problem", "covsel", "--n", "60000"], "admmkit.covsel.generate_instance",
+         "Unable to allocate 26.8 GiB for an array with shape (60000, 60000) "
+         "and data type float64"),
+        (["diagnose", "--load-instance", "{tmp}/big.bin"], "admmkit.container.load_instance",
+         "Unable to allocate 26.8 GiB for an array with shape (3600000000,) and data type float64"),
+    ],
+    ids=["lasso-grid", "compare-covsel", "load-instance"],
+)
+def test_an_allocation_failure_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, target,
+                                                message):
+    def unallocatable(*args, **kwargs):
+        raise MemoryError(message)  # numpy's _ArrayMemoryError is a MemoryError
+
+    monkeypatch.setattr(target, unallocatable)  # nothing is allocated
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*(arg.format(tmp=tmp_path) for arg in argv), "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    assert "usage: admm-bench" in err and "Traceback" not in err

@@ -7,17 +7,22 @@ change that moves one is a change in behaviour. The grid is four Lasso
 sizes (fat 40x60 and 80x140, tall 60x20 and 300x200), covsel n = 20, 30 and
 50 and a small ``QuadraticProblem``, at seeds 0-2, beta 0.5, 1 and 2, two
 tolerance pairs and all three variants, plus edge rows that pin today's
-behaviour at extreme betas. ``relaxed`` and ``relaxed_crc32`` cover the
-steps ``run`` hands its observer: a step that ends the solve as non_finite
-is left out, since its gate reads NaN under some OpenBLAS kernels and inf
-or 0 under others. The ledger compares every kernel against the committed
-values, so one run under another kernel checks that its iterations and
-relaxed flags are the same. A change that moves a cell rewrites the ledger
-with
+behaviour at extreme betas, plus the paper rows: the paper's two protocol
+cells (Lasso 1000x1500 at (1e-5, 1e-3) with gamma 1.8, covsel n = 300 at
+(1e-6, 1e-4) with gamma 1.7, beta 1) at seeds 0-9 with every variant, read
+from the session fixtures that acceptance criteria 1, 2 and 9 solve, so
+pinning them costs no solve of its own. ``relaxed`` and ``relaxed_crc32``
+cover the steps ``run`` hands its observer: a step that ends the solve as
+non_finite is left out, since its gate reads NaN under some OpenBLAS
+kernels and inf or 0 under others. The ledger compares every kernel against
+the committed values, so one run under another kernel checks that its
+iterations and relaxed flags are the same. A change that moves a cell
+rewrites the ledger with
 
     PYTHONPATH=src python -W error tests/test_iteration_ledger.py
 
-and lists the moved cells as a change in behaviour.
+which solves the paper rows too, and lists the moved cells as a change in
+behaviour.
 """
 
 import csv
@@ -27,6 +32,7 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+from conftest import PAPER_CELLS, PAPER_SEEDS
 
 from admmkit import SolverConfig, run
 from admmkit import covsel, lasso
@@ -88,9 +94,35 @@ def compute():
         result = run(instances[problem, size, seed], config,
                      observer=lambda v_old, pred, v_new, record: flags.append(record.relaxed))
         key = tuple(map(str, (problem, size, seed, beta, gamma, eps_abs, eps_rel, variant)))
-        rows[key] = (str(result.iterations), result.stop_reason, str(result.relaxed_steps),
-                     f"{zlib.crc32(flags):08x}")
+        rows[key] = _values(result, flags)
     return rows
+
+
+def _values(result, flags):
+    """A cell's values as the ledger writes them; ``flags`` holds the relaxed
+    flag of each step ``run`` handed its observer."""
+    return (str(result.iterations), result.stop_reason, str(result.relaxed_steps),
+            f"{zlib.crc32(flags):08x}")
+
+
+def _paper_size(problem):
+    return "x".join(map(str, PAPER_CELLS[problem][0]))
+
+
+def paper_rows(tables):
+    """{key: values} of the paper rows from ``{problem: table_runs(problem)}``."""
+    rows = {}
+    for problem, (runs, _, changes) in tables.items():
+        _, gamma, eps_abs, eps_rel = PAPER_CELLS[problem]
+        for i, seed in enumerate(PAPER_SEEDS):
+            for variant in VARIANTS:
+                key = (problem, _paper_size(problem), seed, 1.0, gamma, eps_abs, eps_rel, variant)
+                rows[tuple(map(str, key))] = _values(runs[variant][i], changes[variant][i].flags)
+    return rows
+
+
+def _is_paper_row(key):
+    return key[0] in PAPER_CELLS and key[1] == _paper_size(key[0])
 
 
 def read_ledger():
@@ -106,8 +138,7 @@ def write_ledger(rows):
         writer.writerows(key + values for key, values in rows.items())
 
 
-def test_every_cell_matches_the_ledger():
-    old, new = read_ledger(), compute()
+def _assert_unmoved(old, new):
     moved = [
         f"{','.join(key)}: {','.join(old.get(key, ('absent',)))} -> "
         f"{','.join(new.get(key, ('absent',)))}"
@@ -117,6 +148,19 @@ def test_every_cell_matches_the_ledger():
     assert not moved, f"{len(moved)} of {len(new)} cells moved ({', '.join(VALUES)}):\n" + "\n".join(moved)
 
 
+def test_every_cell_matches_the_ledger():
+    old = {key: values for key, values in read_ledger().items() if not _is_paper_row(key)}
+    _assert_unmoved(old, compute())
+
+
+def test_the_paper_rows_match_the_ledger(lasso_table_runs, covsel_table_runs):
+    old = {key: values for key, values in read_ledger().items() if _is_paper_row(key)}
+    _assert_unmoved(old, paper_rows({"lasso": lasso_table_runs, "covsel": covsel_table_runs}))
+
+
 if __name__ == "__main__":
-    write_ledger(compute())
+    from conftest import table_runs
+
+    tables = {problem: table_runs(problem) for problem in PAPER_CELLS}
+    write_ledger({**compute(), **paper_rows(tables)})
     print(f"wrote {LEDGER}", file=sys.stderr)
