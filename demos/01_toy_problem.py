@@ -10,14 +10,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from admmkit import EssentialState, SolverConfig, predict, run
+from admmkit import EssentialState, SolverConfig, run
 from admmkit.quadratic import scalar_chain
 
 problem = scalar_chain()
 v0 = EssentialState(np.array([1.0]), np.array([0.0]))
 
-# one prediction sweep: x-solve, y-solve, both multiplier updates
-pred = predict(problem, v0, beta=1.0)
+# one prediction sweep: x-solve, y-solve, both multiplier updates; a run
+# hands each step's sweep to its observer, here for one classical step
+steps = []
+run(problem, SolverConfig(max_iter=1), v0, observer=lambda *step: steps.append(step))
+pred = steps[0][1]
 print("prediction from (y, lam) = (1, 0):")
 print(f"  x_next    = {pred.x_next[0]: .4f}")
 print(f"  y_pred    = {pred.y_pred[0]: .4f}")

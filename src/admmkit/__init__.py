@@ -9,7 +9,7 @@ on their shared l1 split (:mod:`admmkit.l1split`), quadratic test instances
 CLI in :mod:`admmkit.cli`).
 """
 
-from .engine import Prediction, SolveResult, SolverError, predict, run
+from .engine import Prediction, SolveResult, SolverError, run
 from .model import (
     VARIANTS,
     DimensionMismatchError,
@@ -31,7 +31,6 @@ __all__ = [
     "SolveResult",
     "SolverConfig",
     "SolverError",
-    "predict",
     "run",
 ]
 

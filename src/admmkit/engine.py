@@ -1,16 +1,16 @@
 """Iteration engine: one prediction-correction step shared by the three variants.
 
 Each step consumes only the essential pair v = (y, lam): the x-block is an
-intermediary recomputed from v. A step runs one prediction sweep
-(:func:`predict`) to the auxiliary point, evaluates the sign criterion on
-d = v - (y_pred, lam_pred), and either applies the correction
+intermediary recomputed from v. :func:`run` is the step kernel: each pass of
+its loop runs one prediction sweep to the auxiliary point, evaluates the sign
+criterion on d = v - (y_pred, lam_pred), and either applies the correction
 v+ = v - gamma d or takes the predicted pair. The variants differ only in
 two choices: ``classical`` never relaxes, ``over_relaxed`` relaxes when the
 criterion is nonnegative to within its rounding error, and the
 ``relaxed_customized`` baseline updates the multiplier before the y-block
 and always relaxes. The step's :class:`~admmkit.model.IterationRecord` says
 what the gate read (``criterion_value``) and whether it fired (``relaxed``).
-:func:`run` iterates the step and can pass every step to an observer, which
+:func:`run` can pass every step, its sweep included, to an observer, which
 is how :mod:`admmkit.diagnostics` watches a solve; one step is
 ``run(problem, replace(config, max_iter=1), v, observer)``.
 """
@@ -90,23 +90,9 @@ class SolveResult:
         return sum(rec.relaxed for rec in seen)
 
 
-def predict(
-    problem: SeparableProblem,
-    v: EssentialState,
-    beta: float,
-    multiplier_first: bool = False,
-) -> Prediction:
-    """Run one prediction sweep: x-solve, then the y-solve and multiplier
-    updates, the y-block first unless ``multiplier_first``. A ``problem``
-    that is not a :class:`SeparableProblem` or a ``v`` that is not an
-    :class:`EssentialState` raises ValueError naming it."""
-    require_instance("problem", problem, SeparableProblem)
-    require_instance("v", v, EssentialState)
-    return _predict(problem, v, beta, multiplier_first)
-
-
 def _predict(problem: SeparableProblem, v: EssentialState, beta: float, multiplier_first: bool):
-    """:func:`predict` without its argument checks, as a step calls it."""
+    """One prediction sweep from v: x-solve, then the y-solve and multiplier
+    update, the y-block first unless ``multiplier_first``."""
     x_next = problem.solve_x(v.y, v.lam, beta)
     ax = problem.apply_A(x_next)
     if multiplier_first:
@@ -139,79 +125,6 @@ CRITERION_ROUNDING_FACTOR = 4.0
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _criterion(pred: Prediction, dy, dlam, problem, beta, lam_norm, b_norm):
-    """The criterion dlam . B dy for (dy, dlam) = v - (y_pred, lam_pred) and the
-    norms ||Ax|| and ||lam_pred||, given ||lam|| and ||b||.
-
-    With exact subproblem solves the criterion is exactly zero once an l1
-    block's sign pattern settles, so in floating point its sign there is
-    rounding. A value within c*u*S of zero is returned as 0.0, where u is
-    the unit roundoff, c is :data:`CRITERION_ROUNDING_FACTOR` and
-    S = (||lam|| + ||lam_pred|| + beta (||Ax|| + ||By|| + ||b||)) ||B(y - y_pred)||
-    bounds the terms the inner product and its multipliers were summed
-    from. ||By||, for the y-block behind ``lam_pred``, is bounded by
-    ||r|| + ||Ax|| + ||b|| with r that multiplier's residual, so S takes no
-    operator application.
-    """
-    b_gap = problem.apply_B(dy)
-    crit, gap_sq = float(dlam.dot(b_gap)), b_gap.dot(b_gap)
-    ax, lam_pred = _norm(pred.ax), _norm(pred.lam_pred)
-    by = pred.residual_norm + ax + b_norm
-    scale = (lam_norm + lam_pred + beta * (ax + by + b_norm)) * math.sqrt(gap_sq)
-    if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
-        crit = 0.0
-    return crit, ax, lam_pred
-
-
-def _step(problem: SeparableProblem, v, config: SolverConfig, k: int, lam_norm, b_norm):
-    """One prediction-correction step from v, given ||lam|| and ||b||; returns
-    (pred, v_new, record, ||lam_new||, whether its norms and thresholds are finite).
-
-    Every array the step allocates is either handed on in ``pred`` or
-    ``v_new`` or dropped before the step returns, and none is written after
-    it is handed on.
-    """
-    beta = config.beta
-    customized = config.variant == "relaxed_customized"
-    pred = _predict(problem, v, beta, customized)
-    dy, dlam = v.y - pred.y_pred, v.lam - pred.lam_pred
-    crit, ax_norm, lam_norm_pred = _criterion(pred, dy, dlam, problem, beta, lam_norm, b_norm)
-    relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
-    if relaxed:
-        # v - gamma d, written over d; gamma = 1 takes the predicted pair
-        # itself, so a unit-factor relaxed run is bitwise the plain variant
-        g = config.gamma
-        if g == 1.0:
-            y_new, lam_new = pred.y_pred, pred.lam_pred
-        else:
-            dy *= g
-            dlam *= g
-            y_new, lam_new = np.subtract(v.y, dy, out=dy), np.subtract(v.lam, dlam, out=dlam)
-        del dy, dlam  # d's buffers are the new pair or free before the residual
-        r_norm = _norm(_residual(problem, pred.ax, y_new))
-        dual = _norm(y_new - v.y)
-        lam_norm = _norm(lam_new)
-    else:
-        # an unrelaxed step's change is -d, with the same norm to the bit
-        y_new, lam_new = pred.y_pred, pred.lam_pred
-        dual, r_norm, lam_norm = _norm(dy), pred.residual_norm, lam_norm_pred
-    x_norm = ax_norm if pred.ax is pred.x_next else _norm(pred.x_next)
-    y_norm = _norm(y_new)
-    eps_abs, eps_rel = config.eps_abs, config.eps_rel
-    record = IterationRecord(
-        k=k,
-        primal_residual_norm=r_norm,
-        dual_residual_norm=dual,
-        criterion_value=crit,
-        relaxed=relaxed,
-        eps_pri=math.sqrt(problem.m) * eps_abs + eps_rel * max(x_norm, y_norm),
-        eps_dual=math.sqrt(problem.n2) * eps_abs + eps_rel * y_norm,
-    )
-    # eps_dual carries ||y_new||: eps_rel > 0
-    finite = all(map(math.isfinite, (r_norm, dual, lam_norm, record.eps_pri, record.eps_dual)))
-    return pred, EssentialState(y_new, lam_new), record, lam_norm, finite
-
-
 def run(
     problem: SeparableProblem,
     config: SolverConfig,
@@ -242,21 +155,78 @@ def run(
     if v0 is not None:
         require_instance("v0", v0, EssentialState)
     v = EssentialState.zeros(problem) if v0 is None else v0.validate(problem, "v0")
+    beta, eps_abs, eps_rel = config.beta, config.eps_abs, config.eps_rel
+    customized = config.variant == "relaxed_customized"
     records: list[IterationRecord] = []
     lam_norm, b_norm = _norm(v.lam), float(np.linalg.norm(problem.rhs_b))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iter + 1):
+            # every array a step allocates is handed on in pred or v_new or dropped
+            # before the observer sees the step, and none is written once handed on
             try:
-                step = _step(problem, v, config, k, lam_norm, b_norm)
+                pred = _predict(problem, v, beta, customized)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
-            pred, v_new, record, lam_norm, finite = step
+            dy, dlam = v.y - pred.y_pred, v.lam - pred.lam_pred
+            # The gate reads crit = dlam . B dy. With exact subproblem solves it is
+            # exactly zero once an l1 block's sign pattern settles, so in floating
+            # point its sign there is rounding: a value within c*u*S of zero reads
+            # as 0.0, u the unit roundoff, c = CRITERION_ROUNDING_FACTOR and
+            # S = (||lam|| + ||lam_pred|| + beta (||Ax|| + ||By|| + ||b||)) ||B dy||
+            # bounding the terms crit and its multipliers were summed from.
+            # ||By||, for the y-block behind lam_pred, is at most ||r|| + ||Ax|| +
+            # ||b||, r that multiplier's residual, so S takes no operator application.
+            b_gap = problem.apply_B(dy)
+            crit, gap_sq = float(dlam.dot(b_gap)), b_gap.dot(b_gap)
+            del b_gap
+            ax_norm, lam_pred_norm = _norm(pred.ax), _norm(pred.lam_pred)
+            by_norm = pred.residual_norm + ax_norm + b_norm
+            scale = (lam_norm + lam_pred_norm
+                     + beta * (ax_norm + by_norm + b_norm)) * math.sqrt(gap_sq)
+            if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
+                crit = 0.0
+            relaxed = customized or (config.variant == "over_relaxed" and crit >= 0.0)
+            if relaxed:
+                # v - gamma d, written over d; gamma = 1 takes the predicted pair
+                # itself, so a unit-factor relaxed run is bitwise the plain variant
+                g = config.gamma
+                if g == 1.0:
+                    y_new, lam_new = pred.y_pred, pred.lam_pred
+                else:
+                    dy *= g
+                    dlam *= g
+                    y_new = np.subtract(v.y, dy, out=dy)
+                    lam_new = np.subtract(v.lam, dlam, out=dlam)
+                del dy, dlam  # d's buffers are the new pair or free before the residual
+                r_norm = _norm(_residual(problem, pred.ax, y_new))
+                dual = _norm(y_new - v.y)
+                lam_norm = _norm(lam_new)
+            else:
+                # an unrelaxed step's change is -d, with the same norm to the bit
+                y_new, lam_new = pred.y_pred, pred.lam_pred
+                dual, r_norm, lam_norm = _norm(dy), pred.residual_norm, lam_pred_norm
+                del dy, dlam
+            x_norm = ax_norm if pred.ax is pred.x_next else _norm(pred.x_next)
+            y_norm = _norm(y_new)
+            record = IterationRecord(
+                k=k,
+                primal_residual_norm=r_norm,
+                dual_residual_norm=dual,
+                criterion_value=crit,
+                relaxed=relaxed,
+                eps_pri=math.sqrt(problem.m) * eps_abs + eps_rel * max(x_norm, y_norm),
+                eps_dual=math.sqrt(problem.n2) * eps_abs + eps_rel * y_norm,
+            )
             records.append(record)
+            # eps_dual carries ||y_new||: eps_rel > 0
+            finite = all(map(math.isfinite,
+                             (r_norm, dual, lam_norm, record.eps_pri, record.eps_dual)))
+            v_new = EssentialState(y_new, lam_new)
             if finite and observer is not None:
                 observer(v, pred, v_new, record)
             if not finite or record.within_tolerance or k == config.max_iter:
                 break
-            del pred, step  # free the prediction's arrays before the next step allocates
+            del pred  # free the prediction's arrays before the next step allocates
             v = v_new
     stop_reason = "converged" if record.within_tolerance else "max_iter"
     if not finite:

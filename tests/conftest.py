@@ -1,10 +1,13 @@
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from admmkit import EssentialState, IterationRecord, SolverConfig, covsel, lasso, predict, run
+from admmkit import (
+    EssentialState, IterationRecord, Prediction, SolverConfig, covsel, lasso, run
+)
 from admmkit.covsel import _symmetrize
 from admmkit.model import VARIANTS
 from admmkit.quadratic import QuadraticProblem, scalar_chain
@@ -169,6 +172,25 @@ def one_step():
     return step
 
 
+def _sweep(problem, v, beta):
+    """The plain prediction sweep from v at ``beta``: the ``pred`` a one-step
+    classical run hands its observer. A non-finite step is not observed, so
+    its sweep is read from ``result.final``, with the constraint residual's
+    norm unknown (NaN)."""
+    seen = []
+    config = SolverConfig(variant="classical", beta=beta, max_iter=1)
+    result = run(problem, config, v, lambda v_old, pred, v_new, record: seen.append(pred))
+    if seen:
+        return seen[0]
+    x, y, lam = result.final.x, result.final.y, result.final.lam
+    return Prediction(x, y, lam, problem.apply_A(x), math.nan)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    return _sweep
+
+
 def _stacked(v):
     """The pair v = (y, lam) as one vector [y; lam], the layout of dense_matrices."""
     return np.concatenate([np.ravel(v.y), np.ravel(v.lam)])
@@ -214,7 +236,7 @@ def forced_step(extrapolate):
     it relaxed: the arguments of an observer call on a forced relaxed step."""
 
     def step(problem, v, beta, gamma):
-        pred = predict(problem, v, beta)
+        pred = _sweep(problem, v, beta)
         return v, pred, extrapolate(v, pred, gamma), _record(True)
 
     return step
@@ -227,7 +249,7 @@ def observe_transition():
     beta, and a record saying whether the step relaxed."""
 
     def observe(monitor, problem, v_old, v_new, relaxed):
-        pred = predict(problem, v_old, monitor.mats.beta)
+        pred = _sweep(problem, v_old, monitor.mats.beta)
         monitor(v_old, pred, v_new, _record(relaxed))
 
     return observe

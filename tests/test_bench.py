@@ -235,6 +235,21 @@ def test_a_grid_keeps_no_iterate_past_its_repeat(tmp_path, monkeypatch):
         tracemalloc.stop()
 
 
+def test_no_timed_solve_pays_the_lasso_factorization(tmp_path, monkeypatch):
+    # each instance holds its factor for the grid's beta before any variant is
+    # timed, so a variant's time does not depend on its place in the list
+    spec = _tiny_spec(tmp_path, beta=0.5, variants=("over_relaxed", "classical"))
+    inner, factored = bench.run, []
+
+    def timed(problem, config, **kwargs):
+        factored.append(problem._cache is not None and problem._cache[0] == spec.beta)
+        return inner(problem, config, **kwargs)
+
+    monkeypatch.setattr(bench, "run", timed)
+    run_benchmark(spec)
+    assert factored == [True] * 2 * 2  # two repeats of two variants
+
+
 def _tag_repeats(monkeypatch, spec):
     """Patch ``bench.generate_instance`` to tag each instance with its repeat
     index; returns the tags and the generated indices, in call order."""

@@ -12,7 +12,6 @@ from admmkit import (
     IterationRecord,
     SolverConfig,
     SolverError,
-    predict,
     run,
 )
 from admmkit import covsel, lasso
@@ -242,10 +241,10 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
         assert getattr(argument, name) == getattr(plain, name), name
 
 
-def test_expansion_zero_at_fixed_point(expansion_mismatch, dense_matrices, dense_B):
+def test_expansion_zero_at_fixed_point(sweep, expansion_mismatch, dense_matrices, dense_B):
     chain = scalar_chain()
     v = EssentialState(np.array([0.0]), np.array([0.0]))
-    pred = predict(chain, v, 1.0)
+    pred = sweep(chain, v, 1.0)
     mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     monitor = FejerMonitor(chain, SolverConfig(variant="over_relaxed", beta=1.0, gamma=1.5), v)
     monitor(v, pred, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))

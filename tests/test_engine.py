@@ -5,7 +5,6 @@ from admmkit import (
     EssentialState,
     SolverConfig,
     SolverError,
-    predict,
     run,
 )
 from admmkit import lasso
@@ -17,8 +16,8 @@ from admmkit.quadratic import QuadraticProblem
 # closed forms on the 1-d chain: x = (lam + beta*y)/(1+beta),
 # y_pred = (beta*x - lam)/(1+beta)
 
-def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde):
-    pred = predict(chain, chain_start, beta=1.0)
+def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde, sweep):
+    pred = sweep(chain, chain_start, 1.0)
     assert pred.x_next == pytest.approx(0.5)
     assert pred.y_pred == pytest.approx(0.25)
     assert pred.lam_pred == pytest.approx(-0.25)
@@ -26,7 +25,7 @@ def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde):
 
 
 def test_prediction_multiplier_split_identity(
-    small_quadratic, rng, split_residual, dense_matrices, dense_B
+    small_quadratic, rng, split_residual, dense_matrices, dense_B, sweep
 ):
     problem = small_quadratic
     for _ in range(10):
@@ -35,21 +34,21 @@ def test_prediction_multiplier_split_identity(
         monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         run(problem, config, v, observer=monitor)
         mats = dense_matrices(dense_B(problem), config.beta, 1.0)
-        assert split_residual(problem, v, predict(problem, v, config.beta), mats) <= 1e-12
+        assert split_residual(problem, v, sweep(problem, v, config.beta), mats) <= 1e-12
         assert monitor.split <= 1e-12
 
 
-def test_predict_at_fixed_point_keeps_multiplier(chain):
+def test_predict_at_fixed_point_keeps_multiplier(chain, sweep):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
-    pred = predict(chain, v, beta=1.0)
+    pred = sweep(chain, v, 1.0)
     assert np.array_equal(pred.lam_pred, v.lam)
 
 
-def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residual):
+def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residual, sweep):
     instance, _ = lasso.generate_instance(60, 100, 1)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(100), rng.standard_normal(100))
-        pred = predict(instance, v, beta=1.0)
+        pred = sweep(instance, v, 1.0)
         assert subproblem_residual(instance, "x", pred.x_next, v.y, v.lam, 1.0) <= 1e-10
         assert subproblem_residual(instance, "y", pred.x_next, pred.y_pred, v.lam, 1.0) <= 1e-10
 
@@ -194,12 +193,12 @@ def test_run_rejects_a_complex_initial_state_by_name(operand):
         run(instance, SolverConfig(), EssentialState(**fields))
 
 
-def test_dual_update_consistency_on_plain_steps(solve_traced):
+def test_dual_update_consistency_on_plain_steps(solve_traced, sweep):
     instance, _ = lasso.generate_instance(50, 90, 4)
     config = SolverConfig(variant="classical", max_iter=60)
     result, traj = solve_traced(instance, config)
     for k in range(len(traj) - 1):
-        pred = predict(instance, traj[k], config.beta)
+        pred = sweep(instance, traj[k], config.beta)
         expected = traj[k].lam - config.beta * instance.constraint_residual(
             pred.x_next, traj[k + 1].y
         )
@@ -238,7 +237,9 @@ def test_run_aborts_on_nonfinite_iterate(nan_after_two):
 
 
 @pytest.mark.parametrize("case", ["converged", "max_iter", "non_finite"])
-def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_start, nan_after_two):
+def test_stop_reason_agrees_with_converged_and_iterations(
+    case, chain, chain_start, nan_after_two, sweep
+):
     tight = dict(eps_abs=1e-14, eps_rel=1e-14)
     problem, config = {
         "converged": (chain, SolverConfig(variant="classical", max_iter=500)),
@@ -262,7 +263,7 @@ def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_sta
     # extrapolates to; a non-finite step's output is formed from the last pair observed
     _, pred, v_new, record = observed[-1]
     if case == "non_finite":
-        pred = predict(problem, v_new, config.beta)
+        pred = sweep(problem, v_new, config.beta)
     final = result.final
     for got, want in zip((final.x, final.y, final.lam), (pred.x_next, pred.y_pred, pred.lam_pred)):
         assert got.tobytes() == want.tobytes()

@@ -31,7 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, predict, run
+from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
 from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
@@ -192,9 +192,8 @@ ROWS = {
                                             "tolerances[0][0]"),
     "BenchmarkSpec.tolerances[0][1]": _real(lambda v: _spec(tolerances=[(1e-5, v)]),
                                             "tolerances[0][1]"),
-    "predict.problem": Row(lambda v: predict(v, EssentialState(Y, LAM), 1.0), "problem"),
-    "predict.v": Row(lambda v: predict(PROBLEM, v, 1.0), "v"),
-    "predict.beta": _real(lambda v: predict(PROBLEM, EssentialState(Y, LAM), v), "beta"),
+    "run.problem": Row(lambda v: run(v, SolverConfig(max_iter=5)), "problem"),
+    "run.config": Row(lambda v: run(PROBLEM, v), "config"),
     "run.v0": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), v), "v0"),
     "run.observer": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), observer=v), "observer"),
     "run.v0.y": Row(lambda v: run(PROBLEM, SolverConfig(max_iter=5), EssentialState(v, LAM)),
