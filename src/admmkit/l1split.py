@@ -14,20 +14,6 @@ import numpy as np
 from .model import SeparableProblem, require_real
 
 
-def soft_threshold(a: np.ndarray, kappa: float) -> np.ndarray:
-    """Elementwise shrinkage (a - kappa)_+ - (-a - kappa)_+."""
-    require_real("kappa", kappa)
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return _shrink(np.array(a, dtype=float), kappa)
-
-
-def _shrink(a: np.ndarray, kappa: float) -> np.ndarray:
-    """Soft thresholding as a - clip(a, -kappa, kappa), written over ``a``."""
-    a -= np.clip(a, -kappa, kappa)
-    return a
-
-
 class L1SplitProblem(SeparableProblem):
     """Base of the l1 split. Subclasses provide ``solve_x``, ``smooth`` and
     ``smooth_grad`` on flattened length-``dim`` vectors; the base supplies the
@@ -51,8 +37,11 @@ class L1SplitProblem(SeparableProblem):
     def solve_y(self, x, lam, beta):
         """Soft-threshold minimizer of the l1 subproblem."""
         require_real("beta", beta, 0)
+        kappa = self.weight / beta
         a = np.divide(lam, beta, dtype=float)
-        return _shrink(np.subtract(x, a, out=a), self.weight / beta)
+        np.subtract(x, a, out=a)
+        a -= np.clip(a, -kappa, kappa)
+        return a
 
     def apply_A(self, x):
         return x

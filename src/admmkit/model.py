@@ -100,26 +100,16 @@ def _residual(problem: SeparableProblem, ax, y) -> np.ndarray:
     return r
 
 
-#: Elements per block when :func:`require_finite` scans a large array.
-FINITE_BLOCK = 1 << 16
-
-
 def require_finite(name: str, values) -> None:
     """Raise ValueError naming ``name`` if ``values`` holds a NaN or an inf.
 
-    A vector is scanned in one call. A larger array is scanned in blocks of
-    rows of about :data:`FINITE_BLOCK` elements, so the check never holds a
-    mask the size of the data.
+    A NaN propagates through both reductions and an inf is the min or the
+    max, so the scan holds no mask the size of the data.
     """
-    values = np.asarray(values)
-    if values.ndim < 2 or values.size <= FINITE_BLOCK:
-        finite = np.isfinite(values).all()
-    else:
-        rows = max(1, FINITE_BLOCK * len(values) // values.size)
-        finite = all(
-            np.isfinite(values[i:i + rows]).all() for i in range(0, len(values), rows)
-        )
-    if not finite:
+    if not (
+        math.isfinite(np.minimum.reduce(values, None, initial=0.0))
+        and math.isfinite(np.maximum.reduce(values, None, initial=0.0))
+    ):
         raise ValueError(f"{name} must be finite")
 
 
@@ -262,7 +252,7 @@ class SolverConfig:
         require_int("max_iter", self.max_iter, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """What the engine reports of step ``k``: the primal residual
     ||Ax + By - b|| at the step's x-block and new y-block, the dual residual

@@ -14,7 +14,6 @@ from admmkit import EssentialState, SolverConfig, run
 from admmkit import covsel, lasso
 from admmkit.bench import BenchmarkSpec, run_benchmark
 from admmkit.diagnostics import FejerMonitor, reference_solution
-from admmkit.l1split import soft_threshold
 from admmkit.lasso import LassoInstance, rho_max
 from admmkit.quadratic import QuadraticProblem
 
@@ -188,10 +187,13 @@ def test_criterion_6_subproblem_oracles(subproblem_residual):
 
     worst_s = 0.0
     grid = np.arange(-10.0, 10.0 + 1e-9, 1e-4)
-    for a in (-4.2, -1.0, -0.05, 0.0, 0.3, 2.2):
-        for kappa in (0.05, 0.5, 1.5):
+    for kappa in (0.05, 0.5, 1.5):
+        # the y-solve at beta 1 soft-thresholds at the l1 weight
+        l1 = LassoInstance(np.eye(1), np.zeros(1), kappa)
+        for a in (-4.2, -1.0, -0.05, 0.0, 0.3, 2.2):
             brute = grid[np.argmin(kappa * np.abs(grid) + 0.5 * (grid - a) ** 2)]
-            worst_s = np.maximum(worst_s, abs(soft_threshold(np.array([a]), kappa)[0] - brute))
+            got = l1.solve_y(np.array([a]), np.zeros(1), 1.0)[0]
+            worst_s = np.maximum(worst_s, abs(got - brute))
 
     from scipy.optimize import brentq
 

@@ -36,7 +36,6 @@ from admmkit import cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
-from admmkit.l1split import soft_threshold
 from admmkit.quadratic import QuadraticProblem
 
 SWEEP = settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -158,9 +157,6 @@ ROWS = {
         f"{kind}.solve_{block}.beta": _solve(kind, block)
         for kind in SOLVERS for block in ("x", "y")
     },
-    # soft_threshold keeps its own closed bound kappa >= 0
-    "soft_threshold.kappa": Row(lambda v: soft_threshold(np.array([-1.0, 2.0]), v), "kappa",
-                                form=REAL.replace("|lie in", "|be nonnegative|lie in")),
     "BenchmarkSpec.problem": Row(lambda v: _spec(problem=v), "problem"),
     # the grid's solver settings are checked as each config of the grid is built
     "BenchmarkSpec.beta": _real(lambda v: _spec(beta=v), "beta"),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from admmkit import EssentialState, SolverConfig, run
 from admmkit import lasso
-from admmkit.l1split import soft_threshold
 from admmkit.lasso import LassoInstance, generate_instance, rho_max
 
 
@@ -259,25 +258,25 @@ def test_concurrent_solves_at_different_betas_share_one_instance(shape):
             assert np.array_equal(got, want)
 
 
+def _soft_threshold(a, weight, beta):
+    """Soft thresholding at weight / beta, through the y-solve the engine runs."""
+    return LassoInstance(np.eye(len(a)), np.zeros(len(a)), weight).solve_y(a, np.zeros(len(a)), beta)
+
+
 def test_soft_threshold_definition_cases():
-    assert soft_threshold(np.array([2.0]), 1.0)[0] == 1.0
-    assert soft_threshold(np.array([0.5]), 1.0)[0] == 0.0
-    assert soft_threshold(np.array([-3.0]), 1.0)[0] == -2.0
-
-
-def test_soft_threshold_zero_weight_is_identity(rng):
-    a = rng.standard_normal(40)
-    assert np.array_equal(soft_threshold(a, 0.0), a)
-
-
-def test_soft_threshold_negative_weight_rejected():
-    with pytest.raises(ValueError):
-        soft_threshold(np.array([1.0]), -0.1)
+    assert _soft_threshold(np.array([2.0]), 2.0, 2.0)[0] == 1.0
+    assert _soft_threshold(np.array([0.5]), 2.0, 2.0)[0] == 0.0
+    assert _soft_threshold(np.array([-3.0]), 2.0, 2.0)[0] == -2.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e308)),
+    # weight / beta: 0 by underflow, the least subnormal, and up to 1e308
+    # short of overflow, which would form inf - inf
+    st.one_of(
+        st.sampled_from([(5e-324, 2.0), (5e-324, 1.0)]),
+        st.tuples(st.floats(5e-324, 1e308), st.just(1.0)),
+    ),
     st.lists(
         st.one_of(
             st.sampled_from(["kappa", "-kappa", 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
@@ -288,12 +287,14 @@ def test_soft_threshold_negative_weight_rejected():
     ),
     st.integers(0, 2**32 - 1),
 )
-def test_soft_threshold_is_bitwise_the_two_sided_max_form(kappa, drawn, seed):
+def test_soft_threshold_is_bitwise_the_two_sided_max_form(weight_beta, drawn, seed):
+    weight, beta = weight_beta
+    kappa = weight / beta
     entries = [{"kappa": kappa, "-kappa": -kappa}.get(e, e) for e in drawn]
     a = np.concatenate([entries, np.random.default_rng(seed).standard_normal(len(entries))])
     with np.errstate(over="ignore"):
         reference = np.maximum(a - kappa, 0.0) - np.maximum(-a - kappa, 0.0)
-    got = soft_threshold(a, kappa)
+    got = _soft_threshold(a, weight, beta)
     nan = np.isnan(reference)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), reference[~nan].view(np.uint64))

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,16 +87,32 @@ def test_relaxed_flag_implies_nonnegative_criterion():
             assert rec.criterion_value < 0
 
 
-@pytest.mark.parametrize("shape", [(7,), (300, 1000), (70000, 1), (2, 3, 40000)])
+@pytest.mark.parametrize("shape", [(), (7,), (300, 1000), (70000, 1), (2, 3, 40000)])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("bad", [np.nan, -np.inf])
-def test_require_finite_finds_a_bad_entry_in_any_block(shape, where, bad):
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+def test_require_finite_finds_a_bad_entry_anywhere(shape, where, bad):
     values = np.ones(shape)
     require_finite("values", values)
     index = {"first": 0, "middle": values.size // 2, "last": values.size - 1}[where]
     values.flat[index] = bad
     with pytest.raises(ValueError, match="values must be finite"):
         require_finite("values", values)
+
+
+def test_require_finite_passes_an_empty_array():
+    require_finite("values", np.ones((0, 3)))
+
+
+def test_require_finite_holds_no_mask_of_the_data():
+    values = np.ones((3000, 1000))
+    tracemalloc.start()
+    try:
+        require_finite("values", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a boolean mask of the data would be 3 MB
+    assert peak < 4096
 
 
 @pytest.mark.parametrize(

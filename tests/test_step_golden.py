@@ -8,6 +8,7 @@ record, flag or returned subproblem output.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -79,7 +80,7 @@ def _bits(value):
 
 
 def _record_bits(records):
-    return [tuple(_bits(getattr(r, f)) for f in vars(r)) for r in records]
+    return [tuple(_bits(getattr(r, f.name)) for f in fields(r)) for r in records]
 
 
 def assert_bitwise_like_reference(problem, config, v0):
