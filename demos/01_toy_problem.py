@@ -17,17 +17,18 @@ problem = scalar_chain()
 v0 = EssentialState(np.array([1.0]), np.array([0.0]))
 
 # one prediction sweep: x-solve, y-solve, both multiplier updates; a run
-# hands each step's sweep to its observer, here for one classical step
+# hands each step's point w = (x_next, y_pred, lam_pred) to its observer,
+# here for one classical step
 steps = []
 run(problem, SolverConfig(max_iter=1), v0, observer=lambda *step: steps.append(step))
-pred = steps[0][1]
+w = steps[0][1]
 print("prediction from (y, lam) = (1, 0):")
-print(f"  x_next    = {pred.x_next[0]: .4f}")
-print(f"  y_pred    = {pred.y_pred[0]: .4f}")
-print(f"  lam_pred  = {pred.lam_pred[0]: .4f}   (multiplier from the updated y)")
+print(f"  x_next    = {w.x[0]: .4f}")
+print(f"  y_pred    = {w.y[0]: .4f}")
+print(f"  lam_pred  = {w.lam[0]: .4f}   (multiplier from the updated y)")
 # the early multiplier lam - beta (A x_next + B y - b), taken at the old y; the
 # convergence analysis reads it, the step does not
-lam_early = v0.lam - 1.0 * (pred.ax + problem.apply_B(v0.y) - problem.rhs_b)
+lam_early = v0.lam - 1.0 * (problem.apply_A(w.x) + problem.apply_B(v0.y) - problem.rhs_b)
 print(f"  lam_early = {lam_early[0]: .4f}   (multiplier from the old y)")
 
 # the relaxation gate: extrapolate only when this inner product is >= 0
@@ -40,8 +41,8 @@ print(f"\nrelaxation criterion value = {record.criterion_value:.4f}"
 
 # what the extrapolated point v0 - gamma (v0 - (y_pred, lam_pred)) would be anyway
 gamma = config.gamma
-forced_y = v0.y[0] - gamma * (v0.y[0] - pred.y_pred[0])
-forced_lam = v0.lam[0] - gamma * (v0.lam[0] - pred.lam_pred[0])
+forced_y = v0.y[0] - gamma * (v0.y[0] - w.y[0])
+forced_lam = v0.lam[0] - gamma * (v0.lam[0] - w.lam[0])
 print(f"forced extrapolation with gamma=1.5: y = {forced_y:.4f}, lam = {forced_lam:.4f}")
 
 # full solves with each variant

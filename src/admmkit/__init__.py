@@ -9,7 +9,7 @@ on their shared l1 split (:mod:`admmkit.l1split`), quadratic test instances
 CLI in :mod:`admmkit.cli`).
 """
 
-from .engine import Prediction, SolveResult, SolverError, run
+from .engine import SolveResult, SolverError, run
 from .model import (
     VARIANTS,
     DimensionMismatchError,
@@ -26,7 +26,6 @@ __all__ = [
     "EssentialState",
     "Iterate",
     "IterationRecord",
-    "Prediction",
     "SeparableProblem",
     "SolveResult",
     "SolverConfig",

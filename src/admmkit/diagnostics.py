@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import Prediction, SolverError, _multiplier, run
+from .engine import SolverError, _multiplier, run
 from .model import EssentialState, Iterate, IterationRecord, SeparableProblem, SolverConfig
 from .model import require_instance
 
@@ -54,41 +54,31 @@ def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray) -> float:
     )
 
 
-def _checks(variant: str, relaxed: bool) -> tuple[bool, bool]:
-    """Whether the analysis covers (monotonicity, the gap inequality) on a step.
-
-    Classical steps are Fejer monotone in the unit-gamma metric H(1), and an
-    unrelaxed over-relaxed step is a classical step, so it is monotone in
-    H(gamma) = H(1) / gamma too; the gap inequality covers only the
-    over-relaxed steps that relaxed. The gate-based theory does not cover
-    the relaxed-customized baseline.
-    """
-    return variant != "relaxed_customized", variant == "over_relaxed" and relaxed
-
-
 class FejerMonitor:
     """Online Fejer diagnostics of one solve of ``problem`` under ``config``;
     pass it to :func:`run` as the observer. Classical is analysed at unit
     gamma. B's full column rank is the problem's guarantee (see
-    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_B``,
-    ``problem.rhs_b``, ``n2`` and ``m`` are read. A malformed ``problem``,
-    ``config`` or ``v_star`` raises ValueError naming it, as ``run`` does.
+    :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_A``,
+    ``apply_B``, ``rhs_b``, ``n2`` and ``m`` are read. A malformed
+    ``problem``, ``config`` or ``v_star`` raises ValueError naming it, as
+    ``run`` does.
 
     ``h_dist_sq[k]`` is ||v^k - v*||_H^2 and ``g_norm_sq[k - 1]`` is the gap
     form ||v^(k-1) - v_tilde||_G^2 at step k's auxiliary point. Violations
     are (transition index k, magnitude) pairs for the transition
     v^k -> v^(k+1); they are reported rather than raised so a benchmark can
-    keep running and flag the rows. Which checks apply follows the variant
-    (see :func:`_checks`); the tolerance is 1e-8 times the initial distance,
+    keep running and flag the rows. ``checks`` says whether (the
+    monotonicity check, the gap check) runs under the variant, the gap check
+    on relaxed steps only; the tolerance is 1e-8 times the initial distance,
     which the first step records. Only these per-step floats are kept, never
     the iterates, and one multiplier-sized scratch vector that every step
     reuses.
 
     It also keeps the largest residual of each identity of the reading, for
     a step v -> v+ and d = v - (y_pred, lam_early), lam_early being the
-    multiplier updated with the old y-block, formed here by the engine's
-    formula; 0.0 until a step it covers: ``split``, of lam_pred = lam_early
-    + beta B d.y in the max norm over max(1, ||lam_pred||_inf), on the steps
+    multiplier updated with the old y-block, formed here from A w.x by the
+    engine's formula; 0.0 until a step it covers: ``split``, of lam_pred =
+    lam_early + beta B d.y in the max norm over max(1, ||lam_pred||_inf), on the steps
     the monotonicity check covers; ``correction``, of v+ = v - M d in the
     2-norm over ||v+||, and ``expansion``, of d'Gd = (2 - gamma)/gamma
     ||v - v+||_H^2 + 2 (lam - lam_pred)'B d.y over |d'Gd|, on the steps the
@@ -103,7 +93,12 @@ class FejerMonitor:
         gamma = 1.0 if config.variant == "classical" else config.gamma
         self.problem, self.v_star = problem, v_star.validate(problem, "v_star")
         self.mats = AnalysisMatrices(config.beta, gamma, problem.apply_B)
-        self.variant = config.variant
+        # Classical steps are Fejer monotone in the unit-gamma metric H(1), and an
+        # unrelaxed over-relaxed step is a classical step, so it is monotone in
+        # H(gamma) = H(1) / gamma too; the gap inequality covers only the
+        # over-relaxed steps that relaxed. The gate-based theory does not cover
+        # the relaxed-customized baseline.
+        self.checks = (config.variant != "relaxed_customized", config.variant == "over_relaxed")
         self.h_dist_sq: list[float] = []
         self.g_norm_sq: list[float] = []
         self.monotonicity_violations: list[tuple[int, float]] = []
@@ -116,21 +111,17 @@ class FejerMonitor:
     def clean(self) -> bool:
         return not self.monotonicity_violations and not self.gap_violations
 
-    @property
-    def checks(self) -> tuple[bool, bool]:
-        """Whether (the monotonicity check, the gap check) runs on any step."""
-        return _checks(self.variant, relaxed=True)
-
-    def __call__(self, v_old, pred: Prediction, v_new, record: IterationRecord):
-        mats, (monotone, gap) = self.mats, _checks(self.variant, record.relaxed)
-        lam_early = _multiplier(self.problem, pred.ax, v_old.y, v_old.lam, mats.beta)[0]
-        d = v_old - EssentialState(pred.y_pred, lam_early)
+    def __call__(self, v_old, w: Iterate, v_new, record: IterationRecord):
+        mats, monotone, gap = self.mats, self.checks[0], self.checks[1] and record.relaxed
+        problem = self.problem
+        lam_early = _multiplier(problem, problem.apply_A(w.x), v_old.y, v_old.lam, mats.beta)[0]
+        d = v_old - EssentialState(w.y, lam_early)
         bdy = mats.apply_B(d.y)
         direct = g_form(d, mats, bdy)
         self.g_norm_sq.append(direct)
         if monotone:
             # in place, in d and a kept buffer: new covsel-sized vectors fault pages
-            work = self._work = np.subtract(v_old.lam, pred.lam_pred, out=self._work)
+            work = self._work = np.subtract(v_old.lam, w.lam, out=self._work)
             cross = float(work @ bdy)
             beta_bdy = np.multiply(mats.beta, bdy, out=work)
             if gap:  # v+ - (v - M d), written over d
@@ -140,8 +131,8 @@ class FejerMonitor:
                     np.subtract(new, np.subtract(old, r, out=r), out=r)
                 err, size = (math.sqrt(a.y @ a.y + a.lam @ a.lam) for a in (d, v_new))
                 self.correction = max(self.correction, err / max(size, 1e-300))
-            split = np.subtract(pred.lam_pred, np.add(lam_early, beta_bdy, out=work), out=work)
-            lam_inf = max(1.0, pred.lam_pred.max(initial=0.0), -pred.lam_pred.min(initial=0.0))
+            split = np.subtract(w.lam, np.add(lam_early, beta_bdy, out=work), out=work)
+            lam_inf = max(1.0, w.lam.max(initial=0.0), -w.lam.min(initial=0.0))
             self.split = max(self.split, float(np.abs(split, out=split).max(initial=0.0) / lam_inf))
         del d, bdy, lam_early  # free before the distance's vectors are formed
         if not self.h_dist_sq:
@@ -169,7 +160,7 @@ class FejerMonitor:
         k = rec.k
         if k >= len(self.h_dist_sq):
             return ["", "", "", ""]
-        checked = _checks(self.variant, rec.relaxed)
+        checked = (self.checks[0], self.checks[1] and rec.relaxed)
         flags = [
             int(any(i == k - 1 for i, _ in found)) if ran else ""
             for ran, found in zip(checked, (self.monotonicity_violations, self.gap_violations))

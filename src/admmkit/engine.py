@@ -2,15 +2,16 @@
 
 Each step consumes only the essential pair v = (y, lam): the x-block is an
 intermediary recomputed from v. :func:`run` is the step kernel: each pass of
-its loop runs one prediction sweep to the auxiliary point, evaluates the sign
-criterion on d = v - (y_pred, lam_pred), and either applies the correction
+its loop runs one prediction sweep to the point w = (x_next, y_pred,
+lam_pred), an :class:`~admmkit.model.Iterate`, evaluates the sign criterion
+on d = v - (y_pred, lam_pred), and either applies the correction
 v+ = v - gamma d or takes the predicted pair. The variants differ only in
 two choices: ``classical`` never relaxes, ``over_relaxed`` relaxes when the
 criterion is nonnegative to within its rounding error, and the
 ``relaxed_customized`` baseline updates the multiplier before the y-block
 and always relaxes. The step's :class:`~admmkit.model.IterationRecord` says
 what the gate read (``criterion_value``) and whether it fired (``relaxed``).
-:func:`run` can pass every step, its sweep included, to an observer, which
+:func:`run` can pass every step, its point w included, to an observer, which
 is how :mod:`admmkit.diagnostics` watches a solve; one step is
 ``run(problem, replace(config, max_iter=1), v, observer)``.
 """
@@ -39,25 +40,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """Output of one prediction sweep from the current essential pair.
-
-    ``lam_pred`` is the multiplier the relaxation extrapolates toward: in the
-    plain sweep it is updated with the new y-block, in the multiplier-first
-    sweep with the old one, before the y-block is solved against it. ``ax``
-    is A x_next and ``residual_norm`` the norm of the constraint residual
-    behind ``lam_pred``, so a step can reuse both; the residual itself is
-    not kept.
-    """
-
-    x_next: np.ndarray
-    y_pred: np.ndarray
-    lam_pred: np.ndarray
-    ax: np.ndarray
-    residual_norm: float
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Outcome of :func:`run`: the last point, one record per step, and why
     the solve stopped.
@@ -65,10 +47,11 @@ class SolveResult:
     ``stop_reason`` is ``"converged"`` when the last record met the stopping
     rule, ``"max_iter"`` when the iteration cap came first, and
     ``"non_finite"`` when a norm or threshold of the last step was not finite.
-    ``final`` is the last step's subproblem output (x_next, y_pred,
-    lam_pred), the point the stopping rule certifies. After an unrelaxed
-    step it is the new pair itself; after a relaxed one the observer's
-    ``v_new`` holds the extrapolated pair a continued run starts from.
+    ``final`` is the last step's w = (x_next, y_pred, lam_pred), the very
+    object the observer got (a non-finite step's w is not observed) and the
+    point the stopping rule certifies. After an unrelaxed step it is the new
+    pair itself; after a relaxed one the observer's ``v_new`` holds the
+    extrapolated pair a continued run starts from.
     """
 
     final: Iterate
@@ -88,20 +71,6 @@ class SolveResult:
         """Relaxed steps among those :func:`run` hands its observer (not a non_finite last step)."""
         seen = self.records[:-1] if self.stop_reason == "non_finite" else self.records
         return sum(rec.relaxed for rec in seen)
-
-
-def _predict(problem: SeparableProblem, v: EssentialState, beta: float, multiplier_first: bool):
-    """One prediction sweep from v: x-solve, then the y-solve and multiplier
-    update, the y-block first unless ``multiplier_first``."""
-    x_next = problem.solve_x(v.y, v.lam, beta)
-    ax = problem.apply_A(x_next)
-    if multiplier_first:
-        lam_pred, r_norm = _multiplier(problem, ax, v.y, v.lam, beta)
-        y_pred = problem.solve_y(x_next, lam_pred, beta)
-        return Prediction(x_next, y_pred, lam_pred, ax, r_norm)
-    y_pred = problem.solve_y(x_next, v.lam, beta)
-    lam_pred, r_norm = _multiplier(problem, ax, y_pred, v.lam, beta)
-    return Prediction(x_next, y_pred, lam_pred, ax, r_norm)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -139,10 +108,11 @@ def run(
     ||y - y_prev||_2 falls below sqrt(n2)*eps_abs + eps_rel*||y||. The
     default start is the all-zero essential pair. Records are numbered from
     k = 1 for the first completed step. ``observer``, if given, is called as
-    ``observer(v_old, pred, v_new, record)`` after every step that does not
-    stop the solve as non-finite, with ``record`` the step's entry of
-    ``records``. Norms overflow to inf, and an invalid operation gives NaN,
-    without a numpy warning. A ``v0`` that is not an :class:`EssentialState`
+    ``observer(v_old, w, v_new, record)`` after every step that does not
+    stop the solve as non-finite, with ``w`` the step's subproblem output as
+    an :class:`Iterate` and ``record`` the step's entry of ``records``.
+    Norms overflow to inf, and an invalid operation gives NaN, without a
+    numpy warning. A ``v0`` that is not an :class:`EssentialState`
     of finite vectors of the problem's sizes raises ValueError naming it, and
     so does a ``problem`` that is not a :class:`SeparableProblem`, a
     ``config`` that is not a :class:`SolverConfig` or an ``observer`` that is
@@ -161,13 +131,23 @@ def run(
     lam_norm, b_norm = _norm(v.lam), float(np.linalg.norm(problem.rhs_b))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, config.max_iter + 1):
-            # every array a step allocates is handed on in pred or v_new or dropped
+            # every array a step allocates is handed on in w or v_new or dropped
             # before the observer sees the step, and none is written once handed on
             try:
-                pred = _predict(problem, v, beta, customized)
+                # the sweep: x-solve, then the y-solve and the multiplier update,
+                # the y-block first unless customized; lam_pred is the multiplier
+                # the relaxation extrapolates toward, r_norm the norm of its residual
+                x_next = problem.solve_x(v.y, v.lam, beta)
+                ax = problem.apply_A(x_next)
+                if customized:
+                    lam_pred, r_norm = _multiplier(problem, ax, v.y, v.lam, beta)
+                    y_pred = problem.solve_y(x_next, lam_pred, beta)
+                else:
+                    y_pred = problem.solve_y(x_next, v.lam, beta)
+                    lam_pred, r_norm = _multiplier(problem, ax, y_pred, v.lam, beta)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"subproblem solve failed at iteration {k}: {exc}") from exc
-            dy, dlam = v.y - pred.y_pred, v.lam - pred.lam_pred
+            dy, dlam = v.y - y_pred, v.lam - lam_pred
             # The gate reads crit = dlam . B dy. With exact subproblem solves it is
             # exactly zero once an l1 block's sign pattern settles, so in floating
             # point its sign there is rounding: a value within c*u*S of zero reads
@@ -179,8 +159,8 @@ def run(
             b_gap = problem.apply_B(dy)
             crit, gap_sq = float(dlam.dot(b_gap)), b_gap.dot(b_gap)
             del b_gap
-            ax_norm, lam_pred_norm = _norm(pred.ax), _norm(pred.lam_pred)
-            by_norm = pred.residual_norm + ax_norm + b_norm
+            ax_norm, lam_pred_norm = _norm(ax), _norm(lam_pred)
+            by_norm = r_norm + ax_norm + b_norm
             scale = (lam_norm + lam_pred_norm
                      + beta * (ax_norm + by_norm + b_norm)) * math.sqrt(gap_sq)
             if abs(crit) <= CRITERION_ROUNDING_FACTOR * _UNIT_ROUNDOFF * scale:
@@ -191,22 +171,23 @@ def run(
                 # itself, so a unit-factor relaxed run is bitwise the plain variant
                 g = config.gamma
                 if g == 1.0:
-                    y_new, lam_new = pred.y_pred, pred.lam_pred
+                    y_new, lam_new = y_pred, lam_pred
                 else:
                     dy *= g
                     dlam *= g
                     y_new = np.subtract(v.y, dy, out=dy)
                     lam_new = np.subtract(v.lam, dlam, out=dlam)
                 del dy, dlam  # d's buffers are the new pair or free before the residual
-                r_norm = _norm(_residual(problem, pred.ax, y_new))
+                r_norm = _norm(_residual(problem, ax, y_new))
                 dual = _norm(y_new - v.y)
                 lam_norm = _norm(lam_new)
             else:
-                # an unrelaxed step's change is -d, with the same norm to the bit
-                y_new, lam_new = pred.y_pred, pred.lam_pred
-                dual, r_norm, lam_norm = _norm(dy), pred.residual_norm, lam_pred_norm
+                # an unrelaxed step's change is -d, with the same norm to the bit,
+                # and its residual is the sweep's
+                y_new, lam_new = y_pred, lam_pred
+                dual, lam_norm = _norm(dy), lam_pred_norm
                 del dy, dlam
-            x_norm = ax_norm if pred.ax is pred.x_next else _norm(pred.x_next)
+            x_norm = ax_norm if ax is x_next else _norm(x_next)
             y_norm = _norm(y_new)
             record = IterationRecord(
                 k=k,
@@ -221,14 +202,14 @@ def run(
             # eps_dual carries ||y_new||: eps_rel > 0
             finite = all(map(math.isfinite,
                              (r_norm, dual, lam_norm, record.eps_pri, record.eps_dual)))
-            v_new = EssentialState(y_new, lam_new)
+            w, v_new = Iterate(x_next, y_pred, lam_pred), EssentialState(y_new, lam_new)
             if finite and observer is not None:
-                observer(v, pred, v_new, record)
+                observer(v, w, v_new, record)
             if not finite or record.within_tolerance or k == config.max_iter:
                 break
-            del pred  # free the prediction's arrays before the next step allocates
+            del w, x_next, ax, y_pred, lam_pred  # free the sweep before the next step allocates
             v = v_new
     stop_reason = "converged" if record.within_tolerance else "max_iter"
     if not finite:
         stop_reason = "non_finite"
-    return SolveResult(Iterate(pred.x_next, pred.y_pred, pred.lam_pred), records, stop_reason)
+    return SolveResult(w, records, stop_reason)

@@ -185,7 +185,9 @@ def as_array(name: str, value, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Iterate:
-    """Full point w = (x, y, lam)."""
+    """Full point w = (x, y, lam); a step's subproblem output (x_next, y_pred,
+    lam_pred), which :func:`~admmkit.engine.run` hands its observer and keeps
+    as ``final``."""
 
     x: np.ndarray
     y: np.ndarray

@@ -1,4 +1,3 @@
-import math
 import time
 from dataclasses import dataclass, replace
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from admmkit import (
-    EssentialState, IterationRecord, Prediction, SolverConfig, covsel, lasso, run
+    EssentialState, IterationRecord, SolverConfig, covsel, lasso, run
 )
 from admmkit.covsel import _symmetrize
 from admmkit.model import VARIANTS
@@ -28,7 +27,7 @@ class EssentialChange:
         self.first = self.last = None
         self.flags = bytearray()
 
-    def __call__(self, v_old, pred, v_new, record):
+    def __call__(self, v_old, w, v_new, record):
         d = v_new - v_old
         b_dy = self.apply_B(d.y)
         self.last = float(b_dy @ b_dy + d.lam @ d.lam)
@@ -135,7 +134,7 @@ def solve_traced():
     def solve(problem, config, v0=None):
         trajectory = []
 
-        def observe(v_old, pred, v_new, record):
+        def observe(v_old, w, v_new, record):
             if not trajectory:
                 trajectory.append(v_old)
             trajectory.append(v_new)
@@ -173,17 +172,10 @@ def one_step():
 
 
 def _sweep(problem, v, beta):
-    """The plain prediction sweep from v at ``beta``: the ``pred`` a one-step
-    classical run hands its observer. A non-finite step is not observed, so
-    its sweep is read from ``result.final``, with the constraint residual's
-    norm unknown (NaN)."""
-    seen = []
-    config = SolverConfig(variant="classical", beta=beta, max_iter=1)
-    result = run(problem, config, v, lambda v_old, pred, v_new, record: seen.append(pred))
-    if seen:
-        return seen[0]
-    x, y, lam = result.final.x, result.final.y, result.final.lam
-    return Prediction(x, y, lam, problem.apply_A(x), math.nan)
+    """The plain prediction sweep from v at ``beta``: the point w a one-step
+    classical run hands its observer and returns as ``final``, which a
+    non-finite step, not observed, returns too."""
+    return run(problem, SolverConfig(variant="classical", beta=beta, max_iter=1), v).final
 
 
 @pytest.fixture(scope="session")
@@ -201,10 +193,10 @@ def stacked():
     return _stacked
 
 
-def _lam_tilde(problem, v, pred, beta):
-    """The early multiplier lam - beta (A x_next + B y - b) at the old pair
+def _lam_tilde(problem, v, w, beta):
+    """The early multiplier lam - beta (A w.x + B y - b) at the old pair
     v = (y, lam), written out; the same bits as the engine's multiplier update."""
-    return v.lam - beta * (pred.ax + problem.apply_B(v.y) - problem.rhs_b)
+    return v.lam - beta * (problem.apply_A(w.x) + problem.apply_B(v.y) - problem.rhs_b)
 
 
 @pytest.fixture(scope="session")
@@ -217,8 +209,8 @@ def extrapolate():
     """Reference of the relaxed correction v - gamma (v - (y_pred, lam_pred)),
     applied whether or not the gate would fire, for the analysis identities."""
 
-    def relaxed(v, pred, gamma):
-        d = v - EssentialState(pred.y_pred, pred.lam_pred)
+    def relaxed(v, w, gamma):
+        d = v - EssentialState(w.y, w.lam)
         return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
 
     return relaxed
@@ -231,13 +223,13 @@ def _record(relaxed):
 
 @pytest.fixture
 def forced_step(extrapolate):
-    """(v, pred, v_next, record) of a plain sweep from v whose relaxation by
+    """(v, w, v_next, record) of a plain sweep from v whose relaxation by
     gamma is applied whether or not the gate would fire, and a record saying
     it relaxed: the arguments of an observer call on a forced relaxed step."""
 
     def step(problem, v, beta, gamma):
-        pred = _sweep(problem, v, beta)
-        return v, pred, extrapolate(v, pred, gamma), _record(True)
+        w = _sweep(problem, v, beta)
+        return v, w, extrapolate(v, w, gamma), _record(True)
 
     return step
 
@@ -249,8 +241,8 @@ def observe_transition():
     beta, and a record saying whether the step relaxed."""
 
     def observe(monitor, problem, v_old, v_new, relaxed):
-        pred = _sweep(problem, v_old, monitor.mats.beta)
-        monitor(v_old, pred, v_new, _record(relaxed))
+        w = _sweep(problem, v_old, monitor.mats.beta)
+        monitor(v_old, w, v_new, _record(relaxed))
 
     return observe
 
@@ -325,10 +317,10 @@ def split_residual():
     """Max-norm residual of lam_pred = lam_tilde + beta B(y - y_pred),
     relative to max(1, ||lam_pred||_inf)."""
 
-    def residual(problem, v, pred, mats):
-        lam_tilde = _lam_tilde(problem, v, pred, mats.beta)
-        recombined = lam_tilde + mats.beta * mats.apply_B(v.y - pred.y_pred)
-        return np.abs(pred.lam_pred - recombined).max() / max(1.0, np.abs(pred.lam_pred).max())
+    def residual(problem, v, w, mats):
+        lam_tilde = _lam_tilde(problem, v, w, mats.beta)
+        recombined = lam_tilde + mats.beta * mats.apply_B(v.y - w.y)
+        return np.abs(w.lam - recombined).max() / max(1.0, np.abs(w.lam).max())
 
     return residual
 
@@ -338,8 +330,8 @@ def correction_residual():
     """2-norm residual of v_next = v - M(v - v_tilde) at the auxiliary point
     v_tilde = (y_pred, lam_tilde), relative to ||v_next||."""
 
-    def residual(problem, v, pred, v_next, mats):
-        d = v - EssentialState(pred.y_pred, _lam_tilde(problem, v, pred, mats.beta))
+    def residual(problem, v, w, v_next, mats):
+        d = v - EssentialState(w.y, _lam_tilde(problem, v, w, mats.beta))
         expected = _stacked(v) - mats.M @ _stacked(d)
         target = _stacked(v_next)
         return np.linalg.norm(target - expected) / max(np.linalg.norm(target), 1e-300)
@@ -352,11 +344,11 @@ def expansion_mismatch():
     """|d'Gd - e| / |d'Gd| for d = v - v_tilde and its step form
     e = (2 - gamma)/gamma ||v - v_next||_H^2 + 2 (lam - lam_pred)'B(y - y_pred)."""
 
-    def mismatch(problem, v, pred, v_next, mats):
-        d = _stacked(v - EssentialState(pred.y_pred, _lam_tilde(problem, v, pred, mats.beta)))
+    def mismatch(problem, v, w, v_next, mats):
+        d = _stacked(v - EssentialState(w.y, _lam_tilde(problem, v, w, mats.beta)))
         step = _stacked(v - v_next)
         direct = d @ mats.G @ d
-        cross = (v.lam - pred.lam_pred) @ mats.apply_B(v.y - pred.y_pred)
+        cross = (v.lam - w.lam) @ mats.apply_B(v.y - w.y)
         expanded = (2.0 - mats.gamma) / mats.gamma * (step @ mats.H @ step) + 2.0 * cross
         return abs(direct - expanded) / max(abs(direct), 1e-300)
 

@@ -89,14 +89,14 @@ def test_criterion_3_exact_algebraic_identities(
         # matrix-free monitor
         v = EssentialState(rng.standard_normal(n2), rng.standard_normal(m))
         step = forced_step(problem, v, beta, gamma)
-        _, pred, v_next, _ = step
+        _, w, v_next, _ = step
         config = SolverConfig(variant="over_relaxed", beta=beta, gamma=gamma)
         monitor = FejerMonitor(problem, config, v)
         monitor(*step)
         for name, value in (
-            ("split", split_residual(problem, v, pred, mats)),
-            ("correction", correction_residual(problem, v, pred, v_next, mats)),
-            ("expansion", expansion_mismatch(problem, v, pred, v_next, mats)),
+            ("split", split_residual(problem, v, w, mats)),
+            ("correction", correction_residual(problem, v, w, v_next, mats)),
+            ("expansion", expansion_mismatch(problem, v, w, v_next, mats)),
         ):
             worst[name] = np.maximum(worst[name], getattr(monitor, name))
             formulas[name] = np.maximum(formulas[name], value)

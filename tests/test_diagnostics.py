@@ -140,12 +140,12 @@ def test_monitor_takes_its_forms_at_the_written_out_lam_tilde(
     monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
     split = [0.0]
 
-    def observe(v, pred, v_new, record):
-        d = v - EssentialState(pred.y_pred, lam_tilde(instance, v, pred, config.beta))
+    def observe(v, w, v_new, record):
+        d = v - EssentialState(w.y, lam_tilde(instance, v, w, config.beta))
         gap_form = g_form(d, monitor.mats, monitor.mats.apply_B(d.y))
         if monitor.checks[0]:
-            split[0] = max(split[0], split_residual(instance, v, pred, monitor.mats))
-        monitor(v, pred, v_new, record)
+            split[0] = max(split[0], split_residual(instance, v, w, monitor.mats))
+        monitor(v, w, v_new, record)
         assert monitor.g_norm_sq[-1] == gap_form
         assert monitor.split == split[0]
 
@@ -196,9 +196,9 @@ def test_monitor_reuses_the_gap_forms_B_application(variant, rng):
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     seen = []
 
-    def observe(v, pred, v_new, record):
+    def observe(v, w, v_new, record):
         before = problem.b_calls
-        monitor(v, pred, v_new, record)
+        monitor(v, w, v_new, record)
         seen.append((problem.b_calls - before, record.relaxed))
 
     v0 = EssentialState(rng.standard_normal(4), rng.standard_normal(6))
@@ -228,10 +228,10 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
         monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         seen = []
 
-        def observe(v, pred, v_new, record):
-            arrays = (v.y, v.lam, v_new.y, v_new.lam, pred.y_pred, pred.lam_pred, pred.ax)
+        def observe(v, w, v_new, record):
+            arrays = (v.y, v.lam, v_new.y, v_new.lam, w.x, w.y, w.lam)
             seen.extend((a, a.tobytes()) for a in arrays)
-            monitor(v, pred, v_new, record)
+            monitor(v, w, v_new, record)
 
         run(problem, config, v0, observer=observe)
         assert all(a.tobytes() == before for a, before in seen)
@@ -244,12 +244,12 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
 def test_expansion_zero_at_fixed_point(sweep, expansion_mismatch, dense_matrices, dense_B):
     chain = scalar_chain()
     v = EssentialState(np.array([0.0]), np.array([0.0]))
-    pred = sweep(chain, v, 1.0)
+    w = sweep(chain, v, 1.0)
     mats = dense_matrices(dense_B(chain), 1.0, 1.5)
     monitor = FejerMonitor(chain, SolverConfig(variant="over_relaxed", beta=1.0, gamma=1.5), v)
-    monitor(v, pred, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))
+    monitor(v, w, v, IterationRecord(1, 0.0, 0.0, 0.0, True, 0.0, 0.0))
     assert monitor.g_norm_sq == [0.0]
-    assert monitor.expansion == 0.0 and expansion_mismatch(chain, v, pred, v, mats) == 0.0
+    assert monitor.expansion == 0.0 and expansion_mismatch(chain, v, w, v, mats) == 0.0
 
 
 def test_expansion_matches_direct_form_on_forced_relaxation(
@@ -271,8 +271,8 @@ def test_gap_form_nonnegative_on_criterion_held_steps():
     monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
     steps = []
 
-    def observe(v, pred, v_new, record):
-        monitor(v, pred, v_new, record)
+    def observe(v, w, v_new, record):
+        monitor(v, w, v_new, record)
         steps.append((v, v_new, record.relaxed))
 
     run(instance, config, observer=observe)
@@ -300,19 +300,19 @@ def test_correction_identity_with_unit_gamma_on_plain_steps(
     problem = small_quadratic
     mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.0)
     v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
-    _, pred, _, record = forced_step(problem, v, 0.9, 1.0)
+    _, w, _, record = forced_step(problem, v, 0.9, 1.0)
     config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.0)
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
-    plain = EssentialState(pred.y_pred, pred.lam_pred)
-    monitor(v, pred, plain, record)
+    plain = EssentialState(w.y, w.lam)
+    monitor(v, w, plain, record)
     assert monitor.correction <= 1e-12
-    assert correction_residual(problem, v, pred, plain, mats) <= 1e-12
+    assert correction_residual(problem, v, w, plain, mats) <= 1e-12
 
 
 def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_identities(
     rng, small_quadratic, forced_step, split_residual, correction_residual, expansion_mismatch, dense_matrices, dense_B
 ):
-    # a perturbed A x_next, and so lam_tilde, and v_next break all three
+    # a perturbed x_next, and so A x_next and lam_tilde, and v_next break all three
     # identities by far more than rounding, so the monitor's values and the
     # formulas' must agree
     problem = small_quadratic
@@ -320,17 +320,17 @@ def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_ident
     config = SolverConfig(variant="over_relaxed", beta=0.9, gamma=1.7)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
-        _, pred, v_next, record = forced_step(problem, v, 0.9, 1.7)
-        pred = replace(pred, ax=pred.ax + 0.1 * rng.standard_normal(problem.m))
+        _, w, v_next, record = forced_step(problem, v, 0.9, 1.7)
+        w = replace(w, x=w.x + 0.1 * rng.standard_normal(problem.n1))
         v_next = EssentialState(v_next.y + 0.1 * rng.standard_normal(problem.n2), v_next.lam)
         monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
-        monitor(v, pred, v_next, record)
-        assert monitor.split == pytest.approx(split_residual(problem, v, pred, mats), rel=1e-9)
+        monitor(v, w, v_next, record)
+        assert monitor.split == pytest.approx(split_residual(problem, v, w, mats), rel=1e-9)
         assert monitor.correction == pytest.approx(
-            correction_residual(problem, v, pred, v_next, mats), rel=1e-9
+            correction_residual(problem, v, w, v_next, mats), rel=1e-9
         )
         assert monitor.expansion == pytest.approx(
-            expansion_mismatch(problem, v, pred, v_next, mats), rel=1e-9
+            expansion_mismatch(problem, v, w, v_next, mats), rel=1e-9
         )
         assert min(monitor.split, monitor.correction, monitor.expansion) > 1e-6
 
@@ -394,9 +394,9 @@ def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
     monitor = FejerMonitor(small_quadratic, config, ref)
     pairs = []
 
-    def observe(v_old, pred, v_new, record):
+    def observe(v_old, w, v_new, record):
         pairs.extend([v_new] if pairs else [v_old, v_new])
-        monitor(v_old, pred, v_new, record)
+        monitor(v_old, w, v_new, record)
 
     run(small_quadratic, config, observer=observe)
     unit = AnalysisMatrices(config.beta, 1.0, small_quadratic.apply_B)

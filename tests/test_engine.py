@@ -3,13 +3,14 @@ import pytest
 
 from admmkit import (
     EssentialState,
+    Iterate,
     SolverConfig,
     SolverError,
     run,
 )
 from admmkit import lasso
 from admmkit.covsel import generate_instance as generate_covsel
-from admmkit.diagnostics import FejerMonitor
+from admmkit.diagnostics import FejerMonitor, kkt_residual
 from admmkit.quadratic import QuadraticProblem
 
 
@@ -17,11 +18,11 @@ from admmkit.quadratic import QuadraticProblem
 # y_pred = (beta*x - lam)/(1+beta)
 
 def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde, sweep):
-    pred = sweep(chain, chain_start, 1.0)
-    assert pred.x_next == pytest.approx(0.5)
-    assert pred.y_pred == pytest.approx(0.25)
-    assert pred.lam_pred == pytest.approx(-0.25)
-    assert lam_tilde(chain, chain_start, pred, 1.0) == pytest.approx(0.5)
+    w = sweep(chain, chain_start, 1.0)
+    assert w.x == pytest.approx(0.5)
+    assert w.y == pytest.approx(0.25)
+    assert w.lam == pytest.approx(-0.25)
+    assert lam_tilde(chain, chain_start, w, 1.0) == pytest.approx(0.5)
 
 
 def test_prediction_multiplier_split_identity(
@@ -40,17 +41,17 @@ def test_prediction_multiplier_split_identity(
 
 def test_predict_at_fixed_point_keeps_multiplier(chain, sweep):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
-    pred = sweep(chain, v, 1.0)
-    assert np.array_equal(pred.lam_pred, v.lam)
+    w = sweep(chain, v, 1.0)
+    assert np.array_equal(w.lam, v.lam)
 
 
 def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residual, sweep):
     instance, _ = lasso.generate_instance(60, 100, 1)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(100), rng.standard_normal(100))
-        pred = sweep(instance, v, 1.0)
-        assert subproblem_residual(instance, "x", pred.x_next, v.y, v.lam, 1.0) <= 1e-10
-        assert subproblem_residual(instance, "y", pred.x_next, pred.y_pred, v.lam, 1.0) <= 1e-10
+        w = sweep(instance, v, 1.0)
+        assert subproblem_residual(instance, "x", w.x, v.y, v.lam, 1.0) <= 1e-10
+        assert subproblem_residual(instance, "y", w.x, w.y, v.lam, 1.0) <= 1e-10
 
 
 def test_criterion_zero_at_fixed_point(chain, one_step):
@@ -61,13 +62,13 @@ def test_criterion_zero_at_fixed_point(chain, one_step):
 
 
 def test_relax_gamma_one_returns_prediction_exactly(chain, chain_start):
-    # a relaxed unit-gamma step hands the observer pred's own arrays, no arithmetic
+    # a relaxed unit-gamma step hands the observer w's own arrays, no arithmetic
     seen = []
     config = SolverConfig(variant="relaxed_customized", gamma=1.0, max_iter=1)
     result = run(chain, config, chain_start, lambda *step: seen.append(step))
-    (_, pred, v_new, rec), = seen
+    (_, w, v_new, rec), = seen
     assert rec.relaxed and rec is result.records[0]
-    assert v_new.y is pred.y_pred and v_new.lam is pred.lam_pred
+    assert v_new.y is w.y and v_new.lam is w.lam
 
 
 def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_start, one_step):
@@ -198,9 +199,9 @@ def test_dual_update_consistency_on_plain_steps(solve_traced, sweep):
     config = SolverConfig(variant="classical", max_iter=60)
     result, traj = solve_traced(instance, config)
     for k in range(len(traj) - 1):
-        pred = sweep(instance, traj[k], config.beta)
+        w = sweep(instance, traj[k], config.beta)
         expected = traj[k].lam - config.beta * instance.constraint_residual(
-            pred.x_next, traj[k + 1].y
+            w.x, traj[k + 1].y
         )
         assert np.array_equal(traj[k + 1].lam, expected)
 
@@ -213,9 +214,8 @@ def test_no_array_is_written_after_it_reaches_the_observer(make, variant):
     problem = make()
     seen = []
 
-    def observe(v, pred, v_new, record):
-        arrays = (v.y, v.lam, pred.x_next, pred.y_pred, pred.lam_pred, pred.ax,
-                  v_new.y, v_new.lam)
+    def observe(v, w, v_new, record):
+        arrays = (v.y, v.lam, w.x, w.y, w.lam, v_new.y, v_new.lam)
         seen.append([(a, a.tobytes()) for a in arrays])
 
     config = SolverConfig(variant=variant, gamma=1.7, max_iter=60)
@@ -260,17 +260,20 @@ def test_stop_reason_agrees_with_converged_and_iterations(
     assert len(observed) == len(seen)
     assert all(step[-1] is rec for step, rec in zip(observed, seen))
     # final is the last step's subproblem output, not the pair a relaxed step
-    # extrapolates to; a non-finite step's output is formed from the last pair observed
-    _, pred, v_new, record = observed[-1]
-    if case == "non_finite":
-        pred = sweep(problem, v_new, config.beta)
+    # extrapolates to: the very Iterate the observer got last, which kkt_residual
+    # takes as it is; a non-finite step's output is formed from the last pair observed
+    _, w, v_new, record = observed[-1]
     final = result.final
-    for got, want in zip((final.x, final.y, final.lam), (pred.x_next, pred.y_pred, pred.lam_pred)):
-        assert got.tobytes() == want.tobytes()
+    if case == "non_finite":
+        w = sweep(problem, v_new, config.beta)
+        for got, want in zip((final.x, final.y, final.lam), (w.x, w.y, w.lam)):
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(final.y).all()
+    else:
+        assert w is final and isinstance(w, Iterate)
+        assert kkt_residual(problem, w) >= 0.0
     if case == "max_iter":
         assert record.relaxed and final.y.tobytes() != v_new.y.tobytes()
-    if case == "non_finite":
-        assert np.isnan(final.y).all()
 
 
 class _FactorizationBreaks(QuadraticProblem):

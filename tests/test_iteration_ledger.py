@@ -92,7 +92,7 @@ def compute():
                               eps_abs=eps_abs, eps_rel=eps_rel)
         flags = bytearray()
         result = run(instances[problem, size, seed], config,
-                     observer=lambda v_old, pred, v_new, record: flags.append(record.relaxed))
+                     observer=lambda v_old, w, v_new, record: flags.append(record.relaxed))
         key = tuple(map(str, (problem, size, seed, beta, gamma, eps_abs, eps_rel, variant)))
         rows[key] = _values(result, flags)
     return rows

@@ -96,11 +96,11 @@ def test_split_and_correction_identities_on_every_step(
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     mats = dense_matrices(dense_B(problem), beta, monitor.mats.gamma)
     _, steps = _observed(problem, config, v0)
-    for v, pred, v_new, record in steps:
-        monitor(v, pred, v_new, record)
-        assert split_residual(problem, v, pred, mats) <= 1e-12
+    for v, w, v_new, record in steps:
+        monitor(v, w, v_new, record)
+        assert split_residual(problem, v, w, mats) <= 1e-12
         if record.relaxed:
-            assert correction_residual(problem, v, pred, v_new, mats) <= 1e-12
+            assert correction_residual(problem, v, w, v_new, mats) <= 1e-12
     assert monitor.split <= 1e-12 and monitor.correction <= 1e-12
 
 
@@ -110,10 +110,10 @@ def test_operator_applications_per_step(lam_tilde, case, variant):
     problem, v0, beta, gamma = case
     marks = []  # (calls when the step ends, calls when the observer returns, relaxed)
 
-    def observe(v, pred, v_new, record):
+    def observe(v, w, v_new, record):
         end = (problem.a_calls, problem.b_calls)
         if variant == "relaxed_customized":  # its multiplier is the early one, to the bit
-            assert pred.lam_pred.tobytes() == lam_tilde(problem, v, pred, beta).tobytes()
+            assert w.lam.tobytes() == lam_tilde(problem, v, w, beta).tobytes()
         marks.append((end, (problem.a_calls, problem.b_calls), record.relaxed))
 
     run(problem, _config(variant, beta, gamma), v0, observer=observe)
