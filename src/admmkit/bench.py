@@ -173,11 +173,11 @@ def generate_instance(problem: str, size, seed: int, tau: float | None = None):
 
 
 def write_trajectory_csv(path: Path, result: SolveResult, diag: FejerMonitor | None):
-    """One row per step of ``result``; with ``diag``, the monitor's four
-    analysis cells too, blank on a step it did not observe."""
+    """One row per step of ``result``; with ``diag``, the monitor's
+    ``COLUMNS`` too, blank on a step it did not observe."""
     header = ["k", "primal_residual", "dual_residual", "criterion_value", "relaxed"]
     if diag is not None:
-        header += ["h_dist_sq", "g_norm_sq", "monotone_violation", "gap_violation"]
+        header += diag.COLUMNS
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -15,8 +15,7 @@ alone, through quadratic forms that need only applications of B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,24 +27,17 @@ from .model import require_instance
 REFERENCE_MAX_ITER = 10000
 
 
-@dataclass(frozen=True)
-class AnalysisMatrices:
-    """Analysis objects for a fixed (B, beta, gamma): the quadratic forms of
-    H and G need only ``beta``, ``gamma`` and ``apply_B``."""
-
-    beta: float
-    gamma: float
-    apply_B: Callable[[np.ndarray], np.ndarray]
-
-
-def h_norm_sq(v: EssentialState, mats: AnalysisMatrices) -> float:
-    """Quadratic form v'Hv = (beta ||B y||^2 + ||lam||^2 / beta) / gamma."""
+def h_norm_sq(v: EssentialState, mats) -> float:
+    """Quadratic form v'Hv = (beta ||B y||^2 + ||lam||^2 / beta) / gamma, of the
+    ``beta``, ``gamma`` and ``apply_B`` that ``mats`` holds, as a
+    :class:`FejerMonitor` does."""
     by = mats.apply_B(v.y)
     return float((mats.beta * (by @ by) + (v.lam @ v.lam) / mats.beta) / mats.gamma)
 
 
-def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray) -> float:
-    """Quadratic form d'Gd, given ``bdy`` = B d.y; sign-indefinite for gamma > 1."""
+def g_form(d: EssentialState, mats, bdy: np.ndarray) -> float:
+    """Quadratic form d'Gd of ``mats`` as in :func:`h_norm_sq`, given ``bdy`` =
+    B d.y; sign-indefinite for gamma > 1."""
     gamma, beta = mats.gamma, mats.beta
     return float(
         (2.0 - 2.0 * gamma) * beta * (bdy @ bdy)
@@ -56,8 +48,10 @@ def g_form(d: EssentialState, mats: AnalysisMatrices, bdy: np.ndarray) -> float:
 
 class FejerMonitor:
     """Online Fejer diagnostics of one solve of ``problem`` under ``config``;
-    pass it to :func:`run` as the observer. Classical is analysed at unit
-    gamma. B's full column rank is the problem's guarantee (see
+    pass it to :func:`run` as the observer. It holds the analysis's
+    ``beta``, ``gamma`` and ``apply_B``, so it is itself the ``mats`` of
+    :func:`h_norm_sq` and :func:`g_form`; classical is analysed at unit gamma.
+    B's full column rank is the problem's guarantee (see
     :class:`~admmkit.model.SeparableProblem`); only ``problem.apply_A``,
     ``apply_B``, ``rhs_b``, ``n2`` and ``m`` are read. A malformed
     ``problem``, ``config`` or ``v_star`` raises ValueError naming it, as
@@ -90,9 +84,9 @@ class FejerMonitor:
         require_instance("problem", problem, SeparableProblem)
         require_instance("config", config, SolverConfig)
         require_instance("v_star", v_star, EssentialState)
-        gamma = 1.0 if config.variant == "classical" else config.gamma
         self.problem, self.v_star = problem, v_star.validate(problem, "v_star")
-        self.mats = AnalysisMatrices(config.beta, gamma, problem.apply_B)
+        self.beta, self.apply_B = config.beta, problem.apply_B
+        self.gamma = 1.0 if config.variant == "classical" else config.gamma
         # Classical steps are Fejer monotone in the unit-gamma metric H(1), and an
         # unrelaxed over-relaxed step is a classical step, so it is monotone in
         # H(gamma) = H(1) / gamma too; the gap inequality covers only the
@@ -112,22 +106,22 @@ class FejerMonitor:
         return not self.monotonicity_violations and not self.gap_violations
 
     def __call__(self, v_old, w: Iterate, v_new, record: IterationRecord):
-        mats, monotone, gap = self.mats, self.checks[0], self.checks[1] and record.relaxed
+        monotone, gap = self.checks[0], self.checks[1] and record.relaxed
         problem = self.problem
-        lam_early = _multiplier(problem, problem.apply_A(w.x), v_old.y, v_old.lam, mats.beta)[0]
+        lam_early = _multiplier(problem, problem.apply_A(w.x), v_old.y, v_old.lam, self.beta)[0]
         d = v_old - EssentialState(w.y, lam_early)
-        bdy = mats.apply_B(d.y)
-        direct = g_form(d, mats, bdy)
+        bdy = self.apply_B(d.y)
+        direct = g_form(d, self, bdy)
         self.g_norm_sq.append(direct)
         if monotone:
             # in place, in d and a kept buffer: new covsel-sized vectors fault pages
             work = self._work = np.subtract(v_old.lam, w.lam, out=self._work)
             cross = float(work @ bdy)
-            beta_bdy = np.multiply(mats.beta, bdy, out=work)
+            beta_bdy = np.multiply(self.beta, bdy, out=work)
             if gap:  # v+ - (v - M d), written over d
                 np.subtract(d.lam, beta_bdy, out=d.lam)
                 for r, old, new in ((d.y, v_old.y, v_new.y), (d.lam, v_old.lam, v_new.lam)):
-                    r *= mats.gamma
+                    r *= self.gamma
                     np.subtract(new, np.subtract(old, r, out=r), out=r)
                 err, size = (math.sqrt(a.y @ a.y + a.lam @ a.lam) for a in (d, v_new))
                 self.correction = max(self.correction, err / max(size, 1e-300))
@@ -136,30 +130,32 @@ class FejerMonitor:
             self.split = max(self.split, float(np.abs(split, out=split).max(initial=0.0) / lam_inf))
         del d, bdy, lam_early  # free before the distance's vectors are formed
         if not self.h_dist_sq:
-            dist = h_norm_sq(v_old - self.v_star, mats)
+            dist = h_norm_sq(v_old - self.v_star, self)
             self.h_dist_sq.append(dist)
             self.tol = 1e-8 * max(dist, 1e-300)
         k = len(self.h_dist_sq) - 1
         before = self.h_dist_sq[-1]
-        after = h_norm_sq(v_new - self.v_star, mats)
+        after = h_norm_sq(v_new - self.v_star, self)
         self.h_dist_sq.append(after)
         if monotone and after > before + self.tol:
             self.monotonicity_violations.append((k, after - before))
         if gap:
-            step_form = (2.0 - mats.gamma) / mats.gamma * h_norm_sq(v_old - v_new, mats)
+            step_form = (2.0 - self.gamma) / self.gamma * h_norm_sq(v_old - v_new, self)
             rhs = before - after
             if step_form > rhs + self.tol:
                 self.gap_violations.append((k, step_form - rhs))
             expanded = step_form + 2.0 * cross
             self.expansion = max(self.expansion, abs(direct - expanded) / max(abs(direct), 1e-300))
 
+    COLUMNS = ("h_dist_sq", "g_norm_sq", "monotone_violation", "gap_violation")
+
     def row(self, rec: IterationRecord) -> list:
-        """h_dist_sq, g_norm_sq and the two violation flags of the step behind
-        ``rec`` as CSV cells; a flag is blank when its check did not run on
-        the step, and every cell is blank when the step was not observed."""
+        """The :attr:`COLUMNS` cells of the step behind ``rec``; a flag is
+        blank when its check did not run on the step, and every cell is blank
+        when the step was not observed."""
         k = rec.k
         if k >= len(self.h_dist_sq):
-            return ["", "", "", ""]
+            return [""] * len(self.COLUMNS)
         checked = (self.checks[0], self.checks[1] and rec.relaxed)
         flags = [
             int(any(i == k - 1 for i, _ in found)) if ran else ""

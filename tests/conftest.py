@@ -241,7 +241,7 @@ def observe_transition():
     beta, and a record saying whether the step relaxed."""
 
     def observe(monitor, problem, v_old, v_new, relaxed):
-        w = _sweep(problem, v_old, monitor.mats.beta)
+        w = _sweep(problem, v_old, monitor.beta)
         monitor(v_old, w, v_new, _record(relaxed))
 
     return observe
@@ -251,8 +251,8 @@ def observe_transition():
 class DenseMatrices:
     """M, Q, H = Q M^-1 and G = Q' + Q - M'HM of the prediction-correction
     reading (He & Yuan 2012) for a dense B, as (n2+m) x (n2+m) arrays with the
-    block layout [y-block; multiplier-block]. It has the ``beta``, ``gamma``
-    and ``apply_B`` of AnalysisMatrices, so h_norm_sq and g_form take it too."""
+    block layout [y-block; multiplier-block]. It has ``beta``, ``gamma`` and
+    ``apply_B``, as a FejerMonitor does, so h_norm_sq and g_form take it too."""
 
     beta: float
     gamma: float

@@ -286,3 +286,10 @@ def test_x_stationarity_at_a_singular_x_is_inf():
     assert instance.smooth(zero) == math.inf
     assert instance.x_stationarity(zero, zero) == math.inf
     assert kkt_residual(instance, Iterate(zero, zero, zero)) == math.inf
+
+
+def test_smooth_term_at_a_positive_definite_x():
+    # tr(S X) - log det X at X = 2I is 2 tr(S) - n log 2
+    instance, _ = generate_instance(10, 0)
+    expected = 2.0 * np.trace(instance.S) - 10 * math.log(2.0)
+    assert instance.smooth(2.0 * np.eye(10).ravel()) == pytest.approx(expected, rel=1e-14)

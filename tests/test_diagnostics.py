@@ -1,5 +1,5 @@
 import copy
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from admmkit import covsel, lasso
 from admmkit.bench import GAMMA_DEFAULTS
 from admmkit.diagnostics import (
     REFERENCE_MAX_ITER,
-    AnalysisMatrices,
     FejerMonitor,
     g_form,
     h_norm_sq,
@@ -67,7 +66,11 @@ def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
 def test_matrix_free_forms_agree_with_dense(rng, dense_matrices, dense_B):
     instance, _ = lasso.generate_instance(20, 30, 7)
     dense = dense_matrices(dense_B(instance), beta=1.3, gamma=1.6)
-    free = AnalysisMatrices(1.3, 1.6, apply_B=instance.apply_B)
+    free = FejerMonitor(
+        instance,
+        SolverConfig(variant="over_relaxed", beta=1.3, gamma=1.6),
+        EssentialState.zeros(instance),
+    )
     assert dense.H is not None and not hasattr(free, "H")
     for _ in range(10):
         v = EssentialState(rng.standard_normal(30), rng.standard_normal(30))
@@ -93,9 +96,9 @@ def test_monitor_is_matrix_free(variant):
     for instance, gamma in [*_small_instances().values(), (large, 1.8)]:
         config = SolverConfig(variant=variant, beta=0.8, gamma=gamma)
         monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
-        assert [f.name for f in fields(monitor.mats)] == ["beta", "gamma", "apply_B"]
-        assert monitor.mats.apply_B == instance.apply_B
-        assert monitor.mats.gamma == (1.0 if variant == "classical" else gamma)
+        assert not any(hasattr(monitor, name) for name in ("M", "Q", "H", "G"))
+        assert monitor.apply_B == instance.apply_B
+        assert monitor.gamma == (1.0 if variant == "classical" else gamma)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -104,8 +107,8 @@ def test_dense_identities_hold_for_each_diagnosed_problem(kind, variant, dense_m
     # H = Q M^-1 and G = Q' + Q - M'HM at the (B, beta, gamma) a diagnose run analyses
     instance, gamma = _small_instances()[kind]
     config = SolverConfig(variant=variant, gamma=gamma)
-    mats = FejerMonitor(instance, config, EssentialState.zeros(instance)).mats
-    dense = dense_matrices(dense_B(instance), mats.beta, mats.gamma)
+    monitor = FejerMonitor(instance, config, EssentialState.zeros(instance))
+    dense = dense_matrices(dense_B(instance), monitor.beta, monitor.gamma)
     assert dense.h_residual <= 1e-10
     assert dense.g_residual <= 1e-12 * max(1.0, float(np.abs(dense.G).max()))
 
@@ -142,9 +145,9 @@ def test_monitor_takes_its_forms_at_the_written_out_lam_tilde(
 
     def observe(v, w, v_new, record):
         d = v - EssentialState(w.y, lam_tilde(instance, v, w, config.beta))
-        gap_form = g_form(d, monitor.mats, monitor.mats.apply_B(d.y))
+        gap_form = g_form(d, monitor, monitor.apply_B(d.y))
         if monitor.checks[0]:
-            split[0] = max(split[0], split_residual(instance, v, w, monitor.mats))
+            split[0] = max(split[0], split_residual(instance, v, w, monitor))
         monitor(v, w, v_new, record)
         assert monitor.g_norm_sq[-1] == gap_form
         assert monitor.split == split[0]
@@ -380,14 +383,16 @@ def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance(observe_trans
     v_old = EssentialState(np.array([1.0]), np.array([0.5]))
     grow = np.sqrt(1.0 + 1e-6)
     report = FejerMonitor(chain, SolverConfig(variant="classical", beta=1.0, gamma=1.0), v_star)
-    d0 = h_norm_sq(v_old, report.mats)
+    d0 = h_norm_sq(v_old, report)
     v_new = EssentialState(grow * v_old.y, grow * v_old.lam)
     observe_transition(report, chain, v_old, v_new, False)
     assert [k for k, _ in report.monotonicity_violations] == [0]
     assert report.monotonicity_violations[0][1] == pytest.approx(1e-6 * d0, rel=1e-6)
 
 
-def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
+def test_classical_monitor_measures_in_the_unit_gamma_metric(
+    small_quadratic, dense_matrices, dense_B
+):
     # classical steps are analysed at H(1), whatever gamma the config carries
     config = SolverConfig(variant="classical", beta=0.8, gamma=1.6, max_iter=40)
     ref = reference_solution(small_quadratic, replace(config, eps_abs=1e-8, eps_rel=1e-6))
@@ -399,7 +404,7 @@ def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
         monitor(v_old, w, v_new, record)
 
     run(small_quadratic, config, observer=observe)
-    unit = AnalysisMatrices(config.beta, 1.0, small_quadratic.apply_B)
+    unit = dense_matrices(dense_B(small_quadratic), config.beta, 1.0)
     assert len(pairs) > 2
     assert monitor.h_dist_sq == [h_norm_sq(v - ref, unit) for v in pairs]
 

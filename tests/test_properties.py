@@ -94,7 +94,7 @@ def test_split_and_correction_identities_on_every_step(
     problem, v0, beta, gamma = case
     config = _config(variant, beta, gamma)
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
-    mats = dense_matrices(dense_B(problem), beta, monitor.mats.gamma)
+    mats = dense_matrices(dense_B(problem), beta, monitor.gamma)
     _, steps = _observed(problem, config, v0)
     for v, w, v_new, record in steps:
         monitor(v, w, v_new, record)

@@ -1,5 +1,9 @@
-"""Property tests over small seeded Lasso and covariance-selection instances."""
+"""Property tests over small seeded Lasso and covariance-selection instances,
+and each workload's objective against a long reference run."""
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,3 +45,25 @@ def test_converged_solve_meets_the_kkt_bound(instance, variant, beta, gamma):
     rec = result.records[-1]
     bound = max(1.0, beta) * (rec.eps_pri + rec.eps_dual)
     assert kkt_residual(instance, result.final) <= bound
+
+
+@pytest.mark.parametrize(
+    "instance, point",
+    [
+        # Lasso at the feasible pair (y, y); covsel at (x, y), its log-det read
+        # at the positive-definite x-block
+        (lasso.generate_instance(100, 200, 6)[0], lambda w: (w.y, w.y)),
+        (covsel.generate_instance(30, 0)[0], lambda w: (w.x, w.y)),
+    ],
+    ids=["lasso", "covsel"],
+)
+def test_objective_agrees_with_long_reference_run(instance, point):
+    result = run(instance, SolverConfig(variant="over_relaxed", gamma=1.8, max_iter=500))
+    assert result.converged
+    reference = run(
+        instance,
+        SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-10, max_iter=10000),
+    )
+    value = instance.objective(*point(result.final))
+    ref_value = instance.objective(*point(reference.final))
+    assert math.isfinite(ref_value) and value == pytest.approx(ref_value, rel=1e-4)
