@@ -9,10 +9,13 @@ reasons.
 
 A statement is a line that the compiled code attributes instructions to. An
 ``if``'s outcomes are read from the arcs between consecutive line events of
-one frame: it was entered when an arc leaves its test for its body, and
-skipped when one leaves its test for anywhere else, the frame's return
-included. Arcs that follow an exception are no outcome. So an ``if`` must
-keep its body off its test's lines.
+one frame, kept apart for each code object: it was entered when an arc leaves
+its test for its body, and skipped when one leaves its test for anywhere
+else, the frame's return included. Only the arcs of the code object that runs
+the ``if`` itself count, the one whose lines hold both its test and its body;
+a comprehension, generator expression or lambda in the test has a code object
+of its own, whose return is no skip. Arcs that follow an exception are no
+outcome. So an ``if`` must keep its body off its test's lines.
 
 The verdict is coverage alone; tier-1's own status is printed, not judged.
 Under CPython 3.11 a tracer materializes frame locals, which keeps
@@ -20,9 +23,7 @@ temporaries alive and so raises the peaks that the memory tests bound.
 
 Usage, from any directory:
 
-    python tools/branch_trace.py [pytest arguments]
-
-Without arguments it runs the tier-1 command's tests.
+    python tools/branch_trace.py
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ EXIT = 0  # arc target of a frame's return; line numbers start at 1
 RAISED = -1  # arc source after an exception event
 
 
-def arc_tracer(arcs: dict[str, set[tuple[int, int]]]):
-    """A trace function that adds to ``arcs[file name]`` the (line, next
-    line) arcs of every frame running code of ``src/admmkit``."""
+def arc_tracer(arcs: dict[str, dict[object, set[tuple[int, int]]]]):
+    """A trace function that adds to ``arcs[file name][code object]`` the
+    (line, next line) arcs of every frame running code of ``src/admmkit``."""
     names = {}  # code object -> its file name, None outside the package
 
     def trace(frame, event, arg):
@@ -56,7 +57,7 @@ def arc_tracer(arcs: dict[str, set[tuple[int, int]]]):
             name = names[code] = os.path.basename(path) if path.startswith(PREFIX) else None
         if name is None:
             return None
-        seen = arcs.setdefault(name, set())
+        seen = arcs.setdefault(name, {}).setdefault(code, set())
         prev = code.co_firstlineno
 
         def local(frame, event, arg):
@@ -84,22 +85,24 @@ def statements(code) -> set[int]:
     return lines
 
 
-def findings(path: Path, seen: set[tuple[int, int]]) -> list[tuple[int, str]]:
+def findings(path: Path, arcs: dict[object, set[tuple[int, int]]]) -> list[tuple[int, str]]:
     """(line, what) of every statement of ``path`` that never ran and every
-    ``if`` not taken both ways, under the arcs ``seen``."""
+    ``if`` not taken both ways, under the arcs of each of its code objects."""
     source = path.read_text()
-    ran = {line for _, line in seen}
+    ran = {line for seen in arcs.values() for _, line in seen}
     found = [(line, "never ran") for line in statements(compile(source, str(path), "exec"))
              if line not in ran]
+    own = {code: {line for _, _, line in code.co_lines()} for code in arcs}
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.If) or node.lineno not in ran:
             continue
         test = range(node.lineno, node.test.end_lineno + 1)
-        body = range(node.body[0].lineno, node.body[-1].end_lineno + 1)
-        exits = {b for a, b in seen if a in test and b not in test}
-        if not exits & set(body):
+        body = set(range(node.body[0].lineno, node.body[-1].end_lineno + 1))
+        exits = {b for code, seen in arcs.items() if node.lineno in own[code] and own[code] & body
+                 for a, b in seen if a in test and b not in test}
+        if not exits & body:
             found.append((node.lineno, "if never entered"))
-        if not exits - set(body):
+        if not exits - body:
             found.append((node.lineno, "if never skipped"))
     return found
 
@@ -117,7 +120,7 @@ def read_allow() -> set[str]:
     return entries
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     allow = read_allow()
@@ -128,7 +131,7 @@ def main(argv: list[str]) -> int:
     sys.settrace(trace)
     start = time.perf_counter()
     try:
-        status = pytest.main(argv or ["-q", "--continue-on-collection-errors", str(ROOT / "tests")])
+        status = pytest.main(["-q", "--continue-on-collection-errors", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -136,7 +139,7 @@ def main(argv: list[str]) -> int:
 
     unexplained, used, total = [], set(), 0
     for path in sorted(PACKAGE.glob("*.py")):
-        for line, what in sorted(findings(path, arcs.get(path.name, set()))):
+        for line, what in sorted(findings(path, arcs.get(path.name, {}))):
             total += 1
             where = f"{path.name}:{line}"
             if where in allow:
@@ -152,4 +155,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
