@@ -1,4 +1,6 @@
+import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,6 +17,20 @@ from admmkit.quadratic import QuadraticProblem, scalar_chain
 #: every variant: problem -> (size, gamma, eps_abs, eps_rel).
 PAPER_CELLS = {"lasso": ((1000, 1500), 1.8, 1e-5, 1e-3), "covsel": ((300,), 1.7, 1e-6, 1e-4)}
 PAPER_SEEDS = range(10)
+
+
+def untraced_peak(call, *args):
+    """``call(*args)`` and the tracemalloc peak of what it allocates, with any
+    line tracer suspended: under CPython 3.11 a tracer's frame-locals dict
+    keeps arrays alive past the code's own ``del``s."""
+    trace = sys.gettrace()
+    sys.settrace(None)
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.settrace(trace)
 
 
 class EssentialChange:

@@ -1,9 +1,7 @@
 import csv
-import os
+import runpy
 import struct
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,18 +360,17 @@ def test_unknown_command_and_help(capsys):
     [(["compare", "--m", "8", "--n", "12", "--max-iter", "50"], 0), (["compare", "--beta", "nan"], 2)],
     ids=["runs", "usage-error"],
 )
-def test_the_module_entry_point_runs_the_cli(tmp_path, argv, code):
-    # python -m admmkit in a fresh interpreter that turns every warning into an error
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
-           "PYTHONWARNINGS": "error"}
+def test_the_module_entry_point_runs_the_cli(tmp_path, monkeypatch, capsys, argv, code):
+    # what python -m admmkit runs, in this process
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "admmkit", *argv, "--out", str(out)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    assert out.exists() == (code == 0) and "Traceback" not in proc.stderr
-    assert ("residual curves:" in proc.stdout) == (code == 0)
-    assert ("usage: admm-bench compare" in proc.stderr) == (code == 2)
+    monkeypatch.setattr(sys, "argv", ["admm-bench", *argv, "--out", str(out)])
+    with pytest.raises(SystemExit) as raised:
+        runpy.run_module("admmkit", run_name="__main__")
+    stdout, stderr = capsys.readouterr()
+    assert raised.value.code == code, stderr
+    assert out.exists() == (code == 0) and "Traceback" not in stderr
+    assert ("residual curves:" in stdout) == (code == 0)
+    assert ("usage: admm-bench compare" in stderr) == (code == 2)
 
 
 def test_mismatched_tolerance_lists(tmp_path):

@@ -1,9 +1,9 @@
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import untraced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -91,21 +91,10 @@ def test_payload_length_is_checked_before_reading(tmp_path, edit, size, expected
         load_instance(path)
 
 
-def _peak(call, *args):
-    """``call(*args)`` and the peak of the memory it traced."""
-    tracemalloc.start()
-    try:
-        out = call(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 def test_lasso_load_holds_one_copy_of_the_data(tmp_path):
     rng = np.random.default_rng(0)
     instance = LassoInstance(rng.standard_normal((3000, 1000)), rng.standard_normal(3000), 0.1)
-    (loaded, _), peak = _peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
+    (loaded, _), peak = untraced_peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
     assert peak <= 1.2 * instance.A.nbytes
     assert np.array_equal(loaded.A, instance.A) and np.array_equal(loaded.b, instance.b)
 
@@ -114,7 +103,7 @@ def test_covsel_load_holds_the_data_and_one_working_copy(tmp_path):
     # the constructor's n x n buffer becomes the kept S, so the read payload
     # and that buffer are the two copies
     instance, _ = generate_covsel(300, 0)
-    (loaded, _), peak = _peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
+    (loaded, _), peak = untraced_peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
     assert peak <= 2.2 * instance.S.nbytes
     assert np.array_equal(loaded.S, instance.S)
 
@@ -127,7 +116,7 @@ def test_covsel_load_holds_the_data_and_one_working_copy(tmp_path):
 def test_save_holds_no_copy_of_the_data(tmp_path, make, data):
     # each native float64 array is written through the buffer protocol
     instance = make()
-    path, peak = _peak(save_instance, tmp_path / "inst.bin", instance)
+    path, peak = untraced_peak(save_instance, tmp_path / "inst.bin", instance)
     assert peak <= 0.05 * getattr(instance, data).nbytes
     assert np.array_equal(getattr(load_instance(path)[0], data), getattr(instance, data))
 

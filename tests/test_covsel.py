@@ -1,8 +1,8 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import untraced_peak
 
 from admmkit import VARIANTS, Iterate, SolverConfig, covsel, run
 from admmkit.covsel import CovselInstance, _symmetrize, generate_instance
@@ -200,21 +200,10 @@ def test_symmetrized_covariance_keeps_the_bits_of_the_mean_with_its_transpose(rn
     )
 
 
-def _peak_bytes(call):
-    """Peak bytes traced while ``call()`` runs, above the traced start."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 def test_constructor_holds_one_matrix_besides_the_data():
     # one buffer serves the skew check, the factorization and the kept S
     S = generate_instance(300, 1)[0].S.copy()
-    assert _peak_bytes(lambda: CovselInstance(S)) <= 1.2 * S.nbytes
+    assert untraced_peak(CovselInstance, S)[1] <= 1.2 * S.nbytes
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -222,7 +211,7 @@ def test_a_solve_holds_few_matrices_at_once(variant):
     instance, _ = generate_instance(100, 3)
     config = SolverConfig(variant=variant, gamma=1.7, eps_abs=1e-6, eps_rel=1e-4, max_iter=20)
     matrix = 8 * instance.n ** 2
-    assert _peak_bytes(lambda: run(instance, config)) <= 8.5 * matrix
+    assert untraced_peak(run, instance, config)[1] <= 8.5 * matrix
 
 
 def _with_min_eigenvalue(rel, factor, rng, n=12):

@@ -1,12 +1,12 @@
 import re
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import untraced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,12 +31,7 @@ def test_generated_design_is_bitwise_the_whole_array_scaling(m, n):
 
 
 def test_generation_holds_one_copy_of_the_design():
-    tracemalloc.start()
-    try:
-        instance, _ = generate_instance(3000, 1000, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (instance, _), peak = untraced_peak(generate_instance, 3000, 1000, 0)
     assert peak < 1.3 * instance.A.nbytes
 
 
@@ -44,12 +39,7 @@ def test_constructor_checks_the_design_without_a_full_size_mask():
     # the finiteness scan runs over row blocks, so no m x n bool mask is held
     A = np.random.default_rng(0).standard_normal((3000, 1000))
     b = np.ones(3000)
-    tracemalloc.start()
-    try:
-        LassoInstance(A, b, 0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = untraced_peak(LassoInstance, A, b, 0.1)[1]
     assert peak < 0.05 * A.nbytes
     A[-1, -1] = np.inf
     with pytest.raises(ValueError, match="A must be finite"):

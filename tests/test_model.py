@@ -1,9 +1,9 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import untraced_peak
 
 from admmkit import (
     DimensionMismatchError,
@@ -105,12 +105,7 @@ def test_require_finite_passes_an_empty_array():
 
 def test_require_finite_holds_no_mask_of_the_data():
     values = np.ones((3000, 1000))
-    tracemalloc.start()
-    try:
-        require_finite("values", values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = untraced_peak(require_finite, "values", values)[1]
     # a boolean mask of the data would be 3 MB
     assert peak < 4096
 

@@ -1,11 +1,9 @@
 """Statement and branch trace of ``src/admmkit`` under the tier-1 tests.
 
 Runs tier-1 in this process with a line tracer on every thread, the repeat
-pool's workers included, and fails (exit 1) on any statement of
-``src/admmkit`` that never ran and on any ``if`` that was not both entered
-and skipped, unless ``tools/branch_trace_allow.txt`` lists it. An allow-list
-entry that matches no finding fails too, so the list cannot outlive its
-reasons.
+pool's workers included, and fails (exit 1) if a test fails, if a statement
+of ``src/admmkit`` never ran, or if an ``if`` was not both entered and
+skipped. Nothing is excused: code that tier-1 cannot reach goes.
 
 A statement is a line that the compiled code attributes instructions to. An
 ``if``'s outcomes are read from the arcs between consecutive line events of
@@ -17,9 +15,8 @@ a comprehension, generator expression or lambda in the test has a code object
 of its own, whose return is no skip. Arcs that follow an exception are no
 outcome. So an ``if`` must keep its body off its test's lines.
 
-The verdict is coverage alone; tier-1's own status is printed, not judged.
-Under CPython 3.11 a tracer materializes frame locals, which keeps
-temporaries alive and so raises the peaks that the memory tests bound.
+Under CPython 3.11 a tracer keeps frame locals alive, so the memory tests
+measure their peaks with it suspended (``untraced_peak`` in ``tests/conftest.py``).
 
 Usage, from any directory:
 
@@ -38,7 +35,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "admmkit"
 PREFIX = str(PACKAGE) + os.sep
-ALLOW = Path(__file__).with_name("branch_trace_allow.txt")
 EXIT = 0  # arc target of a frame's return; line numbers start at 1
 RAISED = -1  # arc source after an exception event
 
@@ -107,23 +103,9 @@ def findings(path: Path, arcs: dict[object, set[tuple[int, int]]]) -> list[tuple
     return found
 
 
-def read_allow() -> set[str]:
-    """The ``file:line`` of each allow-list entry; each must give a reason."""
-    entries = set()
-    for raw in ALLOW.read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            where, _, reason = line.partition(" ")
-            if not reason.strip():
-                raise SystemExit(f"{ALLOW.name}: {where} gives no reason")
-            entries.add(where)
-    return entries
-
-
 def main() -> int:
     import pytest
 
-    allow = read_allow()
     sys.path.insert(0, str(ROOT / "src"))
     arcs = {}
     trace = arc_tracer(arcs)
@@ -137,21 +119,13 @@ def main() -> int:
         threading.settrace(None)
     wall = time.perf_counter() - start
 
-    unexplained, used, total = [], set(), 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        for line, what in sorted(findings(path, arcs.get(path.name, {}))):
-            total += 1
-            where = f"{path.name}:{line}"
-            if where in allow:
-                used.add(where)
-            else:
-                unexplained.append(f"{where}: {what}")
-    stale = [f"{where}: allow-listed but nothing to excuse" for where in sorted(allow - used)]
-    print(f"\ntier-1 exit status {int(status)} (not judged); traced wall {wall:.1f} s")
-    print(f"{total} findings, {len(used)} allow-listed")
-    for line in unexplained + stale:
+    found = [f"{path.name}:{line}: {what}" for path in sorted(PACKAGE.glob("*.py"))
+             for line, what in sorted(findings(path, arcs.get(path.name, {})))]
+    print(f"\ntier-1 exit status {int(status)}; traced wall {wall:.1f} s")
+    print(f"{len(found)} findings")
+    for line in found:
         print(line)
-    return 1 if unexplained or stale else 0
+    return 1 if status or found else 0
 
 
 if __name__ == "__main__":
