@@ -261,17 +261,22 @@ def _workers(repeats: int) -> int:
 def _solve_repeat(spec: BenchmarkSpec, size, i: int):
     """Repeat i of one size: its seeded instance solved in every (tolerance,
     variant) cell back to back, in one thread, so all variants of an instance
-    are timed under the same load. Returns each cell's (seconds, result
-    without its final point, Fejer monitor on repeat 0 with diagnostics)."""
+    are timed under the same load. Repeat i starts at the spec's variant
+    i mod len(variants) and keeps the list's cyclic order, so across repeats
+    no variant always runs first; repeat 0 keeps the spec's order. Returns
+    each cell's (seconds, result without its final point, Fejer monitor on
+    repeat 0 with diagnostics)."""
     instance = generate_instance(spec.problem, size, spec.seed_base + i, spec.tau)
     with np.errstate(over="ignore", invalid="ignore"):  # as in run's first x-solve
         instance.solve_x(np.zeros(instance.n2), np.zeros(instance.m), spec.beta)
+    shift = i % len(spec.variants)
+    variants = spec.variants[shift:] + spec.variants[:shift]
     cells = {}
     for tol in spec.tolerances:
         ref = None
         if spec.diagnostics and i == 0:
             ref = reference_solution(instance, spec.config(spec.variants[0], tol))
-        for variant in spec.variants:
+        for variant in variants:
             config = spec.config(variant, tol)
             monitor = None if ref is None else FejerMonitor(instance, config, ref)
             t0 = time.perf_counter()

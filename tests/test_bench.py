@@ -1,6 +1,5 @@
 import csv
 import os
-import re
 import sys
 import threading
 import time
@@ -32,44 +31,6 @@ def _tiny_spec(tmp_path, **overrides):
     )
     base.update(overrides)
     return BenchmarkSpec(**base)
-
-
-def test_spec_validation(tmp_path):
-    with pytest.raises(ValueError):
-        BenchmarkSpec(problem="qp", sizes=[(4, 4)], tolerances=[(1e-5, 1e-3)])
-    with pytest.raises(ValueError):
-        _tiny_spec(tmp_path, sizes=[])
-    with pytest.raises(ValueError):
-        _tiny_spec(tmp_path, tolerances=[])
-    with pytest.raises(ValueError):
-        _tiny_spec(tmp_path, repeats=0)
-    with pytest.raises(ValueError):
-        _tiny_spec(tmp_path, variants=("bogus",))
-    with pytest.raises(ValueError, match=r"sizes lists \(40, 60\) more than once"):
-        _tiny_spec(tmp_path, sizes=[(40, 60), (30, 50), (40, 60)])
-    with pytest.raises(ValueError, match=r"tolerances lists \(1e-05, 0.001\) more than once"):
-        _tiny_spec(tmp_path, tolerances=[(1e-5, 1e-3)] * 2)
-    with pytest.raises(ValueError, match=r"^variants lists 'classical' more than once$"):
-        _tiny_spec(tmp_path, variants=("classical", "over_relaxed", "classical"))
-    # tau is covsel's positive l1 weight, checked where the spec is built
-    with pytest.raises(ValueError, match=r"^tau applies only to covsel$"):
-        _tiny_spec(tmp_path, tau=0.5)
-    with pytest.raises(ValueError, match=r"^tau must lie in \(0, inf\), got -3.0$"):
-        BenchmarkSpec(problem="covsel", sizes=[12], tolerances=[(1e-5, 1e-3)], tau=-3.0)
-    # each field is checked by type before any comparison, and named
-    for field, bad in [
-        ("repeats", "2"), ("repeats", True), ("seed_base", "1"), ("seed_base", 1.0),
-        ("seed_base", -1), ("tau", "x"), ("tau", float("nan")),
-        ("sizes", [("a", 2)]), ("sizes", [None]), ("sizes", [(40, 0)]), ("sizes", [(40,)]),
-        ("sizes", 40), ("tolerances", [(1e-5,)]), ("tolerances", [("1e-5", 1e-3)]),
-        ("tolerances", [None]), ("variants", "classical"), ("variants", ["classical", 3]),
-    ]:
-        with pytest.raises(ValueError, match=field):
-            _tiny_spec(tmp_path, **{field: bad})
-    for bad in [(20, 20), True, 2.0]:
-        message = rf"^sizes\[0\] must be an integer, got {re.escape(repr(bad))}$"
-        with pytest.raises(ValueError, match=message):
-            BenchmarkSpec(problem="covsel", sizes=[bad], tolerances=[(1e-5, 1e-3)])
 
 
 def test_gamma_defaults_per_problem(tmp_path):
@@ -264,6 +225,23 @@ def _tag_repeats(monkeypatch, spec):
 
     monkeypatch.setattr(bench, "generate_instance", tagged)
     return tags, generated
+
+
+def test_each_repeat_starts_one_variant_further_down_the_list(tmp_path, monkeypatch):
+    spec = _tiny_spec(tmp_path, repeats=4, tolerances=[(1e-4, 1e-2), (1e-5, 1e-3)],
+                      variants=("over_relaxed", "classical", "relaxed_customized"))
+    tags, _ = _tag_repeats(monkeypatch, spec)
+    solved = {i: [] for i in range(spec.repeats)}  # each list is appended by one worker
+    inner = bench.run
+
+    def recorded(problem, config, **kwargs):
+        solved[tags[id(problem)]].append(config.variant)
+        return inner(problem, config, **kwargs)
+
+    monkeypatch.setattr(bench, "run", recorded)
+    run_benchmark(spec)
+    o, c, r = spec.variants
+    assert solved == {0: [o, c, r] * 2, 1: [c, r, o] * 2, 2: [r, o, c] * 2, 3: [o, c, r] * 2}
 
 
 def test_a_failing_repeat_raises_the_lowest_index_failure(tmp_path, monkeypatch):

@@ -135,65 +135,6 @@ def test_run_iteration_numbering_and_max_iter(chain, chain_start):
     assert converged.converged and converged.records[-1].within_tolerance
 
 
-def test_run_validates_initial_state_dimensions(chain):
-    from admmkit import DimensionMismatchError
-
-    bad = EssentialState(np.array([1.0, 2.0]), np.array([0.0]))
-    with pytest.raises(DimensionMismatchError):
-        run(chain, SolverConfig(variant="classical"), bad)
-
-
-@pytest.mark.parametrize("problem", ["lasso", "covsel"])
-@pytest.mark.parametrize("operand", ["y", "lam"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_run_rejects_non_finite_initial_state_by_name(problem, operand, bad):
-    if problem == "lasso":
-        instance, _ = lasso.generate_instance(20, 30, 0)
-    else:
-        instance, _ = generate_covsel(10, 0)
-    v0 = EssentialState.zeros(instance)
-    getattr(v0, operand)[0] = bad
-    with pytest.raises(ValueError, match=f"v0.{operand} must be finite"):
-        run(instance, SolverConfig(variant="over_relaxed", gamma=1.5), v0)
-
-
-def test_run_rejects_a_starting_pair_that_is_not_an_essential_state():
-    instance, _ = lasso.generate_instance(10, 20, 0)
-    v0 = EssentialState.zeros(instance)
-    with pytest.raises(ValueError, match="v0 must be an EssentialState, got tuple"):
-        run(instance, SolverConfig(), (v0.y, v0.lam))
-
-
-@pytest.mark.parametrize("problem, config, name", [
-    (None, SolverConfig(), "problem must be a SeparableProblem, got NoneType"),
-    ("lasso", None, "config must be a SolverConfig, got NoneType"),
-    ("lasso", {"variant": "classical"}, "config must be a SolverConfig, got dict"),
-])
-def test_run_rejects_a_missing_problem_or_config_by_name(problem, config, name):
-    if problem == "lasso":
-        problem, _ = lasso.generate_instance(10, 20, 0)
-    with pytest.raises(ValueError, match=name):
-        run(problem, config)
-
-
-@pytest.mark.parametrize("operand", ["y", "lam"])
-def test_run_rejects_a_non_numeric_initial_state_by_name(operand):
-    instance, _ = lasso.generate_instance(10, 20, 0)
-    v0 = EssentialState.zeros(instance)
-    fields = {"y": v0.y, "lam": v0.lam, operand: ["a"] * getattr(v0, operand).size}
-    with pytest.raises(ValueError, match=f"v0.{operand} must be an array of numbers"):
-        run(instance, SolverConfig(), EssentialState(**fields))
-
-
-@pytest.mark.parametrize("operand", ["y", "lam"])
-def test_run_rejects_a_complex_initial_state_by_name(operand):
-    instance, _ = lasso.generate_instance(10, 20, 0)
-    v0 = EssentialState.zeros(instance)
-    fields = {"y": v0.y, "lam": v0.lam, operand: getattr(v0, operand) * 1j}
-    with pytest.raises(ValueError, match=f"v0.{operand} must be real, got complex values"):
-        run(instance, SolverConfig(), EssentialState(**fields))
-
-
 def test_dual_update_consistency_on_plain_steps(solve_traced, sweep):
     instance, _ = lasso.generate_instance(50, 90, 4)
     config = SolverConfig(variant="classical", max_iter=60)

@@ -9,8 +9,11 @@ Lasso A with three rows makes a valid length-2 b the mismatch. An integer
 or real parameter's error must read as one of the two messages of
 ``model.require_int`` or ``model.require_real``; a ``BenchmarkSpec`` list
 entry that must be a pair may instead say it is not one, and a size may
-instead give its generator's message after the entry's name. The container
-header's fields have a table of their own, drawn from values JSON can hold.
+instead give its generator's message after the entry's name. A second
+table pins whole messages: each of its cases puts one malformed value in a
+row's slot and gives the exact message, and every row has at least one case.
+The container header's fields have a table of their own, drawn from values
+JSON can hold.
 The command line has a row of its own: one malformed flag value in a small
 valid command must end in exit code 0, 3 or 2 and nothing else.
 """
@@ -81,8 +84,13 @@ SOLVERS = {
 
 
 def _save(instance, seed=None):
+    """save_instance into a new directory, which a rejection must leave empty."""
     with tempfile.TemporaryDirectory() as tmp:
-        save_instance(Path(tmp) / "inst.bin", instance, seed)
+        try:
+            save_instance(Path(tmp) / "inst.bin", instance, seed)
+        except ValueError:
+            assert not os.listdir(tmp)
+            raise
 
 
 def _spec(**field):
@@ -153,6 +161,12 @@ ROWS = {
         )
         for key in ("variant", "beta", "gamma", "eps_abs", "eps_rel", "max_iter")
     },
+    # classical takes any finite gamma; the relaxed variants one in (0, 2)
+    **{
+        f"SolverConfig({variant}).gamma": _real(
+            lambda v, variant=variant: SolverConfig(variant, gamma=v), "gamma")
+        for variant in ("classical", "relaxed_customized")
+    },
     **{
         f"{kind}.solve_{block}.beta": _solve(kind, block)
         for kind in SOLVERS for block in ("x", "y")
@@ -221,6 +235,175 @@ ROWS = {
 }
 
 
+def _spoilt(valid, bad, at=-1):
+    """A float copy of ``valid`` with its flat entry ``at`` set to ``bad``."""
+    value = np.array(valid, dtype=float)
+    value.flat[at] = bad
+    return value
+
+
+try:
+    np.asarray("a").astype(float)
+except ValueError as exc:
+    #: ``as_array``'s message for a string "a", after the name; the reason
+    #: is numpy's own, whose wording differs between numpy versions
+    NOT_A_NUMBER = f"must be an array of numbers: {exc}"
+
+CHOICES = "('classical', 'over_relaxed', 'relaxed_customized')"
+
+#: Exact rejections: (row key, malformed value, the whole message).
+EXACT = [
+    ("LassoInstance.A", np.eye(3) * 1j, "A must be real, got complex values"),
+    ("LassoInstance.A", [["a", "b"]], f"A {NOT_A_NUMBER}"),
+    ("LassoInstance.A", np.eye(3), "b has shape (2,), expected (3,)"),
+    ("LassoInstance.A", _spoilt(LASSO["A"], math.nan), "A must be finite"),
+    ("LassoInstance.b", np.ones(3) * 1j, "b must be real, got complex values"),
+    ("LassoInstance.b", _spoilt(LASSO["b"], math.inf), "b must be finite"),
+    ("LassoInstance.rho", 0.0, "rho must lie in (0, inf), got 0.0"),
+    *(("LassoInstance.rho", v, f"rho must be a finite number, got {v!r}")
+      for v in (math.inf, math.nan, "x", None)),
+    ("CovselInstance.S", np.eye(3) * 1j, "S must be real, got complex values"),
+    ("CovselInstance.S", [[1.0, 2.0], [0.0, 1.0]], "S must be symmetric; max asymmetry 2.000e+00"),
+    ("CovselInstance.S", -np.eye(3),
+     "S must be positive semidefinite; min eigenvalue -1.000e+00"),
+    ("CovselInstance.S", np.zeros((2, 3)), "S has shape (2, 3), expected (2, 2)"),
+    *(("CovselInstance.S", _spoilt(np.eye(3), bad, 0), "S must be finite")
+      for bad in (math.nan, math.inf)),
+    ("CovselInstance.tau", 0.0, "tau must lie in (0, inf), got 0.0"),
+    *(("CovselInstance.tau", v, f"tau must be a finite number, got {v!r}")
+      for v in (math.inf, math.nan, "x", None)),
+    *((f"QuadraticProblem.{key}", np.array(valid, dtype=complex),
+       f"{key} must be real, got complex values") for key, valid in QUADRATIC.items()),
+    *((f"QuadraticProblem.{key}", _spoilt(valid, bad), f"{key} must be finite")
+      for key, valid in QUADRATIC.items() for bad in (math.nan, math.inf)),
+    *((f"QuadraticProblem.{key}", np.eye(3), f"{key} has shape (3, 3), expected (2, 2)")
+      for key in ("P1", "P2")),
+    ("QuadraticProblem.B", [[1.0], [1.0]], "B has shape (2, 1), expected (3, None)"),
+    *(("QuadraticProblem.B", B, "H not positive definite: B rank-deficient")
+      for B in (np.outer(np.ones(3), [1.0, 2.0]), np.zeros((3, 2)))),
+    ("lasso.generate_instance.m", 10.5, "m must be an integer, got 10.5"),
+    ("lasso.generate_instance.m", 0, "m must be at least 1, got 0"),
+    ("lasso.generate_instance.m", 2**63, "a (9223372036854775808, 6) float64 array"
+     " for m=9223372036854775808, n=6 is past the index range"),
+    ("lasso.generate_instance.n", "20", "n must be an integer, got '20'"),
+    ("lasso.generate_instance.seed", "0", "seed must be an integer, got '0'"),
+    ("lasso.generate_instance.seed", -1, "seed must be at least 0, got -1"),
+    ("lasso.rho_max.A", np.eye(3) * 1j, "A must be real, got complex values"),
+    ("lasso.rho_max.A", np.eye(3), "b has shape (2,), expected (3,)"),
+    ("lasso.rho_max.b", np.ones(3), "b has shape (3,), expected (2,)"),
+    *(("covsel.generate_instance.n", n, f"n must be an integer, got {n!r}")
+      for n in ("20", 20.0, None)),
+    ("covsel.generate_instance.n", 5, "n must be at least 10, got 5"),
+    ("covsel.generate_instance.n", 2**40, "a (1099511627776, 1099511627776) float64 array"
+     " for n=1099511627776 is past the index range"),
+    ("covsel.generate_instance.seed", 1.5, "seed must be an integer, got 1.5"),
+    ("covsel.generate_instance.seed", -1, "seed must be at least 0, got -1"),
+    ("SolverConfig.variant", "bogus", f"variant must be one of {CHOICES}, got 'bogus'"),
+    ("SolverConfig.beta", 0.0, "beta must lie in (0, inf), got 0.0"),
+    ("SolverConfig.beta", -1.0, "beta must lie in (0, inf), got -1.0"),
+    *(("SolverConfig.beta", v, f"beta must be a finite number, got {v!r}")
+      for v in (math.inf, math.nan, "1", True)),
+    ("SolverConfig.gamma", 0.0, "gamma must lie in (0, 2), got 0.0"),
+    ("SolverConfig.gamma", 2.0, "gamma must lie in (0, 2), got 2.0"),
+    ("SolverConfig.gamma", math.nan, "gamma must be a finite number, got nan"),
+    ("SolverConfig.gamma", None, "gamma must be a finite number, got None"),
+    ("SolverConfig(classical).gamma", math.inf, "gamma must be a finite number, got inf"),
+    ("SolverConfig(relaxed_customized).gamma", 2.5, "gamma must lie in (0, 2), got 2.5"),
+    ("SolverConfig(relaxed_customized).gamma", -0.5, "gamma must lie in (0, 2), got -0.5"),
+    ("SolverConfig.eps_abs", 0.0, "eps_abs must lie in (0, inf), got 0.0"),
+    ("SolverConfig.eps_abs", math.inf, "eps_abs must be a finite number, got inf"),
+    ("SolverConfig.eps_abs", [1e-5], "eps_abs must be a finite number, got [1e-05]"),
+    ("SolverConfig.eps_rel", -1e-3, "eps_rel must lie in (0, inf), got -0.001"),
+    ("SolverConfig.eps_rel", math.nan, "eps_rel must be a finite number, got nan"),
+    ("SolverConfig.max_iter", 0, "max_iter must be at least 1, got 0"),
+    ("SolverConfig.max_iter", 2.5, "max_iter must be an integer, got 2.5"),
+    ("SolverConfig.max_iter", "100", "max_iter must be an integer, got '100'"),
+    *((f"{kind}.solve_{block}.beta", 0.0, "beta must lie in (0, inf), got 0.0")
+      for kind in SOLVERS for block in ("x", "y")),
+    ("BenchmarkSpec.problem", "qp", "problem must be one of ('lasso', 'covsel'), got 'qp'"),
+    ("BenchmarkSpec.beta", 0.0, "beta must lie in (0, inf), got 0.0"),
+    ("BenchmarkSpec.gamma", 2.0, "gamma must lie in (0, 2), got 2.0"),
+    ("BenchmarkSpec.max_iter", 0, "max_iter must be at least 1, got 0"),
+    ("BenchmarkSpec.variants", ("bogus",), f"variants[0] must be one of {CHOICES}, got 'bogus'"),
+    ("BenchmarkSpec.variants", "classical", "variants must be a nonempty list"),
+    ("BenchmarkSpec.variants", ("classical", "over_relaxed", "classical"),
+     "variants lists 'classical' more than once"),
+    ("BenchmarkSpec.sizes", [], "sizes must be a nonempty list"),
+    ("BenchmarkSpec.sizes", 40, "sizes must be a nonempty list"),
+    ("BenchmarkSpec.sizes", [(40, 60), (30, 50), (40, 60)], "sizes lists (40, 60) more than once"),
+    ("BenchmarkSpec.sizes", [("a", 2)], "sizes[0][0] must be an integer, got 'a'"),
+    ("BenchmarkSpec.sizes", [None], "sizes[0] must be a pair, got None"),
+    ("BenchmarkSpec.sizes", [(40, 0)], "sizes[0][1] must be at least 1, got 0"),
+    ("BenchmarkSpec.sizes", [(40,)], "sizes[0] must be a pair, got (40,)"),
+    ("BenchmarkSpec.tolerances", [], "tolerances must be a nonempty list"),
+    ("BenchmarkSpec.tolerances", [(1e-5, 1e-3)] * 2,
+     "tolerances lists (1e-05, 0.001) more than once"),
+    ("BenchmarkSpec.tolerances", [(1e-5,)], "tolerances[0] must be a pair, got (1e-05,)"),
+    ("BenchmarkSpec.tolerances", [("1e-5", 1e-3)],
+     "tolerances[0][0] must be a finite number, got '1e-5'"),
+    ("BenchmarkSpec.tolerances", [None], "tolerances[0] must be a pair, got None"),
+    ("BenchmarkSpec.repeats", 0, "repeats must be at least 1, got 0"),
+    *(("BenchmarkSpec.repeats", v, f"repeats must be an integer, got {v!r}") for v in ("2", True)),
+    *(("BenchmarkSpec.seed_base", v, f"seed_base must be an integer, got {v!r}")
+      for v in ("1", 1.0)),
+    ("BenchmarkSpec.seed_base", -1, "seed_base must be at least 0, got -1"),
+    *(("BenchmarkSpec.tau", v, "tau applies only to covsel") for v in (0.5, "x", math.nan)),
+    ("BenchmarkSpec(covsel).tau", -3.0, "tau must lie in (0, inf), got -3.0"),
+    ("BenchmarkSpec.sizes[1]", None, "sizes[1] must be a pair, got None"),
+    ("BenchmarkSpec.sizes[1][0]", 0, "sizes[1][0] must be at least 1, got 0"),
+    ("BenchmarkSpec.sizes[1][0]", 2**63, "sizes[1]: a (9223372036854775808, 6) float64 array"
+     " for m=9223372036854775808, n=6 is past the index range"),
+    ("BenchmarkSpec.sizes[0][1]", "a", "sizes[0][1] must be an integer, got 'a'"),
+    *(("BenchmarkSpec(covsel).sizes[1]", v, f"sizes[1] must be an integer, got {v!r}")
+      for v in ((20, 20), True, 2.0)),
+    ("BenchmarkSpec(covsel).sizes[1]", 5, "sizes[1]: n must be at least 10, got 5"),
+    ("BenchmarkSpec.variants[1]", 3, f"variants[1] must be one of {CHOICES}, got 3"),
+    ("BenchmarkSpec.tolerances[1]", (1e-5,), "tolerances[1] must be a pair, got (1e-05,)"),
+    ("BenchmarkSpec.tolerances[0][0]", 0, "tolerances[0][0] must lie in (0, inf), got 0"),
+    ("BenchmarkSpec.tolerances[0][1]", "1e-3",
+     "tolerances[0][1] must be a finite number, got '1e-3'"),
+    ("run.problem", None, "problem must be a SeparableProblem, got NoneType"),
+    ("run.config", None, "config must be a SolverConfig, got NoneType"),
+    ("run.config", {"variant": "classical"}, "config must be a SolverConfig, got dict"),
+    ("run.v0", (Y, LAM), "v0 must be an EssentialState, got tuple"),
+    ("run.observer", 3, "observer must be None or callable, got int"),
+    ("run.v0.y", np.zeros(3), "v0.y has shape (3,), expected (2,)"),
+    *((f"run.v0.{name}", bad, f"v0.{name} {message}")
+      for name, valid in (("y", Y), ("lam", LAM))
+      for bad, message in ((_spoilt(valid, math.nan, 0), "must be finite"),
+                           (_spoilt(valid, math.inf, 0), "must be finite"),
+                           (["a"] * len(valid), NOT_A_NUMBER),
+                           (valid * 1j, "must be real, got complex values"))),
+    ("kkt_residual.problem", None, "problem must be a SeparableProblem, got NoneType"),
+    ("kkt_residual.w", (Y, Y, LAM), "w must be an Iterate, got tuple"),
+    ("kkt_residual.w.x", np.zeros(3), "x has shape (3,), expected (2,)"),
+    ("kkt_residual.w.y", Y * 1j, "y must be real, got complex values"),
+    ("kkt_residual.w.lam", np.zeros(2), "lam has shape (2,), expected (3,)"),
+    ("FejerMonitor.problem", None, "problem must be a SeparableProblem, got NoneType"),
+    ("FejerMonitor.config", None, "config must be a SolverConfig, got NoneType"),
+    ("FejerMonitor.v_star", (Y, LAM), "v_star must be an EssentialState, got tuple"),
+    ("FejerMonitor.v_star.y", np.zeros(1), "v_star.y has shape (1,), expected (2,)"),
+    ("FejerMonitor.v_star.y", np.full(2, math.nan), "v_star.y must be finite"),
+    ("FejerMonitor.v_star.lam", _spoilt(LAM, math.inf), "v_star.lam must be finite"),
+    ("reference_solution.config", {"variant": "classical"},
+     "config must be a SolverConfig, got dict"),
+    ("reference_solution.problem", None, "problem must be a SeparableProblem, got NoneType"),
+    *(("save_instance.instance", v,
+       f"instance must be a LassoInstance or a CovselInstance, got {type(v).__name__}")
+      for v in (object(), 3)),
+    *(("save_instance.seed", v, f"seed must be an integer, got {v!r}") for v in ("abc", 2.5, True)),
+    ("save_instance.seed", -1, "seed must be at least 0, got -1"),
+]
+
+
+def _case_ids(cases):
+    """``<row key>-<i>`` for the i-th case of that row."""
+    counts = {}
+    for key, _, _ in cases:
+        counts[key] = counts.get(key, -1) + 1
+        yield f"{key}-{counts[key]}"
+
+
 def _names(message: str, name: str) -> bool:
     return re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", message) is not None
 
@@ -255,6 +438,18 @@ def _one_of_each(test):
 @_one_of_each
 def test_a_malformed_argument_returns_or_raises_a_named_value_error(row, value):
     _check(row, value)
+
+
+@pytest.mark.parametrize("key, value, message", EXACT, ids=list(_case_ids(EXACT)))
+def test_a_malformed_argument_raises_its_exact_message(key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        ROWS[key].call(value)
+    # a shape error is the one ValueError subclass a rejection raises
+    assert type(exc.value) is (DimensionMismatchError if " has shape " in message else ValueError)
+
+
+def test_every_row_has_an_exact_case():
+    assert ROWS.keys() == {key for key, _, _ in EXACT}
 
 
 #: Values a JSON header line can hold: null, bools, strings, ragged lists,

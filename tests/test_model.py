@@ -12,41 +12,8 @@ from admmkit import (
     SolverConfig,
     run,
 )
-from admmkit import covsel, lasso
+from admmkit import lasso
 from admmkit.model import require_finite, require_fits, require_real
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(beta=0.0),
-        dict(beta=-1.0),
-        dict(variant="over_relaxed", gamma=0.0),
-        dict(variant="over_relaxed", gamma=2.0),
-        dict(variant="relaxed_customized", gamma=2.5),
-        dict(eps_abs=0.0),
-        dict(eps_rel=-1e-3),
-        dict(max_iter=0),
-        dict(variant="bogus"),
-        dict(beta=float("inf")),
-        dict(beta=float("nan")),
-        dict(variant="classical", gamma=float("inf")),
-        dict(variant="over_relaxed", gamma=float("nan")),
-        dict(eps_abs=float("inf")),
-        dict(eps_rel=float("nan")),
-        dict(max_iter=2.5),
-        dict(max_iter="100"),
-        dict(beta="1"),
-        dict(variant="over_relaxed", gamma=None),
-        dict(eps_abs=[1e-5]),
-        dict(beta=True),
-        dict(variant="relaxed_customized", gamma=-0.5),
-    ],
-)
-def test_solver_config_rejects_bad_values(kwargs):
-    # the last key is the bad field, and the error names it
-    with pytest.raises(ValueError, match=list(kwargs)[-1]):
-        SolverConfig(**kwargs)
 
 
 def test_solver_config_accepts_unit_gamma_for_relaxed_variants():
@@ -149,13 +116,10 @@ def test_require_fits_bounds_the_bytes_by_the_index_range():
         require_fits((2**60,), n=2**60)
 
 
-@pytest.mark.parametrize(
-    "call, named",
-    [(lambda: lasso.generate_instance(2**63, 6, 0), "m=9223372036854775808, n=6"),
-     (lambda: lasso.generate_instance(2**40, 2**40, 0), "m=1099511627776, n=1099511627776"),
-     (lambda: covsel.generate_instance(2**40, 0), "n=1099511627776")],
-    ids=["lasso-m", "lasso-m-n", "covsel-n"],
-)
-def test_a_generator_size_past_the_index_range_is_named_before_allocating(call, named):
-    with pytest.raises(ValueError, match=f"float64 array for {named} is past the index range$"):
-        call()
+def test_a_generator_size_past_the_index_range_is_named_before_allocating():
+    # each size fits alone and their product does not; test_inputs.py's
+    # generator rows take one size each
+    message = (r"^a \(1099511627776, 1099511627776\) float64 array for m=1099511627776, "
+               r"n=1099511627776 is past the index range$")
+    with pytest.raises(ValueError, match=message):
+        lasso.generate_instance(2**40, 2**40, 0)
