@@ -6,11 +6,15 @@ matrix-inversion identity
 
     (A'A + beta I)^-1 = I/beta - A'(beta I + A A')^-1 A / beta
 
-so only the smaller m x m Gram matrix is factorized. The y-update is the
-elementwise soft thresholding of :class:`~admmkit.l1split.L1SplitProblem`.
+so only the smaller m x m Gram matrix, formed by :func:`_gram`, is factorized.
+Like every BLAS product, it is byte-stable only at a fixed BLAS thread count.
+The y-update is the soft thresholding of :class:`~admmkit.l1split.L1SplitProblem`.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -21,6 +25,11 @@ from .model import as_array, require_finite, require_fits, require_int, require_
 
 #: Per-coordinate noise variance used by :func:`generate_instance`.
 NOISE_VARIANCE = 1e-3
+
+#: What OpenBLAS reads its thread count from as it loads; the first one set counts.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+#: np.matmul under solve_x's overflow errstate, which a new thread does not inherit.
+_matmul = np.errstate(over="ignore")(np.matmul)
 
 
 def rho_max(A: np.ndarray, b: np.ndarray) -> float:
@@ -41,6 +50,7 @@ class LassoInstance(L1SplitProblem):
     checked finite once per beta; each call then checks only the length-n (fat:
     length-m) vector handed to the two BLAS triangular solves on the cached
     upper factor, so a non-finite ``y`` or ``lam`` still raises ValueError.
+    The Gram matrix's bits, and so every solve's, hold only at a fixed BLAS thread count.
     """
 
     def __init__(self, A, b, rho: float):
@@ -75,13 +85,12 @@ class LassoInstance(L1SplitProblem):
         fat = self.rows < self.cols
         cached = self._cache
         if cached is None or cached[0] != beta:
+            gram = _gram(self.A if fat else self.A.T)
             with np.errstate(over="ignore"):  # a finite A's Gram may overflow
-                gram = self.A @ self.A.T if fat else self.A.T @ self.A
                 gram.flat[:: gram.shape[0] + 1] += beta
             require_finite("A A' + beta I" if fat else "A'A + beta I", gram)
-            # NumPy forms the Gram matrix with syrk, so it is exactly symmetric
-            # and its transpose is the same matrix in Fortran order, which
-            # LAPACK factors in place: to a finite factor, or a LinAlgError.
+            # gram is exactly symmetric, so gram.T is gram in Fortran order,
+            # which LAPACK factors in place: to a finite factor, or a LinAlgError.
             upper, _ = cho_factor(gram.T, overwrite_a=True, check_finite=False)
             cached = self._cache = (beta, upper)
         # A'b + beta y + lam, summed in that order in one new array
@@ -97,6 +106,26 @@ class LassoInstance(L1SplitProblem):
             return np.subtract(rhs, correction, out=rhs)
         require_finite("A'b + beta y + lam", rhs)
         return _cholesky_solve(cached[1], rhs)
+
+
+def _gram(M):
+    """M M' as three blocks of one array, over the row halves top = M[:k] and
+    bottom = M[k:], k = len(M) // 2: top top' and bottom bottom' by syrk, and
+    bottom top' by gemm, mirrored above the diagonal. The gemm runs on a helper
+    thread when NumPy's BLAS runs one thread (else the two compete for cores),
+    and in turn otherwise; either way the result has the same bits."""
+    k = len(M) // 2
+    top, bottom = M[:k], M[k:]
+    gram = np.empty((len(M), len(M)))
+    with ThreadPoolExecutor(1) as helper:  # starts no thread until a submit
+        gemm = lambda: _matmul(bottom, top.T, out=gram[k:, :k])
+        if next(filter(None, map(os.environ.get, _BLAS_THREADS)), None) == "1":
+            gemm = helper.submit(gemm).result  # joined below; re-raises its error
+        _matmul(top, top.T, out=gram[:k, :k])
+        _matmul(bottom, bottom.T, out=gram[k:, k:])
+        gemm()
+    gram[:k, k:] = gram[k:, :k].T
+    return gram
 
 
 def _cholesky_solve(upper, rhs):

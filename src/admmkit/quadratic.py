@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SeparableProblem, as_array, require_finite, require_real
+from .model import (SeparableProblem, as_array, require_finite, require_fits, require_instance,
+                    require_int, require_real)
 
 
 def _require_full_column_rank(B: np.ndarray) -> None:
@@ -77,6 +78,10 @@ class QuadraticProblem(SeparableProblem):
     def random(cls, n1, n2, m, rng):
         """Random well-conditioned instance; requires m >= max(n1, n2) so the
         constraint blocks are full column rank almost surely."""
+        for name, size in (("n1", n1), ("n2", n2), ("m", m)):
+            require_int(name, size, 1)
+        require_instance("rng", rng, np.random.Generator)
+        require_fits((m, max(n1, n2)), m=m, n1=n1, n2=n2)
         if m < max(n1, n2):
             raise ValueError("need m >= max(n1, n2) for full column rank")
         def spd(k):

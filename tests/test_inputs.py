@@ -74,6 +74,8 @@ QUADRATIC = dict(
     b=np.array([1.0, 2.0, 3.0]),
 )
 PROBLEM = QuadraticProblem(**QUADRATIC)
+#: Valid sizes for ``QuadraticProblem.random``, whose rows add a new generator.
+RANDOM = dict(n1=2, n2=2, m=3)
 Y, LAM = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])
 #: The three problem kinds, for the rows of their subproblem solves.
 SOLVERS = {
@@ -146,6 +148,12 @@ ROWS = {
             {"A": ("B", "b", "P1", "q1"), "B": ("P2", "q2")}.get(key, ()), QUADRATIC[key],
         )
         for key in QUADRATIC
+    },
+    **{
+        f"QuadraticProblem.random.{key}": Row(
+            lambda v, key=key: QuadraticProblem.random(
+                **{**RANDOM, "rng": np.random.default_rng(0), key: v}), key)
+        for key in ("n1", "n2", "m", "rng")
     },
     "lasso.generate_instance.m": Row(lambda v: lasso.generate_instance(v, 6, 0), "m"),
     "lasso.generate_instance.n": Row(lambda v: lasso.generate_instance(4, v, 0), "n"),
@@ -281,6 +289,13 @@ EXACT = [
     ("QuadraticProblem.B", [[1.0], [1.0]], "B has shape (2, 1), expected (3, None)"),
     *(("QuadraticProblem.B", B, "H not positive definite: B rank-deficient")
       for B in (np.outer(np.ones(3), [1.0, 2.0]), np.zeros((3, 2)))),
+    ("QuadraticProblem.random.n1", None, "n1 must be an integer, got None"),
+    ("QuadraticProblem.random.n1", 4, "need m >= max(n1, n2) for full column rank"),
+    ("QuadraticProblem.random.n2", 0, "n2 must be at least 1, got 0"),
+    *(("QuadraticProblem.random.m", m, f"m must be an integer, got {m!r}") for m in ("3", 3.0)),
+    ("QuadraticProblem.random.m", 2**63, "a (9223372036854775808, 2) float64 array"
+     " for m=9223372036854775808, n1=2, n2=2 is past the index range"),
+    ("QuadraticProblem.random.rng", None, "rng must be a Generator, got NoneType"),
     ("lasso.generate_instance.m", 10.5, "m must be an integer, got 10.5"),
     ("lasso.generate_instance.m", 0, "m must be at least 1, got 0"),
     ("lasso.generate_instance.m", 2**63, "a (9223372036854775808, 6) float64 array"

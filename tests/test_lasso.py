@@ -91,17 +91,18 @@ def test_x_update_degenerate_zero_design():
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])
 def test_solve_x_is_bitwise_the_checked_cholesky_solve(rng, shape):
-    # the same Gram matrix, factorized and solved by two triangular solves
-    # with scipy's default checks; cho_solve's dtrsm-based solve agrees to
-    # rounding
+    # the same three-block Gram matrix, over the row halves of M = A (fat) or
+    # A' (tall), factorized and solved by two triangular solves with scipy's
+    # default checks; cho_solve's dtrsm-based solve on the Gram matrix formed
+    # in one product agrees to rounding
     rows, cols = shape
     instance, _ = generate_instance(rows, cols, 8)
     A, beta = instance.A, 1.7
-    if rows < cols:
-        factor = scipy.linalg.cho_factor(beta * np.eye(rows) + A @ A.T)
-    else:
-        factor = scipy.linalg.cho_factor(A.T @ A + beta * np.eye(cols))
-    upper = factor[0]
+    M = A if rows < cols else A.T
+    top, bottom = M[: len(M) // 2], M[len(M) // 2 :]
+    gram = np.block([[top @ top.T, (bottom @ top.T).T], [bottom @ top.T, bottom @ bottom.T]])
+    upper = scipy.linalg.cho_factor(gram + beta * np.eye(len(M)))[0]
+    factor = scipy.linalg.cho_factor(M @ M.T + beta * np.eye(len(M)))
 
     def triangular(v):
         z = scipy.linalg.solve_triangular(upper, v, trans="T")
@@ -122,6 +123,38 @@ def test_solve_x_is_bitwise_the_checked_cholesky_solve(rng, shape):
         assert np.linalg.norm(x - agreed) <= 1e-13 * np.linalg.norm(agreed)
     # a C-ordered factor would make every BLAS call copy it
     assert instance._cache[1].flags.f_contiguous
+
+
+@pytest.mark.parametrize("shape", [(40, 60), (60, 40)], ids=["fat", "tall"])
+def test_the_gram_helper_thread_changes_no_bit(monkeypatch, rng, shape):
+    # the off-diagonal block runs on a helper thread only when the first of
+    # OpenBLAS's thread-count variables that is set reads 1
+    threads = []
+    matmul = lasso._matmul
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(lasso, "_matmul", recorded)
+    y, z = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+    before = threading.active_count()
+    solves = []
+    for setting, helper in [({"OPENBLAS_NUM_THREADS": "1"}, True), ({}, False),
+                            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+                            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False)]:
+        for name in lasso._BLAS_THREADS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in setting.items():
+            monkeypatch.setenv(name, value)
+        threads.clear()
+        instance, _ = generate_instance(*shape, 11)
+        solves.append((instance.solve_x(y, z, 1.3), instance._cache[1]))
+        assert len(threads) == 3 and len(set(threads)) == (2 if helper else 1), setting
+        assert threading.active_count() == before
+    for x, upper in solves[1:]:
+        assert np.array_equal(x, solves[0][0])
+        assert np.array_equal(upper, solves[0][1])
 
 
 @pytest.mark.parametrize("shape", [(20, 50), (50, 20)], ids=["fat", "tall"])

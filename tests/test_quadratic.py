@@ -73,13 +73,6 @@ def test_scalar_chain_closed_forms():
     assert y_new[0] == pytest.approx((3.0 * x[0] - 0.5) / 4.0)
 
 
-def test_random_requires_full_column_rank_geometry(rng):
-    # QuadraticProblem.random checks only its geometry, so it has no row in
-    # test_inputs.py's malformed-value sweep
-    with pytest.raises(ValueError, match=r"^need m >= max\(n1, n2\) for full column rank$"):
-        QuadraticProblem.random(n1=4, n2=2, m=3, rng=rng)
-
-
 def test_a_y_block_without_columns_passes_the_rank_check():
     # no columns, no singular values: the check reads none
     problem = QuadraticProblem(
