@@ -30,7 +30,8 @@ import numpy as np
 from . import covsel, lasso
 from .diagnostics import FejerMonitor, reference_solution
 from .engine import SolveResult, run
-from .model import VARIANTS, SolverConfig, require_choice, require_int, require_real
+from .model import (VARIANTS, SolverConfig, require_choice, require_instance, require_int,
+                    require_real)
 
 #: Relaxation factors matching the reported experimental protocol.
 GAMMA_DEFAULTS = {"lasso": 1.8, "covsel": 1.7}
@@ -99,6 +100,9 @@ class BenchmarkSpec:
             self.gamma = GAMMA_DEFAULTS[self.problem]
         require_int("repeats", self.repeats, 1)
         require_int("seed_base", self.seed_base, 0)
+        require_instance("diagnostics", self.diagnostics, bool)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a str or an os.PathLike, got {self.out_dir!r}")
         if self.tau is not None:
             if self.problem != "covsel":
                 raise ValueError("tau applies only to covsel")
@@ -165,8 +169,9 @@ def _size_label(problem: str, size) -> str:
 
 
 def generate_instance(problem: str, size, seed: int, tau: float | None = None):
-    """Seeded instance of ``problem``: lasso takes an (m, n) size, covsel a
-    feature count n and the l1 weight ``tau`` (None: covsel.DEFAULT_TAU)."""
+    """Seeded instance of ``problem``, "lasso" (an (m, n) size) or "covsel" (a
+    feature count n and the l1 weight ``tau``, None: covsel.DEFAULT_TAU)."""
+    require_choice("problem", problem, tuple(_GENERATORS))
     if problem == "lasso":
         return lasso.generate_instance(*size, seed)[0]
     return covsel.generate_instance(size, seed, covsel.DEFAULT_TAU if tau is None else tau)[0]

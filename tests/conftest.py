@@ -1,13 +1,20 @@
+import contextlib
+import io
+import os
+import runpy
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from admmkit import (
-    EssentialState, IterationRecord, SolverConfig, covsel, lasso, run
+    EssentialState, IterationRecord, SolverConfig, cli, covsel, lasso, run
 )
 from admmkit.covsel import _symmetrize
 from admmkit.model import VARIANTS
@@ -31,6 +38,49 @@ def untraced_peak(call, *args):
     finally:
         tracemalloc.stop()
         sys.settrace(trace)
+
+
+class CliRun(NamedTuple):
+    """What one ``admm-bench`` command line did."""
+
+    code: int
+    stdout: str
+    stderr: str
+    #: whether the path after ``--out`` (or the default bench_out) exists afterwards
+    out_exists: bool
+
+
+def run_cli(argv, cwd=None, module=False) -> CliRun:
+    """``cli.main(argv)`` in ``cwd``, or in a new temporary directory, with
+    its output captured; with ``module``, ``python -m admmkit`` with argv,
+    in this process. A SystemExit's code counts as a returned one."""
+    argv = [str(arg) for arg in argv]
+    out = argv[argv.index("--out") + 1] if "--out" in argv else "bench_out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if cwd is None:
+            cwd = stack.enter_context(tempfile.TemporaryDirectory())
+        stack.callback(os.chdir, os.getcwd())
+        os.chdir(cwd)
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        stack.enter_context(mock.patch.object(sys, "argv", ["admm-bench", *argv]))
+        try:
+            code = runpy.run_module("admmkit", run_name="__main__") if module else cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return CliRun(code, stdout.getvalue(), stderr.getvalue(), os.path.exists(out))
+
+
+def usage_message(result: CliRun, command: str) -> str:
+    """The message of a usage error of ``command``, once its contract holds:
+    exit code 2, no ``--out``, no traceback, and a stderr of the command's
+    usage, then ``admm-bench <command>: error: <message>``."""
+    assert result.code == 2 and not result.out_exists, result
+    usage, _, message = result.stderr.partition(f"admm-bench {command}: error: ")
+    assert usage.startswith(f"usage: admm-bench {command} "), result.stderr
+    assert "Traceback" not in result.stderr and message.endswith("\n"), result.stderr
+    return message[:-1]
 
 
 class EssentialChange:

@@ -14,16 +14,20 @@ table pins whole messages: each of its cases puts one malformed value in a
 row's slot and gives the exact message, and every row has at least one case.
 The container header's fields have a table of their own, drawn from values
 JSON can hold.
-The command line has a row of its own: one malformed flag value in a small
-valid command must end in exit code 0, 3 or 2 and nothing else.
+The command line has a table of its own beside ``EXACT``, ``USAGE_ERRORS``:
+each case is a command line and the whole message of its usage error, and
+``conftest.usage_message`` checks the rest of the contract (exit code 2, the
+command's usage line, no traceback and no ``--out``). Every command line
+runs through ``conftest.run_cli``, the sweep's too: one malformed flag value
+in a small valid command must end in exit code 0, 3 or 2, and a 2 must be a
+usage error.
 """
 
-import contextlib
-import io
 import json
 import math
 import os
 import re
+import struct
 import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -33,9 +37,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from conftest import run_cli, usage_message
 
 from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
-from admmkit import cli, covsel, lasso
+from admmkit import bench, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
@@ -162,6 +167,8 @@ ROWS = {
     "lasso.rho_max.b": Row(lambda v: lasso.rho_max(LASSO["A"], v), "b", valid=LASSO["b"]),
     "covsel.generate_instance.n": Row(lambda v: covsel.generate_instance(v, 0), "n"),
     "covsel.generate_instance.seed": Row(lambda v: covsel.generate_instance(10, v), "seed"),
+    "bench.generate_instance.problem": Row(lambda v: bench.generate_instance(v, (4, 6), 0),
+                                           "problem"),
     **{
         f"SolverConfig.{key}": Row(
             lambda v, key=key: SolverConfig(**{"variant": "over_relaxed", key: v}), key,
@@ -189,6 +196,8 @@ ROWS = {
     "BenchmarkSpec.tolerances": Row(lambda v: _spec(tolerances=v), "tolerances"),
     "BenchmarkSpec.repeats": Row(lambda v: _spec(repeats=v), "repeats", form=INT),
     "BenchmarkSpec.seed_base": Row(lambda v: _spec(seed_base=v), "seed_base", form=INT),
+    "BenchmarkSpec.diagnostics": Row(lambda v: _spec(diagnostics=v), "diagnostics"),
+    "BenchmarkSpec.out_dir": Row(lambda v: _spec(out_dir=v), "out_dir"),
     # a lasso spec rejects any tau; a covsel spec checks it as a real in (0, inf)
     "BenchmarkSpec.tau": Row(lambda v: _spec(tau=v), "tau", form=" applies only to covsel"),
     "BenchmarkSpec(covsel).tau": _real(
@@ -313,6 +322,8 @@ EXACT = [
      " for n=1099511627776 is past the index range"),
     ("covsel.generate_instance.seed", 1.5, "seed must be an integer, got 1.5"),
     ("covsel.generate_instance.seed", -1, "seed must be at least 0, got -1"),
+    *(("bench.generate_instance.problem", v,
+       f"problem must be one of ('lasso', 'covsel'), got {v!r}") for v in ("qp", "Lasso")),
     ("SolverConfig.variant", "bogus", f"variant must be one of {CHOICES}, got 'bogus'"),
     ("SolverConfig.beta", 0.0, "beta must lie in (0, inf), got 0.0"),
     ("SolverConfig.beta", -1.0, "beta must lie in (0, inf), got -1.0"),
@@ -362,6 +373,10 @@ EXACT = [
     *(("BenchmarkSpec.seed_base", v, f"seed_base must be an integer, got {v!r}")
       for v in ("1", 1.0)),
     ("BenchmarkSpec.seed_base", -1, "seed_base must be at least 0, got -1"),
+    *(("BenchmarkSpec.diagnostics", v, f"diagnostics must be a bool, got {type(v).__name__}")
+      for v in ("no", np.array([True]), 1)),
+    *(("BenchmarkSpec.out_dir", v, f"out_dir must be a str or an os.PathLike, got {v!r}")
+      for v in (123, None, b"out")),
     *(("BenchmarkSpec.tau", v, "tau applies only to covsel") for v in (0.5, "x", math.nan)),
     ("BenchmarkSpec(covsel).tau", -3.0, "tau must lie in (0, inf), got -3.0"),
     ("BenchmarkSpec.sizes[1]", None, "sizes[1] must be a pair, got None"),
@@ -467,6 +482,126 @@ def test_every_row_has_an_exact_case():
     assert ROWS.keys() == {key for key, _, _ in EXACT}
 
 
+PAYLOAD = struct.pack("<d", 1.0)
+
+#: The files the usage-error table's command lines name, each with one
+#: defect: container headers ahead of one float64 of payload, and config files.
+BAD_FILES = {
+    "no-m.bin": MAGIC + b'{"kind": "lasso", "n": 2}\n' + PAYLOAD,
+    "tau.bin": MAGIC + b'{"kind": "covsel", "n": 1, "tau": "0.1"}\n' + PAYLOAD,
+    "dims.bin": MAGIC + b'{"kind": "lasso", "m": -2, "n": 2, "rho": 1.0}\n' + PAYLOAD,
+    "seed.bin": MAGIC + b'{"kind": "covsel", "n": 1, "seed": "abc", "tau": 1.0}\n' + PAYLOAD,
+    "unknown-key.cfg": b"does_not_exist=1\n",
+    "m-abc.cfg": b"m=abc\n",
+    "no-equals.cfg": b"# a comment\nmax-iter 300\n",
+    "m.cfg": b"m=40\n",
+}
+
+
+class Usage(NamedTuple):
+    argv: str
+    message: str
+    #: a dotted name the case replaces with a callable raising MemoryError(message)
+    unallocatable: str | None = None
+
+
+#: Command lines that are usage errors, each with its whole message; each
+#: runs in a directory holding BAD_FILES and a valid covsel.bin.
+USAGE_ERRORS = [Usage(*case) for case in [
+    ("lasso --repeats 0", "repeats must be at least 1, got 0"),
+    ("lasso --max-iter 0", "max_iter must be at least 1, got 0"),
+    ("covsel --n 5", "sizes[0]: n must be at least 10, got 5"),
+    ("lasso --eps-abs 1e-5,1e-6 --eps-rel 1e-3",
+     "--eps-abs and --eps-rel must have the same number of entries"),
+    ("lasso --m 40,50 --n 60,70,80", "--m and --n must zip into (m, n) pairs"),
+    ("lasso --load-instance x.bin", "unrecognized arguments: --load-instance x.bin"),
+    ("lasso --m 40,40 --n 60", "sizes lists (40, 60) more than once"),
+    ("covsel --eps-abs 1e-5,1e-5 --eps-rel 1e-3,1e-3",
+     "tolerances lists (1e-05, 0.001) more than once"),
+    ("lasso --m 8 --n 12 --repeats 1 --variant classical,classical",
+     "variants lists 'classical' more than once"),
+    # a config file that is missing or holds a bad line, key or value
+    ("lasso --config missing.cfg", "[Errno 2] No such file or directory: 'missing.cfg'"),
+    ("lasso --config", "argument --config: expected one argument"),
+    ("lasso --config unknown-key.cfg", "unrecognized arguments: --does-not-exist=1"),
+    ("lasso --config m-abc.cfg", "argument --m: invalid _parse_int_list value: 'abc'"),
+    ("lasso --config no-equals.cfg", "no-equals.cfg:2: expected key=value, got 'max-iter 300'"),
+    # a key names its flag in full: covsel's m is not --max-iter
+    ("covsel --config m.cfg", "unrecognized arguments: --m=40"),
+    ("diagnose --load-instance missing.bin", "[Errno 2] No such file or directory: 'missing.bin'"),
+    ("compare --eps-abs 1e-5,1e-9 --eps-rel 1e-3",
+     "--eps-abs and --eps-rel must have the same number of entries"),
+    *((argv, "compare and diagnose take exactly one --eps-abs/--eps-rel pair")
+      for argv in ("compare --eps-abs 1e-5,1e-9 --eps-rel 1e-3,1e-4",
+                   "diagnose --eps-abs 1e-5,1e-9 --eps-rel 1e-3,1e-4",
+                   "diagnose --eps-abs= --eps-rel=")),
+    ("diagnose --m 40 --n 60 --beta 2000",
+     "reference solve did not reach eps_abs=1e-07, eps_rel=1e-05 after 10000 iterations"),
+    ("compare --problem lasso --tau 0.3", "--tau applies only to a generated covsel instance"),
+    ("diagnose --load-instance covsel.bin --tau 0.3",
+     "--tau applies only to a generated covsel instance"),
+    # every command names the flag's field, not the tolerance pair's index
+    ("lasso --eps-abs 0", "eps_abs must lie in (0, inf), got 0.0"),
+    ("covsel --eps-rel 1e-3,nan --eps-abs 1e-5,1e-6", "eps_rel must be a finite number, got nan"),
+    ("compare --eps-abs 0", "eps_abs must lie in (0, inf), got 0.0"),
+    ("diagnose --eps-rel nan", "eps_rel must be a finite number, got nan"),
+    # a size flag the command would ignore
+    *((argv, "--m applies only to a generated lasso instance")
+      for argv in ("compare --problem covsel --n 12 --m 5",
+                   "diagnose --problem covsel --n 12 --m 5",
+                   "diagnose --load-instance covsel.bin --m 7",
+                   "diagnose --load-instance covsel.bin --m 7 --n 99")),
+    ("compare --load-instance covsel.bin --n 99", "--n applies only to a generated instance"),
+    # a bad real parameter, raised before any output directory is made
+    ("compare --beta nan", "beta must be a finite number, got nan"),
+    ("compare --gamma 2", "gamma must lie in (0, 2), got 2.0"),
+    ("compare --eps-rel 0", "eps_rel must lie in (0, inf), got 0.0"),
+    ("compare --problem covsel --n 12 --tau 0", "tau must lie in (0, inf), got 0.0"),
+    ("covsel --n 12 --repeats 1 --tau -1", "tau must lie in (0, inf), got -1.0"),
+    # a reference solve that does not converge, or stops on a non-finite iterate
+    ("lasso --m 40 --n 60 --beta 2000 --diagnostics --repeats 1",
+     "reference solve did not reach eps_abs=1e-07, eps_rel=1e-05 after 10000 iterations"),
+    *((argv, "reference solve stopped on a non-finite iterate at iteration 1")
+      for argv in ("diagnose --problem covsel --n 10 --beta 1e308",
+                   "diagnose --m 8 --n 12 --beta 1e-310")),
+    # a malformed container header, named by its path
+    ("compare --load-instance no-m.bin", "no-m.bin: header has no 'm' field"),
+    ("compare --load-instance tau.bin", "tau.bin: tau must be a finite number, got '0.1'"),
+    ("compare --load-instance dims.bin", "dims.bin: m must be at least 1, got -2"),
+    ("compare --load-instance seed.bin", "seed.bin: seed must be an integer, got 'abc'"),
+    # a grid size the generator rejects fails before any cell is solved
+    ("covsel --n 15,5 --repeats 1", "sizes[1]: n must be at least 10, got 5"),
+    ("lasso --m 8,3000000000 --n 12,3000000000 --repeats 1",
+     "sizes[1]: a (3000000000, 3000000000) float64 array for m=3000000000, n=3000000000 is past"
+     " the index range"),
+    # an array too large to allocate, as numpy words it for `admm-bench lasso
+    # --m 200000 --n 200000 --repeats 1` and `admm-bench compare --problem
+    # covsel --n 60000` under `ulimit -v 3000000`
+    ("lasso --m 200000 --n 200000 --repeats 1", "Unable to allocate 298. GiB for an array with"
+     " shape (200000, 200000) and data type float64", "admmkit.lasso.generate_instance"),
+    ("compare --problem covsel --n 60000", "Unable to allocate 26.8 GiB for an array with shape"
+     " (60000, 60000) and data type float64", "admmkit.covsel.generate_instance"),
+    ("diagnose --load-instance big.bin", "Unable to allocate 26.8 GiB for an array with shape"
+     " (3600000000,) and data type float64", "admmkit.container.load_instance"),
+]]
+
+
+@pytest.mark.parametrize("argv, message, unallocatable", USAGE_ERRORS,
+                         ids=[case.argv for case in USAGE_ERRORS])
+def test_a_bad_command_line_is_a_usage_error(tmp_path, monkeypatch, argv, message,
+                                             unallocatable):
+    save_instance(tmp_path / "covsel.bin", covsel.CovselInstance(**COVSEL))
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    if unallocatable is not None:
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)  # numpy's _ArrayMemoryError is a MemoryError
+
+        monkeypatch.setattr(unallocatable, allocate)  # nothing is allocated
+    command, *flags = argv.split()
+    assert usage_message(run_cli([command, *flags, "--out", "out"], tmp_path), command) == message
+
+
 #: Values a JSON header line can hold: null, bools, strings, ragged lists,
 #: NaN and inf (as Python's json writes them), ints that are not positive or
 #: are huge, and small floats.
@@ -570,26 +705,15 @@ CLI_EXTRA = ("--beta", "--gamma", "--eps-abs", "--eps-rel", "--seed", "--config"
 CLI_VALUES = ("", "abc", "nan", "inf", "-1", "0", "1e999", "1,2", "true")
 
 
-def _main(argv):
-    """cli.main(argv) in a new temporary directory, with its output captured;
-    returns (exit code, stderr)."""
-    stderr, cwd = io.StringIO(), os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = cli.main([*argv, "--out", "out"])
-        except SystemExit as exc:
-            code = exc.code
-        finally:
-            os.chdir(cwd)
-    return code, stderr.getvalue()
+def _run(command, flags):
+    """run_cli of ``command`` with the {flag: value} ``flags`` and ``--out out``."""
+    return run_cli([command, *(t for item in flags.items() for t in item), "--out", "out"])
 
 
 @pytest.mark.parametrize("base", CLI_BASES.values(), ids=CLI_BASES.keys())
 def test_each_small_command_line_runs(base):
-    command, flags = base
-    assert _main([command, *(t for item in flags.items() for t in item)]) == (0, "")
+    result = _run(*base)
+    assert (result.code, result.stderr, result.out_exists) == (0, "", True)
 
 
 @pytest.mark.parametrize("base", CLI_BASES.values(), ids=CLI_BASES.keys())
@@ -599,6 +723,8 @@ def test_a_malformed_flag_value_ends_in_an_exit_code(base, data):
     command, flags = base
     flag = data.draw(st.sampled_from([*flags, *(f for f in CLI_EXTRA if f not in flags)]))
     argv = {**flags, flag: data.draw(st.sampled_from(CLI_VALUES))}
-    code, stderr = _main([command, *(t for item in argv.items() for t in item)])
-    assert code in (0, 2, 3), (argv, code)
-    assert "Traceback" not in stderr
+    result = _run(command, argv)
+    assert result.code in (0, 2, 3), (argv, result)
+    assert "Traceback" not in result.stderr
+    if result.code == 2:
+        usage_message(result, command)
