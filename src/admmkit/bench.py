@@ -101,8 +101,7 @@ class BenchmarkSpec:
         require_int("repeats", self.repeats, 1)
         require_int("seed_base", self.seed_base, 0)
         require_instance("diagnostics", self.diagnostics, bool)
-        if not isinstance(self.out_dir, (str, os.PathLike)):
-            raise ValueError(f"out_dir must be a str or an os.PathLike, got {self.out_dir!r}")
+        require_instance("out_dir", self.out_dir, (str, os.PathLike))
         if self.tau is not None:
             if self.problem != "covsel":
                 raise ValueError("tau applies only to covsel")

@@ -113,11 +113,12 @@ def require_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def require_instance(name: str, value, cls: type) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a ``cls``."""
+def require_instance(name: str, value, cls: type | tuple) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``cls`` or one of a tuple of them."""
     if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(f"a{'n' * (c.__name__[0] in 'AEIOU')} {c.__name__}"
+                            for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{name} must be {kinds}, got {type(value).__name__}")
 
 
 def require_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:

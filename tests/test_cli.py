@@ -318,6 +318,8 @@ def test_the_module_entry_point_runs_the_cli(argv, code):
     assert ("residual curves: out/compare_lasso.csv\n" in result.stdout) == (code == 0)
     if code == 2:
         assert usage_message(result, "compare") == "beta must be a finite number, got nan"
+    else:
+        assert result.stderr == "", result.stderr
 
 
 def test_compare_and_diagnose_default_sizes():
