@@ -38,6 +38,9 @@ from .diagnostics import FejerMonitor, kkt_residual, reference_solution
 from .engine import SolverError, run
 from .model import VARIANTS, SolverConfig, require_real
 
+#: The subcommands, each with its own parser.
+COMMANDS = ("lasso", "covsel", "compare", "diagnose")
+
 
 def _parse_int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok != ""]
@@ -120,6 +123,8 @@ def _config_tokens(parser: argparse.ArgumentParser, argv) -> list:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         flag = key.lstrip("-").replace("_", "-")
+        if flag == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
         if parser.get_default(flag.replace("-", "_")) is not False:
             tokens.append(f"--{flag}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
@@ -275,15 +280,11 @@ def _cmd_diagnose(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    commands = ("lasso", "covsel", "compare", "diagnose")
-    if not argv or argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("usage: admm-bench {" + ",".join(commands) + "} [options]")
-        return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command not in commands:
-        print(f"unknown command {command!r}; expected one of {commands}", file=sys.stderr)
-        return 2
+    top = argparse.ArgumentParser(prog="admm-bench", description=__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("command", choices=COMMANDS)
+    # the command alone, so `admm-bench lasso --help` reaches the command's own parser
+    command, rest = top.parse_args(argv[:1]).command, argv[1:]
     parser = _build_parser(command)
     try:
         # the file's flags come first, so the command line's own win

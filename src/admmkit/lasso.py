@@ -55,6 +55,8 @@ class LassoInstance(L1SplitProblem):
 
     def __init__(self, A, b, rho: float):
         A = np.ascontiguousarray(as_array("A", A, (None, None)))
+        if 0 in A.shape:
+            raise ValueError(f"A must have at least one row and one column, got shape {A.shape}")
         b = as_array("b", b, (len(A),))
         require_finite("A", A)
         require_finite("b", b)

@@ -1,3 +1,11 @@
+"""Shared test state and helpers.
+
+A fixture here holds per-test state (``rng``, ``chain``, ``chain_start``,
+``small_quadratic``) or a session cache (the two paper tables); every other
+shared name is a plain function, class or constant that a test module
+imports by name, as in ``from conftest import run_cli, sweep``.
+"""
+
 import contextlib
 import io
 import os
@@ -72,13 +80,14 @@ def run_cli(argv, cwd=None, module=False) -> CliRun:
         return CliRun(code, stdout.getvalue(), stderr.getvalue(), os.path.exists(out))
 
 
-def usage_message(result: CliRun, command: str) -> str:
-    """The message of a usage error of ``command``, once its contract holds:
-    exit code 2, no ``--out``, no traceback, and a stderr of the command's
-    usage, then ``admm-bench <command>: error: <message>``."""
+def usage_message(result: CliRun, prog: str) -> str:
+    """The message of a usage error of the parser ``prog`` (``admm-bench`` or
+    ``admm-bench <command>``), once its contract holds: exit code 2, no
+    ``--out``, no traceback, and a stderr of that parser's usage, then
+    ``<prog>: error: <message>``."""
     assert result.code == 2 and not result.out_exists, result
-    usage, _, message = result.stderr.partition(f"admm-bench {command}: error: ")
-    assert usage.startswith(f"usage: admm-bench {command} "), result.stderr
+    usage, _, message = result.stderr.partition(f"{prog}: error: ")
+    assert usage.startswith(f"usage: {prog} "), result.stderr
     assert "Traceback" not in result.stderr and message.endswith("\n"), result.stderr
     return message[:-1]
 
@@ -170,11 +179,6 @@ class NanAfterTwo(QuadraticProblem):
         return super().solve_y(x, lam, beta)
 
 
-@pytest.fixture(scope="session")
-def nan_after_two():
-    return NanAfterTwo
-
-
 class IdentityB(QuadraticProblem):
     """B = I, applied by handing back y itself or a read-only copy of it."""
 
@@ -188,98 +192,58 @@ class IdentityB(QuadraticProblem):
         return by
 
 
-@pytest.fixture(scope="session")
-def identity_b():
-    return IdentityB
-
-
-@pytest.fixture
-def solve_traced():
+def solve_traced(problem, config, v0=None):
     """run() that also returns the trajectory v^0 .. v^K seen by an observer."""
+    trajectory = []
 
-    def solve(problem, config, v0=None):
-        trajectory = []
+    def observe(v_old, w, v_new, record):
+        if not trajectory:
+            trajectory.append(v_old)
+        trajectory.append(v_new)
 
-        def observe(v_old, w, v_new, record):
-            if not trajectory:
-                trajectory.append(v_old)
-            trajectory.append(v_new)
-
-        return run(problem, config, v0, observer=observe), trajectory
-
-    return solve
+    return run(problem, config, v0, observer=observe), trajectory
 
 
-@pytest.fixture
-def subproblem_residual():
+def subproblem_residual(problem, block, x, y, lam, beta):
     """First-order residual of the x- or y-subproblem at (x, y): that block's
     saddle-point stationarity taken at the multiplier lam - beta (Ax + By - b)."""
-
-    def residual(problem, block, x, y, lam, beta):
-        shifted = lam - beta * problem.constraint_residual(x, y)
-        if block == "x":
-            return problem.x_stationarity(x, shifted)
-        return problem.y_stationarity(y, shifted)
-
-    return residual
+    shifted = lam - beta * problem.constraint_residual(x, y)
+    if block == "x":
+        return problem.x_stationarity(x, shifted)
+    return problem.y_stationarity(y, shifted)
 
 
-@pytest.fixture
-def one_step():
+def one_step(problem, v, config):
     """A single step of config's variant from v: (v_next, record), v_next being
     the new pair the observer sees."""
-
-    def step(problem, v, config):
-        pairs = []
-        result = run(problem, replace(config, max_iter=1), v, lambda *seen: pairs.append(seen[2]))
-        return pairs[0], result.records[0]
-
-    return step
+    pairs = []
+    result = run(problem, replace(config, max_iter=1), v, lambda *seen: pairs.append(seen[2]))
+    return pairs[0], result.records[0]
 
 
-def _sweep(problem, v, beta):
+def sweep(problem, v, beta):
     """The plain prediction sweep from v at ``beta``: the point w a one-step
     classical run hands its observer and returns as ``final``, which a
     non-finite step, not observed, returns too."""
     return run(problem, SolverConfig(variant="classical", beta=beta, max_iter=1), v).final
 
 
-@pytest.fixture(scope="session")
-def sweep():
-    return _sweep
-
-
-def _stacked(v):
+def stacked(v):
     """The pair v = (y, lam) as one vector [y; lam], the layout of dense_matrices."""
     return np.concatenate([np.ravel(v.y), np.ravel(v.lam)])
 
 
-@pytest.fixture(scope="session")
-def stacked():
-    return _stacked
-
-
-def _lam_tilde(problem, v, w, beta):
+def lam_tilde(problem, v, w, beta):
     """The early multiplier lam - beta (A w.x + B y - b) at the old pair
     v = (y, lam), written out; the same bits as the engine's multiplier update."""
     return v.lam - beta * (problem.apply_A(w.x) + problem.apply_B(v.y) - problem.rhs_b)
 
 
-@pytest.fixture(scope="session")
-def lam_tilde():
-    return _lam_tilde
-
-
-@pytest.fixture
-def extrapolate():
+def extrapolate(v, w, gamma):
     """Reference of the relaxed correction v - gamma (v - (y_pred, lam_pred)),
     applied whether or not the gate would fire, for the analysis identities."""
-
-    def relaxed(v, w, gamma):
-        d = v - EssentialState(w.y, w.lam)
-        return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
-
-    return relaxed
+    d = v - EssentialState(w.y, w.lam)
+    return EssentialState(v.y - gamma * d.y, v.lam - gamma * d.lam)
 
 
 def _record(relaxed):
@@ -287,30 +251,20 @@ def _record(relaxed):
     return IterationRecord(1, 0.0, 0.0, 0.0, relaxed, 0.0, 0.0)
 
 
-@pytest.fixture
-def forced_step(extrapolate):
+def forced_step(problem, v, beta, gamma):
     """(v, w, v_next, record) of a plain sweep from v whose relaxation by
     gamma is applied whether or not the gate would fire, and a record saying
     it relaxed: the arguments of an observer call on a forced relaxed step."""
-
-    def step(problem, v, beta, gamma):
-        w = _sweep(problem, v, beta)
-        return v, w, extrapolate(v, w, gamma), _record(True)
-
-    return step
+    w = sweep(problem, v, beta)
+    return v, w, extrapolate(v, w, gamma), _record(True)
 
 
-@pytest.fixture(scope="session")
-def observe_transition():
+def observe_transition(monitor, problem, v_old, v_new, relaxed):
     """Feeds a FejerMonitor of ``problem`` the transition v_old -> v_new as
     run would: with the plain sweep's prediction at v_old under the monitor's
     beta, and a record saying whether the step relaxed."""
-
-    def observe(monitor, problem, v_old, v_new, relaxed):
-        w = _sweep(problem, v_old, monitor.beta)
-        monitor(v_old, w, v_new, _record(relaxed))
-
-    return observe
+    w = sweep(problem, v_old, monitor.beta)
+    monitor(v_old, w, v_new, _record(relaxed))
 
 
 @dataclass(frozen=True)
@@ -342,94 +296,63 @@ class DenseMatrices:
         return float(np.abs(self.G - (self.Q.T + self.Q - self.M.T @ self.H @ self.M)).max())
 
 
-@pytest.fixture(scope="session")
-def dense_matrices():
+def dense_matrices(B, beta, gamma):
     """DenseMatrices of a (B, beta, gamma) triple."""
-
-    def build(B, beta, gamma):
-        B = np.asarray(B, dtype=float)
-        m, n2 = B.shape
-        eye_y, eye_m, zeros = np.eye(n2), np.eye(m), np.zeros((n2, m))
-        btb = B.T @ B
-        btb = (btb + btb.T) / 2.0  # exact symmetry for the diagonal blocks
-        M = np.block([[gamma * eye_y, zeros], [-gamma * beta * B, gamma * eye_m]])
-        Q = np.block([[beta * btb, zeros], [-B, eye_m / beta]])
-        H = np.block([[beta * btb / gamma, zeros], [zeros.T, eye_m / (beta * gamma)]])
-        G = np.block([
-            [(2.0 - 2.0 * gamma) * beta * btb, (gamma - 1.0) * B.T],
-            [(gamma - 1.0) * B, (2.0 - gamma) / beta * eye_m],
-        ])
-        return DenseMatrices(beta, gamma, B, M, Q, H, G)
-
-    return build
+    B = np.asarray(B, dtype=float)
+    m, n2 = B.shape
+    eye_y, eye_m, zeros = np.eye(n2), np.eye(m), np.zeros((n2, m))
+    btb = B.T @ B
+    btb = (btb + btb.T) / 2.0  # exact symmetry for the diagonal blocks
+    M = np.block([[gamma * eye_y, zeros], [-gamma * beta * B, gamma * eye_m]])
+    Q = np.block([[beta * btb, zeros], [-B, eye_m / beta]])
+    H = np.block([[beta * btb / gamma, zeros], [zeros.T, eye_m / (beta * gamma)]])
+    G = np.block([
+        [(2.0 - 2.0 * gamma) * beta * btb, (gamma - 1.0) * B.T],
+        [(gamma - 1.0) * B, (2.0 - gamma) / beta * eye_m],
+    ])
+    return DenseMatrices(beta, gamma, B, M, Q, H, G)
 
 
-@pytest.fixture(scope="session")
-def dense_B():
+def dense_B(problem):
     """A problem's B, materialized by applying its constraint operator to basis vectors."""
-
-    def materialize(problem):
-        return np.column_stack([problem.apply_B(e) for e in np.eye(problem.n2)])
-
-    return materialize
+    return np.column_stack([problem.apply_B(e) for e in np.eye(problem.n2)])
 
 
 # Test-side formulas of the three per-step identities, each on the dense
 # M, H, G and B of dense_matrices and in the scaling FejerMonitor keeps.
 
 
-@pytest.fixture(scope="session")
-def split_residual():
+def split_residual(problem, v, w, mats):
     """Max-norm residual of lam_pred = lam_tilde + beta B(y - y_pred),
     relative to max(1, ||lam_pred||_inf)."""
-
-    def residual(problem, v, w, mats):
-        lam_tilde = _lam_tilde(problem, v, w, mats.beta)
-        recombined = lam_tilde + mats.beta * mats.apply_B(v.y - w.y)
-        return np.abs(w.lam - recombined).max() / max(1.0, np.abs(w.lam).max())
-
-    return residual
+    recombined = lam_tilde(problem, v, w, mats.beta) + mats.beta * mats.apply_B(v.y - w.y)
+    return np.abs(w.lam - recombined).max() / max(1.0, np.abs(w.lam).max())
 
 
-@pytest.fixture(scope="session")
-def correction_residual():
+def correction_residual(problem, v, w, v_next, mats):
     """2-norm residual of v_next = v - M(v - v_tilde) at the auxiliary point
     v_tilde = (y_pred, lam_tilde), relative to ||v_next||."""
-
-    def residual(problem, v, w, v_next, mats):
-        d = v - EssentialState(w.y, _lam_tilde(problem, v, w, mats.beta))
-        expected = _stacked(v) - mats.M @ _stacked(d)
-        target = _stacked(v_next)
-        return np.linalg.norm(target - expected) / max(np.linalg.norm(target), 1e-300)
-
-    return residual
+    d = v - EssentialState(w.y, lam_tilde(problem, v, w, mats.beta))
+    expected = stacked(v) - mats.M @ stacked(d)
+    target = stacked(v_next)
+    return np.linalg.norm(target - expected) / max(np.linalg.norm(target), 1e-300)
 
 
-@pytest.fixture(scope="session")
-def expansion_mismatch():
+def expansion_mismatch(problem, v, w, v_next, mats):
     """|d'Gd - e| / |d'Gd| for d = v - v_tilde and its step form
     e = (2 - gamma)/gamma ||v - v_next||_H^2 + 2 (lam - lam_pred)'B(y - y_pred)."""
-
-    def mismatch(problem, v, w, v_next, mats):
-        d = _stacked(v - EssentialState(w.y, _lam_tilde(problem, v, w, mats.beta)))
-        step = _stacked(v - v_next)
-        direct = d @ mats.G @ d
-        cross = (v.lam - w.lam) @ mats.apply_B(v.y - w.y)
-        expanded = (2.0 - mats.gamma) / mats.gamma * (step @ mats.H @ step) + 2.0 * cross
-        return abs(direct - expanded) / max(abs(direct), 1e-300)
-
-    return mismatch
+    d = stacked(v - EssentialState(w.y, lam_tilde(problem, v, w, mats.beta)))
+    step = stacked(v - v_next)
+    direct = d @ mats.G @ d
+    cross = (v.lam - w.lam) @ mats.apply_B(v.y - w.y)
+    expanded = (2.0 - mats.gamma) / mats.gamma * (step @ mats.H @ step) + 2.0 * cross
+    return abs(direct - expanded) / max(abs(direct), 1e-300)
 
 
-@pytest.fixture
-def gemm_solve_x():
+def gemm_solve_x(self, y, lam, beta):
     """CovselInstance.solve_x with the eigenvector product taken as the
     symmetrized gemm (U diag(x)) U', a different kernel for the same X."""
-
-    def solve_x(self, y, lam, beta):
-        Y, Lam = (np.reshape(v, (self.n, self.n)) for v in (y, lam))
-        d, U = np.linalg.eigh(beta * Y + Lam - self.S)
-        xs = (d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta)
-        return _symmetrize((U * xs) @ U.T).ravel()
-
-    return solve_x
+    Y, Lam = (np.reshape(v, (self.n, self.n)) for v in (y, lam))
+    d, U = np.linalg.eigh(beta * Y + Lam - self.S)
+    xs = (d + np.sqrt(d * d + 4.0 * beta)) / (2.0 * beta)
+    return _symmetrize((U * xs) @ U.T).ravel()

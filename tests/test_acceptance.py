@@ -9,6 +9,10 @@ and shared between criteria 1, 2 and 9 and the iteration ledger.
 import itertools
 
 import numpy as np
+from conftest import (
+    correction_residual, dense_B, dense_matrices, expansion_mismatch, forced_step, solve_traced,
+    split_residual, stacked, subproblem_residual,
+)
 
 from admmkit import EssentialState, SolverConfig, run
 from admmkit import covsel, lasso
@@ -62,9 +66,7 @@ def test_criterion_2_covsel_variant_ordering(covsel_table_runs):
     )
 
 
-def test_criterion_3_exact_algebraic_identities(
-    forced_step, split_residual, correction_residual, expansion_mismatch, dense_matrices, dense_B
-):
+def test_criterion_3_exact_algebraic_identities():
     rng = np.random.default_rng(7)
     # each (beta, gamma) pair twice or more over the 100 trials
     pairs = list(itertools.product(
@@ -145,7 +147,7 @@ def test_criterion_4_fejer_monotonicity():
     )
 
 
-def test_criterion_5_unit_gamma_equivalence(solve_traced, stacked):
+def test_criterion_5_unit_gamma_equivalence():
     kw = dict(beta=1.0, eps_abs=1e-30, eps_rel=1e-30, max_iter=30)
     lengths, differences = set(), [0.0]
     for instance in (
@@ -166,7 +168,7 @@ def test_criterion_5_unit_gamma_equivalence(solve_traced, stacked):
     )
 
 
-def test_criterion_6_subproblem_oracles(subproblem_residual):
+def test_criterion_6_subproblem_oracles():
     rng = np.random.default_rng(11)
     worst_w = 0.0
     # fat takes the Woodbury path, tall the direct Cholesky one

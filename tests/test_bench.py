@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import NanAfterTwo
 
 from admmkit import EssentialState, SolverConfig, bench, run
 from admmkit.bench import (
@@ -355,8 +356,8 @@ def test_diagnostics_columns_clean_on_converging_cell(tmp_path):
     assert seen == set(CLEAN_CELLS)
 
 
-def test_trajectory_csv_leaves_the_unobserved_non_finite_step_blank(tmp_path, nan_after_two):
-    problem = nan_after_two()
+def test_trajectory_csv_leaves_the_unobserved_non_finite_step_blank(tmp_path):
+    problem = NanAfterTwo()
     config = SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-12)
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
     v0 = EssentialState(np.array([1.0]), np.array([0.0]))

@@ -288,22 +288,17 @@ def test_bench_save_instance_creates_missing_directories(tmp_path):
     assert np.array_equal(loaded.S, reference.S)
 
 
-USAGE = "usage: admm-bench {lasso,covsel,compare,diagnose} [options]\n"
-
-
 @pytest.mark.parametrize(
-    "argv, code, stdout, stderr",
-    [([], 2, USAGE, ""), (["--help"], 0, USAGE, ""),
-     (["lasso", "--help"], 0, "usage: admm-bench lasso [-h] [--m M] [--n N]", ""),
-     (["bogus"], 2, "",
-      "unknown command 'bogus'; expected one of ('lasso', 'covsel', 'compare', 'diagnose')\n")],
-    ids=["no-command", "help", "lasso-help", "unknown-command"],
+    "argv, stdout",
+    [(["--help"], "usage: admm-bench [-h] {lasso,covsel,compare,diagnose}\n"),
+     (["lasso", "--help"], "usage: admm-bench lasso [-h] [--m M] [--n N]")],
+    ids=["help", "lasso-help"],
 )
-def test_help_and_an_unknown_command(argv, code, stdout, stderr):
-    # no command prints the help as --help does, but exits 2; no --out is made
+def test_help_and_an_unknown_command(argv, stdout):
+    # no command and an unknown one are usage errors, in tests/test_inputs.py's table
     result = run_cli(argv)
-    assert (result.code, result.stderr, result.out_exists) == (code, stderr, False)
-    assert stdout in result.stdout
+    assert (result.code, result.stderr, result.out_exists) == (0, "", False)
+    assert result.stdout.startswith(stdout)
 
 
 @pytest.mark.parametrize(
@@ -317,7 +312,7 @@ def test_the_module_entry_point_runs_the_cli(argv, code):
     assert (result.code, result.out_exists) == (code, code == 0), result.stderr
     assert ("residual curves: out/compare_lasso.csv\n" in result.stdout) == (code == 0)
     if code == 2:
-        assert usage_message(result, "compare") == "beta must be a finite number, got nan"
+        assert usage_message(result, "admm-bench compare") == "beta must be a finite number, got nan"
     else:
         assert result.stderr == "", result.stderr
 

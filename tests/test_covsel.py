@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import untraced_peak
+from conftest import gemm_solve_x, solve_traced, subproblem_residual, untraced_peak
 
 from admmkit import VARIANTS, Iterate, SolverConfig, covsel, run
 from admmkit.covsel import CovselInstance, _symmetrize, generate_instance
@@ -51,7 +51,7 @@ def test_x_update_scalar_zero_input():
     assert X[0] == pytest.approx(1.0)
 
 
-def test_x_update_identity_stationary(subproblem_residual):
+def test_x_update_identity_stationary():
     n = 4
     instance = CovselInstance(np.eye(n), tau=0.1)
     X = _x_update(instance, np.eye(n), np.zeros((n, n)), beta=1.0)
@@ -62,7 +62,7 @@ def test_x_update_identity_stationary(subproblem_residual):
 
 
 @pytest.mark.parametrize("n", [20, 200])
-def test_x_update_is_exactly_symmetric_and_matches_the_gemm_product(rng, gemm_solve_x, n):
+def test_x_update_is_exactly_symmetric_and_matches_the_gemm_product(rng, n):
     def symmetric():
         W = rng.standard_normal((n, n))
         return (W + W.T) / 2
@@ -118,7 +118,7 @@ def test_y_update_zero_when_threshold_dominates(rng):
     assert np.array_equal(out, np.zeros((n, n)))
 
 
-def test_y_update_first_order_optimality(rng, subproblem_residual):
+def test_y_update_first_order_optimality(rng):
     n = 6
     instance = CovselInstance(_random_spd(n, rng), tau=0.3)
     X = _random_spd(n, rng)
@@ -129,7 +129,7 @@ def test_y_update_first_order_optimality(rng, subproblem_residual):
     assert subproblem_residual(instance, "y", X.ravel(), Y.ravel(), Lam.ravel(), beta) <= 1e-12
 
 
-def test_engine_iterates_stay_symmetric_and_positive_definite(solve_traced):
+def test_engine_iterates_stay_symmetric_and_positive_definite():
     instance, _ = generate_instance(15, 2)
     config = SolverConfig(
         variant="over_relaxed", gamma=1.7, eps_abs=1e-6, eps_rel=1e-4, max_iter=300,

@@ -3,6 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import (
+    IdentityB, correction_residual, dense_B, dense_matrices, expansion_mismatch, forced_step,
+    lam_tilde, observe_transition, split_residual, stacked, sweep,
+)
 
 from admmkit import (
     VARIANTS,
@@ -26,13 +30,13 @@ from admmkit.diagnostics import (
 from admmkit.quadratic import QuadraticProblem, scalar_chain
 
 
-def test_metric_block_form_identity_matrix(dense_matrices):
+def test_metric_block_form_identity_matrix():
     mats = dense_matrices(np.eye(2), beta=2.0, gamma=1.6)
     expected = np.diag([2.0, 2.0, 0.5, 0.5]) / 1.6
     assert np.abs(mats.H - expected).max() < 1e-14
 
 
-def test_gap_form_at_unit_gamma_is_psd_corner(dense_matrices):
+def test_gap_form_at_unit_gamma_is_psd_corner():
     mats = dense_matrices(np.eye(1), beta=1.0, gamma=1.0)
     assert np.abs(mats.G - np.array([[0.0, 0.0], [0.0, 1.0]])).max() == 0.0
     d = EssentialState(np.array([1.0]), np.array([1.0]))
@@ -41,7 +45,7 @@ def test_gap_form_at_unit_gamma_is_psd_corner(dense_matrices):
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 1.9])
 @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
-def test_metric_factorization_and_definiteness_grid(gamma, beta, rng, dense_matrices):
+def test_metric_factorization_and_definiteness_grid(gamma, beta, rng):
     # H - QM^-1 is acceptance criterion 3's; H and G are exactly symmetric here
     B = rng.standard_normal((5, 3))
     mats = dense_matrices(B, beta=beta, gamma=gamma)
@@ -50,7 +54,7 @@ def test_metric_factorization_and_definiteness_grid(gamma, beta, rng, dense_matr
     assert np.linalg.eigvalsh(mats.H)[0] > 0.0
 
 
-def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
+def test_quadratic_forms_match_dense_products(rng):
     B = rng.standard_normal((5, 3))
     mats = dense_matrices(B, beta=2.5, gamma=1.4)
     for _ in range(20):
@@ -62,7 +66,7 @@ def test_quadratic_forms_match_dense_products(rng, dense_matrices, stacked):
     assert h_norm_sq(EssentialState(np.zeros(3), np.zeros(5)), mats) == 0.0
 
 
-def test_matrix_free_forms_agree_with_dense(rng, dense_matrices, dense_B):
+def test_matrix_free_forms_agree_with_dense(rng):
     instance, _ = lasso.generate_instance(20, 30, 7)
     dense = dense_matrices(dense_B(instance), beta=1.3, gamma=1.6)
     free = FejerMonitor(
@@ -102,7 +106,7 @@ def test_monitor_is_matrix_free(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("kind", ["lasso", "covsel", "quadratic"])
-def test_dense_identities_hold_for_each_diagnosed_problem(kind, variant, dense_matrices, dense_B):
+def test_dense_identities_hold_for_each_diagnosed_problem(kind, variant):
     # H = Q M^-1 and G = Q' + Q - M'HM at the (B, beta, gamma) a diagnose run analyses
     instance, gamma = _small_instances()[kind]
     config = SolverConfig(variant=variant, gamma=gamma)
@@ -113,7 +117,7 @@ def test_dense_identities_hold_for_each_diagnosed_problem(kind, variant, dense_m
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_B):
+def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant):
     config = SolverConfig(variant=variant, beta=0.8, gamma=1.6, max_iter=60)
     quadratic = QuadraticProblem.random(n1=3, n2=4, m=6, rng=np.random.default_rng(3))
     for instance in (lasso.generate_instance(40, 60, 0)[0], quadratic):
@@ -132,9 +136,7 @@ def test_matrix_free_monitor_matches_a_dense_one_bitwise(variant, dense_B):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("kind", ["lasso", "covsel", "quadratic"])
-def test_monitor_takes_its_forms_at_the_written_out_lam_tilde(
-    kind, variant, lam_tilde, split_residual
-):
+def test_monitor_takes_its_forms_at_the_written_out_lam_tilde(kind, variant):
     # the gap form and the split at v_tilde = (y_pred, lam_tilde), bit for bit;
     # a lam_tilde derived back from lam_pred would leave the split only rounding
     instance, gamma = _small_instances()[kind]
@@ -200,7 +202,7 @@ def test_monitor_reuses_the_gap_forms_B_application(variant, rng):
 
 @pytest.mark.parametrize("read_only", [False, True], ids=["aliased", "read-only"])
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
-def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b):
+def test_monitor_writes_only_into_its_own_vectors(variant, read_only):
     # the identities are formed in place; an apply_B that returns its argument
     # or a read-only array must read the same as B @ y, and no observed array
     # may change
@@ -210,7 +212,7 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
     config = SolverConfig(variant=variant, gamma=1.7, eps_abs=1e-12, eps_rel=1e-12, max_iter=25)
     v0 = EssentialState(rng.standard_normal(4), rng.standard_normal(4))
     monitors = []
-    for problem in (QuadraticProblem(*data), identity_b(*data)):
+    for problem in (QuadraticProblem(*data), IdentityB(*data)):
         problem.read_only = read_only
         monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
         seen = []
@@ -228,7 +230,7 @@ def test_monitor_writes_only_into_its_own_vectors(variant, read_only, identity_b
         assert getattr(argument, name) == getattr(plain, name), name
 
 
-def test_expansion_zero_at_fixed_point(sweep, expansion_mismatch, dense_matrices, dense_B):
+def test_expansion_zero_at_fixed_point():
     chain = scalar_chain()
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     w = sweep(chain, v, 1.0)
@@ -239,9 +241,7 @@ def test_expansion_zero_at_fixed_point(sweep, expansion_mismatch, dense_matrices
     assert monitor.expansion == 0.0 and expansion_mismatch(chain, v, w, v, mats) == 0.0
 
 
-def test_expansion_matches_direct_form_on_forced_relaxation(
-    forced_step, expansion_mismatch, dense_matrices, dense_B
-):
+def test_expansion_matches_direct_form_on_forced_relaxation():
     chain = scalar_chain()
     step = forced_step(chain, EssentialState(np.array([1.0]), np.array([0.0])), 1.0, 1.5)
     mats = dense_matrices(dense_B(chain), 1.0, 1.5)
@@ -280,9 +280,7 @@ def test_gap_form_nonnegative_on_criterion_held_steps():
     assert checked > 0
 
 
-def test_correction_identity_with_unit_gamma_on_plain_steps(
-    rng, small_quadratic, forced_step, correction_residual, dense_matrices, dense_B
-):
+def test_correction_identity_with_unit_gamma_on_plain_steps(rng, small_quadratic):
     # an unrelaxed step is the correction at unit gamma
     problem = small_quadratic
     mats = dense_matrices(dense_B(problem), beta=0.9, gamma=1.0)
@@ -297,7 +295,7 @@ def test_correction_identity_with_unit_gamma_on_plain_steps(
 
 
 def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_identities(
-    rng, small_quadratic, forced_step, split_residual, correction_residual, expansion_mismatch, dense_matrices, dense_B
+    rng, small_quadratic
 ):
     # a perturbed x_next, and so A x_next and lam_tilde, and v_next break all three
     # identities by far more than rounding, so the monitor's values and the
@@ -322,7 +320,7 @@ def test_monitor_identity_maxima_agree_with_the_test_side_formulas_off_the_ident
         assert min(monitor.split, monitor.correction, monitor.expansion) > 1e-6
 
 
-def test_fejer_constant_trajectory_is_all_zeros(observe_transition):
+def test_fejer_constant_trajectory_is_all_zeros():
     chain = scalar_chain()
     v_star = EssentialState(np.array([0.3]), np.array([-0.2]))
     report = FejerMonitor(chain, SolverConfig(variant="classical", beta=1.0, gamma=1.5), v_star)
@@ -345,7 +343,7 @@ def test_fejer_scalar_chain_strictly_decreasing():
     assert all(dists[k + 1] < dists[k] for k in range(len(dists) - 1))
 
 
-def test_fejer_flags_violations_instead_of_raising(observe_transition):
+def test_fejer_flags_violations_instead_of_raising():
     chain = scalar_chain()
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
     report = FejerMonitor(chain, SolverConfig(variant="classical", beta=1.0, gamma=1.5), v_star)
@@ -359,7 +357,7 @@ def test_fejer_flags_violations_instead_of_raising(observe_transition):
     assert report.monotonicity_violations[0][0] == 0
 
 
-def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance(observe_transition):
+def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance():
     # the tolerance is 1e-8 D0, so a transition that grows the H-distance to
     # v* by 1e-6 D0 is a violation of about that size
     chain = scalar_chain()
@@ -374,9 +372,7 @@ def test_fejer_flags_a_growth_of_a_millionth_of_the_start_distance(observe_trans
     assert report.monotonicity_violations[0][1] == pytest.approx(1e-6 * d0, rel=1e-6)
 
 
-def test_classical_monitor_measures_in_the_unit_gamma_metric(
-    small_quadratic, dense_matrices, dense_B
-):
+def test_classical_monitor_measures_in_the_unit_gamma_metric(small_quadratic):
     # classical steps are analysed at H(1), whatever gamma the config carries
     config = SolverConfig(variant="classical", beta=0.8, gamma=1.6, max_iter=40)
     ref = reference_solution(small_quadratic, replace(config, eps_abs=1e-8, eps_rel=1e-6))
@@ -394,7 +390,7 @@ def test_classical_monitor_measures_in_the_unit_gamma_metric(
 
 
 @pytest.mark.parametrize("variant", ["classical", "over_relaxed", "relaxed_customized"])
-def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant, observe_transition):
+def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant):
     # an unrelaxed over-relaxed step is a classical step, monotone in H(gamma)
     config = SolverConfig(variant=variant, gamma=1.5)
     v_star = EssentialState(np.array([0.0]), np.array([0.0]))
@@ -411,7 +407,7 @@ def test_unrelaxed_steps_are_checked_for_monotonicity_only(variant, observe_tran
     assert not report.gap_violations
 
 
-def test_a_relaxed_step_away_from_v_star_is_flagged_by_both_checks(observe_transition):
+def test_a_relaxed_step_away_from_v_star_is_flagged_by_both_checks():
     # growing the H(gamma)-distance from 0.01/gamma to 25/gamma breaks
     # monotonicity, and the gap inequality by the step form plus that growth
     chain = scalar_chain()

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from conftest import (
+    NanAfterTwo, dense_B, dense_matrices, lam_tilde, one_step, solve_traced, split_residual,
+    subproblem_residual, sweep,
+)
 
 from admmkit import (
     EssentialState,
@@ -17,7 +21,7 @@ from admmkit.quadratic import QuadraticProblem
 # closed forms on the 1-d chain: x = (lam + beta*y)/(1+beta),
 # y_pred = (beta*x - lam)/(1+beta)
 
-def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde, sweep):
+def test_predict_scalar_chain_closed_form(chain, chain_start):
     w = sweep(chain, chain_start, 1.0)
     assert w.x == pytest.approx(0.5)
     assert w.y == pytest.approx(0.25)
@@ -25,9 +29,7 @@ def test_predict_scalar_chain_closed_form(chain, chain_start, lam_tilde, sweep):
     assert lam_tilde(chain, chain_start, w, 1.0) == pytest.approx(0.5)
 
 
-def test_prediction_multiplier_split_identity(
-    small_quadratic, rng, split_residual, dense_matrices, dense_B, sweep
-):
+def test_prediction_multiplier_split_identity(small_quadratic, rng):
     problem = small_quadratic
     for _ in range(10):
         v = EssentialState(rng.standard_normal(problem.n2), rng.standard_normal(problem.m))
@@ -39,13 +41,13 @@ def test_prediction_multiplier_split_identity(
         assert monitor.split <= 1e-12
 
 
-def test_predict_at_fixed_point_keeps_multiplier(chain, sweep):
+def test_predict_at_fixed_point_keeps_multiplier(chain):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     w = sweep(chain, v, 1.0)
     assert np.array_equal(w.lam, v.lam)
 
 
-def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residual, sweep):
+def test_predict_satisfies_subproblem_optimality_on_lasso(rng):
     instance, _ = lasso.generate_instance(60, 100, 1)
     for _ in range(5):
         v = EssentialState(rng.standard_normal(100), rng.standard_normal(100))
@@ -54,7 +56,7 @@ def test_predict_satisfies_subproblem_optimality_on_lasso(rng, subproblem_residu
         assert subproblem_residual(instance, "y", w.x, w.y, v.lam, 1.0) <= 1e-10
 
 
-def test_criterion_zero_at_fixed_point(chain, one_step):
+def test_criterion_zero_at_fixed_point(chain):
     v = EssentialState(np.array([0.0]), np.array([0.0]))
     v_next, rec = one_step(chain, v, SolverConfig(variant="over_relaxed", gamma=1.8))
     assert rec.criterion_value == 0.0 and rec.relaxed
@@ -71,7 +73,7 @@ def test_relax_gamma_one_returns_prediction_exactly(chain, chain_start):
     assert v_new.y is w.y and v_new.lam is w.lam
 
 
-def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_start, one_step):
+def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_start):
     config = SolverConfig(variant="over_relaxed", gamma=1.5, beta=1.0)
     v_next, rec = one_step(chain, chain_start, config)
     assert not rec.relaxed
@@ -80,7 +82,7 @@ def test_step_over_relaxed_skips_relaxation_on_negative_criterion(chain, chain_s
     assert v_next.lam == pytest.approx(-0.25)
 
 
-def test_step_classical_matches_over_relaxed_when_criterion_fails(chain, chain_start, one_step):
+def test_step_classical_matches_over_relaxed_when_criterion_fails(chain, chain_start):
     config = SolverConfig(variant="classical", beta=1.0)
     v_c, rec_c = one_step(chain, chain_start, config)
     config_o = SolverConfig(variant="over_relaxed", gamma=1.9, beta=1.0)
@@ -90,7 +92,7 @@ def test_step_classical_matches_over_relaxed_when_criterion_fails(chain, chain_s
     assert not rec_c.relaxed
 
 
-def test_step_relaxed_customized_scalar_chain(chain, chain_start, one_step):
+def test_step_relaxed_customized_scalar_chain(chain, chain_start):
     config = SolverConfig(variant="relaxed_customized", gamma=1.5, beta=1.0)
     v_next, rec = one_step(chain, chain_start, config)
     # multiplier first: 0 - (0.5 - 1) = 0.5; then y from that multiplier: 0
@@ -135,7 +137,7 @@ def test_run_iteration_numbering_and_max_iter(chain, chain_start):
     assert converged.converged and converged.records[-1].within_tolerance
 
 
-def test_dual_update_consistency_on_plain_steps(solve_traced, sweep):
+def test_dual_update_consistency_on_plain_steps():
     instance, _ = lasso.generate_instance(50, 90, 4)
     config = SolverConfig(variant="classical", max_iter=60)
     result, traj = solve_traced(instance, config)
@@ -167,8 +169,8 @@ def test_no_array_is_written_after_it_reaches_the_observer(make, variant):
     assert all(got is want for got, (want, _) in zip((final.x, final.y, final.lam), seen[-1][2:5]))
 
 
-def test_run_aborts_on_nonfinite_iterate(nan_after_two):
-    problem = nan_after_two()
+def test_run_aborts_on_nonfinite_iterate():
+    problem = NanAfterTwo()
     config = SolverConfig(variant="classical", eps_abs=1e-12, eps_rel=1e-12, max_iter=50)
     start = EssentialState(np.array([1.0]), np.array([0.0]))
     result = run(problem, config, start)
@@ -178,9 +180,7 @@ def test_run_aborts_on_nonfinite_iterate(nan_after_two):
 
 
 @pytest.mark.parametrize("case", ["converged", "max_iter", "non_finite"])
-def test_stop_reason_agrees_with_converged_and_iterations(
-    case, chain, chain_start, nan_after_two, sweep
-):
+def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_start):
     tight = dict(eps_abs=1e-14, eps_rel=1e-14)
     problem, config = {
         "converged": (chain, SolverConfig(variant="classical", max_iter=500)),
@@ -188,7 +188,7 @@ def test_stop_reason_agrees_with_converged_and_iterations(
         "max_iter": (
             chain, SolverConfig(variant="relaxed_customized", gamma=1.5, max_iter=3, **tight)
         ),
-        "non_finite": (nan_after_two(), SolverConfig(variant="classical", max_iter=50, **tight)),
+        "non_finite": (NanAfterTwo(), SolverConfig(variant="classical", max_iter=50, **tight)),
     }[case]
     observed = []
     result = run(problem, config, chain_start, observer=lambda *step: observed.append(step))

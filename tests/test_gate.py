@@ -4,6 +4,7 @@ as exactly zero, so no exact x-solve's rounding decides a relaxation."""
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import gemm_solve_x, one_step
 
 from admmkit import EssentialState, SolverConfig, run
 from admmkit import covsel, engine, lasso
@@ -23,7 +24,7 @@ def _flags(result):
     ],
     ids=["lasso-fat", "lasso-tall", "covsel"],
 )
-def test_relaxed_flags_do_not_depend_on_the_x_solve_kernel(monkeypatch, gemm_solve_x, make):
+def test_relaxed_flags_do_not_depend_on_the_x_solve_kernel(monkeypatch, make):
     config = SolverConfig(variant="over_relaxed", gamma=1.8)
     problems = [make(seed) for seed in range(5)]
     before = [run(problem, config) for problem in problems]
@@ -68,7 +69,7 @@ class _Scripted(SeparableProblem):
         return 0.0
 
 
-def test_rounding_level_criterion_reads_zero_and_relaxes(one_step):
+def test_rounding_level_criterion_reads_zero_and_relaxes():
     # from v = 0 the criterion is (x - y_pred) . y_pred = 1 - (1 + delta) = -delta;
     # c u S is about 4.3e-15 here
     config = SolverConfig(variant="over_relaxed", gamma=1.8)

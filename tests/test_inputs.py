@@ -17,7 +17,8 @@ JSON can hold.
 The command line has a table of its own beside ``EXACT``, ``USAGE_ERRORS``:
 each case is a command line and the whole message of its usage error, and
 ``conftest.usage_message`` checks the rest of the contract (exit code 2, the
-command's usage line, no traceback and no ``--out``). Every command line
+usage line of the command's parser, or of ``admm-bench``'s when the command
+is missing or unknown, no traceback and no ``--out``). Every command line
 runs through ``conftest.run_cli``, the sweep's too: one malformed flag value
 in a small valid command must end in exit code 0, 3 or 2, and a 2 must be a
 usage error.
@@ -40,7 +41,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import run_cli, usage_message
 
 from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
-from admmkit import bench, covsel, lasso
+from admmkit import bench, cli, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
@@ -274,6 +275,9 @@ EXACT = [
     ("LassoInstance.A", [["a", "b"]], f"A {NOT_A_NUMBER}"),
     ("LassoInstance.A", np.eye(3), "b has shape (2,), expected (3,)"),
     ("LassoInstance.A", _spoilt(LASSO["A"], math.nan), "A must be finite"),
+    *(("LassoInstance.A", np.zeros(shape),
+       f"A must have at least one row and one column, got shape {shape}")
+      for shape in ((0, 3), (3, 0))),
     ("LassoInstance.b", np.ones(3) * 1j, "b must be real, got complex values"),
     ("LassoInstance.b", _spoilt(LASSO["b"], math.inf), "b must be finite"),
     ("LassoInstance.rho", 0.0, "rho must lie in (0, inf), got 0.0"),
@@ -495,6 +499,7 @@ BAD_FILES = {
     "m-abc.cfg": b"m=abc\n",
     "no-equals.cfg": b"# a comment\nmax-iter 300\n",
     "m.cfg": b"m=40\n",
+    "nested.cfg": b"config=m.cfg\n",
 }
 
 
@@ -508,6 +513,10 @@ class Usage(NamedTuple):
 #: Command lines that are usage errors, each with its whole message; each
 #: runs in a directory holding BAD_FILES and a valid covsel.bin.
 USAGE_ERRORS = [Usage(*case) for case in [
+    # no command, or one admm-bench does not have, is the top-level parser's error
+    ("", "the following arguments are required: command"),
+    ("bogus", "argument command: invalid choice: 'bogus'"
+     " (choose from 'lasso', 'covsel', 'compare', 'diagnose')"),
     ("lasso --repeats 0", "repeats must be at least 1, got 0"),
     ("lasso --max-iter 0", "max_iter must be at least 1, got 0"),
     ("covsel --n 5", "sizes[0]: n must be at least 10, got 5"),
@@ -526,6 +535,7 @@ USAGE_ERRORS = [Usage(*case) for case in [
     ("lasso --config unknown-key.cfg", "unrecognized arguments: --does-not-exist=1"),
     ("lasso --config m-abc.cfg", "argument --m: invalid _parse_int_list value: 'abc'"),
     ("lasso --config no-equals.cfg", "no-equals.cfg:2: expected key=value, got 'max-iter 300'"),
+    ("lasso --config nested.cfg", "nested.cfg:1: a config file cannot name another one"),
     # a key names its flag in full: covsel's m is not --max-iter
     ("covsel --config m.cfg", "unrecognized arguments: --m=40"),
     ("diagnose --load-instance missing.bin", "[Errno 2] No such file or directory: 'missing.bin'"),
@@ -587,7 +597,7 @@ USAGE_ERRORS = [Usage(*case) for case in [
 
 
 @pytest.mark.parametrize("argv, message, unallocatable", USAGE_ERRORS,
-                         ids=[case.argv for case in USAGE_ERRORS])
+                         ids=[case.argv or "no-command" for case in USAGE_ERRORS])
 def test_a_bad_command_line_is_a_usage_error(tmp_path, monkeypatch, argv, message,
                                              unallocatable):
     save_instance(tmp_path / "covsel.bin", covsel.CovselInstance(**COVSEL))
@@ -598,8 +608,9 @@ def test_a_bad_command_line_is_a_usage_error(tmp_path, monkeypatch, argv, messag
             raise MemoryError(message)  # numpy's _ArrayMemoryError is a MemoryError
 
         monkeypatch.setattr(unallocatable, allocate)  # nothing is allocated
-    command, *flags = argv.split()
-    assert usage_message(run_cli([command, *flags, "--out", "out"], tmp_path), command) == message
+    words = argv.split()
+    prog = f"admm-bench {words[0]}" if words and words[0] in cli.COMMANDS else "admm-bench"
+    assert usage_message(run_cli([*words, "--out", "out"], tmp_path), prog) == message
 
 
 #: Values a JSON header line can hold: null, bools, strings, ragged lists,
@@ -727,4 +738,4 @@ def test_a_malformed_flag_value_ends_in_an_exit_code(base, data):
     assert result.code in (0, 2, 3), (argv, result)
     assert "Traceback" not in result.stderr
     if result.code == 2:
-        usage_message(result, command)
+        usage_message(result, f"admm-bench {command}")

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import untraced_peak
+from conftest import one_step, stacked, subproblem_residual, untraced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -301,7 +301,7 @@ def test_y_update_all_zero_when_threshold_dominates(rng):
     assert np.array_equal(instance.solve_y(x, z, beta=1.0), np.zeros(6))
 
 
-def test_y_update_first_order_optimality(rng, subproblem_residual):
+def test_y_update_first_order_optimality(rng):
     instance, _ = generate_instance(40, 80, 5)
     for _ in range(10):
         x = rng.standard_normal(80)
@@ -311,7 +311,7 @@ def test_y_update_first_order_optimality(rng, subproblem_residual):
         assert subproblem_residual(instance, "y", x, y, z, beta) <= 1e-12
 
 
-def test_exact_fixed_point_is_stationary_under_one_step(one_step, stacked):
+def test_exact_fixed_point_is_stationary_under_one_step():
     # with rho above the critical value, (y, lam) = (0, -A'b) is an exact
     # fixed point of the iteration in floating point
     instance, _ = generate_instance(30, 50, 7)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import untraced_peak
+from conftest import stacked, untraced_peak
 
 from admmkit import (
     DimensionMismatchError,
@@ -24,7 +24,7 @@ def test_solver_config_accepts_unit_gamma_for_relaxed_variants():
     SolverConfig(variant="classical", gamma=5.0)
 
 
-def test_essential_state_helpers(chain, stacked):
+def test_essential_state_helpers(chain):
     v = EssentialState.zeros(chain)
     assert v.y.shape == (1,) and v.lam.shape == (1,)
     d = EssentialState(np.array([3.0]), np.array([1.0])) - EssentialState(

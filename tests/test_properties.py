@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+from conftest import correction_residual, dense_B, dense_matrices, lam_tilde, split_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,9 +89,7 @@ def test_relaxed_flag_follows_the_variant_gate(case, variant):
 
 @PROPERTY
 @given(cases(), st.sampled_from(("classical", "over_relaxed")))
-def test_split_and_correction_identities_on_every_step(
-    split_residual, correction_residual, dense_matrices, dense_B, case, variant
-):
+def test_split_and_correction_identities_on_every_step(case, variant):
     problem, v0, beta, gamma = case
     config = _config(variant, beta, gamma)
     monitor = FejerMonitor(problem, config, EssentialState.zeros(problem))
@@ -106,7 +105,7 @@ def test_split_and_correction_identities_on_every_step(
 
 @PROPERTY
 @given(cases(), st.sampled_from(VARIANTS))
-def test_operator_applications_per_step(lam_tilde, case, variant):
+def test_operator_applications_per_step(case, variant):
     problem, v0, beta, gamma = case
     marks = []  # (calls when the step ends, calls when the observer returns, relaxed)
 

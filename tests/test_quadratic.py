@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import subproblem_residual
 
 from admmkit import SolverConfig, run
 from admmkit.diagnostics import kkt_residual
@@ -22,7 +23,7 @@ def test_constraint_operators_are_linear(small_quadratic, rng):
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
-def test_subproblem_solutions_are_first_order_optimal(small_quadratic, rng, subproblem_residual):
+def test_subproblem_solutions_are_first_order_optimal(small_quadratic, rng):
     problem = small_quadratic
     for _ in range(10):
         y = rng.standard_normal(problem.n2)

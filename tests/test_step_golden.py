@@ -12,6 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import IdentityB
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,15 +132,13 @@ def test_step_is_bitwise_the_reference_on_covsel(seed, n, variant, gamma, beta):
 
 @pytest.mark.parametrize("read_only", [False, True], ids=["aliased", "read-only"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_step_is_bitwise_the_reference_when_apply_B_returns_its_argument(
-    variant, read_only, identity_b
-):
+def test_step_is_bitwise_the_reference_when_apply_B_returns_its_argument(variant, read_only):
     # the engine forms residuals in apply_B's output, so it must not write
     # into y or into an array it may not write
     rng = np.random.default_rng(5)
-    problem = identity_b(2.0 * np.eye(3), rng.standard_normal(3), np.eye(4),
-                         rng.standard_normal(4), rng.standard_normal((4, 3)), np.eye(4),
-                         rng.standard_normal(4))
+    problem = IdentityB(2.0 * np.eye(3), rng.standard_normal(3), np.eye(4),
+                        rng.standard_normal(4), rng.standard_normal((4, 3)), np.eye(4),
+                        rng.standard_normal(4))
     problem.read_only = read_only
     v0 = EssentialState(rng.standard_normal(4), rng.standard_normal(4))
     y0 = v0.y.copy()
