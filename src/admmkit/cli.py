@@ -38,10 +38,6 @@ from .diagnostics import FejerMonitor, kkt_residual, reference_solution
 from .engine import SolverError, run
 from .model import VARIANTS, SolverConfig, require_real
 
-#: The subcommands, each with its own parser.
-COMMANDS = ("lasso", "covsel", "compare", "diagnose")
-
-
 def _parse_int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok != ""]
 
@@ -280,11 +276,14 @@ def _cmd_diagnose(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    commands = ("lasso", "covsel", "compare", "diagnose")
     top = argparse.ArgumentParser(prog="admm-bench", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("command", choices=COMMANDS)
+    top.add_argument("command", metavar="{" + ",".join(commands) + "}")
     # the command alone, so `admm-bench lasso --help` reaches the command's own parser
     command, rest = top.parse_args(argv[:1]).command, argv[1:]
+    if command not in commands:  # not argparse's choices, whose wording varies by version
+        top.error(f"unknown command {command!r}; expected one of {', '.join(commands)}")
     parser = _build_parser(command)
     try:
         # the file's flags come first, so the command line's own win

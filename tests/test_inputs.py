@@ -41,7 +41,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import run_cli, usage_message
 
 from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
-from admmkit import bench, cli, covsel, lasso
+from admmkit import bench, covsel, lasso
 from admmkit.bench import BenchmarkSpec
 from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
@@ -508,15 +508,18 @@ class Usage(NamedTuple):
     message: str
     #: a dotted name the case replaces with a callable raising MemoryError(message)
     unallocatable: str | None = None
+    #: the parser whose usage error it is, if not ``admm-bench <first word>``
+    prog: str | None = None
 
 
 #: Command lines that are usage errors, each with its whole message; each
 #: runs in a directory holding BAD_FILES and a valid covsel.bin.
 USAGE_ERRORS = [Usage(*case) for case in [
     # no command, or one admm-bench does not have, is the top-level parser's error
-    ("", "the following arguments are required: command"),
-    ("bogus", "argument command: invalid choice: 'bogus'"
-     " (choose from 'lasso', 'covsel', 'compare', 'diagnose')"),
+    ("", "the following arguments are required: {lasso,covsel,compare,diagnose}", None,
+     "admm-bench"),
+    ("bogus", "unknown command 'bogus'; expected one of lasso, covsel, compare, diagnose", None,
+     "admm-bench"),
     ("lasso --repeats 0", "repeats must be at least 1, got 0"),
     ("lasso --max-iter 0", "max_iter must be at least 1, got 0"),
     ("covsel --n 5", "sizes[0]: n must be at least 10, got 5"),
@@ -596,10 +599,10 @@ USAGE_ERRORS = [Usage(*case) for case in [
 ]]
 
 
-@pytest.mark.parametrize("argv, message, unallocatable", USAGE_ERRORS,
+@pytest.mark.parametrize("argv, message, unallocatable, prog", USAGE_ERRORS,
                          ids=[case.argv or "no-command" for case in USAGE_ERRORS])
 def test_a_bad_command_line_is_a_usage_error(tmp_path, monkeypatch, argv, message,
-                                             unallocatable):
+                                             unallocatable, prog):
     save_instance(tmp_path / "covsel.bin", covsel.CovselInstance(**COVSEL))
     for name, data in BAD_FILES.items():
         (tmp_path / name).write_bytes(data)
@@ -609,8 +612,9 @@ def test_a_bad_command_line_is_a_usage_error(tmp_path, monkeypatch, argv, messag
 
         monkeypatch.setattr(unallocatable, allocate)  # nothing is allocated
     words = argv.split()
-    prog = f"admm-bench {words[0]}" if words and words[0] in cli.COMMANDS else "admm-bench"
-    assert usage_message(run_cli([*words, "--out", "out"], tmp_path), prog) == message
+    # a bare `admm-bench` runs as it is, and must not make the default bench_out
+    result = run_cli([*words, "--out", "out"] if words else [], tmp_path)
+    assert usage_message(result, prog or f"admm-bench {words[0]}") == message
 
 
 #: Values a JSON header line can hold: null, bools, strings, ragged lists,
