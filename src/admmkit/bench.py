@@ -172,6 +172,7 @@ def generate_instance(problem: str, size, seed: int, tau: float | None = None):
     feature count n and the l1 weight ``tau``, None: covsel.DEFAULT_TAU)."""
     require_choice("problem", problem, tuple(_GENERATORS))
     if problem == "lasso":
+        lasso.require_size(size)  # a pair, before it is unpacked
         return lasso.generate_instance(*size, seed)[0]
     return covsel.generate_instance(size, seed, covsel.DEFAULT_TAU if tau is None else tau)[0]
 

@@ -138,7 +138,9 @@ def _cholesky_solve(upper, rhs):
 
 
 def require_size(size: tuple) -> None:
-    """Raise ValueError naming m or n unless :func:`generate_instance` takes the (m, n) ``size``."""
+    """Raise ValueError naming size, m or n unless generate_instance takes the pair ``size``."""
+    if not (isinstance(size, (tuple, list)) and len(size) == 2):
+        raise ValueError(f"size must be a pair, got {size!r}")
     m, n = size
     require_int("m", m, 1)
     require_int("n", n, 1)

@@ -3,7 +3,10 @@
 A fixture here holds per-test state (``rng``, ``chain``, ``chain_start``,
 ``small_quadratic``) or a session cache (the two paper tables); every other
 shared name is a plain function, class or constant that a test module
-imports by name, as in ``from conftest import run_cli, sweep``.
+imports by name, as in ``from conftest import run_cli, sweep``. Every
+hypothesis test runs under one profile, loaded here before any test module
+is imported: derandomized, with no deadline and no example database, so a
+test sets only its ``max_examples``.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from admmkit import (
     EssentialState, IterationRecord, SolverConfig, cli, covsel, lasso, run
@@ -27,6 +31,9 @@ from admmkit import (
 from admmkit.covsel import _symmetrize
 from admmkit.model import VARIANTS
 from admmkit.quadratic import QuadraticProblem, scalar_chain
+
+settings.register_profile("admmkit", deadline=None, derandomize=True, database=None)
+settings.load_profile("admmkit")
 
 #: The paper's two protocol cells, each solved at beta 1 on seeds 0-9 by
 #: every variant: problem -> (size, gamma, eps_abs, eps_rel).

@@ -12,11 +12,6 @@ from admmkit.covsel import generate_instance as generate_covsel
 from admmkit.lasso import generate_instance
 
 
-def _lasso_args(out):
-    return ["lasso", "--m", "40", "--n", "60", "--repeats", "2", "--seed", "0",
-            "--max-iter", "300", "--out", out]
-
-
 @pytest.mark.parametrize(
     "argv",
     [["lasso", "--m", "40", "--n", "60"],
@@ -218,15 +213,6 @@ def test_config_file_switch_and_key_spellings(tmp_path, lines, flags, diagnostic
 def test_config_file_strict_switch_returns_nonzero_on_dnf(tmp_path):
     config = _write_config(tmp_path, "m=40", "n=60", "repeats=1", "max-iter=2", "strict=yes")
     assert run_cli(["lasso", "--config", config, "--out", tmp_path]).code == 3
-
-
-def test_cli_outputs_deterministic(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run_cli(_lasso_args(out_a)).code == 0
-    assert run_cli(_lasso_args(out_b)).code == 0
-    assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
-    traj = "traj_lasso_40x60_tol0_over_relaxed.csv"
-    assert (out_a / traj).read_bytes() == (out_b / traj).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,15 @@ Lasso A with three rows makes a valid length-2 b the mismatch. An integer
 or real parameter's error must read as one of the two messages of
 ``model.require_int`` or ``model.require_real``; a ``BenchmarkSpec`` list
 entry that must be a pair may instead say it is not one, and a size may
-instead give its generator's message after the entry's name. A second
-table pins whole messages: each of its cases puts one malformed value in a
-row's slot and gives the exact message, and every row has at least one case.
-The container header's fields have a table of their own, drawn from values
-JSON can hold.
+instead give its generator's message after the entry's name; a pair
+argument's message may name one of its elements instead. The container
+header's fields have rows of their own, ``HEADER_ROWS``, drawn from values
+JSON can hold and checked after the container's path. A second table,
+``EXACT``, pins whole messages: each of its cases puts one malformed value
+in a row's slot, a header row's too, and gives the exact message, and every
+row has at least one case. ``CONTAINERS`` pins the whole message of each
+defect of a container file that no header row covers: its bytes, and the
+message after its path.
 The command line has a table of its own beside ``EXACT``, ``USAGE_ERRORS``:
 each case is a command line and the whole message of its usage error, and
 ``conftest.usage_message`` checks the rest of the contract (exit code 2, the
@@ -47,7 +51,7 @@ from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
 from admmkit.quadratic import QuadraticProblem
 
-SWEEP = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+SWEEP = settings(max_examples=8)
 
 #: None, bools, strings, complex numbers, ragged and nested lists, NaN and
 #: inf, negative and huge ints, arrays of small shapes (empty ones included)
@@ -92,10 +96,11 @@ SOLVERS = {
 
 
 def _save(instance, seed=None):
-    """save_instance into a new directory, which a rejection must leave empty."""
+    """save_instance into a new directory, which a rejection must leave
+    empty; returns the bytes it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            save_instance(Path(tmp) / "inst.bin", instance, seed)
+            return save_instance(Path(tmp) / "inst.bin", instance, seed).read_bytes()
         except ValueError:
             assert not os.listdir(tmp)
             raise
@@ -115,6 +120,8 @@ class Row(NamedTuple):
     valid: object = None
     #: the forms the message may take after the name, as a regex; None for any
     form: str | None = None
+    #: the names of a pair argument's elements, which a message may name instead
+    elements: tuple = ()
 
 
 #: The two message forms of require_int and of require_real, after the name.
@@ -170,6 +177,9 @@ ROWS = {
     "covsel.generate_instance.seed": Row(lambda v: covsel.generate_instance(10, v), "seed"),
     "bench.generate_instance.problem": Row(lambda v: bench.generate_instance(v, (4, 6), 0),
                                            "problem"),
+    # a value of two elements reaches the checks of m and n, which name those
+    "bench.generate_instance.size": Row(lambda v: bench.generate_instance("lasso", v, 0), "size",
+                                        elements=("m", "n")),
     **{
         f"SolverConfig.{key}": Row(
             lambda v, key=key: SolverConfig(**{"variant": "over_relaxed", key: v}), key,
@@ -250,6 +260,39 @@ ROWS = {
                                       "problem"),
     "save_instance.instance": Row(_save, "instance"),
     "save_instance.seed": Row(lambda v: _save(SOLVERS["CovselInstance"], v), "seed", form=INT),
+}
+
+
+def _read(data):
+    """load_instance of a file holding ``data``; a ValueError must start with
+    the path, which is cut from it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.bin"
+        path.write_bytes(data)
+        try:
+            load_instance(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            raise ValueError(str(exc)[len(f"{path}: "):]) from None
+
+
+def _load(data, key, value):
+    """_read of the container ``data`` with header field ``key`` set to ``value``."""
+    header, payload = data[len(MAGIC):].split(b"\n", 1)
+    _read(MAGIC + json.dumps({**json.loads(header), key: value}).encode() + b"\n" + payload)
+
+
+#: A saved valid instance of each kind, the file a header row or a defect edits.
+LASSO_FILE, COVSEL_FILE = (_save(SOLVERS[kind]) for kind in ("LassoInstance", "CovselInstance"))
+
+HEADER_ROWS = {
+    f"load_instance.{kind}.{key}": Row(
+        lambda v, data=data, key=key: _load(data, key, v), key,
+        form=REAL if key in ("rho", "tau") else INT,
+    )
+    for kind, data, keys in (("LassoInstance", LASSO_FILE, ("m", "n", "rho", "seed")),
+                             ("CovselInstance", COVSEL_FILE, ("n", "tau", "seed")))
+    for key in keys
 }
 
 
@@ -427,6 +470,22 @@ EXACT = [
       for v in (object(), 3)),
     *(("save_instance.seed", v, f"seed must be an integer, got {v!r}") for v in ("abc", 2.5, True)),
     ("save_instance.seed", -1, "seed must be at least 0, got -1"),
+    ("bench.generate_instance.size", 5, "size must be a pair, got 5"),
+    ("bench.generate_instance.size", (1,), "size must be a pair, got (1,)"),
+    ("bench.generate_instance.size", [0, 6], "m must be at least 1, got 0"),
+    # a header field of a saved instance, set to a value JSON can hold
+    ("load_instance.LassoInstance.m", -2, "m must be at least 1, got -2"),
+    ("load_instance.LassoInstance.n", True, "n must be an integer, got True"),
+    ("load_instance.LassoInstance.rho", 0, "rho must lie in (0, inf), got 0"),
+    ("load_instance.LassoInstance.seed", 2.5, "seed must be an integer, got 2.5"),
+    ("load_instance.CovselInstance.n", -3, "n must be at least 1, got -3"),
+    ("load_instance.CovselInstance.n", 1.0, "n must be an integer, got 1.0"),
+    *(("load_instance.CovselInstance.tau", v, f"tau must be a finite number, got {v!r}")
+      for v in ("0.1", math.inf, 10**400)),
+    ("load_instance.CovselInstance.tau", 0, "tau must lie in (0, inf), got 0"),
+    *(("load_instance.CovselInstance.seed", v, f"seed must be an integer, got {v!r}")
+      for v in ("abc", True)),
+    ("load_instance.CovselInstance.seed", -1, "seed must be at least 0, got -1"),
 ]
 
 
@@ -451,7 +510,7 @@ def _check(row: Row, value) -> None:
         assert exc.operand in (row.name, *row.partners), exc
         assert _names(str(exc), exc.operand), exc
     except ValueError as exc:
-        assert _names(str(exc), row.name), exc
+        assert any(_names(str(exc), name) for name in (row.name, *row.elements)), exc
         form = row.form and re.escape(row.name) + row.form
         assert form is None or re.fullmatch(form, str(exc), re.S), exc
 
@@ -477,24 +536,60 @@ def test_a_malformed_argument_returns_or_raises_a_named_value_error(row, value):
 @pytest.mark.parametrize("key, value, message", EXACT, ids=list(_case_ids(EXACT)))
 def test_a_malformed_argument_raises_its_exact_message(key, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
-        ROWS[key].call(value)
+        (ROWS | HEADER_ROWS)[key].call(value)
     # a shape error is the one ValueError subclass a rejection raises
     assert type(exc.value) is (DimensionMismatchError if " has shape " in message else ValueError)
 
 
 def test_every_row_has_an_exact_case():
-    assert ROWS.keys() == {key for key, _, _ in EXACT}
+    assert ROWS.keys() | HEADER_ROWS.keys() == {key for key, _, _ in EXACT}
 
 
-PAYLOAD = struct.pack("<d", 1.0)
+def _not_json(line):
+    """load_instance's message for a header ``line`` that is not UTF-8 JSON;
+    the reason is Python's own."""
+    try:
+        json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        return f"header is not valid JSON ({exc})"
+
+
+NAN = struct.pack("<d", math.nan)
+
+#: Defects of a whole container file: id -> (the file's bytes, written out or
+#: a saved valid instance edited, and the whole message after its path).
+CONTAINERS = {
+    "bad-magic": (b"NOTMINE\n{}\n", "not an instance container (bad magic b'NOTMINE\\n{')"),
+    "not-object": (MAGIC + b"[1]\n", "header must be a JSON object, got list"),
+    **{defect: (MAGIC + line, _not_json(line))
+       for defect, line in (("bad-json", b'{"kind": "lasso", "n": 2\n'), ("bad-utf8", b"\xff\n"))},
+    "no-m": (MAGIC + b'{"kind": "lasso", "n": 2}\n', "header has no 'm' field"),
+    "no-rho": (MAGIC + b'{"kind": "lasso", "m": 2, "n": 2}\n', "header has no 'rho' field"),
+    "unknown-kind": (MAGIC + b'{"kind": "mystery"}\n', "unknown instance kind 'mystery'"),
+    # the payload's length is compared with the file's size before anything is
+    # allocated, so a huge dimension is a payload error, not a MemoryError
+    "short": (LASSO_FILE[:-16], "payload is 48 bytes, expected 64"),
+    "long": (LASSO_FILE + bytes(8), "payload is 72 bytes, expected 64"),
+    "huge-header": (LASSO_FILE.replace(b'"m": 2', b'"m": 1000000000000'),
+                    "payload is 64 bytes, expected 32000000000000"),
+    "nan-b": (LASSO_FILE[:-8] + NAN, "b must be finite"),
+    "nan-S": (COVSEL_FILE[:-8] + NAN, "S must be finite"),
+}
+
+
+@pytest.mark.parametrize("data, message", CONTAINERS.values(), ids=CONTAINERS.keys())
+def test_a_malformed_container_raises_its_exact_message(data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _read(data)
+
+
+#: The CONTAINERS defects that the usage-error table loads.
+LOADED = ("no-m", "bad-magic", "huge-header", "nan-S")
 
 #: The files the usage-error table's command lines name, each with one
-#: defect: container headers ahead of one float64 of payload, and config files.
+#: defect: containers and config files.
 BAD_FILES = {
-    "no-m.bin": MAGIC + b'{"kind": "lasso", "n": 2}\n' + PAYLOAD,
-    "tau.bin": MAGIC + b'{"kind": "covsel", "n": 1, "tau": "0.1"}\n' + PAYLOAD,
-    "dims.bin": MAGIC + b'{"kind": "lasso", "m": -2, "n": 2, "rho": 1.0}\n' + PAYLOAD,
-    "seed.bin": MAGIC + b'{"kind": "covsel", "n": 1, "seed": "abc", "tau": 1.0}\n' + PAYLOAD,
+    **{f"{defect}.bin": CONTAINERS[defect][0] for defect in LOADED},
     "unknown-key.cfg": b"does_not_exist=1\n",
     "m-abc.cfg": b"m=abc\n",
     "no-equals.cfg": b"# a comment\nmax-iter 300\n",
@@ -577,11 +672,9 @@ USAGE_ERRORS = [Usage(*case) for case in [
     *((argv, "reference solve stopped on a non-finite iterate at iteration 1")
       for argv in ("diagnose --problem covsel --n 10 --beta 1e308",
                    "diagnose --m 8 --n 12 --beta 1e-310")),
-    # a malformed container header, named by its path
-    ("compare --load-instance no-m.bin", "no-m.bin: header has no 'm' field"),
-    ("compare --load-instance tau.bin", "tau.bin: tau must be a finite number, got '0.1'"),
-    ("compare --load-instance dims.bin", "dims.bin: m must be at least 1, got -2"),
-    ("compare --load-instance seed.bin", "seed.bin: seed must be an integer, got 'abc'"),
+    # a malformed container, named by its path
+    *((f"compare --load-instance {defect}.bin", f"{defect}.bin: {CONTAINERS[defect][1]}")
+      for defect in LOADED),
     # a grid size the generator rejects fails before any cell is solved
     ("covsel --n 15,5 --repeats 1", "sizes[1]: n must be at least 10, got 5"),
     ("lasso --m 8,3000000000 --n 12,3000000000 --repeats 1",
@@ -630,32 +723,6 @@ JSON_VALUES = st.one_of(
     st.integers(min_value=2**63, max_value=10**400),
     st.floats(-4, 4),
 )
-
-
-def _load(instance, key, value):
-    """load_instance of ``instance`` saved with header field ``key`` set to
-    ``value``; a ValueError must start with the path, which is cut from it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = save_instance(Path(tmp) / "inst.bin", instance)
-        header, payload = path.read_bytes()[len(MAGIC):].split(b"\n", 1)
-        header = {**json.loads(header), key: value}
-        path.write_bytes(MAGIC + json.dumps(header).encode() + b"\n" + payload)
-        try:
-            load_instance(path)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}: "), exc
-            raise ValueError(str(exc)[len(f"{path}: "):]) from None
-
-
-HEADER_ROWS = {
-    f"load_instance.{kind}.{key}": Row(
-        lambda v, instance=SOLVERS[kind], key=key: _load(instance, key, v), key,
-        form=REAL if key in ("rho", "tau") else INT,
-    )
-    for kind, keys in (("LassoInstance", ("m", "n", "rho", "seed")),
-                       ("CovselInstance", ("n", "tau", "seed")))
-    for key in keys
-}
 
 
 @pytest.mark.parametrize("row", HEADER_ROWS.values(), ids=HEADER_ROWS.keys())
@@ -732,7 +799,7 @@ def test_each_small_command_line_runs(base):
 
 
 @pytest.mark.parametrize("base", CLI_BASES.values(), ids=CLI_BASES.keys())
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_a_malformed_flag_value_ends_in_an_exit_code(base, data):
     command, flags = base

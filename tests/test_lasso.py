@@ -256,7 +256,7 @@ def test_soft_threshold_definition_cases():
     assert _soft_threshold(np.array([-3.0]), 2.0, 2.0)[0] == -2.0
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     # weight / beta: 0 by underflow, the least subnormal, and up to 1e308
     # short of overflow, which would form inf - inf

@@ -11,7 +11,7 @@ from admmkit import VARIANTS, EssentialState, SolverConfig, run
 from admmkit.diagnostics import FejerMonitor
 from admmkit.quadratic import QuadraticProblem
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 class _Counting(QuadraticProblem):

@@ -20,7 +20,7 @@ from admmkit import VARIANTS, EssentialState, SolverConfig, covsel, engine, lass
 from admmkit.model import IterationRecord
 from admmkit.quadratic import QuadraticProblem
 
-GOLDEN = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+GOLDEN = settings(max_examples=30)
 
 
 def reference_run(problem, config, v):

@@ -11,7 +11,7 @@ from admmkit import SolverConfig, run
 from admmkit import covsel, lasso
 from admmkit.diagnostics import kkt_residual
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=100)
 
 
 @st.composite
