@@ -15,6 +15,7 @@ import os
 import runpy
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -41,18 +42,29 @@ PAPER_CELLS = {"lasso": ((1000, 1500), 1.8, 1e-5, 1e-3), "covsel": ((300,), 1.7,
 PAPER_SEEDS = range(10)
 
 
-def untraced_peak(call, *args):
-    """``call(*args)`` and the tracemalloc peak of what it allocates, with any
-    line tracer suspended: under CPython 3.11 a tracer's frame-locals dict
-    keeps arrays alive past the code's own ``del``s."""
-    trace = sys.gettrace()
+@contextlib.contextmanager
+def untraced_memory():
+    """tracemalloc on, and any line tracer suspended, for the block, in this
+    thread and in the threads it starts: under CPython 3.11 a tracer's
+    frame-locals dict keeps arrays alive past the code's own ``del``s.
+    Yields ``memory()``, which returns the bytes traced now and their peak
+    since tracing began or the last call, then resets that peak."""
+    traces = sys.gettrace(), threading.gettrace()
     sys.settrace(None)
+    threading.settrace(None)
     tracemalloc.start()
+
+    def memory():
+        traced = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        return traced
+
     try:
-        return call(*args), tracemalloc.get_traced_memory()[1]
+        yield memory
     finally:
         tracemalloc.stop()
-        sys.settrace(trace)
+        sys.settrace(traces[0])
+        threading.settrace(traces[1])
 
 
 class CliRun(NamedTuple):

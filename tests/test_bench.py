@@ -3,11 +3,10 @@ import os
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import NanAfterTwo
+from conftest import NanAfterTwo, untraced_memory
 
 from admmkit import EssentialState, SolverConfig, bench, run
 from admmkit.bench import (
@@ -177,10 +176,9 @@ def test_a_grid_keeps_no_iterate_past_its_repeat(tmp_path, monkeypatch):
     so that the peak measures what the grid keeps and not how two workers'
     solves overlap."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    tracemalloc.start()
-    try:
+    with untraced_memory() as memory:
         instance = bench.generate_instance("covsel", 120, 0)
-        instance_bytes = tracemalloc.get_traced_memory()[0]
+        instance_bytes = memory()[0]
         del instance
         for diagnostics in (False, True):
             peaks = []
@@ -188,13 +186,10 @@ def test_a_grid_keeps_no_iterate_past_its_repeat(tmp_path, monkeypatch):
                 spec = BenchmarkSpec(problem="covsel", sizes=[120], tolerances=[(1e-5, 1e-3)],
                                      repeats=repeats, diagnostics=diagnostics,
                                      out_dir=tmp_path / f"{diagnostics}-{repeats}")
-                start = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
+                start = memory()[0]
                 run_benchmark(spec)
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                peaks.append(memory()[1] - start)
             assert peaks[1] - peaks[0] < instance_bytes, (diagnostics, peaks, instance_bytes)
-    finally:
-        tracemalloc.stop()
 
 
 def test_no_timed_solve_pays_the_lasso_factorization(tmp_path, monkeypatch):

@@ -2,7 +2,6 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import untraced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -55,36 +54,6 @@ def test_saved_bytes_are_pinned(tmp_path, instance, seed, expected):
     # the magic line, the header with sorted keys, then little-endian float64s
     path = save_instance(tmp_path / "inst.bin", instance, seed=seed)
     assert path.read_bytes() == MAGIC + expected
-
-
-def test_lasso_load_holds_one_copy_of_the_data(tmp_path):
-    rng = np.random.default_rng(0)
-    instance = LassoInstance(rng.standard_normal((3000, 1000)), rng.standard_normal(3000), 0.1)
-    (loaded, _), peak = untraced_peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
-    assert peak <= 1.2 * instance.A.nbytes
-    assert np.array_equal(loaded.A, instance.A) and np.array_equal(loaded.b, instance.b)
-
-
-def test_covsel_load_holds_the_data_and_one_working_copy(tmp_path):
-    # the constructor's n x n buffer becomes the kept S, so the read payload
-    # and that buffer are the two copies
-    instance, _ = generate_covsel(300, 0)
-    (loaded, _), peak = untraced_peak(load_instance, save_instance(tmp_path / "inst.bin", instance))
-    assert peak <= 2.2 * instance.S.nbytes
-    assert np.array_equal(loaded.S, instance.S)
-
-
-@pytest.mark.parametrize(
-    "make, data",
-    [(lambda: generate_lasso(3000, 1000, 0)[0], "A"), (lambda: generate_covsel(300, 0)[0], "S")],
-    ids=["lasso", "covsel"],
-)
-def test_save_holds_no_copy_of_the_data(tmp_path, make, data):
-    # each native float64 array is written through the buffer protocol
-    instance = make()
-    path, peak = untraced_peak(save_instance, tmp_path / "inst.bin", instance)
-    assert peak <= 0.05 * getattr(instance, data).nbytes
-    assert np.array_equal(getattr(load_instance(path)[0], data), getattr(instance, data))
 
 
 @st.composite

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gemm_solve_x, solve_traced, subproblem_residual, untraced_peak
+from conftest import gemm_solve_x, solve_traced, subproblem_residual
 
-from admmkit import VARIANTS, Iterate, SolverConfig, covsel, run
+from admmkit import Iterate, SolverConfig, covsel
 from admmkit.covsel import CovselInstance, _symmetrize, generate_instance
 from admmkit.diagnostics import kkt_residual
 
@@ -98,37 +98,6 @@ def test_eigenvalue_map_is_strictly_increasing():
     assert np.all(x > 0)
 
 
-def test_y_update_reduces_to_shift_when_weight_negligible(rng):
-    n = 5
-    S = _random_spd(n, rng)
-    instance = CovselInstance(S, tau=1e-300)
-    X = _random_spd(n, rng)
-    Lam = rng.standard_normal((n, n))
-    Lam = (Lam + Lam.T) / 2
-    out = instance.solve_y(X, Lam, beta=2.0)
-    assert np.allclose(out, X - Lam / 2.0, atol=1e-12)
-
-
-def test_y_update_zero_when_threshold_dominates(rng):
-    n = 5
-    S = _random_spd(n, rng)
-    instance = CovselInstance(S, tau=1e6)
-    X = _random_spd(n, rng)
-    out = instance.solve_y(X, np.zeros((n, n)), beta=1.0)
-    assert np.array_equal(out, np.zeros((n, n)))
-
-
-def test_y_update_first_order_optimality(rng):
-    n = 6
-    instance = CovselInstance(_random_spd(n, rng), tau=0.3)
-    X = _random_spd(n, rng)
-    Lam = rng.standard_normal((n, n))
-    Lam = (Lam + Lam.T) / 2
-    beta = 0.8
-    Y = instance.solve_y(X, Lam, beta)
-    assert subproblem_residual(instance, "y", X.ravel(), Y.ravel(), Lam.ravel(), beta) <= 1e-12
-
-
 def test_engine_iterates_stay_symmetric_and_positive_definite():
     instance, _ = generate_instance(15, 2)
     config = SolverConfig(
@@ -152,20 +121,6 @@ def test_symmetrized_covariance_keeps_the_bits_of_the_mean_with_its_transpose(rn
     assert CovselInstance(S + 30.0 * np.eye(30)).S.tobytes() == (
         _symmetrize(S + 30.0 * np.eye(30)).tobytes()
     )
-
-
-def test_constructor_holds_one_matrix_besides_the_data():
-    # one buffer serves the skew check, the factorization and the kept S
-    S = generate_instance(300, 1)[0].S.copy()
-    assert untraced_peak(CovselInstance, S)[1] <= 1.2 * S.nbytes
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_a_solve_holds_few_matrices_at_once(variant):
-    instance, _ = generate_instance(100, 3)
-    config = SolverConfig(variant=variant, gamma=1.7, eps_abs=1e-6, eps_rel=1e-4, max_iter=20)
-    matrix = 8 * instance.n ** 2
-    assert untraced_peak(run, instance, config)[1] <= 8.5 * matrix
 
 
 def _with_min_eigenvalue(rel, factor, rng, n=12):

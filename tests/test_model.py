@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import stacked, untraced_peak
+from conftest import stacked
 
 from admmkit import (
     DimensionMismatchError,
@@ -68,13 +68,6 @@ def test_require_finite_finds_a_bad_entry_anywhere(shape, where, bad):
 
 def test_require_finite_passes_an_empty_array():
     require_finite("values", np.ones((0, 3)))
-
-
-def test_require_finite_holds_no_mask_of_the_data():
-    values = np.ones((3000, 1000))
-    peak = untraced_peak(require_finite, "values", values)[1]
-    # a boolean mask of the data would be 3 MB
-    assert peak < 4096
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ of its own, whose return is no skip. Arcs that follow an exception are no
 outcome. So an ``if`` must keep its body off its test's lines.
 
 Under CPython 3.11 a tracer keeps frame locals alive, so the memory tests
-measure their peaks with it suspended (``untraced_peak`` in ``tests/conftest.py``).
+measure their peaks with it suspended (``untraced_memory`` in ``tests/conftest.py``).
 
 Usage, from any directory:
 
