@@ -98,6 +98,37 @@ def test_eigenvalue_map_is_strictly_increasing():
     assert np.all(x > 0)
 
 
+def test_y_update_reduces_to_shift_when_weight_negligible(rng):
+    n = 5
+    S = _random_spd(n, rng)
+    instance = CovselInstance(S, tau=1e-300)
+    X = _random_spd(n, rng)
+    Lam = rng.standard_normal((n, n))
+    Lam = (Lam + Lam.T) / 2
+    out = instance.solve_y(X, Lam, beta=2.0)
+    assert np.allclose(out, X - Lam / 2.0, atol=1e-12)
+
+
+def test_y_update_zero_when_threshold_dominates(rng):
+    n = 5
+    S = _random_spd(n, rng)
+    instance = CovselInstance(S, tau=1e6)
+    X = _random_spd(n, rng)
+    out = instance.solve_y(X, np.zeros((n, n)), beta=1.0)
+    assert np.array_equal(out, np.zeros((n, n)))
+
+
+def test_y_update_first_order_optimality(rng):
+    n = 6
+    instance = CovselInstance(_random_spd(n, rng), tau=0.3)
+    X = _random_spd(n, rng)
+    Lam = rng.standard_normal((n, n))
+    Lam = (Lam + Lam.T) / 2
+    beta = 0.8
+    Y = instance.solve_y(X, Lam, beta)
+    assert subproblem_residual(instance, "y", X.ravel(), Y.ravel(), Lam.ravel(), beta) <= 1e-12
+
+
 def test_engine_iterates_stay_symmetric_and_positive_definite():
     instance, _ = generate_instance(15, 2)
     config = SolverConfig(

@@ -234,6 +234,12 @@ def _soft_threshold(a, weight, beta):
     return LassoInstance(np.eye(len(a)), np.zeros(len(a)), weight).solve_y(a, np.zeros(len(a)), beta)
 
 
+def test_soft_threshold_definition_cases():
+    assert _soft_threshold(np.array([2.0]), 2.0, 2.0)[0] == 1.0
+    assert _soft_threshold(np.array([0.5]), 2.0, 2.0)[0] == 0.0
+    assert _soft_threshold(np.array([-3.0]), 2.0, 2.0)[0] == -2.0
+
+
 @settings(max_examples=200)
 @given(
     # weight / beta: 0 by underflow, the least subnormal, and up to 1e308
@@ -263,6 +269,20 @@ def test_soft_threshold_is_bitwise_the_two_sided_max_form(weight_beta, drawn, se
     nan = np.isnan(reference)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), reference[~nan].view(np.uint64))
+
+
+def test_y_update_scalar_case():
+    instance = LassoInstance(np.eye(2), np.array([1.0, 1.0]), rho=0.1)
+    # shifted input 0.3 with threshold rho/beta = 0.1 shrinks to 0.2
+    out = instance.solve_y(np.array([0.3, 0.3]), np.zeros(2), beta=1.0)
+    assert np.allclose(out, [0.2, 0.2])
+
+
+def test_y_update_all_zero_when_threshold_dominates(rng):
+    instance = LassoInstance(rng.standard_normal((10, 6)), rng.standard_normal(10), rho=50.0)
+    x = rng.uniform(-1, 1, 6)
+    z = rng.uniform(-1, 1, 6)
+    assert np.array_equal(instance.solve_y(x, z, beta=1.0), np.zeros(6))
 
 
 def test_y_update_first_order_optimality(rng):
