@@ -157,6 +157,8 @@ def run(
             # ||By||, for the y-block behind lam_pred, is at most ||r|| + ||Ax|| +
             # ||b||, r that multiplier's residual, so S takes no operator application.
             b_gap = problem.apply_B(dy)
+            if k == 1 and np.shares_memory(b_gap, lam_pred):  # a buffer apply_B keeps
+                raise ValueError("apply_B must return a new array, not the one lam_pred is in")
             crit, gap_sq = float(dlam.dot(b_gap)), b_gap.dot(b_gap)
             del b_gap
             ax_norm, lam_pred_norm = _norm(ax), _norm(lam_pred)

@@ -69,8 +69,9 @@ class SeparableProblem(ABC):
     def apply_B(self, y: np.ndarray) -> np.ndarray:
         """Constraint operator applied to the y-block (linear), as a new
         array: the engine forms residuals in it. One that is read-only or
-        shares memory with ``y`` is copied first; one the problem holds on
-        to would be written over."""
+        shares memory with ``y`` is copied first. One the problem holds on
+        to would be written over: ``run`` raises ValueError naming apply_B
+        when its first step gets the same array back twice."""
 
     @property
     @abstractmethod

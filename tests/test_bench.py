@@ -428,20 +428,6 @@ def test_emit_plotdata_clamps_exact_zeros(tmp_path):
     assert float(rows[0]["classical_dual"]) == 1e-300  # strictly positive for log axes
 
 
-def test_emit_plotdata_rejects_an_empty_result_map(tmp_path):
-    with pytest.raises(ValueError, match="no results to write"):
-        emit_trajectory_plotdata({}, tmp_path / "empty.csv")
-    assert not (tmp_path / "empty.csv").exists()
-
-
-def test_emit_plotdata_unwritable_path_names_path(tmp_path):
-    instance, _ = generate_instance(20, 30, 0)
-    result = run(instance, SolverConfig(variant="classical", max_iter=200))
-    target = tmp_path / "missing" / "file.csv"
-    with pytest.raises(OSError, match="missing"):
-        emit_trajectory_plotdata({"classical": result}, target)
-
-
 def test_residual_decrease_regression_baseline():
     # Table-1-scale size at the tight tolerance pair: both residual curves
     # drop by at least three orders of magnitude from the first iteration

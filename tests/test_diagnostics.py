@@ -14,7 +14,6 @@ from admmkit import (
     Iterate,
     IterationRecord,
     SolverConfig,
-    SolverError,
     run,
 )
 from admmkit import covsel, lasso
@@ -483,21 +482,6 @@ def test_reference_solution_close_to_analytic_fixed_point():
     assert abs(ref.y[0]) < 1e-8 and abs(ref.lam[0]) < 1e-8
 
 
-class _NanY(QuadraticProblem):
-    """The scalar chain with a y-solve that returns NaN."""
-
-    def __init__(self):
-        super().__init__([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[-1.0]], [0.0])
-
-    def solve_y(self, x, lam, beta):
-        return np.array([np.nan])
-
-
-def test_reference_solution_names_a_non_finite_stop():
-    with pytest.raises(SolverError, match="non-finite iterate at iteration 1$"):
-        reference_solution(_NanY(), SolverConfig(beta=1.0, eps_abs=1e-7, eps_rel=1e-7))
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_reference_solution_is_the_classical_run_at_100x_tighter_tolerances(variant):
     # whatever variant, gamma and cap the monitored solve has
@@ -507,13 +491,6 @@ def test_reference_solution_is_the_classical_run_at_100x_tighter_tolerances(vari
     final = run(instance, plain).final
     ref = reference_solution(instance, config)
     assert np.array_equal(ref.y, final.y) and np.array_equal(ref.lam, final.lam)
-
-
-def test_reference_solution_raises_when_it_does_not_converge():
-    instance, _ = lasso.generate_instance(40, 60, 1)
-    with pytest.raises(SolverError, match="eps_abs=1e-07, eps_rel=1e-05") as exc:
-        reference_solution(instance, SolverConfig(beta=2000.0, eps_abs=1e-5, eps_rel=1e-3))
-    assert f"after {REFERENCE_MAX_ITER} iterations" in str(exc.value)
 
 
 @pytest.mark.parametrize("block", ["x", "y", "lam"])

@@ -9,7 +9,6 @@ from admmkit import (
     EssentialState,
     Iterate,
     SolverConfig,
-    SolverError,
     run,
 )
 from admmkit import lasso
@@ -215,19 +214,6 @@ def test_stop_reason_agrees_with_converged_and_iterations(case, chain, chain_sta
         assert kkt_residual(problem, w) >= 0.0
     if case == "max_iter":
         assert record.relaxed and final.y.tobytes() != v_new.y.tobytes()
-
-
-class _FactorizationBreaks(QuadraticProblem):
-    def __init__(self):
-        super().__init__([[1.0]], [0.0], [[1.0]], [0.0], [[1.0]], [[-1.0]], [0.0])
-
-    def solve_x(self, y, lam, beta):
-        raise np.linalg.LinAlgError("synthetic breakdown")
-
-
-def test_run_wraps_subproblem_failures_with_iteration_context():
-    with pytest.raises(SolverError, match="iteration 1"):
-        run(_FactorizationBreaks(), SolverConfig(variant="classical"))
 
 
 def test_covsel_runs_through_generic_engine():

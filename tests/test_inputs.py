@@ -17,7 +17,8 @@ JSON can hold and checked after the container's path. A second table,
 in a row's slot, a header row's too, and gives the exact message, and every
 row has at least one case. ``CONTAINERS`` pins the whole message of each
 defect of a container file that no header row covers: its bytes, and the
-message after its path.
+message after its path. ``RAISES`` pins every other raise: a call of no
+arguments, the exception's class and its whole message.
 The command line has a table of its own beside ``EXACT``, ``USAGE_ERRORS``:
 each case is a command line and the whole message of its usage error, and
 ``conftest.usage_message`` checks the rest of the contract (exit code 2, the
@@ -44,12 +45,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from conftest import run_cli, usage_message
 
-from admmkit import DimensionMismatchError, EssentialState, Iterate, SolverConfig, run
+from admmkit import (DimensionMismatchError, EssentialState, Iterate, SolverConfig, SolverError,
+                     run)
 from admmkit import bench, covsel, lasso
-from admmkit.bench import BenchmarkSpec
+from admmkit.bench import BenchmarkSpec, emit_trajectory_plotdata
 from admmkit.container import MAGIC, load_instance, save_instance
 from admmkit.diagnostics import FejerMonitor, kkt_residual, reference_solution
-from admmkit.quadratic import QuadraticProblem
+from admmkit.model import require_fits, require_real
+from admmkit.quadratic import QuadraticProblem, scalar_chain
 
 SWEEP = settings(max_examples=8)
 
@@ -95,15 +98,20 @@ SOLVERS = {
 }
 
 
-def _save(instance, seed=None):
-    """save_instance into a new directory, which a rejection must leave
-    empty; returns the bytes it wrote."""
+def _in_new_dir(write):
+    """``write(directory)`` for a new directory, which a ValueError must
+    leave empty; returns what ``write`` returns."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            return save_instance(Path(tmp) / "inst.bin", instance, seed).read_bytes()
+            return write(Path(tmp))
         except ValueError:
             assert not os.listdir(tmp)
             raise
+
+
+def _save(instance, seed=None):
+    """save_instance into a new directory; returns the bytes it wrote."""
+    return _in_new_dir(lambda tmp: save_instance(tmp / "inst.bin", instance, seed).read_bytes())
 
 
 def _spec(**field):
@@ -260,6 +268,12 @@ ROWS = {
                                       "problem"),
     "save_instance.instance": Row(_save, "instance"),
     "save_instance.seed": Row(lambda v: _save(SOLVERS["CovselInstance"], v), "seed", form=INT),
+    # require_real itself, at an interval of each kind
+    **{
+        f"require_real({low:g},{high:g}).value": _real(
+            lambda v, low=low, high=high: require_real("value", v, low, high), "value")
+        for low, high in ((0, math.inf), (0, 2), (-math.inf, 1e-3))
+    },
 }
 
 
@@ -486,6 +500,14 @@ EXACT = [
     *(("load_instance.CovselInstance.seed", v, f"seed must be an integer, got {v!r}")
       for v in ("abc", True)),
     ("load_instance.CovselInstance.seed", -1, "seed must be at least 0, got -1"),
+    *(("require_real(0,inf).value", v, f"value must be a finite number, got {v!r}")
+      for v in ("1", None, True, np.bool_(True), 1j, math.nan, math.inf, -math.inf,
+                np.float64(math.nan), 10**400, np.ones(1), [1.0])),
+    ("require_real(0,inf).value", 0.0, "value must lie in (0, inf), got 0.0"),
+    ("require_real(0,inf).value", -1, "value must lie in (0, inf), got -1"),
+    ("require_real(0,2).value", 2, "value must lie in (0, 2), got 2"),
+    ("require_real(0,2).value", np.float64(2.5), "value must lie in (0, 2), got 2.5"),
+    ("require_real(-inf,0.001).value", 1e-3, "value must lie in (-inf, 0.001), got 0.001"),
 ]
 
 
@@ -543,6 +565,121 @@ def test_a_malformed_argument_raises_its_exact_message(key, value, message):
 
 def test_every_row_has_an_exact_case():
     assert ROWS.keys() | HEADER_ROWS.keys() == {key for key, _, _ in EXACT}
+
+
+def _chain_with(**members):
+    """The scalar chain with each of ``members`` in place of its method of that name."""
+    chain = scalar_chain()
+    vars(chain).update(members)
+    return chain
+
+
+def _breakdown(*args):
+    raise np.linalg.LinAlgError("synthetic breakdown")
+
+
+class _KeptBuffer(QuadraticProblem):
+    """A QuadraticProblem whose apply_B writes into one array it keeps."""
+
+    def __init__(self, *data):
+        super().__init__(*data)
+        self.buffer = np.empty(self.m)
+
+    def apply_B(self, y):
+        return np.matmul(self.B, y, out=self.buffer)
+
+
+def _solve_x(instance, operand=None, bad=None):
+    """``instance.solve_x`` at beta 1 and zero vectors, which caches the
+    factor; then, given an ``operand`` (y or lam), with its entry 3 ``bad``."""
+    v = {"y": np.zeros(instance.n2), "lam": np.zeros(instance.m)}
+    instance.solve_x(v["y"], v["lam"], 1.0)
+    if operand is not None:
+        v[operand][3] = bad
+        instance.solve_x(v["y"], v["lam"], 1.0)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    #: A path in a directory that is not there, and open()'s message for it
+    UNWRITABLE = Path(tmp) / "missing" / "plot.csv"
+try:
+    open(UNWRITABLE, "w")
+except FileNotFoundError as exc:
+    NOT_WRITABLE = str(exc)
+
+#: Raises that no one malformed argument of a row makes: id -> (a call of
+#: no arguments, the exception's class and its whole message).
+RAISES = {
+    "Iterate.validate": (lambda: Iterate([1.0, 2.0], [2.0], [3.0]).validate(scalar_chain()),
+                         DimensionMismatchError, "x has shape (2,), expected (1,)"),
+    # the first call, at the most bytes an intp index allows, 8 (2**60 - 1), returns
+    "require_fits": (lambda: (require_fits((2**60 - 1,), n=2**60 - 1),
+                              require_fits((2**60,), n=2**60)), ValueError,
+                     "a (1152921504606846976,) float64 array for n=1152921504606846976 is past"
+                     " the index range"),
+    # each size fits alone and their product does not
+    "lasso.generate_instance(2**40,2**40)": (
+        lambda: lasso.generate_instance(2**40, 2**40, 0), ValueError,
+        "a (1099511627776, 1099511627776) float64 array for m=1099511627776, n=1099511627776 is"
+        " past the index range"),
+    # more columns than rows, which needs P2 and q2 widened with B
+    "QuadraticProblem.B-wide": (
+        lambda: QuadraticProblem(np.eye(2), np.zeros(2), np.eye(4), np.zeros(4), np.eye(3, 2),
+                                 np.eye(3, 4), np.ones(3)),
+        ValueError, "H not positive definite: B rank-deficient"),
+    **{
+        f"LassoInstance.solve_x.{operand}-{shape}-{bad}": (
+            lambda size=size, operand=operand, bad=bad: _solve_x(
+                lasso.generate_instance(*size, 9)[0], operand, bad),
+            ValueError, f"{name} must be finite")
+        for shape, size, name in (("fat", (20, 50), "A(A'b + beta y + lam)"),
+                                  ("tall", (50, 20), "A'b + beta y + lam"))
+        for operand in ("y", "lam") for bad in (math.nan, math.inf, -math.inf)
+    },
+    # a finite A, which the constructor takes, whose Gram matrix overflows
+    **{
+        f"{entry}.gram-{shape}": (
+            lambda A=A, solve=solve: solve(lasso.LassoInstance(A, np.ones(len(A)), 0.1)),
+            ValueError, f"{name} must be finite")
+        for shape, A, name in (("fat", [[1e200, 1, 0], [0, 1, 1]], "A A' + beta I"),
+                               ("tall", [[1e200, 0], [1, 1], [0, 1]], "A'A + beta I"))
+        for entry, solve in (("LassoInstance.solve_x", _solve_x),
+                             ("run", lambda problem: run(problem, SolverConfig())))
+    },
+    "run.subproblem-failure": (
+        lambda: run(_chain_with(solve_x=_breakdown), SolverConfig("classical")),
+        SolverError, "subproblem solve failed at iteration 1: synthetic breakdown"),
+    # a kept buffer holds lam_pred when the step's second apply_B writes it
+    **{
+        f"run.apply_B-kept-{variant}": (
+            lambda variant=variant: run(_KeptBuffer.random(4, 5, 8, np.random.default_rng(0)),
+                                        SolverConfig(variant, max_iter=1)),
+            ValueError, "apply_B must return a new array, not the one lam_pred is in")
+        for variant in ("classical", "over_relaxed", "relaxed_customized")
+    },
+    "reference_solution.non-finite": (
+        lambda: reference_solution(_chain_with(solve_y=lambda x, lam, beta: np.array([np.nan])),
+                                   SolverConfig(beta=1.0, eps_abs=1e-7, eps_rel=1e-7)),
+        SolverError, "reference solve stopped on a non-finite iterate at iteration 1"),
+    "reference_solution.max-iter": (
+        lambda: reference_solution(lasso.generate_instance(40, 60, 1)[0],
+                                   SolverConfig(beta=2000.0, eps_abs=1e-5, eps_rel=1e-3)),
+        SolverError,
+        "reference solve did not reach eps_abs=1e-07, eps_rel=1e-05 after 10000 iterations"),
+    "emit_trajectory_plotdata.empty": (
+        lambda: _in_new_dir(lambda tmp: emit_trajectory_plotdata({}, tmp / "plot.csv")),
+        ValueError, "no results to write"),
+    "emit_trajectory_plotdata.unwritable": (
+        lambda: emit_trajectory_plotdata({"classical": run(PROBLEM, SolverConfig(max_iter=3))},
+                                         UNWRITABLE), FileNotFoundError, NOT_WRITABLE),
+}
+
+
+@pytest.mark.parametrize("call, error, message", RAISES.values(), ids=RAISES.keys())
+def test_a_bad_call_raises_its_exact_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert type(exc.value) is error
 
 
 def _not_json(line):

@@ -81,11 +81,3 @@ def test_a_y_block_without_columns_passes_the_rank_check():
         np.ones(3),
     )
     assert (problem.m, problem.n1, problem.n2) == (3, 2, 0)
-
-
-def test_rank_deficient_B_is_rejected_at_construction():
-    # more columns than rows; test_inputs.py's B row has the other rank
-    # cases, but it keeps P2 2 x 2, so it cannot widen B past its 3 rows
-    with pytest.raises(ValueError, match="^H not positive definite: B rank-deficient$"):
-        QuadraticProblem(np.eye(2), np.zeros(2), np.eye(4), np.zeros(4), np.eye(3, 2),
-                         np.eye(3, 4), np.ones(3))
